@@ -22,11 +22,28 @@
 //!    * the energy rule: for an est-cut `a` of Θ, if the computed
 //!      `ceil((C·a + e_Θ(a) − (C − c_g)·L) / c_g)` exceeds `a`, then `g`
 //!      cannot start left of the cut and the value bounds `s_g` (an O(n)
-//!      reverse scan per detection; detections are rare, so the pass stays
-//!      O(n log n) in practice).
+//!      reverse scan, `update_bound`).
 //!
 //!    Assigned grays get the bound as a pending `lb` update; candidate
 //!    grays whose bound exceeds their start `ub` lose the resource.
+//!
+//! **Cost.** Detections are not rare: on the `e2e` `flash_backlog` workload
+//! (seed 1: 517 216 passes, 54.7 items each, 60 % with a fixed start) 31.4
+//! items are detected *per pass*, 51 % of them trivially (`est_g ≥ L`, so
+//! `g` alone overflows `C·L`), and not one of the 16.3 M detections moves a
+//! bound. A scan per detection would make the pass O(n²), so detection is
+//! gated in O(1): Θ excludes `g`, hence `C·a + e_Θ(a) ≤ Env(Θ)` for every
+//! cut and every energy-rule candidate is at most
+//! `U = ceil((Env(Θ) − (C − c_g)·L) / c_g)`; if `max(U, L + 1 − dur_g) ≤
+//! est_g` the bound cannot exceed `est_g`, which changes neither an assigned
+//! start nor a candidate set (dropping needs a bound above `lct − dur ≥
+//! est`), and the scan is skipped — on that workload, always. What remains
+//! is O(n log n) in fact: pass 2 starts from the tree pass 1 leaves behind,
+//! the mirrored pass derives its two orders from the forward ones when the
+//! forward pass changed no domain, and a tree with no gray leaf (the
+//! manager's §V.D single-pool model, where every task is assigned) combines
+//! two fields per node instead of six. Debug builds cross-check all three
+//! shortcuts against the long way round.
 //!
 //! All buffers live on the propagator and are reused across invocations
 //! (see `tests/alloc_count.rs`).
@@ -63,6 +80,12 @@ pub struct EdgeFinding {
     /// Scratch: item index → leaf position (est rank).
     pos: Vec<u32>,
     tree: ThetaTree,
+    /// Debug cross-check scratch (see `check_carried_tree`).
+    #[cfg(debug_assertions)]
+    check_tree: ThetaTree,
+    /// `update_bound` scans performed (complexity pin, tests only).
+    #[cfg(test)]
+    scans: u64,
     /// Scratch: pending start lower bound per item (`NEG` = none).
     new_lb: Vec<i64>,
     /// Scratch: candidate items that must lose this resource.
@@ -98,6 +121,10 @@ impl EdgeFinding {
             order_lct: Vec::new(),
             pos: Vec::new(),
             tree: ThetaTree::default(),
+            #[cfg(debug_assertions)]
+            check_tree: ThetaTree::default(),
+            #[cfg(test)]
+            scans: 0,
             new_lb: Vec::new(),
             drop_res: Vec::new(),
             last_stamp: vec![0; n],
@@ -157,8 +184,34 @@ impl EdgeFinding {
         }
     }
 
-    /// Both sweeps over the current `items`, writing pending updates into
-    /// `new_lb` / `drop_res`.
+    /// Sort both orders by `(key, index)` — a total order, so the result is
+    /// unique.
+    fn sort_orders(&mut self) {
+        let items = &self.items;
+        let n = items.len() as u32;
+        self.order_est.clear();
+        self.order_est.extend(0..n);
+        self.order_est
+            .sort_unstable_by_key(|&i| (items[i as usize].est, i));
+        self.order_lct.clear();
+        self.order_lct.extend(0..n);
+        self.order_lct
+            .sort_unstable_by_key(|&i| (items[i as usize].lct, i));
+    }
+
+    /// Orders of the mirrored `items` when the forward `apply` changed no
+    /// domain: item by item `est' = −lct` and `lct' = −est`, so each order
+    /// is the other forward order reversed, with every equal-key run put
+    /// back in ascending index order.
+    fn mirror_orders(&mut self) {
+        std::mem::swap(&mut self.order_est, &mut self.order_lct);
+        let items = &self.items;
+        reverse_keeping_ties(&mut self.order_est, |i| items[i as usize].est);
+        reverse_keeping_ties(&mut self.order_lct, |i| items[i as usize].lct);
+    }
+
+    /// Both sweeps over the current `items` in the current orders, writing
+    /// pending updates into `new_lb` / `drop_res`.
     fn run_pass(&mut self, cap: i64) -> Result<(), Conflict> {
         let n = self.items.len();
         self.new_lb.clear();
@@ -168,15 +221,6 @@ impl EdgeFinding {
         if n == 0 {
             return Ok(());
         }
-        let items = &self.items;
-        self.order_est.clear();
-        self.order_est.extend(0..n as u32);
-        self.order_est
-            .sort_unstable_by_key(|&i| (items[i as usize].est, i));
-        self.order_lct.clear();
-        self.order_lct.extend(0..n as u32);
-        self.order_lct
-            .sort_unstable_by_key(|&i| (items[i as usize].lct, i));
         self.pos.clear();
         self.pos.resize(n, 0);
         for (p, &i) in self.order_est.iter().enumerate() {
@@ -213,17 +257,11 @@ impl EdgeFinding {
             }
         }
 
-        // Pass 2: edge-finding detection, descending lct levels.
-        self.tree.reset(n);
-        for i in 0..n {
-            let it = self.items[i];
-            let p = self.pos[i] as usize;
-            if it.assigned {
-                self.tree.set_theta(p, it.est, it.energy, cap);
-            } else if !self.drop_res[i] {
-                self.tree.set_lambda(p, it.est, it.energy, cap);
-            }
-        }
+        // Pass 2: edge-finding detection, descending lct levels. Pass 1 left
+        // every assigned item white, every surviving candidate gray and
+        // every dropped candidate removed: exactly this pass's initial tree.
+        #[cfg(debug_assertions)]
+        self.check_carried_tree(cap);
         let mut k = n;
         while k > 0 {
             // Demote the top lct group from Θ to Λ; the next distinct lct
@@ -250,16 +288,30 @@ impl EdgeFinding {
                 }
                 let Some(p_g) = resp else { break };
                 let g = self.order_est[p_g] as usize;
-                let v = self.update_bound(g, level, cap);
                 let it = self.items[g];
-                if it.assigned {
-                    if v > self.new_lb[g] {
-                        self.new_lb[g] = v;
+                // O(1) gate: Θ excludes `g`, so every energy-rule candidate
+                // of `update_bound` is at most `ceil(num / req)`, which is
+                // ≤ est iff `num ≤ req·est`. A bound ≤ est changes neither
+                // an assigned start (`set_lb`/`set_ub` no-op) nor a
+                // candidate (dropping needs v > lct − dur ≥ est).
+                let num = self.tree.env() - (cap - it.req) * level;
+                if num <= it.req * it.est && level + 1 - it.dur <= it.est {
+                    debug_assert!(self.update_bound(g, level, cap) <= it.est);
+                } else {
+                    #[cfg(test)]
+                    {
+                        self.scans += 1;
                     }
-                } else if v > it.lct - it.dur {
-                    // A candidate whose implied start exceeds its start ub
-                    // cannot execute on this resource.
-                    self.drop_res[g] = true;
+                    let v = self.update_bound(g, level, cap);
+                    if it.assigned {
+                        if v > self.new_lb[g] {
+                            self.new_lb[g] = v;
+                        }
+                    } else if v > it.lct - it.dur {
+                        // A candidate whose implied start exceeds its start
+                        // ub cannot execute on this resource.
+                        self.drop_res[g] = true;
+                    }
                 }
                 self.tree.remove(p_g);
             }
@@ -303,23 +355,57 @@ impl EdgeFinding {
         v
     }
 
-    /// Apply the pending updates computed by [`run_pass`](Self::run_pass).
-    fn apply(&mut self, ctx: &mut Ctx<'_>, mirror: bool) -> Result<(), Conflict> {
+    /// Apply the pending updates computed by [`run_pass`](Self::run_pass);
+    /// returns whether any domain changed.
+    fn apply(&mut self, ctx: &mut Ctx<'_>, mirror: bool) -> Result<bool, Conflict> {
+        let mut changed = false;
         for i in 0..self.items.len() {
             let it = self.items[i];
             if self.drop_res[i] {
-                ctx.dom.remove_res(it.task, self.res)?;
+                changed |= ctx.dom.remove_res(it.task, self.res)?;
             } else if it.assigned && self.new_lb[i] > NEG {
-                if mirror {
+                changed |= if mirror {
                     // s' ≥ v in reversed time ⟺ s ≤ −v − dur.
-                    ctx.dom.set_ub(it.task, -self.new_lb[i] - it.dur)?;
+                    ctx.dom.set_ub(it.task, -self.new_lb[i] - it.dur)?
                 } else {
-                    ctx.dom.set_lb(it.task, self.new_lb[i])?;
-                }
+                    ctx.dom.set_lb(it.task, self.new_lb[i])?
+                };
             }
         }
-        Ok(())
+        Ok(changed)
     }
+
+    /// Debug cross-check: the tree carried over from pass 1 has the root a
+    /// from-scratch pass-2 fill produces.
+    #[cfg(debug_assertions)]
+    fn check_carried_tree(&mut self, cap: i64) {
+        self.check_tree.reset(self.items.len());
+        for (i, it) in self.items.iter().enumerate() {
+            let p = self.pos[i] as usize;
+            if it.assigned {
+                self.check_tree.set_theta(p, it.est, it.energy, cap);
+            } else if !self.drop_res[i] {
+                self.check_tree.set_lambda(p, it.est, it.energy, cap);
+            }
+        }
+        debug_assert_eq!(self.tree.env(), self.check_tree.env());
+        debug_assert_eq!(self.tree.env_lambda(), self.check_tree.env_lambda());
+    }
+}
+
+/// Reverse `order`, then put every run of equal `key` back in its original
+/// (ascending-index) order.
+fn reverse_keeping_ties(order: &mut [u32], key: impl Fn(u32) -> i64) {
+    order.reverse();
+    for run in order.chunk_by_mut(|&a, &b| key(a) == key(b)) {
+        run.reverse();
+    }
+    debug_assert!(
+        order
+            .windows(2)
+            .all(|w| (key(w[0]), w[0]) < (key(w[1]), w[1])),
+        "derived mirrored order differs from the sorted one"
+    );
 }
 
 impl Propagator for EdgeFinding {
@@ -347,11 +433,17 @@ impl Propagator for EdgeFinding {
             if self.items.iter().all(|it| !it.assigned && it.req <= cap) {
                 return Ok(());
             }
+            self.sort_orders();
             self.run_pass(cap)?;
-            self.apply(ctx, false)?;
+            let changed = self.apply(ctx, false)?;
             self.collect(ctx, true);
+            if changed {
+                self.sort_orders();
+            } else {
+                self.mirror_orders();
+            }
             self.run_pass(cap)?;
-            self.apply(ctx, true)
+            self.apply(ctx, true).map(|_| ())
         })();
         if result.is_err() {
             self.valid = false;
@@ -422,6 +514,7 @@ mod tests {
         d.set_ub(bt, 3).unwrap(); // bt ∈ [1,3], lct 5
         let (mut ef, mut ctx) = ef_ctx(&m, &mut d);
         ef.propagate(&mut ctx).unwrap();
+        assert!(ef.scans > 0, "a binding detection falls through the gate");
         assert_eq!(d.lb(i), 5, "i is pushed past the saturated window");
         assert_eq!(d.ub(a), 0, "mirror pass: a must lead the block");
     }
@@ -467,7 +560,32 @@ mod tests {
         d.set_ub(t2, 1).unwrap(); // lct 5
         let (mut ef, mut ctx) = ef_ctx(&m, &mut d);
         ef.propagate(&mut ctx).unwrap();
+        assert!(ef.scans > 0, "a binding detection falls through the gate");
         assert_eq!(d.lb(g), 3);
+    }
+
+    /// Complexity pin, by count: 32 back-to-back pinned tasks on a
+    /// capacity-2 pool plus one roomy task. Every pinned task is detected
+    /// once per pass when its level drops below its est (it alone overflows
+    /// `C·L`), and every one of those detections is a no-op the O(1) gate
+    /// answers: the O(n) scan never runs (ungated it runs 62 times here).
+    #[test]
+    fn trivial_detections_never_scan() {
+        let mut b = ModelBuilder::new();
+        b.add_resource(2, 0);
+        let j = b.add_job(0, 1000);
+        for k in 0..32 {
+            let t = b.add_task(j, SlotKind::Map, 3, 1);
+            b.fix_task(t, ResRef(0), 3 * k);
+        }
+        let roomy = b.add_task(j, SlotKind::Map, 3, 1);
+        b.set_horizon(200);
+        let m = b.build().unwrap();
+        let mut d = Domains::new(&m);
+        let (mut ef, mut ctx) = ef_ctx(&m, &mut d);
+        ef.propagate(&mut ctx).unwrap();
+        assert_eq!(ef.scans, 0);
+        assert_eq!((d.lb(roomy), d.ub(roomy)), (0, 200));
     }
 
     /// No assigned tasks and roomy windows: nothing to prune, no conflict.

@@ -327,6 +327,11 @@ pub struct Engine {
     /// Objective cut shared with the search (monotonically tightened).
     bound: u32,
     stats: PropStats,
+    /// Wall-clock inside `propagate` per class, nanoseconds. Most runs of
+    /// the cheap classes take under a microsecond, so summing truncated
+    /// microseconds would report almost nothing; [`Engine::prop_stats`]
+    /// converts the sum once.
+    time_ns: [u64; N_PROP_CLASSES],
     /// Reusable buffers for draining the domains' dirty queues; kept on
     /// the engine so steady-state propagation allocates nothing.
     scratch_tasks: Vec<TaskRef>,
@@ -415,6 +420,7 @@ impl Engine {
             in_queue: vec![false; n],
             bound: u32::MAX,
             stats: PropStats::default(),
+            time_ns: [0; N_PROP_CLASSES],
             scratch_tasks: Vec::new(),
             scratch_jobs: Vec::new(),
             sched_opts: options.scheduling,
@@ -425,7 +431,11 @@ impl Engine {
 
     /// Cumulative propagation counters since construction.
     pub fn prop_stats(&self) -> PropStats {
-        self.stats
+        let mut stats = self.stats;
+        for (class, ns) in stats.by_class.iter_mut().zip(self.time_ns) {
+            class.time_us = ns / 1_000;
+        }
+        stats
     }
 
     /// Tighten the objective cut (number of late jobs allowed). Monotone:
@@ -588,7 +598,7 @@ impl Engine {
             let class_idx = self.classes[id].idx();
             let t0 = Instant::now();
             let result = self.props[id].propagate(&mut ctx);
-            self.stats.by_class[class_idx].time_us += t0.elapsed().as_micros() as u64;
+            self.time_ns[class_idx] += t0.elapsed().as_nanos() as u64;
             self.stats.runs += 1;
             self.stats.by_class[class_idx].runs += 1;
             match result {

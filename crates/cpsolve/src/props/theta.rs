@@ -41,14 +41,21 @@ struct Node {
     resp_env: u32,
 }
 
-const EMPTY: Node = Node {
-    e: 0,
-    env: NEG,
-    e_l: 0,
-    env_l: NEG,
-    resp_e: u32::MAX,
-    resp_env: u32::MAX,
-};
+impl Node {
+    /// A node with no Λ-task below it.
+    const fn white(e: i64, env: i64) -> Node {
+        Node {
+            e,
+            env,
+            e_l: e,
+            env_l: env,
+            resp_e: u32::MAX,
+            resp_env: u32::MAX,
+        }
+    }
+}
+
+const EMPTY: Node = Node::white(0, NEG);
 
 /// Reusable Θ-Λ tree. Leaf positions are caller-chosen indices in
 /// `[0, n)`; the caller must order them by nondecreasing est for the
@@ -60,6 +67,10 @@ pub struct ThetaTree {
     /// First leaf index (power of two ≥ n, or 1 when n ≤ 1).
     m: usize,
     n: usize,
+    /// Number of Λ leaves. While it is zero every node has `e_l = e`,
+    /// `env_l = env` and nobody responsible, so the walk to the root
+    /// combines two fields instead of six.
+    grays: usize,
 }
 
 impl ThetaTree {
@@ -68,42 +79,54 @@ impl ThetaTree {
         let m = n.next_power_of_two().max(1);
         self.m = m;
         self.n = n;
+        self.grays = 0;
         self.nodes.clear();
         self.nodes.resize(2 * m, EMPTY);
     }
 
+    /// Store `leaf` at `pos` and recompute its ancestors.
     #[inline]
-    fn recompute_up(&mut self, mut i: usize) {
+    fn put(&mut self, pos: usize, leaf: Node) {
+        debug_assert!(pos < self.n);
+        let mut i = self.m + pos;
+        self.grays -= (self.nodes[i].resp_e != u32::MAX) as usize;
+        self.grays += (leaf.resp_e != u32::MAX) as usize;
+        self.nodes[i] = leaf;
+        let white_only = self.grays == 0;
         i /= 2;
         while i >= 1 {
             let l = self.nodes[2 * i];
             let r = self.nodes[2 * i + 1];
             let e = l.e + r.e;
             let env = r.env.max(l.env.saturating_add(r.e));
-            // e_l: best single-gray energy sum.
-            let (e_l, resp_e) = if l.e_l + r.e >= l.e + r.e_l {
-                (l.e_l + r.e, l.resp_e)
+            self.nodes[i] = if white_only {
+                Node::white(e, env)
             } else {
-                (l.e + r.e_l, r.resp_e)
-            };
-            // env_l: best single-gray envelope among the three shapes.
-            let c1 = r.env_l;
-            let c2 = l.env.saturating_add(r.e_l);
-            let c3 = l.env_l.saturating_add(r.e);
-            let (env_l, resp_env) = if c1 >= c2 && c1 >= c3 {
-                (c1, r.resp_env)
-            } else if c2 >= c3 {
-                (c2, r.resp_e)
-            } else {
-                (c3, l.resp_env)
-            };
-            self.nodes[i] = Node {
-                e,
-                env,
-                e_l,
-                env_l,
-                resp_e,
-                resp_env,
+                // e_l: best single-gray energy sum.
+                let (e_l, resp_e) = if l.e_l + r.e >= l.e + r.e_l {
+                    (l.e_l + r.e, l.resp_e)
+                } else {
+                    (l.e + r.e_l, r.resp_e)
+                };
+                // env_l: best single-gray envelope among the three shapes.
+                let c1 = r.env_l;
+                let c2 = l.env.saturating_add(r.e_l);
+                let c3 = l.env_l.saturating_add(r.e);
+                let (env_l, resp_env) = if c1 >= c2 && c1 >= c3 {
+                    (c1, r.resp_env)
+                } else if c2 >= c3 {
+                    (c2, r.resp_e)
+                } else {
+                    (c3, l.resp_env)
+                };
+                Node {
+                    e,
+                    env,
+                    e_l,
+                    env_l,
+                    resp_e,
+                    resp_env,
+                }
             };
             i /= 2;
         }
@@ -111,23 +134,12 @@ impl ThetaTree {
 
     /// Put the task at leaf `pos` into Θ (white).
     pub fn set_theta(&mut self, pos: usize, est: i64, energy: i64, cap: i64) {
-        debug_assert!(pos < self.n);
-        let env = cap * est + energy;
-        self.nodes[self.m + pos] = Node {
-            e: energy,
-            env,
-            e_l: energy,
-            env_l: env,
-            resp_e: u32::MAX,
-            resp_env: u32::MAX,
-        };
-        self.recompute_up(self.m + pos);
+        self.put(pos, Node::white(energy, cap * est + energy));
     }
 
     /// Put the task at leaf `pos` into Λ (gray: optional, at most one used).
     pub fn set_lambda(&mut self, pos: usize, est: i64, energy: i64, cap: i64) {
-        debug_assert!(pos < self.n);
-        self.nodes[self.m + pos] = Node {
+        let leaf = Node {
             e: 0,
             env: NEG,
             e_l: energy,
@@ -135,14 +147,12 @@ impl ThetaTree {
             resp_e: pos as u32,
             resp_env: pos as u32,
         };
-        self.recompute_up(self.m + pos);
+        self.put(pos, leaf);
     }
 
     /// Remove the task at leaf `pos` entirely.
     pub fn remove(&mut self, pos: usize) {
-        debug_assert!(pos < self.n);
-        self.nodes[self.m + pos] = EMPTY;
-        self.recompute_up(self.m + pos);
+        self.put(pos, EMPTY);
     }
 
     /// Energy envelope of the Θ-set.

@@ -52,38 +52,70 @@ fn contended_model() -> Model {
     b.build().unwrap()
 }
 
-fn run(node_limit: u64) -> (usize, u64) {
-    let model = contended_model();
+/// One shared pool (the manager's §V.D combined single-resource model):
+/// every task is assigned from the root, so edge-finding never takes its
+/// inert-pool exit and runs both passes — the mirrored one mostly on derived
+/// orders — at every node.
+fn single_pool_model() -> Model {
+    let mut b = ModelBuilder::new();
+    b.add_resource(3, 2);
+    for j in 0..8i64 {
+        let job = b.add_job(j % 3, 10 + (j * 7) % 11);
+        for k in 0..3 {
+            b.add_task(
+                job,
+                SlotKind::Map,
+                3 + (j + k) % 4,
+                1 + ((j + k) % 2) as u32,
+            );
+        }
+        b.add_task(job, SlotKind::Reduce, 2 + j % 3, 1);
+    }
+    b.set_horizon(400);
+    b.build().unwrap()
+}
+
+fn run(model: &Model, node_limit: u64, prop_scheduling: bool) -> (usize, u64) {
     let params = SolveParams {
         node_limit,
         warm_start: false,
         restarts: None,
+        prop_scheduling,
         ..Default::default()
     };
     let before = ALLOCS.load(Ordering::Relaxed);
-    let out = solve(&model, &params);
+    let out = solve(model, &params);
     let after = ALLOCS.load(Ordering::Relaxed);
     (after - before, out.stats.nodes)
 }
 
 #[test]
 fn search_does_not_allocate_per_node() {
-    // Warm up once so one-time lazies (fmt machinery, etc.) don't skew run 1.
-    run(64);
+    // One test function for both models: the allocation counter is
+    // process-wide, so they must not run on parallel test threads.
+    // The single-pool search keeps edge-finding on every node (no demotion).
+    for (name, model, sched) in [
+        ("contended", contended_model(), true),
+        ("single pool", single_pool_model(), false),
+    ] {
+        // Warm up once so one-time lazies (fmt machinery, etc.) don't skew run 1.
+        run(&model, 64, sched);
 
-    let (small_allocs, small_nodes) = run(200);
-    let (large_allocs, large_nodes) = run(3000);
+        let (small_allocs, small_nodes) = run(&model, 200, sched);
+        let (large_allocs, large_nodes) = run(&model, 3000, sched);
 
-    let extra_nodes = large_nodes.saturating_sub(small_nodes);
-    assert!(
-        extra_nodes >= 1000,
-        "instance too easy to exercise the limits: {small_nodes} vs {large_nodes} nodes"
-    );
+        let extra_nodes = large_nodes.saturating_sub(small_nodes);
+        assert!(
+            extra_nodes >= 1000,
+            "{name}: instance too easy to exercise the limits: \
+             {small_nodes} vs {large_nodes} nodes"
+        );
 
-    let extra_allocs = large_allocs.saturating_sub(small_allocs) as u64;
-    assert!(
-        extra_allocs < extra_nodes / 4,
-        "search allocates per node: {extra_allocs} extra allocations \
-         over {extra_nodes} extra nodes"
-    );
+        let extra_allocs = large_allocs.saturating_sub(small_allocs) as u64;
+        assert!(
+            extra_allocs < extra_nodes / 4,
+            "{name}: search allocates per node: {extra_allocs} extra allocations \
+             over {extra_nodes} extra nodes"
+        );
+    }
 }

@@ -4,7 +4,8 @@
 //! the filters on or off must not change the optimum the solver proves.
 
 use cpsolve::model::{Model, ModelBuilder, ResRef, SlotKind, TaskRef};
-use cpsolve::props::{Engine, EngineOptions};
+use cpsolve::props::edge_finding::EdgeFinding;
+use cpsolve::props::{Ctx, Engine, EngineOptions, Propagator};
 use cpsolve::search::{solve, SolveParams, Status};
 use cpsolve::state::Domains;
 use proptest::prelude::*;
@@ -58,6 +59,56 @@ fn build(i: &Tiny) -> Model {
         for &d in reds {
             b.add_task(j, SlotKind::Reduce, d, 1);
         }
+    }
+    b.set_horizon(i.horizon);
+    b.build().expect("well-formed")
+}
+
+/// An instance built to fire the rules, not just survive them: pinned blocks
+/// (assigned Θ members from the root), multi-unit requirements, start
+/// windows a few ticks wide, and free tasks that are unassigned candidates
+/// on two pools — or assigned with a window, when only one pool is wide
+/// enough. Root propagation on these sees real detections, candidate drops
+/// and the forward-pass-changed-a-domain re-sort, so the propagator's debug
+/// cross-checks run on the paths that matter.
+#[derive(Debug, Clone)]
+struct Packed {
+    /// Map capacity of the two resources.
+    caps: [u32; 2],
+    /// Pinned blocks: (resource, start, dur, req).
+    blocks: Vec<(u32, i64, i64, u32)>,
+    /// Free tasks, one job each: (release, dur, req, deadline slack).
+    free: Vec<(i64, i64, u32, i64)>,
+    horizon: i64,
+}
+
+fn packed() -> impl Strategy<Value = Packed> {
+    let blocks = prop::collection::vec((0u32..2, 0i64..=5, 1i64..=4, 1u32..=2), 0..=2);
+    let free = prop::collection::vec((0i64..=4, 1i64..=4, 1u32..=3, 0i64..=3), 2..=4);
+    ((1u32..=3, 1u32..=3), blocks, free, 5i64..=8).prop_map(|((c0, c1), blocks, free, horizon)| {
+        Packed {
+            caps: [c0, c1],
+            blocks,
+            free,
+            horizon,
+        }
+    })
+}
+
+fn build_packed(i: &Packed) -> Model {
+    let mut b = ModelBuilder::new();
+    for &c in &i.caps {
+        b.add_resource(c, 0);
+    }
+    let widest = i.caps[0].max(i.caps[1]);
+    for &(r, start, dur, req) in &i.blocks {
+        let pinned = b.add_job(0, 1000);
+        let t = b.add_task(pinned, SlotKind::Map, dur, req.min(i.caps[r as usize]));
+        b.fix_task(t, ResRef(r), start);
+    }
+    for &(rel, dur, req, slack) in &i.free {
+        let j = b.add_job(rel, rel + dur + slack);
+        b.add_task(j, SlotKind::Map, dur, req.min(widest));
     }
     b.set_horizon(i.horizon);
     b.build().expect("well-formed")
@@ -124,14 +175,22 @@ fn enumerate_feasible(model: &Model) -> (Vec<Vec<i64>>, Vec<Vec<bool>>) {
                 floor = floor.max(starts[m.idx()] + model.tasks[m.idx()].dur);
             }
         }
+        // A pinned task has exactly one placement, release or no release.
+        let (resources, window) = match spec.fixed {
+            Some((r, s)) => (r.idx()..r.idx() + 1, s..=s),
+            None => (
+                0..model.n_resources(),
+                floor..=model.horizon.min(job.deadline - spec.dur),
+            ),
+        };
         let k = kind_idx(spec.kind);
         let mut found = 0u64;
-        for r in 0..model.n_resources() {
+        for r in resources {
             let cap = model.resources[r].cap(spec.kind) as i64;
             if cap == 0 {
                 continue;
             }
-            for s in floor..=model.horizon {
+            for s in window.clone() {
                 let range = s as usize..(s + spec.dur) as usize;
                 if range
                     .clone()
@@ -168,50 +227,103 @@ fn enumerate_feasible(model: &Model) -> (Vec<Vec<i64>>, Vec<Vec<bool>>) {
     (feas_starts, feas_res)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// Whatever `propagate` narrows (it returns false on a conflict), every
+/// start and every resource that participates in at least one complete
+/// feasible placement must survive: filters only remove provably infeasible
+/// values.
+fn assert_keeps_feasible_placements(
+    model: &Model,
+    propagate: impl FnOnce(&Model, &mut Domains) -> bool,
+) {
+    let (feas_starts, feas_res) = enumerate_feasible(model);
+    let mut dom = Domains::new(model);
+    let ok = propagate(model, &mut dom);
 
-    /// Root propagation with edge-finding and the timetable on keeps every
-    /// start and every resource that participates in at least one complete
-    /// feasible placement: the strong filters only remove provably
-    /// infeasible values.
-    #[test]
-    fn strong_filters_never_prune_feasible_placements(i in tiny()) {
-        let model = build(&i);
-        let (feas_starts, feas_res) = enumerate_feasible(&model);
+    let any_feasible = feas_starts.iter().any(|f| !f.is_empty());
+    if !any_feasible {
+        // Nothing to protect; a root conflict is allowed (and good).
+        return;
+    }
+    assert!(ok, "root conflict on a feasible instance");
+    for t in 0..model.n_tasks() {
+        let tr = TaskRef(t as u32);
+        for &s in &feas_starts[t] {
+            assert!(
+                dom.lb(tr) <= s && s <= dom.ub(tr),
+                "task {t}: feasible start {s} pruned to [{}, {}]",
+                dom.lb(tr),
+                dom.ub(tr)
+            );
+        }
+        for (r, &feas) in feas_res[t].iter().enumerate() {
+            if feas {
+                assert!(
+                    dom.mask(tr) & (1u128 << r) != 0,
+                    "task {t}: feasible resource {r} removed"
+                );
+            }
+        }
+    }
+}
 
-        let mut dom = Domains::new(&model);
-        let mut eng = Engine::with_options(&model, EngineOptions {
+/// Root propagation of the whole engine, edge-finding and timetable on.
+fn engine_root(model: &Model, dom: &mut Domains) -> bool {
+    let mut eng = Engine::with_options(
+        model,
+        EngineOptions {
             energetic: false,
             edge_finding: true,
             ..EngineOptions::default()
-        });
-        let ok = eng.propagate_all(&model, &mut dom).is_ok();
+        },
+    );
+    eng.propagate_all(model, dom).is_ok()
+}
 
-        let any_feasible = feas_starts.iter().any(|f| !f.is_empty());
-        if !any_feasible {
-            // Nothing to protect; a root conflict is allowed (and good).
-            return Ok(());
+/// Every deadline made a hard window (what the objective cut does at bound
+/// 0), then the edge-finders of all pools run to their own fixpoint with no
+/// other propagator in the loop: the timetable would otherwise get to most
+/// of these prunings first, and any unsound one is edge-finding's alone.
+fn edge_finding_alone(model: &Model, dom: &mut Domains) -> bool {
+    for (t, spec) in model.tasks.iter().enumerate() {
+        let latest = model.jobs[spec.job.idx()].deadline - spec.dur;
+        if spec.fixed.is_none() && dom.set_ub(TaskRef(t as u32), latest).is_err() {
+            return false;
         }
-        prop_assert!(ok, "root conflict on a feasible instance");
-        for t in 0..model.n_tasks() {
-            let tr = TaskRef(t as u32);
-            for &s in &feas_starts[t] {
-                prop_assert!(
-                    dom.lb(tr) <= s && s <= dom.ub(tr),
-                    "task {t}: feasible start {s} pruned to [{}, {}]",
-                    dom.lb(tr), dom.ub(tr)
-                );
-            }
-            for (r, &feas) in feas_res[t].iter().enumerate() {
-                if feas {
-                    prop_assert!(
-                        dom.mask(tr) & (1u128 << r) != 0,
-                        "task {t}: feasible resource {r} removed"
-                    );
-                }
+    }
+    let mut pools: Vec<EdgeFinding> = (0..model.n_resources())
+        .filter_map(|r| EdgeFinding::new(model, ResRef(r as u32), SlotKind::Map))
+        .collect();
+    loop {
+        dom.clear_dirty();
+        for pool in &mut pools {
+            let mut ctx = Ctx {
+                model,
+                dom: &mut *dom,
+                bound: u32::MAX,
+            };
+            if pool.propagate(&mut ctx).is_err() {
+                return false;
             }
         }
+        if dom.dirty_is_empty() {
+            return true;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn strong_filters_never_prune_feasible_placements(i in tiny()) {
+        assert_keeps_feasible_placements(&build(&i), engine_root);
+    }
+
+    /// The same soundness property for edge-finding on its own, on
+    /// instances where its rules fire.
+    #[test]
+    fn edge_finding_alone_never_prunes_feasible_placements(i in packed()) {
+        assert_keeps_feasible_placements(&build_packed(&i), edge_finding_alone);
     }
 
     /// The optimum the solver proves is identical with the strong filters
@@ -239,6 +351,29 @@ proptest! {
         let a = on.best.expect("optimal implies incumbent").objective;
         let b = off.best.expect("optimal implies incumbent").objective;
         prop_assert_eq!(a, b, "filters changed the proven optimum");
-        let _ = ResRef(0);
+    }
+
+    /// Packed instances carry tight deadlines, so branch and bound is real
+    /// and edge-finding runs (cross-checked, in debug) on every partial
+    /// assignment the search visits; contradictory pins make some of them
+    /// infeasible, which both configurations must agree on.
+    #[test]
+    fn filters_preserve_the_verdict_when_packed(i in packed()) {
+        let model = build_packed(&i);
+        let budget = SolveParams {
+            node_limit: 200_000,
+            fail_limit: 200_000,
+            prop_scheduling: false,
+            ..Default::default()
+        };
+        let on = solve(&model, &SolveParams { edge_finding: true, ..budget.clone() });
+        let off = solve(&model, &SolveParams { edge_finding: false, ..budget });
+        prop_assert!(matches!(on.status, Status::Optimal | Status::Infeasible));
+        prop_assert_eq!(on.status, off.status);
+        prop_assert_eq!(
+            on.best.map(|s| s.objective),
+            off.best.map(|s| s.objective),
+            "filters changed the proven optimum"
+        );
     }
 }
