@@ -178,6 +178,11 @@ impl Default for EngineOptions {
 /// the bit-exactness anchors (federation `cells=1`, chaos-off, crash
 /// recovery) depend on this. Wall-time efficiency (prunings/µs) is still
 /// *reported* per class via [`PropClassStats`] for the bench ledger.
+///
+/// A run counts whatever the propagator did inside it: a pass that
+/// edge-finding's dominance certificate (see [`edge_finding`]) answers
+/// without sweeping is a counted run with zero prunings, exactly what the
+/// full pass would have been, so the certificate moves no ledger trajectory.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulingOptions {
     /// Master switch; when false every propagator runs on every pop.

@@ -75,6 +75,39 @@ fn single_pool_model() -> Model {
     b.build().unwrap()
 }
 
+/// The single pool as a manager round leaves it: a pinned backlog (started
+/// tasks) beside the jobs still to place, their deadlines too tight to all
+/// be met. Deadlines are soft, so every unfixed window runs to the horizon
+/// and every edge-finding pass of this search ends at the dominance
+/// certificate — which must cost no allocation either (in debug builds its
+/// cross-check runs both sweeps in the same buffers).
+fn backlog_model() -> Model {
+    let mut b = ModelBuilder::new();
+    let pool = b.add_resource(4, 0);
+    let started = b.add_job(0, 1000);
+    for k in 0..12i64 {
+        let t = b.add_task(started, SlotKind::Map, 4, 1);
+        b.fix_task(t, pool, 4 * (k / 2));
+    }
+    for j in 0..10i64 {
+        let job = b.add_job(j % 4, 9 + (j * 5) % 8);
+        for k in 0..2 {
+            b.add_task(
+                job,
+                SlotKind::Map,
+                3 + (j + k) % 3,
+                1 + ((j + k) % 2) as u32,
+            );
+        }
+    }
+    for j in 0..4i64 {
+        let job = b.add_job(0, 1000);
+        b.add_task(job, SlotKind::Map, 2 + j, 1);
+    }
+    b.set_horizon(400);
+    b.build().unwrap()
+}
+
 fn run(model: &Model, node_limit: u64, prop_scheduling: bool) -> (usize, u64) {
     let params = SolveParams {
         node_limit,
@@ -91,12 +124,13 @@ fn run(model: &Model, node_limit: u64, prop_scheduling: bool) -> (usize, u64) {
 
 #[test]
 fn search_does_not_allocate_per_node() {
-    // One test function for both models: the allocation counter is
+    // One test function for all models: the allocation counter is
     // process-wide, so they must not run on parallel test threads.
     // The single-pool search keeps edge-finding on every node (no demotion).
     for (name, model, sched) in [
         ("contended", contended_model(), true),
         ("single pool", single_pool_model(), false),
+        ("backlog", backlog_model(), false),
     ] {
         // Warm up once so one-time lazies (fmt machinery, etc.) don't skew run 1.
         run(&model, 64, sched);

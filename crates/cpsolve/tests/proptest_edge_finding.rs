@@ -6,7 +6,7 @@
 use cpsolve::model::{Model, ModelBuilder, ResRef, SlotKind, TaskRef};
 use cpsolve::props::edge_finding::EdgeFinding;
 use cpsolve::props::{Ctx, Engine, EngineOptions, Propagator};
-use cpsolve::search::{solve, SolveParams, Status};
+use cpsolve::search::{solve, Outcome, SolveParams, Status};
 use cpsolve::state::Domains;
 use proptest::prelude::*;
 
@@ -111,6 +111,61 @@ fn build_packed(i: &Packed) -> Model {
         b.add_task(j, SlotKind::Map, dur, req.min(widest));
     }
     b.set_horizon(i.horizon);
+    b.build().expect("well-formed")
+}
+
+/// The shape of a manager round (paper Table 2: every started task is a
+/// constraint, the rest is re-solved) on the §V.D combined single-pool
+/// model, where every task is assigned from the root: a pinned backlog laid
+/// out in two lanes, free tasks whose windows run to the horizon, and a few
+/// tasks with deadlines tight enough to be late. The pinned tasks — and the
+/// ones each LNS iteration freezes at the incumbent — are the fixed majority
+/// that lets edge-finding's dominance certificate fire; the tight ones keep
+/// other passes uncertified, so one search exercises both sides.
+#[derive(Debug, Clone)]
+struct Backlog {
+    cap: u32,
+    /// Pinned tasks, alternating lanes, back to back: (dur, req share).
+    pinned: Vec<(i64, u32)>,
+    /// Free tasks with loose deadlines: (dur, req).
+    free: Vec<(i64, u32)>,
+    /// Deadline-tightened tasks: (release, dur, req, slack).
+    tight: Vec<(i64, i64, u32, i64)>,
+}
+
+fn backlog() -> impl Strategy<Value = Backlog> {
+    let pinned = prop::collection::vec((1i64..=6, 1u32..=8), 2..=8);
+    let free = prop::collection::vec((1i64..=6, 1u32..=4), 2..=6);
+    let tight = prop::collection::vec((0i64..=10, 2i64..=6, 1u32..=8, 0i64..=4), 2..=6);
+    (4u32..=16, pinned, free, tight).prop_map(|(cap, pinned, free, tight)| Backlog {
+        cap,
+        pinned,
+        free,
+        tight,
+    })
+}
+
+fn build_backlog(i: &Backlog) -> Model {
+    let mut b = ModelBuilder::new();
+    let r = b.add_resource(i.cap, 0);
+    // Two lanes of half the pool each, so the pins never overload it.
+    let lane_cap = i.cap / 2;
+    let mut cursor = [0i64; 2];
+    let started = b.add_job(0, 1000);
+    for (k, &(dur, req)) in i.pinned.iter().enumerate() {
+        let t = b.add_task(started, SlotKind::Map, dur, req.min(lane_cap));
+        b.fix_task(t, r, cursor[k % 2]);
+        cursor[k % 2] += dur;
+    }
+    for &(dur, req) in &i.free {
+        let j = b.add_job(0, 1000);
+        b.add_task(j, SlotKind::Map, dur, req.min(i.cap));
+    }
+    for &(rel, dur, req, slack) in &i.tight {
+        let j = b.add_job(rel, rel + dur + slack);
+        b.add_task(j, SlotKind::Map, dur, req.min(i.cap));
+    }
+    b.set_horizon(120);
     b.build().expect("well-formed")
 }
 
@@ -279,10 +334,50 @@ fn engine_root(model: &Model, dom: &mut Domains) -> bool {
     eng.propagate_all(model, dom).is_ok()
 }
 
+/// The one thing edge-finding takes from the timetable (its dominance
+/// certificate skips a pass the timetable has already decided), supplied by
+/// brute force so that `edge_finding_alone` still shares no code with
+/// `Cumulative`: tasks with a fixed start on `r` are facts, and every other
+/// task assigned to `r` starts no earlier and no later than the first and
+/// last start at which it fits beside them at every instant. False when the
+/// fixed tasks overload the pool or a window empties.
+fn fit_beside_fixed(model: &Model, dom: &mut Domains, r: ResRef) -> bool {
+    fn fits(model: &Model, dom: &Domains, on_pool: &[TaskRef], t: TaskRef, s: i64) -> bool {
+        let r = dom.assigned(t).expect("on_pool holds assigned tasks");
+        let cap = model.resources[r.idx()].cap(SlotKind::Map) as i64;
+        (s..s + model.tasks[t.idx()].dur).all(|u| {
+            let load: i64 = on_pool
+                .iter()
+                .filter(|&&o| o != t && dom.lb(o) == dom.ub(o))
+                .filter(|&&o| dom.lb(o) <= u && u < dom.lb(o) + model.tasks[o.idx()].dur)
+                .map(|&o| model.tasks[o.idx()].req as i64)
+                .sum();
+            load + model.tasks[t.idx()].req as i64 <= cap
+        })
+    }
+    let on_pool: Vec<TaskRef> = (0..model.n_tasks())
+        .map(|t| TaskRef(t as u32))
+        .filter(|&t| dom.assigned(t) == Some(r))
+        .collect();
+    for &t in &on_pool {
+        let window = dom.lb(t)..=dom.ub(t);
+        let first = window.clone().find(|&s| fits(model, dom, &on_pool, t, s));
+        let last = window.rev().find(|&s| fits(model, dom, &on_pool, t, s));
+        let (Some(first), Some(last)) = (first, last) else {
+            return false;
+        };
+        if dom.set_lb(t, first).is_err() || dom.set_ub(t, last).is_err() {
+            return false;
+        }
+    }
+    true
+}
+
 /// Every deadline made a hard window (what the objective cut does at bound
 /// 0), then the edge-finders of all pools run to their own fixpoint with no
 /// other propagator in the loop: the timetable would otherwise get to most
-/// of these prunings first, and any unsound one is edge-finding's alone.
+/// of these prunings first, and any unsound one is edge-finding's alone
+/// (`fit_beside_fixed` stands in for the part of it edge-finding assumes).
 fn edge_finding_alone(model: &Model, dom: &mut Domains) -> bool {
     for (t, spec) in model.tasks.iter().enumerate() {
         let latest = model.jobs[spec.job.idx()].deadline - spec.dur;
@@ -290,12 +385,16 @@ fn edge_finding_alone(model: &Model, dom: &mut Domains) -> bool {
             return false;
         }
     }
-    let mut pools: Vec<EdgeFinding> = (0..model.n_resources())
-        .filter_map(|r| EdgeFinding::new(model, ResRef(r as u32), SlotKind::Map))
+    let mut pools: Vec<(ResRef, EdgeFinding)> = (0..model.n_resources())
+        .map(|r| ResRef(r as u32))
+        .filter_map(|r| Some((r, EdgeFinding::new(model, r, SlotKind::Map)?)))
         .collect();
     loop {
         dom.clear_dirty();
-        for pool in &mut pools {
+        for (r, pool) in &mut pools {
+            if !fit_beside_fixed(model, dom, *r) {
+                return false;
+            }
             let mut ctx = Ctx {
                 model,
                 dom: &mut *dom,
@@ -309,6 +408,26 @@ fn edge_finding_alone(model: &Model, dom: &mut Domains) -> bool {
             return true;
         }
     }
+}
+
+/// The same search with edge-finding on and off, every pop admitted (no
+/// yield-ledger demotion), under a budget these instances never exhaust.
+fn solve_on_and_off(model: &Model) -> (Outcome, Outcome) {
+    let budget = SolveParams {
+        node_limit: 200_000,
+        fail_limit: 200_000,
+        prop_scheduling: false,
+        ..Default::default()
+    };
+    let on = SolveParams {
+        edge_finding: true,
+        ..budget.clone()
+    };
+    let off = SolveParams {
+        edge_finding: false,
+        ..budget
+    };
+    (solve(model, &on), solve(model, &off))
 }
 
 proptest! {
@@ -359,21 +478,30 @@ proptest! {
     /// infeasible, which both configurations must agree on.
     #[test]
     fn filters_preserve_the_verdict_when_packed(i in packed()) {
-        let model = build_packed(&i);
-        let budget = SolveParams {
-            node_limit: 200_000,
-            fail_limit: 200_000,
-            prop_scheduling: false,
-            ..Default::default()
-        };
-        let on = solve(&model, &SolveParams { edge_finding: true, ..budget.clone() });
-        let off = solve(&model, &SolveParams { edge_finding: false, ..budget });
+        let (on, off) = solve_on_and_off(&build_packed(&i));
         prop_assert!(matches!(on.status, Status::Optimal | Status::Infeasible));
         prop_assert_eq!(on.status, off.status);
         prop_assert_eq!(
             on.best.map(|s| s.objective),
             off.best.map(|s| s.objective),
             "filters changed the proven optimum"
+        );
+    }
+
+    /// Manager-round shapes through the whole engine, LNS and B&B: a
+    /// certified pass returns without sorting, so if the certificate ever
+    /// skipped an inference that mattered the two searches would part ways
+    /// — and in debug builds every certified pass is also run the long way
+    /// and asserted barren.
+    #[test]
+    fn certified_passes_preserve_the_verdict_on_backlogs(i in backlog()) {
+        let (on, off) = solve_on_and_off(&build_backlog(&i));
+        prop_assert!(matches!(on.status, Status::Optimal | Status::Infeasible));
+        prop_assert_eq!(on.status, off.status);
+        prop_assert_eq!(
+            on.best.map(|s| s.objective),
+            off.best.map(|s| s.objective),
+            "the certificate changed the proven optimum"
         );
     }
 }
