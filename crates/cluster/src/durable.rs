@@ -41,7 +41,9 @@ use crate::Cell;
 use desim::SimTime;
 use durability::codec::{Dec, DecodeError, Enc};
 use durability::snapshot::{decode_image, encode_image, read_blob, write_blob};
-use durability::{apply_cell, apply_surface, DurabilityConfig, ManagerEvent, StoreConfig, Wal};
+use durability::{
+    apply_cell, apply_surface, DurTel, DurabilityConfig, ManagerEvent, StoreConfig, Wal,
+};
 use mrcp::manager::{
     AdmissionOutcome, FailureAction, JobCompletion, ManagerError, ManagerStats, MrcpConfig,
     ScheduleEntry,
@@ -937,7 +939,7 @@ impl ResourceManager for DurableFederation {
         self.fed.stats()
     }
 
-    fn crash_and_recover(&mut self, _now: SimTime) -> bool {
+    fn crash_and_recover(&mut self, now: SimTime) -> bool {
         let t0 = std::time::Instant::now();
         // 1. Fail-stop: under power-loss semantics, unsynced log tails
         //    die with the process.
@@ -1015,6 +1017,7 @@ impl ResourceManager for DurableFederation {
         self.checkpoint();
         self.crashes += 1;
         self.recovery_time += t0.elapsed();
+        DurTel::new(&base_tel).record(now, next - base, self.client_log.len() as u64, t0.elapsed());
         true
     }
 }

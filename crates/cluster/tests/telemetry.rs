@@ -6,12 +6,12 @@
 
 use cluster::{
     simulate_cluster_chaos_durable_telemetry, simulate_cluster_chaos_telemetry, ChaosConfig,
-    ChaosSimConfig, ClusterConfig, ClusterSimConfig, HealthConfig, HealthState, RebalanceConfig,
-    RetryPolicy,
+    ChaosSimConfig, ClusterConfig, ClusterSimConfig, DurableFederation, HealthConfig, HealthState,
+    RebalanceConfig, RetryPolicy,
 };
 use desim::SimTime;
 use durability::{scratch_dir, DurabilityConfig, StoreConfig, WalConfig};
-use mrcp::{MrcpConfig, SimConfig, SolveBudget};
+use mrcp::{simulate_with, ManagerCrashConfig, MrcpConfig, SimConfig, SolveBudget};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use telemetry::{EventFilter, EventKind, Telemetry, DEFAULT_QUEUE_CAP};
@@ -105,6 +105,7 @@ fn registry_reconciles_with_end_of_run_structs() {
     // counter must still mirror the struct exactly.
     assert_eq!(c("cluster_cell_crashes_total"), cm.cell_crashes);
     assert_eq!(c("cluster_cell_restores_total"), cm.cell_restores);
+    assert_eq!(c("cluster_failovers_total"), cm.failovers);
     assert!(cm.rpc_drops > 0, "drop_prob=0.2 must drop something");
 
     // Per-cell: exactly one rung counter fires per solver invocation,
@@ -150,6 +151,23 @@ fn registry_reconciles_with_end_of_run_structs() {
             level,
             "cell {i} health gauge diverged from the breaker"
         );
+    }
+
+    // A scrape of the full stack carries every layer, in both encodings.
+    let snap = reg.snapshot();
+    let (prom, json) = (
+        telemetry::prometheus_text(&snap),
+        telemetry::json_snapshot(&snap),
+    );
+    for series in [
+        "mrcp_rounds_total",
+        "mrcp_admission_total",
+        "cpsolve_prop_runs_total",
+        "cluster_rpc_attempts_total",
+        "cluster_cell_health",
+    ] {
+        assert!(prom.contains(series), "/metrics lacks {series}");
+        assert!(json.contains(series), "/snapshot.json lacks {series}");
     }
 
     // Default queue capacity absorbs a default-size run without drops.
@@ -232,4 +250,57 @@ fn crash_rehydration_keeps_counters_cumulative_and_events_flowing() {
         count(EventKind::BreakerTransition) >= cm.cell_crashes,
         "every crash opens a breaker"
     );
+}
+
+/// Whole-fleet kill and recovery (the driver's `ManagerCrashConfig`, not
+/// a single cell's crash) is visible to a scrape: one count, one latency
+/// sample and one `ManagerRecovery` event per recovery.
+#[test]
+fn fleet_recoveries_reach_telemetry() {
+    let mut sim = det_sim();
+    sim.manager_crashes = ManagerCrashConfig {
+        at_commands: vec![3, 11, 26],
+        ..Default::default()
+    };
+    let cluster = ClusterConfig {
+        cells: 2,
+        rebalance: RebalanceConfig::default(),
+    };
+    let (resources, jobs) = small_workload(20, 4, 42);
+    let dir = scratch_dir("telemetry-fleet-recovery");
+
+    let tel = Telemetry::new();
+    let tail = tel.bus.subscribe(
+        EventFilter {
+            kinds: Some(vec![EventKind::ManagerRecovery]),
+            cell: None,
+        },
+        DEFAULT_QUEUE_CAP,
+    );
+    let (_, _, fed) = simulate_with(&sim, &resources, jobs, |mgr_cfg: MrcpConfig| {
+        let mut fed = DurableFederation::new(
+            &cluster,
+            mgr_cfg,
+            resources.clone(),
+            &dir,
+            DurabilityConfig::default(),
+        );
+        fed.set_telemetry(&tel);
+        fed
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(fed.crashes() > 0, "the crash schedule must actually fire");
+    let reg = &tel.registry;
+    assert_eq!(
+        reg.counter("durability_recoveries_total", &[]).get(),
+        fed.crashes()
+    );
+    assert_eq!(
+        reg.snapshot()
+            .histogram_count_total("durability_recovery_us"),
+        fed.crashes()
+    );
+    assert_eq!(tail.drain().len() as u64, fed.crashes());
+    assert_eq!(tel.bus.dropped_events(), 0);
 }

@@ -1,9 +1,8 @@
 //! Θ-tree cumulative edge-finding per `(resource, kind)` slot pool.
 //!
-//! This is the solver's strong inference rung, replacing the capped
-//! O(n² log n) [`super::energy::EnergyCheck`] as the default. Per pool it
-//! runs two symmetric passes (the second on the time-reversed instance so
-//! the same code filters upper bounds):
+//! This is the solver's strong inference rung. Per pool it runs two
+//! symmetric passes (the second on the time-reversed instance so the same
+//! code filters upper bounds):
 //!
 //! 1. **Overload check** (Vilím-style, O(n log n)): sweep tasks in
 //!    ascending latest-completion-time order, inserting assigned tasks into

@@ -16,8 +16,7 @@
 //!   `Σ N_j ≤ bound`.
 //!
 //! The strong-inference rung is [`edge_finding::EdgeFinding`] (Θ-tree
-//! overload checking + edge-finding per pool); the older
-//! [`energy::EnergyCheck`] remains available behind an option.
+//! overload checking + edge-finding per pool).
 //!
 //! The [`Engine`] runs them to fixpoint with a watcher-driven worklist,
 //! tiered by cost: cheap bound propagators (barrier, precedence, lateness,
@@ -27,7 +26,6 @@
 pub mod barrier;
 pub mod cumulative;
 pub mod edge_finding;
-pub mod energy;
 pub mod lateness;
 pub mod objective;
 pub mod theta;
@@ -58,7 +56,7 @@ pub enum PropClass {
     Lateness,
     /// Timetable cumulative filtering (medium).
     Timetable,
-    /// Θ-tree edge-finding and the legacy energetic check (expensive).
+    /// Θ-tree edge-finding (expensive).
     EdgeFinding,
     /// The branch-and-bound objective cut (cheap).
     Objective,
@@ -80,7 +78,7 @@ impl PropClass {
         }
     }
 
-    /// Stable lowercase name (bench/report columns).
+    /// Stable lowercase name (report columns, telemetry labels).
     pub fn name(self) -> &'static str {
         match self {
             PropClass::Barrier => "barrier",
@@ -92,7 +90,7 @@ impl PropClass {
     }
 
     /// Queue tier: 0 = cheap bound propagators, 1 = timetable,
-    /// 2 = edge-finding/energetic. Lower tiers drain first.
+    /// 2 = edge-finding. Lower tiers drain first.
     #[inline]
     pub fn priority(self) -> usize {
         match self {
@@ -138,9 +136,6 @@ const N_TIERS: usize = 3;
 /// Engine construction options.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineOptions {
-    /// Enable the legacy energetic overload check (O(n² log n) per pool;
-    /// subsumed by edge-finding and off by default — see [`energy`]).
-    pub energetic: bool,
     /// Enable Θ-tree edge-finding (O(n log n) overload check + start/end
     /// filtering per pool; the default strong rung — see [`edge_finding`]).
     pub edge_finding: bool,
@@ -152,7 +147,6 @@ pub struct EngineOptions {
 impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
-            energetic: false,
             edge_finding: true,
             scheduling: SchedulingOptions::default(),
         }
@@ -165,19 +159,19 @@ impl Default for EngineOptions {
 ///
 /// Only propagators whose filtering is *redundant* with respect to the
 /// complete tier-0/1 set participate (today: class
-/// [`PropClass::EdgeFinding`], i.e. Θ-tree edge-finding and the legacy
-/// energetic check — both are subsumed by timetable filtering once starts
-/// are fixed, so skipping them can only cost search effort, never
-/// soundness). A demoted propagator is skipped at fixpoint pops, never
-/// removed from the watcher graph, and conflicts periodically walk
-/// demotions back one tier, so Optimal/Infeasible verdicts are unchanged.
+/// [`PropClass::EdgeFinding`], i.e. Θ-tree edge-finding — subsumed by
+/// timetable filtering once starts are fixed, so skipping it can only cost
+/// search effort, never soundness). A demoted propagator is skipped at
+/// fixpoint pops, never removed from the watcher graph, and conflicts
+/// periodically walk demotions back one tier, so Optimal/Infeasible
+/// verdicts are unchanged.
 ///
 /// Decisions are driven purely by deterministic run/pruning *counts* (an
 /// EWMA of prunings-per-run over fixed-size windows), never wall-clock, so
 /// identical searches take identical trajectories on any machine —
 /// the bit-exactness anchors (federation `cells=1`, chaos-off, crash
-/// recovery) depend on this. Wall-time efficiency (prunings/µs) is still
-/// *reported* per class via [`PropClassStats`] for the bench ledger.
+/// recovery) depend on this. Wall time is still *reported* per class via
+/// [`PropClassStats`].
 ///
 /// A run counts whatever the propagator did inside it: a pass that
 /// edge-finding's dominance certificate (see [`edge_finding`]) answers
@@ -290,16 +284,6 @@ impl PropClassStats {
         self.time_us += other.time_us;
         self.skipped += other.skipped;
     }
-
-    /// Observed pruning yield per microsecond of propagation wall time
-    /// (the bench ledger's efficiency column; 0 when the class never ran).
-    pub fn prunings_per_us(&self) -> f64 {
-        if self.time_us == 0 {
-            0.0
-        } else {
-            self.prunings as f64 / self.time_us as f64
-        }
-    }
 }
 
 /// Aggregate propagation counters (observability; see
@@ -381,11 +365,6 @@ impl Engine {
                             props.push(Box::new(ef));
                         }
                     }
-                    if options.energetic {
-                        if let Some(e) = energy::EnergyCheck::new(model, r, kind) {
-                            props.push(Box::new(e));
-                        }
-                    }
                 }
             }
         }
@@ -403,8 +382,8 @@ impl Engine {
         }
         let classes: Vec<PropClass> = props.iter().map(|p| p.class()).collect();
         // Only redundant strong filters are demotable: timetable filtering
-        // is complete once starts are fixed, so skipping edge-finding (or
-        // the energetic check) can never change a leaf's feasibility.
+        // is complete once starts are fixed, so skipping edge-finding can
+        // never change a leaf's feasibility.
         let sched: Vec<Option<SchedState>> = classes
             .iter()
             .map(|c| {

@@ -84,10 +84,6 @@ pub struct SolveParams {
     /// Stop as soon as the objective reaches this value (0 = stop at the
     /// first schedule with no late jobs).
     pub target: Option<u32>,
-    /// Enable the energetic overload propagator (the older O(n²·log n)
-    /// windowed check; see [`crate::props::energy`]). Off by default now
-    /// that Θ-tree edge-finding subsumes it at lower cost.
-    pub energetic: bool,
     /// Enable Θ-tree edge-finding (overload checking, start-time lifting
     /// and candidate filtering; see [`crate::props::edge_finding`]).
     pub edge_finding: bool,
@@ -124,7 +120,6 @@ impl Default for SolveParams {
             warm_start: true,
             initial: None,
             target: None,
-            energetic: false,
             edge_finding: true,
             restarts: None,
             solution_guided: true,
@@ -428,7 +423,6 @@ fn solve_inner(
     let mut engine = Engine::with_options(
         model,
         EngineOptions {
-            energetic: params.energetic,
             edge_finding: params.edge_finding,
             scheduling: SchedulingOptions {
                 enabled: params.prop_scheduling,

@@ -326,7 +326,6 @@ fn engine_root(model: &Model, dom: &mut Domains) -> bool {
     let mut eng = Engine::with_options(
         model,
         EngineOptions {
-            energetic: false,
             edge_finding: true,
             ..EngineOptions::default()
         },
@@ -457,12 +456,10 @@ proptest! {
         };
         let on = solve(&model, &SolveParams {
             edge_finding: true,
-            energetic: false,
             ..budget.clone()
         });
         let off = solve(&model, &SolveParams {
             edge_finding: false,
-            energetic: false,
             ..budget
         });
         prop_assert_eq!(on.status, Status::Optimal);

@@ -7,8 +7,7 @@
 //! placement* (validated by `Solution::verify`, which shares no code with
 //! the propagators), running the whole propagation stack from domains
 //! pinned to that placement must not report a conflict — for the timetable
-//! cumulative, the energetic check, the barrier, and the lateness logic
-//! alike.
+//! cumulative, edge-finding, the barrier, and the lateness logic alike.
 
 use cpsolve::greedy::{greedy_edf, greedy_topo};
 use cpsolve::model::{Model, ModelBuilder, SlotKind, TaskRef};
@@ -54,9 +53,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Pinning domains to a greedy (feasible, verified) schedule and
-    /// propagating everything — including the energetic check and Θ-tree
-    /// edge-finding — never conflicts: no propagator is unsound on feasible
-    /// assignments.
+    /// propagating everything — including Θ-tree edge-finding — never
+    /// conflicts: no propagator is unsound on feasible assignments.
     #[test]
     fn propagation_accepts_feasible_placements(i in inst()) {
         let model = build(&i);
@@ -70,7 +68,6 @@ proptest! {
             dom.fix_start(tr, sol.starts[t]).expect("start in domain");
         }
         let mut eng = Engine::with_options(&model, EngineOptions {
-            energetic: true,
             edge_finding: true,
             ..EngineOptions::default()
         });

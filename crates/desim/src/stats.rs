@@ -296,9 +296,9 @@ impl Tally {
 }
 
 /// Nearest-rank quantile over an unsorted sample set, `q` clamped to
-/// [0, 1]; `None` when empty. Shared by the federation's round/failover
-/// latency metrics and the bench harnesses so every quantile printed by
-/// this workspace means the same thing.
+/// [0, 1]; `None` when empty. The federation's round/failover latency
+/// metrics use it, so every quantile printed by this workspace means the
+/// same thing.
 pub fn sample_quantile(samples: &[u64], q: f64) -> Option<u64> {
     if samples.is_empty() {
         return None;

@@ -64,10 +64,12 @@ impl DurabilityConfig {
     }
 }
 
-/// Recovery-path instruments (DESIGN.md §5k). Disabled by default;
+/// Recovery-path instruments (DESIGN.md §5k), shared by every durable
+/// wrapper so a whole-manager recovery reads the same whether one manager
+/// or a fleet came back. Disabled by default;
 /// [`DurableRm::set_telemetry`] swaps in live cells.
 #[derive(Debug)]
-struct DurTel {
+pub struct DurTel {
     bus: telemetry::EventBus,
     /// `durability_recoveries_total` — crash/recover cycles survived.
     recoveries: telemetry::Counter,
@@ -80,7 +82,10 @@ struct DurTel {
 }
 
 impl DurTel {
-    fn new(tel: &telemetry::Telemetry) -> DurTel {
+    /// Instruments backed by `tel`'s registry and bus (the registry hands
+    /// back the same cells for the same keys, so counters stay cumulative
+    /// across handles).
+    pub fn new(tel: &telemetry::Telemetry) -> DurTel {
         let reg = &tel.registry;
         DurTel {
             bus: tel.bus.clone(),
@@ -88,6 +93,28 @@ impl DurTel {
             replayed: reg.counter("durability_replayed_total", &[]),
             recovery_us: reg.histogram("durability_recovery_us", &[], telemetry::LATENCY_US_BOUNDS),
         }
+    }
+
+    /// Count one finished whole-manager recovery at sim time `now`:
+    /// `replayed` of the `journaled` commands came back from disk (the
+    /// rest were re-delivered), and the whole cycle took `elapsed`.
+    pub fn record(
+        &self,
+        now: SimTime,
+        replayed: u64,
+        journaled: u64,
+        elapsed: std::time::Duration,
+    ) {
+        self.recoveries.inc();
+        self.replayed.add(replayed);
+        self.recovery_us.record(elapsed.as_micros() as u64);
+        self.bus.publish(telemetry::Event {
+            at_ms: now.as_millis(),
+            kind: telemetry::EventKind::ManagerRecovery,
+            cell: None,
+            job: None,
+            detail: format!("replayed {replayed} of {journaled} journaled commands"),
+        });
     }
 }
 
@@ -347,19 +374,8 @@ impl ResourceManager for DurableRm {
         // live metrics); re-attach now that the state is current again.
         self.rm.set_telemetry(&self.base_tel);
         self.store.set_telemetry(&self.base_tel);
-        self.tel.recoveries.inc();
-        self.tel.replayed.add(replayed);
-        self.tel.recovery_us.record(t0.elapsed().as_micros() as u64);
-        self.tel.bus.publish(telemetry::Event {
-            at_ms: now.as_millis(),
-            kind: telemetry::EventKind::ManagerRecovery,
-            cell: None,
-            job: None,
-            detail: format!(
-                "replayed {replayed} of {} journaled commands",
-                self.journal.len()
-            ),
-        });
+        self.tel
+            .record(now, replayed, self.journal.len() as u64, t0.elapsed());
         true
     }
 }

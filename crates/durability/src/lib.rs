@@ -48,7 +48,7 @@ pub mod snapshot;
 pub mod store;
 pub mod wal;
 
-pub use durable_rm::{DurabilityConfig, DurableRm};
+pub use durable_rm::{DurTel, DurabilityConfig, DurableRm};
 pub use event::{apply_cell, apply_surface, ManagerEvent};
 pub use store::{ManagerStore, StoreConfig};
 pub use wal::{Wal, WalConfig};
@@ -76,7 +76,7 @@ pub fn simulate_durable(
 }
 
 /// A unique scratch directory under the system temp dir, for tests and
-/// benches (the workspace has no tempfile dependency).
+/// experiments (the workspace has no tempfile dependency).
 pub fn scratch_dir(tag: &str) -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static COUNTER: AtomicU64 = AtomicU64::new(0);

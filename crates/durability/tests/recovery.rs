@@ -9,10 +9,11 @@
 //! wall time, which the signature already excludes.
 
 use desim::SimTime;
-use durability::{simulate_durable, DurabilityConfig, StoreConfig, WalConfig};
-use mrcp::sim_driver::simulate;
+use durability::{simulate_durable, DurabilityConfig, DurableRm, StoreConfig, WalConfig};
+use mrcp::sim_driver::{simulate, simulate_with};
 use mrcp::{ManagerCrashConfig, MrcpConfig, SimConfig, SolveBudget};
 use proptest::prelude::*;
+use telemetry::{EventFilter, EventKind, Telemetry, DEFAULT_QUEUE_CAP};
 use workload::model::homogeneous_cluster;
 use workload::{Job, JobId, Resource, Task, TaskId, TaskKind};
 
@@ -141,4 +142,60 @@ proptest! {
             "{} crashes changed the outcome", interrupted.manager_crashes
         );
     }
+}
+
+/// Every whole-manager recovery is visible to a scrape: the counter and
+/// the latency histogram advance once per crash and subscribers see one
+/// `ManagerRecovery` event each.
+#[test]
+fn recoveries_reach_telemetry() {
+    let w = W {
+        cluster: homogeneous_cluster(2, 2, 2),
+        jobs: (0..6)
+            .map(|i| (5 * i, 0, 60, vec![3, 4], vec![2]))
+            .collect(),
+    };
+    let mut cfg = det_config();
+    cfg.manager_crashes = ManagerCrashConfig {
+        at_commands: vec![2, 9, 17],
+        ..Default::default()
+    };
+    let tel = Telemetry::new();
+    let tail = tel.bus.subscribe(
+        EventFilter {
+            kinds: Some(vec![EventKind::ManagerRecovery]),
+            cell: None,
+        },
+        DEFAULT_QUEUE_CAP,
+    );
+    let dir = durability::scratch_dir("recovery-telemetry");
+    let (_, _, rm) = simulate_with(&cfg, &w.cluster, jobs_of(&w), |mgr_cfg: MrcpConfig| {
+        let mut rm = DurableRm::new(
+            mgr_cfg,
+            w.cluster.clone(),
+            &dir,
+            DurabilityConfig::default(),
+        );
+        rm.set_telemetry(&tel);
+        rm
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(rm.crashes() > 0, "the crash schedule must actually fire");
+    let reg = &tel.registry;
+    assert_eq!(
+        reg.counter("durability_recoveries_total", &[]).get(),
+        rm.crashes()
+    );
+    assert_eq!(
+        reg.counter("durability_replayed_total", &[]).get(),
+        rm.replayed()
+    );
+    assert_eq!(
+        reg.snapshot()
+            .histogram_count_total("durability_recovery_us"),
+        rm.crashes()
+    );
+    assert_eq!(tail.drain().len() as u64, rm.crashes());
+    assert_eq!(tel.bus.dropped_events(), 0);
 }

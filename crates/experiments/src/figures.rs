@@ -134,7 +134,7 @@ pub fn all_figures() -> Vec<Figure> {
         Figure {
             name: "service",
             title: "Extra: ingest mode sweep — batched arrival coalescing vs call-per-arrival under per-solve overhead",
-            expectation: "not in the paper — with admission probes charged to the manager, per-arrival ingestion saturates at a low λ while batched coalescing amortizes the probe base and keeps P bounded well past it (see BENCH_service.json for the full ramp)",
+            expectation: "not in the paper — with admission probes charged to the manager, per-arrival ingestion saturates at a low λ while batched coalescing amortizes the probe base and keeps P bounded well past it",
             run: run_service_sweep,
         },
         Figure {
@@ -1148,10 +1148,10 @@ fn run_ablation_panel(scale: &Scale, seed: u64) -> FigureResult {
     }
 }
 
-/// Extra panel: the ingest-mode sweep behind `BENCH_service.json`. The
-/// bench spec's small workload is pushed through rising arrival rates
-/// under [`OverheadModel::PerTask`], which charges every admission probe
-/// and replan round to a single-server manager. Per-arrival ingestion
+/// Extra panel: the ingest-mode sweep. A small workload is pushed through
+/// rising arrival rates under [`OverheadModel::PerTask`], which charges
+/// every admission probe and replan round to a single-server manager.
+/// Per-arrival ingestion
 /// pays the probe base once per job and saturates early; the batched
 /// front door (flush on `max_batch` or linger) pays it once per burst,
 /// so its P stays bounded well past the per-arrival knee.
@@ -1159,9 +1159,8 @@ fn run_service_sweep(scale: &Scale, seed: u64) -> FigureResult {
     use desim::SimTime;
     use mrcp::{IngestConfig, OverheadModel};
 
-    // The committed ramp spec's workload (crates/bench/specs/
-    // service_ramp.toml), small enough that a probe's cost is dominated
-    // by the fixed base — the quantity batching amortizes.
+    // Small enough that a probe's cost is dominated by the fixed base —
+    // the quantity batching amortizes.
     let base_cfg = SyntheticConfig {
         resources: 8,
         maps_per_job: (1, 4),

@@ -3,9 +3,8 @@
 //! The authors' preliminary work (\[12\] in the paper) evaluated the CP
 //! formulation on a *closed* system: a fixed batch of jobs known up front,
 //! solved once. This module exposes that mode directly — useful for
-//! capacity planning (examples), for measuring pure solver behaviour
-//! without the open-system machinery, and for the solver-budget ablation
-//! benches.
+//! capacity planning (examples) and for measuring pure solver behaviour
+//! without the open-system machinery (the `prelim` figure).
 
 use crate::modelmap::{build_model, JobInput, TaskInput};
 use crate::ordering::JobOrdering;

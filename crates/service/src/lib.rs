@@ -22,10 +22,9 @@
 //!   [`ResourceManager::submit_batch`] + one reschedule per batch. On
 //!   overflow the queue sheds by *value*: the request with the most slack
 //!   (laxity) is dropped, mirroring the least-laxity ordering of §VI.B.
-//! * [`ramp`](crate::ramp) — the closed-loop capacity harness: replay a
-//!   synthetic workload at an offered rate, step the rate upward rung by
-//!   rung, and report the last rung that still met its SLOs — the knee
-//!   that `BENCH_service.json` records.
+//! * [`ramp`](crate::ramp) — the closed-loop capacity probe: replay a
+//!   synthetic workload at one offered rate through an [`InstrumentedRm`]
+//!   and report whether that rung still met its SLOs.
 //!
 //! Batching inside the *simulation* (deterministic, virtual-clock) lives in
 //! the driver itself ([`mrcp::IngestConfig`]); this crate reuses exactly
@@ -37,4 +36,4 @@ pub mod ramp;
 
 pub use front_door::{FrontDoorConfig, FrontDoorReport, IngestService, SubmitError};
 pub use instrument::{IngestMetrics, InstrumentedRm};
-pub use ramp::{ramp, RampConfig, RampReport, RungReport};
+pub use ramp::{RampConfig, RungReport};

@@ -1,11 +1,12 @@
-//! The closed-loop ramp: step the offered arrival rate upward rung by
-//! rung until the service-level objectives break, and report the knee.
+//! One rung of a closed-loop capacity ramp: replay a synthetic workload at
+//! one offered arrival rate and say whether the service-level objectives
+//! held there.
 //!
-//! Each rung replays a freshly generated synthetic workload (same
-//! generator family, rung-specific seed, rung-specific `lambda`) through
+//! A rung replays a freshly generated synthetic workload (same generator
+//! family, rung-specific seed, rung-specific `lambda`) through
 //! [`mrcp::simulate_with`] with the manager wrapped in an
-//! [`InstrumentedRm`], so every rung yields both the paper's run metrics
-//! (`P`, `T`, shed fractions) and the ingest latency histograms. A rung is
+//! [`InstrumentedRm`], so it yields both the paper's run metrics (`P`,
+//! `T`, shed fractions) and the ingest latency histograms. A rung is
 //! *sustained* when all three SLOs hold:
 //!
 //! * `p_late ≤ slo_p_late` — the fraction of admitted jobs that missed
@@ -15,9 +16,9 @@
 //! * `p99(ingest→planned) ≤ slo_p99_planned_us` — the tail of the
 //!   arrival-to-first-planning-round latency.
 //!
-//! The ramp climbs while rungs sustain; the first broken rung is recorded
-//! (it shows *how* the service fails) and the climb stops. The **knee** is
-//! the last sustained rate — `BENCH_service.json`'s `max_sustained_rps`.
+//! A caller looking for the knee of the throughput curve calls
+//! [`run_rung`] at rising rates and stops at the first rung that is not
+//! sustained.
 
 use crate::instrument::{IngestMetrics, InstrumentedRm};
 use desim::stats::LogHistogram;
@@ -27,15 +28,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use workload::{Resource, SyntheticConfig, SyntheticGenerator};
 
-/// Ramp schedule and SLO thresholds.
+/// Rung size, seed and SLO thresholds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RampConfig {
-    /// Offered rate of the first rung, jobs per simulated second.
-    pub initial_rps: f64,
-    /// Rate step between rungs.
-    pub increment_rps: f64,
-    /// Hard ceiling; the ramp stops here even if still sustaining.
-    pub max_rps: f64,
     /// Jobs generated per rung (closed loop: the rung runs until its
     /// workload drains, so offered rate — not run length — is the knob).
     pub jobs_per_rung: usize,
@@ -52,9 +47,6 @@ pub struct RampConfig {
 impl Default for RampConfig {
     fn default() -> Self {
         RampConfig {
-            initial_rps: 0.05,
-            increment_rps: 0.05,
-            max_rps: 1.0,
             jobs_per_rung: 60,
             slo_p_late: 0.3,
             slo_shed_frac: 0.2,
@@ -99,19 +91,6 @@ pub struct RungReport {
     pub end_time_s: f64,
     /// Whether every SLO held.
     pub sustained: bool,
-}
-
-/// The whole ramp.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RampReport {
-    /// Per-rung measurements, in climb order. The last entry is the
-    /// first broken rung unless the ramp topped out still sustaining.
-    pub rungs: Vec<RungReport>,
-    /// The knee: the highest offered rate that met every SLO.
-    pub max_sustained_rps: Option<f64>,
-    /// The first offered rate that broke an SLO (`None` if the ramp
-    /// reached `max_rps` without breaking).
-    pub knee_rps: Option<f64>,
 }
 
 fn q(hist: &LogHistogram, quantile: f64) -> u64 {
@@ -159,6 +138,12 @@ fn rung_report(
 }
 
 /// Run one rung at `rps` and measure it.
+///
+/// `build` constructs the manager under test from the driver's
+/// [`MrcpConfig`] — pass the [`mrcp::MrcpRm`] constructor for a single
+/// manager or a federation factory for the sharded fleet. Whether
+/// ingest batching is active is decided by `sim.ingest`, exactly as in
+/// [`mrcp::simulate_with`].
 pub fn run_rung<M, F>(
     workload: &SyntheticConfig,
     sim: &SimConfig,
@@ -183,52 +168,4 @@ where
         simulate_with(sim, resources, jobs, |mc| InstrumentedRm::new(build(mc)));
     let (_inner, ingest) = rm.into_parts();
     rung_report(rps, &metrics, &ingest, cfg)
-}
-
-/// Climb the ramp until an SLO breaks or `max_rps` is reached.
-///
-/// `build` constructs the manager under test from the driver's
-/// [`MrcpConfig`] — pass the [`mrcp::MrcpRm`] constructor for a single
-/// manager or a federation factory for the sharded fleet. Whether
-/// ingest batching is active is decided by `sim.ingest`, exactly as in
-/// [`mrcp::simulate_with`].
-pub fn ramp<M, F>(
-    workload: &SyntheticConfig,
-    sim: &SimConfig,
-    resources: &[Resource],
-    cfg: &RampConfig,
-    mut build: F,
-) -> RampReport
-where
-    M: ResourceManager,
-    F: FnMut(MrcpConfig) -> M,
-{
-    assert!(cfg.initial_rps > 0.0, "ramp must start above zero rps");
-    assert!(cfg.increment_rps > 0.0, "ramp must climb");
-    let mut rungs = Vec::new();
-    let mut max_sustained = None;
-    let mut knee = None;
-    let mut rung_idx = 0usize;
-    loop {
-        let rps = cfg.initial_rps + cfg.increment_rps * rung_idx as f64;
-        // Tolerate float drift at the ceiling.
-        if rps > cfg.max_rps * (1.0 + 1e-9) {
-            break;
-        }
-        let report = run_rung(workload, sim, resources, cfg, rung_idx, rps, &mut build);
-        let sustained = report.sustained;
-        rungs.push(report);
-        if sustained {
-            max_sustained = Some(rps);
-        } else {
-            knee = Some(rps);
-            break;
-        }
-        rung_idx += 1;
-    }
-    RampReport {
-        rungs,
-        max_sustained_rps: max_sustained,
-        knee_rps: knee,
-    }
 }

@@ -106,7 +106,7 @@ fn batch_size_one_rung_matches_ingest_off() {
 }
 
 /// At a burst-heavy offered rate, coalescing must cut the number of
-/// scheduling rounds — the mechanism behind the bench's throughput gain.
+/// scheduling rounds — the mechanism behind batching's throughput gain.
 #[test]
 fn coalescing_cuts_scheduling_rounds_at_high_rate() {
     let wl = small_workload(4);

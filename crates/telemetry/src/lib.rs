@@ -19,9 +19,8 @@
 //! * [`encode`] — Prometheus text exposition and a JSON snapshot, both
 //!   rendered from one deterministic [`Snapshot`].
 //! * [`TelemetrySink`] — a background thread serving both encodings over
-//!   a tiny hand-rolled HTTP listener (the same no-new-deps precedent as
-//!   the hand-rolled TOML parser) and/or appending periodic JSON
-//!   snapshots to a file for headless runs.
+//!   a tiny hand-rolled HTTP listener (no new dependency) and/or
+//!   appending periodic JSON snapshots to a file for headless runs.
 //!
 //! ## Disabled mode
 //!

@@ -8,10 +8,9 @@
 //! * `GET /snapshot.json` — the JSON snapshot.
 //!
 //! The listener is deliberately minimal (request-line parsing only, one
-//! connection at a time, loopback-scale traffic) — the same
-//! no-new-dependencies precedent as the workload crate's hand-rolled
-//! TOML parser. A scraper that needs more than a dashboard poll should
-//! read the snapshot file instead.
+//! connection at a time, loopback-scale traffic) so the workspace takes
+//! no new dependency for it. A scraper that needs more than a dashboard
+//! poll should read the snapshot file instead.
 
 use crate::encode::{json_snapshot, prometheus_text};
 use crate::registry::Registry;
@@ -195,9 +194,9 @@ fn handle_conn(mut stream: TcpStream, registry: &Registry) {
     let _ = stream.flush();
 }
 
-/// Minimal HTTP GET against a sink (tests, the telemetry bench, and the
-/// example use it; a real deployment points an actual scraper at the
-/// sink instead). Returns the response body.
+/// Minimal HTTP GET against a sink (tests and the example use it; a real
+/// deployment points an actual scraper at the sink instead). Returns the
+/// response body.
 pub fn http_get(addr: impl ToSocketAddrs, path: &str) -> std::io::Result<String> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;

@@ -11,15 +11,12 @@
 //! * [`synthetic`] — the factor-at-a-time workload of Table 3,
 //! * [`facebook`] — the October-2009 Facebook-derived workload of Table 4,
 //! * [`trace`] — JSON (de)serialization of generated workloads so an
-//!   experiment's exact input can be archived and replayed,
-//! * [`service_spec`] — the TOML-subset spec the ingest service benchmarks
-//!   consume (batching knobs, ramp schedule, workload overrides).
+//!   experiment's exact input can be archived and replayed.
 
 pub mod dist;
 pub mod facebook;
 pub mod fault;
 pub mod model;
-pub mod service_spec;
 pub mod synthetic;
 pub mod trace;
 pub mod workflow;
@@ -27,7 +24,6 @@ pub mod workflow;
 pub use facebook::{FacebookConfig, FacebookGenerator};
 pub use fault::{AttemptOutcome, FaultConfig, FaultModel, Outage};
 pub use model::{Job, JobId, Resource, ResourceId, Task, TaskId, TaskKind};
-pub use service_spec::{parse_service_spec, RampKnobs, ServiceKnobs, ServiceSpec, SpecError};
 pub use synthetic::{
     ArrivalConfig, ArrivalKind, CellCount, OnOff, SolverTuning, SyntheticConfig, SyntheticGenerator,
 };
