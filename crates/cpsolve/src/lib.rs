@@ -62,8 +62,6 @@ pub use lns::LnsParams;
 pub use model::{JobRef, Model, ModelBuilder, ResRef, SlotKind, TaskRef};
 pub use observe::{record_solve, SolveTel};
 pub use portfolio::{solve_portfolio, PortfolioParams};
-pub use props::{
-    PropClass, PropClassStats, SchedStats, SchedulingOptions, N_PROP_CLASSES, PROP_CLASSES,
-};
+pub use props::{PropClass, PropClassStats, N_PROP_CLASSES, PROP_CLASSES};
 pub use search::{solve, Branching, Outcome, SolveParams, SolveStats, Status};
 pub use solution::Solution;

@@ -230,7 +230,7 @@ pub(crate) fn improve(
         let out = solve_restricted(model, &sub, &fixes, shared);
         iter += 1;
         stats.lns_iters += 1;
-        absorb(stats, &out.stats);
+        stats.merge(&out.stats);
 
         let improved = out
             .best
@@ -262,18 +262,4 @@ fn frac_of(v: u64, frac: f64) -> u64 {
     } else {
         ((v as f64 * frac) as u64).max(1)
     }
-}
-
-/// Fold a restricted re-solve's effort counters into the phase totals.
-fn absorb(stats: &mut SolveStats, sub: &SolveStats) {
-    stats.nodes += sub.nodes;
-    stats.fails += sub.fails;
-    stats.solutions += sub.solutions;
-    stats.restarts += sub.restarts;
-    stats.propagations += sub.propagations;
-    stats.prunings += sub.prunings;
-    for (acc, s) in stats.by_class.iter_mut().zip(sub.by_class.iter()) {
-        acc.merge(s);
-    }
-    stats.sched.merge(&sub.sched);
 }

@@ -22,14 +22,10 @@ pub struct SolveTel {
     restarts: telemetry::Counter,
     lns_iters: telemetry::Counter,
     lns_improves: telemetry::Counter,
-    sched_demotions: telemetry::Counter,
-    sched_disables: telemetry::Counter,
-    sched_repromotions: telemetry::Counter,
     /// Per [`crate::props::PropClass`], in `PROP_CLASSES` order.
     class_runs: Vec<telemetry::Counter>,
     class_prunings: Vec<telemetry::Counter>,
     class_conflicts: Vec<telemetry::Counter>,
-    class_skipped: Vec<telemetry::Counter>,
 }
 
 impl SolveTel {
@@ -49,13 +45,9 @@ impl SolveTel {
             restarts: reg.counter("cpsolve_restarts_total", &[]),
             lns_iters: reg.counter("cpsolve_lns_iters_total", &[]),
             lns_improves: reg.counter("cpsolve_lns_improves_total", &[]),
-            sched_demotions: reg.counter("cpsolve_sched_demotions_total", &[]),
-            sched_disables: reg.counter("cpsolve_sched_disables_total", &[]),
-            sched_repromotions: reg.counter("cpsolve_sched_repromotions_total", &[]),
             class_runs: per_class("cpsolve_prop_runs_total"),
             class_prunings: per_class("cpsolve_prop_prunings_total"),
             class_conflicts: per_class("cpsolve_prop_conflicts_total"),
-            class_skipped: per_class("cpsolve_prop_skipped_total"),
         }
     }
 
@@ -67,14 +59,10 @@ impl SolveTel {
         self.restarts.add(stats.restarts);
         self.lns_iters.add(stats.lns_iters);
         self.lns_improves.add(stats.lns_improves);
-        self.sched_demotions.add(stats.sched.demotions);
-        self.sched_disables.add(stats.sched.disables);
-        self.sched_repromotions.add(stats.sched.repromotions);
         for (i, c) in stats.by_class.iter().enumerate() {
             self.class_runs[i].add(c.runs);
             self.class_prunings[i].add(c.prunings);
             self.class_conflicts[i].add(c.conflicts);
-            self.class_skipped[i].add(c.skipped);
         }
     }
 }
@@ -98,14 +86,14 @@ mod tests {
             lns_improves: 1,
             ..Default::default()
         };
-        stats.by_class[PropClass::EdgeFinding.idx()].runs = 7;
+        stats.by_class[PropClass::Barrier.idx()].runs = 7;
         stats.by_class[PropClass::Timetable.idx()].prunings = 5;
         record_solve(&reg, &stats);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("cpsolve_nodes_total", &[]), Some(11));
         assert_eq!(snap.counter("cpsolve_lns_iters_total", &[]), Some(3));
         assert_eq!(
-            snap.counter("cpsolve_prop_runs_total", &[("class", "edge_finding")]),
+            snap.counter("cpsolve_prop_runs_total", &[("class", "barrier")]),
             Some(7)
         );
         assert_eq!(

@@ -174,18 +174,7 @@ fn merge(outcomes: Vec<Outcome>, t0: std::time::Instant) -> Outcome {
     let mut any_solution = false;
     let mut stats = crate::search::SolveStats::default();
     for out in &outcomes {
-        stats.nodes += out.stats.nodes;
-        stats.fails += out.stats.fails;
-        stats.solutions += out.stats.solutions;
-        stats.restarts += out.stats.restarts;
-        stats.propagations += out.stats.propagations;
-        stats.prunings += out.stats.prunings;
-        for (acc, c) in stats.by_class.iter_mut().zip(out.stats.by_class.iter()) {
-            acc.merge(c);
-        }
-        stats.sched.merge(&out.stats.sched);
-        stats.lns_iters += out.stats.lns_iters;
-        stats.lns_improves += out.stats.lns_improves;
+        stats.merge(&out.stats);
         any_solution |= out.best.is_some();
         any_exhausted |= matches!(out.status, Status::Optimal | Status::Infeasible);
     }

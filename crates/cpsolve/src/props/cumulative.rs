@@ -847,7 +847,7 @@ mod tests {
     }
 
     /// KNOWN DEFECT, reproducer only (found by the packed generator of
-    /// `tests/proptest_edge_finding.rs`). `first_block`/`last_block` subtract
+    /// `tests/proptest_propagators.rs`). `first_block`/`last_block` subtract
     /// a task's own mandatory part only from segments that lie inside it, but
     /// the canonical profile merges equal-height neighbours: `a` occupies
     /// [2,3) and `t`'s own part is [3,5), so the profile is one segment

@@ -16,9 +16,7 @@
 use crate::greedy::greedy_edf;
 use crate::lns::{self, LnsParams};
 use crate::model::{Model, ResRef, TaskRef};
-use crate::props::{
-    Engine, EngineOptions, PropClassStats, SchedStats, SchedulingOptions, N_PROP_CLASSES,
-};
+use crate::props::{Engine, PropClassStats, N_PROP_CLASSES};
 use crate::solution::Solution;
 use crate::state::{Domains, Lateness, TaskWeights};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
@@ -84,9 +82,6 @@ pub struct SolveParams {
     /// Stop as soon as the objective reaches this value (0 = stop at the
     /// first schedule with no late jobs).
     pub target: Option<u32>,
-    /// Enable Θ-tree edge-finding (overload checking, start-time lifting
-    /// and candidate filtering; see [`crate::props::edge_finding`]).
-    pub edge_finding: bool,
     /// Luby restarts: `Some(base)` restarts the dive after
     /// `base × luby(k)` conflicts, rotating the resource value ordering
     /// each time so successive dives explore different regions. `None`
@@ -102,10 +97,6 @@ pub struct SolveParams {
     /// pre-applied restart counter); portfolio workers use distinct values
     /// so their first dives diverge.
     pub value_rotation: u64,
-    /// Cost-aware propagator scheduling: demote strong-but-redundant
-    /// propagators that stop earning their keep on this instance (see
-    /// [`crate::props::SchedulingOptions`]). Never changes verdicts.
-    pub prop_scheduling: bool,
     /// Large-neighborhood-search phase over the incumbent before the
     /// unrestricted branch-and-bound (see [`crate::lns`]).
     pub lns: LnsParams,
@@ -120,12 +111,10 @@ impl Default for SolveParams {
             warm_start: true,
             initial: None,
             target: None,
-            edge_finding: true,
             restarts: None,
             solution_guided: true,
             branching: Branching::SetTimes,
             value_rotation: 0,
-            prop_scheduling: true,
             lns: LnsParams::default(),
         }
     }
@@ -177,12 +166,43 @@ pub struct SolveStats {
     /// Per-propagator-class breakdown of runs/prunings/conflicts/time,
     /// indexed by [`crate::props::PropClass::idx`].
     pub by_class: [PropClassStats; N_PROP_CLASSES],
-    /// Cost-aware scheduling decisions (demotions/disables/re-promotions).
-    pub sched: SchedStats,
     /// LNS iterations (restricted window re-solves) performed.
     pub lns_iters: u64,
     /// LNS iterations that improved the incumbent.
     pub lns_improves: u64,
+}
+
+impl SolveStats {
+    /// Add another solve's counters (an LNS restricted re-solve, a
+    /// portfolio worker). `elapsed_us` is left to the caller, who times
+    /// the whole.
+    pub fn merge(&mut self, other: &SolveStats) {
+        // Exhaustive on purpose: a new field is added here or does not
+        // compile.
+        let SolveStats {
+            nodes,
+            fails,
+            solutions,
+            restarts,
+            propagations,
+            prunings,
+            elapsed_us: _,
+            by_class,
+            lns_iters,
+            lns_improves,
+        } = other;
+        self.nodes += nodes;
+        self.fails += fails;
+        self.solutions += solutions;
+        self.restarts += restarts;
+        self.propagations += propagations;
+        self.prunings += prunings;
+        for (acc, c) in self.by_class.iter_mut().zip(by_class) {
+            acc.merge(c);
+        }
+        self.lns_iters += lns_iters;
+        self.lns_improves += lns_improves;
+    }
 }
 
 /// The Luby sequence 1,1,2,1,1,2,4,… (`i` is 1-based).
@@ -420,16 +440,7 @@ fn solve_inner(
     }
 
     let mut dom = Domains::new(model);
-    let mut engine = Engine::with_options(
-        model,
-        EngineOptions {
-            edge_finding: params.edge_finding,
-            scheduling: SchedulingOptions {
-                enabled: params.prop_scheduling,
-                ..SchedulingOptions::default()
-            },
-        },
-    );
+    let mut engine = Engine::new(model);
     if let Some(b) = &best {
         engine.set_bound(b.objective - 1);
     }
@@ -654,7 +665,6 @@ fn finalize_stats(stats: &mut SolveStats, engine: &Engine, t0: Instant) {
     for (acc, s) in stats.by_class.iter_mut().zip(ps.by_class.iter()) {
         acc.merge(s);
     }
-    stats.sched.merge(&ps.sched);
     stats.elapsed_us = t0.elapsed().as_micros() as u64;
 }
 

@@ -53,9 +53,8 @@ fn contended_model() -> Model {
 }
 
 /// One shared pool (the manager's §V.D combined single-resource model):
-/// every task is assigned from the root, so edge-finding never takes its
-/// inert-pool exit and runs both passes — the mirrored one mostly on derived
-/// orders — at every node.
+/// every task is assigned from the root, so the one timetable sees every
+/// decision, with multi-unit requirements.
 fn single_pool_model() -> Model {
     let mut b = ModelBuilder::new();
     b.add_resource(3, 2);
@@ -77,10 +76,7 @@ fn single_pool_model() -> Model {
 
 /// The single pool as a manager round leaves it: a pinned backlog (started
 /// tasks) beside the jobs still to place, their deadlines too tight to all
-/// be met. Deadlines are soft, so every unfixed window runs to the horizon
-/// and every edge-finding pass of this search ends at the dominance
-/// certificate — which must cost no allocation either (in debug builds its
-/// cross-check runs both sweeps in the same buffers).
+/// be met. Deadlines are soft, so every unfixed window runs to the horizon.
 fn backlog_model() -> Model {
     let mut b = ModelBuilder::new();
     let pool = b.add_resource(4, 0);
@@ -108,12 +104,11 @@ fn backlog_model() -> Model {
     b.build().unwrap()
 }
 
-fn run(model: &Model, node_limit: u64, prop_scheduling: bool) -> (usize, u64) {
+fn run(model: &Model, node_limit: u64) -> (usize, u64) {
     let params = SolveParams {
         node_limit,
         warm_start: false,
         restarts: None,
-        prop_scheduling,
         ..Default::default()
     };
     let before = ALLOCS.load(Ordering::Relaxed);
@@ -126,17 +121,16 @@ fn run(model: &Model, node_limit: u64, prop_scheduling: bool) -> (usize, u64) {
 fn search_does_not_allocate_per_node() {
     // One test function for all models: the allocation counter is
     // process-wide, so they must not run on parallel test threads.
-    // The single-pool search keeps edge-finding on every node (no demotion).
-    for (name, model, sched) in [
-        ("contended", contended_model(), true),
-        ("single pool", single_pool_model(), false),
-        ("backlog", backlog_model(), false),
+    for (name, model) in [
+        ("contended", contended_model()),
+        ("single pool", single_pool_model()),
+        ("backlog", backlog_model()),
     ] {
         // Warm up once so one-time lazies (fmt machinery, etc.) don't skew run 1.
-        run(&model, 64, sched);
+        run(&model, 64);
 
-        let (small_allocs, small_nodes) = run(&model, 200, sched);
-        let (large_allocs, large_nodes) = run(&model, 3000, sched);
+        let (small_allocs, small_nodes) = run(&model, 200);
+        let (large_allocs, large_nodes) = run(&model, 3000);
 
         let extra_nodes = large_nodes.saturating_sub(small_nodes);
         assert!(

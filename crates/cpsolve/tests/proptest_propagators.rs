@@ -1,17 +1,20 @@
 //! Property tests for the propagators: soundness against the independent
-//! verifier.
+//! verifier and against exhaustive enumeration.
 //!
 //! The key property of any propagator is that it never removes a value
-//! that participates in a feasible solution. We test the contrapositive
-//! that matters operationally: for a *known-feasible fully-fixed
-//! placement* (validated by `Solution::verify`, which shares no code with
-//! the propagators), running the whole propagation stack from domains
-//! pinned to that placement must not report a conflict — for the timetable
-//! cumulative, edge-finding, the barrier, and the lateness logic alike.
+//! that participates in a feasible solution. We test it two ways. The
+//! contrapositive that matters operationally: for a *known-feasible
+//! fully-fixed placement* (validated by `Solution::verify`, which shares no
+//! code with the propagators), running the whole propagation stack from
+//! domains pinned to that placement must not report a conflict — for the
+//! timetable cumulative, the barrier, and the lateness logic alike. And
+//! directly, on instances small enough to enumerate: root propagation of
+//! the whole engine keeps every start and resource that some complete
+//! feasible placement uses.
 
 use cpsolve::greedy::{greedy_edf, greedy_topo};
-use cpsolve::model::{Model, ModelBuilder, SlotKind, TaskRef};
-use cpsolve::props::{Engine, EngineOptions};
+use cpsolve::model::{Model, ModelBuilder, ResRef, SlotKind, TaskRef};
+use cpsolve::props::Engine;
 use cpsolve::state::Domains;
 use proptest::prelude::*;
 
@@ -49,12 +52,285 @@ fn build(i: &Inst) -> Model {
     b.build().expect("well-formed")
 }
 
+#[derive(Debug, Clone)]
+struct Tiny {
+    /// (map_cap, reduce_cap) per resource.
+    resources: Vec<(u32, u32)>,
+    /// (release, map durations, reduce durations) per job.
+    jobs: Vec<(i64, Vec<i64>, Vec<i64>)>,
+    horizon: i64,
+}
+
+/// Small enough for exhaustive placement enumeration (≤ 4 tasks, short
+/// horizon) but varied enough to overload a pool and to lift starts from
+/// both ends of a window.
+fn tiny() -> impl Strategy<Value = Tiny> {
+    let res = prop::collection::vec((1u32..=2, 1u32..=2), 1..=2);
+    let main_job = (
+        0i64..=2,
+        prop::collection::vec(1i64..=4, 1..=2),
+        prop::collection::vec(1i64..=3, 0..=1),
+    );
+    let extra = (any::<bool>(), 0i64..=2, 1i64..=4);
+    (res, main_job, extra, 6i64..=9).prop_map(|(resources, (rel, maps, reds), extra, horizon)| {
+        let mut jobs = vec![(rel, maps, reds)];
+        let (with_extra, rel2, d) = extra;
+        if with_extra {
+            jobs.push((rel2, vec![d], vec![]));
+        }
+        Tiny {
+            resources,
+            jobs,
+            horizon,
+        }
+    })
+}
+
+fn build_tiny(i: &Tiny) -> Model {
+    let mut b = ModelBuilder::new();
+    for &(mc, rc) in &i.resources {
+        b.add_resource(mc, rc);
+    }
+    for (rel, maps, reds) in &i.jobs {
+        // Loose deadlines: this family is about capacity, release and
+        // barrier filtering.
+        let j = b.add_job(*rel, rel + 1000);
+        for &d in maps {
+            b.add_task(j, SlotKind::Map, d, 1);
+        }
+        for &d in reds {
+            b.add_task(j, SlotKind::Reduce, d, 1);
+        }
+    }
+    b.set_horizon(i.horizon);
+    b.build().expect("well-formed")
+}
+
+/// An instance built to make the filters act, not just survive them:
+/// pinned blocks (mandatory parts from the root), multi-unit requirements,
+/// deadline windows a few ticks wide, and free tasks that are unassigned
+/// candidates on two pools — or assigned with a window, when only one pool
+/// is wide enough.
+#[derive(Debug, Clone)]
+struct Packed {
+    /// Map capacity of the two resources.
+    caps: [u32; 2],
+    /// Pinned blocks: (resource, start, dur, req).
+    blocks: Vec<(u32, i64, i64, u32)>,
+    /// Free tasks, one job each: (release, dur, req, deadline slack).
+    free: Vec<(i64, i64, u32, i64)>,
+    horizon: i64,
+}
+
+fn packed() -> impl Strategy<Value = Packed> {
+    let blocks = prop::collection::vec((0u32..2, 0i64..=5, 1i64..=4, 1u32..=2), 0..=2);
+    let free = prop::collection::vec((0i64..=4, 1i64..=4, 1u32..=3, 0i64..=3), 2..=4);
+    ((1u32..=3, 1u32..=3), blocks, free, 5i64..=8).prop_map(|((c0, c1), blocks, free, horizon)| {
+        Packed {
+            caps: [c0, c1],
+            blocks,
+            free,
+            horizon,
+        }
+    })
+}
+
+fn build_packed(i: &Packed) -> Model {
+    let mut b = ModelBuilder::new();
+    for &c in &i.caps {
+        b.add_resource(c, 0);
+    }
+    let widest = i.caps[0].max(i.caps[1]);
+    for &(r, start, dur, req) in &i.blocks {
+        let pinned = b.add_job(0, 1000);
+        let t = b.add_task(pinned, SlotKind::Map, dur, req.min(i.caps[r as usize]));
+        b.fix_task(t, ResRef(r), start);
+    }
+    for &(rel, dur, req, slack) in &i.free {
+        let j = b.add_job(rel, rel + dur + slack);
+        b.add_task(j, SlotKind::Map, dur, req.min(widest));
+    }
+    b.set_horizon(i.horizon);
+    b.build().expect("well-formed")
+}
+
+/// Exhaustively enumerate every complete `(resource, start)` placement that
+/// satisfies release times, the map→reduce barrier, the horizon and the
+/// slot capacities — sharing no code with the propagators — and record each
+/// task's feasible starts and resources.
+fn enumerate_feasible(model: &Model) -> (Vec<Vec<i64>>, Vec<Vec<bool>>) {
+    let n = model.n_tasks();
+    let nr = model.n_resources();
+    let horizon = model.horizon;
+    let max_end = (horizon + model.tasks.iter().map(|t| t.dur).max().unwrap_or(0)) as usize + 1;
+
+    // Maps first, then reduces, so the barrier floor is known when a
+    // reduce is placed.
+    let mut order: Vec<TaskRef> = Vec::with_capacity(n);
+    for j in 0..model.n_jobs() {
+        order.extend(model.maps_of[j].iter().copied());
+    }
+    for j in 0..model.n_jobs() {
+        order.extend(model.reduces_of[j].iter().copied());
+    }
+
+    let mut usage = vec![[vec![0i64; max_end], vec![0i64; max_end]]; nr];
+    let mut starts = vec![0i64; n];
+    let mut feas_starts: Vec<Vec<i64>> = vec![Vec::new(); n];
+    let mut feas_res: Vec<Vec<bool>> = vec![vec![false; nr]; n];
+
+    fn kind_idx(k: SlotKind) -> usize {
+        match k {
+            SlotKind::Map => 0,
+            SlotKind::Reduce => 1,
+        }
+    }
+
+    /// Returns the number of complete feasible placements in this subtree.
+    #[allow(clippy::too_many_arguments)]
+    fn rec(
+        model: &Model,
+        order: &[TaskRef],
+        pos: usize,
+        usage: &mut [[Vec<i64>; 2]],
+        starts: &mut [i64],
+        feas_starts: &mut [Vec<i64>],
+        feas_res: &mut [Vec<bool>],
+    ) -> u64 {
+        if pos == order.len() {
+            for &t in order {
+                let ti = t.idx();
+                if !feas_starts[ti].contains(&starts[ti]) {
+                    feas_starts[ti].push(starts[ti]);
+                }
+            }
+            return 1;
+        }
+        let t = order[pos];
+        let spec = &model.tasks[t.idx()];
+        let job = &model.jobs[spec.job.idx()];
+        let mut floor = job.release;
+        if spec.kind == SlotKind::Reduce {
+            for &m in &model.maps_of[spec.job.idx()] {
+                floor = floor.max(starts[m.idx()] + model.tasks[m.idx()].dur);
+            }
+        }
+        // A pinned task has exactly one placement, release or no release.
+        let (resources, window) = match spec.fixed {
+            Some((r, s)) => (r.idx()..r.idx() + 1, s..=s),
+            None => (
+                0..model.n_resources(),
+                floor..=model.horizon.min(job.deadline - spec.dur),
+            ),
+        };
+        let k = kind_idx(spec.kind);
+        let mut found = 0u64;
+        for r in resources {
+            let cap = model.resources[r].cap(spec.kind) as i64;
+            if cap == 0 {
+                continue;
+            }
+            for s in window.clone() {
+                let range = s as usize..(s + spec.dur) as usize;
+                if range
+                    .clone()
+                    .any(|u| usage[r][k][u] + spec.req as i64 > cap)
+                {
+                    continue;
+                }
+                for u in range.clone() {
+                    usage[r][k][u] += spec.req as i64;
+                }
+                starts[t.idx()] = s;
+                let below = rec(model, order, pos + 1, usage, starts, feas_starts, feas_res);
+                if below > 0 {
+                    feas_res[t.idx()][r] = true;
+                    found += below;
+                }
+                for u in range {
+                    usage[r][k][u] -= spec.req as i64;
+                }
+            }
+        }
+        found
+    }
+
+    rec(
+        model,
+        &order,
+        0,
+        &mut usage,
+        &mut starts,
+        &mut feas_starts,
+        &mut feas_res,
+    );
+    (feas_starts, feas_res)
+}
+
+/// Whatever root propagation of the whole engine narrows, every start and
+/// every resource that participates in at least one complete feasible
+/// placement must survive: filters only remove provably infeasible values.
+/// No job is allowed late, which is how `enumerate_feasible` reads
+/// deadlines: as hard windows.
+fn assert_keeps_feasible_placements(model: &Model) {
+    let (feas_starts, feas_res) = enumerate_feasible(model);
+    let mut dom = Domains::new(model);
+    let mut eng = Engine::new(model);
+    eng.set_bound(0);
+    let ok = eng.propagate_all(model, &mut dom).is_ok();
+
+    let any_feasible = feas_starts.iter().any(|f| !f.is_empty());
+    if !any_feasible {
+        // Nothing to protect; a root conflict is allowed (and good).
+        return;
+    }
+    assert!(ok, "root conflict on a feasible instance");
+    for t in 0..model.n_tasks() {
+        let tr = TaskRef(t as u32);
+        for &s in &feas_starts[t] {
+            assert!(
+                dom.lb(tr) <= s && s <= dom.ub(tr),
+                "task {t}: feasible start {s} pruned to [{}, {}]",
+                dom.lb(tr),
+                dom.ub(tr)
+            );
+        }
+        for (r, &feas) in feas_res[t].iter().enumerate() {
+            if feas {
+                assert!(
+                    dom.mask(tr) & (1u128 << r) != 0,
+                    "task {t}: feasible resource {r} removed"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn engine_never_prunes_feasible_placements(i in tiny()) {
+        assert_keeps_feasible_placements(&build_tiny(&i));
+    }
+
+    /// The same property where the deadlines bind and blocks are pinned.
+    /// Trips the false prune reproduced by
+    /// `own_part_merged_with_a_neighbour_is_not_a_conflict` in
+    /// `props/cumulative.rs`, and nothing else: it passes once that is fixed.
+    #[test]
+    #[ignore = "known timetable defect (ROADMAP item 1)"]
+    fn engine_never_prunes_feasible_placements_when_packed(i in packed()) {
+        assert_keeps_feasible_placements(&build_packed(&i));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Pinning domains to a greedy (feasible, verified) schedule and
-    /// propagating everything — including Θ-tree edge-finding — never
-    /// conflicts: no propagator is unsound on feasible assignments.
+    /// propagating everything never conflicts: no propagator is unsound on
+    /// feasible assignments.
     #[test]
     fn propagation_accepts_feasible_placements(i in inst()) {
         let model = build(&i);
@@ -67,10 +343,7 @@ proptest! {
             dom.assign_res(tr, sol.resource[t]).expect("resource in domain");
             dom.fix_start(tr, sol.starts[t]).expect("start in domain");
         }
-        let mut eng = Engine::with_options(&model, EngineOptions {
-            edge_finding: true,
-            ..EngineOptions::default()
-        });
+        let mut eng = Engine::new(&model);
         prop_assert!(eng.propagate_all(&model, &mut dom).is_ok(),
             "feasible placement rejected by propagation");
         // All lateness flags decided, consistent with the schedule.

@@ -139,8 +139,8 @@ pub fn all_figures() -> Vec<Figure> {
         },
         Figure {
             name: "lns",
-            title: "Extra: solver self-tuning ablation (propagator scheduling × LNS rung)",
-            expectation: "not in the paper — P and T statistically tie across all four {sched, lns} settings at equal budget; the layers buy solver speed, not schedule quality",
+            title: "Extra: solver LNS ablation (LNS phase + rung on vs off)",
+            expectation: "not in the paper — P and T statistically tie with LNS on and off at equal budget; the layer buys solver speed, not schedule quality",
             run: run_lns_panel,
         },
         Figure {
@@ -211,10 +211,9 @@ fn synth_jobs(cfg: &SyntheticConfig, scale: &Scale, seed: u64, rep: u64) -> Vec<
     gen.take_jobs(scale.synth_jobs)
 }
 
-/// Copy the workload config's solver-tuning knobs onto a sim config: the
-/// TOML-level ablation switches land in [`SolveBudget`] here.
+/// Copy the workload config's solver-tuning knob onto a sim config: the
+/// TOML-level ablation switch lands in [`SolveBudget`] here.
 fn apply_solver_tuning(sim: &mut SimConfig, tuning: &SolverTuning) {
-    sim.manager.budget.prop_scheduling = tuning.prop_scheduling.0;
     sim.manager.budget.lns = tuning.lns.0;
 }
 
@@ -1230,27 +1229,18 @@ fn run_service_sweep(scale: &Scale, seed: u64) -> FigureResult {
     }
 }
 
-/// The self-tuning ablation: the Table 3 default point under every
-/// {prop_scheduling, lns} combination, driven through the workload-level
-/// [`SolverTuning`] knobs exactly as a TOML config would set them. The
-/// layers must not move P or T at equal budget — they only change how fast
-/// the solver reaches the same schedules.
+/// The LNS ablation: the Table 3 default point with the LNS layer on and
+/// off, driven through the workload-level [`SolverTuning`] knob exactly as
+/// a TOML config would set it. The layer must not move P or T at equal
+/// budget — it only changes how fast the solver reaches the same schedules.
 fn run_lns_panel(scale: &Scale, seed: u64) -> FigureResult {
     use workload::OnOff;
 
     let base = capped(SyntheticConfig::default(), scale);
     let mut points = Vec::new();
-    for (label, sched, lns) in [
-        ("sched+lns (default)", true, true),
-        ("sched only", true, false),
-        ("lns only", false, true),
-        ("neither (static solver)", false, false),
-    ] {
+    for (label, lns) in [("lns (default)", true), ("no lns (static solver)", false)] {
         let cfg = SyntheticConfig {
-            solver: SolverTuning {
-                prop_scheduling: OnOff(sched),
-                lns: OnOff(lns),
-            },
+            solver: SolverTuning { lns: OnOff(lns) },
             ..base.clone()
         };
         let agg = replicate(scale, |rep| mrcp_synth_sample(&cfg, scale, seed, rep));
@@ -1263,8 +1253,10 @@ fn run_lns_panel(scale: &Scale, seed: u64) -> FigureResult {
 
     FigureResult {
         name: "lns".into(),
-        title: "Solver self-tuning ablation at the Table 3 default point".into(),
-        expectation: "P and T tie across all four settings; the layers trade search effort, not schedule quality".into(),
+        title: "Solver LNS ablation at the Table 3 default point".into(),
+        expectation:
+            "P and T tie with LNS on and off; the layer trades search effort, not schedule quality"
+                .into(),
         points,
     }
 }
@@ -1285,7 +1277,7 @@ mod tests {
         assert!(names.contains(&"faults"), "failure sweep registered");
         assert!(names.contains(&"overload"), "overload sweep registered");
         assert!(names.contains(&"cells"), "federation sweep registered");
-        assert!(names.contains(&"lns"), "self-tuning ablation registered");
+        assert!(names.contains(&"lns"), "LNS ablation registered");
         assert!(names.contains(&"service"), "ingest mode sweep registered");
         assert!(figure_by_name("fig7").is_some());
         assert!(figure_by_name("nope").is_none());

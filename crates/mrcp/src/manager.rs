@@ -219,10 +219,6 @@ pub struct SolveBudget {
     /// search; >1 spawns diversified workers sharing the incumbent bound,
     /// see [`cpsolve::portfolio`]).
     pub workers: usize,
-    /// Cost-aware propagator scheduling: demote strong-but-redundant
-    /// propagators that stop earning their keep on the instance (see
-    /// [`cpsolve::SchedulingOptions`]; never changes verdicts).
-    pub prop_scheduling: bool,
     /// Large-neighborhood search: enables both the LNS phase inside each
     /// CP solve and the LNS rung of the degradation ladder (see
     /// [`cpsolve::lns`]).
@@ -238,7 +234,6 @@ impl Default for SolveBudget {
             adaptive: None,
             warm_start: true,
             workers: 1,
-            prop_scheduling: true,
             lns: true,
         }
     }
@@ -261,7 +256,6 @@ impl SolveBudget {
             fail_limit: fails,
             time_limit: self.time_limit_ms.map(Duration::from_millis),
             warm_start: self.warm_start,
-            prop_scheduling: self.prop_scheduling,
             lns: cpsolve::LnsParams {
                 enabled: self.lns,
                 ..cpsolve::LnsParams::default()

@@ -136,21 +136,16 @@ pub struct SyntheticConfig {
     /// [`cell_size`](Self::cell_size) resources.
     #[serde(default)]
     pub cells: CellCount,
-    /// Solver self-tuning layers (cost-aware propagator scheduling and the
-    /// LNS repair rung). Both default to on; configs written before the
-    /// knobs existed deserialize to the defaults.
+    /// Solver tuning (the LNS repair rung). Defaults to on; configs written
+    /// before the knob existed deserialize to the default.
     #[serde(default)]
     pub solver: SolverTuning,
 }
 
-/// On/off switches for the solver's self-tuning layers, TOML-addressable so
-/// experiment configs can run ablations without code changes.
+/// On/off switch for the solver's LNS layer, TOML-addressable so
+/// experiment configs can run the ablation without code changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SolverTuning {
-    /// Cost-aware propagator scheduling: demote strong filters whose
-    /// measured pruning yield stops paying for their cost.
-    #[serde(default)]
-    pub prop_scheduling: OnOff,
     /// The LNS repair rung and in-solve LNS phase.
     #[serde(default)]
     pub lns: OnOff,
@@ -756,9 +751,9 @@ mod tests {
 
     #[test]
     fn solver_tuning_defaults_on_and_round_trips() {
-        // Configs written before the solver knobs existed (no `solver` key
-        // at all) deserialize with both layers ON — absence means "use the
-        // self-tuning solver", not "disable it".
+        // Configs written before the solver knob existed (no `solver` key
+        // at all) deserialize with LNS ON — absence means "use the
+        // default solver", not "disable it".
         let cfg = SyntheticConfig::default();
         let mut tree = serde::Serialize::serialize_value(&cfg);
         let serde::Value::Map(entries) = &mut tree else {
@@ -768,18 +763,20 @@ mod tests {
         let legacy = serde_json::to_string(&tree).unwrap();
         assert!(!legacy.contains("solver"), "failed to strip solver key");
         let back: SyntheticConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back.solver.prop_scheduling, OnOff(true));
         assert_eq!(back.solver.lns, OnOff(true));
-        // Explicit ablation settings survive a round trip.
+        // An explicit ablation setting survives a round trip.
         let ablated = SyntheticConfig {
-            solver: SolverTuning {
-                prop_scheduling: OnOff(false),
-                lns: OnOff(true),
-            },
+            solver: SolverTuning { lns: OnOff(false) },
             ..Default::default()
         };
         let json = serde_json::to_string(&ablated).unwrap();
         let back: SyntheticConfig = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.solver, ablated.solver);
+        // A stored config that still carries the retired
+        // `solver.prop_scheduling` key keeps loading; the key is ignored.
+        let stored = json.replacen(r#""solver":{"#, r#""solver":{"prop_scheduling":false,"#, 1);
+        assert_ne!(stored, json, "failed to plant the retired key");
+        let back: SyntheticConfig = serde_json::from_str(&stored).unwrap();
         assert_eq!(back.solver, ablated.solver);
     }
 
