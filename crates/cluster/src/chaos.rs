@@ -26,11 +26,11 @@
 //! scheduling round.
 
 use crate::durable::DurableFederation;
-use crate::endpoint::{CellEndpoint, CellRequest, Delivery, InProcEndpoint, RetryPolicy, RpcError};
+use crate::endpoint::{CellEndpoint, Delivery, InProcEndpoint, RetryPolicy, RpcError};
 use crate::federation::{ClusterSimConfig, Federation};
 use crate::health::HealthConfig;
 use desim::SimTime;
-use durability::DurabilityConfig;
+use durability::{DurabilityConfig, ManagerEvent};
 use mrcp::manager::MrcpRm;
 use mrcp::sim_driver::{simulate_with, JobOutcome, ResourceManager, RunMetrics, Watched};
 use mrcp::TaskStatusImage;
@@ -224,7 +224,7 @@ impl ChaosEndpoint {
 }
 
 impl CellEndpoint for ChaosEndpoint {
-    fn deliver(&mut self, rm: &mut MrcpRm, seq: u64, req: &CellRequest, now: SimTime) -> Delivery {
+    fn deliver(&mut self, rm: &mut MrcpRm, seq: u64, req: &ManagerEvent, now: SimTime) -> Delivery {
         self.advance(now);
         if self.refuses_calls(now) {
             return Delivery {
@@ -271,7 +271,7 @@ impl CellEndpoint for ChaosEndpoint {
         &mut self,
         rm: &mut MrcpRm,
         seq: u64,
-        req: &CellRequest,
+        req: &ManagerEvent,
         now: SimTime,
     ) -> Delivery {
         debug_assert!(

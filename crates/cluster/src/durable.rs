@@ -12,7 +12,9 @@
 //!                   ManagerImage per cell + per-cell WAL positions)
 //!   manifest.log    WAL of fleet-surface commands, plus the routing
 //!                   (Routed) and rebalance (Migrated) decision records
-//!   cell-<i>.wal    WAL of the events cell i observed, post-routing
+//!   cell-<i>.wal    WAL of the requests cell i applied, post-routing:
+//!                   one record per applied request (a batch routed to
+//!                   the cell, a round, a task event, a migration step)
 //! ```
 //!
 //! ## Two recovery granularities
@@ -42,7 +44,8 @@ use desim::SimTime;
 use durability::codec::{Dec, DecodeError, Enc};
 use durability::snapshot::{decode_image, encode_image, read_blob, write_blob};
 use durability::{
-    apply_cell, apply_surface, DurTel, DurabilityConfig, ManagerEvent, StoreConfig, Wal,
+    apply, apply_surface, indexed_event, replay_indexed, DurTel, DurabilityConfig, ManagerEvent,
+    StoreConfig, Wal,
 };
 use mrcp::manager::{
     AdmissionOutcome, FailureAction, JobCompletion, ManagerError, ManagerStats, MrcpConfig,
@@ -636,28 +639,11 @@ pub fn recover_cell(
     let (ci, _dirty) = &img.cells[cell];
     let mut rm = MrcpRm::restore(mgr_cfg, pool, ci.clone()).map_err(io_invalid)?;
     let (_wal, records) = Wal::recover(&cell_wal_path(dir, cell), cfg.wal)?;
-    let mut next = img.cell_seq[cell];
-    let mut replayed = 0u64;
-    for payload in &records {
-        let mut d = Dec::new(payload);
-        let Ok(seq) = d.u64() else { break };
-        let Ok(ev) = ManagerEvent::decode(&mut d) else {
-            break;
-        };
-        if d.expect_end().is_err() {
-            break;
-        }
-        if seq < next {
-            continue; // predates the snapshot
-        }
-        if seq > next {
-            break; // gap: untrusted tail
-        }
-        apply_cell(&mut rm, &ev);
-        next += 1;
-        replayed += 1;
-    }
-    Ok((rm, replayed))
+    let base = img.cell_seq[cell];
+    let next = replay_indexed(&records, base, indexed_event, |ev| {
+        apply(&mut rm, ev);
+    });
+    Ok((rm, next - base))
 }
 
 /// A [`Federation`] with per-cell WALs, a routing/rebalance manifest,
@@ -761,56 +747,40 @@ impl DurableFederation {
     }
 
     /// The journal is invariantly present on a durable federation; its
-    /// absence is an internal inconsistency reported as a typed error
-    /// (recorded in the federation's `last_error`), not a panic.
-    fn journal_mut(&mut self) -> Result<&mut FedJournal, ManagerError> {
-        match self.fed.journal.as_mut() {
-            Some(j) => Ok(j),
-            None => Err(ManagerError::Inconsistent(
-                "durable federation lost its journal",
-            )),
+    /// absence is an internal inconsistency recorded as a typed error in
+    /// the federation's `last_error` (and `None` here), not a panic.
+    fn journal_mut(&mut self) -> Option<&mut FedJournal> {
+        if self.fed.journal.is_none() {
+            let e = ManagerError::Inconsistent("durable federation lost its journal");
+            debug_assert!(false, "{e}");
+            self.fed.last_error = Some(e);
         }
+        self.fed.journal.as_mut()
     }
 
-    /// Write-ahead log one surface command to the manifest.
-    fn cmd(&mut self, ev: ManagerEvent) {
-        match self.journal_mut() {
-            Ok(j) => {
-                j.log_cmd(&ev);
-            }
-            Err(e) => {
-                debug_assert!(false, "{e}");
-                self.fed.last_error = Some(e);
-            }
+    /// The write-ahead order, in one place: log `ev` to the manifest, run
+    /// `call` on the federation, then snapshot the fleet (and reset every
+    /// WAL) once enough commands have accumulated.
+    fn logged<T>(&mut self, ev: ManagerEvent, call: impl FnOnce(&mut Federation) -> T) -> T {
+        if let Some(j) = self.journal_mut() {
+            j.log_cmd(&ev);
         }
         self.client_log.push(ev);
-    }
-
-    /// Snapshot the fleet and reset every WAL once enough commands have
-    /// accumulated.
-    fn maybe_snapshot(&mut self) {
-        let due = match self.journal_mut() {
-            Ok(j) => j.cmds_since_snapshot() >= j.cfg.snapshot_every.max(1),
-            Err(e) => {
-                debug_assert!(false, "{e}");
-                self.fed.last_error = Some(e);
-                false
-            }
-        };
+        let out = call(&mut self.fed);
+        let due = self
+            .journal_mut()
+            .is_some_and(|j| j.cmds_since_snapshot() >= j.cfg.snapshot_every.max(1));
         if due {
             self.checkpoint();
         }
+        out
     }
 
     fn checkpoint(&mut self) {
-        let (base, seq) = match self.journal_mut() {
-            Ok(j) => (j.base_idx + j.cmds_since_snapshot, j.cell_seq.clone()),
-            Err(e) => {
-                debug_assert!(false, "{e}");
-                self.fed.last_error = Some(e);
-                return;
-            }
+        let Some(j) = self.journal_mut() else {
+            return;
         };
+        let (base, seq) = (j.base_idx + j.cmds_since_snapshot, j.cell_seq.clone());
         write_blob(
             &snapshot_path(&self.dir),
             &encode_fed_snapshot(base, &fed_image(&self.fed)),
@@ -836,13 +806,11 @@ impl ResourceManager for DurableFederation {
         job: Job,
         now: SimTime,
     ) -> Result<AdmissionOutcome, ManagerError> {
-        self.cmd(ManagerEvent::SubmitWithAdmission {
+        let ev = ManagerEvent::SubmitWithAdmission {
             job: job.clone(),
             now,
-        });
-        let out = self.fed.submit_with_admission(job, now);
-        self.maybe_snapshot();
-        out
+        };
+        self.logged(ev, |f| f.submit_with_admission(job, now))
     }
 
     fn submit_batch(
@@ -854,34 +822,25 @@ impl ResourceManager for DurableFederation {
         // batch against a single load snapshot, so replay must re-present
         // it as a batch — decomposing into singleton submits would replay
         // with different (sequential) routing decisions.
-        self.cmd(ManagerEvent::SubmitBatch {
+        let ev = ManagerEvent::SubmitBatch {
             jobs: jobs.clone(),
             now,
-        });
-        let out = self.fed.submit_batch(jobs, now);
-        self.maybe_snapshot();
-        out
+        };
+        self.logged(ev, |f| f.submit_batch(jobs, now))
     }
 
     fn activate_due(&mut self, now: SimTime) -> usize {
-        self.cmd(ManagerEvent::ActivateDue { now });
-        let n = self.fed.activate_due(now);
-        self.maybe_snapshot();
-        n
+        self.logged(ManagerEvent::ActivateDue { now }, |f| f.activate_due(now))
     }
 
     fn reschedule(&mut self, now: SimTime) -> Vec<ScheduleEntry> {
-        self.cmd(ManagerEvent::Reschedule { now });
-        let plan = self.fed.reschedule(now);
-        self.maybe_snapshot();
-        plan
+        self.logged(ManagerEvent::Reschedule { now }, |f| f.reschedule(now))
     }
 
     fn task_started(&mut self, task: TaskId, now: SimTime) -> Result<ResourceId, ManagerError> {
-        self.cmd(ManagerEvent::TaskStarted { task, now });
-        let out = self.fed.task_started(task, now);
-        self.maybe_snapshot();
-        out
+        self.logged(ManagerEvent::TaskStarted { task, now }, |f| {
+            f.task_started(task, now)
+        })
     }
 
     fn task_completed(
@@ -889,10 +848,9 @@ impl ResourceManager for DurableFederation {
         task: TaskId,
         now: SimTime,
     ) -> Result<Option<JobCompletion>, ManagerError> {
-        self.cmd(ManagerEvent::TaskCompleted { task, now });
-        let out = self.fed.task_completed(task, now);
-        self.maybe_snapshot();
-        out
+        self.logged(ManagerEvent::TaskCompleted { task, now }, |f| {
+            f.task_completed(task, now)
+        })
     }
 
     fn task_duration_revised(
@@ -900,17 +858,15 @@ impl ResourceManager for DurableFederation {
         task: TaskId,
         new_exec: SimTime,
     ) -> Result<(), ManagerError> {
-        self.cmd(ManagerEvent::TaskDurationRevised { task, new_exec });
-        let out = self.fed.task_duration_revised(task, new_exec);
-        self.maybe_snapshot();
-        out
+        self.logged(ManagerEvent::TaskDurationRevised { task, new_exec }, |f| {
+            f.task_duration_revised(task, new_exec)
+        })
     }
 
     fn task_failed(&mut self, task: TaskId, now: SimTime) -> Result<FailureAction, ManagerError> {
-        self.cmd(ManagerEvent::TaskFailed { task, now });
-        let out = self.fed.task_failed(task, now);
-        self.maybe_snapshot();
-        out
+        self.logged(ManagerEvent::TaskFailed { task, now }, |f| {
+            f.task_failed(task, now)
+        })
     }
 
     fn resource_down(
@@ -918,17 +874,15 @@ impl ResourceManager for DurableFederation {
         rid: ResourceId,
         now: SimTime,
     ) -> Result<Vec<TaskId>, ManagerError> {
-        self.cmd(ManagerEvent::ResourceDown { resource: rid, now });
-        let out = self.fed.resource_down(rid, now);
-        self.maybe_snapshot();
-        out
+        self.logged(ManagerEvent::ResourceDown { resource: rid, now }, |f| {
+            f.resource_down(rid, now)
+        })
     }
 
     fn resource_up(&mut self, rid: ResourceId, now: SimTime) -> Result<(), ManagerError> {
-        self.cmd(ManagerEvent::ResourceUp { resource: rid, now });
-        let out = self.fed.resource_up(rid, now);
-        self.maybe_snapshot();
-        out
+        self.logged(ManagerEvent::ResourceUp { resource: rid, now }, |f| {
+            f.resource_up(rid, now)
+        })
     }
 
     fn jobs_in_system(&self) -> usize {
@@ -944,14 +898,7 @@ impl ResourceManager for DurableFederation {
         // 1. Fail-stop: under power-loss semantics, unsynced log tails
         //    die with the process.
         if self.d_cfg.lose_unsynced_on_crash {
-            let lens = match self.journal_mut() {
-                Ok(j) => Some(j.synced_lens()),
-                Err(e) => {
-                    debug_assert!(false, "{e}");
-                    self.fed.last_error = Some(e);
-                    None
-                }
-            };
+            let lens = self.journal_mut().map(|j| j.synced_lens());
             if let Some((manifest_synced, cell_synced)) = lens {
                 Wal::drop_unsynced(&manifest_path(&self.dir), manifest_synced)
                     .unwrap_or_else(|e| panic!("durability: manifest truncation failed: {e}"));
@@ -974,27 +921,16 @@ impl ResourceManager for DurableFederation {
         let (_wal, records) = Wal::recover(&manifest_path(&self.dir), self.d_cfg.store.wal)
             .unwrap_or_else(|e| panic!("durability: manifest recovery failed: {e}"));
         drop(_wal);
-        let mut next = base;
-        for payload in &records {
-            let mut d = Dec::new(payload);
-            let Ok(rec) = FedRecord::decode(&mut d) else {
-                break; // undecodable tail: stop replay
-            };
-            if d.expect_end().is_err() {
-                break;
-            }
-            let FedRecord::Cmd { idx, ev } = rec else {
-                continue; // decision records are audit data, not replay input
-            };
-            if idx < next {
-                continue; // predates the snapshot
-            }
-            if idx > next {
-                break; // gap: untrusted tail
-            }
-            apply_surface(&mut fed, &ev);
-            next += 1;
-        }
+        // Decision records are audit data, not replay input.
+        let cmd = |d: &mut Dec<'_>| {
+            Ok(match FedRecord::decode(d)? {
+                FedRecord::Cmd { idx, ev } => Some((idx, ev)),
+                FedRecord::Routed { .. } | FedRecord::Migrated { .. } => None,
+            })
+        };
+        let next = replay_indexed(&records, base, cmd, |ev| {
+            apply_surface(&mut fed, ev);
+        });
         // 3. Client re-delivery: re-apply every command the disk did not
         //    know about.
         for i in next as usize..self.client_log.len() {

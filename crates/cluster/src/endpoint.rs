@@ -2,36 +2,37 @@
 //! cells.
 //!
 //! Every *mutating* command the federation issues to a cell travels as a
-//! [`CellRequest`] through a [`CellEndpoint`], which may fail the way a
-//! real router→cell RPC fails: the request can be dropped before the
-//! cell sees it, the response can be lost after the cell applied it, the
-//! call can exceed its deadline, or the cell process can be down
-//! entirely. Read-side estimators (cell load, admission probes) stay
-//! direct — they model cheaply gossiped health/load state, not RPCs.
+//! [`ManagerEvent`] — the same vocabulary the cell's WAL holds — through a
+//! [`CellEndpoint`], which may fail the way a real router→cell RPC fails:
+//! the request can be dropped before the cell sees it, the response can be
+//! lost after the cell applied it, the call can exceed its deadline, or
+//! the cell process can be down entirely. Read-side estimators (cell load,
+//! admission probes) stay direct — they model cheaply gossiped health/load
+//! state, not RPCs.
 //!
 //! Delivery is **at-most-once per sequence number**: the federation
 //! stamps each logical command with a per-cell sequence number, retries
 //! re-send the *same* number, and the cell-side endpoint deduplicates —
-//! a retried command that already applied returns its cached response
+//! a retried command that already applied returns its cached [`Reply`]
 //! instead of executing twice. Abandoned commands (best-effort calls
 //! that never reached the cell) leave a harmless gap in the sequence.
 //!
 //! [`InProcEndpoint`] is the reliable implementation (and the only code
 //! path when chaos is off — it injects nothing and draws no randomness);
-//! [`crate::chaos::ChaosEndpoint`] wraps it with fault injection.
+//! [`crate::chaos::ChaosEndpoint`] wraps it with fault injection. Both
+//! execute a delivered command with [`durability::apply`], the function
+//! WAL replay runs.
 
 use desim::SimTime;
-use mrcp::manager::{
-    AdmissionOutcome, FailureAction, JobCompletion, ManagerError, MrcpRm, Submitted,
-};
+use durability::{apply, ManagerEvent, Reply};
+use mrcp::manager::MrcpRm;
 use std::collections::VecDeque;
 use std::fmt;
-use workload::{Job, JobId, ResourceId, TaskId};
 
 /// Transport-level failure of one router→cell delivery. Application
-/// errors ([`ManagerError`]) are *successful* deliveries whose outcome
-/// is [`CellResponse::Err`] — they are cached and deduplicated like any
-/// other response.
+/// errors ([`mrcp::manager::ManagerError`]) are *successful* deliveries
+/// whose outcome is [`Reply::Err`] — they are cached and deduplicated like
+/// any other response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RpcError {
     /// The request was lost before the cell executed it.
@@ -55,197 +56,16 @@ impl fmt::Display for RpcError {
     }
 }
 
-/// One mutating command addressed to a cell's manager.
-#[derive(Debug, Clone)]
-pub enum CellRequest {
-    /// [`MrcpRm::submit_with_admission`].
-    SubmitWithAdmission {
-        /// The arriving job.
-        job: Job,
-        /// Submission time.
-        now: SimTime,
-    },
-    /// A coalesced burst of arrivals routed to this cell: sequential
-    /// [`MrcpRm::submit_with_admission`] calls at one timestamp, shipped
-    /// as a single RPC so a burst costs one delivery per touched cell
-    /// instead of one per job.
-    SubmitBatch {
-        /// The arriving jobs, in submission order.
-        jobs: Vec<Job>,
-        /// Shared submission time.
-        now: SimTime,
-    },
-    /// [`MrcpRm::submit`] (migration re-submits bypass admission).
-    Submit {
-        /// The migrated job.
-        job: Job,
-        /// Submission time.
-        now: SimTime,
-    },
-    /// [`MrcpRm::activate_due`].
-    ActivateDue {
-        /// Sweep time.
-        now: SimTime,
-    },
-    /// One scheduling round: [`MrcpRm::set_portfolio_workers`] followed
-    /// by [`MrcpRm::reschedule`].
-    Solve {
-        /// This cell's share of the portfolio worker budget.
-        workers: usize,
-        /// Round time.
-        now: SimTime,
-    },
-    /// [`MrcpRm::task_started`].
-    TaskStarted {
-        /// The task.
-        task: TaskId,
-        /// Start time.
-        now: SimTime,
-    },
-    /// [`MrcpRm::task_completed`].
-    TaskCompleted {
-        /// The task.
-        task: TaskId,
-        /// Completion time.
-        now: SimTime,
-    },
-    /// [`MrcpRm::task_duration_revised`].
-    TaskDurationRevised {
-        /// The task.
-        task: TaskId,
-        /// Its revised execution time.
-        new_exec: SimTime,
-    },
-    /// [`MrcpRm::task_failed`].
-    TaskFailed {
-        /// The task.
-        task: TaskId,
-        /// Failure time.
-        now: SimTime,
-    },
-    /// [`MrcpRm::resource_down`].
-    ResourceDown {
-        /// The crashed resource.
-        resource: ResourceId,
-        /// Crash time.
-        now: SimTime,
-    },
-    /// [`MrcpRm::resource_up`].
-    ResourceUp {
-        /// The repaired resource.
-        resource: ResourceId,
-        /// Repair time.
-        now: SimTime,
-    },
-    /// [`MrcpRm::take_unstarted_job`].
-    TakeUnstartedJob {
-        /// The job to reclaim.
-        job: JobId,
-    },
-}
-
-/// The cell's answer to a [`CellRequest`] — cloneable so the endpoint
-/// can cache it for duplicate suppression.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CellResponse {
-    /// Answer to [`CellRequest::SubmitWithAdmission`].
-    Admission(AdmissionOutcome),
-    /// Answer to [`CellRequest::SubmitBatch`]: one outcome per job, in
-    /// submission order.
-    AdmissionBatch(Vec<Result<AdmissionOutcome, ManagerError>>),
-    /// Answer to [`CellRequest::Submit`].
-    Submitted(Submitted),
-    /// Answer to [`CellRequest::ActivateDue`]: jobs activated.
-    Activated(usize),
-    /// Answer to [`CellRequest::Solve`].
-    Solved,
-    /// Answer to [`CellRequest::TaskStarted`]: the executing resource.
-    Started(ResourceId),
-    /// Answer to [`CellRequest::TaskCompleted`].
-    Completed(Option<JobCompletion>),
-    /// Answer to [`CellRequest::TaskDurationRevised`].
-    Revised,
-    /// Answer to [`CellRequest::TaskFailed`].
-    Failed(FailureAction),
-    /// Answer to [`CellRequest::ResourceDown`]: interrupted tasks.
-    Interrupted(Vec<TaskId>),
-    /// Answer to [`CellRequest::ResourceUp`].
-    ResourceUp,
-    /// Answer to [`CellRequest::TakeUnstartedJob`]: the reclaimed job.
-    Taken(Job),
-    /// The cell executed the request and it failed with a typed manager
-    /// error — a valid, cacheable response, not a transport failure.
-    Err(ManagerError),
-}
-
-/// Execute `req` against a cell's manager. This is *the* apply function:
-/// both live delivery and WAL replay semantics are defined by it.
-pub fn apply_request(rm: &mut MrcpRm, req: &CellRequest) -> CellResponse {
-    match req {
-        CellRequest::SubmitWithAdmission { job, now } => {
-            match rm.submit_with_admission(job.clone(), *now) {
-                Ok(out) => CellResponse::Admission(out),
-                Err(e) => CellResponse::Err(e),
-            }
-        }
-        CellRequest::SubmitBatch { jobs, now } => CellResponse::AdmissionBatch(
-            jobs.iter()
-                .map(|j| rm.submit_with_admission(j.clone(), *now))
-                .collect(),
-        ),
-        CellRequest::Submit { job, now } => match rm.submit(job.clone(), *now) {
-            Ok(s) => CellResponse::Submitted(s),
-            Err(e) => CellResponse::Err(e),
-        },
-        CellRequest::ActivateDue { now } => CellResponse::Activated(rm.activate_due(*now)),
-        CellRequest::Solve { workers, now } => {
-            rm.set_portfolio_workers(*workers);
-            rm.reschedule(*now);
-            CellResponse::Solved
-        }
-        CellRequest::TaskStarted { task, now } => match rm.task_started(*task, *now) {
-            Ok(rid) => CellResponse::Started(rid),
-            Err(e) => CellResponse::Err(e),
-        },
-        CellRequest::TaskCompleted { task, now } => match rm.task_completed(*task, *now) {
-            Ok(done) => CellResponse::Completed(done),
-            Err(e) => CellResponse::Err(e),
-        },
-        CellRequest::TaskDurationRevised { task, new_exec } => {
-            match rm.task_duration_revised(*task, *new_exec) {
-                Ok(()) => CellResponse::Revised,
-                Err(e) => CellResponse::Err(e),
-            }
-        }
-        CellRequest::TaskFailed { task, now } => match rm.task_failed(*task, *now) {
-            Ok(action) => CellResponse::Failed(action),
-            Err(e) => CellResponse::Err(e),
-        },
-        CellRequest::ResourceDown { resource, now } => match rm.resource_down(*resource, *now) {
-            Ok(interrupted) => CellResponse::Interrupted(interrupted),
-            Err(e) => CellResponse::Err(e),
-        },
-        CellRequest::ResourceUp { resource, now } => match rm.resource_up(*resource, *now) {
-            Ok(()) => CellResponse::ResourceUp,
-            Err(e) => CellResponse::Err(e),
-        },
-        CellRequest::TakeUnstartedJob { job } => match rm.take_unstarted_job(*job) {
-            Ok(owned) => CellResponse::Taken(owned),
-            Err(e) => CellResponse::Err(e),
-        },
-    }
-}
-
 /// What one delivery attempt did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Delivery {
     /// The response, or how the transport failed.
-    pub outcome: Result<CellResponse, RpcError>,
+    pub outcome: Result<Reply, RpcError>,
     /// Whether *this* attempt executed the request against the manager.
     /// `false` for transport failures that never reached it and for
     /// duplicates the sequence-number dedup suppressed. The federation
-    /// journals a cell event exactly when this is `true` — so the WAL
-    /// holds each applied command exactly once, in application order.
+    /// journals the request exactly when this is `true` — so the cell WAL
+    /// holds each applied request exactly once, in application order.
     pub applied: bool,
     /// Whether this attempt was answered from the dedup cache.
     pub deduped: bool,
@@ -259,7 +79,7 @@ pub struct Delivery {
 pub trait CellEndpoint: fmt::Debug + Send {
     /// Deliver `req` stamped with `seq` over the normal (fallible)
     /// channel.
-    fn deliver(&mut self, rm: &mut MrcpRm, seq: u64, req: &CellRequest, now: SimTime) -> Delivery;
+    fn deliver(&mut self, rm: &mut MrcpRm, seq: u64, req: &ManagerEvent, now: SimTime) -> Delivery;
 
     /// Deliver over the supervisor's reliable channel: no fault
     /// injection, but the same sequence-number dedup — the escalation
@@ -269,7 +89,7 @@ pub trait CellEndpoint: fmt::Debug + Send {
         &mut self,
         rm: &mut MrcpRm,
         seq: u64,
-        req: &CellRequest,
+        req: &ManagerEvent,
         now: SimTime,
     ) -> Delivery {
         self.deliver(rm, seq, req, now)
@@ -314,7 +134,7 @@ pub struct InProcEndpoint {
     /// a delivery at or above it is new.
     next_seq: u64,
     /// Recently applied `(seq, response)` pairs.
-    cache: VecDeque<(u64, CellResponse)>,
+    cache: VecDeque<(u64, Reply)>,
 }
 
 impl InProcEndpoint {
@@ -323,7 +143,7 @@ impl InProcEndpoint {
         InProcEndpoint::default()
     }
 
-    fn dedup_or_apply(&mut self, rm: &mut MrcpRm, seq: u64, req: &CellRequest) -> Delivery {
+    fn dedup_or_apply(&mut self, rm: &mut MrcpRm, seq: u64, req: &ManagerEvent) -> Delivery {
         if seq < self.next_seq {
             // Duplicate of a command this cell already saw: answer from
             // the cache without re-executing.
@@ -352,7 +172,7 @@ impl InProcEndpoint {
         }
         // New command. Gaps are legal: they are sequence numbers whose
         // command was abandoned before ever reaching the cell.
-        let resp = apply_request(rm, req);
+        let resp = apply(rm, req);
         self.cache.push_back((seq, resp.clone()));
         if self.cache.len() > RESPONSE_CACHE_DEPTH {
             self.cache.pop_front();
@@ -368,7 +188,13 @@ impl InProcEndpoint {
 }
 
 impl CellEndpoint for InProcEndpoint {
-    fn deliver(&mut self, rm: &mut MrcpRm, seq: u64, req: &CellRequest, _now: SimTime) -> Delivery {
+    fn deliver(
+        &mut self,
+        rm: &mut MrcpRm,
+        seq: u64,
+        req: &ManagerEvent,
+        _now: SimTime,
+    ) -> Delivery {
         self.dedup_or_apply(rm, seq, req)
     }
 }
@@ -444,8 +270,8 @@ impl RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrcp::manager::MrcpConfig;
-    use workload::{Resource, Task, TaskKind};
+    use mrcp::manager::{ManagerError, MrcpConfig};
+    use workload::{Job, JobId, Resource, ResourceId, Task, TaskId, TaskKind};
 
     fn rm() -> MrcpRm {
         let res = vec![Resource {
@@ -543,14 +369,14 @@ mod tests {
     fn duplicate_delivery_is_suppressed_and_answered_from_cache() {
         let mut m = rm();
         let mut ep = InProcEndpoint::new();
-        let req = CellRequest::Submit {
+        let req = ManagerEvent::Submit {
             job: job(1),
             now: SimTime::ZERO,
         };
         let first = ep.deliver(&mut m, 0, &req, SimTime::ZERO);
         assert!(first.applied && !first.deduped);
         let resp = first.outcome.unwrap();
-        assert!(matches!(resp, CellResponse::Submitted(_)));
+        assert!(matches!(resp, Reply::Submitted(_)));
         // A duplicated delivery of the same sequence number must not
         // re-execute: the job would otherwise be rejected as a
         // duplicate, and a task could run twice.
@@ -564,18 +390,18 @@ mod tests {
     fn application_errors_are_cached_like_any_response() {
         let mut m = rm();
         let mut ep = InProcEndpoint::new();
-        let req = CellRequest::TakeUnstartedJob { job: JobId(42) };
+        let req = ManagerEvent::TakeUnstartedJob { job: JobId(42) };
         let first = ep.deliver(&mut m, 0, &req, SimTime::ZERO);
         assert!(first.applied);
         assert_eq!(
             first.outcome.unwrap(),
-            CellResponse::Err(ManagerError::UnknownJob(JobId(42)))
+            Reply::Err(ManagerError::UnknownJob(JobId(42)))
         );
         let dup = ep.deliver(&mut m, 0, &req, SimTime::ZERO);
         assert!(dup.deduped && !dup.applied);
         assert_eq!(
             dup.outcome.unwrap(),
-            CellResponse::Err(ManagerError::UnknownJob(JobId(42)))
+            Reply::Err(ManagerError::UnknownJob(JobId(42)))
         );
     }
 
@@ -586,7 +412,7 @@ mod tests {
         let r0 = ep.deliver(
             &mut m,
             0,
-            &CellRequest::Submit {
+            &ManagerEvent::Submit {
                 job: job(1),
                 now: SimTime::ZERO,
             },
@@ -597,7 +423,7 @@ mod tests {
         let r2 = ep.deliver(
             &mut m,
             2,
-            &CellRequest::Submit {
+            &ManagerEvent::Submit {
                 job: job(2),
                 now: SimTime::ZERO,
             },
@@ -609,7 +435,7 @@ mod tests {
         let r1 = ep.deliver(
             &mut m,
             1,
-            &CellRequest::Submit {
+            &ManagerEvent::Submit {
                 job: job(3),
                 now: SimTime::ZERO,
             },

@@ -9,9 +9,10 @@
 //!
 //! ## The fallible boundary
 //!
-//! Mutating commands reach a cell through its
+//! Mutating commands reach a cell as [`ManagerEvent`]s through its
 //! [`CellEndpoint`](crate::endpoint::CellEndpoint) — reliable in-process
-//! by default, fault-injecting under [`crate::chaos::ChaosConfig`]. Each
+//! by default, fault-injecting under [`crate::chaos::ChaosConfig`] — and
+//! the request that applied is what the cell's WAL records. Each
 //! command is stamped with a per-cell sequence number; failed deliveries
 //! retry under the [`RetryPolicy`] (capped exponential backoff,
 //! deterministic jitter) and duplicates are suppressed cell-side, so
@@ -36,13 +37,13 @@
 
 use crate::cell::Cell;
 use crate::chaos::{ChaosConfig, ChaosEndpoint};
-use crate::endpoint::{CellRequest, CellResponse, Delivery, RetryPolicy, RpcError};
+use crate::endpoint::{Delivery, RetryPolicy, RpcError};
 use crate::health::{CellHealth, HealthConfig, HealthState};
 use crate::metrics::ClusterMetrics;
 use crate::rebalance::RebalanceConfig;
 use crate::router::two_choices;
 use desim::SimTime;
-use durability::ManagerEvent;
+use durability::{apply, ManagerEvent, Reply};
 use mrcp::manager::{
     AbandonedJob, AdmissionOutcome, FailureAction, JobCompletion, ManagerError, ManagerStats,
     MrcpConfig, MrcpRm, ScheduleEntry,
@@ -406,13 +407,8 @@ impl Federation {
     /// two least-loaded cells, refined by their admission probes — the
     /// job spills to the alternate when the primary's probe rejects and
     /// the alternate's admits. Returns `(cell, spilled)`.
-    fn route(&self, job: &Job, now: SimTime) -> (usize, bool) {
-        self.route_from(&self.loads(), job, now)
-    }
-
-    /// [`route`](Self::route) against caller-supplied load estimates —
-    /// the batched path routes a whole burst against one load snapshot it
-    /// updates incrementally, instead of re-deriving fleet loads per job.
+    /// `loads` is the caller's estimate: a burst is routed against one
+    /// load snapshot updated incrementally, not re-derived per job.
     fn route_from(&self, loads: &[f64], job: &Job, now: SimTime) -> (usize, bool) {
         let (primary, alternate) = two_choices(loads);
         let Some(alt) = alternate else {
@@ -463,101 +459,17 @@ impl Federation {
         }
     }
 
-    /// Journal the cell events `req`'s application implies — called
-    /// exactly when a delivery applied, so each cell WAL holds each
-    /// applied command once, in application order.
-    fn log_applied(&mut self, cell: usize, req: &CellRequest) {
-        let Some(j) = self.journal.as_mut() else {
-            return;
-        };
-        match req {
-            CellRequest::SubmitWithAdmission { job, now } => j.cell_event(
-                cell,
-                &ManagerEvent::SubmitWithAdmission {
-                    job: job.clone(),
-                    now: *now,
-                },
-            ),
-            CellRequest::SubmitBatch { jobs, now } => {
-                // A batch applies as its sequential composition, so the
-                // WAL holds one event per job in submission order — replay
-                // needs no batch-aware machinery.
-                for job in jobs {
-                    j.cell_event(
-                        cell,
-                        &ManagerEvent::SubmitWithAdmission {
-                            job: job.clone(),
-                            now: *now,
-                        },
-                    );
-                }
-            }
-            CellRequest::Submit { job, now } => j.cell_event(
-                cell,
-                &ManagerEvent::Submit {
-                    job: job.clone(),
-                    now: *now,
-                },
-            ),
-            CellRequest::ActivateDue { now } => {
-                j.cell_event(cell, &ManagerEvent::ActivateDue { now: *now });
-            }
-            CellRequest::Solve { workers, now } => {
-                j.cell_event(cell, &ManagerEvent::SetWorkers { workers: *workers });
-                j.cell_event(cell, &ManagerEvent::Reschedule { now: *now });
-            }
-            CellRequest::TaskStarted { task, now } => j.cell_event(
-                cell,
-                &ManagerEvent::TaskStarted {
-                    task: *task,
-                    now: *now,
-                },
-            ),
-            CellRequest::TaskCompleted { task, now } => j.cell_event(
-                cell,
-                &ManagerEvent::TaskCompleted {
-                    task: *task,
-                    now: *now,
-                },
-            ),
-            CellRequest::TaskDurationRevised { task, new_exec } => j.cell_event(
-                cell,
-                &ManagerEvent::TaskDurationRevised {
-                    task: *task,
-                    new_exec: *new_exec,
-                },
-            ),
-            CellRequest::TaskFailed { task, now } => j.cell_event(
-                cell,
-                &ManagerEvent::TaskFailed {
-                    task: *task,
-                    now: *now,
-                },
-            ),
-            CellRequest::ResourceDown { resource, now } => j.cell_event(
-                cell,
-                &ManagerEvent::ResourceDown {
-                    resource: *resource,
-                    now: *now,
-                },
-            ),
-            CellRequest::ResourceUp { resource, now } => j.cell_event(
-                cell,
-                &ManagerEvent::ResourceUp {
-                    resource: *resource,
-                    now: *now,
-                },
-            ),
-            CellRequest::TakeUnstartedJob { job } => {
-                j.cell_event(cell, &ManagerEvent::TakeUnstartedJob { job: *job });
-            }
+    /// Append `ev` to cell `cell`'s WAL when the federation runs durable.
+    fn journal_cell(&mut self, cell: usize, ev: &ManagerEvent) {
+        if let Some(j) = self.journal.as_mut() {
+            j.cell_event(cell, ev);
         }
     }
 
     fn deliver_to(
         cell: &mut Cell,
         seq: u64,
-        req: &CellRequest,
+        req: &ManagerEvent,
         now: SimTime,
         reliable: bool,
     ) -> Delivery {
@@ -677,15 +589,18 @@ impl Federation {
     /// Send `req` to cell `i` with at-most-once delivery: one sequence
     /// number, retries with capped backoff, dedup on the cell side, and
     /// — for must-answer calls or calls whose effect already landed —
-    /// escalation to the supervisor's reliable channel. Returns `None`
-    /// only in [`CallMode::BestEffort`] when no attempt applied.
+    /// escalation to the supervisor's reliable channel. The attempt that
+    /// applied appends `req` to the cell's WAL, so the WAL holds exactly
+    /// what the cell was asked, one record per applied request, in
+    /// application order. Returns `None` only in
+    /// [`CallMode::BestEffort`] when no attempt applied.
     fn call_cell(
         &mut self,
         i: usize,
-        req: &CellRequest,
+        req: &ManagerEvent,
         now: SimTime,
         mode: CallMode,
-    ) -> Option<CellResponse> {
+    ) -> Option<Reply> {
         let seq = self.cells[i].next_seq;
         self.cells[i].next_seq += 1;
         self.metrics.rpc_commands += 1;
@@ -704,7 +619,7 @@ impl Federation {
             let d = Self::deliver_to(&mut self.cells[i], seq, req, now, false);
             self.metrics.rpc_latency_ms_total += d.latency.as_millis().max(0) as u64;
             if d.applied {
-                self.log_applied(i, req);
+                self.journal_cell(i, req);
                 applied_any = true;
             }
             if d.deduped {
@@ -770,7 +685,7 @@ impl Federation {
         self.tel.rpc_attempts.inc();
         let d = Self::deliver_to(&mut self.cells[i], seq, req, now, true);
         if d.applied {
-            self.log_applied(i, req);
+            self.journal_cell(i, req);
         }
         if d.deduped {
             self.metrics.rpc_dedup_hits += 1;
@@ -792,15 +707,15 @@ impl Federation {
                 );
                 debug_assert!(false, "{e}");
                 self.last_error = Some(e);
-                Some(CellResponse::Err(e))
+                Some(Reply::Err(e))
             }
         }
     }
 
     /// [`call_cell`](Self::call_cell) in must-answer mode; infallible.
-    fn call_cell_must(&mut self, i: usize, req: &CellRequest, now: SimTime) -> CellResponse {
+    fn call_cell_must(&mut self, i: usize, req: &ManagerEvent, now: SimTime) -> Reply {
         self.call_cell(i, req, now, CallMode::MustAnswer)
-            .unwrap_or(CellResponse::Err(ManagerError::Inconsistent(
+            .unwrap_or(Reply::Err(ManagerError::Inconsistent(
                 "must-answer call returned nothing",
             )))
     }
@@ -861,18 +776,60 @@ impl Federation {
         }
     }
 
+    /// Move the fully-unstarted job `job` from cell `src` to cell `dst`,
+    /// bypassing admission: journal and take it out of `src`, journal and
+    /// submit it to `dst`, record the migration in the manifest, re-home
+    /// the fleet maps, and mark `dst` dirty. Returns whether the job
+    /// moved; `false` when `src` no longer holds it unstarted (raced with
+    /// a lifecycle change — it is left where it is).
+    fn move_job(&mut self, job: JobId, src: usize, dst: usize, now: SimTime) -> bool {
+        self.journal_cell(src, &ManagerEvent::TakeUnstartedJob { job });
+        let Ok(owned) = self.cells[src].rm.take_unstarted_job(job) else {
+            return false;
+        };
+        let tasks: Vec<TaskId> = owned.tasks().map(|t| t.id).collect();
+        if let Some(j) = self.journal.as_mut() {
+            j.cell_event(
+                dst,
+                &ManagerEvent::Submit {
+                    job: owned.clone(),
+                    now,
+                },
+            );
+        }
+        match self.cells[dst].rm.submit(owned, now) {
+            Ok(_) => {
+                if let Some(j) = self.journal.as_mut() {
+                    j.migrated(job, src, dst);
+                }
+                self.job_cell.insert(job, dst);
+                for t in tasks {
+                    self.task_cell.insert(t, dst);
+                }
+                self.cells[dst].dirty = true;
+                true
+            }
+            // Unreachable — the ids were just removed from `src` and are
+            // foreign to `dst` — but a lost job must not take the run
+            // down with it.
+            Err(e) => {
+                debug_assert!(false, "migration resubmit failed: {e}");
+                self.last_error = Some(e);
+                false
+            }
+        }
+    }
+
     /// Move every fully-unstarted job off the down cell `i` onto the
     /// slackest surviving cell, via the same supervisor-driven
-    /// reclaim-and-resubmit path the rebalancer uses. Jobs with started
-    /// tasks stay (they cannot migrate); the lifecycle events of their
-    /// running tasks will force a restore when they arrive.
+    /// reclaim-and-resubmit path the rebalancer uses
+    /// ([`move_job`](Self::move_job)). Jobs with started tasks stay (they
+    /// cannot migrate); the lifecycle events of their running tasks will
+    /// force a restore when they arrive.
     fn failover_cell(&mut self, i: usize, now: SimTime) {
         let crash_t = self.cells[i].endpoint.down_since();
         let planned = self.cells[i].rm.planned_unstarted_jobs();
         for p in planned {
-            let Some(job) = self.cells[i].rm.job(p.job).cloned() else {
-                continue;
-            };
             let loads = self.loads();
             let Some(dest) = (0..self.cells.len())
                 .filter(|&d| d != i && self.health[d].routable())
@@ -882,55 +839,22 @@ impl Federation {
                 // for its restore instead.
                 return;
             };
-            let _ = job;
-            if let Some(j) = self.journal.as_mut() {
-                j.cell_event(i, &ManagerEvent::TakeUnstartedJob { job: p.job });
+            if !self.move_job(p.job, i, dest, now) {
+                continue;
             }
-            let Ok(owned) = self.cells[i].rm.take_unstarted_job(p.job) else {
-                continue; // raced with a lifecycle change; leave it be
-            };
-            let tasks: Vec<TaskId> = owned.tasks().map(|t| t.id).collect();
-            if let Some(j) = self.journal.as_mut() {
-                j.cell_event(
-                    dest,
-                    &ManagerEvent::Submit {
-                        job: owned.clone(),
-                        now,
-                    },
-                );
-            }
-            match self.cells[dest].rm.submit(owned, now) {
-                Ok(_) => {
-                    if let Some(j) = self.journal.as_mut() {
-                        j.migrated(p.job, i, dest);
-                    }
-                    self.job_cell.insert(p.job, dest);
-                    for t in tasks {
-                        self.task_cell.insert(t, dest);
-                    }
-                    self.cells[dest].dirty = true;
-                    self.metrics.failovers += 1;
-                    self.tel.failovers.inc();
-                    self.tel.event(
-                        now,
-                        telemetry::EventKind::Failover,
-                        Some(i as u32),
-                        Some(u64::from(p.job.0)),
-                        "unstarted job moved to survivor",
-                    );
-                    let from = crash_t.unwrap_or(self.health[i].since());
-                    self.metrics
-                        .failover_latencies_ms
-                        .push((now - from).as_millis().max(0) as u64);
-                }
-                // Unreachable — the ids were just removed from `i` and
-                // are foreign to `dest` — but a lost job must not take
-                // the run down with it.
-                Err(e) => {
-                    debug_assert!(false, "failover resubmit failed: {e}");
-                    self.last_error = Some(e);
-                }
-            }
+            self.metrics.failovers += 1;
+            self.tel.failovers.inc();
+            self.tel.event(
+                now,
+                telemetry::EventKind::Failover,
+                Some(i as u32),
+                Some(u64::from(p.job.0)),
+                "unstarted job moved to survivor",
+            );
+            let from = crash_t.unwrap_or(self.health[i].since());
+            self.metrics
+                .failover_latencies_ms
+                .push((now - from).as_millis().max(0) as u64);
         }
     }
 
@@ -952,15 +876,17 @@ impl Federation {
         if dirty == 0 {
             return Ok(());
         }
-        let per_cell = (self.base_workers / active.max(1)).max(1);
+        let round = ManagerEvent::Solve {
+            workers: (self.base_workers / active.max(1)).max(1),
+            now,
+        };
         if !self.chaos_active {
             if let Some(j) = self.journal.as_mut() {
                 // Write-ahead: the cell WAL records the round before the
                 // solve mutates the cell.
                 for (i, c) in self.cells.iter().enumerate() {
                     if c.dirty {
-                        j.cell_event(i, &ManagerEvent::SetWorkers { workers: per_cell });
-                        j.cell_event(i, &ManagerEvent::Reschedule { now });
+                        j.cell_event(i, &round);
                     }
                 }
             }
@@ -976,11 +902,7 @@ impl Federation {
                 // Must-answer: the driver may never call another round,
                 // so a routable cell's solve cannot be deferred to a
                 // "next time" that might not come.
-                let req = CellRequest::Solve {
-                    workers: per_cell,
-                    now,
-                };
-                self.call_cell(i, &req, now, CallMode::MustAnswer);
+                self.call_cell(i, &round, now, CallMode::MustAnswer);
                 self.cells[i].dirty = false;
             }
         } else if dirty == 1 {
@@ -990,15 +912,14 @@ impl Federation {
                     "dirty cell vanished between count and solve",
                 ));
             };
-            c.rm.set_portfolio_workers(per_cell);
-            c.rm.reschedule(now);
+            apply(&mut c.rm, &round);
             c.dirty = false;
         } else {
+            let round = &round;
             std::thread::scope(|s| {
                 for c in self.cells.iter_mut().filter(|c| c.dirty) {
-                    c.rm.set_portfolio_workers(per_cell);
                     s.spawn(move || {
-                        c.rm.reschedule(now);
+                        apply(&mut c.rm, round);
                         c.dirty = false;
                     });
                 }
@@ -1066,41 +987,11 @@ impl Federation {
                 if self.cells[d].rm.probe_admission(&job, now).is_err() {
                     continue;
                 }
-                if let Some(j) = self.journal.as_mut() {
-                    j.cell_event(src, &ManagerEvent::TakeUnstartedJob { job: job_id });
-                }
-                let Ok(owned) = self.cells[src].rm.take_unstarted_job(job_id) else {
-                    break;
-                };
-                let tasks: Vec<TaskId> = owned.tasks().map(|t| t.id).collect();
-                if let Some(j) = self.journal.as_mut() {
-                    j.cell_event(
-                        d,
-                        &ManagerEvent::Submit {
-                            job: owned.clone(),
-                            now,
-                        },
-                    );
-                }
-                match self.cells[d].rm.submit(owned, now) {
-                    Ok(_) => {
-                        if let Some(j) = self.journal.as_mut() {
-                            j.migrated(job_id, src, d);
-                        }
-                        self.job_cell.insert(job_id, d);
-                        for t in tasks {
-                            self.task_cell.insert(t, d);
-                        }
-                        self.cells[src].dirty = true;
-                        self.cells[d].dirty = true;
-                        self.metrics.migrations += 1;
-                        self.tel.migrations.inc();
-                        moved += 1;
-                    }
-                    // Unreachable — the ids were just removed from `src`
-                    // and are foreign to `d` — but a lost job must not
-                    // take the run down with it.
-                    Err(e) => debug_assert!(false, "migration resubmit failed: {e}"),
+                if self.move_job(job_id, src, d, now) {
+                    self.cells[src].dirty = true;
+                    self.metrics.migrations += 1;
+                    self.tel.migrations.inc();
+                    moved += 1;
                 }
                 break;
             }
@@ -1115,95 +1006,22 @@ impl ResourceManager for Federation {
         job: Job,
         now: SimTime,
     ) -> Result<AdmissionOutcome, ManagerError> {
-        // Fleet-wide duplicate checks: per-cell checks cannot see a twin
-        // living in another cell.
-        if self.job_cell.contains_key(&job.id) {
-            return Err(ManagerError::DuplicateJob(job.id));
-        }
-        if let Some(t) = job.tasks().find(|t| self.task_cell.contains_key(&t.id)) {
-            return Err(ManagerError::DuplicateTask(t.id));
-        }
-        let (mut target, mut spilled) = self.route(&job, now);
-        let id = job.id;
-        let tasks: Vec<TaskId> = job.tasks().map(|t| t.id).collect();
-        let req = CellRequest::SubmitWithAdmission {
-            job: job.clone(),
-            now,
-        };
-        let first_target = target;
-        let mut tried = vec![target];
-        let resp = loop {
-            match self.call_cell(target, &req, now, CallMode::BestEffort) {
-                Some(resp) => break resp,
-                None => {
-                    // The target is unreachable and the submit never
-                    // applied: fail the arrival over to the best
-                    // untried routable cell.
-                    let loads = self.loads();
-                    let next = (0..self.cells.len())
-                        .filter(|c| !tried.contains(c) && self.health[*c].routable())
-                        .min_by(|&a, &b| loads[a].total_cmp(&loads[b]).then(a.cmp(&b)));
-                    match next {
-                        Some(c) => {
-                            self.metrics.reroutes += 1;
-                            self.tel.reroutes.inc();
-                            spilled = false;
-                            target = c;
-                            tried.push(c);
-                        }
-                        None => {
-                            // Every cell is unroutable: an arrival
-                            // cannot be dropped, so force the original
-                            // target back up.
-                            target = first_target;
-                            spilled = false;
-                            break self.call_cell_must(first_target, &req, now);
-                        }
-                    }
-                }
-            }
-        };
-        let out = match resp {
-            CellResponse::Admission(out) => out,
-            CellResponse::Err(e) => return Err(e),
-            _ => return Err(self.bad_response()),
-        };
-        if let Some(j) = self.journal.as_mut() {
-            j.routed(id, target, spilled);
-        }
-        let shed = out.shed.clone();
-        for ab in &shed {
-            self.forget(ab);
-        }
-        if out.submitted.is_some() {
-            self.job_cell.insert(id, target);
-            for t in tasks {
-                self.task_cell.insert(t, target);
-            }
-            self.metrics.jobs_routed[target] += 1;
-            self.tel.jobs_routed[target].inc();
-            if spilled {
-                self.metrics.spills += 1;
-                self.tel.spills.inc();
-            }
-            self.cells[target].dirty = true;
-            self.note_fleet_depth();
-        } else if !shed.is_empty() {
-            self.cells[target].dirty = true;
-        }
-        Ok(out)
+        // A call-per-arrival submit is a batch of one.
+        self.submit_batch(vec![job], now)
+            .pop()
+            .expect("one outcome per submitted job")
     }
 
-    /// Batched routing: one pass routes the whole burst against a load
-    /// snapshot updated incrementally per placement, and each touched
-    /// cell receives a single [`CellRequest::SubmitBatch`] RPC instead of
-    /// one delivery per job — so a burst of B jobs over K cells costs at
-    /// most K deliveries. Per-job semantics are preserved: the cell
-    /// applies its group as sequential admissions, outcomes scatter back
-    /// in input order, and every map/journal/metric update matches what
-    /// the sequential path would have recorded. Routing *decisions* may
-    /// differ from sequential submission at K ≥ 2 (later jobs see
-    /// estimated, not applied, loads of earlier ones); at K = 1 the paths
+    /// The one submit path: a fleet-wide duplicate screen, then one pass
+    /// routes the whole burst against a load snapshot updated
+    /// incrementally per placement, and each touched cell receives a
+    /// single [`ManagerEvent::SubmitBatch`] RPC instead of one delivery
+    /// per job — so a burst of B jobs over K cells costs at most K
+    /// deliveries (and K cell-WAL records). Per-job semantics are
+    /// preserved: the cell applies its group as sequential admissions and
+    /// outcomes scatter back in input order. Routing *decisions* may
+    /// differ from one-at-a-time submission at K ≥ 2 (later jobs see
+    /// estimated, not applied, loads of earlier ones); at K = 1 they
     /// coincide exactly, which keeps the `cells = 1 ⇔ single manager`
     /// anchor intact in service mode.
     fn submit_batch(
@@ -1211,12 +1029,6 @@ impl ResourceManager for Federation {
         jobs: Vec<Job>,
         now: SimTime,
     ) -> Vec<Result<AdmissionOutcome, ManagerError>> {
-        if jobs.len() <= 1 {
-            return jobs
-                .into_iter()
-                .map(|j| self.submit_with_admission(j, now))
-                .collect();
-        }
         let n = jobs.len();
         let mut results: Vec<Option<Result<AdmissionOutcome, ManagerError>>> = vec![None; n];
         // Fleet-wide duplicate screening, extended to twins inside the
@@ -1271,14 +1083,15 @@ impl ResourceManager for Federation {
             if meta.is_empty() {
                 continue;
             }
-            let req = CellRequest::SubmitBatch {
+            let req = ManagerEvent::SubmitBatch {
                 jobs: std::mem::take(&mut group_jobs[cell]),
                 now,
             };
-            // Same failover shape as the single-job path: best-effort to
-            // the routed cell, whole-group reroute to the best untried
-            // routable cell when the target is unreachable, and a forced
-            // must-answer restore of the original target as last resort.
+            // Best-effort to the routed cell, whole-group reroute to the
+            // best untried routable cell when the target is unreachable
+            // and the submit never applied, and — an arrival cannot be
+            // dropped — a forced must-answer restore of the original
+            // target when every cell is unroutable.
             let mut target = cell;
             let first_target = cell;
             let mut tried = vec![cell];
@@ -1309,8 +1122,8 @@ impl ResourceManager for Federation {
                 }
             };
             let outs = match resp {
-                CellResponse::AdmissionBatch(outs) if outs.len() == meta.len() => outs,
-                CellResponse::Err(e) => {
+                Reply::AdmissionBatch(outs) if outs.len() == meta.len() => outs,
+                Reply::Err(e) => {
                     for (idx, ..) in meta {
                         results[idx] = Some(Err(e));
                     }
@@ -1326,8 +1139,7 @@ impl ResourceManager for Federation {
             };
             let mut any_admitted = false;
             for ((idx, job_id, task_ids, spilled), out) in meta.into_iter().zip(outs) {
-                // A reroute invalidates the probe-based spill judgment,
-                // exactly as in the single-job path.
+                // A reroute invalidates the probe-based spill judgment.
                 let spilled = spilled && !rerouted;
                 match out {
                     Ok(out) => {
@@ -1374,15 +1186,15 @@ impl ResourceManager for Federation {
             // Every cell sweeps its deferral queue; a missed sweep could
             // strand a deferred job forever, so activation is
             // must-answer even for a down cell.
-            let req = CellRequest::ActivateDue { now };
+            let req = ManagerEvent::ActivateDue { now };
             match self.call_cell_must(i, &req, now) {
-                CellResponse::Activated(n) => {
+                Reply::Activated(n) => {
                     if n > 0 {
                         self.cells[i].dirty = true;
                     }
                     total += n;
                 }
-                CellResponse::Err(e) => {
+                Reply::Err(e) => {
                     self.last_error = Some(e);
                 }
                 _ => {
@@ -1420,10 +1232,10 @@ impl ResourceManager for Federation {
 
     fn task_started(&mut self, task: TaskId, now: SimTime) -> Result<ResourceId, ManagerError> {
         let cell = self.cell_of_task(task)?;
-        let req = CellRequest::TaskStarted { task, now };
+        let req = ManagerEvent::TaskStarted { task, now };
         match self.call_cell_must(cell, &req, now) {
-            CellResponse::Started(rid) => Ok(rid),
-            CellResponse::Err(e) => Err(e),
+            Reply::Started(rid) => Ok(rid),
+            Reply::Err(e) => Err(e),
             _ => Err(self.bad_response()),
         }
     }
@@ -1434,10 +1246,10 @@ impl ResourceManager for Federation {
         now: SimTime,
     ) -> Result<Option<JobCompletion>, ManagerError> {
         let cell = self.cell_of_task(task)?;
-        let req = CellRequest::TaskCompleted { task, now };
+        let req = ManagerEvent::TaskCompleted { task, now };
         let done = match self.call_cell_must(cell, &req, now) {
-            CellResponse::Completed(done) => done,
-            CellResponse::Err(e) => return Err(e),
+            Reply::Completed(done) => done,
+            Reply::Err(e) => return Err(e),
             _ => return Err(self.bad_response()),
         };
         // A completion frees capacity the next round can use even when
@@ -1457,23 +1269,23 @@ impl ResourceManager for Federation {
         new_exec: SimTime,
     ) -> Result<(), ManagerError> {
         let cell = self.cell_of_task(task)?;
-        let req = CellRequest::TaskDurationRevised { task, new_exec };
+        let req = ManagerEvent::TaskDurationRevised { task, new_exec };
         match self.call_cell_must(cell, &req, SimTime::ZERO.max(new_exec)) {
-            CellResponse::Revised => {
+            Reply::Revised => {
                 self.cells[cell].dirty = true;
                 Ok(())
             }
-            CellResponse::Err(e) => Err(e),
+            Reply::Err(e) => Err(e),
             _ => Err(self.bad_response()),
         }
     }
 
     fn task_failed(&mut self, task: TaskId, now: SimTime) -> Result<FailureAction, ManagerError> {
         let cell = self.cell_of_task(task)?;
-        let req = CellRequest::TaskFailed { task, now };
+        let req = ManagerEvent::TaskFailed { task, now };
         let action = match self.call_cell_must(cell, &req, now) {
-            CellResponse::Failed(action) => action,
-            CellResponse::Err(e) => return Err(e),
+            Reply::Failed(action) => action,
+            Reply::Err(e) => return Err(e),
             _ => return Err(self.bad_response()),
         };
         self.cells[cell].dirty = true;
@@ -1494,13 +1306,13 @@ impl ResourceManager for Federation {
             .res_cell
             .get(&rid)
             .ok_or(ManagerError::UnknownResource(rid))?;
-        let req = CellRequest::ResourceDown { resource: rid, now };
+        let req = ManagerEvent::ResourceDown { resource: rid, now };
         match self.call_cell_must(cell, &req, now) {
-            CellResponse::Interrupted(interrupted) => {
+            Reply::Interrupted(interrupted) => {
                 self.cells[cell].dirty = true;
                 Ok(interrupted)
             }
-            CellResponse::Err(e) => Err(e),
+            Reply::Err(e) => Err(e),
             _ => Err(self.bad_response()),
         }
     }
@@ -1510,13 +1322,13 @@ impl ResourceManager for Federation {
             .res_cell
             .get(&rid)
             .ok_or(ManagerError::UnknownResource(rid))?;
-        let req = CellRequest::ResourceUp { resource: rid, now };
+        let req = ManagerEvent::ResourceUp { resource: rid, now };
         match self.call_cell_must(cell, &req, now) {
-            CellResponse::ResourceUp => {
+            Reply::ResourceUp => {
                 self.cells[cell].dirty = true;
                 Ok(())
             }
-            CellResponse::Err(e) => Err(e),
+            Reply::Err(e) => Err(e),
             _ => Err(self.bad_response()),
         }
     }

@@ -29,7 +29,8 @@
 //! ## Partial-failure tolerance
 //!
 //! The router speaks to each cell through a fallible [`endpoint`]: every
-//! mutating command is sequence-numbered, retried under a capped
+//! mutating command is a [`durability::ManagerEvent`] (the vocabulary the
+//! cell's WAL holds), sequence-numbered, retried under a capped
 //! exponential backoff with deterministic jitter, and deduplicated
 //! cell-side, so delivery is at-most-once even when the [`chaos`] layer
 //! injects drops, duplicates, latency, hangs, and MTTF/MTTR-driven cell
@@ -58,9 +59,7 @@ pub use chaos::{
     ChaosRun, ChaosSimConfig,
 };
 pub use durable::{recover_cell, simulate_cluster_durable, DurableFederation, FedJournal};
-pub use endpoint::{
-    CellEndpoint, CellRequest, CellResponse, InProcEndpoint, RetryPolicy, RpcError,
-};
+pub use endpoint::{CellEndpoint, InProcEndpoint, RetryPolicy, RpcError};
 pub use federation::{
     simulate_cluster, simulate_cluster_detailed, ClusterConfig, ClusterSimConfig, Federation,
 };

@@ -149,6 +149,53 @@ fn single_cell_recovers_from_its_own_wal_alone() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The cell WAL holds what the cell was asked, one record per applied
+/// request: a burst leaves one `SubmitBatch` in each cell it touched
+/// (however many jobs went there) and the round one `Solve`, and those two
+/// records rebuild the cell.
+#[test]
+fn a_batch_and_a_round_are_two_records_in_each_touched_cell_wal() {
+    let resources = homogeneous_cluster(4, 2, 2);
+    // No rebalancing: a migration would add its own take/submit records.
+    let ccfg = ClusterConfig {
+        cells: 2,
+        rebalance: RebalanceConfig {
+            max_migrations_per_round: 0,
+            ..RebalanceConfig::default()
+        },
+    };
+    let mgr_cfg = det_sim().manager;
+    let dir = scratch_dir("cell-batch");
+    let d = DurabilityConfig::power_loss(StoreConfig {
+        snapshot_every: 1_000,
+        wal: WalConfig::default(),
+    });
+    let mut fed = DurableFederation::new(&ccfg, mgr_cfg, resources.clone(), &dir, d);
+    let (_, mut jobs) = small_workload(6, 4, 11);
+    for j in &mut jobs {
+        j.arrival = SimTime::ZERO;
+    }
+    let outs = fed.submit_batch(jobs, SimTime::ZERO);
+    assert!(outs
+        .iter()
+        .all(|o| matches!(o, Ok(out) if out.submitted.is_some())));
+    fed.reschedule(SimTime::ZERO);
+    let routed = fed.federation().cluster_metrics().jobs_routed.clone();
+    assert_eq!(routed.iter().sum::<u64>(), 6);
+    assert!(routed.iter().any(|&n| n > 1), "no cell got a real batch");
+    for (cell, &n) in routed.iter().enumerate() {
+        let live = fed.federation().cells()[cell].rm.image();
+        let (recovered, replayed) = recover_cell(&dir, d.store, mgr_cfg, &resources, cell).unwrap();
+        assert_eq!(
+            replayed,
+            if n > 0 { 2 } else { 0 },
+            "cell {cell} took {n} jobs"
+        );
+        assert_eq!(canonical(live), canonical(recovered.image()), "cell {cell}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

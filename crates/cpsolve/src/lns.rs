@@ -12,7 +12,7 @@
 //! branch-and-bound that follows it keeps the optimality/infeasibility
 //! proofs exactly as before.
 //!
-//! Neighborhood selection is seeded ([`splitmix64`]) and purely
+//! Neighborhood selection is seeded (`splitmix64`) and purely
 //! count-driven, so a given `(model, params)` pair walks the same
 //! neighborhoods on every machine — the determinism anchors (federation
 //! `cells=1` bit-exactness, chaos-off bit-identity, crash-recovery

@@ -395,7 +395,7 @@ impl LogHistogram {
         (self.total > 0).then_some(self.min)
     }
 
-    /// The `q`-quantile (nearest-rank over buckets; `q` clamped to [0,1]),
+    /// The `q`-quantile (nearest-rank over buckets; `q` clamped to `[0,1]`),
     /// accurate to the bucket width (≤ ~3% relative error). `None` when
     /// empty. The extremes are exact: q=0 reports `min`, q=1 reports `max`.
     pub fn quantile(&self, q: f64) -> Option<u64> {

@@ -31,7 +31,7 @@
 //! longer matches the state (the policy real WAL systems — and DESIGN.md
 //! §5g — adopt).
 
-use crate::event::{apply_cell, ManagerEvent};
+use crate::event::{apply, ManagerEvent};
 use crate::store::{ManagerStore, StoreConfig};
 use desim::SimTime;
 use mrcp::manager::{
@@ -44,7 +44,7 @@ use std::path::{Path, PathBuf};
 use workload::{Job, Resource, ResourceId, TaskId};
 
 /// Durability knobs for a [`DurableRm`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurabilityConfig {
     /// Snapshot cadence and WAL sync batching.
     pub store: StoreConfig,
@@ -55,12 +55,18 @@ pub struct DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    /// The default: power-loss semantics with the default store knobs.
+    /// Power-loss semantics (the default) over the given store knobs.
     pub fn power_loss(store: StoreConfig) -> Self {
         DurabilityConfig {
             store,
             lose_unsynced_on_crash: true,
         }
+    }
+}
+
+impl Default for DurabilityConfig {
+    fn default() -> Self {
+        DurabilityConfig::power_loss(StoreConfig::default())
     }
 }
 
@@ -214,19 +220,19 @@ impl DurableRm {
         self.recovery_time
     }
 
-    /// Write-ahead log one command, then apply it. Fail-stop on I/O
-    /// errors (see module docs).
-    fn log(&mut self, ev: ManagerEvent) {
+    /// The write-ahead order, in one place: log `ev`, run `call` on the
+    /// manager, snapshot if due. Fail-stop on I/O errors (see module
+    /// docs).
+    fn logged<T>(&mut self, ev: ManagerEvent, call: impl FnOnce(&mut MrcpRm) -> T) -> T {
         self.store
             .append(&ev)
             .unwrap_or_else(|e| panic!("durability: WAL append failed: {e}"));
         self.journal.push(ev);
-    }
-
-    fn after_apply(&mut self) {
+        let out = call(&mut self.rm);
         self.store
             .maybe_snapshot(&self.rm)
             .unwrap_or_else(|e| panic!("durability: snapshot failed: {e}"));
+        out
     }
 }
 
@@ -236,13 +242,11 @@ impl ResourceManager for DurableRm {
         job: Job,
         now: SimTime,
     ) -> Result<AdmissionOutcome, ManagerError> {
-        self.log(ManagerEvent::SubmitWithAdmission {
+        let ev = ManagerEvent::SubmitWithAdmission {
             job: job.clone(),
             now,
-        });
-        let out = self.rm.submit_with_admission(job, now);
-        self.after_apply();
-        out
+        };
+        self.logged(ev, |m| m.submit_with_admission(job, now))
     }
 
     fn submit_batch(
@@ -250,34 +254,25 @@ impl ResourceManager for DurableRm {
         jobs: Vec<Job>,
         now: SimTime,
     ) -> Vec<Result<AdmissionOutcome, ManagerError>> {
-        self.log(ManagerEvent::SubmitBatch {
+        let ev = ManagerEvent::SubmitBatch {
             jobs: jobs.clone(),
             now,
-        });
-        let out = self.rm.submit_batch(jobs, now);
-        self.after_apply();
-        out
+        };
+        self.logged(ev, |m| m.submit_batch(jobs, now))
     }
 
     fn activate_due(&mut self, now: SimTime) -> usize {
-        self.log(ManagerEvent::ActivateDue { now });
-        let n = self.rm.activate_due(now);
-        self.after_apply();
-        n
+        self.logged(ManagerEvent::ActivateDue { now }, |m| m.activate_due(now))
     }
 
     fn reschedule(&mut self, now: SimTime) -> Vec<ScheduleEntry> {
-        self.log(ManagerEvent::Reschedule { now });
-        let plan = self.rm.reschedule(now);
-        self.after_apply();
-        plan
+        self.logged(ManagerEvent::Reschedule { now }, |m| m.reschedule(now))
     }
 
     fn task_started(&mut self, task: TaskId, now: SimTime) -> Result<ResourceId, ManagerError> {
-        self.log(ManagerEvent::TaskStarted { task, now });
-        let out = self.rm.task_started(task, now);
-        self.after_apply();
-        out
+        self.logged(ManagerEvent::TaskStarted { task, now }, |m| {
+            m.task_started(task, now)
+        })
     }
 
     fn task_completed(
@@ -285,10 +280,9 @@ impl ResourceManager for DurableRm {
         task: TaskId,
         now: SimTime,
     ) -> Result<Option<JobCompletion>, ManagerError> {
-        self.log(ManagerEvent::TaskCompleted { task, now });
-        let out = self.rm.task_completed(task, now);
-        self.after_apply();
-        out
+        self.logged(ManagerEvent::TaskCompleted { task, now }, |m| {
+            m.task_completed(task, now)
+        })
     }
 
     fn task_duration_revised(
@@ -296,17 +290,15 @@ impl ResourceManager for DurableRm {
         task: TaskId,
         new_exec: SimTime,
     ) -> Result<(), ManagerError> {
-        self.log(ManagerEvent::TaskDurationRevised { task, new_exec });
-        let out = self.rm.task_duration_revised(task, new_exec);
-        self.after_apply();
-        out
+        self.logged(ManagerEvent::TaskDurationRevised { task, new_exec }, |m| {
+            m.task_duration_revised(task, new_exec)
+        })
     }
 
     fn task_failed(&mut self, task: TaskId, now: SimTime) -> Result<FailureAction, ManagerError> {
-        self.log(ManagerEvent::TaskFailed { task, now });
-        let out = self.rm.task_failed(task, now);
-        self.after_apply();
-        out
+        self.logged(ManagerEvent::TaskFailed { task, now }, |m| {
+            m.task_failed(task, now)
+        })
     }
 
     fn resource_down(
@@ -314,17 +306,15 @@ impl ResourceManager for DurableRm {
         rid: ResourceId,
         now: SimTime,
     ) -> Result<Vec<TaskId>, ManagerError> {
-        self.log(ManagerEvent::ResourceDown { resource: rid, now });
-        let out = self.rm.resource_down(rid, now);
-        self.after_apply();
-        out
+        self.logged(ManagerEvent::ResourceDown { resource: rid, now }, |m| {
+            m.resource_down(rid, now)
+        })
     }
 
     fn resource_up(&mut self, rid: ResourceId, now: SimTime) -> Result<(), ManagerError> {
-        self.log(ManagerEvent::ResourceUp { resource: rid, now });
-        let out = self.rm.resource_up(rid, now);
-        self.after_apply();
-        out
+        self.logged(ManagerEvent::ResourceUp { resource: rid, now }, |m| {
+            m.resource_up(rid, now)
+        })
     }
 
     fn jobs_in_system(&self) -> usize {
@@ -363,7 +353,7 @@ impl ResourceManager for DurableRm {
             self.store
                 .append(&ev)
                 .unwrap_or_else(|e| panic!("durability: WAL re-append failed: {e}"));
-            apply_cell(&mut self.rm, &ev);
+            apply(&mut self.rm, &ev);
         }
         self.store
             .checkpoint(&self.rm)
@@ -450,7 +440,7 @@ mod tests {
             },
         ];
         let step = |plain: &mut MrcpRm, durable: &mut DurableRm, ev: &ManagerEvent| {
-            apply_cell(plain, ev);
+            apply(plain, ev);
             crate::event::apply_surface(durable, ev);
             assert!(durable.crash_and_recover(SimTime::ZERO));
         };

@@ -1,25 +1,30 @@
-//! The logged command vocabulary: every state-mutating call on a manager
-//! becomes one [`ManagerEvent`] record.
+//! The command vocabulary: every state-mutating call on a manager is one
+//! [`ManagerEvent`], and every answer one [`Reply`].
 //!
-//! Two replay surfaces share the vocabulary:
+//! The same enum is what the driver's calls are journalled as, what the
+//! federation sends its cells, and what every WAL holds. It has two
+//! parts, and one function executes each:
 //!
 //! * **Surface commands** — the ten [`ResourceManager`] methods the
-//!   simulation driver invokes. [`apply_surface`] re-executes them
-//!   against any manager, which is how a whole fleet (or a single
-//!   manager) is rebuilt from its command log.
-//! * **Cell events** — the same calls *plus* the federation-internal
-//!   operations a cell observes after routing ([`ManagerEvent::Submit`],
-//!   [`ManagerEvent::TakeUnstartedJob`], [`ManagerEvent::SetWorkers`]).
-//!   [`apply_cell`] re-executes them against a bare [`MrcpRm`], which is
-//!   how one federation cell recovers independently of the others.
+//!   simulation driver invokes. [`apply_surface`] executes them against
+//!   any manager, which is how a whole fleet (or a single manager) is
+//!   rebuilt from its command log.
+//! * **Cell commands** — the surface plus the three operations only a
+//!   federation issues to a bare [`MrcpRm`] ([`ManagerEvent::Submit`],
+//!   [`ManagerEvent::TakeUnstartedJob`], [`ManagerEvent::Solve`]).
+//!   [`apply`] executes those and delegates the rest to
+//!   [`apply_surface`]: live delivery through a cell endpoint,
+//!   single-manager recovery and one cell's recovery from its own WAL all
+//!   run it.
 //!
-//! Replay ignores the `Result` of each re-executed call on purpose: the
-//! live system also left state unchanged when a call errored (a duplicate
-//! submit, an unknown task), so ignoring the error reproduces the live
-//! state *and* the live error-counting side effects exactly.
+//! Replay ignores the [`Reply`] of each re-executed command on purpose:
+//! the live system also left state unchanged when a call errored (a
+//! duplicate submit, an unknown task), so ignoring the error reproduces
+//! the live state *and* the live error-counting side effects exactly.
 
 use crate::codec::{Dec, DecodeError, Enc};
 use desim::SimTime;
+use mrcp::manager::{AdmissionOutcome, FailureAction, JobCompletion, ManagerError, Submitted};
 use mrcp::sim_driver::ResourceManager;
 use mrcp::MrcpRm;
 use workload::{Job, JobId, ResourceId, TaskId};
@@ -96,13 +101,13 @@ pub enum ManagerEvent {
         /// Shared submission time of the burst.
         now: SimTime,
     },
-    /// Cell event: [`MrcpRm::take_unstarted_job`] — the rebalancer pulled
-    /// this job out of the cell for migration.
+    /// Cell command: [`MrcpRm::take_unstarted_job`] — the rebalancer (or
+    /// failover) pulled this job out of the cell for migration.
     TakeUnstartedJob {
         /// The migrating job.
         job: JobId,
     },
-    /// Cell event: [`MrcpRm::submit`] — the rebalancer (or router)
+    /// Cell command: [`MrcpRm::submit`] — the rebalancer (or failover)
     /// dropped a job into the cell bypassing admission.
     Submit {
         /// The incoming job.
@@ -110,11 +115,13 @@ pub enum ManagerEvent {
         /// Submission time.
         now: SimTime,
     },
-    /// Cell event: [`MrcpRm::set_portfolio_workers`] — the federation's
-    /// per-round worker split for this cell.
-    SetWorkers {
-        /// Portfolio worker count for the next round.
+    /// Cell command, one scheduling round:
+    /// [`MrcpRm::set_portfolio_workers`] followed by [`MrcpRm::reschedule`].
+    Solve {
+        /// This cell's share of the portfolio worker budget.
         workers: usize,
+        /// Round time.
+        now: SimTime,
     },
 }
 
@@ -129,13 +136,15 @@ const TAG_RES_DOWN: u8 = 7;
 const TAG_RES_UP: u8 = 8;
 const TAG_TAKE_JOB: u8 = 9;
 const TAG_SUBMIT: u8 = 10;
-const TAG_SET_WORKERS: u8 = 11;
+// Tag 11 is retired (a worker split logged apart from its round); it
+// decodes as an unknown tag, so a store written with it is refused.
 const TAG_SUBMIT_BATCH: u8 = 12;
+const TAG_SOLVE: u8 = 13;
 
 impl ManagerEvent {
     /// The simulated time the command carries, when it carries one.
-    /// Untimed cell commands (`TaskDurationRevised`, `TakeUnstartedJob`,
-    /// `SetWorkers`) return `None`; consumers keep the last seen time.
+    /// Untimed commands (`TaskDurationRevised`, `TakeUnstartedJob`)
+    /// return `None`; consumers keep the last seen time.
     pub fn time(&self) -> Option<SimTime> {
         match self {
             ManagerEvent::SubmitWithAdmission { now, .. }
@@ -147,10 +156,11 @@ impl ManagerEvent {
             | ManagerEvent::ResourceDown { now, .. }
             | ManagerEvent::ResourceUp { now, .. }
             | ManagerEvent::SubmitBatch { now, .. }
-            | ManagerEvent::Submit { now, .. } => Some(*now),
-            ManagerEvent::TaskDurationRevised { .. }
-            | ManagerEvent::TakeUnstartedJob { .. }
-            | ManagerEvent::SetWorkers { .. } => None,
+            | ManagerEvent::Submit { now, .. }
+            | ManagerEvent::Solve { now, .. } => Some(*now),
+            ManagerEvent::TaskDurationRevised { .. } | ManagerEvent::TakeUnstartedJob { .. } => {
+                None
+            }
         }
     }
 
@@ -217,9 +227,10 @@ impl ManagerEvent {
                 e.time(*now);
                 e.job(job);
             }
-            ManagerEvent::SetWorkers { workers } => {
-                e.u8(TAG_SET_WORKERS);
+            ManagerEvent::Solve { workers, now } => {
+                e.u8(TAG_SOLVE);
                 e.usize(*workers);
+                e.time(*now);
             }
         }
     }
@@ -275,8 +286,9 @@ impl ManagerEvent {
                 let job = d.job()?;
                 ManagerEvent::Submit { job, now }
             }
-            TAG_SET_WORKERS => ManagerEvent::SetWorkers {
+            TAG_SOLVE => ManagerEvent::Solve {
                 workers: d.usize()?,
+                now: d.time()?,
             },
             _ => return Err(DecodeError("unknown event tag")),
         })
@@ -290,94 +302,102 @@ impl ManagerEvent {
     }
 }
 
-/// Re-execute a surface command against any manager, discarding the
-/// call's result (see the module docs for why that is correct).
-/// Cell-only events are ignored: the fleet-level command log never
-/// contains them.
-pub fn apply_surface<R: ResourceManager>(rm: &mut R, ev: &ManagerEvent) {
+/// The answer to a [`ManagerEvent`] — cloneable so a cell endpoint can
+/// cache it for duplicate suppression.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Reply {
+    /// Answer to [`ManagerEvent::SubmitWithAdmission`].
+    Admission(AdmissionOutcome),
+    /// Answer to [`ManagerEvent::SubmitBatch`]: one outcome per job, in
+    /// submission order.
+    AdmissionBatch(Vec<Result<AdmissionOutcome, ManagerError>>),
+    /// Answer to [`ManagerEvent::Submit`].
+    Submitted(Submitted),
+    /// Answer to [`ManagerEvent::ActivateDue`]: jobs activated.
+    Activated(usize),
+    /// Answer to [`ManagerEvent::Reschedule`] and [`ManagerEvent::Solve`]:
+    /// the round ran; the plan is read off the manager.
+    Solved,
+    /// Answer to [`ManagerEvent::TaskStarted`]: the executing resource.
+    Started(ResourceId),
+    /// Answer to [`ManagerEvent::TaskCompleted`].
+    Completed(Option<JobCompletion>),
+    /// Answer to [`ManagerEvent::TaskDurationRevised`].
+    Revised,
+    /// Answer to [`ManagerEvent::TaskFailed`].
+    Failed(FailureAction),
+    /// Answer to [`ManagerEvent::ResourceDown`]: interrupted tasks.
+    Interrupted(Vec<TaskId>),
+    /// Answer to [`ManagerEvent::ResourceUp`].
+    ResourceUp,
+    /// Answer to [`ManagerEvent::TakeUnstartedJob`]: the reclaimed job.
+    Taken(Job),
+    /// The manager executed the command and it failed with a typed error
+    /// — a valid, cacheable answer, not a transport failure.
+    Err(ManagerError),
+}
+
+/// Execute a surface command against any manager. Cell-only commands
+/// are refused: a surface command log never contains them.
+pub fn apply_surface<R: ResourceManager>(rm: &mut R, ev: &ManagerEvent) -> Reply {
     match ev {
-        ManagerEvent::SubmitWithAdmission { job, now } => {
-            let _ = rm.submit_with_admission(job.clone(), *now);
-        }
+        ManagerEvent::SubmitWithAdmission { job, now } => rm
+            .submit_with_admission(job.clone(), *now)
+            .map_or_else(Reply::Err, Reply::Admission),
         ManagerEvent::SubmitBatch { jobs, now } => {
-            let _ = rm.submit_batch(jobs.clone(), *now);
+            Reply::AdmissionBatch(rm.submit_batch(jobs.clone(), *now))
         }
-        ManagerEvent::ActivateDue { now } => {
-            let _ = rm.activate_due(*now);
-        }
+        ManagerEvent::ActivateDue { now } => Reply::Activated(rm.activate_due(*now)),
         ManagerEvent::Reschedule { now } => {
-            let _ = rm.reschedule(*now);
+            rm.reschedule(*now);
+            Reply::Solved
         }
-        ManagerEvent::TaskStarted { task, now } => {
-            let _ = rm.task_started(*task, *now);
-        }
-        ManagerEvent::TaskCompleted { task, now } => {
-            let _ = rm.task_completed(*task, *now);
-        }
-        ManagerEvent::TaskDurationRevised { task, new_exec } => {
-            let _ = rm.task_duration_revised(*task, *new_exec);
-        }
-        ManagerEvent::TaskFailed { task, now } => {
-            let _ = rm.task_failed(*task, *now);
-        }
-        ManagerEvent::ResourceDown { resource, now } => {
-            let _ = rm.resource_down(*resource, *now);
-        }
-        ManagerEvent::ResourceUp { resource, now } => {
-            let _ = rm.resource_up(*resource, *now);
-        }
+        ManagerEvent::TaskStarted { task, now } => rm
+            .task_started(*task, *now)
+            .map_or_else(Reply::Err, Reply::Started),
+        ManagerEvent::TaskCompleted { task, now } => rm
+            .task_completed(*task, *now)
+            .map_or_else(Reply::Err, Reply::Completed),
+        ManagerEvent::TaskDurationRevised { task, new_exec } => rm
+            .task_duration_revised(*task, *new_exec)
+            .map_or_else(Reply::Err, |()| Reply::Revised),
+        ManagerEvent::TaskFailed { task, now } => rm
+            .task_failed(*task, *now)
+            .map_or_else(Reply::Err, Reply::Failed),
+        ManagerEvent::ResourceDown { resource, now } => rm
+            .resource_down(*resource, *now)
+            .map_or_else(Reply::Err, Reply::Interrupted),
+        ManagerEvent::ResourceUp { resource, now } => rm
+            .resource_up(*resource, *now)
+            .map_or_else(Reply::Err, |()| Reply::ResourceUp),
         ManagerEvent::TakeUnstartedJob { .. }
         | ManagerEvent::Submit { .. }
-        | ManagerEvent::SetWorkers { .. } => {
-            debug_assert!(false, "cell-only event in a surface command log");
+        | ManagerEvent::Solve { .. } => {
+            let e = ManagerError::Inconsistent("cell-only event in a surface command log");
+            debug_assert!(false, "{e}");
+            Reply::Err(e)
         }
     }
 }
 
-/// Re-execute a cell event against a bare [`MrcpRm`], discarding the
-/// call's result. Handles the full vocabulary, so one cell's WAL replays
-/// without the rest of the federation.
-pub fn apply_cell(rm: &mut MrcpRm, ev: &ManagerEvent) {
+/// Execute any command against a bare [`MrcpRm`]: the three cell-only
+/// commands here, the surface through [`apply_surface`]. This is *the*
+/// apply function of a cell — live delivery and WAL replay are both
+/// defined by it.
+pub fn apply(rm: &mut MrcpRm, ev: &ManagerEvent) -> Reply {
     match ev {
-        ManagerEvent::SubmitWithAdmission { job, now } => {
-            let _ = rm.submit_with_admission(job.clone(), *now);
-        }
-        ManagerEvent::SubmitBatch { jobs, now } => {
-            let _ = rm.submit_batch(jobs.clone(), *now);
-        }
-        ManagerEvent::ActivateDue { now } => {
-            let _ = rm.activate_due(*now);
-        }
-        ManagerEvent::Reschedule { now } => {
-            let _ = rm.reschedule(*now);
-        }
-        ManagerEvent::TaskStarted { task, now } => {
-            let _ = rm.task_started(*task, *now);
-        }
-        ManagerEvent::TaskCompleted { task, now } => {
-            let _ = rm.task_completed(*task, *now);
-        }
-        ManagerEvent::TaskDurationRevised { task, new_exec } => {
-            let _ = rm.task_duration_revised(*task, *new_exec);
-        }
-        ManagerEvent::TaskFailed { task, now } => {
-            let _ = rm.task_failed(*task, *now);
-        }
-        ManagerEvent::ResourceDown { resource, now } => {
-            let _ = rm.resource_down(*resource, *now);
-        }
-        ManagerEvent::ResourceUp { resource, now } => {
-            let _ = rm.resource_up(*resource, *now);
-        }
-        ManagerEvent::TakeUnstartedJob { job } => {
-            let _ = rm.take_unstarted_job(*job);
-        }
-        ManagerEvent::Submit { job, now } => {
-            let _ = rm.submit(job.clone(), *now);
-        }
-        ManagerEvent::SetWorkers { workers } => {
+        ManagerEvent::TakeUnstartedJob { job } => rm
+            .take_unstarted_job(*job)
+            .map_or_else(Reply::Err, Reply::Taken),
+        ManagerEvent::Submit { job, now } => rm
+            .submit(job.clone(), *now)
+            .map_or_else(Reply::Err, Reply::Submitted),
+        ManagerEvent::Solve { workers, now } => {
             rm.set_portfolio_workers(*workers);
+            rm.reschedule(*now);
+            Reply::Solved
         }
+        surface => apply_surface(rm, surface),
     }
 }
 
@@ -404,10 +424,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_variant_roundtrips() {
+    /// One of every variant (two batches: full and empty).
+    fn sample_events() -> Vec<ManagerEvent> {
         let t = SimTime::from_millis(42);
-        let events = vec![
+        vec![
             ManagerEvent::SubmitWithAdmission {
                 job: sample_job(),
                 now: t,
@@ -443,7 +463,7 @@ mod tests {
                 job: sample_job(),
                 now: t,
             },
-            ManagerEvent::SetWorkers { workers: 3 },
+            ManagerEvent::Solve { workers: 3, now: t },
             ManagerEvent::SubmitBatch {
                 jobs: vec![sample_job(), sample_job()],
                 now: t,
@@ -452,8 +472,12 @@ mod tests {
                 jobs: vec![],
                 now: t,
             },
-        ];
-        for ev in &events {
+        ]
+    }
+
+    #[test]
+    fn every_variant_roundtrips() {
+        for ev in &sample_events() {
             let bytes = ev.to_bytes();
             let mut d = Dec::new(&bytes);
             let back = ManagerEvent::decode(&mut d).unwrap();
@@ -464,13 +488,28 @@ mod tests {
 
     #[test]
     fn truncated_events_error_cleanly() {
-        let ev = ManagerEvent::SubmitWithAdmission {
-            job: sample_job(),
-            now: SimTime::ZERO,
-        };
-        let bytes = ev.to_bytes();
-        for cut in 0..bytes.len() {
-            assert!(ManagerEvent::decode(&mut Dec::new(&bytes[..cut])).is_err());
+        for ev in &sample_events() {
+            let bytes = ev.to_bytes();
+            for cut in 0..bytes.len() {
+                assert!(
+                    ManagerEvent::decode(&mut Dec::new(&bytes[..cut])).is_err(),
+                    "{ev:?} cut at {cut} decoded"
+                );
+            }
         }
+    }
+
+    /// Tag 11 was `SetWorkers { workers }`, logged apart from the round it
+    /// configured. A store still holding one must be refused, not misread.
+    #[test]
+    fn retired_set_workers_tag_is_refused() {
+        let mut e = Enc::new();
+        e.u8(11);
+        e.usize(3);
+        let bytes = e.finish();
+        assert_eq!(
+            ManagerEvent::decode(&mut Dec::new(&bytes)),
+            Err(DecodeError("unknown event tag"))
+        );
     }
 }

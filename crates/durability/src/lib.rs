@@ -11,10 +11,11 @@
 //! * [`wal`] — the log itself: `[len][crc32][payload]` framing, fsync
 //!   batching, and longest-valid-prefix recovery that survives torn
 //!   tails and flipped bits without ever replaying a partial record.
-//! * [`event`] — the command vocabulary ([`ManagerEvent`]): every
-//!   state-mutating call on the [`ResourceManager`] surface, plus the
-//!   federation-internal cell operations (migration take/submit, worker
-//!   splits).
+//! * [`event`] — the one command vocabulary ([`ManagerEvent`], answered
+//!   by [`Reply`]): every state-mutating call on the [`ResourceManager`]
+//!   surface, plus the three commands only a federation sends a cell
+//!   (migration take/submit, a round with its worker share), and the two
+//!   functions that execute them ([`apply_surface`], [`apply`]).
 //! * [`snapshot`] — atomic (`tmp` + rename) snapshot blobs of
 //!   [`mrcp::ManagerImage`], so recovery is snapshot + *bounded* replay
 //!   rather than full-history replay.
@@ -22,7 +23,7 @@
 //!   current snapshot and the command WAL, with global command indices
 //!   tying the two together.
 //! * [`durable_rm`] — [`DurableRm`]: the drop-in [`ResourceManager`]
-//!   whose [`crash_and_recover`](ResourceManager::crash_and_recover)
+//!   whose [`crash_and_recover`](mrcp::sim_driver::ResourceManager::crash_and_recover)
 //!   actually recovers (the driver's manager-crash fault knob,
 //!   [`mrcp::ManagerCrashConfig`], calls it mid-run).
 //!
@@ -38,6 +39,9 @@
 //! equivalence property the proptests in `tests/` pin: a run interrupted
 //! by any number of manager crashes has the same signature as the
 //! uninterrupted run.
+//!
+//! [`ResourceManager`]: mrcp::sim_driver::ResourceManager
+//! [`MrcpRm`]: mrcp::MrcpRm
 
 #![warn(missing_docs)]
 
@@ -49,8 +53,8 @@ pub mod store;
 pub mod wal;
 
 pub use durable_rm::{DurTel, DurabilityConfig, DurableRm};
-pub use event::{apply_cell, apply_surface, ManagerEvent};
-pub use store::{ManagerStore, StoreConfig};
+pub use event::{apply, apply_surface, ManagerEvent, Reply};
+pub use store::{indexed_event, replay_indexed, ManagerStore, StoreConfig};
 pub use wal::{Wal, WalConfig};
 
 use mrcp::manager::MrcpConfig;

@@ -10,8 +10,8 @@
 //! are skipped; a gap or out-of-order index means the log's tail cannot
 //! be trusted and replay stops there — never a panic.
 
-use crate::codec::{Dec, Enc};
-use crate::event::{apply_cell, ManagerEvent};
+use crate::codec::{Dec, DecodeError, Enc};
+use crate::event::{apply, ManagerEvent};
 use crate::snapshot::{decode_manager_snapshot, encode_manager_snapshot, read_blob, write_blob};
 use crate::wal::{Wal, WalConfig};
 use mrcp::manager::{ManagerError, MrcpConfig};
@@ -92,6 +92,45 @@ pub struct ManagerStore {
     /// Simulated time of the last timed command appended, used to stamp
     /// checkpoint events (the store itself has no clock).
     last_at_ms: i64,
+}
+
+/// Decode one `[idx u64][encoded ManagerEvent]` record — the format of
+/// this store's WAL and of every federation cell WAL — for
+/// [`replay_indexed`].
+pub fn indexed_event(d: &mut Dec<'_>) -> Result<Option<(u64, ManagerEvent)>, DecodeError> {
+    Ok(Some((d.u64()?, ManagerEvent::decode(d)?)))
+}
+
+/// Replay the trustworthy prefix of an indexed command log. `decode`
+/// reads one record (`Ok(None)`: a well-formed record that is not replay
+/// input); commands indexed below `next` predate the snapshot and are
+/// skipped; each contiguous command is handed to `apply`. Replay stops —
+/// never panics — at the first undecodable record, record with trailing
+/// bytes, or index gap, because past any of those the tail cannot be
+/// trusted. Returns the index after the last command applied.
+pub fn replay_indexed(
+    records: &[Vec<u8>],
+    mut next: u64,
+    decode: impl Fn(&mut Dec<'_>) -> Result<Option<(u64, ManagerEvent)>, DecodeError>,
+    mut apply: impl FnMut(&ManagerEvent),
+) -> u64 {
+    for payload in records {
+        let mut d = Dec::new(payload);
+        let Ok(rec) = decode(&mut d) else { break };
+        if d.expect_end().is_err() {
+            break;
+        }
+        let Some((idx, ev)) = rec else { continue };
+        if idx < next {
+            continue;
+        }
+        if idx > next {
+            break;
+        }
+        apply(&ev);
+        next += 1;
+    }
+    next
 }
 
 fn snapshot_path(dir: &Path) -> PathBuf {
@@ -216,25 +255,9 @@ impl ManagerStore {
         let mut rm = MrcpRm::restore(mgr_cfg, resources, image)
             .map_err(|e: ManagerError| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         let (_wal, records) = Wal::recover(&wal_path(dir), cfg.wal)?;
-        let mut next = base;
-        for payload in &records {
-            let mut d = Dec::new(payload);
-            let Ok(idx) = d.u64() else { break };
-            let Ok(ev) = ManagerEvent::decode(&mut d) else {
-                break; // undecodable tail: stop replay, never panic
-            };
-            if d.expect_end().is_err() {
-                break;
-            }
-            if idx < next {
-                continue; // predates the snapshot (stale WAL prefix)
-            }
-            if idx > next {
-                break; // gap: the tail cannot be trusted
-            }
-            apply_cell(&mut rm, &ev);
-            next += 1;
-        }
+        let next = replay_indexed(&records, base, indexed_event, |ev| {
+            apply(&mut rm, ev);
+        });
         drop(_wal);
         // Make the recovered state durable and start a clean log.
         let mut store = ManagerStore {
@@ -306,7 +329,7 @@ mod tests {
         ];
         for ev in &events {
             store.append(ev).unwrap();
-            apply_cell(&mut rm, ev);
+            apply(&mut rm, ev);
             store.maybe_snapshot(&rm).unwrap();
         }
         drop(store);
@@ -342,7 +365,7 @@ mod tests {
                 now: SimTime::from_millis(i as i64),
             };
             store.append(&ev).unwrap();
-            apply_cell(&mut rm, &ev);
+            apply(&mut rm, &ev);
             store.maybe_snapshot(&rm).unwrap();
         }
         assert_eq!(store.next_idx(), 5);
@@ -371,7 +394,7 @@ mod tests {
                 now: SimTime::from_millis(i as i64),
             };
             store.append(&ev).unwrap();
-            apply_cell(&mut rm, &ev);
+            apply(&mut rm, &ev);
             if i == 1 {
                 // Manually sync after two commands; the rest stays
                 // buffered and dies with the "power loss" below.

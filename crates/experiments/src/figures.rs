@@ -1199,7 +1199,7 @@ fn run_service_sweep(scale: &Scale, seed: u64) -> FigureResult {
                 let jobs = synth_jobs(&cfg, scale, seed, rep);
                 let mut sim = mrcp_sim_config(scale, jobs.len());
                 // Deterministic budget: the ingest equivalence anchors
-                // (batch-1 ≡ legacy) assume wall-clock-free solves.
+                // (batch-1 ≡ `ingest: None`) assume wall-clock-free solves.
                 sim.manager.budget.time_limit_ms = None;
                 sim.overhead = overhead;
                 sim.ingest = *ingest;

@@ -48,9 +48,9 @@ pub enum OverheadModel {
     /// matching the paper's observation that model generation and solve
     /// time scale with the number of tasks. Admission probes are charged
     /// too (`base + per_task × submitted tasks` per submission pass), and
-    /// all solve passes serialize on the manager, so call-per-arrival
-    /// ingestion pays `base` once per job while a batched flush pays it
-    /// once per burst.
+    /// all solve passes serialize on the manager, so a flush pays `base`
+    /// once — per job under call-per-arrival ingestion, per burst under
+    /// batching.
     PerTask {
         /// Fixed component per round.
         base: SimTime,
@@ -97,8 +97,8 @@ impl OverheadModel {
 pub struct IngestConfig {
     /// Flush as soon as this many arrivals are buffered (≥ 1). With
     /// `max_batch == 1` every arrival flushes inline and no linger timer
-    /// is ever armed, making the run bit-identical to the legacy
-    /// per-arrival path.
+    /// is ever armed: call-per-arrival submission, which is what
+    /// [`SimConfig::ingest`] `None` means.
     pub max_batch: usize,
     /// Upper bound on how long an arrival may sit in the buffer before a
     /// flush. A timer is armed when the buffer becomes non-empty; an
@@ -126,8 +126,9 @@ pub struct SimConfig {
     pub warmup_jobs: usize,
     /// Whether scheduling rounds consume simulated time.
     pub overhead: OverheadModel,
-    /// Batched arrival ingestion (`None` = the legacy per-arrival path,
-    /// bit-identical to every run recorded before the knob existed).
+    /// Batched arrival ingestion. `None` is call-per-arrival submission —
+    /// a `max_batch` of 1, under which `max_linger` is never consulted —
+    /// through the same buffer-and-flush path as every other setting.
     pub ingest: Option<IngestConfig>,
     /// Also reschedule when a job completes (the paper replans only on
     /// arrivals; with exact execution times a completion adds no new
@@ -642,8 +643,9 @@ struct Driver<M: ResourceManager> {
     /// job queue while the RM is busy).
     install_pending: bool,
     reschedule_on_completion: bool,
-    /// Arrival coalescing (`None` = legacy per-arrival submission).
-    ingest: Option<IngestConfig>,
+    /// Arrival coalescing ([`SimConfig::ingest`] `None` arrives here as
+    /// `max_batch` 1).
+    ingest: IngestConfig,
     /// Arrivals buffered since the last flush.
     ingest_buf: Vec<Job>,
     /// A linger [`Ev::Flush`] is in flight. Not reset by a `max_batch`
@@ -731,9 +733,8 @@ impl<M: ResourceManager> Driver<M> {
     /// Flush the ingest buffer: one crash gate, one batched submission,
     /// per-job bookkeeping, and at most one scheduling round for the whole
     /// burst — the coalescing that amortizes CP solve cost across a batch.
-    /// With a single buffered job this performs *exactly* the legacy
-    /// per-arrival command sequence, which is what makes `max_batch == 1`
-    /// bit-identical to `ingest: None`.
+    /// Every arrival is submitted here; call-per-arrival ingestion is a
+    /// flush of one.
     fn flush(&mut self, now: SimTime, queue: &mut EventQueue<Ev>) {
         if self.ingest_buf.is_empty() {
             return;
@@ -825,61 +826,17 @@ impl<M: ResourceManager> desim::Process<Ev> for Driver<M> {
             Ev::Arrival(idx) => {
                 let job = self.jobs[idx].take().expect("job arrives once");
                 self.arrived += 1;
-                if let Some(ing) = self.ingest {
-                    // Batched ingest: buffer, flush on max_batch now or on
-                    // the linger timer later. Same-timestamp arrivals all
-                    // enter the buffer before any timer armed here fires
-                    // (the event queue is FIFO at equal times), so a burst
-                    // coalesces into one submission pass.
-                    self.ingest_buf.push(job);
-                    if self.ingest_buf.len() >= ing.max_batch {
-                        self.flush(now, queue);
-                    } else if !self.flush_pending {
-                        self.flush_pending = true;
-                        queue.schedule_at(now + ing.max_linger, Ev::Flush);
-                    }
-                    return Flow::Continue;
-                }
-                let job_id = job.id;
-                let tasks: Vec<(TaskId, SimTime)> =
-                    job.tasks().map(|t| (t.id, t.exec_time)).collect();
-                self.pre_command(now);
-                // Call-per-arrival ingestion probes once per job — the
-                // per-submission `O` that batched flushes amortize.
-                self.note_busy(now, self.overhead.probe_delay(tasks.len()));
-                let out = self
-                    .rm
-                    .submit_with_admission(job, now)
-                    .expect("generated jobs are unique");
-                // Shed jobs leave the system wholesale; their armed starts
-                // go stale via `forget_job`, and the freed capacity is
-                // picked up by the replan below.
-                for ab in &out.shed {
-                    self.forget_job(ab);
-                }
-                match out.submitted {
-                    Some(sub) => {
-                        // Execution state exists only for admitted jobs —
-                        // a rejected arrival must leave no trace.
-                        for (tid, e) in tasks {
-                            self.exec_time.insert(tid, e);
-                            self.task_job.insert(tid, job_id);
-                        }
-                        match sub {
-                            Submitted::Active => self.request_install(now, queue),
-                            Submitted::Deferred(act) => {
-                                queue.schedule_at(act, Ev::Activate);
-                                if !out.shed.is_empty() && self.rm.jobs_in_system() > 0 {
-                                    self.request_install(now, queue);
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        if !out.shed.is_empty() && self.rm.jobs_in_system() > 0 {
-                            self.request_install(now, queue);
-                        }
-                    }
+                // Buffer, flush on max_batch now or on the linger timer
+                // later. Same-timestamp arrivals all enter the buffer
+                // before any timer armed here fires (the event queue is
+                // FIFO at equal times), so a burst coalesces into one
+                // submission pass.
+                self.ingest_buf.push(job);
+                if self.ingest_buf.len() >= self.ingest.max_batch {
+                    self.flush(now, queue);
+                } else if !self.flush_pending {
+                    self.flush_pending = true;
+                    queue.schedule_at(now + self.ingest.max_linger, Ev::Flush);
                 }
             }
             Ev::Flush => {
@@ -1171,7 +1128,10 @@ where
         overhead: cfg.overhead,
         install_pending: false,
         reschedule_on_completion: cfg.reschedule_on_completion,
-        ingest: cfg.ingest,
+        ingest: cfg.ingest.unwrap_or(IngestConfig {
+            max_batch: 1,
+            max_linger: SimTime::ZERO,
+        }),
         ingest_buf: Vec::new(),
         busy_until: SimTime::ZERO,
         flush_pending: false,
@@ -1619,25 +1579,28 @@ mod tests {
         use super::*;
 
         #[test]
-        fn batch_size_one_is_bit_identical_to_legacy_path() {
+        fn ingest_none_is_a_batch_of_one_under_any_linger() {
             let (cluster, jobs) = small_workload(25, 0.05, 31);
-            let legacy = simulate(&SimConfig::default(), &cluster, jobs.clone());
-            let cfg = SimConfig {
-                ingest: Some(IngestConfig {
-                    max_batch: 1,
-                    max_linger: SimTime::from_secs(5),
-                }),
-                ..Default::default()
-            };
-            let batched = simulate(&cfg, &cluster, jobs);
-            // Full-struct equality modulo wall-clock fields: at batch size
-            // 1 every flush is inline and performs the legacy command
-            // sequence verbatim, so even `invocations` and `end_time_s`
-            // must agree exactly.
-            assert_eq!(
-                legacy.deterministic_signature(),
-                batched.deterministic_signature()
-            );
+            let per_arrival = simulate(&SimConfig::default(), &cluster, jobs.clone());
+            for linger in [SimTime::ZERO, SimTime::from_secs(5)] {
+                let cfg = SimConfig {
+                    ingest: Some(IngestConfig {
+                        max_batch: 1,
+                        max_linger: linger,
+                    }),
+                    ..Default::default()
+                };
+                let batched = simulate(&cfg, &cluster, jobs.clone());
+                // Full-struct equality modulo wall-clock fields: at batch
+                // size 1 every flush is inline and no linger timer is ever
+                // armed, so even `invocations` and `end_time_s` must agree
+                // exactly.
+                assert_eq!(
+                    per_arrival.deterministic_signature(),
+                    batched.deterministic_signature(),
+                    "linger {linger}"
+                );
+            }
         }
 
         #[test]
@@ -1668,8 +1631,8 @@ mod tests {
             // The satellite determinism anchor: N jobs arriving at the
             // same instant, ingested through the batched path, yield the
             // same signature as the same jobs submitted one-at-a-time at
-            // identical timestamps through the legacy path. A busy-period
-            // overhead model makes the legacy path coalesce its installs
+            // identical timestamps (`ingest: None`). A busy-period
+            // overhead model makes that run coalesce its installs
             // too, so both run exactly one round for the burst — and
             // since `submit_batch` is defined as the sequential
             // composition of per-job submissions, the manager sees the

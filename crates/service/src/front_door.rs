@@ -72,7 +72,7 @@ pub enum SubmitError {
 }
 
 /// End-of-run accounting from the front door itself (the manager-side
-/// view lives in [`IngestMetrics`]).
+/// view lives in [`crate::IngestMetrics`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrontDoorReport {
     /// Jobs offered via [`IngestService::submit`].
@@ -154,7 +154,7 @@ fn laxity(job: &Job) -> i64 {
     (job.deadline - job.earliest_start).as_millis() - work
 }
 
-/// The threaded front door handle. Dropping it without [`close`] detaches
+/// The threaded front door handle. Dropping it without `close` detaches
 /// the worker; call [`close`](IngestService::close) to flush and join.
 pub struct IngestService<M> {
     shared: Arc<Shared>,

@@ -10,7 +10,7 @@
 //!
 //! This crate decouples them. It is three layers, lowest first:
 //!
-//! * [`InstrumentedRm`] — a transparent [`ResourceManager`] decorator that
+//! * [`InstrumentedRm`] — a transparent [`mrcp::ResourceManager`] decorator that
 //!   timestamps every job's path through ingest: *ingest→admitted* (arrival
 //!   to admission verdict) and *ingest→planned* (arrival to the first
 //!   scheduling round that could place the job), as fixed-memory
@@ -19,10 +19,10 @@
 //!   into a bounded queue and return immediately; a worker thread owning
 //!   the manager coalesces arrivals into batches (closed at `max_batch`
 //!   jobs or `max_linger`, whichever first) and drives one
-//!   [`ResourceManager::submit_batch`] + one reschedule per batch. On
+//!   [`submit_batch`](mrcp::ResourceManager::submit_batch) + one reschedule per batch. On
 //!   overflow the queue sheds by *value*: the request with the most slack
 //!   (laxity) is dropped, mirroring the least-laxity ordering of §VI.B.
-//! * [`ramp`](crate::ramp) — the closed-loop capacity probe: replay a
+//! * [`ramp`] — the closed-loop capacity probe: replay a
 //!   synthetic workload at one offered rate through an [`InstrumentedRm`]
 //!   and report whether that rung still met its SLOs.
 //!

@@ -73,7 +73,7 @@ pub struct RungReport {
     pub p_late: f64,
     /// Mean turnaround of completed jobs, simulated seconds.
     pub mean_turnaround_s: f64,
-    /// Batches the ingest layer flushed (0 without batching).
+    /// Batches the ingest layer flushed (one per arrival without batching).
     pub batches: u64,
     /// Largest batch observed.
     pub max_batch: usize,

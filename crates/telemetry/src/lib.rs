@@ -1,7 +1,7 @@
 //! Live telemetry for the MRCP-RM stack: a metrics registry, an event
 //! bus, and a mid-run export surface (DESIGN.md §5k).
 //!
-//! Everything the repo measured before this crate — [`mrcp::ManagerStats`],
+//! Everything the repo measured before this crate — `mrcp::ManagerStats`,
 //! `cluster::ClusterMetrics`, the service ingest histograms — was only
 //! visible *after* a run completed. This crate makes the same signals
 //! observable while the run is still going, without perturbing it:
