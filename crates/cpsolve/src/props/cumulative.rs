@@ -357,9 +357,53 @@ impl Cumulative {
         Ok(())
     }
 
-    /// Height that `[s, s+dur)` must coexist with, excluding `own`'s
-    /// contribution, must stay ≤ cap - req. Returns the first blocking
-    /// segment's `end` for a forward scan, if any.
+    /// Calls `f(start, end)`, in time order and until it returns `true`, for
+    /// each piece of the profile that a task of height `req` running over
+    /// `[s, s+dur)` cannot coexist with once `own`'s contribution
+    /// `(start, end, height)` is taken out.
+    ///
+    /// The canonical profile merges equal-height neighbours, so a segment
+    /// may straddle the own part; it is judged piecewise — before the own
+    /// part, inside it with the own height subtracted, after it — and a
+    /// blocking piece, not the merged segment, is what a scan steps over.
+    #[inline]
+    fn blocks(
+        &self,
+        s: i64,
+        dur: i64,
+        own: Option<(i64, i64, i64)>,
+        cap: i64,
+        req: i64,
+        mut f: impl FnMut(i64, i64) -> bool,
+    ) {
+        let end = s + dur;
+        let room = cap - req;
+        let (os, oe, oh) = own.unwrap_or((i64::MIN, i64::MIN, 0));
+        // Segments are sorted by start and non-overlapping; find the first
+        // segment with end > s.
+        let from = self.segs.partition_point(|seg| seg.end <= s);
+        for seg in &self.segs[from..] {
+            if seg.start >= end {
+                break;
+            }
+            if seg.height <= room {
+                continue; // no piece is higher than its segment
+            }
+            let a = os.clamp(seg.start, seg.end);
+            let b = oe.clamp(seg.start, seg.end);
+            for (ps, pe, h) in [
+                (seg.start, a, seg.height),
+                (a, b, seg.height - oh),
+                (b, seg.end, seg.height),
+            ] {
+                if h > room && ps.max(s) < pe.min(end) && f(ps, pe) {
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Where a forward scan resumes: the first blocking piece's `end`.
     fn first_block(
         &self,
         s: i64,
@@ -368,26 +412,15 @@ impl Cumulative {
         cap: i64,
         req: i64,
     ) -> Option<i64> {
-        // Segments are sorted by start and non-overlapping; find the first
-        // segment with end > s.
-        let from = self.segs.partition_point(|seg| seg.end <= s);
-        for seg in &self.segs[from..] {
-            if seg.start >= s + dur {
-                break;
-            }
-            let own_h = match own {
-                Some((os, oe, oh)) if seg.start >= os && seg.end <= oe => oh,
-                _ => 0,
-            };
-            if seg.height - own_h + req > cap {
-                return Some(seg.end);
-            }
-        }
-        None
+        let mut first = None;
+        self.blocks(s, dur, own, cap, req, |_, pe| {
+            first = Some(pe);
+            true
+        });
+        first
     }
 
-    /// Like [`first_block`](Self::first_block) but returns the last blocking
-    /// segment's `start` for a backward scan.
+    /// Where a backward scan resumes: the last blocking piece's `start`.
     fn last_block(
         &self,
         s: i64,
@@ -396,21 +429,12 @@ impl Cumulative {
         cap: i64,
         req: i64,
     ) -> Option<i64> {
-        let from = self.segs.partition_point(|seg| seg.end <= s);
-        let mut found = None;
-        for seg in &self.segs[from..] {
-            if seg.start >= s + dur {
-                break;
-            }
-            let own_h = match own {
-                Some((os, oe, oh)) if seg.start >= os && seg.end <= oe => oh,
-                _ => 0,
-            };
-            if seg.height - own_h + req > cap {
-                found = Some(seg.start);
-            }
-        }
-        found
+        let mut last = None;
+        self.blocks(s, dur, own, cap, req, |ps, _| {
+            last = Some(ps);
+            false
+        });
+        last
     }
 
     /// Earliest `s ∈ [lb, ub]` where `[s, s+dur)` fits, or `None`.
@@ -846,17 +870,12 @@ mod tests {
         assert!(Cumulative::new(&m, ResRef(0), SlotKind::Map).is_some());
     }
 
-    /// KNOWN DEFECT, reproducer only (found by the packed generator of
-    /// `tests/proptest_propagators.rs`). `first_block`/`last_block` subtract
-    /// a task's own mandatory part only from segments that lie inside it, but
-    /// the canonical profile merges equal-height neighbours: `a` occupies
+    /// The canonical profile merges equal-height neighbours: `a` occupies
     /// [2,3) and `t`'s own part is [3,5), so the profile is one segment
-    /// [2,5) of height 1, nothing is subtracted, and the scan jumps from
-    /// s = 2 to 5 > ub — a false conflict where `lb := 3` is the answer.
-    /// Fixing it changes search trees (it fires on the `flash_backlog`
-    /// benchmark workload), so it needs a PR of its own.
+    /// [2,5) of height 1. Only [2,3) blocks `t`; the forward scan resumes at
+    /// 3 (found by the packed generator of `tests/proptest_propagators.rs`,
+    /// which a whole-segment test answered with a false conflict).
     #[test]
-    #[ignore = "known timetable defect: own part merged into a neighbouring segment"]
     fn own_part_merged_with_a_neighbour_is_not_a_conflict() {
         let mut b = ModelBuilder::new();
         b.add_resource(1, 0);
@@ -877,5 +896,31 @@ mod tests {
         };
         c.propagate(&mut ctx).unwrap();
         assert_eq!(d.lb(t), 3);
+    }
+
+    /// The mirror image: `t`'s own part [3,5) abuts `a` at [5,6) on its
+    /// right, one merged segment [3,6). Only [5,6) blocks `t`; the backward
+    /// scan resumes at 5 - 3 = 2 and must neither fail nor pass `lb`.
+    #[test]
+    fn own_part_merged_with_a_right_neighbour_keeps_the_latest_start() {
+        let mut b = ModelBuilder::new();
+        b.add_resource(1, 0);
+        let j = b.add_job(0, 1000);
+        let a = b.add_task(j, SlotKind::Map, 1, 1);
+        let t = b.add_task(j, SlotKind::Map, 3, 1);
+        b.set_horizon(100);
+        let m = b.build().unwrap();
+        let mut d = Domains::new(&m);
+        d.fix_start(a, 5).unwrap();
+        d.set_lb(t, 2).unwrap();
+        d.set_ub(t, 3).unwrap();
+        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Map).unwrap();
+        let mut ctx = Ctx {
+            model: &m,
+            dom: &mut d,
+            bound: u32::MAX,
+        };
+        c.propagate(&mut ctx).unwrap();
+        assert_eq!((d.lb(t), d.ub(t)), (2, 2));
     }
 }

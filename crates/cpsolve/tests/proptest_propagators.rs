@@ -314,12 +314,11 @@ proptest! {
         assert_keeps_feasible_placements(&build_tiny(&i));
     }
 
-    /// The same property where the deadlines bind and blocks are pinned.
-    /// Trips the false prune reproduced by
+    /// The same property where the deadlines bind and blocks are pinned, so
+    /// mandatory parts abut and the canonical profile merges them (the case
     /// `own_part_merged_with_a_neighbour_is_not_a_conflict` in
-    /// `props/cumulative.rs`, and nothing else: it passes once that is fixed.
+    /// `props/cumulative.rs` pins down).
     #[test]
-    #[ignore = "known timetable defect (ROADMAP item 1)"]
     fn engine_never_prunes_feasible_placements_when_packed(i in packed()) {
         assert_keeps_feasible_placements(&build_packed(&i));
     }
