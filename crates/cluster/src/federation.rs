@@ -296,7 +296,7 @@ impl Federation {
     /// Attach live telemetry: the federation-level instruments register
     /// in `tel.registry` directly, and each cell's manager registers its
     /// own set through a registry scoped with a `cell=<i>` label (so
-    /// `mrcp_rounds_total{cell="2",rung="lns"}` is cell 2's LNS rounds).
+    /// `mrcp_rounds_total{cell="2",rung="greedy"}` is cell 2's greedy rounds).
     /// Recording happens at the same sites that mutate [`ClusterMetrics`]
     /// and each cell's [`ManagerStats`], so mid-run scrapes reconcile
     /// with the end-of-run structs. Strictly observational: no routing,

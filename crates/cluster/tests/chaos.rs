@@ -27,7 +27,6 @@ fn det_sim() -> SimConfig {
             adaptive: None,
             warm_start: true,
             workers: 1,
-            ..SolveBudget::default()
         },
         ..Default::default()
     };

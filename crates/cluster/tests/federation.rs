@@ -100,15 +100,14 @@ fn single_cell_federation_matches_plain_driver() {
 }
 
 #[test]
-fn single_cell_identity_survives_lns_pressure_rung() {
+fn single_cell_identity_survives_budget_pressure() {
     use mrcp::{BudgetController, SolveBudget};
     use std::time::Duration;
     // Wall-clock-free budget plus a zero latency ceiling: the controller
     // halves the scale every round (1.0, 0.5, 0.25, 0.125, 0.1, …), so
-    // the run passes through pressure level 2 — where the LNS repair
-    // rung serves the round — on its way to the greedy floor. The
-    // cells=1 identity must hold with the new rung (and the cost-aware
-    // propagator scheduling that runs inside every solve) enabled.
+    // the run passes through pressure level 1 — split CP with no full-CP
+    // second chance — on its way to the greedy-only floor. The cells=1
+    // identity must hold on every rung the controller can pick.
     let sim = || {
         let mut sim = SimConfig::default();
         sim.manager.budget = SolveBudget {
@@ -137,7 +136,7 @@ fn single_cell_identity_survives_lns_pressure_rung() {
     assert_eq!(
         plain.deterministic_signature(),
         fed.deterministic_signature(),
-        "cells=1 identity must survive the LNS pressure rung"
+        "cells=1 identity must survive the pressure rungs"
     );
 }
 
@@ -333,7 +332,6 @@ fn det_sim() -> SimConfig {
         adaptive: None,
         warm_start: true,
         workers: 1,
-        ..SolveBudget::default()
     };
     cfg
 }

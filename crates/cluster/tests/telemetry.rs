@@ -27,7 +27,6 @@ fn det_sim() -> SimConfig {
             adaptive: None,
             warm_start: true,
             workers: 1,
-            ..SolveBudget::default()
         },
         ..Default::default()
     };
@@ -113,7 +112,7 @@ fn registry_reconciles_with_end_of_run_structs() {
     for (i, cell) in run.federation.cells().iter().enumerate() {
         let scoped = tel.scoped("cell", i);
         let stats = cell.rm.stats();
-        let rung_sum: u64 = ["split_cp", "full_cp", "lns", "greedy", "failed"]
+        let rung_sum: u64 = ["split_cp", "full_cp", "greedy", "failed"]
             .iter()
             .map(|rung| {
                 scoped

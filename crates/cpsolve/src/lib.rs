@@ -49,7 +49,6 @@
 
 pub mod brute;
 pub mod greedy;
-pub mod lns;
 pub mod model;
 pub mod observe;
 pub mod portfolio;
@@ -58,7 +57,6 @@ pub mod search;
 pub mod solution;
 pub mod state;
 
-pub use lns::LnsParams;
 pub use model::{JobRef, Model, ModelBuilder, ResRef, SlotKind, TaskRef};
 pub use observe::{record_solve, SolveTel};
 pub use portfolio::{solve_portfolio, PortfolioParams};

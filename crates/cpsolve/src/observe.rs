@@ -5,8 +5,8 @@
 //! per-node atomic would cost real time at millions of nodes); callers —
 //! the manager's scheduling round, the portfolio driver — publish the
 //! totals here once per solve, so a scraper watching the registry sees
-//! per-class propagation effort and LNS acceptance move mid-run while
-//! the search hot path stays untouched.
+//! per-class propagation effort move mid-run while the search hot path
+//! stays untouched.
 
 use crate::props::PROP_CLASSES;
 use crate::search::SolveStats;
@@ -20,6 +20,8 @@ pub struct SolveTel {
     fails: telemetry::Counter,
     solutions: telemetry::Counter,
     restarts: telemetry::Counter,
+    /// Two series that stay at zero with [`SolveStats::lns_iters`], and go
+    /// when it goes.
     lns_iters: telemetry::Counter,
     lns_improves: telemetry::Counter,
     /// Per [`crate::props::PropClass`], in `PROP_CLASSES` order.
@@ -82,8 +84,6 @@ mod tests {
         let reg = Registry::new();
         let mut stats = SolveStats {
             nodes: 11,
-            lns_iters: 3,
-            lns_improves: 1,
             ..Default::default()
         };
         stats.by_class[PropClass::Barrier.idx()].runs = 7;
@@ -91,7 +91,6 @@ mod tests {
         record_solve(&reg, &stats);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("cpsolve_nodes_total", &[]), Some(11));
-        assert_eq!(snap.counter("cpsolve_lns_iters_total", &[]), Some(3));
         assert_eq!(
             snap.counter("cpsolve_prop_runs_total", &[("class", "barrier")]),
             Some(7)

@@ -66,14 +66,9 @@ impl PortfolioParams {
 /// solver would (greedy warm start, set-times, solution-guided), so the
 /// portfolio can never do worse than `solve` on the same budget.
 ///
-/// When the base enables LNS, workers `w % 6 ∈ {1, 3, 5}` become
-/// **pure-LNS** workers: all budget in the LNS phase, each with a distinct
-/// neighborhood seed and window geometry (narrow/default/wide), their
-/// improvements reaching the complete workers through the shared incumbent
-/// bound. The remaining workers stay complete (EDF branching,
-/// weighted-degree + restarts, rotation-only) so exhaustion proofs are
-/// still produced. With LNS disabled, the pre-LNS mix (restart-heavy,
-/// unguided, last-conflict) is used unchanged.
+/// Workers 1.. are all complete searches, so any of them can produce an
+/// exhaustion proof; they take the shared bound instead of a warm start and
+/// differ in restart schedule, guidance and branching rule by `w % 6`.
 fn worker_params(params: &PortfolioParams, w: usize) -> SolveParams {
     let mut wp = params.base.clone();
     if w == 0 {
@@ -81,54 +76,25 @@ fn worker_params(params: &PortfolioParams, w: usize) -> SolveParams {
     }
     wp.warm_start = false;
     wp.value_rotation = params.seed.wrapping_add(w as u64);
-    let lns_seed = crate::lns::splitmix64(params.seed ^ ((w as u64) << 32));
-    match (w % 6, params.base.lns.enabled) {
-        (1, true) => {
-            // Pure LNS, narrow fast windows with extra patience — the
-            // cheapest per-iteration geometry, so it is the one K=2 gets.
-            // LNS repairs an incumbent, so these workers keep the greedy
-            // warm start instead of waiting for the shared bound (a bound
-            // alone is not a schedule).
-            wp.warm_start = true;
-            wp.lns = crate::lns::LnsParams {
-                window_frac: 0.15,
-                iter_nodes: 300,
-                no_improve_cap: 16,
-                ..crate::lns::LnsParams::pure(lns_seed)
-            };
-        }
-        (3, true) => {
-            // Pure LNS, wide windows with a bigger per-window budget.
-            wp.warm_start = true;
-            wp.lns = crate::lns::LnsParams {
-                window_frac: 0.5,
-                iter_nodes: 1500,
-                ..crate::lns::LnsParams::pure(lns_seed)
-            };
-        }
-        (5, true) => {
-            // Pure LNS, default-width windows.
-            wp.warm_start = true;
-            wp.lns = crate::lns::LnsParams::pure(lns_seed);
-        }
-        (1, false) => {
+    match w % 6 {
+        1 => {
             wp.restarts = Some(32);
         }
-        (3, false) => {
+        2 => {
+            wp.branching = crate::search::Branching::Edf;
+        }
+        3 => {
             wp.solution_guided = false;
             wp.restarts = Some(128);
         }
-        (5, false) => {
-            wp.branching = crate::search::Branching::LastConflict;
-        }
-        (2, _) => {
-            wp.branching = crate::search::Branching::Edf;
-        }
-        (4, _) => {
+        4 => {
             // Weighted-degree pairs naturally with restarts: weights learned
             // in one dive redirect the next.
             wp.branching = crate::search::Branching::WeightedDegree;
             wp.restarts = Some(64);
+        }
+        5 => {
+            wp.branching = crate::search::Branching::LastConflict;
         }
         _ => {} // rotation-only variant
     }
@@ -291,8 +257,8 @@ mod tests {
         let w0 = worker_params(&params, 0);
         assert_eq!(w0.warm_start, base.warm_start);
         assert_eq!(w0.value_rotation, 0);
-        // Diversified workers get distinct rotations; complete (non-LNS)
-        // workers drop the greedy warm start.
+        // Diversified workers get distinct rotations and drop the greedy
+        // warm start.
         let w1 = worker_params(&params, 1);
         let w2 = worker_params(&params, 2);
         assert!(!w2.warm_start);
@@ -310,36 +276,11 @@ mod tests {
         let w4 = worker_params(&params, 4);
         assert_eq!(w4.branching, crate::search::Branching::WeightedDegree);
         assert_eq!(w4.restarts, Some(64));
-    }
-
-    /// With LNS enabled (the default), workers 1/3/5 become pure-LNS with
-    /// distinct neighborhood seeds and window geometries; with it disabled
-    /// the pre-LNS strategy mix is restored.
-    #[test]
-    fn lns_workers_diversify_neighborhoods() {
-        let params = PortfolioParams {
-            base: SolveParams::default(),
-            workers: 8,
-            seed: 11,
-        };
-        assert!(params.base.lns.enabled, "LNS on by default");
-        let w1 = worker_params(&params, 1);
+        assert_eq!(worker_params(&params, 1).restarts, Some(32));
         let w3 = worker_params(&params, 3);
+        assert!(!w3.solution_guided);
+        assert_eq!(w3.restarts, Some(128));
         let w5 = worker_params(&params, 5);
-        for w in [&w1, &w3, &w5] {
-            assert_eq!(w.lns.budget_frac, 1.0, "pure LNS worker");
-            assert!(w.warm_start, "LNS needs an incumbent to repair");
-        }
-        assert_ne!(w1.lns.seed, w3.lns.seed);
-        assert_ne!(w3.lns.seed, w5.lns.seed);
-        assert!(w1.lns.window_frac < w5.lns.window_frac);
-        assert!(w3.lns.window_frac > w5.lns.window_frac);
-
-        let mut no_lns = params.clone();
-        no_lns.base.lns.enabled = false;
-        let w1 = worker_params(&no_lns, 1);
-        let w5 = worker_params(&no_lns, 5);
-        assert_eq!(w1.restarts, Some(32));
         assert_eq!(w5.branching, crate::search::Branching::LastConflict);
     }
 }

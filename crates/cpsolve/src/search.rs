@@ -14,7 +14,6 @@
 //! single ticks).
 
 use crate::greedy::greedy_edf;
-use crate::lns::{self, LnsParams};
 use crate::model::{Model, ResRef, TaskRef};
 use crate::props::{Engine, PropClassStats, N_PROP_CLASSES};
 use crate::solution::Solution;
@@ -97,9 +96,6 @@ pub struct SolveParams {
     /// pre-applied restart counter); portfolio workers use distinct values
     /// so their first dives diverge.
     pub value_rotation: u64,
-    /// Large-neighborhood-search phase over the incumbent before the
-    /// unrestricted branch-and-bound (see [`crate::lns`]).
-    pub lns: LnsParams,
 }
 
 impl Default for SolveParams {
@@ -115,7 +111,6 @@ impl Default for SolveParams {
             solution_guided: true,
             branching: Branching::SetTimes,
             value_rotation: 0,
-            lns: LnsParams::default(),
         }
     }
 }
@@ -166,16 +161,16 @@ pub struct SolveStats {
     /// Per-propagator-class breakdown of runs/prunings/conflicts/time,
     /// indexed by [`crate::props::PropClass::idx`].
     pub by_class: [PropClassStats; N_PROP_CLASSES],
-    /// LNS iterations (restricted window re-solves) performed.
+    /// Always zero: large-neighbourhood search is gone. The field stays
+    /// until the benchmark's `cpsolve.lns.*` rows, which read it, retire.
     pub lns_iters: u64,
-    /// LNS iterations that improved the incumbent.
+    /// Always zero, kept for the same reader as [`Self::lns_iters`].
     pub lns_improves: u64,
 }
 
 impl SolveStats {
-    /// Add another solve's counters (an LNS restricted re-solve, a
-    /// portfolio worker). `elapsed_us` is left to the caller, who times
-    /// the whole.
+    /// Add another solve's counters (a portfolio worker). `elapsed_us` is
+    /// left to the caller, who times the whole.
     pub fn merge(&mut self, other: &SolveStats) {
         // Exhaustive on purpose: a new field is added here or does not
         // compile.
@@ -188,8 +183,8 @@ impl SolveStats {
             prunings,
             elapsed_us: _,
             by_class,
-            lns_iters,
-            lns_improves,
+            lns_iters: _,
+            lns_improves: _,
         } = other;
         self.nodes += nodes;
         self.fails += fails;
@@ -200,8 +195,6 @@ impl SolveStats {
         for (acc, c) in self.by_class.iter_mut().zip(by_class) {
             acc.merge(c);
         }
-        self.lns_iters += lns_iters;
-        self.lns_improves += lns_improves;
     }
 }
 
@@ -342,32 +335,14 @@ pub(crate) fn solve_shared(
     params: &SolveParams,
     shared: Option<&SharedSearch>,
 ) -> Outcome {
-    let out = solve_inner(model, params, shared, &[]);
+    let out = solve_inner(model, params, shared);
     if let Some(sh) = shared {
         sh.cancel.store(true, Ordering::Relaxed);
     }
     out
 }
 
-/// A solve with part of the assignment frozen before the root propagation —
-/// the LNS restricted re-solve. Statuses are relative to the *restricted*
-/// problem (an `Optimal` here proves nothing about the full model); callers
-/// must only consume `best`/`stats`. Does not raise the shared cancel flag.
-pub(crate) fn solve_restricted(
-    model: &Model,
-    params: &SolveParams,
-    root_fixes: &[(TaskRef, ResRef, i64)],
-    shared: Option<&SharedSearch>,
-) -> Outcome {
-    solve_inner(model, params, shared, root_fixes)
-}
-
-fn solve_inner(
-    model: &Model,
-    params: &SolveParams,
-    shared: Option<&SharedSearch>,
-    root_fixes: &[(TaskRef, ResRef, i64)],
-) -> Outcome {
+fn solve_inner(model: &Model, params: &SolveParams, shared: Option<&SharedSearch>) -> Outcome {
     let t0 = Instant::now();
     let mut stats = SolveStats::default();
 
@@ -414,31 +389,6 @@ fn solve_inner(
         }
     }
 
-    // LNS phase: repair the incumbent through restricted window re-solves
-    // before committing the rest of the budget to the unrestricted B&B.
-    // Skipped inside restricted re-solves themselves (no nesting).
-    if params.lns.enabled && root_fixes.is_empty() {
-        if let Some(b) = &mut best {
-            lns::improve(model, params, shared, b, &mut stats, t0, target);
-            if let Some(sh) = shared {
-                sh.publish(b.objective);
-            }
-            if b.objective <= target {
-                let status = if b.objective == 0 {
-                    Status::Optimal
-                } else {
-                    Status::Feasible
-                };
-                stats.elapsed_us = t0.elapsed().as_micros() as u64;
-                return Outcome {
-                    status,
-                    best,
-                    stats,
-                };
-            }
-        }
-    }
-
     let mut dom = Domains::new(model);
     let mut engine = Engine::new(model);
     if let Some(b) = &best {
@@ -448,26 +398,6 @@ fn solve_inner(
     // objective into the cut before the root propagation.
     if let Some(g) = shared.and_then(|sh| sh.best()) {
         engine.set_bound(g.saturating_sub(1));
-    }
-
-    // Freeze the caller-specified placements (LNS restricted re-solve)
-    // before the root propagation. The frozen frame comes from a verified
-    // incumbent, so a contradiction can only come from the objective cut —
-    // which proves nothing better exists *in this restriction*.
-    for &(t, r, s) in root_fixes {
-        if dom.assign_res(t, r).is_err() || dom.fix_start(t, s).is_err() {
-            let status = if best.is_some() {
-                Status::Optimal
-            } else {
-                Status::Infeasible
-            };
-            stats.elapsed_us = t0.elapsed().as_micros() as u64;
-            return Outcome {
-                status,
-                best,
-                stats,
-            };
-        }
     }
 
     // Root propagation.
@@ -655,16 +585,12 @@ fn solve_inner(
     }
 }
 
-/// Fold the engine's propagation counters into the solve stats. Additive,
-/// not assignment: the LNS phase already accumulated its restricted
-/// re-solves' counters into `stats` before the main engine existed.
+/// Copy the engine's propagation counters into the solve stats.
 fn finalize_stats(stats: &mut SolveStats, engine: &Engine, t0: Instant) {
     let ps = engine.prop_stats();
-    stats.propagations += ps.runs;
-    stats.prunings += ps.prunings;
-    for (acc, s) in stats.by_class.iter_mut().zip(ps.by_class.iter()) {
-        acc.merge(s);
-    }
+    stats.propagations = ps.runs;
+    stats.prunings = ps.prunings;
+    stats.by_class = ps.by_class;
     stats.elapsed_us = t0.elapsed().as_micros() as u64;
 }
 

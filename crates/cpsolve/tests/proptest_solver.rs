@@ -75,13 +75,13 @@ proptest! {
         best.verify(&model).unwrap();
     }
 
-    /// The solver's exhausted-search objective equals the brute-force
-    /// optimum.
+    /// The default budget exhausts every tiny instance, and the
+    /// exhausted-search objective equals the brute-force optimum.
     #[test]
     fn solver_matches_brute_force(inst in tiny_instance()) {
         let model = build(&inst);
         let out = solve(&model, &SolveParams::default());
-        prop_assume!(out.status == Status::Optimal);
+        prop_assert_eq!(out.status, Status::Optimal);
         if let Some(oracle) = brute_force_optimal(&model, 20_000_000) {
             let got = out.best.expect("optimal implies solution").objective;
             prop_assert_eq!(got, oracle,

@@ -1,6 +1,6 @@
 //! Snapshots: atomic on-disk images of a manager's full mutable state.
 //!
-//! A snapshot file is `[magic 8B "MRCPSNP1"][len u32][crc32 u32][payload]`
+//! A snapshot file is `[magic 8B "MRCPSNP2"][len u32][crc32 u32][payload]`
 //! written to a temp file and renamed into place, so a crash mid-write
 //! leaves the previous snapshot intact — there is always exactly one
 //! valid snapshot. The payload carries the command index the image was
@@ -19,7 +19,7 @@ use std::time::Duration;
 use workload::{JobId, ResourceId, TaskId, TaskKind};
 
 /// Snapshot file magic, also the format version.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MRCPSNP1";
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MRCPSNP2";
 
 /// Encode a [`ManagerStats`]. Destructured exhaustively so a new counter
 /// cannot silently be dropped from snapshots.
@@ -44,7 +44,6 @@ pub fn encode_stats(e: &mut Enc, s: &ManagerStats) {
         max_round_solve,
         warm_rounds,
         cache_invalidations,
-        lns_rounds,
     } = *s;
     e.u64(invocations);
     e.u64(total_solve.as_nanos() as u64);
@@ -65,7 +64,6 @@ pub fn encode_stats(e: &mut Enc, s: &ManagerStats) {
     e.u64(max_round_solve.as_nanos() as u64);
     e.u64(warm_rounds);
     e.u64(cache_invalidations);
-    e.u64(lns_rounds);
 }
 
 /// Decode a [`ManagerStats`].
@@ -90,7 +88,6 @@ pub fn decode_stats(d: &mut Dec<'_>) -> Result<ManagerStats, DecodeError> {
         max_round_solve: Duration::from_nanos(d.u64()?),
         warm_rounds: d.u64()?,
         cache_invalidations: d.u64()?,
-        lns_rounds: d.u64()?,
     })
 }
 
@@ -435,6 +432,12 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 1;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(read_blob(&path).is_err());
+        // An intact blob of the previous format version is refused, not
+        // misread.
+        bytes[last] ^= 1;
+        bytes[..8].copy_from_slice(b"MRCPSNP1");
         std::fs::write(&path, &bytes).unwrap();
         assert!(read_blob(&path).is_err());
     }

@@ -95,7 +95,6 @@ fn det_manager() -> MrcpRm {
             adaptive: None,
             warm_start: true,
             workers: 1,
-            ..SolveBudget::default()
         },
         ..Default::default()
     };

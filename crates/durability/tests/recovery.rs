@@ -83,7 +83,6 @@ fn det_config() -> SimConfig {
             adaptive: None,
             warm_start: true,
             workers: 1,
-            ..SolveBudget::default()
         },
         ..Default::default()
     };

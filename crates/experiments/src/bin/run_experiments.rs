@@ -5,7 +5,7 @@
 //!                 [--seed N] [--out DIR]
 //!
 //! FIGURES   fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 baselines prelim
-//!           faults overload workers cells recovery chaos lns
+//!           faults overload workers cells recovery chaos
 //!           ablations | all   (default: all)
 //! --smoke        tiny configuration (seconds; used by CI)
 //! --default      reduced but trend-preserving configuration (default)
@@ -95,7 +95,7 @@ fn main() {
 
 const HELP: &str =
     "run_experiments [FIGURES...] [--smoke|--default|--paper-scale] [--seed N] [--out DIR] [--list]
-FIGURES: fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 baselines prelim faults overload workers cells recovery chaos lns ablations | all";
+FIGURES: fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 baselines prelim faults overload workers cells recovery chaos ablations | all";
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");

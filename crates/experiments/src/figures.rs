@@ -16,8 +16,7 @@ use cluster::{simulate_cluster, ClusterConfig, ClusterSimConfig};
 use desim::RngStreams;
 use mrcp::{simulate, MrcpConfig, RunMetrics, SimConfig, SolveBudget};
 use workload::{
-    FacebookConfig, FacebookGenerator, FaultConfig, Job, SolverTuning, SyntheticConfig,
-    SyntheticGenerator,
+    FacebookConfig, FacebookGenerator, FaultConfig, Job, SyntheticConfig, SyntheticGenerator,
 };
 
 /// A regenerable paper artifact.
@@ -138,12 +137,6 @@ pub fn all_figures() -> Vec<Figure> {
             run: run_service_sweep,
         },
         Figure {
-            name: "lns",
-            title: "Extra: solver LNS ablation (LNS phase + rung on vs off)",
-            expectation: "not in the paper — P and T statistically tie with LNS on and off at equal budget; the layer buys solver speed, not schedule quality",
-            run: run_lns_panel,
-        },
-        Figure {
             name: "ablations",
             title: "Extra: MRCP-RM design ablations (split §V.D, deferral §V.E, orderings, adaptive budget)",
             expectation: "split cuts O at equal P; deferral cuts O when p > 0; orderings tie (paper §VI.B); adaptive budget caps O growth",
@@ -181,7 +174,6 @@ fn mrcp_sim_config(scale: &Scale, jobs: usize) -> SimConfig {
                 adaptive: None,
                 warm_start: true,
                 workers: 1,
-                ..SolveBudget::default()
             },
             ..Default::default()
         },
@@ -211,18 +203,11 @@ fn synth_jobs(cfg: &SyntheticConfig, scale: &Scale, seed: u64, rep: u64) -> Vec<
     gen.take_jobs(scale.synth_jobs)
 }
 
-/// Copy the workload config's solver-tuning knob onto a sim config: the
-/// TOML-level ablation switch lands in [`SolveBudget`] here.
-fn apply_solver_tuning(sim: &mut SimConfig, tuning: &SolverTuning) {
-    sim.manager.budget.lns = tuning.lns.0;
-}
-
 /// One MRCP-RM replication over a synthetic workload.
 fn mrcp_synth_sample(cfg: &SyntheticConfig, scale: &Scale, seed: u64, rep: u64) -> Sample {
     let jobs = synth_jobs(cfg, scale, seed, rep);
     let cluster = cfg.cluster();
-    let mut sim = mrcp_sim_config(scale, jobs.len());
-    apply_solver_tuning(&mut sim, &cfg.solver);
+    let sim = mrcp_sim_config(scale, jobs.len());
     let m = simulate(&sim, &cluster, jobs);
     Sample {
         p_late: m.p_late,
@@ -1229,38 +1214,6 @@ fn run_service_sweep(scale: &Scale, seed: u64) -> FigureResult {
     }
 }
 
-/// The LNS ablation: the Table 3 default point with the LNS layer on and
-/// off, driven through the workload-level [`SolverTuning`] knob exactly as
-/// a TOML config would set it. The layer must not move P or T at equal
-/// budget — it only changes how fast the solver reaches the same schedules.
-fn run_lns_panel(scale: &Scale, seed: u64) -> FigureResult {
-    use workload::OnOff;
-
-    let base = capped(SyntheticConfig::default(), scale);
-    let mut points = Vec::new();
-    for (label, lns) in [("lns (default)", true), ("no lns (static solver)", false)] {
-        let cfg = SyntheticConfig {
-            solver: SolverTuning { lns: OnOff(lns) },
-            ..base.clone()
-        };
-        let agg = replicate(scale, |rep| mrcp_synth_sample(&cfg, scale, seed, rep));
-        points.push(PointResult {
-            label: "table3-default".into(),
-            series: label.into(),
-            agg,
-        });
-    }
-
-    FigureResult {
-        name: "lns".into(),
-        title: "Solver LNS ablation at the Table 3 default point".into(),
-        expectation:
-            "P and T tie with LNS on and off; the layer trades search effort, not schedule quality"
-                .into(),
-        points,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1277,7 +1230,6 @@ mod tests {
         assert!(names.contains(&"faults"), "failure sweep registered");
         assert!(names.contains(&"overload"), "overload sweep registered");
         assert!(names.contains(&"cells"), "federation sweep registered");
-        assert!(names.contains(&"lns"), "LNS ablation registered");
         assert!(names.contains(&"service"), "ingest mode sweep registered");
         assert!(figure_by_name("fig7").is_some());
         assert!(figure_by_name("nope").is_none());

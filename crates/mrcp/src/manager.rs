@@ -161,9 +161,6 @@ enum RoundRung {
     SplitCp,
     /// The monolithic multi-resource CP model.
     FullCp,
-    /// Pure-LNS repair of the greedy incumbent (strong filtering inside
-    /// small frozen windows at a fraction of full-CP cost).
-    Lns,
     /// Greedy EDF, the unconditional fallback.
     Greedy,
 }
@@ -174,7 +171,6 @@ impl RoundRung {
         match self {
             RoundRung::SplitCp => "split_cp",
             RoundRung::FullCp => "full_cp",
-            RoundRung::Lns => "lns",
             RoundRung::Greedy => "greedy",
         }
     }
@@ -219,10 +215,6 @@ pub struct SolveBudget {
     /// search; >1 spawns diversified workers sharing the incumbent bound,
     /// see [`cpsolve::portfolio`]).
     pub workers: usize,
-    /// Large-neighborhood search: enables both the LNS phase inside each
-    /// CP solve and the LNS rung of the degradation ladder (see
-    /// [`cpsolve::lns`]).
-    pub lns: bool,
 }
 
 impl Default for SolveBudget {
@@ -234,7 +226,6 @@ impl Default for SolveBudget {
             adaptive: None,
             warm_start: true,
             workers: 1,
-            lns: true,
         }
     }
 }
@@ -256,10 +247,6 @@ impl SolveBudget {
             fail_limit: fails,
             time_limit: self.time_limit_ms.map(Duration::from_millis),
             warm_start: self.warm_start,
-            lns: cpsolve::LnsParams {
-                enabled: self.lns,
-                ..cpsolve::LnsParams::default()
-            },
             ..Default::default()
         }
     }
@@ -271,8 +258,8 @@ impl SolveBudget {
 /// ceiling the per-round solver budget is halved (down to `min_scale`),
 /// and when it falls below a quarter the budget doubles back toward
 /// full. Shrunken budgets also escalate the degradation ladder early:
-/// below half scale the full-CP second chance is skipped, and at
-/// `min_scale` rounds go straight to greedy EDF.
+/// below half scale the full-CP second chance is skipped, and below a
+/// quarter (or at `min_scale`) rounds go straight to greedy EDF.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BudgetController {
     /// Target ceiling for per-round scheduling latency.
@@ -488,8 +475,6 @@ pub struct ManagerStats {
     pub warm_rounds: u64,
     /// Round-cache invalidations from resource availability changes.
     pub cache_invalidations: u64,
-    /// Rounds served by the pure-LNS rung of the degradation ladder.
-    pub lns_rounds: u64,
 }
 
 impl ManagerStats {
@@ -516,7 +501,6 @@ impl ManagerStats {
         self.max_round_solve = self.max_round_solve.max(other.max_round_solve);
         self.warm_rounds += other.warm_rounds;
         self.cache_invalidations += other.cache_invalidations;
-        self.lns_rounds += other.lns_rounds;
     }
 }
 
@@ -662,7 +646,6 @@ pub(crate) struct ManagerTel {
     /// Rounds served, labeled by degradation-ladder rung.
     rounds_split: telemetry::Counter,
     rounds_full: telemetry::Counter,
-    rounds_lns: telemetry::Counter,
     rounds_greedy: telemetry::Counter,
     rounds_failed: telemetry::Counter,
     round_solve_us: telemetry::Histogram,
@@ -689,7 +672,6 @@ impl ManagerTel {
             bus: tel.bus.clone(),
             rounds_split: reg.counter("mrcp_rounds_total", &[("rung", "split_cp")]),
             rounds_full: reg.counter("mrcp_rounds_total", &[("rung", "full_cp")]),
-            rounds_lns: reg.counter("mrcp_rounds_total", &[("rung", "lns")]),
             rounds_greedy: reg.counter("mrcp_rounds_total", &[("rung", "greedy")]),
             rounds_failed: reg.counter("mrcp_rounds_total", &[("rung", "failed")]),
             round_solve_us: reg.histogram("mrcp_round_solve_us", &[], telemetry::LATENCY_US_BOUNDS),
@@ -714,7 +696,6 @@ impl ManagerTel {
         match rung {
             RoundRung::SplitCp => &self.rounds_split,
             RoundRung::FullCp => &self.rounds_full,
-            RoundRung::Lns => &self.rounds_lns,
             RoundRung::Greedy => &self.rounds_greedy,
         }
     }
@@ -1744,9 +1725,6 @@ impl MrcpRm {
                 rung.name(),
             );
         }
-        if rung == RoundRung::Lns {
-            self.stats.lns_rounds += 1;
-        }
         if degraded {
             self.stats.degraded_rounds += 1;
         } else {
@@ -1867,12 +1845,10 @@ impl MrcpRm {
     }
 
     /// How hard the budget controller is currently squeezing: 0 = none,
-    /// 1 = skip the full-CP second chance, 2 = skip both CP rungs and go
-    /// straight to the LNS repair rung, 3 = greedy only.
+    /// 1 = skip the full-CP second chance, 2 = greedy only.
     fn pressure_level(&self) -> u8 {
         match self.cfg.controller {
-            Some(ctl) if self.budget_scale <= ctl.min_scale => 3,
-            Some(_) if self.budget_scale < 0.25 => 2,
+            Some(ctl) if self.budget_scale < 0.25 || self.budget_scale <= ctl.min_scale => 2,
             Some(_) if self.budget_scale < 0.5 => 1,
             _ => 0,
         }
@@ -1910,16 +1886,14 @@ impl MrcpRm {
 
     /// One pass down the degradation ladder: the configured CP path first
     /// (§V.D split model when `use_split`, else the full model), then the
-    /// full CP model as a second chance, then a **pure-LNS repair** of the
-    /// greedy incumbent (strong propagation confined to small frozen
-    /// windows — far cheaper than full CP but usually far better than
-    /// greedy), and finally greedy EDF — which cannot time out and
-    /// succeeds on any consistent state. Each rung's result is audited
-    /// (when `verify_schedules`) before being accepted; an audit failure
-    /// falls through to the next rung rather than installing a bad plan.
+    /// full CP model as a second chance, and finally greedy EDF — which
+    /// cannot time out and succeeds on any consistent state. Each rung's
+    /// result is audited (when `verify_schedules`) before being accepted;
+    /// an audit failure falls through to the next rung rather than
+    /// installing a bad plan.
     /// Under budget-controller `pressure` the ladder is entered lower
-    /// down: level 1 skips the full-CP second chance, level 2 skips both
-    /// CP rungs and opens with LNS, level 3 goes straight to greedy.
+    /// down: level 1 skips the full-CP second chance, level 2 goes straight
+    /// to greedy.
     /// Returns the placements, the solver outcome they came from, whether
     /// the primary rung was abandoned, and which rung served the round.
     fn solve_round(
@@ -1937,7 +1911,7 @@ impl MrcpRm {
                 Ok(())
             }
         };
-        let pp = PortfolioParams {
+        let mut pp = PortfolioParams {
             base: params.clone(),
             workers: cfg.budget.workers,
             seed: 0,
@@ -1972,24 +1946,25 @@ impl MrcpRm {
                 })
                 .collect::<Vec<_>>()
         };
-        // Hint-fed incumbent on the full model (hints carry the real
-        // resource assignment too); shared by the full-CP and LNS rungs.
-        let hinted_initial = hints.and_then(|h| {
-            let rindex: HashMap<ResourceId, u32> = mm
-                .res_ids
-                .iter()
-                .enumerate()
-                .map(|(i, &r)| (r, i as u32))
-                .collect();
-            let full: Vec<Hint> = h
-                .iter()
-                .map(|o| o.and_then(|(r, s)| rindex.get(&r).map(|&i| (ResRef(i), s.as_millis()))))
-                .collect();
-            greedy_edf_with_hints(&mm.model, &full).ok()
-        });
         if pressure == 0 {
-            let mut pp = pp.clone();
-            pp.base.initial = hinted_initial.clone();
+            // Hint-fed incumbent on the full model (hints carry the real
+            // resource assignment too).
+            let hinted_initial = hints.and_then(|h| {
+                let rindex: HashMap<ResourceId, u32> = mm
+                    .res_ids
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &r)| (r, i as u32))
+                    .collect();
+                let full: Vec<Hint> = h
+                    .iter()
+                    .map(|o| {
+                        o.and_then(|(r, s)| rindex.get(&r).map(|&i| (ResRef(i), s.as_millis())))
+                    })
+                    .collect();
+                greedy_edf_with_hints(&mm.model, &full).ok()
+            });
+            pp.base.initial = hinted_initial;
             let out = solve_portfolio(&mm.model, &pp);
             if let Some(best) = out.best.as_ref() {
                 let placements = placements_of(&mm, best);
@@ -1999,29 +1974,7 @@ impl MrcpRm {
             }
         }
 
-        // Rung 3: pure-LNS repair — all budget in the LNS phase, repairing
-        // the greedy (or hint-fed) incumbent through restricted window
-        // re-solves. The primary rung at pressure 2; a second chance when
-        // the CP rungs above came back empty or failed their audit.
-        if cfg.budget.lns && pressure < 3 {
-            let mut lp = pp.clone();
-            lp.base.warm_start = true;
-            lp.base.initial = hinted_initial;
-            lp.base.lns = cpsolve::LnsParams {
-                enabled: true,
-                budget_frac: 1.0,
-                ..lp.base.lns
-            };
-            let out = solve_portfolio(&mm.model, &lp);
-            if let Some(best) = out.best.as_ref() {
-                let placements = placements_of(&mm, best);
-                if audit_ok(&placements).is_ok() {
-                    return Ok((placements, out, degraded, RoundRung::Lns));
-                }
-            }
-        }
-
-        // Rung 4: greedy EDF, wrapped as a feasible outcome. An audit
+        // Rung 3: greedy EDF, wrapped as a feasible outcome. An audit
         // failure here is terminal — nothing further to fall back to.
         // Pressure-escalated rounds land here by design and count as
         // degraded, like any other round the CP rungs did not serve.
@@ -2524,8 +2477,7 @@ mod tests {
     #[test]
     fn forced_unknown_budget_falls_back_to_greedy() {
         // node_limit 0 + warm starts off force Status::Unknown from every CP
-        // rung; with the LNS rung also disabled, the greedy rung must still
-        // produce a full schedule.
+        // rung; the greedy rung must still produce a full schedule.
         let cfg = MrcpConfig {
             budget: SolveBudget {
                 node_limit: 0,
@@ -2533,7 +2485,6 @@ mod tests {
                 time_limit_ms: Some(0),
                 adaptive: None,
                 warm_start: false,
-                lns: false,
                 ..SolveBudget::default()
             },
             ..Default::default()
@@ -2569,7 +2520,6 @@ mod tests {
             }),
             warm_start: true,
             workers: 1,
-            ..SolveBudget::default()
         };
         // At or below the reference size: unscaled.
         assert_eq!(base.params_for(50).node_limit, 10_000);
@@ -2860,53 +2810,30 @@ mod tests {
 
     #[test]
     fn max_pressure_goes_straight_to_greedy() {
-        // min_scale = 1.0 keeps the scale at the floor from the start, so
-        // every round runs at pressure level 3: greedy only, counted as
+        // Two ways into pressure level 2: min_scale = 1.0 keeps the scale at
+        // the floor from the start, and 0.2 is under a quarter though above
+        // its floor. Either way the round is greedy only, counted as
         // degraded, but still a complete schedule.
-        let cfg = MrcpConfig {
-            controller: Some(BudgetController {
-                latency_ceiling: Duration::from_secs(3600),
-                alpha: 0.3,
-                min_scale: 1.0,
-            }),
-            ..Default::default()
-        };
-        let mut rm = MrcpRm::new(cfg, homogeneous_cluster(2, 1, 1));
-        for i in 0..3 {
-            rm.submit(mk_job(i, 0, 0, 10_000, &[10, 20], &[5]), SimTime::ZERO)
-                .unwrap();
+        for (min_scale, scale) in [(1.0, 1.0), (0.1, 0.2)] {
+            let cfg = MrcpConfig {
+                controller: Some(BudgetController {
+                    latency_ceiling: Duration::from_secs(3600),
+                    alpha: 0.3,
+                    min_scale,
+                }),
+                ..Default::default()
+            };
+            let mut rm = MrcpRm::new(cfg, homogeneous_cluster(2, 1, 1));
+            rm.budget_scale = scale;
+            for i in 0..3 {
+                rm.submit(mk_job(i, 0, 0, 10_000, &[10, 20], &[5]), SimTime::ZERO)
+                    .unwrap();
+            }
+            let plan = rm.reschedule(SimTime::ZERO);
+            assert_eq!(plan.len(), 9, "greedy still schedules everything");
+            assert_eq!(rm.stats().degraded_rounds, 1);
+            assert_eq!(rm.stats().failed_rounds, 0);
         }
-        let plan = rm.reschedule(SimTime::ZERO);
-        assert_eq!(plan.len(), 9, "greedy still schedules everything");
-        assert_eq!(rm.stats().degraded_rounds, 1);
-        assert_eq!(rm.stats().failed_rounds, 0);
-    }
-
-    #[test]
-    fn pressure_two_serves_round_via_lns_rung() {
-        // A scale strictly between min_scale and 0.25 puts the round at
-        // pressure level 2: both CP rungs are skipped and the LNS repair
-        // rung serves the round — a full schedule, counted in lns_rounds
-        // and not as degraded (LNS is the primary rung at this level).
-        let cfg = MrcpConfig {
-            controller: Some(BudgetController {
-                latency_ceiling: Duration::from_secs(3600),
-                alpha: 0.3,
-                min_scale: 0.1,
-            }),
-            ..Default::default()
-        };
-        let mut rm = MrcpRm::new(cfg, homogeneous_cluster(2, 1, 1));
-        rm.budget_scale = 0.2;
-        for i in 0..3 {
-            rm.submit(mk_job(i, 0, 0, 10_000, &[10, 20], &[5]), SimTime::ZERO)
-                .unwrap();
-        }
-        let plan = rm.reschedule(SimTime::ZERO);
-        assert_eq!(plan.len(), 9, "LNS repair still schedules everything");
-        assert_eq!(rm.stats().lns_rounds, 1, "round served by the LNS rung");
-        assert_eq!(rm.stats().degraded_rounds, 0);
-        assert_eq!(rm.stats().failed_rounds, 0);
     }
 
     #[test]

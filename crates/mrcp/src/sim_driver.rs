@@ -1844,7 +1844,6 @@ mod tests {
                 deadline_multiplier: 2.0,
                 arrival: ArrivalConfig::mmpp(0.5, 120.0, 20.0),
                 cells: Default::default(),
-                solver: Default::default(),
             };
             let cluster = cfg.cluster();
             let mut gen = SyntheticGenerator::new(cfg, StdRng::seed_from_u64(27));

@@ -174,7 +174,6 @@ fn forced_unknown_solver_outcome_degrades_gracefully() {
             adaptive: None,
             warm_start: false,
             workers: 1,
-            ..SolveBudget::default()
         },
         ..Default::default()
     };

@@ -30,7 +30,6 @@ fn workload(n: usize, lambda: f64, arrival: ArrivalConfig, seed: u64) -> (Vec<Re
         deadline_multiplier: 2.0,
         arrival,
         cells: Default::default(),
-        solver: Default::default(),
     };
     let cluster = cfg.cluster();
     let mut gen = SyntheticGenerator::new(cfg, StdRng::seed_from_u64(seed));
@@ -48,7 +47,6 @@ fn protected(policy: AdmissionPolicy, max_pending: usize) -> SimConfig {
         adaptive: None,
         warm_start: true,
         workers: 1,
-        ..SolveBudget::default()
     };
     cfg.manager.admission = AdmissionConfig {
         policy,

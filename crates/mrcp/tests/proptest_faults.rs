@@ -114,7 +114,6 @@ fn sim_config(faults: FaultConfig, fault_seed: u64) -> SimConfig {
             adaptive: None,
             warm_start: true,
             workers: 1,
-            ..SolveBudget::default()
         },
         ..Default::default()
     };

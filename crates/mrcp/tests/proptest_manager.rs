@@ -83,7 +83,6 @@ fn audited_config() -> SimConfig {
             adaptive: None,
             warm_start: true,
             workers: 1,
-            ..SolveBudget::default()
         },
         ..Default::default()
     };

@@ -21,7 +21,6 @@ fn det_sim() -> SimConfig {
             adaptive: None,
             warm_start: true,
             workers: 1,
-            ..SolveBudget::default()
         },
         ..Default::default()
     };
@@ -70,7 +69,7 @@ fn registry_reconciles_with_manager_stats() {
     let reg = &tel.registry;
     let c = |name: &str| reg.counter(name, &[]).get();
     // Exactly one rung counter fires per solver invocation.
-    let rung_sum: u64 = ["split_cp", "full_cp", "lns", "greedy", "failed"]
+    let rung_sum: u64 = ["split_cp", "full_cp", "greedy", "failed"]
         .iter()
         .map(|rung| reg.counter("mrcp_rounds_total", &[("rung", rung)]).get())
         .sum();
@@ -79,10 +78,6 @@ fn registry_reconciles_with_manager_stats() {
         reg.counter("mrcp_rounds_total", &[("rung", "failed")])
             .get(),
         stats.failed_rounds
-    );
-    assert_eq!(
-        reg.counter("mrcp_rounds_total", &[("rung", "lns")]).get(),
-        stats.lns_rounds
     );
     assert_eq!(c("mrcp_warm_rounds_total"), stats.warm_rounds);
     assert_eq!(

@@ -23,7 +23,6 @@ fn det_sim() -> SimConfig {
                 adaptive: None,
                 warm_start: true,
                 workers: 1,
-                ..SolveBudget::default()
             },
             ..Default::default()
         },

@@ -136,33 +136,6 @@ pub struct SyntheticConfig {
     /// [`cell_size`](Self::cell_size) resources.
     #[serde(default)]
     pub cells: CellCount,
-    /// Solver tuning (the LNS repair rung). Defaults to on; configs written
-    /// before the knob existed deserialize to the default.
-    #[serde(default)]
-    pub solver: SolverTuning,
-}
-
-/// On/off switch for the solver's LNS layer, TOML-addressable so
-/// experiment configs can run the ablation without code changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct SolverTuning {
-    /// The LNS repair rung and in-solve LNS phase.
-    #[serde(default)]
-    pub lns: OnOff,
-}
-
-/// A boolean knob whose *absence* means "on", newtyped for the same reason
-/// as [`CellCount`]: the vendored serde subset maps a missing
-/// `#[serde(default)]` field to `Default::default()`, and a bare `bool`
-/// would default to `false` — silently disabling the feature in every
-/// config written before the knob existed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OnOff(pub bool);
-
-impl Default for OnOff {
-    fn default() -> Self {
-        OnOff(true)
-    }
 }
 
 /// Cell count for the federation extension, newtyped so that configs
@@ -193,7 +166,6 @@ impl Default for SyntheticConfig {
             reduce_capacity: 2,
             arrival: ArrivalConfig::default(),
             cells: CellCount(1),
-            solver: SolverTuning::default(),
         }
     }
 }
@@ -750,34 +722,19 @@ mod tests {
     }
 
     #[test]
-    fn solver_tuning_defaults_on_and_round_trips() {
-        // Configs written before the solver knob existed (no `solver` key
-        // at all) deserialize with LNS ON — absence means "use the
-        // default solver", not "disable it".
+    fn retired_solver_table_still_loads() {
+        // A stored config that still carries the retired `solver` table
+        // (`lns`, and before it `prop_scheduling`) keeps loading; the table
+        // is ignored.
         let cfg = SyntheticConfig::default();
-        let mut tree = serde::Serialize::serialize_value(&cfg);
-        let serde::Value::Map(entries) = &mut tree else {
-            panic!("config serializes to a map");
-        };
-        entries.retain(|(k, _)| k != "solver");
-        let legacy = serde_json::to_string(&tree).unwrap();
-        assert!(!legacy.contains("solver"), "failed to strip solver key");
-        let back: SyntheticConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back.solver.lns, OnOff(true));
-        // An explicit ablation setting survives a round trip.
-        let ablated = SyntheticConfig {
-            solver: SolverTuning { lns: OnOff(false) },
-            ..Default::default()
-        };
-        let json = serde_json::to_string(&ablated).unwrap();
-        let back: SyntheticConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.solver, ablated.solver);
-        // A stored config that still carries the retired
-        // `solver.prop_scheduling` key keeps loading; the key is ignored.
-        let stored = json.replacen(r#""solver":{"#, r#""solver":{"prop_scheduling":false,"#, 1);
-        assert_ne!(stored, json, "failed to plant the retired key");
+        let json = serde_json::to_string(&cfg).unwrap();
+        let stored = json.replacen(
+            '{',
+            r#"{"solver":{"prop_scheduling":false,"lns":false},"#,
+            1,
+        );
         let back: SyntheticConfig = serde_json::from_str(&stored).unwrap();
-        assert_eq!(back.solver, ablated.solver);
+        assert_eq!(back, cfg);
     }
 
     #[test]

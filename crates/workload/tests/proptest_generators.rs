@@ -36,7 +36,6 @@ fn synth_config() -> impl Strategy<Value = SyntheticConfig> {
                 reduce_capacity: cr,
                 arrival: Default::default(),
                 cells: Default::default(),
-                solver: Default::default(),
             },
         )
 }
