@@ -26,9 +26,8 @@
 //! scheduling round.
 
 use crate::durable::DurableFederation;
-use crate::endpoint::{CellEndpoint, Delivery, InProcEndpoint, RetryPolicy, RpcError};
+use crate::endpoint::{CellEndpoint, Delivery, InProcEndpoint, RpcError};
 use crate::federation::{ClusterSimConfig, Federation};
-use crate::health::HealthConfig;
 use desim::SimTime;
 use durability::{DurabilityConfig, ManagerEvent};
 use mrcp::manager::MrcpRm;
@@ -304,18 +303,14 @@ impl CellEndpoint for ChaosEndpoint {
     }
 }
 
-/// Inputs for a chaos run: the federated simulation plus the fault,
-/// retry, and circuit-breaker knobs.
+/// Inputs for a chaos run: the federated simulation plus the fault
+/// knobs (the retry schedule and breaker thresholds are constants).
 #[derive(Debug, Clone, Default)]
 pub struct ChaosSimConfig {
     /// Driver + federation configuration.
     pub base: ClusterSimConfig,
     /// Boundary fault injection.
     pub chaos: ChaosConfig,
-    /// Retry/backoff schedule for failed deliveries.
-    pub retry: RetryPolicy,
-    /// Circuit-breaker thresholds.
-    pub health: HealthConfig,
 }
 
 /// Everything a chaos run produces.
@@ -471,14 +466,8 @@ pub fn simulate_cluster_chaos_telemetry(
         resources,
         jobs,
         |mgr_cfg| {
-            let mut fed = Federation::with_chaos(
-                &cfg.base.cluster,
-                mgr_cfg,
-                resources.to_vec(),
-                &cfg.chaos,
-                cfg.retry,
-                cfg.health,
-            );
+            let mut fed =
+                Federation::with_chaos(&cfg.base.cluster, mgr_cfg, resources.to_vec(), &cfg.chaos);
             fed.set_telemetry(tel);
             fed
         },
@@ -537,7 +526,7 @@ pub fn simulate_cluster_chaos_durable_telemetry(
                 dir,
                 durability,
             );
-            d.enable_chaos(&cfg.chaos, cfg.retry, cfg.health);
+            d.enable_chaos(&cfg.chaos);
             d.set_telemetry(tel);
             d
         },

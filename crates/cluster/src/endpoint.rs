@@ -204,7 +204,7 @@ impl CellEndpoint for InProcEndpoint {
 /// `(seed, seq, attempt)` — two runs with the same seed produce the same
 /// schedule, and no shared RNG stream is perturbed by retries.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
+pub(crate) struct RetryPolicy {
     /// Total delivery attempts per command over the normal channel
     /// (≥ 1); after these, the call escalates to the reliable channel if
     /// it must be answered.

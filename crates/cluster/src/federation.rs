@@ -14,7 +14,7 @@
 //! by default, fault-injecting under [`crate::chaos::ChaosConfig`] — and
 //! the request that applied is what the cell's WAL records. Each
 //! command is stamped with a per-cell sequence number; failed deliveries
-//! retry under the [`RetryPolicy`] (capped exponential backoff,
+//! retry under the fixed `RetryPolicy` (capped exponential backoff,
 //! deterministic jitter) and duplicates are suppressed cell-side, so
 //! every command applies at most once. A command the run cannot drop
 //! (task lifecycle, activations) escalates to the supervisor's reliable
@@ -40,7 +40,7 @@ use crate::chaos::{ChaosConfig, ChaosEndpoint};
 use crate::endpoint::{Delivery, RetryPolicy, RpcError};
 use crate::health::{CellHealth, HealthConfig, HealthState};
 use crate::metrics::ClusterMetrics;
-use crate::rebalance::RebalanceConfig;
+use crate::rebalance::{RebalanceConfig, PROBE_FANOUT};
 use crate::router::two_choices;
 use desim::SimTime;
 use durability::{apply, ManagerEvent, Reply};
@@ -71,6 +71,22 @@ impl Default for ClusterConfig {
             rebalance: RebalanceConfig::default(),
         }
     }
+}
+
+/// Deal `resources` round-robin into `cells` pools (clamped to
+/// `[1, resources]`) — the one definition of which cell owns what.
+/// Panics when `resources` is empty.
+pub(crate) fn shard(resources: &[Resource], cells: usize) -> Vec<Vec<Resource>> {
+    assert!(
+        !resources.is_empty(),
+        "federation needs at least one resource"
+    );
+    let k = cells.clamp(1, resources.len());
+    let mut pools: Vec<Vec<Resource>> = vec![Vec::new(); k];
+    for (i, r) in resources.iter().enumerate() {
+        pools[i % k].push(*r);
+    }
+    pools
 }
 
 /// Whether a command may be abandoned when its deliveries keep failing.
@@ -221,10 +237,10 @@ pub struct Federation {
     /// Fleet-wide high-water mark of jobs in the system (the per-cell
     /// `max_queue_depth` watermarks do not sum to this).
     pub(crate) max_fleet_depth: usize,
-    /// Durable journal hooks (per-cell WALs + the routing/rebalance
-    /// manifest), attached by [`crate::durable::DurableFederation`].
-    /// `None` runs the federation memory-only.
-    pub(crate) journal: Option<crate::durable::FedJournal>,
+    /// The per-cell logs, attached by
+    /// [`crate::durable::DurableFederation`]. `None` runs the federation
+    /// memory-only.
+    pub(crate) journal: Option<crate::durable::CellLogs>,
     /// The last internal-inconsistency error a round swallowed (the
     /// scheduling surface cannot propagate it); `None` when healthy.
     pub(crate) last_error: Option<ManagerError>,
@@ -235,8 +251,6 @@ pub struct Federation {
     /// fail, the health sweep is skipped, and the parallel solve path
     /// runs — the bit-exact legacy behavior.
     pub(crate) chaos_active: bool,
-    /// Retry/backoff schedule for failed deliveries.
-    pub(crate) retry: RetryPolicy,
     /// Per-cell circuit breakers.
     pub(crate) health: Vec<CellHealth>,
     /// Live federation-level instruments (disabled by default; see
@@ -254,29 +268,36 @@ impl Federation {
     /// its own manager with the shared `mgr` configuration. Panics when
     /// `resources` is empty (mirroring [`MrcpRm::new`]).
     pub fn new(cfg: &ClusterConfig, mgr: MrcpConfig, resources: Vec<Resource>) -> Self {
-        assert!(
-            !resources.is_empty(),
-            "federation needs at least one resource"
-        );
-        let all_resources = resources.clone();
-        let k = cfg.cells.clamp(1, resources.len());
-        let mut pools: Vec<Vec<Resource>> = vec![Vec::new(); k];
-        let mut res_cell = HashMap::new();
-        for (i, r) in resources.into_iter().enumerate() {
-            res_cell.insert(r.id, i % k);
-            pools[i % k].push(r);
-        }
-        let cells: Vec<Cell> = pools
+        let rms = shard(&resources, cfg.cells)
             .into_iter()
-            .enumerate()
-            .map(|(id, pool)| Cell::new(id, MrcpRm::new(mgr, pool)))
+            .map(|pool| MrcpRm::new(mgr, pool))
             .collect();
-        let base_workers = mgr.budget.workers.max(1);
-        let health = vec![CellHealth::new(HealthConfig::default()); k];
+        Federation::assemble(cfg, mgr, &resources, rms)
+    }
+
+    /// A fleet around `rms`, one manager per [`shard`] of `resources`,
+    /// with empty fleet maps and a reliable, fault-free boundary — what
+    /// both a fresh fleet and one restored from a snapshot start from.
+    pub(crate) fn assemble(
+        cfg: &ClusterConfig,
+        mgr: MrcpConfig,
+        resources: &[Resource],
+        rms: Vec<MrcpRm>,
+    ) -> Self {
+        let k = rms.len();
+        let res_cell = rms
+            .iter()
+            .enumerate()
+            .flat_map(|(i, rm)| rm.resources().iter().map(move |r| (r.id, i)))
+            .collect();
         Federation {
-            cells,
+            cells: rms
+                .into_iter()
+                .enumerate()
+                .map(|(id, rm)| Cell::new(id, rm))
+                .collect(),
             rebalance: cfg.rebalance,
-            base_workers,
+            base_workers: mgr.budget.workers.max(1),
             res_cell,
             task_cell: HashMap::new(),
             job_cell: HashMap::new(),
@@ -284,10 +305,9 @@ impl Federation {
             max_fleet_depth: 0,
             journal: None,
             last_error: None,
-            resources: all_resources,
+            resources: resources.to_vec(),
             chaos_active: false,
-            retry: RetryPolicy::default(),
-            health,
+            health: vec![CellHealth::new(HealthConfig::default()); k],
             tel: FedTel::disabled(k),
             base_tel: telemetry::Telemetry::disabled(),
         }
@@ -327,24 +347,15 @@ impl Federation {
         mgr: MrcpConfig,
         resources: Vec<Resource>,
         chaos: &ChaosConfig,
-        retry: RetryPolicy,
-        health: HealthConfig,
     ) -> Self {
         let mut fed = Federation::new(cfg, mgr, resources);
-        fed.enable_chaos(chaos, retry, health);
+        fed.enable_chaos(chaos);
         fed
     }
 
     /// Swap the cell endpoints for fault-injecting ones (when `chaos` is
-    /// active) and install the retry/health knobs.
-    pub(crate) fn enable_chaos(
-        &mut self,
-        chaos: &ChaosConfig,
-        retry: RetryPolicy,
-        health: HealthConfig,
-    ) {
-        self.retry = retry;
-        self.health = vec![CellHealth::new(health); self.cells.len()];
+    /// active).
+    pub(crate) fn enable_chaos(&mut self, chaos: &ChaosConfig) {
         if chaos.is_active() {
             self.chaos_active = true;
             for (i, c) in self.cells.iter_mut().enumerate() {
@@ -462,7 +473,7 @@ impl Federation {
     /// Append `ev` to cell `cell`'s WAL when the federation runs durable.
     fn journal_cell(&mut self, cell: usize, ev: &ManagerEvent) {
         if let Some(j) = self.journal.as_mut() {
-            j.cell_event(cell, ev);
+            j.append(cell, ev);
         }
     }
 
@@ -548,8 +559,8 @@ impl Federation {
         let Some(j) = self.journal.as_ref() else {
             return; // ideal store: nothing was actually lost
         };
-        let dir = j.dir().to_path_buf();
-        let store_cfg = j.store_cfg();
+        let dir = j.dir.clone();
+        let store_cfg = j.cfg;
         let mgr_cfg = *self.cells[i].rm.config();
         // Wall-clock solve stats and the latency EWMA cannot survive a
         // process restart; equality is over the scheduling state proper.
@@ -605,14 +616,15 @@ impl Federation {
         self.cells[i].next_seq += 1;
         self.metrics.rpc_commands += 1;
         self.tel.rpc_commands.inc();
+        let retry = RetryPolicy::default();
         let mut applied_any = false;
         let mut crash_seen = false;
-        for attempt in 1..=self.retry.max_attempts.max(1) {
+        for attempt in 1..=retry.max_attempts.max(1) {
             if attempt > 1 {
                 self.metrics.rpc_retries += 1;
                 self.tel.rpc_retries.inc();
                 self.metrics.rpc_latency_ms_total +=
-                    self.retry.backoff(seq, attempt - 1).as_millis().max(0) as u64;
+                    retry.backoff(seq, attempt - 1).as_millis().max(0) as u64;
             }
             self.metrics.rpc_attempts += 1;
             self.tel.rpc_attempts.inc();
@@ -778,10 +790,10 @@ impl Federation {
 
     /// Move the fully-unstarted job `job` from cell `src` to cell `dst`,
     /// bypassing admission: journal and take it out of `src`, journal and
-    /// submit it to `dst`, record the migration in the manifest, re-home
-    /// the fleet maps, and mark `dst` dirty. Returns whether the job
-    /// moved; `false` when `src` no longer holds it unstarted (raced with
-    /// a lifecycle change — it is left where it is).
+    /// submit it to `dst`, re-home the fleet maps, and mark `dst` dirty.
+    /// Returns whether the job moved; `false` when `src` no longer holds
+    /// it unstarted (raced with a lifecycle change — it is left where it
+    /// is).
     fn move_job(&mut self, job: JobId, src: usize, dst: usize, now: SimTime) -> bool {
         self.journal_cell(src, &ManagerEvent::TakeUnstartedJob { job });
         let Ok(owned) = self.cells[src].rm.take_unstarted_job(job) else {
@@ -789,7 +801,7 @@ impl Federation {
         };
         let tasks: Vec<TaskId> = owned.tasks().map(|t| t.id).collect();
         if let Some(j) = self.journal.as_mut() {
-            j.cell_event(
+            j.append(
                 dst,
                 &ManagerEvent::Submit {
                     job: owned.clone(),
@@ -799,9 +811,6 @@ impl Federation {
         }
         match self.cells[dst].rm.submit(owned, now) {
             Ok(_) => {
-                if let Some(j) = self.journal.as_mut() {
-                    j.migrated(job, src, dst);
-                }
                 self.job_cell.insert(job, dst);
                 for t in tasks {
                     self.task_cell.insert(t, dst);
@@ -886,7 +895,7 @@ impl Federation {
                 // solve mutates the cell.
                 for (i, c) in self.cells.iter().enumerate() {
                     if c.dirty {
-                        j.cell_event(i, &round);
+                        j.append(i, &round);
                     }
                 }
             }
@@ -981,7 +990,7 @@ impl Federation {
                 .filter(|&i| i != src && self.health[i].routable())
                 .collect();
             dests.sort_by(|&a, &b| loads[a].total_cmp(&loads[b]).then(a.cmp(&b)));
-            for &d in dests.iter().take(self.rebalance.probe_fanout.max(1)) {
+            for &d in dests.iter().take(PROBE_FANOUT) {
                 self.metrics.migration_probes += 1;
                 self.tel.migration_probes.inc();
                 if self.cells[d].rm.probe_admission(&job, now).is_err() {
@@ -1143,9 +1152,6 @@ impl ResourceManager for Federation {
                 let spilled = spilled && !rerouted;
                 match out {
                     Ok(out) => {
-                        if let Some(j) = self.journal.as_mut() {
-                            j.routed(job_id, target, spilled);
-                        }
                         for ab in &out.shed {
                             self.forget(ab);
                         }

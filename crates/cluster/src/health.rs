@@ -40,7 +40,7 @@ pub enum HealthState {
 
 /// Circuit-breaker thresholds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthConfig {
+pub(crate) struct HealthConfig {
     /// Consecutive ambiguous failures (drops/timeouts) before `Up`
     /// degrades to `Suspect`.
     pub suspect_after: u32,
@@ -70,7 +70,7 @@ pub struct CellHealth {
 
 impl CellHealth {
     /// A healthy cell at time zero.
-    pub fn new(cfg: HealthConfig) -> Self {
+    pub(crate) fn new(cfg: HealthConfig) -> Self {
         CellHealth {
             cfg,
             state: HealthState::Up,

@@ -58,11 +58,11 @@ pub use chaos::{
     simulate_cluster_chaos_durable_telemetry, simulate_cluster_chaos_telemetry, ChaosConfig,
     ChaosRun, ChaosSimConfig,
 };
-pub use durable::{recover_cell, simulate_cluster_durable, DurableFederation, FedJournal};
-pub use endpoint::{CellEndpoint, InProcEndpoint, RetryPolicy, RpcError};
+pub use durable::{recover_cell, simulate_cluster_durable, DurableFederation};
+pub use endpoint::{CellEndpoint, InProcEndpoint, RpcError};
 pub use federation::{
     simulate_cluster, simulate_cluster_detailed, ClusterConfig, ClusterSimConfig, Federation,
 };
-pub use health::{CellHealth, HealthConfig, HealthState};
+pub use health::{CellHealth, HealthState};
 pub use metrics::ClusterMetrics;
 pub use rebalance::RebalanceConfig;

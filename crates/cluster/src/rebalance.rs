@@ -15,16 +15,16 @@
 pub struct RebalanceConfig {
     /// Most jobs migrated per scheduling round; 0 disables rebalancing.
     pub max_migrations_per_round: usize,
-    /// How many destination cells (least-loaded first) each candidate's
-    /// migration probes before giving up.
-    pub probe_fanout: usize,
 }
+
+/// How many destination cells (least-loaded first) each candidate's
+/// migration probes before giving up.
+pub(crate) const PROBE_FANOUT: usize = 2;
 
 impl Default for RebalanceConfig {
     fn default() -> Self {
         RebalanceConfig {
             max_migrations_per_round: 4,
-            probe_fanout: 2,
         }
     }
 }

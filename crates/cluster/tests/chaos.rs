@@ -6,7 +6,7 @@
 
 use cluster::{
     simulate_cluster, simulate_cluster_chaos, simulate_cluster_chaos_durable, ChaosConfig,
-    ChaosSimConfig, ClusterConfig, ClusterSimConfig, HealthConfig, RebalanceConfig, RetryPolicy,
+    ChaosSimConfig, ClusterConfig, ClusterSimConfig, RebalanceConfig,
 };
 use desim::SimTime;
 use durability::{scratch_dir, DurabilityConfig, StoreConfig, WalConfig};
@@ -43,8 +43,6 @@ fn chaos_cfg(cells: usize, chaos: ChaosConfig) -> ChaosSimConfig {
             },
         },
         chaos,
-        retry: RetryPolicy::default(),
-        health: HealthConfig::default(),
     }
 }
 
@@ -203,5 +201,85 @@ fn durable_federation_rehydrates_crashed_cells_from_wal() {
     assert_eq!(
         cm.rehydrate_mismatches, 0,
         "WAL replay diverged from the live fleet state"
+    );
+}
+
+/// Fault injection belongs to the cell boundary, not to the manager
+/// process: a whole-fleet crash and recovery must leave it on. With every
+/// delivery dropped, a submit issued after the recovery still exhausts its
+/// retries and escalates — before the boundary moved into the rebuilt
+/// fleet, its first attempt simply landed.
+#[test]
+fn fleet_recovery_keeps_fault_injection_on() {
+    use cluster::DurableFederation;
+    use mrcp::sim_driver::ResourceManager;
+
+    let chaos = ChaosConfig {
+        drop_prob: 1.0,
+        seed: 2,
+        ..Default::default()
+    };
+    let (resources, mut jobs) = small_workload(2, 4, 5);
+    let dir = scratch_dir("chaos-fleet-recovery");
+    let mut fed = DurableFederation::new(
+        &chaos_cfg(2, chaos).base.cluster,
+        det_sim().manager,
+        resources,
+        &dir,
+        DurabilityConfig::default(),
+    );
+    fed.enable_chaos(&chaos);
+    let second = jobs.pop().unwrap();
+    let first = jobs.pop().unwrap();
+
+    let t = first.arrival;
+    fed.submit_with_admission(first, t).unwrap();
+    let before = fed.federation().cluster_metrics().clone();
+    assert!(before.rpc_retries > 0 && before.rpc_escalations > 0);
+
+    assert!(fed.crash_and_recover(t));
+    let recovered = fed.federation().cluster_metrics().clone();
+    let t = second.arrival;
+    fed.submit_with_admission(second, t).unwrap();
+    let after = fed.federation().cluster_metrics();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        after.rpc_retries > recovered.rpc_retries,
+        "no retry after the recovery: fault injection was switched off"
+    );
+    assert!(after.rpc_escalations > recovered.rpc_escalations);
+    assert_eq!(fed.jobs_in_system(), 2);
+}
+
+/// A lossy boundary and whole-fleet crashes together: the run still
+/// conserves every job and keeps the fleet invariants after every round.
+#[test]
+fn chaos_with_fleet_crashes_conserves_jobs() {
+    let chaos = ChaosConfig {
+        drop_prob: 0.2,
+        dup_prob: 0.1,
+        hang_prob: 0.05,
+        seed: 9,
+        ..Default::default()
+    };
+    let mut cfg = chaos_cfg(2, chaos);
+    cfg.base.sim.manager_crashes = mrcp::ManagerCrashConfig {
+        at_commands: vec![4, 15, 40, 90],
+        ..Default::default()
+    };
+    let (resources, jobs) = small_workload(30, 4, 23);
+    let dir = scratch_dir("chaos-fleet-crashes");
+    let durability = DurabilityConfig::power_loss(StoreConfig {
+        snapshot_every: 16,
+        wal: WalConfig { sync_every: 2 },
+    });
+    let run = simulate_cluster_chaos_durable(&cfg, &resources, jobs, &dir, durability);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_conserved(&run);
+    assert!(run.metrics.manager_crashes > 0, "the crash schedule fired");
+    let cm = run.federation.cluster_metrics();
+    assert!(
+        cm.rpc_drops > 0 && cm.rpc_retries > 0,
+        "the boundary stayed lossy to the end of the run"
     );
 }

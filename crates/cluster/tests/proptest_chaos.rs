@@ -6,7 +6,7 @@
 
 use cluster::{
     simulate_cluster, simulate_cluster_chaos, ChaosConfig, ChaosSimConfig, ClusterConfig,
-    ClusterSimConfig, HealthConfig, RebalanceConfig, RetryPolicy,
+    ClusterSimConfig, RebalanceConfig,
 };
 use desim::SimTime;
 use mrcp::{MrcpConfig, SimConfig, SolveBudget};
@@ -43,8 +43,6 @@ fn chaos_cfg(cells: usize, chaos: ChaosConfig) -> ChaosSimConfig {
             },
         },
         chaos,
-        retry: RetryPolicy::default(),
-        health: HealthConfig::default(),
     }
 }
 

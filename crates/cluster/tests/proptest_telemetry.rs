@@ -8,7 +8,7 @@
 use cluster::{
     simulate_cluster_chaos, simulate_cluster_chaos_durable,
     simulate_cluster_chaos_durable_telemetry, simulate_cluster_chaos_telemetry, ChaosConfig,
-    ChaosSimConfig, ClusterConfig, ClusterSimConfig, HealthConfig, RebalanceConfig, RetryPolicy,
+    ChaosSimConfig, ClusterConfig, ClusterSimConfig, RebalanceConfig,
 };
 use desim::SimTime;
 use durability::{scratch_dir, DurabilityConfig, StoreConfig, WalConfig};
@@ -47,8 +47,6 @@ fn chaos_cfg(cells: usize, chaos: ChaosConfig) -> ChaosSimConfig {
             },
         },
         chaos,
-        retry: RetryPolicy::default(),
-        health: HealthConfig::default(),
     }
 }
 

@@ -7,12 +7,16 @@
 
 use cluster::{
     recover_cell, simulate_cluster, simulate_cluster_durable, ClusterConfig, ClusterSimConfig,
-    DurableFederation, RebalanceConfig,
+    DurableFederation, Federation, RebalanceConfig,
 };
 use desim::SimTime;
-use durability::{scratch_dir, DurabilityConfig, StoreConfig, WalConfig};
+use durability::codec::Dec;
+use durability::{
+    apply_surface, indexed_event, scratch_dir, DurabilityConfig, DurableRm, ManagerEvent,
+    StoreConfig, Wal, WalConfig,
+};
 use mrcp::sim_driver::ResourceManager;
-use mrcp::{ManagerCrashConfig, ManagerImage, MrcpConfig, SimConfig, SolveBudget};
+use mrcp::{ManagerCrashConfig, ManagerImage, MrcpConfig, MrcpRm, SimConfig, SolveBudget};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -160,7 +164,6 @@ fn a_batch_and_a_round_are_two_records_in_each_touched_cell_wal() {
         cells: 2,
         rebalance: RebalanceConfig {
             max_migrations_per_round: 0,
-            ..RebalanceConfig::default()
         },
     };
     let mgr_cfg = det_sim().manager;
@@ -288,4 +291,227 @@ fn batched_crashed_run_matches_batched_crash_free_run() {
     let cm = fed.federation().cluster_metrics();
     assert_eq!(base_cm.jobs_routed, cm.jobs_routed);
     assert_eq!(base_cm.spills, cm.spills);
+}
+
+/// What the shared script needs from a manager, durable or not.
+trait Shell: ResourceManager {
+    fn images(&self) -> Vec<ManagerImage>;
+    fn attach(&mut self, _tel: &telemetry::Telemetry) {}
+}
+
+impl Shell for MrcpRm {
+    fn images(&self) -> Vec<ManagerImage> {
+        vec![canonical(self.image())]
+    }
+}
+
+impl Shell for DurableRm {
+    fn images(&self) -> Vec<ManagerImage> {
+        self.inner().images()
+    }
+    fn attach(&mut self, tel: &telemetry::Telemetry) {
+        self.set_telemetry(tel);
+    }
+}
+
+impl Shell for Federation {
+    fn images(&self) -> Vec<ManagerImage> {
+        let cells = self.cells().iter();
+        cells.map(|c| canonical(c.rm.image())).collect()
+    }
+}
+
+impl Shell for DurableFederation {
+    fn images(&self) -> Vec<ManagerImage> {
+        self.federation().images()
+    }
+    fn attach(&mut self, tel: &telemetry::Telemetry) {
+        self.set_telemetry(tel);
+    }
+}
+
+fn two_task_job(id: u32) -> Job {
+    let t = |tid: u32, kind| workload::Task {
+        id: workload::TaskId(tid),
+        job: workload::JobId(id),
+        kind,
+        exec_time: SimTime::from_millis(2_000),
+        req: 1,
+    };
+    Job {
+        id: workload::JobId(id),
+        arrival: SimTime::ZERO,
+        earliest_start: SimTime::ZERO,
+        deadline: SimTime::from_millis(120_000),
+        map_tasks: vec![t(id * 10, workload::TaskKind::Map)],
+        reduce_tasks: vec![t(id * 10 + 1, workload::TaskKind::Reduce)],
+        precedences: vec![],
+    }
+}
+
+/// Drive `plain` and `durable` through one lifecycle, killing and
+/// recovering `durable` after every single command (`sync_every = 2`
+/// leaves an unsynced tail to lose each time, `snapshot_every = 3` puts
+/// checkpoints between the crashes). Every recovery must write exactly
+/// one snapshot, and the crash-riddled state must end equal to the plain
+/// run's.
+fn crash_after_every_command(mut plain: impl Shell, mut durable: impl Shell) {
+    let tel = telemetry::Telemetry::new();
+    durable.attach(&tel);
+    let snapshots = tel.registry.counter("durability_snapshots_total", &[]);
+    let mut crashes = 0;
+    let mut crash = |durable: &mut dyn ResourceManager| {
+        let before = snapshots.get();
+        assert!(durable.crash_and_recover(SimTime::ZERO));
+        assert_eq!(snapshots.get(), before + 1, "one snapshot per recovery");
+        crashes += 1;
+    };
+    let t3 = SimTime::from_millis(3);
+    for ev in [
+        ManagerEvent::SubmitWithAdmission {
+            job: two_task_job(1),
+            now: SimTime::ZERO,
+        },
+        ManagerEvent::SubmitWithAdmission {
+            job: two_task_job(2),
+            now: t3,
+        },
+    ] {
+        apply_surface(&mut plain, &ev);
+        apply_surface(&mut durable, &ev);
+        crash(&mut durable);
+    }
+    let plan = plain.reschedule(t3);
+    assert_eq!(plan, durable.reschedule(t3));
+    crash(&mut durable);
+    // Continue the lifecycle at the exact start the plan assigned.
+    let task = workload::TaskId(10);
+    let entry = plan
+        .iter()
+        .find(|e| e.task == task)
+        .expect("map task of job 1 is planned");
+    for ev in [
+        ManagerEvent::TaskStarted {
+            task,
+            now: entry.start,
+        },
+        ManagerEvent::TaskCompleted {
+            task,
+            now: entry.end,
+        },
+        ManagerEvent::Reschedule { now: entry.end },
+    ] {
+        apply_surface(&mut plain, &ev);
+        apply_surface(&mut durable, &ev);
+        crash(&mut durable);
+    }
+    assert_eq!(crashes, 6);
+    assert_eq!(
+        plain.images(),
+        durable.images(),
+        "crash-riddled durable state must match the plain run"
+    );
+}
+
+/// The shared write-ahead/recover core, exercised through each shell by
+/// the same inputs: the single manager, a one-cell fleet and a two-cell
+/// fleet, with and without losing the unsynced tail.
+#[test]
+fn crash_between_every_command_matches_crash_free_run() {
+    let resources = homogeneous_cluster(4, 2, 2);
+    let mgr = MrcpConfig::default();
+    for lose in [true, false] {
+        let d = DurabilityConfig {
+            store: StoreConfig {
+                snapshot_every: 3,
+                wal: WalConfig { sync_every: 2 },
+            },
+            lose_unsynced_on_crash: lose,
+        };
+        let dir = scratch_dir("everystep");
+        crash_after_every_command(
+            MrcpRm::new(mgr, resources.clone()),
+            DurableRm::new(mgr, resources.clone(), &dir, d),
+        );
+        for cells in [1, 2] {
+            let ccfg = cluster_cfg(cells).cluster;
+            crash_after_every_command(
+                Federation::new(&ccfg, mgr, resources.clone()),
+                DurableFederation::new(&ccfg, mgr, resources.clone(), &dir, d),
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Every log has one record format. After a run with a migration,
+/// `manifest.log` decodes record by record with `indexed_event` to the
+/// surface commands since the snapshot's base and nothing else; where the
+/// job went and that it moved is read off the cell logs, which *are* the
+/// post-routing stream.
+#[test]
+fn manifest_holds_indexed_surface_commands_and_nothing_else() {
+    let resources = homogeneous_cluster(2, 1, 1);
+    let rid0 = resources[0].id;
+    let dir = scratch_dir("manifest-format");
+    let d = DurabilityConfig::power_loss(StoreConfig {
+        snapshot_every: 3,
+        wal: WalConfig::default(),
+    });
+    let mut fed = DurableFederation::new(
+        &cluster_cfg(2).cluster,
+        MrcpConfig::default(),
+        resources,
+        &dir,
+        d,
+    );
+    let mut job = two_task_job(1);
+    job.deadline = SimTime::from_millis(400_000);
+    let id = job.id;
+    fed.submit_with_admission(job, SimTime::ZERO).unwrap();
+    fed.reschedule(SimTime::ZERO);
+    // Cell 0's only resource goes down before anything starts; the third
+    // command triggers a checkpoint, so the manifest restarts at base 3.
+    let t = SimTime::from_millis(1_000);
+    fed.resource_down(rid0, t).unwrap();
+    fed.reschedule(t);
+    fed.activate_due(t);
+    assert_eq!(fed.federation().cluster_metrics().migrations, 1);
+
+    let decoded = |name: &str| -> Vec<(u64, ManagerEvent)> {
+        let (_, records) = Wal::recover(&dir.join(name), d.store.wal).unwrap();
+        let decode = |r: &Vec<u8>| {
+            let mut dec = Dec::new(r);
+            let rec = indexed_event(&mut dec).expect("an indexed event");
+            dec.expect_end().expect("and nothing after it");
+            rec
+        };
+        records.iter().map(decode).collect()
+    };
+    assert_eq!(
+        decoded("manifest.log"),
+        vec![
+            (3, ManagerEvent::Reschedule { now: t }),
+            (4, ManagerEvent::ActivateDue { now: t }),
+        ]
+    );
+    // Where the job went and that it moved: the cell logs. Their indices
+    // continue across the checkpoint.
+    let src = decoded("cell-0.wal");
+    assert!(
+        src.iter()
+            .any(|(_, ev)| matches!(ev, ManagerEvent::TakeUnstartedJob { job } if *job == id)),
+        "cell 0's log records the job leaving"
+    );
+    assert!(
+        src[0].0 > 0,
+        "cell-log indices continue across a checkpoint"
+    );
+    let dst = decoded("cell-1.wal");
+    assert!(
+        dst.iter()
+            .any(|(_, ev)| matches!(ev, ManagerEvent::Submit { job, .. } if job.id == id)),
+        "cell 1's log records the job arriving"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

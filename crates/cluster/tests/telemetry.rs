@@ -6,8 +6,8 @@
 
 use cluster::{
     simulate_cluster_chaos_durable_telemetry, simulate_cluster_chaos_telemetry, ChaosConfig,
-    ChaosSimConfig, ClusterConfig, ClusterSimConfig, DurableFederation, HealthConfig, HealthState,
-    RebalanceConfig, RetryPolicy,
+    ChaosSimConfig, ClusterConfig, ClusterSimConfig, DurableFederation, HealthState,
+    RebalanceConfig,
 };
 use desim::SimTime;
 use durability::{scratch_dir, DurabilityConfig, StoreConfig, WalConfig};
@@ -43,8 +43,6 @@ fn chaos_cfg(cells: usize, chaos: ChaosConfig) -> ChaosSimConfig {
             },
         },
         chaos,
-        retry: RetryPolicy::default(),
-        health: HealthConfig::default(),
     }
 }
 

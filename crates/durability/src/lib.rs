@@ -19,16 +19,17 @@
 //! * [`snapshot`] — atomic (`tmp` + rename) snapshot blobs of
 //!   [`mrcp::ManagerImage`], so recovery is snapshot + *bounded* replay
 //!   rather than full-history replay.
-//! * [`store`] — [`ManagerStore`]: one directory per manager holding the
-//!   current snapshot and the command WAL, with global command indices
-//!   tying the two together.
+//! * [`store`] — the store every durable manager shares: [`EventLog`]
+//!   (the one indexed record format of every log), and [`DurableCore`],
+//!   the write-ahead order and the recovery routine written once over
+//!   the [`Recoverable`] trait.
 //! * [`durable_rm`] — [`DurableRm`]: the drop-in [`ResourceManager`]
 //!   whose [`crash_and_recover`](mrcp::sim_driver::ResourceManager::crash_and_recover)
 //!   actually recovers (the driver's manager-crash fault knob,
 //!   [`mrcp::ManagerCrashConfig`], calls it mid-run).
 //!
-//! The federation-level layer (per-cell WALs + the routing/rebalance
-//! manifest) lives in `crates/cluster` next to the state it persists.
+//! The federation's [`Recoverable`] impl (fleet image, per-cell logs)
+//! lives in `crates/cluster` next to the state it persists.
 //!
 //! Why recovery is *bit-exact*: [`MrcpRm`] is deterministic for a fixed
 //! configuration (single portfolio worker, no wall-clock budgets), so
@@ -52,9 +53,12 @@ pub mod snapshot;
 pub mod store;
 pub mod wal;
 
-pub use durable_rm::{DurTel, DurabilityConfig, DurableRm};
+pub use durable_rm::DurableRm;
 pub use event::{apply, apply_surface, ManagerEvent, Reply};
-pub use store::{indexed_event, replay_indexed, ManagerStore, StoreConfig};
+pub use store::{
+    indexed_event, replay_indexed, DurabilityConfig, DurableCore, EventLog, Recoverable,
+    StoreConfig,
+};
 pub use wal::{Wal, WalConfig};
 
 use mrcp::manager::MrcpConfig;

@@ -1,34 +1,40 @@
-//! The per-manager durable store: one directory holding the current
-//! snapshot (`snapshot.bin`) and the command WAL (`wal.log`).
+//! The durable store every durable manager shares: one directory holding
+//! the current snapshot (`snapshot.bin`) and one or more indexed event
+//! logs, plus the write-ahead/recover routine that ties them together.
 //!
-//! Every WAL record payload is `[cmd_idx u64][encoded ManagerEvent]`.
-//! Command indices are global and monotonic across the manager's life;
-//! the snapshot records the index it was taken at (`base_idx`), so
-//! recovery is: restore the snapshot image, then replay only WAL records
-//! with `idx >= base_idx` in contiguous order. Records below the base
-//! (possible when a crash lands between snapshot rename and WAL reset)
-//! are skipped; a gap or out-of-order index means the log's tail cannot
-//! be trusted and replay stops there — never a panic.
+//! Every log — a single manager's `wal.log`, a fleet's `manifest.log`,
+//! each fleet cell's `cell-<i>.wal` — is an [`EventLog`]: records of
+//! `[idx u64][encoded ManagerEvent]` over a [`Wal`]. Indices are
+//! monotonic across the log's life; the snapshot records the index it was
+//! taken at, so recovery is: restore the snapshot image, then replay only
+//! records with `idx >= base` in contiguous order ([`replay_indexed`]).
+//! Records below the base (possible when a crash lands between snapshot
+//! rename and log reset) are skipped; a gap or out-of-order index means
+//! the log's tail cannot be trusted and replay stops there — never a
+//! panic.
+//!
+//! [`DurableCore`] is the one place the write-ahead order
+//! ([`DurableCore::logged`]) and the recovery routine
+//! ([`DurableCore::crash_and_recover`]) are written; a manager plugs in
+//! through [`Recoverable`].
 
 use crate::codec::{Dec, DecodeError, Enc};
-use crate::event::{apply, ManagerEvent};
-use crate::snapshot::{decode_manager_snapshot, encode_manager_snapshot, read_blob, write_blob};
+use crate::event::ManagerEvent;
+use crate::snapshot::{read_blob, write_blob};
 use crate::wal::{Wal, WalConfig};
-use mrcp::manager::{ManagerError, MrcpConfig};
-use mrcp::MrcpRm;
+use desim::SimTime;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
-use workload::Resource;
+use std::time::{Duration, Instant};
 
-/// Instruments for the store's write path (DESIGN.md §5k). Disabled by
-/// default; [`ManagerStore::set_telemetry`] swaps in live cells.
-#[derive(Debug)]
-struct StoreTel {
+/// Write-path instruments (DESIGN.md §5k), the same `durability_*` names
+/// whichever layer runs durable. Disabled by default.
+#[derive(Debug, Clone)]
+struct WalTel {
     bus: telemetry::EventBus,
-    /// `durability_wal_append_us` — wall latency of one WAL append.
+    /// `durability_wal_append_us` — wall latency of one log append.
     wal_append_us: telemetry::Histogram,
-    /// `durability_wal_appends_total` — commands written ahead.
+    /// `durability_wal_appends_total` — records written ahead, all logs.
     wal_appends: telemetry::Counter,
     /// `durability_snapshots_total` — checkpoints taken.
     snapshots: telemetry::Counter,
@@ -38,10 +44,10 @@ struct StoreTel {
     wal_records: telemetry::Gauge,
 }
 
-impl StoreTel {
-    fn new(tel: &telemetry::Telemetry) -> StoreTel {
+impl WalTel {
+    fn new(tel: &telemetry::Telemetry) -> WalTel {
         let reg = &tel.registry;
-        StoreTel {
+        WalTel {
             bus: tel.bus.clone(),
             wal_append_us: reg.histogram(
                 "durability_wal_append_us",
@@ -55,16 +61,34 @@ impl StoreTel {
     }
 }
 
-impl Default for StoreTel {
-    fn default() -> StoreTel {
-        StoreTel::new(&telemetry::Telemetry::disabled())
+/// Recovery-path instruments (DESIGN.md §5k): a whole-manager recovery
+/// reads the same whether one manager or a fleet came back.
+#[derive(Debug)]
+struct DurTel {
+    /// `durability_recoveries_total` — crash/recover cycles survived.
+    recoveries: telemetry::Counter,
+    /// `durability_replayed_total` — logged commands replayed across all
+    /// recoveries (re-deliveries not included).
+    replayed: telemetry::Counter,
+    /// `durability_recovery_us` — wall latency of one full recovery.
+    recovery_us: telemetry::Histogram,
+}
+
+impl DurTel {
+    fn new(tel: &telemetry::Telemetry) -> DurTel {
+        let reg = &tel.registry;
+        DurTel {
+            recoveries: reg.counter("durability_recoveries_total", &[]),
+            replayed: reg.counter("durability_replayed_total", &[]),
+            recovery_us: reg.histogram("durability_recovery_us", &[], telemetry::LATENCY_US_BOUNDS),
+        }
     }
 }
 
 /// Store knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreConfig {
-    /// Take a fresh snapshot (and reset the WAL) once this many commands
+    /// Take a fresh snapshot (and reset the logs) once this many commands
     /// have accumulated since the last one — the bound on replay length.
     pub snapshot_every: u64,
     /// WAL framing/sync knobs.
@@ -80,47 +104,115 @@ impl Default for StoreConfig {
     }
 }
 
-/// An open durable store for one [`MrcpRm`].
+/// Durability knobs for a durable manager.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DurabilityConfig {
+    /// Snapshot cadence and WAL sync batching.
+    pub store: StoreConfig,
+    /// Crash semantics: `true` (default) models power loss — unsynced
+    /// log bytes are lost and the affected commands must be re-delivered;
+    /// `false` models a process-only crash where the page cache survives.
+    pub lose_unsynced_on_crash: bool,
+}
+
+impl DurabilityConfig {
+    /// Power-loss semantics (the default) over the given store knobs.
+    pub fn power_loss(store: StoreConfig) -> Self {
+        DurabilityConfig {
+            store,
+            lose_unsynced_on_crash: true,
+        }
+    }
+}
+
+impl Default for DurabilityConfig {
+    fn default() -> Self {
+        DurabilityConfig::power_loss(StoreConfig::default())
+    }
+}
+
+/// An indexed event log: `[idx u64][encoded ManagerEvent]` records over a
+/// [`Wal`], stamped with consecutive indices that continue across
+/// [`reset`](Self::reset)s.
 #[derive(Debug)]
-pub struct ManagerStore {
-    dir: PathBuf,
-    cfg: StoreConfig,
+pub struct EventLog {
     wal: Wal,
-    /// Command index the current snapshot was taken at.
-    base_idx: u64,
-    tel: StoreTel,
-    /// Simulated time of the last timed command appended, used to stamp
-    /// checkpoint events (the store itself has no clock).
-    last_at_ms: i64,
+    cfg: WalConfig,
+    /// Index the next appended record will carry.
+    next: u64,
+    tel: WalTel,
 }
 
-/// Decode one `[idx u64][encoded ManagerEvent]` record — the format of
-/// this store's WAL and of every federation cell WAL — for
-/// [`replay_indexed`].
-pub fn indexed_event(d: &mut Dec<'_>) -> Result<Option<(u64, ManagerEvent)>, DecodeError> {
-    Ok(Some((d.u64()?, ManagerEvent::decode(d)?)))
+impl EventLog {
+    /// Create a fresh, empty log at `path` (truncating any existing file)
+    /// whose first record will carry index `next`.
+    pub fn create(path: &Path, cfg: WalConfig, next: u64) -> io::Result<EventLog> {
+        Ok(EventLog {
+            wal: Wal::create(path, cfg)?,
+            cfg,
+            next,
+            tel: WalTel::new(&telemetry::Telemetry::disabled()),
+        })
+    }
+
+    /// The index the next [`append`](Self::append) will stamp.
+    pub fn next_idx(&self) -> u64 {
+        self.next
+    }
+
+    /// Append one event (write-ahead: call this *before* applying it).
+    pub fn append(&mut self, ev: &ManagerEvent) -> io::Result<()> {
+        let mut e = Enc::new();
+        e.u64(self.next);
+        ev.encode(&mut e);
+        let t0 = Instant::now();
+        let out = self.wal.append(&e.finish());
+        self.tel
+            .wal_append_us
+            .record(t0.elapsed().as_micros() as u64);
+        self.tel.wal_appends.inc();
+        self.next += 1;
+        out
+    }
+
+    /// Start the file over empty after a checkpoint; indices continue.
+    pub fn reset(&mut self) -> io::Result<()> {
+        self.wal = Wal::create(self.wal.path(), self.cfg)?;
+        Ok(())
+    }
+
+    /// Simulate power loss on the log's file: drop every byte past the
+    /// last sync.
+    pub fn drop_unsynced(&self) -> io::Result<()> {
+        Wal::drop_unsynced(self.wal.path(), self.wal.synced_len())
+    }
 }
 
-/// Replay the trustworthy prefix of an indexed command log. `decode`
-/// reads one record (`Ok(None)`: a well-formed record that is not replay
-/// input); commands indexed below `next` predate the snapshot and are
-/// skipped; each contiguous command is handed to `apply`. Replay stops —
-/// never panics — at the first undecodable record, record with trailing
-/// bytes, or index gap, because past any of those the tail cannot be
-/// trusted. Returns the index after the last command applied.
+/// Decode one `[idx u64][encoded ManagerEvent]` record of an
+/// [`EventLog`].
+pub fn indexed_event(d: &mut Dec<'_>) -> Result<(u64, ManagerEvent), DecodeError> {
+    Ok((d.u64()?, ManagerEvent::decode(d)?))
+}
+
+/// Replay the trustworthy prefix of an [`EventLog`]'s surviving records.
+/// Events indexed below `next` predate the snapshot and are skipped; each
+/// contiguous event is handed to `apply`. Replay stops — never panics —
+/// at the first undecodable record, record with trailing bytes, or index
+/// gap, because past any of those the tail cannot be trusted. Returns the
+/// index after the last event applied.
 pub fn replay_indexed(
     records: &[Vec<u8>],
     mut next: u64,
-    decode: impl Fn(&mut Dec<'_>) -> Result<Option<(u64, ManagerEvent)>, DecodeError>,
     mut apply: impl FnMut(&ManagerEvent),
 ) -> u64 {
     for payload in records {
         let mut d = Dec::new(payload);
-        let Ok(rec) = decode(&mut d) else { break };
+        let Ok((idx, ev)) = indexed_event(&mut d) else {
+            break;
+        };
         if d.expect_end().is_err() {
             break;
         }
-        let Some((idx, ev)) = rec else { continue };
         if idx < next {
             continue;
         }
@@ -133,86 +225,209 @@ pub fn replay_indexed(
     next
 }
 
-fn snapshot_path(dir: &Path) -> PathBuf {
+/// Path of the snapshot blob inside a store directory.
+pub fn snapshot_path(dir: &Path) -> PathBuf {
     dir.join("snapshot.bin")
 }
 
-fn wal_path(dir: &Path) -> PathBuf {
-    dir.join("wal.log")
+pub(crate) fn invalid(e: impl std::fmt::Display) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
 
-impl ManagerStore {
-    /// Initialise a store at `dir` (created if missing) with a snapshot
-    /// of the manager's current state as command index 0.
-    pub fn create(dir: &Path, cfg: StoreConfig, rm: &MrcpRm) -> io::Result<ManagerStore> {
-        std::fs::create_dir_all(dir)?;
-        write_blob(
-            &snapshot_path(dir),
-            &encode_manager_snapshot(0, &rm.image()),
-        )?;
-        let wal = Wal::create(&wal_path(dir), cfg.wal)?;
-        Ok(ManagerStore {
+/// What [`DurableCore`] needs from the manager it makes durable.
+pub trait Recoverable: Sized {
+    /// Construction inputs a restarted process re-reads (static
+    /// configuration, never state).
+    type Setup;
+    /// File name of the command log inside the store directory.
+    const LOG_NAME: &'static str;
+
+    /// Append everything mutable about the manager, as plain data, to a
+    /// snapshot payload.
+    fn encode_state(&self, e: &mut Enc);
+
+    /// Rebuild a manager from `setup` plus a payload
+    /// [`encode_state`](Self::encode_state) wrote. A manager with logs of
+    /// its own reopens them empty under `dir` at the positions the
+    /// payload recorded.
+    fn restore(
+        setup: &Self::Setup,
+        d: &mut Dec<'_>,
+        dir: &Path,
+        cfg: StoreConfig,
+    ) -> io::Result<Self>;
+
+    /// Re-execute one logged command exactly as the live call did,
+    /// appending to no log.
+    fn replay(&mut self, ev: &ManagerEvent);
+
+    /// The logs the manager appends to itself, beside the command log
+    /// the core owns; they lose their unsynced tail and are reset with it.
+    fn own_logs(&mut self) -> &mut [EventLog] {
+        &mut []
+    }
+
+    /// The rebuilt manager goes live in place of `dead`: take over
+    /// whatever outlives a process restart.
+    fn take_over(&mut self, dead: Self) {
+        drop(dead);
+    }
+
+    /// Attach live instruments to the manager (not to its logs).
+    fn attach_telemetry(&mut self, tel: &telemetry::Telemetry);
+}
+
+/// A manager with a command log and snapshots underneath: the write-ahead
+/// order and the recovery routine, written once.
+///
+/// Store I/O errors are fail-stop: a durability layer that silently drops
+/// log records is worse than none, so a failed append, snapshot or
+/// recovery panics with a clear message rather than continuing with a log
+/// that no longer matches the state (DESIGN.md §5g).
+#[derive(Debug)]
+pub struct DurableCore<M: Recoverable> {
+    m: M,
+    setup: M::Setup,
+    dir: PathBuf,
+    cfg: DurabilityConfig,
+    /// The command log; its records since the snapshot are
+    /// `redelivery.len()`.
+    log: EventLog,
+    /// Every command since the last checkpoint — the stand-in for clients
+    /// that retry commands the manager never acknowledged. Entry `i`
+    /// carries index `log.next_idx() - redelivery.len() + i`; recovery
+    /// never reads below the snapshot's base, so a checkpoint empties it.
+    redelivery: Vec<ManagerEvent>,
+    crashes: u64,
+    replayed: u64,
+    recovery_time: Duration,
+    /// Simulated time of the last timed command logged, used to stamp
+    /// checkpoint events (the store itself has no clock).
+    last_at_ms: i64,
+    tel: WalTel,
+    rec_tel: DurTel,
+    /// The handle to re-attach the rebuilt manager and logs with after
+    /// each recovery (replay itself runs with instruments detached so
+    /// live counters are not double-counted).
+    base_tel: telemetry::Telemetry,
+}
+
+impl<M: Recoverable> DurableCore<M> {
+    /// Wrap `m` over a fresh store rooted at `dir` (created if missing):
+    /// a snapshot of `m` as command index 0 and an empty command log.
+    pub fn create(m: M, setup: M::Setup, dir: &Path, cfg: DurabilityConfig) -> DurableCore<M> {
+        let disabled = telemetry::Telemetry::disabled();
+        let log = std::fs::create_dir_all(dir)
+            .and_then(|()| EventLog::create(&dir.join(M::LOG_NAME), cfg.store.wal, 0))
+            .unwrap_or_else(|e| panic!("durability: cannot create store at {dir:?}: {e}"));
+        let core = DurableCore {
+            m,
+            setup,
             dir: dir.to_path_buf(),
             cfg,
-            wal,
-            base_idx: 0,
-            tel: StoreTel::default(),
+            log,
+            redelivery: Vec::new(),
+            crashes: 0,
+            replayed: 0,
+            recovery_time: Duration::ZERO,
             last_at_ms: 0,
-        })
+            tel: WalTel::new(&disabled),
+            rec_tel: DurTel::new(&disabled),
+            base_tel: disabled,
+        };
+        core.write_snapshot()
+            .unwrap_or_else(|e| panic!("durability: initial snapshot failed: {e}"));
+        core
     }
 
-    /// Attach live instruments (WAL append latency, checkpoint counter,
-    /// replay-bound gauge). Telemetry is strictly observational; the
-    /// store's on-disk format and behavior are unchanged.
+    /// Attach live instruments to the wrapped manager, every log and the
+    /// recovery path (DESIGN.md §5k). The attachment survives
+    /// checkpoints and recoveries, and counters stay cumulative because
+    /// the registry hands back the same cells for the same keys.
     pub fn set_telemetry(&mut self, tel: &telemetry::Telemetry) {
-        self.tel = StoreTel::new(tel);
-        self.tel.wal_records.set(self.wal.records() as i64);
+        self.base_tel = tel.clone();
+        self.tel = WalTel::new(tel);
+        self.rec_tel = DurTel::new(tel);
+        self.tel.wal_records.set(self.redelivery.len() as i64);
+        self.attach_telemetry();
     }
 
-    /// The command index the next [`append`](Self::append) will be
-    /// stamped with.
-    pub fn next_idx(&self) -> u64 {
-        self.base_idx + self.wal.records()
+    fn attach_telemetry(&mut self) {
+        self.m.attach_telemetry(&self.base_tel);
+        self.log.tel = self.tel.clone();
+        for l in self.m.own_logs() {
+            l.tel = self.tel.clone();
+        }
     }
 
-    /// Append one command to the WAL (write-ahead: call this *before*
-    /// applying the command to the manager).
-    pub fn append(&mut self, ev: &ManagerEvent) -> io::Result<()> {
+    /// The wrapped manager.
+    pub fn inner(&self) -> &M {
+        &self.m
+    }
+
+    /// The wrapped manager, for configuration no command carries; state
+    /// changes made here bypass the log.
+    pub fn inner_mut(&mut self) -> &mut M {
+        &mut self.m
+    }
+
+    /// Unwrap the manager, detaching the durable shell.
+    pub fn into_inner(self) -> M {
+        self.m
+    }
+
+    /// Crashes survived so far.
+    pub fn crashes(&self) -> u64 {
+        self.crashes
+    }
+
+    /// Logged commands replayed across all recoveries (re-deliveries not
+    /// included) — the "bounded replay" the snapshot cadence controls.
+    pub fn replayed(&self) -> u64 {
+        self.replayed
+    }
+
+    /// Wall time spent recovering, summed over every crash.
+    pub fn recovery_time(&self) -> Duration {
+        self.recovery_time
+    }
+
+    /// The write-ahead order, in one place: log `ev`, run `call` on the
+    /// manager, checkpoint if due.
+    pub fn logged<T>(&mut self, ev: ManagerEvent, call: impl FnOnce(&mut M) -> T) -> T {
         if let Some(now) = ev.time() {
             self.last_at_ms = now.as_millis();
         }
-        let mut e = Enc::new();
-        e.u64(self.next_idx());
-        ev.encode(&mut e);
-        let t0 = Instant::now();
-        let out = self.wal.append(&e.finish());
-        self.tel
-            .wal_append_us
-            .record(t0.elapsed().as_micros() as u64);
-        self.tel.wal_appends.inc();
-        self.tel.wal_records.set(self.wal.records() as i64);
+        self.log
+            .append(&ev)
+            .unwrap_or_else(|e| panic!("durability: {} append failed: {e}", M::LOG_NAME));
+        self.redelivery.push(ev);
+        self.tel.wal_records.set(self.redelivery.len() as i64);
+        let out = call(&mut self.m);
+        if self.redelivery.len() as u64 >= self.cfg.store.snapshot_every.max(1) {
+            self.checkpoint()
+                .unwrap_or_else(|e| panic!("durability: checkpoint failed: {e}"));
+        }
         out
     }
 
-    /// Snapshot now if the WAL has grown past the configured bound.
-    /// `rm` must reflect every appended command.
-    pub fn maybe_snapshot(&mut self, rm: &MrcpRm) -> io::Result<()> {
-        if self.wal.records() >= self.cfg.snapshot_every.max(1) {
-            self.checkpoint(rm)?;
-        }
-        Ok(())
+    fn write_snapshot(&self) -> io::Result<()> {
+        let mut e = Enc::new();
+        e.u64(self.log.next_idx());
+        self.m.encode_state(&mut e);
+        write_blob(&snapshot_path(&self.dir), &e.finish())
     }
 
-    /// Force a snapshot at the current command index and reset the WAL.
-    pub fn checkpoint(&mut self, rm: &MrcpRm) -> io::Result<()> {
-        let base = self.next_idx();
-        let truncated = self.wal.records();
-        write_blob(
-            &snapshot_path(&self.dir),
-            &encode_manager_snapshot(base, &rm.image()),
-        )?;
-        self.base_idx = base;
-        self.wal = Wal::create(&wal_path(&self.dir), self.cfg.wal)?;
+    /// Snapshot the manager at the current command index, then reset
+    /// every log and the re-delivery log the snapshot now covers.
+    fn checkpoint(&mut self) -> io::Result<()> {
+        self.write_snapshot()?;
+        self.log.reset()?;
+        for l in self.m.own_logs() {
+            l.reset()?;
+        }
+        let truncated = self.redelivery.len();
+        self.redelivery.clear();
         self.tel.snapshots.inc();
         self.tel.wal_records.set(0);
         self.tel.bus.publish(telemetry::Event {
@@ -220,72 +435,90 @@ impl ManagerStore {
             kind: telemetry::EventKind::WalCheckpoint,
             cell: None,
             job: None,
-            detail: format!("base_idx {base}, {truncated} records truncated"),
+            detail: format!(
+                "base_idx {}, {truncated} records truncated",
+                self.log.next_idx()
+            ),
         });
         Ok(())
     }
 
-    /// Byte length of the WAL's durable prefix (see [`Wal::synced_len`]).
-    pub fn wal_synced_len(&self) -> u64 {
-        self.wal.synced_len()
-    }
-
-    /// Simulate power loss on the WAL file at `dir`: drop every byte past
-    /// `synced_len`. Call after dropping the open store, before
-    /// [`recover`](Self::recover).
-    pub fn simulate_power_loss(dir: &Path, synced_len: u64) -> io::Result<()> {
-        Wal::drop_unsynced(&wal_path(dir), synced_len)
-    }
-
-    /// Rebuild the manager from disk: snapshot + bounded replay of the
-    /// WAL's longest valid prefix. Returns the reopened store, the
-    /// recovered manager, and the number of commands the recovered state
-    /// reflects (commands at or past that index were lost and must be
-    /// re-delivered by the client). Finishes with a checkpoint so the
-    /// recovered state is itself durable before new commands arrive.
-    pub fn recover(
-        dir: &Path,
-        cfg: StoreConfig,
-        mgr_cfg: MrcpConfig,
-        resources: Vec<Resource>,
-    ) -> io::Result<(ManagerStore, MrcpRm, u64)> {
-        let payload = read_blob(&snapshot_path(dir))?;
-        let (base, image) = decode_manager_snapshot(&payload)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let mut rm = MrcpRm::restore(mgr_cfg, resources, image)
-            .map_err(|e: ManagerError| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let (_wal, records) = Wal::recover(&wal_path(dir), cfg.wal)?;
-        let next = replay_indexed(&records, base, indexed_event, |ev| {
-            apply(&mut rm, ev);
+    /// Simulate fail-stop process death (plus power loss when
+    /// [`DurabilityConfig::lose_unsynced_on_crash`] is set) and rebuild
+    /// the manager from disk. Always returns `true` (the
+    /// `ResourceManager::crash_and_recover` answer for "state was lost
+    /// and recovered").
+    pub fn crash_and_recover(&mut self, now: SimTime) -> bool {
+        let t0 = Instant::now();
+        let replayed = self
+            .recover()
+            .unwrap_or_else(|e| panic!("durability: recovery failed: {e}"));
+        let journaled = self.log.next_idx();
+        self.crashes += 1;
+        self.replayed += replayed;
+        let elapsed = t0.elapsed();
+        self.recovery_time += elapsed;
+        self.rec_tel.recoveries.inc();
+        self.rec_tel.replayed.add(replayed);
+        self.rec_tel.recovery_us.record(elapsed.as_micros() as u64);
+        self.tel.bus.publish(telemetry::Event {
+            at_ms: now.as_millis(),
+            kind: telemetry::EventKind::ManagerRecovery,
+            cell: None,
+            job: None,
+            detail: format!("replayed {replayed} of {journaled} journaled commands"),
         });
-        drop(_wal);
-        // Make the recovered state durable and start a clean log.
-        let mut store = ManagerStore {
-            dir: dir.to_path_buf(),
-            cfg,
-            // Placeholder; checkpoint() replaces it immediately.
-            wal: Wal::create(&wal_path(dir), cfg.wal)?,
-            base_idx: next,
-            tel: StoreTel::default(),
-            last_at_ms: 0,
-        };
-        store.checkpoint(&rm)?;
-        Ok((store, rm, next))
+        true
+    }
+
+    /// The recovery routine; returns how many logged commands it replayed.
+    fn recover(&mut self) -> io::Result<u64> {
+        // 1. Fail-stop: the in-memory manager dies. Under power-loss
+        //    semantics the unsynced tail of every log dies with it.
+        if self.cfg.lose_unsynced_on_crash {
+            self.log.drop_unsynced()?;
+            for l in self.m.own_logs() {
+                l.drop_unsynced()?;
+            }
+        }
+        // 2. Read the snapshot and 3. restore the manager from it.
+        let payload = read_blob(&snapshot_path(&self.dir))?;
+        let mut d = Dec::new(&payload);
+        let base = d.u64().map_err(invalid)?;
+        let mut m = M::restore(&self.setup, &mut d, &self.dir, self.cfg.store)?;
+        d.expect_end().map_err(invalid)?;
+        // 4. Replay the command log's surviving prefix.
+        let (_wal, records) = Wal::recover(self.log.wal.path(), self.cfg.store.wal)?;
+        let next = replay_indexed(&records, base, |ev| m.replay(ev));
+        // 5. Client re-delivery of every command the disk did not know
+        //    about — not re-logged: the checkpoint below covers them.
+        debug_assert_eq!(
+            base + self.redelivery.len() as u64,
+            self.log.next_idx(),
+            "the re-delivery log starts at the snapshot's base"
+        );
+        for ev in &self.redelivery[(next - base) as usize..] {
+            m.replay(ev);
+        }
+        let dead = std::mem::replace(&mut self.m, m);
+        self.m.take_over(dead);
+        // 6. One checkpoint makes the recovered state durable and starts
+        //    clean logs.
+        self.checkpoint()?;
+        // 7. Replay ran with instruments detached (it must not
+        //    double-count live metrics); re-attach before going live.
+        self.attach_telemetry();
+        Ok(next - base)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desim::SimTime;
+    use crate::event::apply;
+    use mrcp::manager::MrcpConfig;
+    use mrcp::MrcpRm;
     use workload::{model::homogeneous_cluster, Job, JobId, Task, TaskId, TaskKind};
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("mrcp-store-test-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn job(id: u32) -> Job {
         let t = |tid: u32, kind| Task {
@@ -306,108 +539,138 @@ mod tests {
         }
     }
 
+    fn submit(i: u32) -> ManagerEvent {
+        ManagerEvent::SubmitWithAdmission {
+            job: job(i + 1),
+            now: SimTime::from_millis(i64::from(i)),
+        }
+    }
+
+    /// A plain reference manager and a durable one over a fresh store.
+    fn pair(name: &str, cfg: DurabilityConfig) -> (MrcpRm, DurableCore<MrcpRm>) {
+        let resources = homogeneous_cluster(4, 2, 2);
+        let mgr = MrcpConfig::default();
+        let rm = MrcpRm::new(mgr, resources.clone());
+        let core = DurableCore::create(
+            MrcpRm::new(mgr, resources.clone()),
+            (mgr, resources),
+            &crate::scratch_dir(name),
+            cfg,
+        );
+        (rm, core)
+    }
+
+    fn step(plain: &mut MrcpRm, core: &mut DurableCore<MrcpRm>, ev: ManagerEvent) {
+        apply(plain, &ev);
+        core.logged(ev.clone(), |m| apply(m, &ev));
+    }
+
+    /// Replay re-runs the solver, so wall-clock stats legitimately
+    /// differ; everything else must be bit-exact.
+    fn canonical(rm: &MrcpRm) -> mrcp::ManagerImage {
+        let mut img = rm.image();
+        img.stats.total_solve = Duration::ZERO;
+        img.stats.max_round_solve = Duration::ZERO;
+        img
+    }
+
     #[test]
     fn snapshot_plus_replay_rebuilds_the_manager() {
-        let dir = tmp("replay");
-        let resources = homogeneous_cluster(4, 2, 2);
-        let cfg = MrcpConfig::default();
-        let mut rm = MrcpRm::new(cfg, resources.clone());
-        let mut store = ManagerStore::create(&dir, StoreConfig::default(), &rm).unwrap();
+        let (mut plain, mut core) = pair(
+            "replay",
+            DurabilityConfig {
+                store: StoreConfig::default(),
+                lose_unsynced_on_crash: false,
+            },
+        );
+        step(&mut plain, &mut core, submit(0));
+        step(&mut plain, &mut core, submit(1));
+        let now = SimTime::from_millis(5);
+        step(&mut plain, &mut core, ManagerEvent::Reschedule { now });
 
-        let events = vec![
-            ManagerEvent::SubmitWithAdmission {
-                job: job(1),
-                now: SimTime::ZERO,
-            },
-            ManagerEvent::SubmitWithAdmission {
-                job: job(2),
-                now: SimTime::from_millis(5),
-            },
-            ManagerEvent::Reschedule {
-                now: SimTime::from_millis(5),
-            },
-        ];
-        for ev in &events {
-            store.append(ev).unwrap();
-            apply(&mut rm, ev);
-            store.maybe_snapshot(&rm).unwrap();
-        }
-        drop(store);
-
-        let (_store, recovered, n) =
-            ManagerStore::recover(&dir, StoreConfig::default(), cfg, resources).unwrap();
-        assert_eq!(n, 3);
-        let mut a = rm.image();
-        let mut b = recovered.image();
-        // Replay re-runs the solver, so wall-clock stats legitimately
-        // differ; everything else must be bit-exact.
-        a.stats.total_solve = std::time::Duration::ZERO;
-        a.stats.max_round_solve = std::time::Duration::ZERO;
-        b.stats.total_solve = std::time::Duration::ZERO;
-        b.stats.max_round_solve = std::time::Duration::ZERO;
-        assert_eq!(a, b);
+        assert!(core.crash_and_recover(now));
+        assert_eq!(core.replayed(), 3);
+        assert_eq!(canonical(&plain), canonical(core.inner()));
+        let _ = std::fs::remove_dir_all(&core.dir);
     }
 
     #[test]
     fn snapshot_bound_resets_the_wal() {
-        let dir = tmp("bound");
-        let resources = homogeneous_cluster(4, 2, 2);
-        let cfg = MrcpConfig::default();
-        let mut rm = MrcpRm::new(cfg, resources.clone());
-        let store_cfg = StoreConfig {
-            snapshot_every: 2,
-            ..StoreConfig::default()
-        };
-        let mut store = ManagerStore::create(&dir, store_cfg, &rm).unwrap();
-        for i in 0..5u32 {
-            let ev = ManagerEvent::SubmitWithAdmission {
-                job: job(i + 1),
-                now: SimTime::from_millis(i as i64),
-            };
-            store.append(&ev).unwrap();
-            apply(&mut rm, &ev);
-            store.maybe_snapshot(&rm).unwrap();
+        let (mut plain, mut core) = pair(
+            "bound",
+            DurabilityConfig {
+                store: StoreConfig {
+                    snapshot_every: 2,
+                    ..StoreConfig::default()
+                },
+                lose_unsynced_on_crash: false,
+            },
+        );
+        for i in 0..5 {
+            step(&mut plain, &mut core, submit(i));
         }
-        assert_eq!(store.next_idx(), 5);
-        drop(store);
-        let (store, recovered, n) = ManagerStore::recover(&dir, store_cfg, cfg, resources).unwrap();
-        assert_eq!(n, 5);
-        assert_eq!(store.next_idx(), 5);
-        assert_eq!(recovered.image(), rm.image());
+        assert_eq!(core.log.next_idx(), 5);
+        assert_eq!(core.log.wal.records(), 1, "two checkpoints reset the log");
+        assert!(core.crash_and_recover(SimTime::ZERO));
+        assert_eq!(core.replayed(), 1, "only the record past the snapshot");
+        assert_eq!(core.log.next_idx(), 5);
+        assert_eq!(core.inner().image(), plain.image());
+        let _ = std::fs::remove_dir_all(&core.dir);
     }
 
     #[test]
     fn lost_unsynced_tail_recovers_the_synced_prefix() {
-        let dir = tmp("tail");
-        let resources = homogeneous_cluster(4, 2, 2);
-        let cfg = MrcpConfig::default();
-        let mut rm = MrcpRm::new(cfg, resources.clone());
-        let store_cfg = StoreConfig {
-            snapshot_every: 1_000,
-            wal: WalConfig { sync_every: 100 },
-        };
-        let mut store = ManagerStore::create(&dir, store_cfg, &rm).unwrap();
-        let mut synced_state = rm.image();
-        for i in 0..4u32 {
-            let ev = ManagerEvent::SubmitWithAdmission {
-                job: job(i + 1),
-                now: SimTime::from_millis(i as i64),
-            };
-            store.append(&ev).unwrap();
-            apply(&mut rm, &ev);
+        let (mut plain, mut core) = pair(
+            "tail",
+            DurabilityConfig::power_loss(StoreConfig {
+                snapshot_every: 1_000,
+                wal: WalConfig { sync_every: 100 },
+            }),
+        );
+        for i in 0..4 {
+            step(&mut plain, &mut core, submit(i));
             if i == 1 {
                 // Manually sync after two commands; the rest stays
                 // buffered and dies with the "power loss" below.
-                store.wal.sync().unwrap();
-                synced_state = rm.image();
+                core.log.wal.sync().unwrap();
             }
         }
-        let synced = store.wal_synced_len();
-        drop(store);
-        ManagerStore::simulate_power_loss(&dir, synced).unwrap();
-        let (_store, recovered, n) =
-            ManagerStore::recover(&dir, store_cfg, cfg, resources).unwrap();
-        assert_eq!(n, 2, "only the synced commands survive");
-        assert_eq!(recovered.image(), synced_state);
+        assert!(core.crash_and_recover(SimTime::ZERO));
+        assert_eq!(core.replayed(), 2, "only the synced commands survive");
+        // The other two came back by client re-delivery.
+        assert_eq!(core.inner().image(), plain.image());
+        let _ = std::fs::remove_dir_all(&core.dir);
+    }
+
+    /// The re-delivery log holds only what the snapshot does not cover,
+    /// however long the run — and a crash at any later command still
+    /// recovers the crash-free state from it.
+    #[test]
+    fn redelivery_log_is_bounded_by_the_snapshot_cadence() {
+        let snapshot_every = 4;
+        let (mut plain, mut core) = pair(
+            "bounded",
+            DurabilityConfig::power_loss(StoreConfig {
+                snapshot_every,
+                wal: WalConfig { sync_every: 3 },
+            }),
+        );
+        for i in 0..3 * snapshot_every as u32 {
+            step(&mut plain, &mut core, submit(i));
+            assert!(core.redelivery.len() as u64 <= snapshot_every);
+        }
+        assert_eq!(core.log.next_idx(), 3 * snapshot_every);
+        for i in 0..2 * snapshot_every as u32 + 1 {
+            step(&mut plain, &mut core, submit(100 + i));
+            assert!(core.redelivery.len() as u64 <= snapshot_every);
+            assert!(core.crash_and_recover(SimTime::ZERO));
+            assert!(
+                core.redelivery.is_empty(),
+                "a recovery ends in a checkpoint"
+            );
+            assert_eq!(core.inner().image(), plain.image(), "after command {i}");
+        }
+        assert_eq!(core.log.next_idx(), 5 * snapshot_every + 1);
+        let _ = std::fs::remove_dir_all(&core.dir);
     }
 }

@@ -983,7 +983,7 @@ fn run_recovery_sweep(scale: &Scale, seed: u64) -> FigureResult {
 /// crashes); the run aborts on any fleet-invariant violation, so every
 /// reported point is also a conservation proof.
 fn run_chaos_sweep(scale: &Scale, seed: u64) -> FigureResult {
-    use cluster::{simulate_cluster_chaos, ChaosConfig, ChaosSimConfig, HealthConfig, RetryPolicy};
+    use cluster::{simulate_cluster_chaos, ChaosConfig, ChaosSimConfig};
     use desim::SimTime;
 
     let cfg = capped(SyntheticConfig::default(), scale);
@@ -1015,8 +1015,6 @@ fn run_chaos_sweep(scale: &Scale, seed: u64) -> FigureResult {
                 cell_mttr: (rate > 0.0).then(|| SimTime::from_secs(20)),
                 seed: seed ^ (rep << 8),
             },
-            retry: RetryPolicy::default(),
-            health: HealthConfig::default(),
         };
         let run = simulate_cluster_chaos(&ccfg, &cluster, jobs);
         assert!(

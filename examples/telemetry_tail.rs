@@ -14,7 +14,7 @@
 
 use cluster::{
     simulate_cluster_chaos_telemetry, ChaosConfig, ChaosSimConfig, ClusterConfig, ClusterSimConfig,
-    HealthConfig, RebalanceConfig, RetryPolicy,
+    RebalanceConfig,
 };
 use desim::{RngStreams, SimTime};
 use mrcp::SimConfig;
@@ -75,8 +75,6 @@ fn main() {
             seed: 7,
             ..Default::default()
         },
-        retry: RetryPolicy::default(),
-        health: HealthConfig::default(),
     };
 
     let run_tel = tel.clone();
