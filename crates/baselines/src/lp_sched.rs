@@ -48,81 +48,56 @@ pub struct LpSchedule {
     pub solve_time: Duration,
 }
 
-/// Schedule `jobs` (all known up front — closed system) on a cluster with
-/// the given slot totals, discretizing time into `n_slots` slots.
-pub fn lp_schedule_closed(
+/// The time-indexed fluid LP both entry points solve, with the handles
+/// they read the solution through.
+struct FluidLp {
+    p: Problem,
+    /// `m[j][s]` / `r[j][s]`: `None` when the slot precedes the release (or
+    /// the job has no such phase).
+    m_vars: Vec<Vec<Option<VarId>>>,
+    r_vars: Vec<Vec<Option<VarId>>>,
+    /// One lateness indicator `N_j` per job; empty without a `late_weight`.
+    late_vars: Vec<VarId>,
+    /// The slot grid: slot `s` spans `t_start + [s, s + 1) · delta` seconds.
+    t_start: f64,
+    delta: f64,
+}
+
+fn work_secs(tasks: &[workload::Task]) -> f64 {
+    tasks.iter().map(|t| t.exec_time.as_secs_f64()).sum()
+}
+
+/// Build the fluid LP over a nonempty `jobs`. With `late_weight` each job
+/// also gets an indicator `N_j` (objective `-late_weight`, to be declared
+/// binary by the caller) and the row that lets its work run past `d_j`
+/// only when `N_j = 1`.
+fn build_fluid_lp(
     map_slots: u32,
     reduce_slots: u32,
     jobs: &[Job],
     n_slots: usize,
-) -> Result<LpSchedule, String> {
-    if jobs.is_empty() {
-        return Ok(LpSchedule {
-            completions: HashMap::new(),
-            late_jobs: Vec::new(),
-            objective: 0.0,
-            pivots: 0,
-            n_vars: 0,
-            n_rows: 0,
-            solve_time: Duration::ZERO,
-        });
-    }
-    if map_slots == 0 {
-        return Err("cluster has no map slots".into());
-    }
-    assert!(n_slots >= 1);
-    let t0 = Instant::now();
-
+    late_weight: Option<f64>,
+) -> Result<FluidLp, String> {
+    let releases = || jobs.iter().map(|j| j.earliest_start.as_secs_f64());
+    let t_start = releases().fold(f64::INFINITY, f64::min);
+    let max_release = releases().fold(f64::NEG_INFINITY, f64::max);
+    let map_work: f64 = jobs.iter().map(|j| work_secs(&j.map_tasks)).sum();
+    let red_work: f64 = jobs.iter().map(|j| work_secs(&j.reduce_tasks)).sum();
     // Horizon: everything serialized per pool after the latest release —
-    // always sufficient for the fluid relaxation.
-    let t_start = jobs
-        .iter()
-        .map(|j| j.earliest_start)
-        .min()
-        .expect("nonempty")
-        .as_secs_f64();
-    let max_release = jobs
-        .iter()
-        .map(|j| j.earliest_start)
-        .max()
-        .expect("nonempty")
-        .as_secs_f64();
-    let map_work: f64 = jobs
-        .iter()
-        .map(|j| {
-            j.map_tasks
-                .iter()
-                .map(|t| t.exec_time.as_secs_f64())
-                .sum::<f64>()
-        })
-        .sum();
-    let red_work: f64 = jobs
-        .iter()
-        .map(|j| {
-            j.reduce_tasks
-                .iter()
-                .map(|t| t.exec_time.as_secs_f64())
-                .sum::<f64>()
-        })
-        .sum();
-    // Horizon: the serial-per-pool bound AND each job's own parallelism-
-    // limited span (a 1-task phase cannot go faster than its task even on a
-    // large cluster — the per-job slot caps encode that, so the horizon
-    // must leave room for it).
+    // always sufficient for the fluid relaxation — AND each job's own
+    // parallelism-limited span (a 1-task phase cannot go faster than its
+    // task even on a large cluster — the per-job slot caps encode that, so
+    // the horizon must leave room for it).
     let per_job_span = jobs
         .iter()
         .map(|j| {
-            let m_j: f64 = j.map_tasks.iter().map(|t| t.exec_time.as_secs_f64()).sum();
-            let r_j: f64 = j
-                .reduce_tasks
-                .iter()
-                .map(|t| t.exec_time.as_secs_f64())
-                .sum();
             let m_par = (j.map_tasks.len() as f64).min(map_slots as f64).max(1.0);
             let r_par = (j.reduce_tasks.len() as f64)
                 .min(reduce_slots as f64)
                 .max(1.0);
-            j.earliest_start.as_secs_f64() + m_j / m_par + r_j / r_par
+            j.earliest_start.as_secs_f64()
+                + work_secs(&j.map_tasks) / m_par
+                + work_secs(&j.reduce_tasks) / r_par
         })
         .fold(0.0, f64::max);
     let serial = max_release
@@ -146,7 +121,6 @@ pub fn lp_schedule_closed(
     // coefficient within a few orders of magnitude of 1 and the simplex
     // well-conditioned.
     let mut p = Problem::new();
-    // m_vars[j][s] / r_vars[j][s]: None when the slot precedes the release.
     let mut m_vars: Vec<Vec<Option<VarId>>> = Vec::with_capacity(jobs.len());
     let mut r_vars: Vec<Vec<Option<VarId>>> = Vec::with_capacity(jobs.len());
 
@@ -178,15 +152,16 @@ pub fn lp_schedule_closed(
         m_vars.push(mj);
         r_vars.push(rj);
     }
+    // Lateness indicators (objective: minimize → negative weight).
+    let late_vars: Vec<VarId> = match late_weight {
+        Some(w) => jobs.iter().map(|_| p.add_var(-w)).collect(),
+        None => Vec::new(),
+    };
 
     // Work conservation + parallelism caps + phase coupling.
     for (ji, j) in jobs.iter().enumerate() {
-        let m_j: f64 = j.map_tasks.iter().map(|t| t.exec_time.as_secs_f64()).sum();
-        let r_j: f64 = j
-            .reduce_tasks
-            .iter()
-            .map(|t| t.exec_time.as_secs_f64())
-            .sum();
+        let m_j = work_secs(&j.map_tasks);
+        let r_j = work_secs(&j.reduce_tasks);
         if m_j > 0.0 {
             let terms: Vec<_> = m_vars[ji].iter().flatten().map(|&v| (v, 1.0)).collect();
             if terms.is_empty() {
@@ -229,6 +204,22 @@ pub fn lp_schedule_closed(
                 }
             }
         }
+        // Lateness linking: work in slots ending after the deadline is
+        // permitted only when N_j = 1 (BigM = the job's total work).
+        if let Some(&n_j) = late_vars.get(ji) {
+            let total_units = j.total_work().as_secs_f64() / delta;
+            let mut late_terms: Vec<(VarId, f64)> = Vec::new();
+            for s in 0..n_slots {
+                if slot_end(s) > j.deadline.as_secs_f64() + 1e-9 {
+                    late_terms.extend(m_vars[ji][s].map(|v| (v, 1.0)));
+                    late_terms.extend(r_vars[ji][s].map(|v| (v, 1.0)));
+                }
+            }
+            if !late_terms.is_empty() {
+                late_terms.push((n_j, -total_units));
+                p.add_constraint(late_terms, Cmp::Le, 0.0);
+            }
+        }
     }
 
     // Pool capacities per slot.
@@ -251,6 +242,49 @@ pub fn lp_schedule_closed(
         }
     }
 
+    Ok(FluidLp {
+        p,
+        m_vars,
+        r_vars,
+        late_vars,
+        t_start,
+        delta,
+    })
+}
+
+/// Schedule `jobs` (all known up front — closed system) on a cluster with
+/// the given slot totals, discretizing time into `n_slots` slots.
+pub fn lp_schedule_closed(
+    map_slots: u32,
+    reduce_slots: u32,
+    jobs: &[Job],
+    n_slots: usize,
+) -> Result<LpSchedule, String> {
+    if jobs.is_empty() {
+        return Ok(LpSchedule {
+            completions: HashMap::new(),
+            late_jobs: Vec::new(),
+            objective: 0.0,
+            pivots: 0,
+            n_vars: 0,
+            n_rows: 0,
+            solve_time: Duration::ZERO,
+        });
+    }
+    if map_slots == 0 {
+        return Err("cluster has no map slots".into());
+    }
+    assert!(n_slots >= 1);
+    let t0 = Instant::now();
+
+    let FluidLp {
+        p,
+        m_vars,
+        r_vars,
+        t_start,
+        delta,
+        ..
+    } = build_fluid_lp(map_slots, reduce_slots, jobs, n_slots, None)?;
     let n_vars = p.n_vars();
     let n_rows = p.n_rows();
     let solution = match solve(&p) {
@@ -271,7 +305,7 @@ pub fn lp_schedule_closed(
                     .map(|v| solution.x[v.0] * delta > 1e-3)
                     .unwrap_or(false);
             if active {
-                last = slot_end(s);
+                last = t_start + (s + 1) as f64 * delta;
             }
         }
         let completion = SimTime::from_secs_f64(last);
@@ -434,182 +468,10 @@ pub fn milp_schedule_closed(
     }
     let t0 = Instant::now();
 
-    // Rebuild the fluid LP exactly as lp_schedule_closed does, but keep the
-    // variable handles so the lateness linking rows can reference them.
-    // (Deliberately duplicated construction: the LP function's internals
-    // stay private and simple; this keeps both entry points readable.)
-    let t_start = jobs
-        .iter()
-        .map(|j| j.earliest_start)
-        .min()
-        .expect("nonempty")
-        .as_secs_f64();
-    let max_release = jobs
-        .iter()
-        .map(|j| j.earliest_start)
-        .max()
-        .expect("nonempty")
-        .as_secs_f64();
-    let map_work: f64 = jobs
-        .iter()
-        .map(|j| {
-            j.map_tasks
-                .iter()
-                .map(|t| t.exec_time.as_secs_f64())
-                .sum::<f64>()
-        })
-        .sum();
-    let red_work: f64 = jobs
-        .iter()
-        .map(|j| {
-            j.reduce_tasks
-                .iter()
-                .map(|t| t.exec_time.as_secs_f64())
-                .sum::<f64>()
-        })
-        .sum();
-    let per_job_span = jobs
-        .iter()
-        .map(|j| {
-            let m_j: f64 = j.map_tasks.iter().map(|t| t.exec_time.as_secs_f64()).sum();
-            let r_j: f64 = j
-                .reduce_tasks
-                .iter()
-                .map(|t| t.exec_time.as_secs_f64())
-                .sum();
-            let m_par = (j.map_tasks.len() as f64).min(map_slots as f64).max(1.0);
-            let r_par = (j.reduce_tasks.len() as f64)
-                .min(reduce_slots as f64)
-                .max(1.0);
-            j.earliest_start.as_secs_f64() + m_j / m_par + r_j / r_par
-        })
-        .fold(0.0, f64::max);
-    let serial = max_release
-        + map_work / map_slots as f64
-        + if reduce_slots > 0 {
-            red_work / reduce_slots as f64
-        } else {
-            0.0
-        };
-    let horizon = (serial.max(per_job_span) + 1.0) * (1.0 + 4.0 / n_slots as f64);
-    let delta = (horizon - t_start) / n_slots as f64;
-    let slot_start = |s: usize| t_start + s as f64 * delta;
-    let slot_end = |s: usize| t_start + (s + 1) as f64 * delta;
-
-    let mut p = Problem::new();
-    let mut m_vars: Vec<Vec<Option<VarId>>> = Vec::with_capacity(jobs.len());
-    let mut r_vars: Vec<Vec<Option<VarId>>> = Vec::with_capacity(jobs.len());
     // Lexicographic objective: lateness dominates the completion tiebreak.
     const LATE_WEIGHT: f64 = 10_000.0;
-    for j in jobs {
-        let total: f64 = j.total_work().as_secs_f64() / delta;
-        let weight = -1.0 / total.max(1e-9);
-        let mut mj = Vec::with_capacity(n_slots);
-        let mut rj = Vec::with_capacity(n_slots);
-        for s in 0..n_slots {
-            let usable = slot_start(s) >= j.earliest_start.as_secs_f64() - 1e-9;
-            let mid_slots = s as f64 + 0.5;
-            mj.push(if usable && !j.map_tasks.is_empty() {
-                Some(p.add_var(weight * mid_slots))
-            } else {
-                None
-            });
-            rj.push(if usable && !j.reduce_tasks.is_empty() {
-                Some(p.add_var(weight * mid_slots))
-            } else {
-                None
-            });
-        }
-        m_vars.push(mj);
-        r_vars.push(rj);
-    }
-    // Binary lateness indicators (objective: minimize → negative weight).
-    let late_vars: Vec<VarId> = jobs.iter().map(|_| p.add_var(-LATE_WEIGHT)).collect();
-
-    for (ji, j) in jobs.iter().enumerate() {
-        let m_j: f64 = j.map_tasks.iter().map(|t| t.exec_time.as_secs_f64()).sum();
-        let r_j: f64 = j
-            .reduce_tasks
-            .iter()
-            .map(|t| t.exec_time.as_secs_f64())
-            .sum();
-        if m_j > 0.0 {
-            let terms: Vec<_> = m_vars[ji].iter().flatten().map(|&v| (v, 1.0)).collect();
-            if terms.is_empty() {
-                return Err(format!("{}: no usable slot for map work", j.id));
-            }
-            p.add_constraint(terms, Cmp::Eq, m_j / delta);
-            let cap = (j.map_tasks.len() as f64).min(map_slots as f64);
-            for v in m_vars[ji].iter().flatten() {
-                p.bound(*v, cap);
-            }
-        }
-        if r_j > 0.0 {
-            let terms: Vec<_> = r_vars[ji].iter().flatten().map(|&v| (v, 1.0)).collect();
-            if terms.is_empty() {
-                return Err(format!("{}: no usable slot for reduce work", j.id));
-            }
-            p.add_constraint(terms, Cmp::Eq, r_j / delta);
-            let cap = (j.reduce_tasks.len() as f64).min(reduce_slots as f64);
-            for v in r_vars[ji].iter().flatten() {
-                p.bound(*v, cap);
-            }
-        }
-        if m_j > 0.0 && r_j > 0.0 {
-            for s in 0..n_slots {
-                let mut terms: Vec<(VarId, f64)> = Vec::new();
-                for s2 in 0..=s {
-                    if let Some(v) = r_vars[ji][s2] {
-                        terms.push((v, delta / r_j));
-                    }
-                }
-                for s2 in 0..s {
-                    if let Some(v) = m_vars[ji][s2] {
-                        terms.push((v, -delta / m_j));
-                    }
-                }
-                if !terms.is_empty() {
-                    p.add_constraint(terms, Cmp::Le, 0.0);
-                }
-            }
-        }
-        // Lateness linking: work in slots ending after the deadline is
-        // permitted only when N_j = 1 (BigM = the job's total work).
-        let total_units = j.total_work().as_secs_f64() / delta;
-        let mut late_terms: Vec<(VarId, f64)> = Vec::new();
-        for s in 0..n_slots {
-            if slot_end(s) > j.deadline.as_secs_f64() + 1e-9 {
-                if let Some(v) = m_vars[ji][s] {
-                    late_terms.push((v, 1.0));
-                }
-                if let Some(v) = r_vars[ji][s] {
-                    late_terms.push((v, 1.0));
-                }
-            }
-        }
-        if !late_terms.is_empty() {
-            late_terms.push((late_vars[ji], -total_units));
-            p.add_constraint(late_terms, Cmp::Le, 0.0);
-        }
-    }
-    for s in 0..n_slots {
-        let m_terms: Vec<_> = m_vars
-            .iter()
-            .filter_map(|mj| mj[s])
-            .map(|v| (v, 1.0))
-            .collect();
-        if !m_terms.is_empty() {
-            p.add_constraint(m_terms, Cmp::Le, map_slots as f64);
-        }
-        let r_terms: Vec<_> = r_vars
-            .iter()
-            .filter_map(|rj| rj[s])
-            .map(|v| (v, 1.0))
-            .collect();
-        if !r_terms.is_empty() {
-            p.add_constraint(r_terms, Cmp::Le, reduce_slots as f64);
-        }
-    }
+    let FluidLp { p, late_vars, .. } =
+        build_fluid_lp(map_slots, reduce_slots, jobs, n_slots, Some(LATE_WEIGHT))?;
 
     let n_vars = p.n_vars();
     let n_rows = p.n_rows();

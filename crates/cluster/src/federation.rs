@@ -470,6 +470,14 @@ impl Federation {
         }
     }
 
+    /// Cell `i` answered: feed the success to its health monitor (closing
+    /// a recovering circuit) and mirror the state.
+    fn note_success(&mut self, i: usize, now: SimTime) {
+        let before = self.health[i].state();
+        self.health[i].on_success(now);
+        self.note_health(i, before, now);
+    }
+
     /// Append `ev` to cell `cell`'s WAL when the federation runs durable.
     fn journal_cell(&mut self, cell: usize, ev: &ManagerEvent) {
         if let Some(j) = self.journal.as_mut() {
@@ -640,9 +648,7 @@ impl Federation {
             }
             match d.outcome {
                 Ok(resp) => {
-                    let before = self.health[i].state();
-                    self.health[i].on_success(now);
-                    self.note_health(i, before, now);
+                    self.note_success(i, now);
                     return Some(resp);
                 }
                 Err(RpcError::CellDown) => {
@@ -705,9 +711,7 @@ impl Federation {
         }
         match d.outcome {
             Ok(resp) => {
-                let before = self.health[i].state();
-                self.health[i].on_success(now);
-                self.note_health(i, before, now);
+                self.note_success(i, now);
                 Some(resp)
             }
             Err(_) => {
@@ -732,6 +736,22 @@ impl Federation {
             )))
     }
 
+    /// Must-answer call to cell `i` whose reply must have the shape `pick`
+    /// accepts: the cell's own error passes through, any other shape is a
+    /// [`bad_response`](Self::bad_response).
+    fn ask<T>(
+        &mut self,
+        i: usize,
+        req: &ManagerEvent,
+        now: SimTime,
+        pick: impl FnOnce(Reply) -> Option<T>,
+    ) -> Result<T, ManagerError> {
+        match self.call_cell_must(i, req, now) {
+            Reply::Err(e) => Err(e),
+            reply => pick(reply).ok_or_else(|| self.bad_response()),
+        }
+    }
+
     /// A cell answered with a response of the wrong shape — an internal
     /// inconsistency surfaced as a typed error, not a panic.
     fn bad_response(&mut self) -> ManagerError {
@@ -753,9 +773,7 @@ impl Federation {
                 // supervisor's restart probe doubles as the first
                 // success, closing the circuit.
                 self.supervisor_restore(i, now);
-                let before = self.health[i].state();
-                self.health[i].on_success(now);
-                self.note_health(i, before, now);
+                self.note_success(i, now);
             }
         }
         for i in 0..self.cells.len() {
@@ -781,9 +799,7 @@ impl Federation {
             });
             if stranded {
                 self.supervisor_restore(i, now);
-                let before = self.health[i].state();
-                self.health[i].on_success(now);
-                self.note_health(i, before, now);
+                self.note_success(i, now);
             }
         }
     }
@@ -1193,19 +1209,18 @@ impl ResourceManager for Federation {
             // strand a deferred job forever, so activation is
             // must-answer even for a down cell.
             let req = ManagerEvent::ActivateDue { now };
-            match self.call_cell_must(i, &req, now) {
-                Reply::Activated(n) => {
+            let pick = |r| match r {
+                Reply::Activated(n) => Some(n),
+                _ => None,
+            };
+            match self.ask(i, &req, now, pick) {
+                Ok(n) => {
                     if n > 0 {
                         self.cells[i].dirty = true;
                     }
                     total += n;
                 }
-                Reply::Err(e) => {
-                    self.last_error = Some(e);
-                }
-                _ => {
-                    let _ = self.bad_response();
-                }
+                Err(e) => self.last_error = Some(e),
             }
         }
         total
@@ -1239,11 +1254,10 @@ impl ResourceManager for Federation {
     fn task_started(&mut self, task: TaskId, now: SimTime) -> Result<ResourceId, ManagerError> {
         let cell = self.cell_of_task(task)?;
         let req = ManagerEvent::TaskStarted { task, now };
-        match self.call_cell_must(cell, &req, now) {
-            Reply::Started(rid) => Ok(rid),
-            Reply::Err(e) => Err(e),
-            _ => Err(self.bad_response()),
-        }
+        self.ask(cell, &req, now, |r| match r {
+            Reply::Started(rid) => Some(rid),
+            _ => None,
+        })
     }
 
     fn task_completed(
@@ -1253,11 +1267,10 @@ impl ResourceManager for Federation {
     ) -> Result<Option<JobCompletion>, ManagerError> {
         let cell = self.cell_of_task(task)?;
         let req = ManagerEvent::TaskCompleted { task, now };
-        let done = match self.call_cell_must(cell, &req, now) {
-            Reply::Completed(done) => done,
-            Reply::Err(e) => return Err(e),
-            _ => return Err(self.bad_response()),
-        };
+        let done = self.ask(cell, &req, now, |r| match r {
+            Reply::Completed(done) => Some(done),
+            _ => None,
+        })?;
         // A completion frees capacity the next round can use even when
         // the driver does not replan for it immediately.
         self.cells[cell].dirty = true;
@@ -1276,24 +1289,20 @@ impl ResourceManager for Federation {
     ) -> Result<(), ManagerError> {
         let cell = self.cell_of_task(task)?;
         let req = ManagerEvent::TaskDurationRevised { task, new_exec };
-        match self.call_cell_must(cell, &req, SimTime::ZERO.max(new_exec)) {
-            Reply::Revised => {
-                self.cells[cell].dirty = true;
-                Ok(())
-            }
-            Reply::Err(e) => Err(e),
-            _ => Err(self.bad_response()),
-        }
+        self.ask(cell, &req, SimTime::ZERO.max(new_exec), |r| {
+            matches!(r, Reply::Revised).then_some(())
+        })?;
+        self.cells[cell].dirty = true;
+        Ok(())
     }
 
     fn task_failed(&mut self, task: TaskId, now: SimTime) -> Result<FailureAction, ManagerError> {
         let cell = self.cell_of_task(task)?;
         let req = ManagerEvent::TaskFailed { task, now };
-        let action = match self.call_cell_must(cell, &req, now) {
-            Reply::Failed(action) => action,
-            Reply::Err(e) => return Err(e),
-            _ => return Err(self.bad_response()),
-        };
+        let action = self.ask(cell, &req, now, |r| match r {
+            Reply::Failed(action) => Some(action),
+            _ => None,
+        })?;
         self.cells[cell].dirty = true;
         if let FailureAction::JobAbandoned(ab) = &action {
             let ab = ab.clone();
@@ -1313,14 +1322,12 @@ impl ResourceManager for Federation {
             .get(&rid)
             .ok_or(ManagerError::UnknownResource(rid))?;
         let req = ManagerEvent::ResourceDown { resource: rid, now };
-        match self.call_cell_must(cell, &req, now) {
-            Reply::Interrupted(interrupted) => {
-                self.cells[cell].dirty = true;
-                Ok(interrupted)
-            }
-            Reply::Err(e) => Err(e),
-            _ => Err(self.bad_response()),
-        }
+        let interrupted = self.ask(cell, &req, now, |r| match r {
+            Reply::Interrupted(interrupted) => Some(interrupted),
+            _ => None,
+        })?;
+        self.cells[cell].dirty = true;
+        Ok(interrupted)
     }
 
     fn resource_up(&mut self, rid: ResourceId, now: SimTime) -> Result<(), ManagerError> {
@@ -1329,14 +1336,11 @@ impl ResourceManager for Federation {
             .get(&rid)
             .ok_or(ManagerError::UnknownResource(rid))?;
         let req = ManagerEvent::ResourceUp { resource: rid, now };
-        match self.call_cell_must(cell, &req, now) {
-            Reply::ResourceUp => {
-                self.cells[cell].dirty = true;
-                Ok(())
-            }
-            Reply::Err(e) => Err(e),
-            _ => Err(self.bad_response()),
-        }
+        self.ask(cell, &req, now, |r| {
+            matches!(r, Reply::ResourceUp).then_some(())
+        })?;
+        self.cells[cell].dirty = true;
+        Ok(())
     }
 
     fn jobs_in_system(&self) -> usize {

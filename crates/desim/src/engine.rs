@@ -1,8 +1,8 @@
 //! The simulation loop.
 //!
 //! [`Engine`] owns an [`EventQueue`] and repeatedly dispatches the earliest
-//! event to a policy-defined [`Process`] handler until the queue drains, a
-//! time horizon is reached, or the handler requests termination.
+//! event to a policy-defined [`Process`] handler until the queue drains or
+//! the handler requests termination.
 
 use crate::event::EventQueue;
 use crate::time::SimTime;
@@ -39,8 +39,6 @@ where
 #[derive(Debug)]
 pub struct Engine<E> {
     queue: EventQueue<E>,
-    /// Hard horizon: events after this instant are not dispatched.
-    horizon: SimTime,
     events_dispatched: u64,
 }
 
@@ -51,21 +49,12 @@ impl<E> Default for Engine<E> {
 }
 
 impl<E> Engine<E> {
-    /// An engine with an empty queue and no horizon.
+    /// An engine with an empty queue.
     pub fn new() -> Self {
         Engine {
             queue: EventQueue::new(),
-            horizon: SimTime::MAX,
             events_dispatched: 0,
         }
-    }
-
-    /// Set a hard simulation horizon. Events timestamped strictly after the
-    /// horizon are left undispatched and the run ends when the next event
-    /// would cross it.
-    pub fn with_horizon(mut self, horizon: SimTime) -> Self {
-        self.horizon = horizon;
-        self
     }
 
     /// Mutable access to the queue for seeding initial events.
@@ -88,14 +77,10 @@ impl<E> Engine<E> {
         self.events_dispatched
     }
 
-    /// Run to completion: drains the queue, stopping early at the horizon or
-    /// when the process returns [`Flow::Halt`]. Returns the final sim time.
+    /// Run to completion: drains the queue, stopping early when the process
+    /// returns [`Flow::Halt`]. Returns the final sim time.
     pub fn run<P: Process<E>>(&mut self, process: &mut P) -> SimTime {
-        while let Some(next) = self.queue.peek_time() {
-            if next > self.horizon {
-                break;
-            }
-            let (now, ev) = self.queue.pop().expect("peeked event must pop");
+        while let Some((now, ev)) = self.queue.pop() {
             self.events_dispatched += 1;
             if process.handle(now, ev, &mut self.queue) == Flow::Halt {
                 break;
@@ -153,22 +138,5 @@ mod tests {
         });
         assert_eq!(count, 3);
         assert_eq!(engine.queue().len(), 7);
-    }
-
-    #[test]
-    fn horizon_cuts_off_future_events() {
-        let mut engine = Engine::new().with_horizon(SimTime::from_secs(5));
-        for i in 0..10 {
-            engine
-                .queue_mut()
-                .schedule_at(SimTime::from_secs(i), Ev::Tick(i as u32));
-        }
-        let mut count = 0;
-        let end = engine.run(&mut |_n, _e, _q: &mut EventQueue<Ev>| {
-            count += 1;
-            Flow::Continue
-        });
-        assert_eq!(count, 6); // t = 0..=5
-        assert_eq!(end, SimTime::from_secs(5));
     }
 }

@@ -431,50 +431,6 @@ impl LogHistogram {
     }
 }
 
-/// Batch-means analysis for one long steady-state run: the autocorrelated
-/// within-run sequence is split into `k` contiguous batches whose means are
-/// approximately independent, giving a defensible CI without independent
-/// replications. Complements [`Replications`] (which the paper's protocol
-/// uses) for exploratory single-run studies.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BatchMeans {
-    batch_size: usize,
-    current: Welford,
-    batch_means: Replications,
-}
-
-impl BatchMeans {
-    /// Analyzer with `batch_size` observations per batch at the given
-    /// confidence level.
-    pub fn new(batch_size: usize, confidence: f64) -> Self {
-        assert!(batch_size >= 1);
-        BatchMeans {
-            batch_size,
-            current: Welford::new(),
-            batch_means: Replications::new(confidence),
-        }
-    }
-
-    /// Record one observation; closes a batch every `batch_size` pushes.
-    pub fn push(&mut self, x: f64) {
-        self.current.push(x);
-        if self.current.count() as usize == self.batch_size {
-            self.batch_means.push(self.current.mean());
-            self.current = Welford::new();
-        }
-    }
-
-    /// Completed batches.
-    pub fn batches(&self) -> u64 {
-        self.batch_means.count()
-    }
-
-    /// CI over completed batch means (the partial batch is excluded).
-    pub fn estimate(&self) -> CiMean {
-        self.batch_means.estimate()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,28 +532,6 @@ mod tests {
         t.push(0.5);
         assert_eq!(t.quantile(0.0), Some(0.5));
         assert_eq!(Tally::new().quantile(0.5), None);
-    }
-
-    #[test]
-    fn batch_means_on_iid_data_tightens() {
-        let mut bm = BatchMeans::new(10, 0.95);
-        // Deterministic "noise" around 100.
-        for i in 0..200 {
-            bm.push(100.0 + ((i * 37) % 11) as f64 - 5.0);
-        }
-        assert_eq!(bm.batches(), 20);
-        let e = bm.estimate();
-        assert!((e.mean - 100.0).abs() < 1.0, "mean {}", e.mean);
-        assert!(e.half_width < 1.0, "hw {}", e.half_width);
-    }
-
-    #[test]
-    fn batch_means_excludes_partial_batch() {
-        let mut bm = BatchMeans::new(10, 0.95);
-        for _ in 0..25 {
-            bm.push(1.0);
-        }
-        assert_eq!(bm.batches(), 2, "5 trailing samples stay unbatched");
     }
 
     #[test]

@@ -351,34 +351,11 @@ pub struct ScheduleEntry {
     pub end: SimTime,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TaskStatus {
-    Waiting,
-    Started {
-        resource: ResourceId,
-        start: SimTime,
-    },
-    Completed,
-}
-
-#[derive(Debug, Clone)]
-struct TaskState {
-    id: TaskId,
-    kind: TaskKind,
-    /// Current execution-time estimate (revised upward for stragglers).
-    exec_time: SimTime,
-    /// The job's declared `e_t`, restored when a failed attempt requeues.
-    nominal_exec: SimTime,
-    req: u32,
-    status: TaskStatus,
-    /// Attempts of this task that have failed so far.
-    failed_attempts: u32,
-}
-
 #[derive(Debug)]
 struct JobState {
     job: Job,
-    tasks: Vec<TaskState>,
+    tasks: Vec<TaskImage>,
+    /// Tasks not yet completed (derived from `tasks`; rebuilt on restore).
     remaining: usize,
 }
 
@@ -888,11 +865,6 @@ impl MrcpRm {
         self.budget_scale
     }
 
-    /// EWMA of recent round latencies, `None` before the first round.
-    pub fn latency_ewma(&self) -> Option<Duration> {
-        self.latency_ewma_s.map(Duration::from_secs_f64)
-    }
-
     /// The error from the most recent scheduling round, when that round
     /// produced no schedule at all (see [`ManagerStats::failed_rounds`]).
     pub fn last_scheduling_error(&self) -> Option<&SchedulingError> {
@@ -912,7 +884,7 @@ impl MrcpRm {
         let mut total = SimTime::ZERO;
         for state in self.jobs.values() {
             for t in &state.tasks {
-                if t.status != TaskStatus::Completed {
+                if t.status != TaskStatusImage::Completed {
                     total += t.exec_time;
                 }
             }
@@ -949,7 +921,7 @@ impl MrcpRm {
         let mut out: Vec<PlannedJob> = self
             .jobs
             .iter()
-            .filter(|(_, s)| s.tasks.iter().all(|t| t.status == TaskStatus::Waiting))
+            .filter(|(_, s)| s.tasks.iter().all(|t| t.status == TaskStatusImage::Waiting))
             .map(|(&id, s)| {
                 let mut completion = SimTime::ZERO;
                 for t in &s.tasks {
@@ -978,20 +950,53 @@ impl MrcpRm {
     /// are dropped; accumulated retry history does not migrate. Errors
     /// leave the manager unchanged.
     pub fn take_unstarted_job(&mut self, id: JobId) -> Result<Job, ManagerError> {
-        let Some(state) = self.jobs.remove(&id) else {
-            return Err(ManagerError::UnknownJob(id));
-        };
-        if state.tasks.iter().any(|t| t.status != TaskStatus::Waiting) {
-            self.jobs.insert(id, state);
+        let state = self.jobs.get(&id).ok_or(ManagerError::UnknownJob(id))?;
+        if state
+            .tasks
+            .iter()
+            .any(|t| t.status != TaskStatusImage::Waiting)
+        {
             return Err(ManagerError::JobNotMigratable(id));
         }
+        Ok(self.remove_job(id)?.job)
+    }
+
+    /// The one exit from the system: drop a job's record together with
+    /// its task ownership, plan entries and deferral. Migration, shedding,
+    /// abandonment and completion all leave through here, so the job (or
+    /// its task ids) can be submitted again afterwards.
+    fn remove_job(&mut self, id: JobId) -> Result<JobState, ManagerError> {
+        let state = self.jobs.remove(&id).ok_or(ManagerError::UnknownJob(id))?;
         for t in &state.tasks {
             self.task_owner.remove(&t.id);
             self.schedule.remove(&t.id);
         }
         self.deferred.retain(|&(_, j)| j != id);
         self.tel.jobs_in_system.set(self.jobs.len() as i64);
-        Ok(state.job)
+        Ok(state)
+    }
+
+    /// The one path from a task id to its record (owner index → job →
+    /// task): the owning job, the task, and the job's count of tasks not
+    /// yet completed.
+    fn task_mut(
+        &mut self,
+        task: TaskId,
+    ) -> Result<(JobId, &mut TaskImage, &mut usize), ManagerError> {
+        let job = *self
+            .task_owner
+            .get(&task)
+            .ok_or(ManagerError::UnknownTask(task))?;
+        let state = self
+            .jobs
+            .get_mut(&job)
+            .ok_or(ManagerError::UnknownJob(job))?;
+        let t = state
+            .tasks
+            .iter_mut()
+            .find(|t| t.id == task)
+            .ok_or(ManagerError::UnknownTask(task))?;
+        Ok((job, t, &mut state.remaining))
     }
 
     /// Submit an arriving job. Returns whether it joined the scheduling set
@@ -1006,15 +1011,15 @@ impl MrcpRm {
         if let Some(t) = job.tasks().find(|t| self.task_owner.contains_key(&t.id)) {
             return Err(ManagerError::DuplicateTask(t.id));
         }
-        let tasks: Vec<TaskState> = job
+        let tasks: Vec<TaskImage> = job
             .tasks()
-            .map(|t| TaskState {
+            .map(|t| TaskImage {
                 id: t.id,
                 kind: t.kind,
                 exec_time: t.exec_time,
                 nominal_exec: t.exec_time,
                 req: t.req,
-                status: TaskStatus::Waiting,
+                status: TaskStatusImage::Waiting,
                 failed_attempts: 0,
             })
             .collect();
@@ -1083,7 +1088,12 @@ impl MrcpRm {
                             Some(u64::from(victim.0)),
                             "queue full",
                         );
-                        shed.push(self.evict(victim)?);
+                        // The victim was picked from the job table a line
+                        // ago; its absence is an invariant breach, typed
+                        // rather than a panic.
+                        shed.push(self.evict(victim).map_err(|_| {
+                            ManagerError::Inconsistent("shed victim vanished from the job table")
+                        })?);
                     }
                     _ => {
                         self.stats.jobs_rejected += 1;
@@ -1200,9 +1210,9 @@ impl MrcpRm {
             let (mut map_work, mut reduce_work) = (0i64, 0i64);
             for t in &state.tasks {
                 let w = match t.status {
-                    TaskStatus::Completed => 0,
-                    TaskStatus::Waiting => t.exec_time.as_millis(),
-                    TaskStatus::Started { start, .. } => {
+                    TaskStatusImage::Completed => 0,
+                    TaskStatusImage::Waiting => t.exec_time.as_millis(),
+                    TaskStatusImage::Started { start, .. } => {
                         (start.as_millis() + t.exec_time.as_millis() - now_ms).max(0)
                     }
                 };
@@ -1289,31 +1299,19 @@ impl MrcpRm {
     fn shed_victim(&self) -> Option<(JobId, SimTime)> {
         self.jobs
             .iter()
-            .filter(|(_, s)| s.tasks.iter().all(|t| t.status == TaskStatus::Waiting))
+            .filter(|(_, s)| s.tasks.iter().all(|t| t.status == TaskStatusImage::Waiting))
             .map(|(&id, s)| (id, s.job.deadline))
             .max_by_key(|&(id, d)| (d, id))
     }
 
-    /// Force a job out of the system (shedding); mirrors the abandonment
-    /// path of [`task_failed`](Self::task_failed). A victim that is no
-    /// longer in the job table is an internal invariant breach, reported
-    /// as [`ManagerError::Inconsistent`] rather than a panic.
+    /// Force a job out of the system (shed by the queue bound, or abandoned
+    /// by [`task_failed`](Self::task_failed)) and tell the host which tasks
+    /// went with it.
     fn evict(&mut self, id: JobId) -> Result<AbandonedJob, ManagerError> {
-        let Some(state) = self.jobs.remove(&id) else {
-            return Err(ManagerError::Inconsistent(
-                "shed victim vanished from the job table",
-            ));
-        };
-        let tasks: Vec<TaskId> = state.tasks.iter().map(|t| t.id).collect();
-        for t in &tasks {
-            self.task_owner.remove(t);
-            self.schedule.remove(t);
-        }
-        self.deferred.retain(|&(_, j)| j != id);
-        self.tel.jobs_in_system.set(self.jobs.len() as i64);
+        let state = self.remove_job(id)?;
         Ok(AbandonedJob {
             job: id,
-            tasks,
+            tasks: state.tasks.iter().map(|t| t.id).collect(),
             deadline: state.job.deadline,
             earliest_start: state.job.earliest_start,
         })
@@ -1343,21 +1341,9 @@ impl MrcpRm {
             .remove(&task)
             .ok_or(ManagerError::TaskNotScheduled(task))?;
         debug_assert_eq!(entry.start, now, "start time drifted from plan");
-        let job = *self
-            .task_owner
-            .get(&task)
-            .ok_or(ManagerError::UnknownTask(task))?;
-        let state = self
-            .jobs
-            .get_mut(&job)
-            .ok_or(ManagerError::UnknownJob(job))?;
-        let t = state
-            .tasks
-            .iter_mut()
-            .find(|t| t.id == task)
-            .ok_or(ManagerError::UnknownTask(task))?;
-        debug_assert_eq!(t.status, TaskStatus::Waiting);
-        t.status = TaskStatus::Started {
+        let (_, t, _) = self.task_mut(task)?;
+        debug_assert_eq!(t.status, TaskStatusImage::Waiting);
+        t.status = TaskStatusImage::Started {
             resource: entry.resource,
             start: now,
         };
@@ -1372,48 +1358,28 @@ impl MrcpRm {
         task: TaskId,
         now: SimTime,
     ) -> Result<Option<JobCompletion>, ManagerError> {
-        let job = *self
-            .task_owner
-            .get(&task)
-            .ok_or(ManagerError::UnknownTask(task))?;
-        let state = self
-            .jobs
-            .get_mut(&job)
-            .ok_or(ManagerError::UnknownJob(job))?;
-        let t = state
-            .tasks
-            .iter_mut()
-            .find(|t| t.id == task)
-            .ok_or(ManagerError::UnknownTask(task))?;
+        let (job, t, remaining) = self.task_mut(task)?;
         match t.status {
-            TaskStatus::Started { start, .. } => {
+            TaskStatusImage::Started { start, .. } => {
                 // Stragglers finish after start + e_t; completion can never
                 // precede the start.
                 debug_assert!(now >= start, "completion at {now} precedes start {start}");
             }
             _ => return Err(ManagerError::TaskNotRunning(task)),
         }
-        t.status = TaskStatus::Completed;
-        state.remaining -= 1;
-        if state.remaining == 0 {
-            let state = self
-                .jobs
-                .remove(&job)
-                .ok_or(ManagerError::UnknownJob(job))?;
-            for t in &state.tasks {
-                self.task_owner.remove(&t.id);
-            }
-            self.tel.jobs_in_system.set(self.jobs.len() as i64);
-            Ok(Some(JobCompletion {
-                job,
-                completion: now,
-                deadline: state.job.deadline,
-                earliest_start: state.job.earliest_start,
-                late: now > state.job.deadline,
-            }))
-        } else {
-            Ok(None)
+        t.status = TaskStatusImage::Completed;
+        *remaining -= 1;
+        if *remaining > 0 {
+            return Ok(None);
         }
+        let state = self.remove_job(job)?;
+        Ok(Some(JobCompletion {
+            job,
+            completion: now,
+            deadline: state.job.deadline,
+            earliest_start: state.job.earliest_start,
+            late: now > state.job.deadline,
+        }))
     }
 
     /// The host reports that a running task's execution time is now known
@@ -1425,21 +1391,9 @@ impl MrcpRm {
         task: TaskId,
         new_exec: SimTime,
     ) -> Result<(), ManagerError> {
-        let job = *self
-            .task_owner
-            .get(&task)
-            .ok_or(ManagerError::UnknownTask(task))?;
-        let state = self
-            .jobs
-            .get_mut(&job)
-            .ok_or(ManagerError::UnknownJob(job))?;
-        let t = state
-            .tasks
-            .iter_mut()
-            .find(|t| t.id == task)
-            .ok_or(ManagerError::UnknownTask(task))?;
+        let (_, t, _) = self.task_mut(task)?;
         match t.status {
-            TaskStatus::Started { .. } => {
+            TaskStatusImage::Started { .. } => {
                 t.exec_time = new_exec;
                 Ok(())
             }
@@ -1457,49 +1411,23 @@ impl MrcpRm {
         task: TaskId,
         _now: SimTime,
     ) -> Result<FailureAction, ManagerError> {
-        let job = *self
-            .task_owner
-            .get(&task)
-            .ok_or(ManagerError::UnknownTask(task))?;
-        let state = self
-            .jobs
-            .get_mut(&job)
-            .ok_or(ManagerError::UnknownJob(job))?;
-        let t = state
-            .tasks
-            .iter_mut()
-            .find(|t| t.id == task)
-            .ok_or(ManagerError::UnknownTask(task))?;
-        if !matches!(t.status, TaskStatus::Started { .. }) {
+        let (job, t, _) = self.task_mut(task)?;
+        if !matches!(t.status, TaskStatusImage::Started { .. }) {
             return Err(ManagerError::TaskNotRunning(task));
         }
-        self.stats.tasks_failed += 1;
-        self.tel.tasks_failed.inc();
+        // Back to the queue at the nominal `e_t` (moot when the job is
+        // abandoned just below).
         t.failed_attempts += 1;
-        if t.failed_attempts > self.cfg.retry_budget {
-            self.stats.jobs_abandoned += 1;
-            self.tel.jobs_abandoned.inc();
-            let state = self
-                .jobs
-                .remove(&job)
-                .ok_or(ManagerError::UnknownJob(job))?;
-            let tasks: Vec<TaskId> = state.tasks.iter().map(|t| t.id).collect();
-            for id in &tasks {
-                self.task_owner.remove(id);
-                self.schedule.remove(id);
-            }
-            self.deferred.retain(|&(_, j)| j != job);
-            self.tel.jobs_in_system.set(self.jobs.len() as i64);
-            return Ok(FailureAction::JobAbandoned(AbandonedJob {
-                job,
-                tasks,
-                deadline: state.job.deadline,
-                earliest_start: state.job.earliest_start,
-            }));
-        }
         let failed_attempts = t.failed_attempts;
         t.exec_time = t.nominal_exec;
-        t.status = TaskStatus::Waiting;
+        t.status = TaskStatusImage::Waiting;
+        self.stats.tasks_failed += 1;
+        self.tel.tasks_failed.inc();
+        if failed_attempts > self.cfg.retry_budget {
+            self.stats.jobs_abandoned += 1;
+            self.tel.jobs_abandoned.inc();
+            return Ok(FailureAction::JobAbandoned(self.evict(job)?));
+        }
         self.stats.tasks_requeued += 1;
         self.tel.tasks_requeued.inc();
         Ok(FailureAction::Requeued { failed_attempts })
@@ -1526,9 +1454,10 @@ impl MrcpRm {
         let mut interrupted = Vec::new();
         for state in self.jobs.values_mut() {
             for t in state.tasks.iter_mut() {
-                if matches!(t.status, TaskStatus::Started { resource, .. } if resource == rid) {
+                if matches!(t.status, TaskStatusImage::Started { resource, .. } if resource == rid)
+                {
                     t.exec_time = t.nominal_exec;
-                    t.status = TaskStatus::Waiting;
+                    t.status = TaskStatusImage::Waiting;
                     interrupted.push(t.id);
                 }
             }
@@ -1641,79 +1570,72 @@ impl MrcpRm {
             .as_ref()
             .is_some_and(|h| h.iter().any(|x| x.is_some()));
 
-        let (placements, outcome, degraded, rung) =
-            match Self::solve_round(&self.cfg, &up, &inputs, &params, pressure, hints.as_deref()) {
-                Ok(round) => round,
-                Err(err) => {
-                    // Every rung failed. Leave the work queued with no plan;
-                    // the next round (new arrival, completion, recovery)
-                    // retries from a different state.
-                    drop(inputs);
-                    self.stats.invocations += 1;
-                    self.stats.failed_rounds += 1;
-                    let elapsed = t0.elapsed();
-                    self.stats.total_solve += elapsed;
-                    self.observe_round_latency(elapsed);
-                    self.tel.rounds_failed.inc();
-                    self.tel.round_solve_us.record(elapsed.as_micros() as u64);
-                    self.tel
-                        .event(now, telemetry::EventKind::RoundSolved, None, "round failed");
-                    self.last_error = Some(err);
-                    self.schedule.clear();
-                    self.cache = None;
-                    return Vec::new();
-                }
-            };
-
-        // Remember this round for the next one's warm start.
-        if self.cfg.reuse_rounds {
-            self.cache = Some(RoundCache {
-                pool_fp,
-                jobs: job_fps.iter().copied().collect(),
-                placements: placements.iter().map(|&(t, r, s)| (t, (r, s))).collect(),
-            });
-        }
-        if warm {
-            self.stats.warm_rounds += 1;
-            self.tel.warm_rounds.inc();
-        }
-
+        let solved =
+            Self::solve_round(&self.cfg, &up, &inputs, &params, pressure, hints.as_deref());
+        drop(inputs);
         // Install: entries for unstarted tasks only. A placement that
         // refers to state the manager does not hold fails the round (no
-        // panic) and leaves the work queued for the next round.
-        drop(inputs);
-        match self.planned_entries(&placements, now) {
-            Ok(plan) => self.schedule = plan,
-            Err(err) => {
-                self.stats.invocations += 1;
-                self.stats.failed_rounds += 1;
-                let elapsed = t0.elapsed();
-                self.stats.total_solve += elapsed;
-                self.observe_round_latency(elapsed);
-                self.tel.rounds_failed.inc();
-                self.tel.round_solve_us.record(elapsed.as_micros() as u64);
-                self.tel.event(
-                    now,
-                    telemetry::EventKind::RoundSolved,
-                    None,
-                    "round failed: stale placement",
-                );
-                self.last_error = Some(err);
-                self.schedule.clear();
-                self.cache = None;
-                return Vec::new();
+        // panic), like a round in which every rung failed.
+        let installed = solved.and_then(|round| {
+            self.schedule = self.planned_entries(&round.0, now)?;
+            Ok(round)
+        });
+        if let Ok((placements, ..)) = &installed {
+            // Remember this round for the next one's warm start.
+            if self.cfg.reuse_rounds {
+                self.cache = Some(RoundCache {
+                    pool_fp,
+                    jobs: job_fps.into_iter().collect(),
+                    placements: placements.iter().map(|&(t, r, s)| (t, (r, s))).collect(),
+                });
+            }
+            if warm {
+                self.stats.warm_rounds += 1;
+                self.tel.warm_rounds.inc();
             }
         }
+        self.book_round(now, t0.elapsed(), n_tasks, &installed);
+        self.last_error = installed.err();
+        if self.last_error.is_some() {
+            // Leave the work queued with no plan; the next round (new
+            // arrival, completion, recovery) retries from a different state.
+            self.schedule.clear();
+            self.cache = None;
+        }
+        self.current_schedule()
+    }
 
+    /// The accounting every exit of a round that reached the solver
+    /// shares: one invocation, its wall time into the stats, the budget
+    /// controller and the latency histogram, and the outcome by rung.
+    fn book_round(
+        &mut self,
+        now: SimTime,
+        elapsed: Duration,
+        n_tasks: usize,
+        round: &Result<RoundResult, SchedulingError>,
+    ) {
         self.stats.invocations += 1;
-        let elapsed = t0.elapsed();
         self.stats.total_solve += elapsed;
         self.observe_round_latency(elapsed);
+        self.tel.round_solve_us.record(elapsed.as_micros() as u64);
+        let (outcome, degraded, rung) = match round {
+            Ok((_, outcome, degraded, rung)) => (outcome, *degraded, *rung),
+            Err(err) => {
+                self.stats.failed_rounds += 1;
+                self.tel.rounds_failed.inc();
+                let detail = match err {
+                    SchedulingError::Inconsistent(_) => "round failed: stale placement",
+                    _ => "round failed",
+                };
+                self.tel
+                    .event(now, telemetry::EventKind::RoundSolved, None, detail);
+                return;
+            }
+        };
         self.stats.total_nodes += outcome.stats.nodes;
         self.stats.max_tasks_in_model = self.stats.max_tasks_in_model.max(n_tasks);
-        self.last_error = None;
         self.tel.rung_counter(rung).inc();
-        self.tel.round_solve_us.record(elapsed.as_micros() as u64);
         self.tel.solve.record(&outcome.stats);
         self.tel
             .event(now, telemetry::EventKind::RoundSolved, None, rung.name());
@@ -1724,8 +1646,6 @@ impl MrcpRm {
                 None,
                 rung.name(),
             );
-        }
-        if degraded {
             self.stats.degraded_rounds += 1;
         } else {
             match outcome.status {
@@ -1737,10 +1657,6 @@ impl MrcpRm {
                 _ => {}
             }
         }
-
-        let mut entries: Vec<ScheduleEntry> = self.schedule.values().copied().collect();
-        entries.sort_by_key(|e| (e.start, e.task));
-        entries
     }
 
     /// Translate a round's placements into schedule entries for the
@@ -1748,23 +1664,17 @@ impl MrcpRm {
     /// does not own surfaces as a typed [`SchedulingError`] (recorded as a
     /// failed round by the caller) rather than a panic.
     fn planned_entries(
-        &self,
+        &mut self,
         placements: &[(TaskId, ResourceId, SimTime)],
         now: SimTime,
     ) -> Result<HashMap<TaskId, ScheduleEntry>, SchedulingError> {
         let _ = now; // only read by the debug assertion below
         let mut plan = HashMap::with_capacity(placements.len());
         for &(tid, rid, start) in placements {
-            let job = *self.task_owner.get(&tid).ok_or_else(|| {
-                SchedulingError::Inconsistent(format!("placement for unowned task {tid}"))
+            let (job, t, _) = self.task_mut(tid).map_err(|e| {
+                SchedulingError::Inconsistent(format!("placement for task {tid}: {e}"))
             })?;
-            let state = self.jobs.get(&job).ok_or_else(|| {
-                SchedulingError::Inconsistent(format!("task {tid} owned by missing job {job}"))
-            })?;
-            let t = state.tasks.iter().find(|t| t.id == tid).ok_or_else(|| {
-                SchedulingError::Inconsistent(format!("task {tid} not in job {job}"))
-            })?;
-            if t.status == TaskStatus::Waiting {
+            if t.status == TaskStatusImage::Waiting {
                 debug_assert!(start >= now, "new start {start} in the past (now {now})");
                 plan.insert(
                     tid,
@@ -1812,15 +1722,15 @@ impl MrcpRm {
                 .tasks
                 .iter()
                 .filter_map(|t| match t.status {
-                    TaskStatus::Completed => None,
-                    TaskStatus::Waiting => Some(TaskInput {
+                    TaskStatusImage::Completed => None,
+                    TaskStatusImage::Waiting => Some(TaskInput {
                         id: t.id,
                         kind: t.kind,
                         exec_time: t.exec_time,
                         req: t.req,
                         pinned: None,
                     }),
-                    TaskStatus::Started { resource, start } => Some(TaskInput {
+                    TaskStatusImage::Started { resource, start } => Some(TaskInput {
                         id: t.id,
                         kind: t.kind,
                         exec_time: t.exec_time,
@@ -2007,25 +1917,7 @@ impl MrcpRm {
             .values()
             .map(|s| JobImage {
                 job: s.job.clone(),
-                tasks: s
-                    .tasks
-                    .iter()
-                    .map(|t| TaskImage {
-                        id: t.id,
-                        kind: t.kind,
-                        exec_time: t.exec_time,
-                        nominal_exec: t.nominal_exec,
-                        req: t.req,
-                        status: match t.status {
-                            TaskStatus::Waiting => TaskStatusImage::Waiting,
-                            TaskStatus::Started { resource, start } => {
-                                TaskStatusImage::Started { resource, start }
-                            }
-                            TaskStatus::Completed => TaskStatusImage::Completed,
-                        },
-                        failed_attempts: t.failed_attempts,
-                    })
-                    .collect(),
+                tasks: s.tasks.clone(),
             })
             .collect();
         jobs.sort_by_key(|j| j.job.id);
@@ -2075,25 +1967,7 @@ impl MrcpRm {
         let mut task_owner = HashMap::new();
         for ji in image.jobs {
             let id = ji.job.id;
-            let tasks: Vec<TaskState> = ji
-                .tasks
-                .iter()
-                .map(|t| TaskState {
-                    id: t.id,
-                    kind: t.kind,
-                    exec_time: t.exec_time,
-                    nominal_exec: t.nominal_exec,
-                    req: t.req,
-                    status: match t.status {
-                        TaskStatusImage::Waiting => TaskStatus::Waiting,
-                        TaskStatusImage::Started { resource, start } => {
-                            TaskStatus::Started { resource, start }
-                        }
-                        TaskStatusImage::Completed => TaskStatus::Completed,
-                    },
-                    failed_attempts: t.failed_attempts,
-                })
-                .collect();
+            let tasks = ji.tasks;
             for t in &tasks {
                 if task_owner.insert(t.id, id).is_some() {
                     return Err(ManagerError::Inconsistent("snapshot lists a task twice"));
@@ -2101,7 +1975,7 @@ impl MrcpRm {
             }
             let remaining = tasks
                 .iter()
-                .filter(|t| t.status != TaskStatus::Completed)
+                .filter(|t| t.status != TaskStatusImage::Completed)
                 .count();
             let state = JobState {
                 job: ji.job,
@@ -2873,6 +2747,85 @@ mod tests {
 
     /// A restored manager is indistinguishable from the original: its
     /// image matches bit-for-bit, and it continues the run identically.
+    /// A job that left by any exit can come back: every exit drops the
+    /// job's record, task ownership, plan entries and deferral, so the same
+    /// `Job` (same task ids) re-submits, and the image in between lists
+    /// nothing of it and restores.
+    #[test]
+    fn job_that_left_by_any_exit_can_come_back() {
+        type Exit = fn(&mut MrcpRm, &Job);
+        fn migrate(rm: &mut MrcpRm, job: &Job) {
+            assert_eq!(rm.take_unstarted_job(job.id).as_ref(), Ok(job));
+        }
+        fn shed(rm: &mut MrcpRm, job: &Job) {
+            // Queue bound 1: a more urgent arrival sheds the resident job.
+            let out = rm
+                .submit_with_admission(mk_job(9, 0, 0, 50, &[10], &[]), SimTime::ZERO)
+                .unwrap();
+            assert_eq!(out.shed.len(), 1);
+            assert_eq!(out.shed[0].job, job.id);
+        }
+        fn abandon(rm: &mut MrcpRm, job: &Job) {
+            // Retry budget 0: the first failed attempt abandons the job
+            // while its second map still holds a plan entry.
+            rm.task_started(job.map_tasks[0].id, SimTime::ZERO).unwrap();
+            let act = rm.task_failed(job.map_tasks[0].id, SimTime::from_secs(3));
+            assert!(matches!(act, Ok(FailureAction::JobAbandoned(ref ab)) if ab.job == job.id));
+        }
+        fn complete(rm: &mut MrcpRm, job: &Job) {
+            let (a, b) = (job.map_tasks[0].id, job.map_tasks[1].id);
+            rm.task_started(a, SimTime::ZERO).unwrap();
+            assert_eq!(rm.task_completed(a, SimTime::from_secs(10)), Ok(None));
+            rm.task_started(b, SimTime::from_secs(10)).unwrap();
+            let done = rm.task_completed(b, SimTime::from_secs(20)).unwrap();
+            assert_eq!(done.map(|d| d.job), Some(job.id));
+        }
+        // (exit, earliest start): a future `s_j` parks the job in
+        // `deferred`, a past one gives it plan entries in `schedule`.
+        let table: [(&str, Exit, i64); 6] = [
+            ("migrate planned", migrate, 0),
+            ("migrate deferred", migrate, 500),
+            ("shed planned", shed, 0),
+            ("shed deferred", shed, 500),
+            ("abandon", abandon, 0),
+            ("complete", complete, 0),
+        ];
+        let cfg = MrcpConfig {
+            retry_budget: 0,
+            admission: AdmissionConfig {
+                policy: AdmissionPolicy::BestEffort,
+                max_pending_jobs: Some(1),
+            },
+            ..Default::default()
+        };
+        let cluster = homogeneous_cluster(1, 1, 1);
+        for (name, exit, s) in table {
+            let mut rm = MrcpRm::new(cfg, cluster.clone());
+            let job = mk_job(0, 0, s, 1000, &[10, 10], &[]);
+            let first = rm.submit(job.clone(), SimTime::ZERO).unwrap();
+            assert_eq!(first == Submitted::Active, s == 0, "{name}");
+            assert_eq!(
+                rm.reschedule(SimTime::ZERO).len(),
+                if s == 0 { 2 } else { 0 }
+            );
+
+            exit(&mut rm, &job);
+
+            assert!(rm.job(job.id).is_none(), "{name}");
+            let image = rm.image();
+            assert!(image.jobs.iter().all(|j| j.job.id != job.id), "{name}");
+            assert!(image.deferred.iter().all(|&(_, j)| j != job.id), "{name}");
+            assert!(image.schedule.iter().all(|e| e.job != job.id), "{name}");
+            assert!(
+                MrcpRm::restore(cfg, cluster.clone(), image).is_ok(),
+                "{name}"
+            );
+            assert_eq!(rm.submit(job.clone(), SimTime::ZERO), Ok(first), "{name}");
+            let parked = rm.image().deferred.iter().filter(|d| d.1 == job.id).count();
+            assert_eq!(parked, usize::from(s > 0), "{name}: parked once, not twice");
+        }
+    }
+
     #[test]
     fn image_restore_roundtrip_mid_run() {
         let mut rm = manager();

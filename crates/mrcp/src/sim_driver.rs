@@ -605,22 +605,29 @@ enum Ev {
     },
 }
 
+/// What the driver holds per task, from the flush that admits its job
+/// until the task completes or its job is shed or abandoned.
+struct TaskRun {
+    /// Owning job, for fault attribution.
+    job: JobId,
+    exec_time: SimTime,
+    /// Plan version that armed this task's pending start event.
+    armed: Option<u64>,
+    /// Attempts started so far.
+    attempts: u32,
+    /// The running attempt; a pending completion/failure event is live
+    /// only while it carries this number.
+    running: Option<u32>,
+}
+
 struct Driver<M: ResourceManager> {
     rm: M,
     jobs: Vec<Option<Job>>,
     total_jobs: usize,
+    /// The installed plan's version; start events armed by an earlier
+    /// plan are stale.
     version: u64,
-    /// version at which each pending start event is valid
-    armed: HashMap<TaskId, u64>,
-    exec_time: HashMap<TaskId, SimTime>,
-    /// Task → owning job, for fault attribution (lives until the job
-    /// completes or is abandoned).
-    task_job: HashMap<TaskId, JobId>,
-    /// Currently running attempt per task; a pending completion/failure
-    /// event is live only while its attempt number is recorded here.
-    running: HashMap<TaskId, u32>,
-    /// Attempts started so far per task.
-    attempts: HashMap<TaskId, u32>,
+    tasks: HashMap<TaskId, TaskRun>,
     /// Jobs touched by any fault, for `late_due_to_faults`.
     fault_jobs: HashSet<JobId>,
     faults: Option<FaultModel>,
@@ -689,9 +696,10 @@ impl<M: ResourceManager> Driver<M> {
         self.pre_command(now);
         let plan = self.rm.reschedule(now);
         self.version += 1;
-        self.armed.clear();
         for e in plan {
-            self.armed.insert(e.task, self.version);
+            if let Some(run) = self.tasks.get_mut(&e.task) {
+                run.armed = Some(self.version);
+            }
             queue.schedule_at(
                 e.start,
                 Ev::TaskStart {
@@ -722,11 +730,7 @@ impl<M: ResourceManager> Driver<M> {
     /// execution bookkeeping is released.
     fn forget_job(&mut self, ab: &AbandonedJob) {
         for t in &ab.tasks {
-            self.armed.remove(t);
-            self.running.remove(t);
-            self.exec_time.remove(t);
-            self.task_job.remove(t);
-            self.attempts.remove(t);
+            self.tasks.remove(t);
         }
     }
 
@@ -765,9 +769,17 @@ impl<M: ResourceManager> Driver<M> {
                 Some(sub) => {
                     // Execution state exists only for admitted jobs — a
                     // rejected arrival must leave no trace.
-                    for (tid, e) in tasks {
-                        self.exec_time.insert(tid, e);
-                        self.task_job.insert(tid, job_id);
+                    for (tid, exec_time) in tasks {
+                        self.tasks.insert(
+                            tid,
+                            TaskRun {
+                                job: job_id,
+                                exec_time,
+                                armed: None,
+                                attempts: 0,
+                                running: None,
+                            },
+                        );
                     }
                     match sub {
                         Submitted::Active => want_install = true,
@@ -810,7 +822,7 @@ impl<M: ResourceManager> Driver<M> {
                 if !self.install_pending {
                     self.install_pending = true;
                     // Busy period sized by the work outstanding right now.
-                    let n_tasks: usize = self.exec_time.len();
+                    let n_tasks: usize = self.tasks.len();
                     let at = self.busy_until.max(now) + model.delay(n_tasks);
                     self.busy_until = at;
                     queue.schedule_at(at, Ev::Install);
@@ -854,19 +866,18 @@ impl<M: ResourceManager> desim::Process<Ev> for Driver<M> {
                 self.install(now, queue);
             }
             Ev::TaskStart { task, version } => {
-                if self.armed.get(&task) != Some(&version) {
-                    return Flow::Continue; // superseded plan
-                }
-                self.armed.remove(&task);
+                let run = match self.tasks.get_mut(&task) {
+                    Some(run) if version == self.version && run.armed == Some(version) => run,
+                    _ => return Flow::Continue, // superseded plan
+                };
+                run.armed = None;
+                run.attempts += 1;
+                run.running = Some(run.attempts);
+                let (job, attempt, dur) = (run.job, run.attempts, run.exec_time);
                 self.pre_command(now);
                 self.rm
                     .task_started(task, now)
                     .expect("armed starts are valid");
-                let attempt = self.attempts.entry(task).or_insert(0);
-                *attempt += 1;
-                let attempt = *attempt;
-                self.running.insert(task, attempt);
-                let dur = self.exec_time[&task];
                 let fate = match self.faults.as_mut() {
                     Some(fm) => fm.sample_attempt(),
                     None => AttemptOutcome::Success,
@@ -882,9 +893,7 @@ impl<M: ResourceManager> desim::Process<Ev> for Driver<M> {
                     AttemptOutcome::Straggle { factor } => {
                         let stretched = Self::scale(dur, factor);
                         self.stragglers += 1;
-                        if let Some(&job) = self.task_job.get(&task) {
-                            self.fault_jobs.insert(job);
-                        }
+                        self.fault_jobs.insert(job);
                         // The manager plans around the stretched occupancy.
                         self.pre_command(now);
                         self.rm
@@ -896,13 +905,10 @@ impl<M: ResourceManager> desim::Process<Ev> for Driver<M> {
                 }
             }
             Ev::TaskComplete { task, attempt } => {
-                if self.running.get(&task) != Some(&attempt) {
+                if self.tasks.get(&task).and_then(|r| r.running) != Some(attempt) {
                     return Flow::Continue; // attempt superseded
                 }
-                self.running.remove(&task);
-                self.exec_time.remove(&task);
-                self.task_job.remove(&task);
-                self.attempts.remove(&task);
+                self.tasks.remove(&task);
                 self.pre_command(now);
                 if let Some(done) = self
                     .rm
@@ -922,12 +928,12 @@ impl<M: ResourceManager> desim::Process<Ev> for Driver<M> {
                 }
             }
             Ev::TaskFail { task, attempt } => {
-                if self.running.get(&task) != Some(&attempt) {
-                    return Flow::Continue; // attempt superseded
-                }
-                self.running.remove(&task);
-                if let Some(&job) = self.task_job.get(&task) {
-                    self.fault_jobs.insert(job);
+                match self.tasks.get_mut(&task) {
+                    Some(run) if run.running == Some(attempt) => {
+                        run.running = None;
+                        self.fault_jobs.insert(run.job);
+                    }
+                    _ => return Flow::Continue, // attempt superseded
                 }
                 self.pre_command(now);
                 match self
@@ -958,9 +964,9 @@ impl<M: ResourceManager> desim::Process<Ev> for Driver<M> {
                     Ok(interrupted) => {
                         self.resource_crashes += 1;
                         for t in &interrupted {
-                            self.running.remove(t);
-                            if let Some(&job) = self.task_job.get(t) {
-                                self.fault_jobs.insert(job);
+                            if let Some(run) = self.tasks.get_mut(t) {
+                                run.running = None;
+                                self.fault_jobs.insert(run.job);
                             }
                         }
                         let repair = up_after.unwrap_or_else(|| {
@@ -1107,11 +1113,7 @@ where
         jobs: jobs.into_iter().map(Some).collect(),
         total_jobs: n,
         version: 0,
-        armed: HashMap::new(),
-        exec_time: HashMap::new(),
-        task_job: HashMap::new(),
-        running: HashMap::new(),
-        attempts: HashMap::new(),
+        tasks: HashMap::new(),
         fault_jobs: HashSet::new(),
         faults,
         stragglers: 0,
@@ -1571,6 +1573,49 @@ mod tests {
             clean.deterministic_signature(),
             crashed.deterministic_signature()
         );
+    }
+
+    /// A start event armed by a superseded plan must not start a task the
+    /// newer plan left out. Two 10 s maps on a one-slot cluster are planned
+    /// at 0 and 10; the only resource is down from 5 to 25, so the round at
+    /// 5 installs an empty plan while the start armed for 10 is still
+    /// queued. That event must go stale — the manager holds no entry for
+    /// it — and both tasks run only once the resource is back.
+    #[test]
+    fn start_armed_by_a_superseded_plan_skips_a_task_the_newer_plan_left_out() {
+        let cluster = workload::model::homogeneous_cluster(1, 1, 1);
+        let map = |id| workload::Task {
+            id: TaskId(id),
+            job: JobId(0),
+            kind: workload::TaskKind::Map,
+            exec_time: SimTime::from_secs(10),
+            req: 1,
+        };
+        let job = Job {
+            id: JobId(0),
+            arrival: SimTime::ZERO,
+            earliest_start: SimTime::ZERO,
+            deadline: SimTime::from_secs(100),
+            map_tasks: vec![map(0), map(1)],
+            reduce_tasks: vec![],
+            precedences: vec![],
+        };
+        let cfg = SimConfig {
+            faults: FaultConfig {
+                scheduled_outages: vec![workload::Outage {
+                    resource: cluster[0].id,
+                    at: SimTime::from_secs(5),
+                    duration: SimTime::from_secs(20),
+                }],
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let m = simulate(&cfg, &cluster, vec![job]);
+        assert_eq!(m.completed, 1);
+        assert_eq!(m.resource_crashes, 1);
+        assert_eq!(m.tasks_requeued, 1, "the map running at 5 is interrupted");
+        assert_eq!(m.end_time_s, 45.0, "both maps rerun back to back from 25");
     }
 
     mod ingest {
