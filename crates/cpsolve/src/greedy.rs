@@ -133,7 +133,15 @@ pub fn greedy_edf_with_hints(model: &Model, hints: &[Hint]) -> Result<Solution, 
     greedy_edf_core(model, Some(hints))
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Greedy passes started on this thread (warm-start skip pin, tests only).
+    pub(crate) static PASSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 fn greedy_edf_core(model: &Model, hints: Option<&[Hint]>) -> Result<Solution, String> {
+    #[cfg(test)]
+    PASSES.with(|p| p.set(p.get() + 1));
     if model.tasks.iter().any(|t| t.req != 1) {
         return Err("greedy scheduler supports unit capacity requirements only".into());
     }

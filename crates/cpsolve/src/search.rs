@@ -4,6 +4,10 @@
 //! over the Table 1 model that can be stopped by budget (nodes, failures,
 //! wall time) and always returns the best incumbent found. A greedy EDF
 //! schedule seeds the incumbent so the objective cut prunes from the root.
+//! The greedy pass runs only when the caller's `initial` incumbent is
+//! missing, fails verification or has a late job: an incumbent with no late
+//! job cannot be beaten, so the solve returns it at once as `Optimal`. That
+//! zero-late test is the one early exit, at the root and at every leaf.
 //!
 //! Branching is chronological set-times with EDF tie-breaking: pick the
 //! unfixed task with the smallest earliest start (ties: earlier job
@@ -73,14 +77,12 @@ pub struct SolveParams {
     pub fail_limit: u64,
     /// Wall-clock ceiling.
     pub time_limit: Option<Duration>,
-    /// Seed the incumbent with the greedy EDF schedule.
+    /// Seed the incumbent with the greedy EDF schedule. The pass is skipped
+    /// when `initial` verifies and has no late job: nothing can beat it.
     pub warm_start: bool,
     /// Explicit initial incumbent (e.g. the previous scheduling round's
     /// solution re-based); must verify against the model.
     pub initial: Option<Solution>,
-    /// Stop as soon as the objective reaches this value (0 = stop at the
-    /// first schedule with no late jobs).
-    pub target: Option<u32>,
     /// Luby restarts: `Some(base)` restarts the dive after
     /// `base × luby(k)` conflicts, rotating the resource value ordering
     /// each time so successive dives explore different regions. `None`
@@ -106,7 +108,6 @@ impl Default for SolveParams {
             time_limit: None,
             warm_start: true,
             initial: None,
-            target: None,
             restarts: None,
             solution_guided: true,
             branching: Branching::SetTimes,
@@ -356,7 +357,9 @@ fn solve_inner(model: &Model, params: &SolveParams, shared: Option<&SharedSearch
             debug_assert!(false, "initial incumbent invalid: {:?}", init.verify(model));
         }
     }
-    if params.warm_start {
+    // A greedy schedule can only replace an incumbent it strictly beats,
+    // and nothing beats zero late jobs: skip the pass then.
+    if params.warm_start && !unbeatable(&best) {
         if let Ok(g) = greedy_edf(model) {
             debug_assert!(g.verify(model).is_ok(), "greedy produced invalid schedule");
             if g.verify(model).is_ok() && best.as_ref().is_none_or(|b| g.objective < b.objective) {
@@ -371,22 +374,13 @@ fn solve_inner(model: &Model, params: &SolveParams, shared: Option<&SharedSearch
         sh.publish(b.objective);
     }
 
-    let target = params.target.unwrap_or(0);
-    if let Some(b) = &best {
-        if b.objective <= target {
-            // Reaching the target is only provably optimal at zero late jobs.
-            let status = if b.objective == 0 {
-                Status::Optimal
-            } else {
-                Status::Feasible
-            };
-            stats.elapsed_us = t0.elapsed().as_micros() as u64;
-            return Outcome {
-                status,
-                best,
-                stats,
-            };
-        }
+    if unbeatable(&best) {
+        stats.elapsed_us = t0.elapsed().as_micros() as u64;
+        return Outcome {
+            status: Status::Optimal,
+            best,
+            stats,
+        };
     }
 
     let mut dom = Domains::new(model);
@@ -428,7 +422,6 @@ fn solve_inner(model: &Model, params: &SolveParams, shared: Option<&SharedSearch
     let mut scratch = Scratch::default();
     let mut cg = ConflictGuide::new(model);
     let mut exhausted = false;
-    let mut budget_hit = false;
     let mut restart_no: u64 = 0;
     let mut fails_at_restart: u64 = 0;
     // Next node count at which to pay for a clock read / cancellation poll.
@@ -442,17 +435,13 @@ fn solve_inner(model: &Model, params: &SolveParams, shared: Option<&SharedSearch
     'search: loop {
         // Budget checks (time and cancellation polled at a coarse cadence).
         if stats.nodes >= params.node_limit || stats.fails >= params.fail_limit {
-            budget_hit = true;
             break;
         }
         if (params.time_limit.is_some() || shared.is_some()) && stats.nodes >= next_check {
             next_check = stats.nodes + CHECK_STRIDE;
-            if params.time_limit.is_some_and(|tl| t0.elapsed() > tl) {
-                budget_hit = true;
-                break;
-            }
-            if shared.is_some_and(|sh| sh.cancel.load(Ordering::Relaxed)) {
-                budget_hit = true;
+            if params.time_limit.is_some_and(|tl| t0.elapsed() > tl)
+                || shared.is_some_and(|sh| sh.cancel.load(Ordering::Relaxed))
+            {
                 break;
             }
         }
@@ -495,8 +484,8 @@ fn solve_inner(model: &Model, params: &SolveParams, shared: Option<&SharedSearch
                     sh.publish(obj);
                 }
                 best = Some(solution);
-                if obj <= target {
-                    break 'search; // good enough (Optimal when target==0)
+                if unbeatable(&best) {
+                    break 'search;
                 }
                 engine.set_bound(obj - 1);
             }
@@ -563,19 +552,13 @@ fn solve_inner(model: &Model, params: &SolveParams, shared: Option<&SharedSearch
         }
     }
 
-    let reached_zero = best.as_ref().is_some_and(|b| b.objective == 0);
-    let status = if exhausted {
-        if best.is_some() {
-            Status::Optimal
-        } else {
-            Status::Infeasible
-        }
-    } else if reached_zero && !budget_hit {
-        Status::Optimal
-    } else if best.is_some() {
-        Status::Feasible
-    } else {
-        Status::Unknown
+    // A zero-late incumbent ends the search the moment it is found, so it
+    // never coincides with an expired budget.
+    let status = match &best {
+        Some(_) if exhausted || unbeatable(&best) => Status::Optimal,
+        Some(_) => Status::Feasible,
+        None if exhausted => Status::Infeasible,
+        None => Status::Unknown,
     };
     finalize_stats(&mut stats, &engine, t0);
     Outcome {
@@ -583,6 +566,12 @@ fn solve_inner(model: &Model, params: &SolveParams, shared: Option<&SharedSearch
         best,
         stats,
     }
+}
+
+/// True when `best` has no late job, which no schedule beats: the solve's
+/// one early exit, with `Optimal`.
+fn unbeatable(best: &Option<Solution>) -> bool {
+    best.as_ref().is_some_and(|b| b.objective == 0)
 }
 
 /// Copy the engine's propagation counters into the solve stats.
@@ -962,6 +951,112 @@ mod tests {
         );
         assert_eq!(out.status, Status::Optimal);
         assert_eq!(out.best.unwrap().objective, 0);
+    }
+
+    /// Greedy passes `f` runs on this thread.
+    fn greedy_passes<T>(f: impl FnOnce() -> T) -> (u64, T) {
+        let before = crate::greedy::PASSES.with(|p| p.get());
+        let out = f();
+        (crate::greedy::PASSES.with(|p| p.get()) - before, out)
+    }
+
+    /// Two one-map jobs (10 ticks, due at 12) on `resources` 1/1 resources:
+    /// both on time only on different resources, one late on a shared one.
+    fn pair_model(resources: usize) -> Model {
+        let mut b = ModelBuilder::new();
+        for _ in 0..resources {
+            b.add_resource(1, 1);
+        }
+        for _ in 0..2 {
+            let j = b.add_job(0, 12);
+            b.add_task(j, SlotKind::Map, 10, 1);
+        }
+        b.build().unwrap()
+    }
+
+    /// An on-time incumbent cannot be beaten: no greedy pass, no search,
+    /// and the incumbent itself comes back (not greedy's equal-valued one).
+    #[test]
+    fn on_time_initial_skips_the_greedy_pass() {
+        let m = pair_model(2);
+        // Greedy puts job 0 on r0; this incumbent swaps the two.
+        let initial = Solution::from_placements(&m, vec![0, 0], vec![ResRef(1), ResRef(0)]);
+        assert_eq!(initial.objective, 0);
+        assert_ne!(greedy_edf(&m).unwrap(), initial);
+        let (passes, out) = greedy_passes(|| {
+            solve(
+                &m,
+                &SolveParams {
+                    initial: Some(initial.clone()),
+                    ..Default::default()
+                },
+            )
+        });
+        assert_eq!(passes, 0);
+        assert_eq!(out.status, Status::Optimal);
+        assert_eq!(out.stats.nodes, 0);
+        assert_eq!(out.best, Some(initial));
+    }
+
+    /// A late incumbent still gets exactly one greedy pass, and the solve
+    /// keeps the strictly better schedule — the incumbent on a tie.
+    #[test]
+    fn late_initial_runs_one_greedy_pass_and_keeps_the_better() {
+        let no_search = |initial: &Solution| SolveParams {
+            node_limit: 0,
+            initial: Some(initial.clone()),
+            ..Default::default()
+        };
+        // Greedy spreads the two jobs (0 late) and beats the serialized
+        // incumbent (1 late).
+        let m = pair_model(2);
+        let serial = Solution::from_placements(&m, vec![0, 10], vec![ResRef(0), ResRef(0)]);
+        assert_eq!(serial.objective, 1);
+        let (passes, out) = greedy_passes(|| solve(&m, &no_search(&serial)));
+        assert_eq!(passes, 1);
+        assert_eq!(out.status, Status::Optimal);
+        assert_eq!(out.best, Some(greedy_edf(&m).unwrap()));
+        // One resource: every schedule has one late job. Greedy runs job 0
+        // first; the incumbent runs job 1 first and survives the tie.
+        let m = pair_model(1);
+        let swapped = Solution::from_placements(&m, vec![10, 0], vec![ResRef(0), ResRef(0)]);
+        let greedy = greedy_edf(&m).unwrap();
+        assert_eq!((swapped.objective, greedy.objective), (1, 1));
+        assert_ne!(greedy, swapped);
+        let (passes, out) = greedy_passes(|| solve(&m, &no_search(&swapped)));
+        assert_eq!(passes, 1);
+        assert_eq!(out.best, Some(swapped));
+    }
+
+    /// With no incumbent in hand the warm start runs once.
+    #[test]
+    fn no_initial_runs_one_greedy_pass() {
+        let m = pair_model(2);
+        let (passes, out) = greedy_passes(|| solve(&m, &SolveParams::default()));
+        assert_eq!(passes, 1);
+        assert_eq!(out.best, Some(greedy_edf(&m).unwrap()));
+    }
+
+    /// An incumbent that fails verification is dropped and the warm start
+    /// runs once (release builds); debug builds stop at the caller's bug.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "initial incumbent invalid"))]
+    fn invalid_initial_runs_one_greedy_pass() {
+        let m = pair_model(2);
+        // Both maps on r0 at once: over capacity.
+        let bad = Solution::from_placements(&m, vec![0, 0], vec![ResRef(0), ResRef(0)]);
+        assert!(bad.verify(&m).is_err());
+        let (passes, out) = greedy_passes(|| {
+            solve(
+                &m,
+                &SolveParams {
+                    initial: Some(bad),
+                    ..Default::default()
+                },
+            )
+        });
+        assert_eq!(passes, 1);
+        assert_eq!(out.best, Some(greedy_edf(&m).unwrap()));
     }
 
     #[test]

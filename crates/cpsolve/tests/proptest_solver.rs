@@ -5,8 +5,10 @@
 //! * On tiny random instances, the solver's objective equals the
 //!   brute-force optimum.
 //! * Incremental pins are never moved.
+//! * An `initial` incumbent is never lost, whatever the node budget.
 
 use cpsolve::brute::brute_force_optimal;
+use cpsolve::greedy::{greedy_edf, greedy_edf_with_hints, Hint};
 use cpsolve::model::{Model, ModelBuilder, ResRef, SlotKind, TaskRef};
 use cpsolve::search::{solve, SolveParams, Status};
 use proptest::prelude::*;
@@ -97,8 +99,44 @@ proptest! {
         let out = solve(&model, &SolveParams::default());
         let best = out.best.unwrap();
         prop_assert!(best.objective as usize <= model.n_jobs());
-        let greedy = cpsolve::greedy::greedy_edf(&model).unwrap();
+        let greedy = greedy_edf(&model).unwrap();
         prop_assert!(best.objective <= greedy.objective);
+    }
+
+    /// An `initial` incumbent built the way the manager builds one — greedy
+    /// replaying the previous round's placements, stale hints included —
+    /// is never lost: the answer verifies and is no worse than either the
+    /// incumbent or a cold greedy pass, whatever the node budget. At
+    /// `node_limit` 0 no search can make up for a wrongly skipped warm
+    /// start.
+    #[test]
+    fn initial_incumbent_is_never_lost(
+        inst in tiny_instance(),
+        raw_hints in prop::collection::vec((any::<bool>(), 0u32..=3, -2i64..=15), 9),
+        limit in 0usize..4,
+    ) {
+        let model = build(&inst);
+        let hints: Vec<Hint> = raw_hints
+            .iter()
+            .take(model.n_tasks())
+            .map(|&(on, r, s)| on.then_some((ResRef(r), s)))
+            .collect();
+        let initial = greedy_edf_with_hints(&model, &hints).unwrap();
+        let cold = greedy_edf(&model).unwrap();
+        let node_limit = [0, 1, 50, SolveParams::default().node_limit][limit];
+        let out = solve(&model, &SolveParams {
+            node_limit,
+            initial: Some(initial.clone()),
+            ..Default::default()
+        });
+        let best = out.best.expect("an incumbent was passed in");
+        best.verify(&model).unwrap();
+        prop_assert!(best.objective <= initial.objective.min(cold.objective),
+            "best {} vs initial {} / greedy {}", best.objective, initial.objective, cold.objective);
+        if initial.objective == 0 {
+            prop_assert_eq!(out.status, Status::Optimal);
+            prop_assert_eq!(best, initial);
+        }
     }
 }
 

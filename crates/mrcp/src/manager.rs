@@ -779,8 +779,10 @@ pub struct MrcpRm {
     jobs: HashMap<JobId, JobState>,
     /// Jobs parked by the deferral policy: `(activation, job)`.
     deferred: Vec<(SimTime, JobId)>,
-    /// Task → owning job, for event routing.
-    task_owner: HashMap<TaskId, JobId>,
+    /// Task → owning job and the task's index in that job's `tasks`, for
+    /// event routing. Tasks never leave a job's `tasks`, so the index
+    /// holds for the job's whole stay.
+    task_owner: HashMap<TaskId, (JobId, usize)>,
     /// Current plan for unstarted tasks.
     schedule: HashMap<TaskId, ScheduleEntry>,
     /// Resources currently down — excluded from every scheduling round.
@@ -977,13 +979,13 @@ impl MrcpRm {
     }
 
     /// The one path from a task id to its record (owner index → job →
-    /// task): the owning job, the task, and the job's count of tasks not
-    /// yet completed.
+    /// task, O(1)): the owning job, the task, and the job's count of tasks
+    /// not yet completed.
     fn task_mut(
         &mut self,
         task: TaskId,
     ) -> Result<(JobId, &mut TaskImage, &mut usize), ManagerError> {
-        let job = *self
+        let (job, idx) = *self
             .task_owner
             .get(&task)
             .ok_or(ManagerError::UnknownTask(task))?;
@@ -993,9 +995,9 @@ impl MrcpRm {
             .ok_or(ManagerError::UnknownJob(job))?;
         let t = state
             .tasks
-            .iter_mut()
-            .find(|t| t.id == task)
-            .ok_or(ManagerError::UnknownTask(task))?;
+            .get_mut(idx)
+            .filter(|t| t.id == task)
+            .ok_or(ManagerError::Inconsistent("stale task index"))?;
         Ok((job, t, &mut state.remaining))
     }
 
@@ -1023,8 +1025,8 @@ impl MrcpRm {
                 failed_attempts: 0,
             })
             .collect();
-        for t in &tasks {
-            let prev = self.task_owner.insert(t.id, id);
+        for (i, t) in tasks.iter().enumerate() {
+            let prev = self.task_owner.insert(t.id, (id, i));
             debug_assert!(prev.is_none(), "task {:?} already known", t.id);
         }
         let remaining = tasks.len();
@@ -1968,8 +1970,8 @@ impl MrcpRm {
         for ji in image.jobs {
             let id = ji.job.id;
             let tasks = ji.tasks;
-            for t in &tasks {
-                if task_owner.insert(t.id, id).is_some() {
+            for (i, t) in tasks.iter().enumerate() {
+                if task_owner.insert(t.id, (id, i)).is_some() {
                     return Err(ManagerError::Inconsistent("snapshot lists a task twice"));
                 }
             }
