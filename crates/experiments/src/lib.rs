@@ -6,11 +6,13 @@
 //!   parallel execution, Student-t confidence intervals with the paper's
 //!   ±1%/±5% stopping rules available at paper scale),
 //! * [`figures`] — the experiment definitions, one per paper artifact:
-//!   Figs. 2–3 (MRCP-RM vs MinEDF-WC on the Facebook workload) and
-//!   Figs. 4–9 (factor-at-a-time sweeps over the Table 3 parameters),
-//! * [`report`] — table rendering (console + CSV + JSON artifacts) and the
-//!   paper-expected trends each figure is compared against in
-//!   EXPERIMENTS.md.
+//!   Figs. 2–3 (MRCP-RM vs MinEDF-WC on the Facebook workload, one run
+//!   charted as `P` and as `T`) and Figs. 4–9 (factor-at-a-time sweeps
+//!   over the Table 3 parameters), each with a check that turns the
+//!   paper's reported trend into pass/fail verdicts,
+//! * [`report`] — table rendering (console + CSV artifacts) and the
+//!   verdict lines,
+//! * [`plot`] — SVG charts.
 //!
 //! Scale presets: the paper runs every point to steady state on hours of
 //! simulated (and real) time; [`Preset::Default`] shrinks job counts,
@@ -25,5 +27,5 @@ pub mod runner;
 
 pub use figures::{all_figures, figure_by_name, Figure};
 pub use plot::{render_svg, Metric};
-pub use report::{render_csv, render_table, FigureResult, PointResult};
+pub use report::{render_csv, render_table, render_verdicts, FigureResult, PointResult, Verdict};
 pub use runner::{MetricAgg, Preset, Scale};

@@ -57,10 +57,10 @@ const PALETTE: [&str; 6] = [
     "#2d6cdf", "#d95f02", "#1b9e77", "#7570b3", "#e7298a", "#66a61e",
 ];
 
-/// Render one metric of a figure as an SVG grouped line chart with CI
+/// Render one metric of figure `name` as an SVG grouped line chart with CI
 /// error bars. Points sharing a label form the x-axis; each series gets a
 /// color and a legend entry.
-pub fn render_svg(fig: &FigureResult, metric: Metric) -> String {
+pub fn render_svg(name: &str, title: &str, fig: &FigureResult, metric: Metric) -> String {
     // Collect x categories (in first-appearance order) and series.
     let mut xcats: Vec<&str> = Vec::new();
     let mut series: Vec<&str> = Vec::new();
@@ -115,8 +115,8 @@ pub fn render_svg(fig: &FigureResult, metric: Metric) -> String {
         s,
         r#"<text x="{}" y="20" text-anchor="middle" font-size="14">{} — {}</text>"#,
         W / 2.0,
-        xml_escape(&fig.name),
-        xml_escape(&fig.title)
+        xml_escape(name),
+        xml_escape(title)
     );
     // Axes.
     let _ = writeln!(
@@ -257,17 +257,12 @@ mod tests {
                 });
             }
         }
-        FigureResult {
-            name: "fig2".into(),
-            title: "P vs λ".into(),
-            expectation: "MRCP-RM lower".into(),
-            points,
-        }
+        FigureResult { points }
     }
 
     #[test]
     fn svg_contains_axes_series_and_legend() {
-        let svg = render_svg(&fig(), Metric::PLate);
+        let svg = render_svg("fig2", "P vs λ", &fig(), Metric::PLate);
         assert!(svg.starts_with("<svg"));
         assert!(svg.ends_with("</svg>\n"));
         assert!(svg.contains("polyline"), "series lines drawn");
@@ -280,16 +275,14 @@ mod tests {
     #[test]
     fn all_metrics_render() {
         for m in [Metric::PLate, Metric::Turnaround, Metric::Overhead] {
-            let svg = render_svg(&fig(), m);
+            let svg = render_svg("fig2", "P vs λ", &fig(), m);
             assert!(svg.contains(m.label()));
         }
     }
 
     #[test]
     fn escaping_is_applied() {
-        let mut f = fig();
-        f.title = "a<b & c>d".into();
-        let svg = render_svg(&f, Metric::PLate);
+        let svg = render_svg("fig2", "a<b & c>d", &fig(), Metric::PLate);
         assert!(svg.contains("a&lt;b &amp; c&gt;d"));
         assert!(!svg.contains("a<b & c>d"));
     }
@@ -298,7 +291,7 @@ mod tests {
     fn single_point_figures_center() {
         let mut f = fig();
         f.points.truncate(2); // one x category, two series
-        let svg = render_svg(&f, Metric::Turnaround);
+        let svg = render_svg("fig2", "P vs λ", &f, Metric::Turnaround);
         assert!(svg.contains("circle"));
     }
 }

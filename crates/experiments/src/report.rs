@@ -1,5 +1,5 @@
-//! Result tables: console rendering, CSV artifacts, and the paper-expected
-//! trend attached to every figure.
+//! Result tables: console rendering, CSV artifacts, and the verdicts of a
+//! figure's checked claims.
 
 use crate::runner::MetricAgg;
 
@@ -18,15 +18,19 @@ pub struct PointResult {
 /// A regenerated figure.
 #[derive(Debug, Clone)]
 pub struct FigureResult {
-    /// Identifier (`fig2` … `fig9`).
-    pub name: String,
-    /// Human title.
-    pub title: String,
-    /// What the paper reports for this artifact (the trend the regenerated
-    /// numbers are compared against in EXPERIMENTS.md).
-    pub expectation: String,
     /// The sweep.
     pub points: Vec<PointResult>,
+}
+
+/// One claim judged against a regenerated figure.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Verdict {
+    /// What the paper (or, for an extra panel, the panel) claims.
+    pub claim: &'static str,
+    /// Whether the figure bears it out.
+    pub pass: bool,
+    /// The values the claim was judged on.
+    pub measured: String,
 }
 
 fn fmt_ci(mean: f64, hw: f64, digits: usize) -> String {
@@ -38,10 +42,9 @@ fn fmt_ci(mean: f64, hw: f64, digits: usize) -> String {
 }
 
 /// Render a console/markdown table for one figure.
-pub fn render_table(fig: &FigureResult) -> String {
+pub fn render_table(name: &str, title: &str, fig: &FigureResult) -> String {
     let mut out = String::new();
-    out.push_str(&format!("## {} — {}\n", fig.name, fig.title));
-    out.push_str(&format!("Paper: {}\n\n", fig.expectation));
+    out.push_str(&format!("## {name} — {title}\n\n"));
     out.push_str(
         "| point | series | reps | P (late frac) | N (late jobs) | T (s) | O (s/job) | rejected (frac) |\n",
     );
@@ -67,8 +70,22 @@ pub fn render_table(fig: &FigureResult) -> String {
     out
 }
 
-/// Render CSV rows (with header) for one figure.
-pub fn render_csv(fig: &FigureResult) -> String {
+/// Render one `PASS`/`FAIL` line per verdict of figure `name`.
+pub fn render_verdicts(name: &str, verdicts: &[Verdict]) -> String {
+    if verdicts.is_empty() {
+        return format!("{name}: no checked claims\n");
+    }
+    verdicts
+        .iter()
+        .map(|v| {
+            let status = if v.pass { "PASS" } else { "FAIL" };
+            format!("{status} {name}: {} — {}\n", v.claim, v.measured)
+        })
+        .collect()
+}
+
+/// Render CSV rows (with header) for figure `name`.
+pub fn render_csv(name: &str, fig: &FigureResult) -> String {
     let mut out = String::from(
         "figure,point,series,reps,p_late,p_late_hw,n_late,n_late_hw,turnaround_s,turnaround_hw,overhead_s,overhead_hw,rejected_frac,rejected_hw\n",
     );
@@ -80,7 +97,7 @@ pub fn render_csv(fig: &FigureResult) -> String {
         let rej = p.agg.rejected();
         out.push_str(&format!(
             "{},{},{},{},{:.6},{:.6},{:.3},{:.3},{:.3},{:.3},{:.6},{:.6},{:.6},{:.6}\n",
-            fig.name,
+            name,
             p.label,
             p.series,
             p.agg.count(),
@@ -121,9 +138,6 @@ mod tests {
             rejected_frac: 0.04,
         });
         FigureResult {
-            name: "fig9".into(),
-            title: "Effect of the number of resources".into(),
-            expectation: "T and P increase as m decreases".into(),
             points: vec![PointResult {
                 label: "m=50".into(),
                 series: "MRCP-RM".into(),
@@ -134,7 +148,7 @@ mod tests {
 
     #[test]
     fn table_contains_all_metrics() {
-        let t = render_table(&fig());
+        let t = render_table("fig9", "Effect of the number of resources", &fig());
         assert!(t.contains("fig9"));
         assert!(t.contains("m=50"));
         assert!(t.contains("MRCP-RM"));
@@ -145,8 +159,25 @@ mod tests {
     }
 
     #[test]
+    fn one_line_per_verdict() {
+        let verdict = |pass| Verdict {
+            claim: "P falls",
+            pass,
+            measured: "P [0.1, 0]".into(),
+        };
+        assert_eq!(
+            render_verdicts("fig7", &[verdict(true), verdict(false)]),
+            "PASS fig7: P falls — P [0.1, 0]\nFAIL fig7: P falls — P [0.1, 0]\n"
+        );
+        assert_eq!(
+            render_verdicts("prelim", &[]),
+            "prelim: no checked claims\n"
+        );
+    }
+
+    #[test]
     fn csv_round_numbers() {
-        let c = render_csv(&fig());
+        let c = render_csv("fig9", &fig());
         let lines: Vec<&str> = c.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("figure,point,series"));

@@ -2,6 +2,7 @@
 //! aggregated into Student-t confidence intervals.
 
 use desim::stats::{CiMean, Replications};
+use mrcp::RunMetrics;
 
 /// How much effort a regeneration spends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,6 +108,25 @@ pub struct Sample {
     pub rejected_frac: f64,
 }
 
+impl Sample {
+    /// The figure metrics of one simulated MRCP-RM run.
+    pub(crate) fn of(m: &RunMetrics) -> Sample {
+        Sample {
+            p_late: m.p_late,
+            n_late: m.late as f64,
+            turnaround_s: m.mean_turnaround_s,
+            overhead_s: m.o_per_job_s,
+            // Admission rejections plus backpressure shedding — 0 whenever
+            // admission control is off.
+            rejected_frac: if m.arrived == 0 {
+                0.0
+            } else {
+                (m.jobs_rejected + m.jobs_shed) as f64 / m.arrived as f64
+            },
+        }
+    }
+}
+
 /// Aggregated metrics of one experiment point.
 #[derive(Debug, Clone)]
 pub struct MetricAgg {
@@ -201,10 +221,6 @@ where
         if batch == 0 {
             break;
         }
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(batch as usize);
         let samples: Vec<Sample> = std::thread::scope(|s| {
             let f = &f;
             let handles: Vec<_> = (0..batch)
@@ -213,7 +229,6 @@ where
                     s.spawn(move || f(rep))
                 })
                 .collect();
-            let _ = threads;
             handles
                 .into_iter()
                 .map(|h| h.join().expect("replication panicked"))
