@@ -173,7 +173,11 @@ fn greedy_edf_core(model: &Model, hints: Option<&[Hint]>) -> Result<Solution, St
     }
 
     // Priority order over jobs (EDF by default); stable tie-break on
-    // deadline, release, then index.
+    // deadline, release, then index. After the pinned tasks, each job is
+    // placed whole in this order, so a job's placement depends on no job
+    // after it: `mrcp::admission::witness_completion` relies on that to
+    // drop every job after its candidate, and its differential test in
+    // `mrcp/tests/proptest_manager.rs` guards this key.
     let mut order: Vec<usize> = (0..model.n_jobs()).collect();
     order.sort_by_key(|&j| {
         (

@@ -84,6 +84,16 @@ pub fn render_verdicts(name: &str, verdicts: &[Verdict]) -> String {
         .collect()
 }
 
+/// One CSV field per RFC 4180: quoted, with inner quotes doubled, when it
+/// holds a comma, a quote or a line break.
+fn csv_field(s: &str) -> std::borrow::Cow<'_, str> {
+    if s.contains([',', '"', '\n', '\r']) {
+        format!("\"{}\"", s.replace('"', "\"\"")).into()
+    } else {
+        s.into()
+    }
+}
+
 /// Render CSV rows (with header) for figure `name`.
 pub fn render_csv(name: &str, fig: &FigureResult) -> String {
     let mut out = String::from(
@@ -97,9 +107,9 @@ pub fn render_csv(name: &str, fig: &FigureResult) -> String {
         let rej = p.agg.rejected();
         out.push_str(&format!(
             "{},{},{},{},{:.6},{:.6},{:.3},{:.3},{:.3},{:.3},{:.6},{:.6},{:.6},{:.6}\n",
-            name,
-            p.label,
-            p.series,
+            csv_field(name),
+            csv_field(&p.label),
+            csv_field(&p.series),
             p.agg.count(),
             pl.mean,
             pl.half_width,
@@ -184,5 +194,42 @@ mod tests {
         assert!(lines[0].ends_with("rejected_frac,rejected_hw"));
         assert!(lines[1].starts_with("fig9,m=50,MRCP-RM,2,0.060000"));
         assert!(lines[1].contains(",0.030000,"), "rejected column: {c}");
+    }
+
+    /// The fields of one RFC 4180 record (no embedded line breaks).
+    fn csv_fields(line: &str) -> Vec<String> {
+        let (mut fields, mut field, mut quoted) = (Vec::new(), String::new(), false);
+        let mut chars = line.chars().peekable();
+        while let Some(c) = chars.next() {
+            match (c, quoted) {
+                ('"', true) if chars.peek() == Some(&'"') => {
+                    field.push('"');
+                    chars.next();
+                }
+                ('"', _) => quoted = !quoted,
+                (',', false) => fields.push(std::mem::take(&mut field)),
+                _ => field.push(c),
+            }
+        }
+        fields.push(field);
+        fields
+    }
+
+    #[test]
+    fn csv_rows_keep_the_header_width() {
+        let mut f = fig();
+        let mut odd = f.points[0].clone();
+        odd.series = "batched ingest (max_batch=16, linger=8s)".into();
+        f.points.push(odd.clone());
+        odd.label = "say \"hi\", twice".into();
+        f.points.push(odd);
+        let c = render_csv("service", &f);
+        let rows: Vec<Vec<String>> = c.lines().map(csv_fields).collect();
+        assert_eq!(rows.len(), 4);
+        for row in &rows {
+            assert_eq!(row.len(), rows[0].len(), "{row:?}");
+        }
+        assert_eq!(rows[2][2], "batched ingest (max_batch=16, linger=8s)");
+        assert_eq!(rows[3][1], "say \"hi\", twice");
     }
 }

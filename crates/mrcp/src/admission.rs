@@ -17,17 +17,21 @@
 //!    deadline `d`. Release times and the map→reduce barrier are ignored,
 //!    which only relaxes the problem — a violated bound is a *proof* of
 //!    infeasibility, never a false rejection;
-//! 2. a **greedy witness schedule**: the greedy EDF warm start is run on
-//!    the live model plus the candidate; the candidate's completion time
-//!    in that witness is an upper bound on what the real solver will
-//!    achieve, and doubles as the `earliest_feasible_deadline` quoted in
-//!    renegotiations and rejections.
+//! 2. a **greedy witness schedule** ([`witness_completion`]): the greedy
+//!    EDF warm start is run on the live model plus the candidate; the
+//!    candidate's completion time in that witness is an upper bound on what
+//!    the real solver will achieve, and doubles as the
+//!    `earliest_feasible_deadline` quoted in renegotiations and rejections.
 //!
 //! What happens to an infeasible candidate is the [`AdmissionPolicy`]'s
 //! choice: admit anyway (the paper's behaviour), reject, or admit with
 //! the deadline renegotiated to the earliest feasible one.
 
+use crate::modelmap::{build_model, JobInput};
+use cpsolve::greedy::greedy_edf;
+use cpsolve::model::JobRef;
 use desim::SimTime;
+use workload::{Resource, TaskKind};
 
 /// How the manager treats arrivals whose SLA the probe finds unmeetable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -162,6 +166,78 @@ pub fn earliest_feasible_estimate(now: SimTime, slots: u32, total_work: SimTime)
         return SimTime::MAX;
     }
     now + SimTime::from_millis((ms + slots as i64 - 1) / slots as i64)
+}
+
+/// The greedy witness: the completion of the candidate, the last job of
+/// `inputs`, in [`greedy_edf`] over the `up` resources. `None` when no
+/// witness can be built (inconsistent pins, a task no resource can host).
+///
+/// `greedy_edf` places every pinned task first, then whole jobs one at a
+/// time in `(priority, deadline, release, index)` order, so nothing placed
+/// after the candidate can move it. The model therefore holds every job's
+/// pinned (running) tasks, the jobs that sort before the candidate, and
+/// the candidate; a job that sorts after it keeps only its pinned tasks
+/// and is dropped when it has none. Filtering keeps the input order, so
+/// the index tie-break and the pinned-phase slot choice are unchanged and
+/// the completion equals the untrimmed model's. Workflow edges route the
+/// greedy to `greedy_topo`, which interleaves the tasks of different jobs,
+/// so an input with edges keeps the whole model.
+pub fn witness_completion(up: &[Resource], mut inputs: Vec<JobInput<'_>>) -> Option<SimTime> {
+    #[cfg(debug_assertions)]
+    let full = inputs.clone();
+    if inputs.iter().all(|i| i.job.precedences.is_empty()) {
+        keep_what_can_delay_last(up, &mut inputs);
+    }
+    let completion = last_job_completion(up, &inputs);
+    #[cfg(debug_assertions)]
+    debug_assert_eq!(
+        completion,
+        last_job_completion(up, &full),
+        "trimmed admission witness diverged from the full model"
+    );
+    completion
+}
+
+/// Drop the unpinned tasks of every job that `greedy_edf` places after
+/// the last one. A free task the greedy could not place at all (no up
+/// resource hosts its kind, or it needs more than one slot) stays, so the
+/// trimmed witness fails exactly when the full one does.
+fn keep_what_can_delay_last(up: &[Resource], inputs: &mut Vec<JobInput<'_>>) {
+    // The model's job order key (`modelmap::add_jobs` units). The last
+    // job has the highest index, so a tie sorts before it.
+    let key = |i: &JobInput<'_>| {
+        (
+            i.priority,
+            i.job.deadline.as_millis(),
+            i.release.as_millis(),
+        )
+    };
+    let Some(last) = inputs.last().map(key) else {
+        return;
+    };
+    let hosts = |kind| up.iter().any(|r| r.capacity(kind) >= 1);
+    let (map_host, reduce_host) = (hosts(TaskKind::Map), hosts(TaskKind::Reduce));
+    inputs.retain_mut(|i| {
+        if key(i) <= last {
+            return true;
+        }
+        i.tasks.retain(|t| {
+            let hosted = match t.kind {
+                TaskKind::Map => map_host,
+                TaskKind::Reduce => reduce_host,
+            };
+            t.pinned.is_some() || !hosted || t.req != 1
+        });
+        !i.tasks.is_empty()
+    });
+}
+
+/// Completion of the last job of `inputs` in the greedy schedule.
+fn last_job_completion(up: &[Resource], inputs: &[JobInput<'_>]) -> Option<SimTime> {
+    let mm = build_model(up, inputs).ok()?;
+    let g = greedy_edf(&mm.model).ok()?;
+    let last = JobRef(mm.model.n_jobs().checked_sub(1)? as u32);
+    Some(SimTime::from_millis(g.job_completion(&mm.model, last)))
 }
 
 #[cfg(test)]

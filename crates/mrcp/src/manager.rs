@@ -26,8 +26,8 @@
 //! ablations.
 
 use crate::admission::{
-    earliest_feasible_estimate, edf_demand_violation, AdmissionConfig, AdmissionDecision,
-    AdmissionPolicy, RejectReason,
+    earliest_feasible_estimate, edf_demand_violation, witness_completion, AdmissionConfig,
+    AdmissionDecision, AdmissionPolicy, RejectReason,
 };
 use crate::defer::DeferPolicy;
 use crate::modelmap::{build_model, JobInput, MappedModel, TaskInput};
@@ -1182,9 +1182,11 @@ impl MrcpRm {
     }
 
     /// The two-stage admission probe (see [`crate::admission`]): the EDF
-    /// demand bound per slot pool, then the greedy witness schedule over
-    /// the live model plus the candidate. `Err` carries the reason and
-    /// the earliest deadline the manager could have promised.
+    /// demand bound per slot pool over every live job plus the candidate,
+    /// then the greedy witness schedule over the part of that model that
+    /// can delay the candidate ([`witness_completion`]). Both stages read
+    /// one walk of the job table. `Err` carries the reason and the
+    /// earliest deadline the manager could have promised.
     fn admission_probe(&self, job: &Job, now: SimTime) -> Result<(), (RejectReason, SimTime)> {
         let up: Vec<Resource> = self
             .resources
@@ -1201,52 +1203,9 @@ impl MrcpRm {
             return Err((RejectReason::DemandExceedsCapacity, SimTime::MAX));
         }
 
-        // Stage 1: the EDF demand bound per slot pool over outstanding
-        // work. Started tasks count only their remaining occupancy.
-        let now_ms = now.as_millis();
-        let mut map_demand: Vec<(i64, i64)> = Vec::with_capacity(self.jobs.len() + 1);
-        let mut reduce_demand: Vec<(i64, i64)> = Vec::with_capacity(self.jobs.len() + 1);
-        let (mut map_total, mut reduce_total) = (0i64, 0i64);
-        for state in self.jobs.values() {
-            let d = state.job.deadline.as_millis();
-            let (mut map_work, mut reduce_work) = (0i64, 0i64);
-            for t in &state.tasks {
-                let w = match t.status {
-                    TaskStatusImage::Completed => 0,
-                    TaskStatusImage::Waiting => t.exec_time.as_millis(),
-                    TaskStatusImage::Started { start, .. } => {
-                        (start.as_millis() + t.exec_time.as_millis() - now_ms).max(0)
-                    }
-                };
-                match t.kind {
-                    TaskKind::Map => map_work += w,
-                    TaskKind::Reduce => reduce_work += w,
-                }
-            }
-            map_demand.push((d, map_work));
-            reduce_demand.push((d, reduce_work));
-            map_total += map_work;
-            reduce_total += reduce_work;
-        }
-        let cand_map: i64 = job.map_tasks.iter().map(|t| t.exec_time.as_millis()).sum();
-        let cand_reduce: i64 = job
-            .reduce_tasks
-            .iter()
-            .map(|t| t.exec_time.as_millis())
-            .sum();
-        map_demand.push((job.deadline.as_millis(), cand_map));
-        reduce_demand.push((job.deadline.as_millis(), cand_reduce));
-        map_total += cand_map;
-        reduce_total += cand_reduce;
-        let bound_violated = edf_demand_violation(now_ms, map_slots, &map_demand).is_some()
-            || edf_demand_violation(now_ms, reduce_slots, &reduce_demand).is_some();
-        let estimate =
-            earliest_feasible_estimate(now, map_slots, SimTime::from_millis(map_total)).max(
-                earliest_feasible_estimate(now, reduce_slots, SimTime::from_millis(reduce_total)),
-            );
-
-        // Stage 2: greedy witness. Deferred jobs are included — their
-        // capacity demand is real even though they are parked.
+        // The live jobs with outstanding work, the candidate last. Deferred
+        // jobs are included: their capacity demand is real even though
+        // they are parked.
         let mut inputs =
             Self::collect_inputs(self.cfg.ordering, &self.jobs, &self.deferred, now, true);
         inputs.push(JobInput {
@@ -1264,22 +1223,39 @@ impl MrcpRm {
                 })
                 .collect(),
         });
-        let witness = build_model(&up, &inputs)
-            .ok()
-            .and_then(|mm| greedy_edf(&mm.model).ok().map(|g| (mm, g)))
-            .map(|(mm, g)| {
-                let cand: HashSet<TaskId> = job.tasks().map(|t| t.id).collect();
-                let mut completion = now;
-                for (i, tid) in mm.task_ids.iter().enumerate() {
-                    if cand.contains(tid) {
-                        let end = SimTime::from_millis(g.starts[i] + mm.model.tasks[i].dur);
-                        completion = completion.max(end);
-                    }
-                }
-                completion
-            });
 
-        match witness {
+        // Stage 1: the EDF demand bound per slot pool over outstanding
+        // work. Started tasks count only their remaining occupancy.
+        let now_ms = now.as_millis();
+        let mut map_demand: Vec<(i64, i64)> = Vec::with_capacity(inputs.len());
+        let mut reduce_demand: Vec<(i64, i64)> = Vec::with_capacity(inputs.len());
+        for input in &inputs {
+            let (mut map_work, mut reduce_work) = (0i64, 0i64);
+            for t in &input.tasks {
+                let w = match t.pinned {
+                    None => t.exec_time.as_millis(),
+                    Some((_, start)) => {
+                        (start.as_millis() + t.exec_time.as_millis() - now_ms).max(0)
+                    }
+                };
+                match t.kind {
+                    TaskKind::Map => map_work += w,
+                    TaskKind::Reduce => reduce_work += w,
+                }
+            }
+            let d = input.job.deadline.as_millis();
+            map_demand.push((d, map_work));
+            reduce_demand.push((d, reduce_work));
+        }
+        let total = |demand: &[(i64, i64)]| SimTime::from_millis(demand.iter().map(|p| p.1).sum());
+        let bound_violated = edf_demand_violation(now_ms, map_slots, &map_demand).is_some()
+            || edf_demand_violation(now_ms, reduce_slots, &reduce_demand).is_some();
+        let estimate = earliest_feasible_estimate(now, map_slots, total(&map_demand)).max(
+            earliest_feasible_estimate(now, reduce_slots, total(&reduce_demand)),
+        );
+
+        // Stage 2: the greedy witness.
+        match witness_completion(&up, inputs) {
             // A violated bound is a proof that the job set (candidate
             // included) cannot all meet its deadlines; the witness
             // completion is still the better renegotiation quote.

@@ -6,7 +6,7 @@
 //! tuple sets of the CP formulation, with dense solver indices mapped back
 //! to workload identifiers afterwards.
 
-use cpsolve::model::{Model, ModelBuilder, ResRef, SlotKind};
+use cpsolve::model::{Model, ModelBuilder, ResRef, SlotKind, TaskRef};
 use desim::SimTime;
 use workload::{Job, JobId, Resource, ResourceId, TaskId, TaskKind};
 
@@ -71,8 +71,6 @@ fn add_jobs(
 ) -> Result<(Vec<TaskId>, Vec<JobId>), String> {
     let mut task_ids = Vec::new();
     let mut job_ids = Vec::new();
-    let mut task_index: std::collections::HashMap<TaskId, cpsolve::model::TaskRef> =
-        std::collections::HashMap::new();
     for input in jobs {
         let j = b.add_job_with_priority(
             input.release.as_millis(),
@@ -80,10 +78,10 @@ fn add_jobs(
             input.priority,
         );
         job_ids.push(input.job.id);
+        let first = b.task_count();
         for t in &input.tasks {
             let tr = b.add_task(j, kind_to_slot(t.kind), t.exec_time.as_millis(), t.req);
             task_ids.push(t.id);
-            task_index.insert(t.id, tr);
             if let Some((rid, start)) = t.pinned {
                 // A pin onto a resource outside the model (e.g. one that
                 // went down between notification and round) is corrupt
@@ -95,10 +93,19 @@ fn add_jobs(
         }
         // Workflow edges (the paper's future-work generalization): only
         // edges whose endpoints are both still in the model apply — a
-        // completed predecessor imposes nothing further.
-        for &(before, after) in &input.job.precedences {
-            if let (Some(&a), Some(&bb)) = (task_index.get(&before), task_index.get(&after)) {
-                b.add_precedence(a, bb);
+        // completed predecessor imposes nothing further. Edges join tasks
+        // of one job, so the index covers this job's tasks alone.
+        if !input.job.precedences.is_empty() {
+            let task_index: std::collections::HashMap<TaskId, TaskRef> = input
+                .tasks
+                .iter()
+                .enumerate()
+                .map(|(k, t)| (t.id, TaskRef((first + k) as u32)))
+                .collect();
+            for &(before, after) in &input.job.precedences {
+                if let (Some(&a), Some(&bb)) = (task_index.get(&before), task_index.get(&after)) {
+                    b.add_precedence(a, bb);
+                }
             }
         }
     }

@@ -1,14 +1,18 @@
 #![allow(clippy::type_complexity, clippy::field_reassign_with_default)]
 //! Property tests for MRCP-RM over random open-system workloads: the
 //! pipeline always drains, outcomes are consistent, schedules are audited,
-//! and runs are deterministic.
+//! and runs are deterministic. The admission witness, which schedules only
+//! what can delay its candidate, answers as the greedy over the full model.
 
+use cpsolve::greedy::greedy_edf;
 use desim::SimTime;
+use mrcp::admission::witness_completion;
+use mrcp::modelmap::{build_model, JobInput, TaskInput};
 use mrcp::sim_driver::simulate_detailed;
 use mrcp::{MrcpConfig, SimConfig, SolveBudget};
 use proptest::prelude::*;
 use workload::model::{heterogeneous_cluster, homogeneous_cluster};
-use workload::{Job, JobId, Resource, Task, TaskId, TaskKind};
+use workload::{Job, JobId, Resource, ResourceId, Task, TaskId, TaskKind};
 
 #[derive(Debug, Clone)]
 struct W {
@@ -131,5 +135,303 @@ proptest! {
         let (split, _) = simulate_detailed(&audited_config(), &w.cluster, jobs.clone());
         let (full, _) = simulate_detailed(&full_cfg, &w.cluster, jobs);
         prop_assert_eq!(split.completed, full.completed);
+    }
+}
+
+/// One job of an admission-probe state: release offset (s, > 0 = a
+/// deferred future start), deadline offset (s), priority, map and reduce
+/// execution times (s), and phase: 0 nothing started, 1 its first maps
+/// running, 2 maps done and its first reduce running.
+type ProbeJob = (i64, i64, i64, Vec<i64>, Vec<i64>, u8);
+
+#[derive(Debug, Clone)]
+struct ProbeState {
+    /// Per-resource `(map, reduce)` slots.
+    cluster: Vec<(u32, u32)>,
+    /// The resource that is down (none when out of range).
+    down: usize,
+    /// Priority = deadline (EDF), else the drawn small, tie-prone value.
+    edf: bool,
+    live: Vec<ProbeJob>,
+    /// Its phase is ignored: a candidate has started nothing.
+    candidate: ProbeJob,
+}
+
+const NOW: SimTime = SimTime(100_000);
+
+fn probe_state() -> impl Strategy<Value = ProbeState> {
+    // Few distinct deadlines and priorities, so `(priority, deadline,
+    // release)` ties are common.
+    let live = (
+        prop_oneof![Just(0i64), Just(0), 5i64..=30],
+        prop_oneof![Just(10i64), Just(20), Just(40), Just(80)],
+        0i64..=2,
+        prop::collection::vec(1i64..=6, 1..=3),
+        prop::collection::vec(1i64..=4, 0..=2),
+        0u8..=2,
+    );
+    let candidate = (
+        prop_oneof![Just(0i64), Just(10)],
+        // Sorts first, ties with or sits among the live deadlines, or last.
+        (0usize..6).prop_map(|k| [1i64, 10, 20, 40, 80, 500][k]),
+        0i64..=2,
+        prop::collection::vec(1i64..=6, 1..=3),
+        prop::collection::vec(1i64..=4, 0..=2),
+        Just(0u8),
+    );
+    (
+        prop::collection::vec((1u32..=2, 0u32..=2), 2..=4),
+        0usize..=4,
+        any::<bool>(),
+        prop::collection::vec(live, 0..=8),
+        candidate,
+    )
+        .prop_map(|(cluster, down, edf, live, candidate)| ProbeState {
+            cluster,
+            down,
+            edf,
+            live,
+            candidate,
+        })
+}
+
+/// A probe state made concrete: the up resources, the jobs (candidate
+/// last) and, per job, its release, priority and outstanding tasks.
+struct ProbeCase {
+    up: Vec<Resource>,
+    jobs: Vec<Job>,
+    outstanding: Vec<(SimTime, i64, Vec<TaskInput>)>,
+}
+
+impl ProbeCase {
+    fn new(s: &ProbeState) -> ProbeCase {
+        let mut caps = s.cluster.clone();
+        let up_idx: Vec<usize> = (0..caps.len()).filter(|&i| i != s.down).collect();
+        if up_idx.iter().all(|&i| caps[i].1 == 0) {
+            caps[up_idx[0]].1 = 1; // some up resource can run reduces
+        }
+        let cluster = heterogeneous_cluster(&caps);
+        let up: Vec<Resource> = up_idx.iter().map(|&i| cluster[i]).collect();
+        // Free slots per up resource and kind, so no two pins collide.
+        let mut free: Vec<(ResourceId, u32, u32)> = up
+            .iter()
+            .map(|r| (r.id, r.map_capacity, r.reduce_capacity))
+            .collect();
+        let mut pin = |kind: TaskKind, exec: SimTime| {
+            let slot = free.iter_mut().find(|f| match kind {
+                TaskKind::Map => f.1 > 0,
+                TaskKind::Reduce => f.2 > 0,
+            })?;
+            match kind {
+                TaskKind::Map => slot.1 -= 1,
+                TaskKind::Reduce => slot.2 -= 1,
+            }
+            Some((slot.0, NOW - SimTime::from_millis(exec.as_millis() / 2)))
+        };
+        let mut next_task = 0u32;
+        let (mut jobs, mut outstanding) = (Vec::new(), Vec::new());
+        for (i, (rel, dl, prio, maps, reduces, phase)) in
+            s.live.iter().chain([&s.candidate]).enumerate()
+        {
+            let id = JobId(i as u32);
+            let mut mk = |kind, secs: i64| {
+                next_task += 1;
+                Task {
+                    id: TaskId(next_task),
+                    job: id,
+                    kind,
+                    exec_time: SimTime::from_secs(secs),
+                    req: 1,
+                }
+            };
+            let job = Job {
+                id,
+                arrival: NOW,
+                earliest_start: NOW + SimTime::from_secs(*rel),
+                deadline: NOW + SimTime::from_secs(*dl),
+                map_tasks: maps.iter().map(|&x| mk(TaskKind::Map, x)).collect(),
+                reduce_tasks: reduces.iter().map(|&x| mk(TaskKind::Reduce, x)).collect(),
+                precedences: vec![],
+            };
+            let mut tasks = Vec::new();
+            for (k, t) in job.map_tasks.iter().enumerate() {
+                let pinned = match phase {
+                    1 if 2 * k < job.map_tasks.len() => pin(t.kind, t.exec_time),
+                    2 => continue, // completed
+                    _ => None,
+                };
+                tasks.push(task_input(t, pinned));
+            }
+            for (k, t) in job.reduce_tasks.iter().enumerate() {
+                let pinned = if *phase == 2 && k == 0 {
+                    pin(t.kind, t.exec_time)
+                } else {
+                    None
+                };
+                tasks.push(task_input(t, pinned));
+            }
+            let priority = if s.edf {
+                job.deadline.as_millis()
+            } else {
+                *prio
+            };
+            outstanding.push((job.earliest_start.max(NOW), priority, tasks));
+            jobs.push(job);
+        }
+        ProbeCase {
+            up,
+            jobs,
+            outstanding,
+        }
+    }
+
+    /// The probe's witness inputs, candidate last; a job with nothing
+    /// outstanding is left out, as the manager leaves it out.
+    fn inputs(&self) -> Vec<JobInput<'_>> {
+        self.jobs
+            .iter()
+            .zip(&self.outstanding)
+            .filter(|(_, (_, _, tasks))| !tasks.is_empty())
+            .map(|(job, (release, priority, tasks))| JobInput {
+                job,
+                release: *release,
+                priority: *priority,
+                tasks: tasks.clone(),
+            })
+            .collect()
+    }
+}
+
+fn task_input(t: &Task, pinned: Option<(ResourceId, SimTime)>) -> TaskInput {
+    TaskInput {
+        id: t.id,
+        kind: t.kind,
+        exec_time: t.exec_time,
+        req: t.req,
+        pinned,
+    }
+}
+
+/// The candidate's completion in `greedy_edf` over the full model of
+/// `inputs`: the latest end among the candidate's tasks, found by id.
+fn full_witness(up: &[Resource], inputs: &[JobInput<'_>]) -> Option<SimTime> {
+    let mm = build_model(up, inputs).ok()?;
+    let g = greedy_edf(&mm.model).ok()?;
+    let cand = inputs.last()?;
+    (0..mm.task_ids.len())
+        .filter(|&i| cand.tasks.iter().any(|t| t.id == mm.task_ids[i]))
+        .map(|i| SimTime::from_millis(g.starts[i] + mm.model.tasks[i].dur))
+        .max()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Over random live states (pins on up resources, deferred jobs,
+    /// order-key ties, one resource down, the candidate's deadline first,
+    /// among or after the others), the witness built from what can delay
+    /// the candidate completes it exactly when the greedy over every
+    /// input does.
+    #[test]
+    fn trimmed_witness_matches_full_greedy(s in probe_state()) {
+        let case = ProbeCase::new(&s);
+        let inputs = case.inputs();
+        let full = full_witness(&case.up, &inputs);
+        prop_assert!(full.is_some(), "pins never collide and every kind has a host");
+        prop_assert_eq!(witness_completion(&case.up, inputs), full);
+    }
+}
+
+/// A task of `job` taking `ms` milliseconds.
+fn probe_task(id: u32, job: u32, kind: TaskKind, ms: i64, req: u32) -> Task {
+    Task {
+        id: TaskId(id),
+        job: JobId(job),
+        kind,
+        exec_time: SimTime::from_millis(ms),
+        req,
+    }
+}
+
+/// A job of `tasks` released at `start` ms, due at `deadline` ms.
+fn probe_job(id: u32, start: i64, deadline: i64, tasks: Vec<Task>) -> Job {
+    let (map_tasks, reduce_tasks) = tasks.into_iter().partition(|t| t.kind == TaskKind::Map);
+    Job {
+        id: JobId(id),
+        arrival: SimTime::ZERO,
+        earliest_start: SimTime::from_millis(start),
+        deadline: SimTime::from_millis(deadline),
+        map_tasks,
+        reduce_tasks,
+        precedences: vec![],
+    }
+}
+
+/// `job` with nothing started, in EDF order.
+fn free_input(job: &Job) -> JobInput<'_> {
+    JobInput {
+        job,
+        release: job.earliest_start,
+        priority: job.deadline.as_millis(),
+        tasks: job.tasks().map(|t| task_input(t, None)).collect(),
+    }
+}
+
+/// A workflow job routes the greedy to `greedy_topo`, which interleaves
+/// jobs by task index: here a job that sorts after the candidate in EDF
+/// order (same deadline, later release) still delays it, so the witness
+/// must keep the whole model.
+#[test]
+fn workflow_witness_keeps_the_whole_model() {
+    let up = homogeneous_cluster(1, 1, 1);
+    let later = probe_job(0, 100, 1_000, vec![probe_task(0, 0, TaskKind::Map, 50, 1)]);
+    let mut cand = probe_job(
+        1,
+        0,
+        1_000,
+        vec![
+            probe_task(1, 1, TaskKind::Map, 200, 1),
+            probe_task(2, 1, TaskKind::Map, 10, 1),
+        ],
+    );
+    cand.precedences = vec![(TaskId(1), TaskId(2))];
+    let inputs = vec![free_input(&later), free_input(&cand)];
+    // `later` holds the slot over [100, 150), so the chain runs
+    // [150, 350) then [350, 360).
+    let ms = SimTime::from_millis;
+    assert_eq!(full_witness(&up, &inputs), Some(ms(360)));
+    assert_eq!(witness_completion(&up, inputs), Some(ms(360)));
+    // Without `later` the chain would finish at 210.
+    assert_eq!(
+        witness_completion(&up, vec![free_input(&cand)]),
+        Some(ms(210))
+    );
+}
+
+/// A job after the candidate with a free task the greedy cannot place (no
+/// up resource hosts it, or it needs two slots) makes the full witness
+/// fail; the trimmed one fails with it.
+#[test]
+fn witness_fails_when_a_later_job_cannot_be_placed() {
+    let up = homogeneous_cluster(2, 1, 0); // no reduce slot is up
+    let cand = probe_job(
+        1,
+        0,
+        50_000,
+        vec![probe_task(2, 1, TaskKind::Map, 5_000, 1)],
+    );
+    for (kind, req) in [(TaskKind::Reduce, 1), (TaskKind::Map, 2)] {
+        let later = probe_job(
+            0,
+            0,
+            500_000,
+            vec![
+                probe_task(0, 0, TaskKind::Map, 5_000, 1),
+                probe_task(1, 0, kind, 5_000, req),
+            ],
+        );
+        let inputs = vec![free_input(&later), free_input(&cand)];
+        assert_eq!(full_witness(&up, &inputs), None, "{kind:?} req {req}");
+        assert_eq!(witness_completion(&up, inputs), None, "{kind:?} req {req}");
     }
 }
