@@ -27,6 +27,14 @@
 //! (defensively, release only) invariant violation falls back to a scratch
 //! rebuild; debug builds cross-check every incremental profile against a
 //! scratch rebuild.
+//!
+//! The fit scans read only the **tall** segments: those higher than
+//! `cap − max_req`, where `max_req` is the largest requirement in the pool.
+//! Any other segment leaves at least `cap − req` room for every pool task,
+//! so no piece of it can block one and the full scan would step over it
+//! anyway; skipping it changes no answer. On the manager's combined pool
+//! (unit tasks, many slots) only a full segment is tall. Debug builds
+//! repeat every fit over the whole profile and compare.
 
 use super::{Ctx, PropClass, Propagator};
 use crate::model::{Model, ResRef, SlotKind, TaskRef};
@@ -113,6 +121,105 @@ fn profile_from_scratch(
     Ok(())
 }
 
+/// Calls `f(start, end)`, in time order and until it returns `true`, for
+/// each piece of the profile `segs` that a task of height `req` running over
+/// `[s, s+dur)` cannot coexist with once `own`'s contribution
+/// `(start, end, height)` is taken out. `segs` may omit any segment no
+/// higher than `cap − req`: such a segment never yields a piece.
+///
+/// The canonical profile merges equal-height neighbours, so a segment
+/// may straddle the own part; it is judged piecewise — before the own
+/// part, inside it with the own height subtracted, after it — and a
+/// blocking piece, not the merged segment, is what a scan steps over.
+#[inline]
+fn blocks(
+    segs: &[Seg],
+    s: i64,
+    dur: i64,
+    own: Option<(i64, i64, i64)>,
+    cap: i64,
+    req: i64,
+    mut f: impl FnMut(i64, i64) -> bool,
+) {
+    let end = s + dur;
+    let room = cap - req;
+    let (os, oe, oh) = own.unwrap_or((i64::MIN, i64::MIN, 0));
+    // Segments are sorted by start and non-overlapping; find the first
+    // segment with end > s.
+    let from = segs.partition_point(|seg| seg.end <= s);
+    for seg in &segs[from..] {
+        if seg.start >= end {
+            break;
+        }
+        if seg.height <= room {
+            continue; // no piece is higher than its segment
+        }
+        let a = os.clamp(seg.start, seg.end);
+        let b = oe.clamp(seg.start, seg.end);
+        for (ps, pe, h) in [
+            (seg.start, a, seg.height),
+            (a, b, seg.height - oh),
+            (b, seg.end, seg.height),
+        ] {
+            if h > room && ps.max(s) < pe.min(end) && f(ps, pe) {
+                return;
+            }
+        }
+    }
+}
+
+/// Earliest `s ∈ [lb, ub]` where `[s, s+dur)` fits over `segs`, or `None`.
+/// A forward scan resumes at the first blocking piece's `end`.
+fn earliest_fit_in(
+    segs: &[Seg],
+    lb: i64,
+    ub: i64,
+    dur: i64,
+    own: Option<(i64, i64, i64)>,
+    cap: i64,
+    req: i64,
+) -> Option<i64> {
+    let mut s = lb;
+    while s <= ub {
+        let mut first = None;
+        blocks(segs, s, dur, own, cap, req, |_, pe| {
+            first = Some(pe);
+            true
+        });
+        match first {
+            None => return Some(s),
+            Some(next) => s = next,
+        }
+    }
+    None
+}
+
+/// Latest `s ∈ [lb, ub]` where `[s, s+dur)` fits over `segs`, or `None`.
+/// A backward scan resumes before the last blocking piece's `start`.
+fn latest_fit_in(
+    segs: &[Seg],
+    lb: i64,
+    ub: i64,
+    dur: i64,
+    own: Option<(i64, i64, i64)>,
+    cap: i64,
+    req: i64,
+) -> Option<i64> {
+    let mut s = ub;
+    while s >= lb {
+        let mut last = None;
+        blocks(segs, s, dur, own, cap, req, |ps, _| {
+            last = Some(ps);
+            false
+        });
+        match last {
+            None => return Some(s),
+            Some(block_start) => s = block_start - dur,
+        }
+    }
+    None
+}
+
 /// Timetable cumulative for one `(resource, kind)` slot pool.
 #[derive(Debug)]
 pub struct Cumulative {
@@ -124,6 +231,12 @@ pub struct Cumulative {
     events: Vec<(i64, i64)>,
     /// Profile segments with height > 0, sorted by start, canonical.
     segs: Vec<Seg>,
+    /// The largest `req` of any pool task.
+    max_req: i64,
+    /// The segments of `segs` higher than `cap − max_req`, in order: the
+    /// only ones that can block a pool task. Refilled after every profile
+    /// build.
+    tall: Vec<Seg>,
     /// Cached mandatory part per pool task (`start >= end` = none), valid
     /// for the profile in `segs`.
     cached_mp: Vec<(i64, i64)>,
@@ -155,12 +268,19 @@ impl Cumulative {
             return None;
         }
         let n = tasks.len();
+        let max_req = tasks
+            .iter()
+            .map(|t| model.tasks[t.idx()].req as i64)
+            .max()
+            .unwrap_or(0);
         Some(Cumulative {
             res,
             kind,
             tasks,
             events: Vec::new(),
             segs: Vec::new(),
+            max_req,
+            tall: Vec::new(),
             cached_mp: vec![(0, 0); n],
             last_stamp: vec![0; n],
             last_gen: 0,
@@ -357,87 +477,8 @@ impl Cumulative {
         Ok(())
     }
 
-    /// Calls `f(start, end)`, in time order and until it returns `true`, for
-    /// each piece of the profile that a task of height `req` running over
-    /// `[s, s+dur)` cannot coexist with once `own`'s contribution
-    /// `(start, end, height)` is taken out.
-    ///
-    /// The canonical profile merges equal-height neighbours, so a segment
-    /// may straddle the own part; it is judged piecewise — before the own
-    /// part, inside it with the own height subtracted, after it — and a
-    /// blocking piece, not the merged segment, is what a scan steps over.
-    #[inline]
-    fn blocks(
-        &self,
-        s: i64,
-        dur: i64,
-        own: Option<(i64, i64, i64)>,
-        cap: i64,
-        req: i64,
-        mut f: impl FnMut(i64, i64) -> bool,
-    ) {
-        let end = s + dur;
-        let room = cap - req;
-        let (os, oe, oh) = own.unwrap_or((i64::MIN, i64::MIN, 0));
-        // Segments are sorted by start and non-overlapping; find the first
-        // segment with end > s.
-        let from = self.segs.partition_point(|seg| seg.end <= s);
-        for seg in &self.segs[from..] {
-            if seg.start >= end {
-                break;
-            }
-            if seg.height <= room {
-                continue; // no piece is higher than its segment
-            }
-            let a = os.clamp(seg.start, seg.end);
-            let b = oe.clamp(seg.start, seg.end);
-            for (ps, pe, h) in [
-                (seg.start, a, seg.height),
-                (a, b, seg.height - oh),
-                (b, seg.end, seg.height),
-            ] {
-                if h > room && ps.max(s) < pe.min(end) && f(ps, pe) {
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Where a forward scan resumes: the first blocking piece's `end`.
-    fn first_block(
-        &self,
-        s: i64,
-        dur: i64,
-        own: Option<(i64, i64, i64)>,
-        cap: i64,
-        req: i64,
-    ) -> Option<i64> {
-        let mut first = None;
-        self.blocks(s, dur, own, cap, req, |_, pe| {
-            first = Some(pe);
-            true
-        });
-        first
-    }
-
-    /// Where a backward scan resumes: the last blocking piece's `start`.
-    fn last_block(
-        &self,
-        s: i64,
-        dur: i64,
-        own: Option<(i64, i64, i64)>,
-        cap: i64,
-        req: i64,
-    ) -> Option<i64> {
-        let mut last = None;
-        self.blocks(s, dur, own, cap, req, |ps, _| {
-            last = Some(ps);
-            false
-        });
-        last
-    }
-
-    /// Earliest `s ∈ [lb, ub]` where `[s, s+dur)` fits, or `None`.
+    /// Earliest `s ∈ [lb, ub]` where `[s, s+dur)` fits, or `None`. Scans
+    /// the tall segments; debug builds check the answer over all of them.
     fn earliest_fit(
         &self,
         lb: i64,
@@ -447,17 +488,17 @@ impl Cumulative {
         cap: i64,
         req: i64,
     ) -> Option<i64> {
-        let mut s = lb;
-        while s <= ub {
-            match self.first_block(s, dur, own, cap, req) {
-                None => return Some(s),
-                Some(next) => s = next,
-            }
-        }
-        None
+        let fit = earliest_fit_in(&self.tall, lb, ub, dur, own, cap, req);
+        debug_assert_eq!(
+            fit,
+            earliest_fit_in(&self.segs, lb, ub, dur, own, cap, req),
+            "forward scan over the tall segments diverged from the full profile"
+        );
+        fit
     }
 
-    /// Latest `s ∈ [lb, ub]` where `[s, s+dur)` fits, or `None`.
+    /// Latest `s ∈ [lb, ub]` where `[s, s+dur)` fits, or `None`. Scans the
+    /// tall segments; debug builds check the answer over all of them.
     fn latest_fit(
         &self,
         lb: i64,
@@ -467,14 +508,13 @@ impl Cumulative {
         cap: i64,
         req: i64,
     ) -> Option<i64> {
-        let mut s = ub;
-        while s >= lb {
-            match self.last_block(s, dur, own, cap, req) {
-                None => return Some(s),
-                Some(block_start) => s = block_start - dur,
-            }
-        }
-        None
+        let fit = latest_fit_in(&self.tall, lb, ub, dur, own, cap, req);
+        debug_assert_eq!(
+            fit,
+            latest_fit_in(&self.segs, lb, ub, dur, own, cap, req),
+            "backward scan over the tall segments diverged from the full profile"
+        );
+        fit
     }
 }
 
@@ -482,6 +522,10 @@ impl Propagator for Cumulative {
     fn propagate(&mut self, ctx: &mut Ctx<'_>) -> Result<(), Conflict> {
         let cap = ctx.model.resources[self.res.idx()].cap(self.kind) as i64;
         self.build_profile(ctx, cap)?;
+        let floor = cap - self.max_req;
+        self.tall.clear();
+        self.tall
+            .extend(self.segs.iter().filter(|seg| seg.height > floor));
 
         // Iterate over a snapshot of indices; domains change inside the loop
         // but the profile is only rebuilt on the next engine invocation
@@ -896,6 +940,77 @@ mod tests {
         };
         c.propagate(&mut ctx).unwrap();
         assert_eq!(d.lb(t), 3);
+    }
+
+    /// Capacity 3, largest requirement 2: a segment at height 2 = cap − 1 is
+    /// tall. It leaves room for a req-1 task and blocks a req-2 task.
+    #[test]
+    fn a_segment_one_below_capacity_blocks_only_the_wider_task() {
+        let mut b = ModelBuilder::new();
+        b.add_resource(3, 0);
+        let j = b.add_job(0, 1000);
+        let a0 = b.add_task(j, SlotKind::Map, 10, 1);
+        let a1 = b.add_task(j, SlotKind::Map, 10, 1);
+        let narrow = b.add_task(j, SlotKind::Map, 5, 1);
+        let wide = b.add_task(j, SlotKind::Map, 5, 2);
+        b.set_horizon(100);
+        let m = b.build().unwrap();
+        let mut d = Domains::new(&m);
+        d.fix_start(a0, 0).unwrap();
+        d.fix_start(a1, 0).unwrap();
+        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Map).unwrap();
+        let mut ctx = Ctx {
+            model: &m,
+            dom: &mut d,
+            bound: u32::MAX,
+        };
+        c.propagate(&mut ctx).unwrap();
+        let seg = Seg {
+            start: 0,
+            end: 10,
+            height: 2,
+        };
+        assert_eq!((c.max_req, c.tall.clone()), (2, vec![seg]));
+        assert_eq!(d.lb(narrow), 0);
+        assert_eq!(d.lb(wide), 10);
+    }
+
+    /// Capacity 2, unit tasks: only the height-2 segment [10,15) is tall, and
+    /// it sits between two height-1 segments. A forward scan that meets it
+    /// resumes at its end, a backward scan before its start.
+    #[test]
+    fn scans_step_over_a_lone_tall_segment() {
+        let mut b = ModelBuilder::new();
+        b.add_resource(2, 0);
+        let j = b.add_job(0, 1000);
+        let long = b.add_task(j, SlotKind::Map, 25, 1);
+        let mid = b.add_task(j, SlotKind::Map, 5, 1);
+        let fwd = b.add_task(j, SlotKind::Map, 5, 1);
+        let bwd = b.add_task(j, SlotKind::Map, 5, 1);
+        b.set_horizon(100);
+        let m = b.build().unwrap();
+        let mut d = Domains::new(&m);
+        d.fix_start(long, 0).unwrap();
+        d.fix_start(mid, 10).unwrap();
+        d.set_lb(fwd, 8).unwrap();
+        d.set_ub(bwd, 12).unwrap();
+        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Map).unwrap();
+        let mut ctx = Ctx {
+            model: &m,
+            dom: &mut d,
+            bound: u32::MAX,
+        };
+        c.propagate(&mut ctx).unwrap();
+        let heights: Vec<i64> = c.segs.iter().map(|s| s.height).collect();
+        assert_eq!(heights, vec![1, 2, 1]);
+        let tall = Seg {
+            start: 10,
+            end: 15,
+            height: 2,
+        };
+        assert_eq!(c.tall, vec![tall]);
+        assert_eq!(d.lb(fwd), 15, "forward scan resumes at the tall end");
+        assert_eq!(d.ub(bwd), 5, "backward scan resumes before the tall start");
     }
 
     /// The mirror image: `t`'s own part [3,5) abuts `a` at [5,6) on its

@@ -19,7 +19,7 @@
 //! exception; it is judged by overlapping confidence intervals.
 
 use crate::report::{FigureResult, PointResult, Verdict};
-use crate::runner::{replicate, MetricAgg, Sample, Scale};
+use crate::runner::{replicate, replicate_series, MetricAgg, Sample, Scale};
 use baselines::{run_slot_sim, DispatchPolicy, Edf, Fcfs, MinEdf, MinEdfWc};
 use cluster::{ClusterConfig, ClusterSimConfig};
 use desim::stats::CiMean;
@@ -627,7 +627,7 @@ fn run_chaos_sweep(scale: &Scale, seed: u64) -> FigureResult {
 
     let cfg = capped(SyntheticConfig::default(), scale);
     let cluster = cfg.cluster();
-    let chaos_run = |scale: &Scale, seed: u64, rep: u64, rate: f64| {
+    let chaos_run = |rep: u64, rate: f64| {
         let jobs = synth_jobs(&cfg, scale, seed, rep);
         let mut sim = mrcp_sim_config(scale, jobs.len());
         // Deterministic solver budget: chaos replays must not race wall-clock.
@@ -664,25 +664,27 @@ fn run_chaos_sweep(scale: &Scale, seed: u64) -> FigureResult {
     let mut points = Vec::new();
     for &rate in &[0.0f64, 0.1, 0.2, 0.4] {
         let label = format!("fault={:.0}%", rate * 100.0);
-        let sla = replicate(scale, |rep| {
-            Sample::of(&chaos_run(scale, seed, rep, rate).metrics)
+        // One pass per replication yields both series; the SLA series
+        // decides when to stop.
+        let [sla, resilience] = replicate_series(scale, |rep| {
+            let run = chaos_run(rep, rate);
+            let cm = run.federation.cluster_metrics();
+            [
+                Sample::of(&run.metrics),
+                Sample {
+                    // Goodput: completed ÷ arrived — 1.0 means no job lost.
+                    p_late: run.metrics.completed as f64 / run.metrics.arrived.max(1) as f64,
+                    n_late: cm.failovers as f64,
+                    turnaround_s: cm.cell_restores as f64,
+                    overhead_s: cm.retry_amplification(),
+                    rejected_frac: 0.0,
+                },
+            ]
         });
         points.push(PointResult {
             label: label.clone(),
             series: CHAOS_SLA.into(),
             agg: sla,
-        });
-        let resilience = replicate(scale, |rep| {
-            let run = chaos_run(scale, seed, rep, rate);
-            let cm = run.federation.cluster_metrics();
-            Sample {
-                // Goodput: completed ÷ arrived — 1.0 means no job lost.
-                p_late: run.metrics.completed as f64 / run.metrics.arrived.max(1) as f64,
-                n_late: cm.failovers as f64,
-                turnaround_s: cm.cell_restores as f64,
-                overhead_s: cm.retry_amplification(),
-                rejected_frac: 0.0,
-            }
         });
         points.push(PointResult {
             label,

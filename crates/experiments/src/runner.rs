@@ -206,9 +206,20 @@ pub fn replicate<F>(scale: &Scale, f: F) -> MetricAgg
 where
     F: Fn(u64) -> Sample + Sync,
 {
-    let mut agg = MetricAgg::new();
+    let [agg] = replicate_series(scale, |rep| [f(rep)]);
+    agg
+}
+
+/// [`replicate`] for `N` series read off the same runs: each replication
+/// yields one sample per series, and the stopping rule reads the first.
+pub(crate) fn replicate_series<const N: usize, F>(scale: &Scale, f: F) -> [MetricAgg; N]
+where
+    F: Fn(u64) -> [Sample; N] + Sync,
+{
+    let mut aggs: [MetricAgg; N] = std::array::from_fn(|_| MetricAgg::new());
     let mut next_rep = 0u64;
-    while agg.count() < scale.max_reps {
+    while aggs[0].count() < scale.max_reps {
+        let agg = &aggs[0];
         // Batch size: the base reps first, then one extra batch at a time
         // while chasing the CI target.
         let batch = if next_rep == 0 {
@@ -221,7 +232,7 @@ where
         if batch == 0 {
             break;
         }
-        let samples: Vec<Sample> = std::thread::scope(|s| {
+        let samples: Vec<[Sample; N]> = std::thread::scope(|s| {
             let f = &f;
             let handles: Vec<_> = (0..batch)
                 .map(|i| {
@@ -234,15 +245,17 @@ where
                 .map(|h| h.join().expect("replication panicked"))
                 .collect()
         });
-        for s in samples {
-            agg.push(s);
+        for run in samples {
+            for (agg, s) in aggs.iter_mut().zip(run) {
+                agg.push(s);
+            }
         }
         next_rep += batch;
-        if agg.converged(scale.ci_target, scale.reps) {
+        if aggs[0].converged(scale.ci_target, scale.reps) {
             break;
         }
     }
-    agg
+    aggs
 }
 
 #[cfg(test)]
@@ -305,6 +318,30 @@ mod tests {
         });
         assert_eq!(agg.count(), 3, "no extra batches needed");
         assert!(agg.converged(0.01, 3));
+    }
+
+    #[test]
+    fn replicate_series_runs_once_and_stops_on_the_first() {
+        let scale = Scale {
+            reps: 3,
+            max_reps: 50,
+            ci_target: 0.01,
+            ..Scale::for_preset(Preset::Smoke)
+        };
+        let calls = std::sync::atomic::AtomicU64::new(0);
+        let sample = |t: f64| Sample {
+            turnaround_s: t,
+            ..Sample::default()
+        };
+        // The first series converges after the base batch; the second,
+        // spread wide, would not.
+        let [first, second] = replicate_series(&scale, |rep| {
+            calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            [sample(42.0), sample(1.0 + 100.0 * rep as f64)]
+        });
+        assert_eq!(calls.into_inner(), 3, "one run per replication");
+        assert_eq!((first.count(), second.count()), (3, 3));
+        assert!((second.turnaround().mean - 101.0).abs() < 1e-9);
     }
 
     #[test]
