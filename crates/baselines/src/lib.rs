@@ -20,12 +20,10 @@
 
 pub mod edf;
 pub mod fcfs;
-pub mod lp_sched;
 pub mod minedf_wc;
 pub mod slot_sim;
 
 pub use edf::Edf;
 pub use fcfs::Fcfs;
-pub use lp_sched::{lp_schedule_closed, LpSchedule};
 pub use minedf_wc::{MinEdf, MinEdfWc};
 pub use slot_sim::{run_slot_sim, BaselineMetrics, DispatchPolicy, JobSnapshot};

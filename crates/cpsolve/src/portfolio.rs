@@ -68,7 +68,7 @@ impl PortfolioParams {
 ///
 /// Workers 1.. are all complete searches, so any of them can produce an
 /// exhaustion proof; they take the shared bound instead of a warm start and
-/// differ in restart schedule, guidance and branching rule by `w % 6`.
+/// differ in restart schedule, guidance and branching rule by `w % 4`.
 fn worker_params(params: &PortfolioParams, w: usize) -> SolveParams {
     let mut wp = params.base.clone();
     if w == 0 {
@@ -76,7 +76,7 @@ fn worker_params(params: &PortfolioParams, w: usize) -> SolveParams {
     }
     wp.warm_start = false;
     wp.value_rotation = params.seed.wrapping_add(w as u64);
-    match w % 6 {
+    match w % 4 {
         1 => {
             wp.restarts = Some(32);
         }
@@ -86,15 +86,6 @@ fn worker_params(params: &PortfolioParams, w: usize) -> SolveParams {
         3 => {
             wp.solution_guided = false;
             wp.restarts = Some(128);
-        }
-        4 => {
-            // Weighted-degree pairs naturally with restarts: weights learned
-            // in one dive redirect the next.
-            wp.branching = crate::search::Branching::WeightedDegree;
-            wp.restarts = Some(64);
-        }
-        5 => {
-            wp.branching = crate::search::Branching::LastConflict;
         }
         _ => {} // rotation-only variant
     }
@@ -267,20 +258,21 @@ mod tests {
     }
 
     #[test]
-    fn conflict_guided_workers_join_the_mix() {
+    fn strategy_mix_repeats_every_four_workers() {
         let params = PortfolioParams {
             base: SolveParams::default(),
             workers: 8,
             seed: 0,
         };
-        let w4 = worker_params(&params, 4);
-        assert_eq!(w4.branching, crate::search::Branching::WeightedDegree);
-        assert_eq!(w4.restarts, Some(64));
         assert_eq!(worker_params(&params, 1).restarts, Some(32));
         let w3 = worker_params(&params, 3);
         assert!(!w3.solution_guided);
         assert_eq!(w3.restarts, Some(128));
-        let w5 = worker_params(&params, 5);
-        assert_eq!(w5.branching, crate::search::Branching::LastConflict);
+        // Worker 4 is rotation-only; worker 5 restarts like worker 1.
+        let w4 = worker_params(&params, 4);
+        assert_eq!(w4.branching, crate::search::Branching::SetTimes);
+        assert_eq!(w4.restarts, None);
+        assert!(w4.solution_guided);
+        assert_eq!(worker_params(&params, 5).restarts, Some(32));
     }
 }

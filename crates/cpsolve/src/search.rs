@@ -21,7 +21,7 @@ use crate::greedy::greedy_edf;
 use crate::model::{Model, ResRef, TaskRef};
 use crate::props::{Engine, PropClassStats, N_PROP_CLASSES};
 use crate::solution::Solution;
-use crate::state::{Domains, Lateness, TaskWeights};
+use crate::state::{Domains, Lateness};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -57,15 +57,6 @@ pub enum Branching {
     /// broken by the start lower bound. Dives commit whole jobs early,
     /// which explores a different region of the tree than set-times.
     Edf,
-    /// Conflict-guided: the unfixed task with the largest decayed failure
-    /// count (weighted-degree / EVSIDS-style), ties broken by the set-times
-    /// key. Focuses the search on the tasks that keep causing conflicts.
-    WeightedDegree,
-    /// Set-times, except that immediately after a conflict the task whose
-    /// decision failed is re-selected first while it remains unfixed
-    /// (last-conflict branching): the search stays on the culprit until the
-    /// conflict is fully resolved.
-    LastConflict,
 }
 
 /// Search effort budgets and options.
@@ -287,41 +278,6 @@ struct Scratch {
     rs: Vec<ResRef>,
 }
 
-/// Decay factor for the conflict-guided task weights: each conflict's
-/// charge is ~5% larger than the previous one, so recent trouble dominates.
-const WEIGHT_DECAY: f64 = 0.95;
-
-/// Conflict-guided branching state: decayed per-task failure counts
-/// (weighted-degree) plus the task whose decision failed most recently
-/// (last-conflict). Deliberately not trailed — the weights carry learned
-/// information across backtracks and restarts.
-struct ConflictGuide {
-    weights: TaskWeights,
-    last: Option<TaskRef>,
-}
-
-impl ConflictGuide {
-    fn new(model: &Model) -> Self {
-        ConflictGuide {
-            weights: TaskWeights::new(model.n_tasks(), WEIGHT_DECAY),
-            last: None,
-        }
-    }
-
-    /// Charge a failed decision on `t`.
-    fn record(&mut self, t: TaskRef) {
-        self.weights.bump(t);
-        self.last = Some(t);
-    }
-}
-
-/// The task a decision branches on.
-fn decided_task(dec: &Decision) -> TaskRef {
-    match *dec {
-        Decision::Assign(t, _) | Decision::StartEq(t, _) | Decision::StartGeq(t, _) => t,
-    }
-}
-
 /// Minimize the number of late jobs for `model` under `params`.
 pub fn solve(model: &Model, params: &SolveParams) -> Outcome {
     solve_shared(model, params, None)
@@ -420,7 +376,6 @@ fn solve_inner(model: &Model, params: &SolveParams, shared: Option<&SharedSearch
     let mut frames: Vec<Frame> = Vec::new();
     let mut depth: usize = 0;
     let mut scratch = Scratch::default();
-    let mut cg = ConflictGuide::new(model);
     let mut exhausted = false;
     let mut restart_no: u64 = 0;
     let mut fails_at_restart: u64 = 0;
@@ -497,7 +452,6 @@ fn solve_inner(model: &Model, params: &SolveParams, shared: Option<&SharedSearch
                 &mut engine,
                 model,
                 &mut stats,
-                &mut cg,
             ) {
                 exhausted = true;
                 break;
@@ -506,8 +460,8 @@ fn solve_inner(model: &Model, params: &SolveParams, shared: Option<&SharedSearch
         }
 
         // Choose a decision variable.
-        let task = select_task(model, &dom, params.branching, &cg)
-            .expect("non-leaf node has an unfixed task");
+        let task =
+            select_task(model, &dom, params.branching).expect("non-leaf node has an unfixed task");
         let guide = if params.solution_guided {
             best.as_ref()
         } else {
@@ -536,7 +490,6 @@ fn solve_inner(model: &Model, params: &SolveParams, shared: Option<&SharedSearch
         stats.nodes += 1;
         if apply(&dec, model, &mut dom, &mut engine).is_err() {
             stats.fails += 1;
-            cg.record(task);
             if !backtrack(
                 &mut frames,
                 &mut depth,
@@ -544,7 +497,6 @@ fn solve_inner(model: &Model, params: &SolveParams, shared: Option<&SharedSearch
                 &mut engine,
                 model,
                 &mut stats,
-                &mut cg,
             ) {
                 exhausted = true;
                 break;
@@ -596,9 +548,7 @@ fn apply(dec: &Decision, model: &Model, dom: &mut Domains, engine: &mut Engine) 
 
 /// Pop levels until an untried alternative applies cleanly. Returns false
 /// when the tree is exhausted. `*depth` indexes into the frame pool; popped
-/// frames stay allocated for reuse. Failed alternatives charge the decided
-/// task's conflict weight, same as first-branch failures in the main loop.
-#[allow(clippy::too_many_arguments)]
+/// frames stay allocated for reuse.
 fn backtrack(
     frames: &mut [Frame],
     depth: &mut usize,
@@ -606,7 +556,6 @@ fn backtrack(
     engine: &mut Engine,
     model: &Model,
     stats: &mut SolveStats,
-    cg: &mut ConflictGuide,
 ) -> bool {
     loop {
         if *depth == 0 {
@@ -626,52 +575,28 @@ fn backtrack(
             return true;
         }
         stats.fails += 1;
-        cg.record(decided_task(&dec));
     }
 }
 
 /// Variable selection. `SetTimes` is chronological + EDF: the unfixed task
 /// with the smallest start lower bound, ties broken by job priority, then
 /// deadline, then longer duration, then index. `Edf` puts the deadline
-/// first. `WeightedDegree` maximizes the decayed conflict weight (ties fall
-/// back to the set-times key); `LastConflict` re-selects the most recent
-/// culprit while it remains unfixed, otherwise behaves like `SetTimes`.
-fn select_task(
-    model: &Model,
-    dom: &Domains,
-    branching: Branching,
-    cg: &ConflictGuide,
-) -> Option<TaskRef> {
-    let unfixed = |t: TaskRef| !(dom.start_fixed(t) && dom.assigned(t).is_some());
-    if branching == Branching::LastConflict {
-        if let Some(t) = cg.last {
-            if unfixed(t) {
-                return Some(t);
-            }
-        }
-    }
+/// first.
+fn select_task(model: &Model, dom: &Domains, branching: Branching) -> Option<TaskRef> {
     let mut best: Option<(i64, i64, i64, i64, u32)> = None;
-    let mut best_w = f64::NEG_INFINITY;
     let mut chosen = None;
     for i in 0..model.n_tasks() {
         let t = TaskRef(i as u32);
-        if !unfixed(t) {
+        if dom.start_fixed(t) && dom.assigned(t).is_some() {
             continue;
         }
         let spec = &model.tasks[i];
         let job = &model.jobs[spec.job.idx()];
         let key = match branching {
             Branching::Edf => (job.priority, job.deadline, dom.lb(t), -spec.dur, i as u32),
-            _ => (dom.lb(t), job.priority, job.deadline, -spec.dur, i as u32),
+            Branching::SetTimes => (dom.lb(t), job.priority, job.deadline, -spec.dur, i as u32),
         };
-        let better = if branching == Branching::WeightedDegree {
-            let w = cg.weights.weight(t);
-            w > best_w || (w == best_w && best.is_none_or(|b| key < b))
-        } else {
-            best.is_none_or(|b| key < b)
-        };
-        if better {
-            best_w = cg.weights.weight(t);
+        if best.is_none_or(|b| key < b) {
             best = Some(key);
             chosen = Some(t);
         }
@@ -1141,10 +1066,10 @@ mod tests {
         assert_eq!(s.objective, 0);
     }
 
-    /// Conflict-guided branchings reach the same optimum as set-times on a
+    /// Deadline-first branching reaches the same optimum as set-times on a
     /// contended instance that actually produces conflicts.
     #[test]
-    fn conflict_guided_branchings_preserve_optimum() {
+    fn edf_branching_preserves_optimum() {
         let mut b = ModelBuilder::new();
         b.add_resource(1, 1);
         b.add_resource(1, 1);
@@ -1156,19 +1081,17 @@ mod tests {
         let m = b.build().unwrap();
         let baseline = solve(&m, &SolveParams::default());
         let expect = baseline.best.as_ref().unwrap().objective;
-        for branching in [Branching::WeightedDegree, Branching::LastConflict] {
-            let out = solve(
-                &m,
-                &SolveParams {
-                    branching,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(out.status, Status::Optimal, "{branching:?}");
-            let s = out.best.unwrap();
-            s.verify(&m).unwrap();
-            assert_eq!(s.objective, expect, "{branching:?}");
-        }
+        let out = solve(
+            &m,
+            &SolveParams {
+                branching: Branching::Edf,
+                ..Default::default()
+            },
+        );
+        assert_eq!(out.status, Status::Optimal);
+        let s = out.best.unwrap();
+        s.verify(&m).unwrap();
+        assert_eq!(s.objective, expect);
     }
 
     /// The per-class stats surface through SolveStats and account for every

@@ -359,55 +359,6 @@ impl Domains {
     }
 }
 
-/// Per-task failure counters for conflict-guided branching (weighted degree
-/// with exponential decay, VSIDS-style).
-///
-/// Every conflict bumps the weight of the task whose decision failed by a
-/// geometrically growing increment; dividing the increment by the decay
-/// factor after each bump makes *recent* conflicts dominate without ever
-/// touching the other counters (the classic EVSIDS trick). Weights are
-/// deliberately **not** trailed: the whole point is that failure history
-/// survives backtracking and restarts to steer the search toward the
-/// variables that keep causing trouble.
-#[derive(Debug, Clone)]
-pub struct TaskWeights {
-    w: Vec<f64>,
-    inc: f64,
-    decay: f64,
-}
-
-impl TaskWeights {
-    /// Flat counters for `n` tasks with the given decay factor in `(0, 1]`
-    /// (1.0 = plain failure counts, no recency bias).
-    pub fn new(n: usize, decay: f64) -> Self {
-        debug_assert!(decay > 0.0 && decay <= 1.0, "decay {decay} out of range");
-        TaskWeights {
-            w: vec![0.0; n],
-            inc: 1.0,
-            decay,
-        }
-    }
-
-    /// Charge one conflict to `t` and advance the decay clock.
-    pub fn bump(&mut self, t: TaskRef) {
-        self.w[t.idx()] += self.inc;
-        self.inc /= self.decay;
-        // Rescale before anything overflows; relative order is preserved.
-        if self.inc > 1e100 {
-            for w in &mut self.w {
-                *w *= 1e-100;
-            }
-            self.inc *= 1e-100;
-        }
-    }
-
-    /// Current weight of `t`.
-    #[inline]
-    pub fn weight(&self, t: TaskRef) -> f64 {
-        self.w[t.idx()]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,25 +508,6 @@ mod tests {
         assert_eq!(d.applied_cut(), 3);
         d.pop_level();
         assert_eq!(d.applied_cut(), u32::MAX);
-    }
-
-    #[test]
-    fn task_weights_bump_decay_and_rescale() {
-        let mut w = TaskWeights::new(3, 0.5);
-        w.bump(TaskRef(0));
-        w.bump(TaskRef(1));
-        w.bump(TaskRef(1));
-        // Recency bias: two later bumps dwarf one early bump.
-        assert!(w.weight(TaskRef(1)) > w.weight(TaskRef(0)));
-        assert_eq!(w.weight(TaskRef(2)), 0.0);
-        // Drive the increment past the rescale threshold; order survives.
-        let mut big = TaskWeights::new(2, 0.5);
-        big.bump(TaskRef(0));
-        for _ in 0..400 {
-            big.bump(TaskRef(1));
-        }
-        assert!(big.weight(TaskRef(1)) > big.weight(TaskRef(0)));
-        assert!(big.weight(TaskRef(1)).is_finite());
     }
 
     #[test]

@@ -112,12 +112,6 @@ pub fn all_figures() -> Vec<Figure> {
             check: check_baselines,
         },
         Figure {
-            name: "prelim",
-            title: "Extra: CP vs LP on closed batches (the preliminary-work comparison of §I)",
-            run: run_prelim_panel,
-            check: |_| Vec::new(),
-        },
-        Figure {
             name: "faults",
             title: "Extra: failure sweep — SLA performance under fault injection",
             run: run_fault_sweep,
@@ -472,143 +466,6 @@ fn run_baseline_panel(scale: &Scale, seed: u64) -> FigureResult {
     baseline!(BASELINES[2], MinEdf::default());
     baseline!(BASELINES[3], Edf);
     baseline!(BASELINES[4], Fcfs);
-    FigureResult { points }
-}
-
-/// Extra panel: the preliminary-work comparison (§I / ref [12]): solve a
-/// closed batch with the CP solver and with the time-indexed LP
-/// relaxation, recording wall-clock solve time and late-job counts as the
-/// batch grows. Metric mapping: `O` = solve seconds, `N`/`P` = late jobs,
-/// `T` = mean job completion (seconds; fluid completion for the LP). Its
-/// claim — CP solve time stays low as the batch grows while LP and MILP
-/// cost climbs steeply — is about `O` alone, so it is not checked.
-fn run_prelim_panel(scale: &Scale, seed: u64) -> FigureResult {
-    use baselines::lp_schedule_closed;
-    use cpsolve::search::SolveParams;
-    use mrcp::closed::solve_closed;
-    use mrcp::JobOrdering;
-    use std::collections::HashMap;
-
-    let cfg = capped(
-        SyntheticConfig {
-            deadline_multiplier: 2.0,
-            p_future_start: 0.0,
-            lambda: 2.0, // batch: near-simultaneous arrivals
-            ..SyntheticConfig::default()
-        },
-        scale,
-    );
-    let mut points = Vec::new();
-    for &batch in &[4usize, 8, 12, 16] {
-        for series in ["CP (split)", "LP (time-indexed)"] {
-            let agg = replicate(scale, |rep| {
-                let rng = RngStreams::for_replication(seed, rep).stream("prelim");
-                let mut gen = SyntheticGenerator::new(cfg.clone(), rng);
-                let jobs = gen.take_jobs(batch);
-                let cluster = cfg.cluster();
-                if series.starts_with("CP") {
-                    let t0 = std::time::Instant::now();
-                    let out = solve_closed(
-                        &cluster,
-                        &jobs,
-                        JobOrdering::Edf,
-                        &SolveParams {
-                            node_limit: scale.solver_nodes,
-                            fail_limit: scale.solver_nodes,
-                            ..Default::default()
-                        },
-                        true,
-                    )
-                    .expect("cp closed solve");
-                    let solve_s = t0.elapsed().as_secs_f64();
-                    let starts: HashMap<_, _> =
-                        out.placements.iter().map(|&(t, _, s)| (t, s)).collect();
-                    let mean_completion: f64 = jobs
-                        .iter()
-                        .map(|j| {
-                            j.tasks()
-                                .map(|t| (starts[&t.id] + t.exec_time).as_secs_f64())
-                                .fold(0.0, f64::max)
-                        })
-                        .sum::<f64>()
-                        / jobs.len() as f64;
-                    Sample {
-                        p_late: out.objective as f64 / batch as f64,
-                        n_late: out.objective as f64,
-                        turnaround_s: mean_completion,
-                        overhead_s: solve_s,
-                        rejected_frac: 0.0,
-                    }
-                } else {
-                    let lp = lp_schedule_closed(
-                        cfg.total_map_slots(),
-                        cfg.total_reduce_slots(),
-                        &jobs,
-                        24,
-                    )
-                    .expect("lp closed solve");
-                    let mean_completion: f64 = lp
-                        .completions
-                        .values()
-                        .map(|c| c.as_secs_f64())
-                        .sum::<f64>()
-                        / jobs.len() as f64;
-                    Sample {
-                        p_late: lp.late_jobs.len() as f64 / batch as f64,
-                        n_late: lp.late_jobs.len() as f64,
-                        turnaround_s: mean_completion,
-                        overhead_s: lp.solve_time.as_secs_f64(),
-                        rejected_frac: 0.0,
-                    }
-                }
-            });
-            points.push(PointResult {
-                label: format!("batch={batch}"),
-                series: series.into(),
-                agg,
-            });
-        }
-    }
-    // MILP (late-count objective, the formulation [12] actually needed):
-    // only the small batches — each branch-and-bound node re-solves the
-    // dense LP, so costs explode; that blow-up is the datapoint.
-    for &batch in &[4usize, 8] {
-        let agg = replicate(scale, |rep| {
-            let rng = RngStreams::for_replication(seed, rep).stream("prelim");
-            let mut gen = SyntheticGenerator::new(cfg.clone(), rng);
-            let jobs = gen.take_jobs(batch);
-            match baselines::lp_sched::milp_schedule_closed(
-                cfg.total_map_slots(),
-                cfg.total_reduce_slots(),
-                &jobs,
-                18,
-                48,
-            ) {
-                Ok(m) => Sample {
-                    p_late: m.late as f64 / batch as f64,
-                    n_late: m.late as f64,
-                    turnaround_s: 0.0, // completion not extracted for MILP
-                    overhead_s: m.solve_time.as_secs_f64(),
-                    rejected_frac: 0.0,
-                },
-                Err(_) => Sample {
-                    // Budget exhausted without an incumbent: report the
-                    // full batch late (pessimistic) so the failure is
-                    // visible, with the time actually burned.
-                    p_late: 1.0,
-                    n_late: batch as f64,
-                    turnaround_s: 0.0,
-                    overhead_s: f64::NAN,
-                    rejected_frac: 0.0,
-                },
-            }
-        });
-        points.push(PointResult {
-            label: format!("batch={batch}"),
-            series: "MILP (late-count)".into(),
-            agg,
-        });
-    }
     FigureResult { points }
 }
 

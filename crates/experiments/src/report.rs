@@ -180,8 +180,8 @@ mod tests {
             "PASS fig7: P falls — P [0.1, 0]\nFAIL fig7: P falls — P [0.1, 0]\n"
         );
         assert_eq!(
-            render_verdicts("prelim", &[]),
-            "prelim: no checked claims\n"
+            render_verdicts("workers", &[]),
+            "workers: no checked claims\n"
         );
     }
 

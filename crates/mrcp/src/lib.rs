@@ -25,14 +25,11 @@
 //!   pending-queue backpressure, and the adaptive budget controller.
 //! * [`ordering`] — the three job ordering strategies of §VI.B (job id,
 //!   EDF, least laxity).
-//! * [`closed`] — the closed-system batch mode of the authors' preliminary
-//!   work: one solve over a fixed job set.
 //! * [`sim_driver`] — MRCP-RM embedded in the [`desim`] engine for the
 //!   open-system evaluation of §VI, producing the paper's metrics
 //!   (`O`, `N`, `T`, `P`).
 
 pub mod admission;
-pub mod closed;
 pub mod defer;
 pub mod gantt;
 pub mod manager;

@@ -2167,6 +2167,49 @@ mod tests {
         assert_eq!(rm.stats().invocations, 1);
     }
 
+    /// Under every job ordering one round plans a whole batch on the CP
+    /// rung, and the plan passes the independent audit.
+    #[test]
+    fn orderings_all_solve() {
+        use rand::SeedableRng;
+        let synth = workload::SyntheticConfig {
+            maps_per_job: (1, 5),
+            reduces_per_job: (1, 2),
+            e_max: 10,
+            resources: 4,
+            map_capacity: 2,
+            reduce_capacity: 2,
+            p_future_start: 0.0,
+            ..Default::default()
+        };
+        for ordering in JobOrdering::all() {
+            let rng = rand::rngs::StdRng::seed_from_u64(9);
+            let jobs = workload::SyntheticGenerator::new(synth.clone(), rng).take_jobs(5);
+            let n_tasks: usize = jobs.iter().map(|j| j.task_count()).sum();
+            let now = jobs.iter().map(|j| j.earliest_start).max().unwrap();
+            let cfg = MrcpConfig {
+                ordering,
+                ..Default::default()
+            };
+            let mut rm = MrcpRm::new(cfg, synth.cluster());
+            for job in jobs {
+                rm.submit(job, now).unwrap();
+            }
+            let plan = rm.reschedule(now);
+            assert_eq!(plan.len(), n_tasks, "{ordering:?}");
+            let stats = rm.stats();
+            assert_eq!(
+                stats.optimal_rounds + stats.feasible_rounds,
+                1,
+                "{ordering:?}"
+            );
+            let inputs = MrcpRm::collect_inputs(ordering, &rm.jobs, &rm.deferred, now, false);
+            let placements: Vec<_> = plan.iter().map(|e| (e.task, e.resource, e.start)).collect();
+            crate::split::audit(rm.resources(), &inputs, &placements)
+                .unwrap_or_else(|e| panic!("{ordering:?}: {e}"));
+        }
+    }
+
     #[test]
     fn duplicate_submission_is_rejected() {
         let mut rm = manager();

@@ -23,7 +23,7 @@ use crate::modelmap::{build_combined_model, build_model, JobInput};
 use cpsolve::greedy::{greedy_edf_with_hints, Hint};
 use cpsolve::model::ResRef;
 use cpsolve::portfolio::{solve_portfolio, PortfolioParams};
-use cpsolve::search::{Outcome, SolveParams};
+use cpsolve::search::Outcome;
 use cpsolve::solution::Solution;
 use desim::SimTime;
 use workload::{Resource, ResourceId, TaskId, TaskKind};
@@ -50,23 +50,14 @@ struct Lane {
     last_end: i64,
 }
 
-/// Solve with the combined-resource model and matchmake the result onto the
-/// real cluster. Errors only on internal inconsistency (no solution within
-/// budget with warm starts disabled, or a lane shortage that would indicate
-/// a capacity bug).
-pub fn split_solve(
-    resources: &[Resource],
-    jobs: &[JobInput<'_>],
-    params: &SolveParams,
-) -> Result<SplitOutcome, String> {
-    split_solve_portfolio(resources, jobs, &PortfolioParams::single(params), None)
-}
-
-/// [`split_solve`] driven by the parallel portfolio, optionally seeded
-/// with the previous round's placements. The combined model has a single
-/// synthetic resource, so only the hinted start times carry over — a hint
-/// whose start is stale (before this round's release) falls back to the
-/// greedy heuristic inside [`greedy_edf_with_hints`].
+/// Solve with the combined-resource model, driven by the parallel
+/// portfolio and optionally seeded with the previous round's placements,
+/// and matchmake the result onto the real cluster. The combined model has a
+/// single synthetic resource, so only the hinted start times carry over — a
+/// hint whose start is stale (before this round's release) falls back to
+/// the greedy heuristic inside [`greedy_edf_with_hints`]. Errors only on
+/// internal inconsistency (no solution within budget with warm starts
+/// disabled, or a lane shortage that would indicate a capacity bug).
 pub fn split_solve_portfolio(
     resources: &[Resource],
     jobs: &[JobInput<'_>],
@@ -231,6 +222,7 @@ pub fn audit(
 mod tests {
     use super::*;
     use crate::modelmap::TaskInput;
+    use cpsolve::search::SolveParams;
     use desim::SimTime;
     use workload::model::homogeneous_cluster;
     use workload::{Job, JobId, Task, TaskKind};
@@ -257,6 +249,14 @@ mod tests {
             reduce_tasks: reduces.iter().map(|&e| task(TaskKind::Reduce, e)).collect(),
             precedences: vec![],
         }
+    }
+
+    fn split_solve(
+        resources: &[Resource],
+        jobs: &[JobInput<'_>],
+        params: &SolveParams,
+    ) -> Result<SplitOutcome, String> {
+        split_solve_portfolio(resources, jobs, &PortfolioParams::single(params), None)
     }
 
     fn inputs(job: &Job) -> JobInput<'_> {

@@ -20,9 +20,7 @@
 //! * [`service`] — the async ingest front door: batched arrival
 //!   coalescing and closed-loop ramp harness ahead of any resource
 //!   manager (extension),
-//! * [`baselines`] — MinEDF-WC, MinEDF, EDF, FCFS, and the LP-based
-//!   comparator of the paper's preliminary work,
-//! * [`lpsolve`] — a from-scratch two-phase simplex LP solver,
+//! * [`baselines`] — MinEDF-WC, MinEDF, EDF and FCFS,
 //! * [`experiments`] — the figure-regeneration harness.
 //!
 //! ## Quick taste
@@ -53,7 +51,6 @@ pub use cluster;
 pub use cpsolve;
 pub use desim;
 pub use experiments;
-pub use lpsolve;
 pub use mrcp;
 pub use service;
 pub use workload;
