@@ -3,14 +3,15 @@
 //! the (possibly fault-injecting) endpoint mutating commands travel
 //! through.
 
-use crate::endpoint::{CellEndpoint, InProcEndpoint};
+use crate::chaos::ChaosConfig;
+use crate::endpoint::Endpoint;
 use mrcp::MrcpRm;
 
 /// A cell of the federation. The embedded manager is public: the
 /// federation's read-side estimators (load, admission probes) consult it
 /// directly — modeling cheaply gossiped state — and tests inspect
 /// per-cell state through it. Mutating commands instead travel through
-/// the cell's [`CellEndpoint`], which may fail.
+/// the cell's endpoint, which may fail.
 #[derive(Debug)]
 pub struct Cell {
     /// Stable cell index (also the deterministic routing tie-break).
@@ -20,9 +21,9 @@ pub struct Cell {
     /// Set when the cell's state changed since its last solve; only dirty
     /// cells participate in the next scheduling round.
     pub(crate) dirty: bool,
-    /// The router's channel to this cell (reliable in-process by
-    /// default; a chaos wrapper under fault injection).
-    pub(crate) endpoint: Box<dyn CellEndpoint>,
+    /// The router's channel to this cell (fault-free until the
+    /// federation enables chaos).
+    pub(crate) endpoint: Endpoint,
     /// Next sequence number the federation will stamp on a command to
     /// this cell — the basis of at-most-once delivery. Session-scoped
     /// (decoupled from the durable journal's event sequence).
@@ -35,7 +36,7 @@ impl Cell {
             id,
             rm,
             dirty: false,
-            endpoint: Box::new(InProcEndpoint::new()),
+            endpoint: Endpoint::new(ChaosConfig::default(), id),
             next_seq: 0,
         }
     }

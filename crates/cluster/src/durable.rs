@@ -42,7 +42,7 @@
 //! same policy as the single-manager layer: a durability layer that
 //! silently drops records is worse than none.
 
-use crate::federation::{shard, ClusterConfig, ClusterSimConfig, Federation};
+use crate::federation::{shard, ClusterConfig, Federation};
 use crate::metrics::ClusterMetrics;
 use desim::SimTime;
 use durability::codec::{Dec, DecodeError, Enc};
@@ -56,7 +56,7 @@ use mrcp::manager::{
     AdmissionOutcome, FailureAction, JobCompletion, ManagerError, ManagerStats, MrcpConfig,
     ScheduleEntry,
 };
-use mrcp::sim_driver::{simulate_with, JobOutcome, ResourceManager, RunMetrics};
+use mrcp::sim_driver::ResourceManager;
 use mrcp::{ManagerImage, MrcpRm, TaskStatusImage};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -348,11 +348,13 @@ impl Recoverable for Federation {
 
     /// The cell boundary outlives the manager process: each cell's
     /// endpoint (with its fault stream and outage state) and command
-    /// sequence, the breakers, and whether faults are injected at all.
-    /// Replay ran on fresh reliable endpoints to re-derive the pre-crash
+    /// sequence, the breakers, whether faults are injected at all, and
+    /// what the fleet audit has found so far. Replay ran on fresh
+    /// reliable endpoints (so it never audits) to re-derive the pre-crash
     /// state; the live fleet faces the same boundary the dead one did.
     fn take_over(&mut self, dead: Federation) {
         self.chaos_active = dead.chaos_active;
+        self.violations = dead.violations;
         self.health = dead.health;
         for (c, old) in self.cells.iter_mut().zip(dead.cells) {
             c.endpoint = old.endpoint;
@@ -456,12 +458,6 @@ impl DurableFederation {
     /// actually landed.
     pub fn enable_chaos(&mut self, chaos: &crate::chaos::ChaosConfig) {
         self.core.inner_mut().enable_chaos(chaos);
-    }
-
-    /// Unwrap the inner federation (detaching the durable shell) for
-    /// post-run inspection.
-    pub fn into_federation(self) -> Federation {
-        self.core.into_inner()
     }
 }
 
@@ -569,20 +565,6 @@ impl ResourceManager for DurableFederation {
     fn crash_and_recover(&mut self, now: SimTime) -> bool {
         self.core.crash_and_recover(now)
     }
-}
-
-/// Run the full simulation against a [`DurableFederation`] rooted at
-/// `dir`, returning the paper's metrics plus the federation counters.
-pub fn simulate_cluster_durable(
-    cfg: &ClusterSimConfig,
-    resources: &[Resource],
-    jobs: Vec<Job>,
-    dir: &Path,
-    durability: DurabilityConfig,
-) -> (RunMetrics, Vec<JobOutcome>, DurableFederation) {
-    simulate_with(&cfg.sim, resources, jobs, |mgr_cfg: MrcpConfig| {
-        DurableFederation::new(&cfg.cluster, mgr_cfg, resources.to_vec(), dir, durability)
-    })
 }
 
 #[cfg(test)]

@@ -2,13 +2,13 @@
 //! cells.
 //!
 //! Every *mutating* command the federation issues to a cell travels as a
-//! [`ManagerEvent`] — the same vocabulary the cell's WAL holds — through a
-//! [`CellEndpoint`], which may fail the way a real router→cell RPC fails:
-//! the request can be dropped before the cell sees it, the response can be
-//! lost after the cell applied it, the call can exceed its deadline, or
-//! the cell process can be down entirely. Read-side estimators (cell load,
-//! admission probes) stay direct — they model cheaply gossiped health/load
-//! state, not RPCs.
+//! [`ManagerEvent`] — the same vocabulary the cell's WAL holds — through
+//! the cell's `Endpoint`, which may fail the way a real router→cell RPC
+//! fails: the request can be dropped before the cell sees it, the response
+//! can be lost after the cell applied it, the call can exceed its
+//! deadline, or the cell process can be down entirely. Read-side
+//! estimators (cell load, admission probes) stay direct — they model
+//! cheaply gossiped health/load state, not RPCs.
 //!
 //! Delivery is **at-most-once per sequence number**: the federation
 //! stamps each logical command with a per-cell sequence number, retries
@@ -17,17 +17,24 @@
 //! instead of executing twice. Abandoned commands (best-effort calls
 //! that never reached the cell) leave a harmless gap in the sequence.
 //!
-//! [`InProcEndpoint`] is the reliable implementation (and the only code
-//! path when chaos is off — it injects nothing and draws no randomness);
-//! [`crate::chaos::ChaosEndpoint`] wraps it with fault injection. Both
-//! execute a delivered command with [`durability::apply`], the function
-//! WAL replay runs.
+//! There is one endpoint type: the dedup window plus the fault state a
+//! [`ChaosConfig`] drives. Under the default config every knob is zero,
+//! so no randomness is drawn, no crash is armed and latency is zero —
+//! every delivery applies exactly once and answers immediately, which is
+//! what keeps the chaos-off and `cells = 1 ⇔ single manager` anchors
+//! bit-exact. A delivered command executes through [`durability::apply`],
+//! the function WAL replay runs.
 
+use crate::chaos::ChaosConfig;
 use desim::SimTime;
 use durability::{apply, ManagerEvent, Reply};
 use mrcp::manager::MrcpRm;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::fmt;
+use workload::dist::Exponential;
+use workload::fault::Renewal;
 
 /// Transport-level failure of one router→cell delivery. Application
 /// errors ([`mrcp::manager::ManagerError`]) are *successful* deliveries
@@ -69,53 +76,9 @@ pub struct Delivery {
     pub applied: bool,
     /// Whether this attempt was answered from the dedup cache.
     pub deduped: bool,
-    /// Simulated latency this attempt accrued (chaos-injected; zero for
-    /// the in-process endpoint).
+    /// Simulated latency this attempt accrued (chaos-injected; zero
+    /// under the default [`ChaosConfig`]).
     pub latency: SimTime,
-}
-
-/// The router's channel to one cell. Implementations must be [`Send`]
-/// (cells solve on scoped threads when chaos is off).
-pub trait CellEndpoint: fmt::Debug + Send {
-    /// Deliver `req` stamped with `seq` over the normal (fallible)
-    /// channel.
-    fn deliver(&mut self, rm: &mut MrcpRm, seq: u64, req: &ManagerEvent, now: SimTime) -> Delivery;
-
-    /// Deliver over the supervisor's reliable channel: no fault
-    /// injection, but the same sequence-number dedup — the escalation
-    /// path when retries exhaust on a command the run cannot drop. The
-    /// caller must [`restart`](Self::restart) a down cell first.
-    fn deliver_reliable(
-        &mut self,
-        rm: &mut MrcpRm,
-        seq: u64,
-        req: &ManagerEvent,
-        now: SimTime,
-    ) -> Delivery {
-        self.deliver(rm, seq, req, now)
-    }
-
-    /// Whether the cell process answers health probes at `now`. A cell
-    /// whose outage has *elapsed* but which has not been restarted yet
-    /// reports reachable (the process responds) while still refusing
-    /// [`deliver`](Self::deliver) until rehydration.
-    fn reachable(&mut self, now: SimTime) -> bool {
-        let _ = now;
-        true
-    }
-
-    /// When the current outage began, if the cell is down.
-    fn down_since(&self) -> Option<SimTime> {
-        None
-    }
-
-    /// Supervisor restart: end any outage at `now` and re-arm the crash
-    /// process. Returns `true` when the cell's manager state was lost
-    /// and must be rehydrated (WAL replay) before the cell serves again.
-    fn restart(&mut self, now: SimTime) -> bool {
-        let _ = now;
-        false
-    }
 }
 
 /// How many responses a cell remembers for duplicate suppression.
@@ -123,24 +86,203 @@ pub trait CellEndpoint: fmt::Debug + Send {
 /// live window is one; the slack absorbs injected duplicates.
 const RESPONSE_CACHE_DEPTH: usize = 64;
 
-/// The reliable in-process endpoint: every delivery applies exactly once
-/// and answers immediately. This is the only endpoint in a chaos-free
-/// federation — it draws no randomness and injects nothing, which is
-/// what keeps the `cells = 1 ⇔ single manager` bit-exactness anchor
-/// intact.
-#[derive(Debug, Default)]
-pub struct InProcEndpoint {
+/// The router's channel to one cell: the cell-side dedup window behind a
+/// channel that injects the faults its [`ChaosConfig`] asks for —
+/// per-call latency drawn from an exponential with a hard deadline,
+/// request drops, duplicated deliveries, response hangs, and whole-cell
+/// crashes driven by the same exponential MTTF/MTTR renewal process
+/// `workload::fault` uses for resource outages ([`Renewal`]).
+///
+/// A crash loses the cell's manager-process state: until the supervisor
+/// [`restart`](Self::restart)s the cell (and rehydrates it), every
+/// delivery fails with [`RpcError::CellDown`].
+#[derive(Debug)]
+pub(crate) struct Endpoint {
     /// All sequence numbers below this were either applied or abandoned;
     /// a delivery at or above it is new.
     next_seq: u64,
     /// Recently applied `(seq, response)` pairs.
     cache: VecDeque<(u64, Reply)>,
+    cfg: ChaosConfig,
+    rng: StdRng,
+    /// The cell-crash renewal process, when crashes are enabled.
+    renewal: Option<Renewal>,
+    /// When the next crash strikes (armed while the cell is up).
+    next_crash: Option<SimTime>,
+    /// The current outage as `(began, process_back_at)`; kept until the
+    /// supervisor restarts the cell, because a process that came back by
+    /// itself is still amnesiac until rehydrated.
+    outage: Option<(SimTime, SimTime)>,
+    /// Set from crash until restart: the manager state died with the
+    /// process and must be rebuilt before the cell serves again.
+    state_lost: bool,
 }
 
-impl InProcEndpoint {
-    /// A fresh endpoint with an empty dedup window.
-    pub fn new() -> Self {
-        InProcEndpoint::default()
+impl Endpoint {
+    /// The endpoint of cell `cell` (each cell gets its own RNG stream
+    /// derived from `cfg.seed`). Panics on invalid knobs, mirroring
+    /// `FaultModel::new`.
+    pub(crate) fn new(cfg: ChaosConfig, cell: usize) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid chaos config: {e}");
+        }
+        let stream = cfg
+            .seed
+            .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(cell as u64 + 1));
+        let mut renewal = cfg.cell_mttf.map(|mttf| {
+            Renewal::new(
+                mttf,
+                cfg.cell_mttr.expect("validated: mttf implies mttr"),
+                StdRng::seed_from_u64(stream ^ 0xC2B2_AE3D_27D4_EB4F),
+            )
+        });
+        let next_crash = renewal.as_mut().map(|r| r.time_to_failure());
+        Endpoint {
+            next_seq: 0,
+            cache: VecDeque::new(),
+            cfg,
+            rng: StdRng::seed_from_u64(stream),
+            renewal,
+            next_crash,
+            outage: None,
+            state_lost: false,
+        }
+    }
+
+    /// Deliver `req` stamped with `seq` over the normal (fallible)
+    /// channel.
+    pub(crate) fn deliver(
+        &mut self,
+        rm: &mut MrcpRm,
+        seq: u64,
+        req: &ManagerEvent,
+        now: SimTime,
+    ) -> Delivery {
+        self.advance(now);
+        if self.refuses_calls(now) {
+            return Delivery {
+                outcome: Err(RpcError::CellDown),
+                applied: false,
+                deduped: false,
+                latency: SimTime::ZERO,
+            };
+        }
+        // Fixed draw order per attempt keeps the stream deterministic:
+        // latency, then drop, then dup, then hang. A knob at zero draws
+        // nothing.
+        let latency = self.sample_latency();
+        if self.cfg.drop_prob > 0.0 && self.rng.gen_bool(self.cfg.drop_prob) {
+            return Delivery {
+                outcome: Err(RpcError::Dropped),
+                applied: false,
+                deduped: false,
+                latency,
+            };
+        }
+        let mut d = self.dedup_or_apply(rm, seq, req);
+        d.latency = latency;
+        if self.cfg.dup_prob > 0.0 && self.rng.gen_bool(self.cfg.dup_prob) {
+            // The network delivered the request twice; the second copy
+            // must be absorbed by the dedup window.
+            let twin = self.dedup_or_apply(rm, seq, req);
+            debug_assert!(!twin.applied, "duplicate delivery re-applied");
+            d.deduped = d.deduped || twin.deduped;
+        }
+        if self.cfg.hang_prob > 0.0 && self.rng.gen_bool(self.cfg.hang_prob) {
+            // Applied, but the response never comes back.
+            d.outcome = Err(RpcError::Timeout);
+            return d;
+        }
+        if latency > self.cfg.call_deadline {
+            d.outcome = Err(RpcError::Timeout);
+        }
+        d
+    }
+
+    /// Deliver over the supervisor's reliable channel: no fault
+    /// injection, but the same sequence-number dedup — the escalation
+    /// path when retries exhaust on a command the run cannot drop. The
+    /// caller must [`restart`](Self::restart) a down cell first.
+    pub(crate) fn deliver_reliable(
+        &mut self,
+        rm: &mut MrcpRm,
+        seq: u64,
+        req: &ManagerEvent,
+        now: SimTime,
+    ) -> Delivery {
+        debug_assert!(
+            !self.refuses_calls(now),
+            "reliable delivery to a cell the supervisor has not restarted"
+        );
+        self.dedup_or_apply(rm, seq, req)
+    }
+
+    /// Whether the cell process answers health probes at `now`. A cell
+    /// whose outage has *elapsed* but which has not been restarted yet
+    /// reports reachable (the process responds) while still refusing
+    /// [`deliver`](Self::deliver) until rehydration.
+    pub(crate) fn reachable(&mut self, now: SimTime) -> bool {
+        self.advance(now);
+        match self.outage {
+            Some((_, until)) => now >= until,
+            None => true,
+        }
+    }
+
+    /// When the current outage began, if the cell is down.
+    pub(crate) fn down_since(&self) -> Option<SimTime> {
+        self.outage.map(|(began, _)| began)
+    }
+
+    /// Supervisor restart: end any outage at `now` and re-arm the crash
+    /// process. Returns `true` when the cell's manager state was lost
+    /// and must be rehydrated (WAL replay) before the cell serves again.
+    pub(crate) fn restart(&mut self, now: SimTime) -> bool {
+        let lost = self.state_lost;
+        self.outage = None;
+        self.state_lost = false;
+        if let Some(r) = self.renewal.as_mut() {
+            self.next_crash = Some(now + r.time_to_failure());
+        }
+        lost
+    }
+
+    /// Advance the crash process to `now`: strike a due crash.
+    fn advance(&mut self, now: SimTime) {
+        if self.outage.is_some() || self.state_lost {
+            return;
+        }
+        if let Some(at) = self.next_crash {
+            if now >= at {
+                let repair = self
+                    .renewal
+                    .as_mut()
+                    .expect("crash armed without a renewal process")
+                    .repair_time();
+                self.outage = Some((at, at + repair));
+                self.state_lost = true;
+                self.next_crash = None;
+            }
+        }
+    }
+
+    /// Down for deliveries: mid-outage, or back up but not yet
+    /// rehydrated.
+    fn refuses_calls(&self, now: SimTime) -> bool {
+        match self.outage {
+            Some((_, until)) => now < until || self.state_lost,
+            None => self.state_lost,
+        }
+    }
+
+    fn sample_latency(&mut self) -> SimTime {
+        match self.cfg.mean_latency {
+            Some(mean) => {
+                let exp = Exponential::new(1.0 / mean.as_secs_f64());
+                SimTime::from_secs_f64(exp.sample(&mut self.rng))
+            }
+            None => SimTime::ZERO,
+        }
     }
 
     fn dedup_or_apply(&mut self, rm: &mut MrcpRm, seq: u64, req: &ManagerEvent) -> Delivery {
@@ -184,18 +326,6 @@ impl InProcEndpoint {
             deduped: false,
             latency: SimTime::ZERO,
         }
-    }
-}
-
-impl CellEndpoint for InProcEndpoint {
-    fn deliver(
-        &mut self,
-        rm: &mut MrcpRm,
-        seq: u64,
-        req: &ManagerEvent,
-        _now: SimTime,
-    ) -> Delivery {
-        self.dedup_or_apply(rm, seq, req)
     }
 }
 
@@ -368,7 +498,7 @@ mod tests {
     #[test]
     fn duplicate_delivery_is_suppressed_and_answered_from_cache() {
         let mut m = rm();
-        let mut ep = InProcEndpoint::new();
+        let mut ep = Endpoint::new(ChaosConfig::default(), 0);
         let req = ManagerEvent::Submit {
             job: job(1),
             now: SimTime::ZERO,
@@ -389,7 +519,7 @@ mod tests {
     #[test]
     fn application_errors_are_cached_like_any_response() {
         let mut m = rm();
-        let mut ep = InProcEndpoint::new();
+        let mut ep = Endpoint::new(ChaosConfig::default(), 0);
         let req = ManagerEvent::TakeUnstartedJob { job: JobId(42) };
         let first = ep.deliver(&mut m, 0, &req, SimTime::ZERO);
         assert!(first.applied);
@@ -408,7 +538,7 @@ mod tests {
     #[test]
     fn sequence_gaps_from_abandoned_commands_are_legal() {
         let mut m = rm();
-        let mut ep = InProcEndpoint::new();
+        let mut ep = Endpoint::new(ChaosConfig::default(), 0);
         let r0 = ep.deliver(
             &mut m,
             0,

@@ -10,9 +10,9 @@
 //! ## The fallible boundary
 //!
 //! Mutating commands reach a cell as [`ManagerEvent`]s through its
-//! [`CellEndpoint`](crate::endpoint::CellEndpoint) — reliable in-process
-//! by default, fault-injecting under [`crate::chaos::ChaosConfig`] — and
-//! the request that applied is what the cell's WAL records. Each
+//! endpoint ([`crate::endpoint`]) — fault-free by default,
+//! fault-injecting under [`crate::chaos::ChaosConfig`] — and the request
+//! that applied is what the cell's WAL records. Each
 //! command is stamped with a per-cell sequence number; failed deliveries
 //! retry under the fixed `RetryPolicy` (capped exponential backoff,
 //! deterministic jitter) and duplicates are suppressed cell-side, so
@@ -26,7 +26,10 @@
 //! over to the slackest surviving cells at the next round, and the
 //! round-boundary reachability sweep restarts them once their outage
 //! ends — rehydrating through [`crate::durable::recover_cell`] WAL
-//! replay when the federation runs durable.
+//! replay when the federation runs durable. While faults are injected,
+//! every round ends with an audit of the fleet invariant
+//! ([`Federation::audit`]), and what it finds is kept for
+//! [`Federation::violations`].
 //!
 //! With `cells = 1` and chaos off, every mechanism degenerates to the
 //! single-manager behavior exactly: routing has one choice, the
@@ -36,8 +39,8 @@
 //! [`MrcpRm::reschedule`]. The determinism tests hold the repo to that.
 
 use crate::cell::Cell;
-use crate::chaos::{ChaosConfig, ChaosEndpoint};
-use crate::endpoint::{Delivery, RetryPolicy, RpcError};
+use crate::chaos::ChaosConfig;
+use crate::endpoint::{Delivery, Endpoint, RetryPolicy, RpcError};
 use crate::health::{CellHealth, HealthConfig, HealthState};
 use crate::metrics::ClusterMetrics;
 use crate::rebalance::{RebalanceConfig, PROBE_FANOUT};
@@ -48,11 +51,15 @@ use mrcp::manager::{
     AbandonedJob, AdmissionOutcome, FailureAction, JobCompletion, ManagerError, ManagerStats,
     MrcpConfig, MrcpRm, ScheduleEntry,
 };
-use mrcp::sim_driver::{simulate_with, JobOutcome, ResourceManager, RunMetrics, SimConfig};
-use mrcp::AdmissionPolicy;
+use mrcp::sim_driver::ResourceManager;
+use mrcp::{AdmissionPolicy, TaskStatusImage};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 use workload::{Job, JobId, Resource, ResourceId, TaskId};
+
+/// How many fleet-invariant violations a federation keeps: a broken fleet
+/// repeats itself every round.
+const MAX_VIOLATIONS: usize = 64;
 
 /// Federation shape: how many cells and how eagerly to rebalance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,9 +255,11 @@ pub struct Federation {
     /// [`crate::durable::recover_cell`] needs to rebuild any one cell.
     pub(crate) resources: Vec<Resource>,
     /// Whether any cell endpoint injects faults. Off: deliveries cannot
-    /// fail, the health sweep is skipped, and the parallel solve path
-    /// runs — the bit-exact legacy behavior.
+    /// fail, the health sweep and the per-round audit are skipped, and
+    /// the parallel solve path runs — the bit-exact legacy behavior.
     pub(crate) chaos_active: bool,
+    /// What the per-round audit found, capped at [`MAX_VIOLATIONS`].
+    pub(crate) violations: Vec<String>,
     /// Per-cell circuit breakers.
     pub(crate) health: Vec<CellHealth>,
     /// Live federation-level instruments (disabled by default; see
@@ -307,6 +316,7 @@ impl Federation {
             last_error: None,
             resources: resources.to_vec(),
             chaos_active: false,
+            violations: Vec::new(),
             health: vec![CellHealth::new(HealthConfig::default()); k],
             tel: FedTel::disabled(k),
             base_tel: telemetry::Telemetry::disabled(),
@@ -353,13 +363,12 @@ impl Federation {
         fed
     }
 
-    /// Swap the cell endpoints for fault-injecting ones (when `chaos` is
-    /// active).
+    /// Re-arm the cell endpoints with `chaos` (when it is active).
     pub(crate) fn enable_chaos(&mut self, chaos: &ChaosConfig) {
         if chaos.is_active() {
             self.chaos_active = true;
             for (i, c) in self.cells.iter_mut().enumerate() {
-                c.endpoint = Box::new(ChaosEndpoint::new(*chaos, i));
+                c.endpoint = Endpoint::new(*chaos, i);
             }
         }
     }
@@ -386,9 +395,69 @@ impl Federation {
         &self.metrics
     }
 
-    /// Consume the federation, returning its metrics.
-    pub fn into_cluster_metrics(self) -> ClusterMetrics {
-        self.metrics
+    /// Check the fleet invariant: every live job is pending in *exactly
+    /// one* cell and the fleet maps agree with the cells; no live task is
+    /// owned by two cells. Returns human-readable violations (empty when
+    /// all hold). [`reschedule`](ResourceManager::reschedule) runs it
+    /// after every round while faults are injected; a chaos-free
+    /// boundary cannot desynchronise the maps, so it is skipped there.
+    pub fn audit(&self) -> Vec<String> {
+        let mut violations = Vec::new();
+        let mut jobs_seen = HashMap::new();
+        let mut live_jobs = 0usize;
+        for (i, cell) in self.cells.iter().enumerate() {
+            let img = cell.rm.image();
+            for ji in &img.jobs {
+                live_jobs += 1;
+                if let Some(prev) = jobs_seen.insert(ji.job.id, i) {
+                    violations.push(format!(
+                        "job {} lives in cells {} and {} at once",
+                        ji.job.id, prev, i
+                    ));
+                }
+                match self.job_cell.get(&ji.job.id) {
+                    Some(&mapped) if mapped == i => {}
+                    Some(&mapped) => violations.push(format!(
+                        "job {} is in cell {} but the fleet map says {}",
+                        ji.job.id, i, mapped
+                    )),
+                    None => violations.push(format!(
+                        "job {} is in cell {} but missing from the fleet map",
+                        ji.job.id, i
+                    )),
+                }
+                for t in &ji.tasks {
+                    if t.status == TaskStatusImage::Completed {
+                        continue;
+                    }
+                    match self.task_cell.get(&t.id) {
+                        Some(&mapped) if mapped == i => {}
+                        Some(&mapped) => violations.push(format!(
+                            "task {} is in cell {} but the fleet map says {}",
+                            t.id, i, mapped
+                        )),
+                        None => violations.push(format!(
+                            "task {} is in cell {} but missing from the fleet map",
+                            t.id, i
+                        )),
+                    }
+                }
+            }
+        }
+        if self.job_cell.len() != live_jobs {
+            violations.push(format!(
+                "fleet map holds {} jobs but the cells hold {live_jobs}",
+                self.job_cell.len()
+            ));
+        }
+        violations
+    }
+
+    /// The fleet-invariant violations the per-round [`audit`](Self::audit)
+    /// found, the first 64 kept; empty on a correct run, and always empty
+    /// while no faults are injected (the audit does not run).
+    pub fn violations(&self) -> &[String] {
+        &self.violations
     }
 
     /// Router load estimates, with unroutable (Down/Recovering) cells
@@ -795,7 +864,7 @@ impl Federation {
             let stranded = self.cells[i].rm.image().jobs.iter().any(|ji| {
                 !ji.tasks
                     .iter()
-                    .any(|t| matches!(t.status, mrcp::TaskStatusImage::Started { .. }))
+                    .any(|t| matches!(t.status, TaskStatusImage::Started { .. }))
             });
             if stranded {
                 self.supervisor_restore(i, now);
@@ -1242,6 +1311,11 @@ impl ResourceManager for Federation {
                 self.last_error = Some(e);
             }
         }
+        if self.chaos_active {
+            let found = self.audit();
+            let room = MAX_VIOLATIONS.saturating_sub(self.violations.len());
+            self.violations.extend(found.into_iter().take(room));
+        }
         let mut entries: Vec<ScheduleEntry> = self
             .cells
             .iter()
@@ -1359,36 +1433,63 @@ impl ResourceManager for Federation {
     }
 }
 
-/// Simulation inputs for a federated run: the per-cell manager/driver
-/// configuration plus the federation shape.
-#[derive(Debug, Clone, Default)]
-pub struct ClusterSimConfig {
-    /// Driver + per-cell manager configuration (identical for all cells).
-    pub sim: SimConfig,
-    /// Federation shape.
-    pub cluster: ClusterConfig,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use workload::model::homogeneous_cluster;
 
-/// Run the full simulation (arrivals, task lifecycle, faults) against a
-/// federated cluster and collect both the paper's metrics and the
-/// federation-level counters.
-pub fn simulate_cluster(
-    cfg: &ClusterSimConfig,
-    resources: &[Resource],
-    jobs: Vec<Job>,
-) -> (RunMetrics, ClusterMetrics) {
-    let (metrics, _outcomes, fed) = simulate_cluster_detailed(cfg, resources, jobs);
-    (metrics, fed.into_cluster_metrics())
-}
+    /// A two-cell fleet holding one job, with one fleet-map entry planted
+    /// for a job no cell holds.
+    fn planted(chaos: &ChaosConfig) -> Federation {
+        let cfg = ClusterConfig {
+            cells: 2,
+            ..ClusterConfig::default()
+        };
+        let res = homogeneous_cluster(2, 2, 2);
+        let mut fed = Federation::with_chaos(&cfg, MrcpConfig::default(), res, chaos);
+        let job = Job {
+            id: JobId(1),
+            arrival: SimTime::ZERO,
+            earliest_start: SimTime::ZERO,
+            deadline: SimTime::from_secs(1_000),
+            map_tasks: vec![workload::Task {
+                id: TaskId(10),
+                job: JobId(1),
+                kind: workload::TaskKind::Map,
+                exec_time: SimTime::from_secs(5),
+                req: 1,
+            }],
+            reduce_tasks: Vec::new(),
+            precedences: Vec::new(),
+        };
+        fed.submit_with_admission(job, SimTime::ZERO).unwrap();
+        assert!(fed.audit().is_empty(), "{:?}", fed.audit());
+        fed.job_cell.insert(JobId(99), 0);
+        fed
+    }
 
-/// Like [`simulate_cluster`] but also returns the per-job outcomes and
-/// the federation itself for post-run inspection.
-pub fn simulate_cluster_detailed(
-    cfg: &ClusterSimConfig,
-    resources: &[Resource],
-    jobs: Vec<Job>,
-) -> (RunMetrics, Vec<JobOutcome>, Federation) {
-    simulate_with(&cfg.sim, resources, jobs, |mgr_cfg| {
-        Federation::new(&cfg.cluster, mgr_cfg, resources.to_vec())
-    })
+    #[test]
+    fn chaos_fleet_reports_a_planted_map_inconsistency_after_the_next_round() {
+        // Duplicated deliveries: active, yet absorbed by the dedup window.
+        let chaos = ChaosConfig {
+            dup_prob: 1.0,
+            ..ChaosConfig::default()
+        };
+        let mut fed = planted(&chaos);
+        assert!(fed.violations().is_empty());
+        fed.reschedule(SimTime::ZERO);
+        assert_eq!(
+            fed.violations(),
+            ["fleet map holds 2 jobs but the cells hold 1"]
+        );
+    }
+
+    #[test]
+    fn chaos_free_fleet_skips_the_audit() {
+        let mut fed = planted(&ChaosConfig::default());
+        fed.reschedule(SimTime::ZERO);
+        assert!(fed.violations().is_empty());
+        // The plant is there; only the audit did not run.
+        assert_eq!(fed.audit().len(), 1);
+    }
 }

@@ -21,10 +21,18 @@
 //!
 //! [`Federation`] implements [`mrcp::ResourceManager`], so the existing
 //! simulation driver (arrivals, deferrals, task lifecycle, fault
-//! injection) drives a federated cluster unchanged — [`simulate_cluster`]
-//! is [`mrcp::sim_driver::simulate_with`] plugged with a federation. With
-//! `cells = 1` the federation is behaviorally identical to the plain
-//! single-manager driver (proved by the determinism regression tests).
+//! injection) drives a federated cluster unchanged: the caller builds the
+//! stack it wants inside [`mrcp::simulate_with`] —
+//!
+//! ```text
+//! simulate_with(&sim, &res, jobs, |c| Federation::with_chaos(&cluster, c, res.to_vec(), &chaos))
+//! ```
+//!
+//! or [`DurableFederation::new`] followed by
+//! [`enable_chaos`](DurableFederation::enable_chaos) and
+//! [`set_telemetry`](DurableFederation::set_telemetry). With `cells = 1`
+//! the federation is behaviorally identical to the plain single-manager
+//! driver (proved by the determinism regression tests).
 //!
 //! ## Partial-failure tolerance
 //!
@@ -37,9 +45,11 @@
 //! crashes. A per-cell circuit breaker ([`health`]) takes `Down` cells
 //! out of routing; their unstarted jobs fail over to the slackest
 //! survivors, and restarts rehydrate lost state through
-//! [`recover_cell`] WAL replay when the federation runs durable. With
-//! chaos off, every mechanism is provably inert: deliveries succeed
-//! first try, no randomness is drawn, and runs stay bit-identical to the
+//! [`recover_cell`] WAL replay when the federation runs durable. While
+//! faults are injected the federation audits its own fleet invariant after
+//! every round ([`Federation::violations`]). With chaos off, every
+//! mechanism is provably inert: deliveries succeed first try, no
+//! randomness is drawn, no audit runs, and runs stay bit-identical to the
 //! pre-chaos federation.
 
 pub mod cell;
@@ -53,16 +63,10 @@ pub mod rebalance;
 pub mod router;
 
 pub use cell::Cell;
-pub use chaos::{
-    check_conservation, check_federation, simulate_cluster_chaos, simulate_cluster_chaos_durable,
-    simulate_cluster_chaos_durable_telemetry, simulate_cluster_chaos_telemetry, ChaosConfig,
-    ChaosRun, ChaosSimConfig,
-};
-pub use durable::{recover_cell, simulate_cluster_durable, DurableFederation};
-pub use endpoint::{CellEndpoint, InProcEndpoint, RpcError};
-pub use federation::{
-    simulate_cluster, simulate_cluster_detailed, ClusterConfig, ClusterSimConfig, Federation,
-};
+pub use chaos::ChaosConfig;
+pub use durable::{recover_cell, DurableFederation};
+pub use endpoint::RpcError;
+pub use federation::{ClusterConfig, Federation};
 pub use health::{CellHealth, HealthState};
 pub use metrics::ClusterMetrics;
 pub use rebalance::RebalanceConfig;

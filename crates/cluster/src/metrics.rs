@@ -3,9 +3,6 @@
 //! stay in each cell's [`mrcp::ManagerStats`]; this struct covers only
 //! what exists *between* cells.
 
-use desim::stats::sample_quantile;
-use std::time::Duration;
-
 /// Counters and latency samples accumulated by a [`crate::Federation`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterMetrics {
@@ -77,24 +74,6 @@ impl ClusterMetrics {
             jobs_routed: vec![0; cells],
             ..Default::default()
         }
-    }
-
-    /// Nearest-rank quantile of the per-round solve latency, `q` in
-    /// [0, 1]; `None` before any round has run.
-    pub fn round_latency_quantile(&self, q: f64) -> Option<Duration> {
-        sample_quantile(&self.round_latencies_us, q).map(Duration::from_micros)
-    }
-
-    /// Nearest-rank quantile of the crash→re-plan failover latency
-    /// (simulated milliseconds); `None` before any job failed over.
-    pub fn failover_latency_quantile_ms(&self, q: f64) -> Option<u64> {
-        sample_quantile(&self.failover_latencies_ms, q)
-    }
-
-    /// Nearest-rank quantile of the crash→restart restore latency
-    /// (simulated milliseconds); `None` before any restore.
-    pub fn restore_latency_quantile_ms(&self, q: f64) -> Option<u64> {
-        sample_quantile(&self.restore_latencies_ms, q)
     }
 
     /// Delivery attempts per logical command — 1.0 on a fault-free run,

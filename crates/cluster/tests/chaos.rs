@@ -1,98 +1,43 @@
-#![allow(clippy::field_reassign_with_default)]
 //! Chaos-harness end-to-end tests: fault injection at the cell boundary
 //! must never lose a job or break the fleet invariants, an inactive
 //! chaos config must be bit-identical to the plain federation, and a
 //! durable federation must rehydrate crashed cells from their WALs.
 
-use cluster::{
-    simulate_cluster, simulate_cluster_chaos, simulate_cluster_chaos_durable, ChaosConfig,
-    ChaosSimConfig, ClusterConfig, ClusterSimConfig, RebalanceConfig,
-};
+mod common;
+
+use cluster::{ChaosConfig, DurableFederation};
+use common::{det_sim, fleet, plain, problems, run, run_durable, small_workload};
 use desim::SimTime;
 use durability::{scratch_dir, DurabilityConfig, StoreConfig, WalConfig};
-use mrcp::{MrcpConfig, SimConfig, SolveBudget};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use workload::{Job, Resource, SyntheticConfig, SyntheticGenerator};
+use mrcp::ResourceManager;
+use telemetry::Telemetry;
 
-/// A fully deterministic manager (one portfolio worker, no wall-clock
-/// budget), so chaos-off comparisons are bit-exact.
-fn det_sim() -> SimConfig {
-    let mut cfg = SimConfig::default();
-    cfg.manager = MrcpConfig {
-        budget: SolveBudget {
-            node_limit: 2_000,
-            fail_limit: 2_000,
-            time_limit_ms: None,
-            adaptive: None,
-            warm_start: true,
-            workers: 1,
-        },
-        ..Default::default()
-    };
-    cfg
-}
-
-fn chaos_cfg(cells: usize, chaos: ChaosConfig) -> ChaosSimConfig {
-    ChaosSimConfig {
-        base: ClusterSimConfig {
-            sim: det_sim(),
-            cluster: ClusterConfig {
-                cells,
-                rebalance: RebalanceConfig::default(),
-            },
-        },
-        chaos,
-    }
-}
-
-fn small_workload(n: usize, m: u32, seed: u64) -> (Vec<Resource>, Vec<Job>) {
-    let cfg = SyntheticConfig {
-        maps_per_job: (1, 6),
-        reduces_per_job: (1, 3),
-        e_max: 10,
-        lambda: 0.05,
-        resources: m,
-        map_capacity: 2,
-        reduce_capacity: 2,
-        s_max: 100,
-        ..Default::default()
-    };
-    let cluster = cfg.cluster();
-    let mut gen = SyntheticGenerator::new(cfg, StdRng::seed_from_u64(seed));
-    (cluster, gen.take_jobs(n))
-}
-
-fn assert_conserved(run: &cluster::ChaosRun) {
-    assert!(
-        run.violations.is_empty(),
-        "invariant violations: {:#?}",
-        run.violations
-    );
-    let m = &run.metrics;
-    assert_eq!(
-        m.completed + m.jobs_rejected as usize + m.jobs_shed as usize + m.jobs_abandoned,
-        m.arrived,
-        "every arrival must complete, be rejected, be shed, or be abandoned"
-    );
+fn off() -> Telemetry {
+    Telemetry::disabled()
 }
 
 #[test]
 fn inactive_chaos_is_bit_identical_to_plain_federation() {
-    let cfg = chaos_cfg(2, ChaosConfig::default());
     let (resources, jobs) = small_workload(25, 4, 42);
-    let (plain, plain_cm) = simulate_cluster(&cfg.base, &resources, jobs.clone());
-    let run = simulate_cluster_chaos(&cfg, &resources, jobs);
-    assert_conserved(&run);
+    let (base, base_fed) = plain(&det_sim(), 2, &resources, jobs.clone());
+    let (m, fed) = run(
+        &det_sim(),
+        2,
+        &ChaosConfig::default(),
+        &off(),
+        &resources,
+        jobs,
+    );
+    assert_eq!(problems(&m, &fed), Vec::<String>::new());
     assert_eq!(
-        plain.deterministic_signature(),
-        run.metrics.deterministic_signature(),
+        base.deterministic_signature(),
+        m.deterministic_signature(),
         "an inactive chaos config changed the outcome"
     );
-    let cm = run.federation.cluster_metrics();
-    assert_eq!(plain_cm.jobs_routed, cm.jobs_routed);
-    assert_eq!(plain_cm.spills, cm.spills);
-    assert_eq!(plain_cm.migrations, cm.migrations);
+    let (base_cm, cm) = (base_fed.cluster_metrics(), fed.cluster_metrics());
+    assert_eq!(base_cm.jobs_routed, cm.jobs_routed);
+    assert_eq!(base_cm.spills, cm.spills);
+    assert_eq!(base_cm.migrations, cm.migrations);
     assert_eq!(cm.rpc_drops + cm.rpc_timeouts + cm.rpc_escalations, 0);
     assert_eq!(cm.cell_crashes, 0);
     assert!((cm.retry_amplification() - 1.0).abs() < f64::EPSILON);
@@ -107,17 +52,16 @@ fn duplicated_deliveries_are_absorbed_by_dedup() {
         seed: 5,
         ..Default::default()
     };
-    let cfg = chaos_cfg(2, chaos);
     let (resources, jobs) = small_workload(25, 4, 42);
-    let (plain, _) = simulate_cluster(&cfg.base, &resources, jobs.clone());
-    let run = simulate_cluster_chaos(&cfg, &resources, jobs);
-    assert_conserved(&run);
+    let (base, _) = plain(&det_sim(), 2, &resources, jobs.clone());
+    let (m, fed) = run(&det_sim(), 2, &chaos, &off(), &resources, jobs);
+    assert_eq!(problems(&m, &fed), Vec::<String>::new());
     assert_eq!(
-        plain.deterministic_signature(),
-        run.metrics.deterministic_signature(),
+        base.deterministic_signature(),
+        m.deterministic_signature(),
         "duplicated deliveries leaked into the schedule"
     );
-    let cm = run.federation.cluster_metrics();
+    let cm = fed.cluster_metrics();
     assert!(cm.rpc_dedup_hits > 0, "dup_prob=1 must hit the dedup");
 }
 
@@ -131,11 +75,10 @@ fn lossy_boundary_retries_and_still_conserves_jobs() {
         seed: 9,
         ..Default::default()
     };
-    let cfg = chaos_cfg(3, chaos);
     let (resources, jobs) = small_workload(30, 6, 7);
-    let run = simulate_cluster_chaos(&cfg, &resources, jobs);
-    assert_conserved(&run);
-    let cm = run.federation.cluster_metrics();
+    let (m, fed) = run(&det_sim(), 3, &chaos, &off(), &resources, jobs);
+    assert_eq!(problems(&m, &fed), Vec::<String>::new());
+    let cm = fed.cluster_metrics();
     assert!(cm.rpc_drops > 0, "drop_prob=0.25 must drop something");
     assert!(cm.rpc_retries > 0, "drops must trigger retries");
     assert!(
@@ -152,11 +95,10 @@ fn cell_crashes_fail_over_and_rejoin() {
         seed: 3,
         ..Default::default()
     };
-    let cfg = chaos_cfg(3, chaos);
     let (resources, jobs) = small_workload(40, 6, 11);
-    let run = simulate_cluster_chaos(&cfg, &resources, jobs);
-    assert_conserved(&run);
-    let cm = run.federation.cluster_metrics();
+    let (m, fed) = run(&det_sim(), 3, &chaos, &off(), &resources, jobs);
+    assert_eq!(problems(&m, &fed), Vec::<String>::new());
+    let cm = fed.cluster_metrics();
     assert!(cm.cell_crashes > 0, "MTTF=60s over this run must crash");
     assert!(cm.cell_restores > 0, "crashed cells must be restored");
     assert_eq!(
@@ -179,7 +121,6 @@ fn durable_federation_rehydrates_crashed_cells_from_wal() {
         seed: 13,
         ..Default::default()
     };
-    let cfg = chaos_cfg(2, chaos);
     let (resources, jobs) = small_workload(30, 4, 19);
     let dir = scratch_dir("chaos-rehydrate");
     let durability = DurabilityConfig {
@@ -189,10 +130,19 @@ fn durable_federation_rehydrates_crashed_cells_from_wal() {
         },
         ..Default::default()
     };
-    let run = simulate_cluster_chaos_durable(&cfg, &resources, jobs, &dir, durability);
+    let (m, d) = run_durable(
+        &det_sim(),
+        2,
+        &chaos,
+        &off(),
+        &resources,
+        jobs,
+        &dir,
+        durability,
+    );
     let _ = std::fs::remove_dir_all(&dir);
-    assert_conserved(&run);
-    let cm = run.federation.cluster_metrics();
+    assert_eq!(problems(&m, d.federation()), Vec::<String>::new());
+    let cm = d.federation().cluster_metrics();
     assert!(cm.cell_crashes > 0, "MTTF=60s over this run must crash");
     assert!(
         cm.rehydrations > 0,
@@ -211,9 +161,6 @@ fn durable_federation_rehydrates_crashed_cells_from_wal() {
 /// fleet, its first attempt simply landed.
 #[test]
 fn fleet_recovery_keeps_fault_injection_on() {
-    use cluster::DurableFederation;
-    use mrcp::sim_driver::ResourceManager;
-
     let chaos = ChaosConfig {
         drop_prob: 1.0,
         seed: 2,
@@ -222,7 +169,7 @@ fn fleet_recovery_keeps_fault_injection_on() {
     let (resources, mut jobs) = small_workload(2, 4, 5);
     let dir = scratch_dir("chaos-fleet-recovery");
     let mut fed = DurableFederation::new(
-        &chaos_cfg(2, chaos).base.cluster,
+        &fleet(2),
         det_sim().manager,
         resources,
         &dir,
@@ -262,8 +209,8 @@ fn chaos_with_fleet_crashes_conserves_jobs() {
         seed: 9,
         ..Default::default()
     };
-    let mut cfg = chaos_cfg(2, chaos);
-    cfg.base.sim.manager_crashes = mrcp::ManagerCrashConfig {
+    let mut sim = det_sim();
+    sim.manager_crashes = mrcp::ManagerCrashConfig {
         at_commands: vec![4, 15, 40, 90],
         ..Default::default()
     };
@@ -273,11 +220,11 @@ fn chaos_with_fleet_crashes_conserves_jobs() {
         snapshot_every: 16,
         wal: WalConfig { sync_every: 2 },
     });
-    let run = simulate_cluster_chaos_durable(&cfg, &resources, jobs, &dir, durability);
+    let (m, d) = run_durable(&sim, 2, &chaos, &off(), &resources, jobs, &dir, durability);
     let _ = std::fs::remove_dir_all(&dir);
-    assert_conserved(&run);
-    assert!(run.metrics.manager_crashes > 0, "the crash schedule fired");
-    let cm = run.federation.cluster_metrics();
+    assert_eq!(problems(&m, d.federation()), Vec::<String>::new());
+    assert!(m.manager_crashes > 0, "the crash schedule fired");
+    let cm = d.federation().cluster_metrics();
     assert!(
         cm.rpc_drops > 0 && cm.rpc_retries > 0,
         "the boundary stayed lossy to the end of the run"

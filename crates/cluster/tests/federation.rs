@@ -2,41 +2,14 @@
 //! the plain single-manager driver, multi-cell draining, worker-budget
 //! splitting, and the cross-cell rebalancer.
 
-use cluster::{simulate_cluster, ClusterConfig, ClusterSimConfig, Federation, RebalanceConfig};
+mod common;
+
+use cluster::{ClusterConfig, Federation, RebalanceConfig};
+use common::{det_sim, plain, workload};
 use desim::SimTime;
 use mrcp::{simulate, AdmissionPolicy, MrcpConfig, ResourceManager, SimConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use workload::model::homogeneous_cluster;
-use workload::{Job, JobId, Resource, SyntheticConfig, SyntheticGenerator, Task, TaskId, TaskKind};
-
-/// A small open workload on `m` resources.
-fn small_workload(n: usize, m: u32, lambda: f64, seed: u64) -> (Vec<Resource>, Vec<Job>) {
-    let cfg = SyntheticConfig {
-        maps_per_job: (1, 6),
-        reduces_per_job: (1, 3),
-        e_max: 10,
-        lambda,
-        resources: m,
-        map_capacity: 2,
-        reduce_capacity: 2,
-        s_max: 100,
-        ..Default::default()
-    };
-    let cluster = cfg.cluster();
-    let mut gen = SyntheticGenerator::new(cfg, StdRng::seed_from_u64(seed));
-    (cluster, gen.take_jobs(n))
-}
-
-fn cluster_cfg(cells: usize) -> ClusterSimConfig {
-    ClusterSimConfig {
-        sim: SimConfig::default(),
-        cluster: ClusterConfig {
-            cells,
-            rebalance: RebalanceConfig::default(),
-        },
-    }
-}
+use workload::{Job, JobId, Resource, Task, TaskId, TaskKind};
 
 /// One hand-built job: `maps` map tasks and one reduce, all `exec` long.
 fn job(id: u32, maps: u32, exec: SimTime, deadline: SimTime) -> Job {
@@ -69,10 +42,11 @@ fn job(id: u32, maps: u32, exec: SimTime, deadline: SimTime) -> Job {
 
 #[test]
 fn same_seed_federated_run_is_bit_identical() {
-    let cfg = cluster_cfg(2);
-    let (resources, jobs) = small_workload(30, 4, 0.05, 11);
-    let (m1, c1) = simulate_cluster(&cfg, &resources, jobs.clone());
-    let (m2, c2) = simulate_cluster(&cfg, &resources, jobs);
+    let sim = SimConfig::default();
+    let (resources, jobs) = workload(30, 4, 0.05, 11);
+    let (m1, f1) = plain(&sim, 2, &resources, jobs.clone());
+    let (m2, f2) = plain(&sim, 2, &resources, jobs);
+    let (c1, c2) = (f1.cluster_metrics(), f2.cluster_metrics());
     assert_eq!(m1.deterministic_signature(), m2.deterministic_signature());
     // Federation counters must agree too (latency samples are wall-clock
     // and excluded, but their count is deterministic).
@@ -86,11 +60,12 @@ fn same_seed_federated_run_is_bit_identical() {
 
 #[test]
 fn single_cell_federation_matches_plain_driver() {
-    let (resources, jobs) = small_workload(30, 4, 0.05, 17);
-    let plain = simulate(&SimConfig::default(), &resources, jobs.clone());
-    let (fed, cm) = simulate_cluster(&cluster_cfg(1), &resources, jobs);
+    let (resources, jobs) = workload(30, 4, 0.05, 17);
+    let single = simulate(&SimConfig::default(), &resources, jobs.clone());
+    let (fed, f) = plain(&SimConfig::default(), 1, &resources, jobs);
+    let cm = f.cluster_metrics();
     assert_eq!(
-        plain.deterministic_signature(),
+        single.deterministic_signature(),
         fed.deterministic_signature(),
         "cells=1 federation must be metric-identical to the single manager"
     );
@@ -123,18 +98,11 @@ fn single_cell_identity_survives_budget_pressure() {
         });
         sim
     };
-    let (resources, jobs) = small_workload(30, 4, 0.05, 29);
-    let plain = simulate(&sim(), &resources, jobs.clone());
-    let fed_cfg = ClusterSimConfig {
-        sim: sim(),
-        cluster: ClusterConfig {
-            cells: 1,
-            rebalance: RebalanceConfig::default(),
-        },
-    };
-    let (fed, _) = simulate_cluster(&fed_cfg, &resources, jobs);
+    let (resources, jobs) = workload(30, 4, 0.05, 29);
+    let single = simulate(&sim(), &resources, jobs.clone());
+    let (fed, _) = plain(&sim(), 1, &resources, jobs);
     assert_eq!(
-        plain.deterministic_signature(),
+        single.deterministic_signature(),
         fed.deterministic_signature(),
         "cells=1 identity must survive the pressure rungs"
     );
@@ -142,15 +110,12 @@ fn single_cell_identity_survives_budget_pressure() {
 
 #[test]
 fn multi_cell_run_drains_and_conserves_jobs() {
-    let (resources, jobs) = small_workload(40, 8, 0.05, 23);
+    let (resources, jobs) = workload(40, 8, 0.05, 23);
     let n = jobs.len();
-    let (m, cm) = simulate_cluster(&cluster_cfg(4), &resources, jobs);
+    let (m, fed) = plain(&SimConfig::default(), 4, &resources, jobs);
+    let cm = fed.cluster_metrics();
     assert_eq!(m.arrived, n);
-    assert_eq!(
-        m.completed + m.jobs_rejected as usize + m.jobs_shed as usize + m.jobs_abandoned,
-        m.arrived,
-        "every arrival must complete, be rejected, be shed, or be abandoned"
-    );
+    m.check_conservation().unwrap();
     assert_eq!(cm.jobs_routed.len(), 4);
     assert_eq!(
         cm.jobs_routed.iter().sum::<u64>() as usize,
@@ -289,13 +254,6 @@ fn strict_both_cells_rejecting_counts_the_job_once() {
     let resources = homogeneous_cluster(2, 1, 1);
     let mut sim = SimConfig::default();
     sim.manager.admission.policy = AdmissionPolicy::Strict;
-    let cfg = ClusterSimConfig {
-        sim,
-        cluster: ClusterConfig {
-            cells: 2,
-            rebalance: RebalanceConfig::default(),
-        },
-    };
     // One feasible job plus one whose deadline no cell can meet.
     let feasible = job(
         1,
@@ -309,41 +267,13 @@ fn strict_both_cells_rejecting_counts_the_job_once() {
         SimTime::from_millis(50_000),
         SimTime::from_millis(60_000),
     );
-    let (m, _cm) = simulate_cluster(&cfg, &resources, vec![feasible, hopeless]);
+    let (m, _) = plain(&sim, 2, &resources, vec![feasible, hopeless]);
     assert_eq!(m.arrived, 2);
     assert_eq!(
         m.jobs_rejected, 1,
         "the hopeless job is rejected exactly once"
     );
     assert_eq!(m.completed, 1);
-}
-
-/// A wall-clock-free manager config: one portfolio worker, no time
-/// budget, no adaptive controller. Batched rounds carry more jobs per
-/// solve, so any wall-clock-sensitive knob would make the *schedule*
-/// (not just the zeroed timing metrics) jitter run-to-run.
-fn det_sim() -> SimConfig {
-    use mrcp::SolveBudget;
-    let mut cfg = SimConfig::default();
-    cfg.manager.budget = SolveBudget {
-        node_limit: 2_000,
-        fail_limit: 2_000,
-        time_limit_ms: None,
-        adaptive: None,
-        warm_start: true,
-        workers: 1,
-    };
-    cfg
-}
-
-fn det_cluster_cfg(cells: usize) -> ClusterSimConfig {
-    ClusterSimConfig {
-        sim: det_sim(),
-        cluster: ClusterConfig {
-            cells,
-            rebalance: RebalanceConfig::default(),
-        },
-    }
 }
 
 /// With batched ingest on, the cells=1 federation must still collapse to
@@ -358,15 +288,13 @@ fn batched_single_cell_federation_matches_batched_plain_driver() {
         max_linger: SimTime::from_millis(200),
     });
     // lambda high enough that real multi-job batches form.
-    let (resources, jobs) = small_workload(30, 4, 10.0, 23);
+    let (resources, jobs) = workload(30, 4, 10.0, 23);
     let mut sim = det_sim();
     sim.ingest = ingest;
-    let plain = simulate(&sim, &resources, jobs.clone());
-    let mut fed_cfg = det_cluster_cfg(1);
-    fed_cfg.sim.ingest = ingest;
-    let (fed, _cm) = simulate_cluster(&fed_cfg, &resources, jobs);
+    let single = simulate(&sim, &resources, jobs.clone());
+    let (fed, _) = plain(&sim, 1, &resources, jobs);
     assert_eq!(
-        plain.deterministic_signature(),
+        single.deterministic_signature(),
         fed.deterministic_signature(),
         "cells=1 federation must stay metric-identical under batched ingest"
     );
@@ -378,20 +306,21 @@ fn batched_single_cell_federation_matches_batched_plain_driver() {
 #[test]
 fn batched_multi_cell_run_is_deterministic_and_coalesces_rounds() {
     use mrcp::IngestConfig;
-    let (resources, jobs) = small_workload(40, 4, 10.0, 29);
-    let mut cfg = det_cluster_cfg(2);
-    cfg.sim.ingest = Some(IngestConfig {
+    let (resources, jobs) = workload(40, 4, 10.0, 29);
+    let mut sim = det_sim();
+    sim.ingest = Some(IngestConfig {
         max_batch: 16,
         max_linger: SimTime::from_millis(500),
     });
-    let (m1, c1) = simulate_cluster(&cfg, &resources, jobs.clone());
-    let (m2, c2) = simulate_cluster(&cfg, &resources, jobs.clone());
+    let (m1, f1) = plain(&sim, 2, &resources, jobs.clone());
+    let (m2, f2) = plain(&sim, 2, &resources, jobs.clone());
+    let (c1, c2) = (f1.cluster_metrics(), f2.cluster_metrics());
     assert_eq!(m1.deterministic_signature(), m2.deterministic_signature());
     assert_eq!(c1.jobs_routed, c2.jobs_routed);
     assert_eq!(c1.spills, c2.spills);
     assert_eq!(c1.rounds, c2.rounds);
 
-    let (legacy, _cl) = simulate_cluster(&det_cluster_cfg(2), &resources, jobs);
+    let (legacy, _) = plain(&det_sim(), 2, &resources, jobs);
     assert!(
         m1.invocations < legacy.invocations,
         "batching must coalesce bursts into fewer scheduling rounds \

@@ -1,14 +1,13 @@
-#![allow(clippy::field_reassign_with_default)]
 //! Federation durability: a multi-cell run interrupted by manager
 //! crashes recovers from its per-cell WALs + manifest to the bit-exact
 //! signature of the uninterrupted run, and any single cell can be
 //! rebuilt from the fleet snapshot plus its *own* WAL without touching
 //! the others.
 
-use cluster::{
-    recover_cell, simulate_cluster, simulate_cluster_durable, ClusterConfig, ClusterSimConfig,
-    DurableFederation, Federation, RebalanceConfig,
-};
+mod common;
+
+use cluster::{recover_cell, ChaosConfig, DurableFederation, Federation};
+use common::{det_sim, fleet, plain, run_durable, small_workload};
 use desim::SimTime;
 use durability::codec::Dec;
 use durability::{
@@ -16,57 +15,11 @@ use durability::{
     StoreConfig, Wal, WalConfig,
 };
 use mrcp::sim_driver::ResourceManager;
-use mrcp::{ManagerCrashConfig, ManagerImage, MrcpConfig, MrcpRm, SimConfig, SolveBudget};
+use mrcp::{ManagerCrashConfig, ManagerImage, MrcpConfig, MrcpRm};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use telemetry::Telemetry;
 use workload::model::homogeneous_cluster;
-use workload::{Job, Resource, SyntheticConfig, SyntheticGenerator};
-
-/// A fully deterministic manager: one portfolio worker, no wall-clock
-/// budget — crash replay must retrace every solve exactly.
-fn det_sim() -> SimConfig {
-    let mut cfg = SimConfig::default();
-    cfg.manager = MrcpConfig {
-        budget: SolveBudget {
-            node_limit: 2_000,
-            fail_limit: 2_000,
-            time_limit_ms: None,
-            adaptive: None,
-            warm_start: true,
-            workers: 1,
-        },
-        ..Default::default()
-    };
-    cfg
-}
-
-fn cluster_cfg(cells: usize) -> ClusterSimConfig {
-    ClusterSimConfig {
-        sim: det_sim(),
-        cluster: ClusterConfig {
-            cells,
-            rebalance: RebalanceConfig::default(),
-        },
-    }
-}
-
-fn small_workload(n: usize, m: u32, seed: u64) -> (Vec<Resource>, Vec<Job>) {
-    let cfg = SyntheticConfig {
-        maps_per_job: (1, 6),
-        reduces_per_job: (1, 3),
-        e_max: 10,
-        lambda: 0.05,
-        resources: m,
-        map_capacity: 2,
-        reduce_capacity: 2,
-        s_max: 100,
-        ..Default::default()
-    };
-    let cluster = cfg.cluster();
-    let mut gen = SyntheticGenerator::new(cfg, StdRng::seed_from_u64(seed));
-    (cluster, gen.take_jobs(n))
-}
+use workload::Job;
 
 /// Wall-clock solve times differ under replay; everything else must not.
 fn canonical(mut img: ManagerImage) -> ManagerImage {
@@ -76,14 +29,26 @@ fn canonical(mut img: ManagerImage) -> ManagerImage {
     img
 }
 
+/// A chaos-free durable fleet of `cells` cells rooted at `dir`.
+fn durable_run(
+    sim: &mrcp::SimConfig,
+    cells: usize,
+    resources: &[workload::Resource],
+    jobs: Vec<Job>,
+    dir: &std::path::Path,
+    durability: DurabilityConfig,
+) -> (mrcp::RunMetrics, DurableFederation) {
+    let (off, tel) = (ChaosConfig::default(), Telemetry::disabled());
+    run_durable(sim, cells, &off, &tel, resources, jobs, dir, durability)
+}
+
 #[test]
 fn crashed_multi_cell_run_matches_crash_free_run() {
-    let cfg = cluster_cfg(2);
     let (resources, jobs) = small_workload(25, 4, 42);
-    let (baseline, base_cm) = simulate_cluster(&cfg, &resources, jobs.clone());
+    let (baseline, base_fed) = plain(&det_sim(), 2, &resources, jobs.clone());
 
-    let mut crashed_cfg = cluster_cfg(2);
-    crashed_cfg.sim.manager_crashes = ManagerCrashConfig {
+    let mut crashed = det_sim();
+    crashed.manager_crashes = ManagerCrashConfig {
         at_commands: vec![1, 7, 20, 33],
         mttf: Some(SimTime::from_secs(40)),
         seed: 7,
@@ -96,8 +61,7 @@ fn crashed_multi_cell_run_matches_crash_free_run() {
         },
         lose_unsynced_on_crash: true,
     };
-    let (interrupted, _outcomes, fed) =
-        simulate_cluster_durable(&crashed_cfg, &resources, jobs, &dir, durability);
+    let (interrupted, fed) = durable_run(&crashed, 2, &resources, jobs, &dir, durability);
     let _ = std::fs::remove_dir_all(&dir);
 
     assert!(fed.crashes() > 0, "the crash schedule must actually fire");
@@ -107,7 +71,10 @@ fn crashed_multi_cell_run_matches_crash_free_run() {
         "{} fleet crashes changed the outcome",
         fed.crashes()
     );
-    let cm = fed.federation().cluster_metrics();
+    let (base_cm, cm) = (
+        base_fed.cluster_metrics(),
+        fed.federation().cluster_metrics(),
+    );
     assert_eq!(base_cm.jobs_routed, cm.jobs_routed);
     assert_eq!(base_cm.spills, cm.spills);
     assert_eq!(base_cm.migrations, cm.migrations);
@@ -116,10 +83,7 @@ fn crashed_multi_cell_run_matches_crash_free_run() {
 #[test]
 fn single_cell_recovers_from_its_own_wal_alone() {
     let resources = homogeneous_cluster(4, 2, 2);
-    let ccfg = ClusterConfig {
-        cells: 2,
-        rebalance: RebalanceConfig::default(),
-    };
+    let ccfg = fleet(2);
     let mgr_cfg = det_sim().manager;
     let dir = scratch_dir("cell-solo");
     // Large snapshot_every: the cell WALs, not the snapshot, must carry
@@ -160,12 +124,8 @@ fn single_cell_recovers_from_its_own_wal_alone() {
 fn a_batch_and_a_round_are_two_records_in_each_touched_cell_wal() {
     let resources = homogeneous_cluster(4, 2, 2);
     // No rebalancing: a migration would add its own take/submit records.
-    let ccfg = ClusterConfig {
-        cells: 2,
-        rebalance: RebalanceConfig {
-            max_migrations_per_round: 0,
-        },
-    };
+    let mut ccfg = fleet(2);
+    ccfg.rebalance.max_migrations_per_round = 0;
     let mgr_cfg = det_sim().manager;
     let dir = scratch_dir("cell-batch");
     let d = DurabilityConfig::power_loss(StoreConfig {
@@ -216,12 +176,11 @@ proptest! {
         sync_every in 1u64..=4,
         lose in any::<bool>(),
     ) {
-        let cfg = cluster_cfg(cells);
         let (resources, jobs) = small_workload(n_jobs, 4, wl_seed);
-        let (baseline, _) = simulate_cluster(&cfg, &resources, jobs.clone());
+        let (baseline, _) = plain(&det_sim(), cells, &resources, jobs.clone());
 
-        let mut crashed_cfg = cluster_cfg(cells);
-        crashed_cfg.sim.manager_crashes = ManagerCrashConfig {
+        let mut crashed = det_sim();
+        crashed.manager_crashes = ManagerCrashConfig {
             at_commands: at,
             mttf: renewal.then(|| SimTime::from_secs(mttf)),
             seed: crash_seed,
@@ -234,8 +193,7 @@ proptest! {
             },
             lose_unsynced_on_crash: lose,
         };
-        let (interrupted, _, fed) =
-            simulate_cluster_durable(&crashed_cfg, &resources, jobs, &dir, durability);
+        let (interrupted, fed) = durable_run(&crashed, cells, &resources, jobs, &dir, durability);
         let _ = std::fs::remove_dir_all(&dir);
 
         prop_assert_eq!(
@@ -253,18 +211,18 @@ proptest! {
 #[test]
 fn batched_crashed_run_matches_batched_crash_free_run() {
     use mrcp::IngestConfig;
-    let mut cfg = cluster_cfg(2);
-    cfg.sim.ingest = Some(IngestConfig {
+    let mut sim = det_sim();
+    sim.ingest = Some(IngestConfig {
         max_batch: 8,
         max_linger: SimTime::from_secs(20),
     });
     // lambda 0.05 → ~20s inter-arrival: the generous linger makes real
     // multi-job batches form even on the sparse workload.
     let (resources, jobs) = small_workload(25, 4, 42);
-    let (baseline, base_cm) = simulate_cluster(&cfg, &resources, jobs.clone());
+    let (baseline, base_fed) = plain(&sim, 2, &resources, jobs.clone());
 
-    let mut crashed_cfg = cfg.clone();
-    crashed_cfg.sim.manager_crashes = ManagerCrashConfig {
+    let mut crashed = sim.clone();
+    crashed.manager_crashes = ManagerCrashConfig {
         at_commands: vec![1, 5, 12, 21],
         mttf: Some(SimTime::from_secs(40)),
         seed: 7,
@@ -277,8 +235,7 @@ fn batched_crashed_run_matches_batched_crash_free_run() {
         },
         lose_unsynced_on_crash: true,
     };
-    let (interrupted, _outcomes, fed) =
-        simulate_cluster_durable(&crashed_cfg, &resources, jobs, &dir, durability);
+    let (interrupted, fed) = durable_run(&crashed, 2, &resources, jobs, &dir, durability);
     let _ = std::fs::remove_dir_all(&dir);
 
     assert!(fed.crashes() > 0, "the crash schedule must actually fire");
@@ -288,7 +245,10 @@ fn batched_crashed_run_matches_batched_crash_free_run() {
         "{} fleet crashes changed a batched-ingest outcome",
         fed.crashes()
     );
-    let cm = fed.federation().cluster_metrics();
+    let (base_cm, cm) = (
+        base_fed.cluster_metrics(),
+        fed.federation().cluster_metrics(),
+    );
     assert_eq!(base_cm.jobs_routed, cm.jobs_routed);
     assert_eq!(base_cm.spills, cm.spills);
 }
@@ -434,7 +394,7 @@ fn crash_between_every_command_matches_crash_free_run() {
             DurableRm::new(mgr, resources.clone(), &dir, d),
         );
         for cells in [1, 2] {
-            let ccfg = cluster_cfg(cells).cluster;
+            let ccfg = fleet(cells);
             crash_after_every_command(
                 Federation::new(&ccfg, mgr, resources.clone()),
                 DurableFederation::new(&ccfg, mgr, resources.clone(), &dir, d),
@@ -458,13 +418,7 @@ fn manifest_holds_indexed_surface_commands_and_nothing_else() {
         snapshot_every: 3,
         wal: WalConfig::default(),
     });
-    let mut fed = DurableFederation::new(
-        &cluster_cfg(2).cluster,
-        MrcpConfig::default(),
-        resources,
-        &dir,
-        d,
-    );
+    let mut fed = DurableFederation::new(&fleet(2), MrcpConfig::default(), resources, &dir, d);
     let mut job = two_task_job(1);
     job.deadline = SimTime::from_millis(400_000);
     let id = job.id;

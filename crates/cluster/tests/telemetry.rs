@@ -1,67 +1,16 @@
-#![allow(clippy::field_reassign_with_default)]
 //! Live-telemetry integration tests: mid-run instruments must reconcile
 //! with the end-of-run structs at every layer, events must tail without
 //! overflow at the default queue capacity, and crash rehydration must
 //! keep counters cumulative.
 
-use cluster::{
-    simulate_cluster_chaos_durable_telemetry, simulate_cluster_chaos_telemetry, ChaosConfig,
-    ChaosSimConfig, ClusterConfig, ClusterSimConfig, DurableFederation, HealthState,
-    RebalanceConfig,
-};
+mod common;
+
+use cluster::{ChaosConfig, DurableFederation, HealthState};
+use common::{det_sim, fleet, problems, run, run_durable, small_workload};
 use desim::SimTime;
 use durability::{scratch_dir, DurabilityConfig, StoreConfig, WalConfig};
-use mrcp::{simulate_with, ManagerCrashConfig, MrcpConfig, SimConfig, SolveBudget};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use mrcp::{simulate_with, ManagerCrashConfig, MrcpConfig};
 use telemetry::{EventFilter, EventKind, Telemetry, DEFAULT_QUEUE_CAP};
-use workload::{Job, Resource, SyntheticConfig, SyntheticGenerator};
-
-fn det_sim() -> SimConfig {
-    let mut cfg = SimConfig::default();
-    cfg.manager = MrcpConfig {
-        budget: SolveBudget {
-            node_limit: 2_000,
-            fail_limit: 2_000,
-            time_limit_ms: None,
-            adaptive: None,
-            warm_start: true,
-            workers: 1,
-        },
-        ..Default::default()
-    };
-    cfg
-}
-
-fn chaos_cfg(cells: usize, chaos: ChaosConfig) -> ChaosSimConfig {
-    ChaosSimConfig {
-        base: ClusterSimConfig {
-            sim: det_sim(),
-            cluster: ClusterConfig {
-                cells,
-                rebalance: RebalanceConfig::default(),
-            },
-        },
-        chaos,
-    }
-}
-
-fn small_workload(n: usize, m: u32, seed: u64) -> (Vec<Resource>, Vec<Job>) {
-    let cfg = SyntheticConfig {
-        maps_per_job: (1, 6),
-        reduces_per_job: (1, 3),
-        e_max: 10,
-        lambda: 0.05,
-        resources: m,
-        map_capacity: 2,
-        reduce_capacity: 2,
-        s_max: 100,
-        ..Default::default()
-    };
-    let cluster = cfg.cluster();
-    let mut gen = SyntheticGenerator::new(cfg, StdRng::seed_from_u64(seed));
-    (cluster, gen.take_jobs(n))
-}
 
 /// Crash-free hostile boundary: per-cell `ManagerStats` survive to the
 /// end of the run, so every registry counter must match its end-of-run
@@ -77,16 +26,15 @@ fn registry_reconciles_with_end_of_run_structs() {
         seed: 21,
         ..Default::default()
     };
-    let cfg = chaos_cfg(3, chaos);
     let (resources, jobs) = small_workload(25, 6, 33);
 
     let tel = Telemetry::new();
     let tail = tel.bus.subscribe(EventFilter::default(), DEFAULT_QUEUE_CAP);
-    let run = simulate_cluster_chaos_telemetry(&cfg, &resources, jobs, &tel);
-    assert!(run.violations.is_empty(), "{:#?}", run.violations);
+    let (m, fed) = run(&det_sim(), 3, &chaos, &tel, &resources, jobs);
+    assert_eq!(problems(&m, &fed), Vec::<String>::new());
 
     let reg = &tel.registry;
-    let cm = run.federation.cluster_metrics();
+    let cm = fed.cluster_metrics();
     let c = |name: &str| reg.counter(name, &[]).get();
     assert_eq!(c("cluster_rounds_total"), cm.rounds);
     assert_eq!(c("cluster_rpc_commands_total"), cm.rpc_commands);
@@ -107,7 +55,7 @@ fn registry_reconciles_with_end_of_run_structs() {
 
     // Per-cell: exactly one rung counter fires per solver invocation,
     // and per-cell routed counters mirror the router's tally.
-    for (i, cell) in run.federation.cells().iter().enumerate() {
+    for (i, cell) in fed.cells().iter().enumerate() {
         let scoped = tel.scoped("cell", i);
         let stats = cell.rm.stats();
         let rung_sum: u64 = ["split_cp", "full_cp", "greedy", "failed"]
@@ -135,7 +83,7 @@ fn registry_reconciles_with_end_of_run_structs() {
 
     // The health gauge mirrors each breaker's final state (0 Up,
     // 1 Suspect, 2 Down, 3 Recovering).
-    for (i, state) in run.federation.health().iter().enumerate() {
+    for (i, state) in fed.health().iter().enumerate() {
         let level = match state {
             HealthState::Up => 0,
             HealthState::Suspect => 1,
@@ -194,7 +142,6 @@ fn crash_rehydration_keeps_counters_cumulative_and_events_flowing() {
         seed: 13,
         ..Default::default()
     };
-    let cfg = chaos_cfg(2, chaos);
     let (resources, jobs) = small_workload(30, 4, 19);
     let dir = scratch_dir("telemetry-rehydrate");
     let durability = DurabilityConfig {
@@ -219,13 +166,21 @@ fn crash_rehydration_keeps_counters_cumulative_and_events_flowing() {
         },
         DEFAULT_QUEUE_CAP,
     );
-    let run =
-        simulate_cluster_chaos_durable_telemetry(&cfg, &resources, jobs, &dir, durability, &tel);
+    let (m, d) = run_durable(
+        &det_sim(),
+        2,
+        &chaos,
+        &tel,
+        &resources,
+        jobs,
+        &dir,
+        durability,
+    );
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(run.violations.is_empty(), "{:#?}", run.violations);
+    assert_eq!(problems(&m, d.federation()), Vec::<String>::new());
 
     let reg = &tel.registry;
-    let cm = run.federation.cluster_metrics();
+    let cm = d.federation().cluster_metrics();
     let c = |name: &str| reg.counter(name, &[]).get();
     assert!(cm.cell_crashes > 0, "MTTF=60s over this run must crash");
     assert_eq!(c("cluster_cell_crashes_total"), cm.cell_crashes);
@@ -259,10 +214,7 @@ fn fleet_recoveries_reach_telemetry() {
         at_commands: vec![3, 11, 26],
         ..Default::default()
     };
-    let cluster = ClusterConfig {
-        cells: 2,
-        rebalance: RebalanceConfig::default(),
-    };
+    let cluster = fleet(2);
     let (resources, jobs) = small_workload(20, 4, 42);
     let dir = scratch_dir("telemetry-fleet-recovery");
 

@@ -43,6 +43,7 @@
 //!
 //! [`ResourceManager`]: mrcp::sim_driver::ResourceManager
 //! [`MrcpRm`]: mrcp::MrcpRm
+//! [`RunMetrics::deterministic_signature`]: mrcp::RunMetrics::deterministic_signature
 
 #![warn(missing_docs)]
 
@@ -60,28 +61,6 @@ pub use store::{
     StoreConfig,
 };
 pub use wal::{Wal, WalConfig};
-
-use mrcp::manager::MrcpConfig;
-use mrcp::sim_driver::{simulate_with, RunMetrics, SimConfig};
-use std::path::Path;
-use workload::{Job, Resource};
-
-/// Run the full simulation against a [`DurableRm`] rooted at `dir`.
-/// With [`SimConfig::manager_crashes`] active, the driver kills and
-/// recovers the manager mid-run; the returned metrics'
-/// `deterministic_signature()` must match a crash-free run's.
-pub fn simulate_durable(
-    cfg: &SimConfig,
-    resources: &[Resource],
-    jobs: Vec<Job>,
-    dir: &Path,
-    durability: DurabilityConfig,
-) -> RunMetrics {
-    let (metrics, _outcomes, _rm) = simulate_with(cfg, resources, jobs, |mgr_cfg: MrcpConfig| {
-        DurableRm::new(mgr_cfg, resources.to_vec(), dir, durability)
-    });
-    metrics
-}
 
 /// A unique scratch directory under the system temp dir, for tests and
 /// experiments (the workspace has no tempfile dependency).

@@ -371,11 +371,6 @@ impl<M: Recoverable> DurableCore<M> {
         &mut self.m
     }
 
-    /// Unwrap the manager, detaching the durable shell.
-    pub fn into_inner(self) -> M {
-        self.m
-    }
-
     /// Crashes survived so far.
     pub fn crashes(&self) -> u64 {
         self.crashes

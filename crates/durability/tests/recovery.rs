@@ -9,7 +9,7 @@
 //! wall time, which the signature already excludes.
 
 use desim::SimTime;
-use durability::{simulate_durable, DurabilityConfig, DurableRm, StoreConfig, WalConfig};
+use durability::{DurabilityConfig, DurableRm, StoreConfig, WalConfig};
 use mrcp::sim_driver::{simulate, simulate_with};
 use mrcp::{ManagerCrashConfig, MrcpConfig, SimConfig, SolveBudget};
 use proptest::prelude::*;
@@ -132,7 +132,9 @@ proptest! {
         let mut cfg = det_config();
         cfg.manager_crashes = crash;
         let dir = durability::scratch_dir("pt-recovery");
-        let interrupted = simulate_durable(&cfg, &w.cluster, jobs, &dir, d);
+        let (interrupted, _, _) = simulate_with(&cfg, &w.cluster, jobs, |mgr_cfg| {
+            DurableRm::new(mgr_cfg, w.cluster.clone(), &dir, d)
+        });
         let _ = std::fs::remove_dir_all(&dir);
 
         prop_assert_eq!(

@@ -21,10 +21,9 @@
 use crate::report::{FigureResult, PointResult, Verdict};
 use crate::runner::{replicate, replicate_series, MetricAgg, Sample, Scale};
 use baselines::{run_slot_sim, DispatchPolicy, Edf, Fcfs, MinEdf, MinEdfWc};
-use cluster::{ClusterConfig, ClusterSimConfig};
 use desim::stats::CiMean;
 use desim::RngStreams;
-use mrcp::{simulate, MrcpConfig, SimConfig, SolveBudget};
+use mrcp::{simulate, simulate_with, MrcpConfig, SimConfig, SolveBudget};
 use workload::{
     FacebookConfig, FacebookGenerator, FaultConfig, Job, SyntheticConfig, SyntheticGenerator,
 };
@@ -473,13 +472,13 @@ const CHAOS_SLA: &str = "MRCP-RM federated (chaos boundary)";
 const CHAOS_RESILIENCE: &str =
     "resilience (P = goodput; N = failovers; T = restores; O = retry amp)";
 
-/// Extra sweep: the chaos harness of DESIGN.md §5h. The same federated
+/// Extra sweep: the fault injection of DESIGN.md §5h. The same federated
 /// workload runs behind an increasingly hostile router→cell boundary
 /// (drops, duplicates, hangs, injected latency, and MTTF/MTTR cell
-/// crashes); the run aborts on any fleet-invariant violation, so every
-/// reported point is also a conservation proof.
+/// crashes); the run aborts on any fleet-invariant violation or lost job,
+/// so every reported point is also a conservation proof.
 fn run_chaos_sweep(scale: &Scale, seed: u64) -> FigureResult {
-    use cluster::{simulate_cluster_chaos, ChaosConfig, ChaosSimConfig};
+    use cluster::{ChaosConfig, ClusterConfig, Federation};
     use desim::SimTime;
 
     let cfg = capped(SyntheticConfig::default(), scale);
@@ -489,33 +488,32 @@ fn run_chaos_sweep(scale: &Scale, seed: u64) -> FigureResult {
         let mut sim = mrcp_sim_config(scale, jobs.len());
         // Deterministic solver budget: chaos replays must not race wall-clock.
         sim.manager.budget.time_limit_ms = None;
-        let ccfg = ChaosSimConfig {
-            base: ClusterSimConfig {
-                sim,
-                cluster: ClusterConfig {
-                    cells: 3,
-                    ..Default::default()
-                },
-            },
-            chaos: ChaosConfig {
-                drop_prob: rate,
-                dup_prob: rate,
-                hang_prob: rate / 5.0,
-                mean_latency: (rate > 0.0).then(|| SimTime::from_millis(10)),
-                call_deadline: SimTime::from_millis(200),
-                cell_mttf: (rate > 0.0)
-                    .then(|| SimTime::from_secs_f64(60.0 * (1.0 - rate).max(0.2))),
-                cell_mttr: (rate > 0.0).then(|| SimTime::from_secs(20)),
-                seed: seed ^ (rep << 8),
-            },
+        let fleet = ClusterConfig {
+            cells: 3,
+            ..Default::default()
         };
-        let run = simulate_cluster_chaos(&ccfg, &cluster, jobs);
+        let chaos = ChaosConfig {
+            drop_prob: rate,
+            dup_prob: rate,
+            hang_prob: rate / 5.0,
+            mean_latency: (rate > 0.0).then(|| SimTime::from_millis(10)),
+            call_deadline: SimTime::from_millis(200),
+            cell_mttf: (rate > 0.0).then(|| SimTime::from_secs_f64(60.0 * (1.0 - rate).max(0.2))),
+            cell_mttr: (rate > 0.0).then(|| SimTime::from_secs(20)),
+            seed: seed ^ (rep << 8),
+        };
+        let (metrics, _, fed) = simulate_with(&sim, &cluster, jobs, |c| {
+            Federation::with_chaos(&fleet, c, cluster.clone(), &chaos)
+        });
         assert!(
-            run.violations.is_empty(),
+            fed.violations().is_empty(),
             "chaos sweep broke a fleet invariant at rate {rate}: {:#?}",
-            run.violations
+            fed.violations()
         );
-        run
+        if let Err(e) = metrics.check_conservation() {
+            panic!("chaos sweep lost a job at rate {rate}: {e}");
+        }
+        (metrics, fed)
     };
 
     let mut points = Vec::new();
@@ -524,13 +522,13 @@ fn run_chaos_sweep(scale: &Scale, seed: u64) -> FigureResult {
         // One pass per replication yields both series; the SLA series
         // decides when to stop.
         let [sla, resilience] = replicate_series(scale, |rep| {
-            let run = chaos_run(rep, rate);
-            let cm = run.federation.cluster_metrics();
+            let (metrics, fed) = chaos_run(rep, rate);
+            let cm = fed.cluster_metrics();
             [
-                Sample::of(&run.metrics),
+                Sample::of(&metrics),
                 Sample {
                     // Goodput: completed ÷ arrived — 1.0 means no job lost.
-                    p_late: run.metrics.completed as f64 / run.metrics.arrived.max(1) as f64,
+                    p_late: metrics.completed as f64 / metrics.arrived.max(1) as f64,
                     n_late: cm.failovers as f64,
                     turnaround_s: cm.cell_restores as f64,
                     overhead_s: cm.retry_amplification(),

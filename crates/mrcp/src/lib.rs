@@ -46,6 +46,6 @@ pub use manager::{
 };
 pub use ordering::JobOrdering;
 pub use sim_driver::{
-    simulate, simulate_detailed, simulate_with, soak, IngestConfig, JobOutcome, ManagerCrashConfig,
-    OverheadModel, ResourceManager, RunMetrics, SimConfig, SoakLimits, SoakReport,
+    simulate, simulate_detailed, simulate_with, IngestConfig, JobOutcome, ManagerCrashConfig,
+    OverheadModel, ResourceManager, RunMetrics, SimConfig,
 };

@@ -22,7 +22,6 @@ use crate::manager::{
 use desim::engine::Flow;
 use desim::{Engine, EventQueue, RngStreams, SimTime};
 use std::collections::{HashMap, HashSet};
-use std::time::Duration;
 use workload::AttemptOutcome;
 use workload::{FaultConfig, FaultModel, Job, JobId, Resource, ResourceId, TaskId};
 
@@ -350,6 +349,29 @@ impl RunMetrics {
             manager_crashes: 0,
         }
     }
+
+    /// Job conservation: every arrival completed, was rejected or shed by
+    /// admission control, or was abandoned after a task exhausted its
+    /// retry budget — nothing lost, nothing stuck. `Err` names the gap.
+    pub fn check_conservation(&self) -> Result<(), String> {
+        let accounted = self.completed as u64
+            + self.jobs_rejected
+            + self.jobs_shed
+            + self.jobs_abandoned as u64;
+        if accounted == self.arrived as u64 {
+            return Ok(());
+        }
+        Err(format!(
+            "conservation broken: {} arrived but {} accounted \
+             ({} completed + {} rejected + {} shed + {} abandoned)",
+            self.arrived,
+            accounted,
+            self.completed,
+            self.jobs_rejected,
+            self.jobs_shed,
+            self.jobs_abandoned
+        ))
+    }
 }
 
 /// The manager call surface the simulation driver runs against. The
@@ -472,101 +494,6 @@ impl ResourceManager for MrcpRm {
     }
     fn stats(&self) -> ManagerStats {
         MrcpRm::stats(self)
-    }
-}
-
-/// A [`ResourceManager`] decorator that runs an observer over the inner
-/// manager after every scheduling round — the hook the chaos harness
-/// uses to run its invariant checker at each round boundary without
-/// teaching the driver anything about invariants. All other calls
-/// delegate untouched.
-#[derive(Debug)]
-pub struct Watched<M, F> {
-    inner: M,
-    observer: F,
-}
-
-impl<M: ResourceManager, F: FnMut(&M)> Watched<M, F> {
-    /// Wrap `inner`, invoking `observer(&inner)` after each
-    /// [`ResourceManager::reschedule`] returns.
-    pub fn new(inner: M, observer: F) -> Self {
-        Watched { inner, observer }
-    }
-
-    /// The wrapped manager.
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
-
-    /// Unwrap, discarding the observer.
-    pub fn into_inner(self) -> M {
-        self.inner
-    }
-}
-
-impl<M: ResourceManager, F: FnMut(&M)> ResourceManager for Watched<M, F> {
-    fn submit_with_admission(
-        &mut self,
-        job: Job,
-        now: SimTime,
-    ) -> Result<AdmissionOutcome, ManagerError> {
-        self.inner.submit_with_admission(job, now)
-    }
-    fn submit_batch(
-        &mut self,
-        jobs: Vec<Job>,
-        now: SimTime,
-    ) -> Vec<Result<AdmissionOutcome, ManagerError>> {
-        // Forward rather than decompose so a batching-aware inner manager
-        // (the federation's one-pass routing) keeps its override.
-        self.inner.submit_batch(jobs, now)
-    }
-    fn activate_due(&mut self, now: SimTime) -> usize {
-        self.inner.activate_due(now)
-    }
-    fn reschedule(&mut self, now: SimTime) -> Vec<ScheduleEntry> {
-        let plan = self.inner.reschedule(now);
-        (self.observer)(&self.inner);
-        plan
-    }
-    fn task_started(&mut self, task: TaskId, now: SimTime) -> Result<ResourceId, ManagerError> {
-        self.inner.task_started(task, now)
-    }
-    fn task_completed(
-        &mut self,
-        task: TaskId,
-        now: SimTime,
-    ) -> Result<Option<JobCompletion>, ManagerError> {
-        self.inner.task_completed(task, now)
-    }
-    fn task_duration_revised(
-        &mut self,
-        task: TaskId,
-        new_exec: SimTime,
-    ) -> Result<(), ManagerError> {
-        self.inner.task_duration_revised(task, new_exec)
-    }
-    fn task_failed(&mut self, task: TaskId, now: SimTime) -> Result<FailureAction, ManagerError> {
-        self.inner.task_failed(task, now)
-    }
-    fn resource_down(
-        &mut self,
-        rid: ResourceId,
-        now: SimTime,
-    ) -> Result<Vec<TaskId>, ManagerError> {
-        self.inner.resource_down(rid, now)
-    }
-    fn resource_up(&mut self, rid: ResourceId, now: SimTime) -> Result<(), ManagerError> {
-        self.inner.resource_up(rid, now)
-    }
-    fn jobs_in_system(&self) -> usize {
-        self.inner.jobs_in_system()
-    }
-    fn stats(&self) -> ManagerStats {
-        self.inner.stats()
-    }
-    fn crash_and_recover(&mut self, now: SimTime) -> bool {
-        self.inner.crash_and_recover(now)
     }
 }
 
@@ -1226,108 +1153,6 @@ where
     (metrics, driver.completions, driver.rm)
 }
 
-/// Invariants the long-horizon soak run must keep (the overload-hardening
-/// acceptance bounds: bounded queue, bounded per-round latency, no
-/// livelock).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SoakLimits {
-    /// The queue-depth high-water mark must not exceed this.
-    pub max_queue_depth: usize,
-    /// No single scheduling round may take longer than this (wall clock).
-    pub max_round_latency: Duration,
-    /// The system must be empty within this long after the last arrival
-    /// (livelock / unbounded-backlog guard).
-    pub max_drain: SimTime,
-}
-
-impl Default for SoakLimits {
-    fn default() -> Self {
-        SoakLimits {
-            max_queue_depth: 200,
-            max_round_latency: Duration::from_secs(2),
-            max_drain: SimTime::from_secs(3_600),
-        }
-    }
-}
-
-/// Outcome of a soak run: the metrics plus every bound that was violated
-/// (empty = the run stayed within [`SoakLimits`]).
-#[derive(Debug, Clone)]
-pub struct SoakReport {
-    /// Metrics of the underlying run.
-    pub metrics: RunMetrics,
-    /// Human-readable description of each violated bound.
-    pub violations: Vec<String>,
-}
-
-impl SoakReport {
-    /// True when every soak invariant held.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// Run a long-horizon simulation and check the overload invariants: the
-/// queue depth stays bounded, no scheduling round exceeds the latency
-/// ceiling, the system drains within `max_drain` of the last arrival, and
-/// every arrival is accounted for (completed, rejected, shed, or
-/// abandoned — nothing lost, nothing stuck).
-pub fn soak(
-    cfg: &SimConfig,
-    resources: &[Resource],
-    jobs: Vec<Job>,
-    limits: &SoakLimits,
-) -> SoakReport {
-    let last_arrival = jobs
-        .iter()
-        .map(|j| j.arrival)
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    let (metrics, _) = simulate_detailed(cfg, resources, jobs);
-    let mut violations = Vec::new();
-    if metrics.max_queue_depth > limits.max_queue_depth {
-        violations.push(format!(
-            "queue depth peaked at {} (limit {})",
-            metrics.max_queue_depth, limits.max_queue_depth
-        ));
-    }
-    let ceiling = limits.max_round_latency.as_secs_f64();
-    if metrics.max_round_latency_s > ceiling {
-        violations.push(format!(
-            "a scheduling round took {:.3}s (limit {:.3}s)",
-            metrics.max_round_latency_s, ceiling
-        ));
-    }
-    let drain = metrics.end_time_s - last_arrival.as_secs_f64();
-    if drain > limits.max_drain.as_secs_f64() {
-        violations.push(format!(
-            "system took {:.0}s after the last arrival to drain (limit {:.0}s)",
-            drain,
-            limits.max_drain.as_secs_f64()
-        ));
-    }
-    let accounted = metrics.completed as u64
-        + metrics.jobs_rejected
-        + metrics.jobs_shed
-        + metrics.jobs_abandoned as u64;
-    if accounted != metrics.arrived as u64 {
-        violations.push(format!(
-            "conservation broken: {} arrived but {} accounted \
-             ({} completed + {} rejected + {} shed + {} abandoned)",
-            metrics.arrived,
-            accounted,
-            metrics.completed,
-            metrics.jobs_rejected,
-            metrics.jobs_shed,
-            metrics.jobs_abandoned
-        ));
-    }
-    SoakReport {
-        metrics,
-        violations,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1362,6 +1187,16 @@ mod tests {
         assert_eq!(m.measured, 30);
         assert!(m.invocations >= 1);
         assert!(m.end_time_s > 0.0);
+    }
+
+    #[test]
+    fn conservation_check_flags_one_unaccounted_job() {
+        let (cluster, jobs) = small_workload(10, 0.05, 23);
+        let mut m = simulate(&SimConfig::default(), &cluster, jobs);
+        assert_eq!(m.check_conservation(), Ok(()));
+        m.completed -= 1;
+        let err = m.check_conservation().unwrap_err();
+        assert!(err.contains("10 arrived but 9 accounted"), "{err}");
     }
 
     #[test]
@@ -1755,10 +1590,11 @@ mod tests {
 
     mod overload {
         //! The overload-hardening paths: admission control, backpressure,
-        //! the budget controller, and the soak invariants.
+        //! the budget controller, and the soak bounds.
         use super::*;
         use crate::admission::{AdmissionConfig, AdmissionPolicy};
         use crate::manager::BudgetController;
+        use std::time::Duration;
         use workload::ArrivalConfig;
 
         /// A small cluster driven well past saturation: arrivals far
@@ -1794,11 +1630,7 @@ mod tests {
             assert_eq!(m.arrived, 40);
             assert!(m.jobs_rejected > 0, "overload must trigger rejections");
             assert!(m.completed < m.arrived);
-            assert_eq!(
-                m.completed as u64 + m.jobs_rejected + m.jobs_shed,
-                40,
-                "every arrival completes, is rejected, or is shed"
-            );
+            m.check_conservation().unwrap();
         }
 
         #[test]
@@ -1859,7 +1691,8 @@ mod tests {
                 m.jobs_shed + m.jobs_rejected > 0,
                 "overflow must be absorbed"
             );
-            assert_eq!(m.completed as u64 + m.jobs_rejected + m.jobs_shed, 30);
+            assert_eq!(m.arrived, 30);
+            m.check_conservation().unwrap();
         }
 
         #[test]
@@ -1888,7 +1721,6 @@ mod tests {
                 s_max: 1,
                 deadline_multiplier: 2.0,
                 arrival: ArrivalConfig::mmpp(0.5, 120.0, 20.0),
-                cells: Default::default(),
             };
             let cluster = cfg.cluster();
             let mut gen = SyntheticGenerator::new(cfg, StdRng::seed_from_u64(27));
@@ -1899,29 +1731,20 @@ mod tests {
                 max_pending_jobs: Some(32),
             };
             sim.manager.controller = Some(BudgetController::default());
-            let limits = SoakLimits {
-                max_queue_depth: 32,
-                max_round_latency: Duration::from_secs(5),
-                max_drain: SimTime::from_secs(3_600),
-            };
-            let report = soak(&sim, &cluster, jobs, &limits);
-            assert!(report.ok(), "soak violations: {:?}", report.violations);
-            assert_eq!(report.metrics.arrived, 60);
-        }
-
-        #[test]
-        fn soak_report_flags_violated_bounds() {
-            let (cluster, jobs) = small_workload(10, 0.05, 23);
-            let limits = SoakLimits {
-                max_queue_depth: 0,
-                ..Default::default()
-            };
-            let report = soak(&SimConfig::default(), &cluster, jobs, &limits);
-            assert!(!report.ok());
+            let last_arrival = jobs.iter().map(|j| j.arrival).max().unwrap();
+            let m = simulate(&sim, &cluster, jobs);
+            assert_eq!(m.arrived, 60);
+            m.check_conservation().unwrap();
+            assert!(m.max_queue_depth <= 32, "queue depth {}", m.max_queue_depth);
             assert!(
-                report.violations.iter().any(|v| v.contains("queue depth")),
-                "{:?}",
-                report.violations
+                m.max_round_latency_s <= 5.0,
+                "a round took {:.3}s",
+                m.max_round_latency_s
+            );
+            let drain_s = m.end_time_s - last_arrival.as_secs_f64();
+            assert!(
+                drain_s <= 3_600.0,
+                "drained {drain_s:.0}s after the last arrival"
             );
         }
     }

@@ -4,14 +4,10 @@
 //! keep their SLA performance, the turned-away fraction absorbs the
 //! excess, the queue stays bounded, and the run always drains.
 
-use desim::SimTime;
 use mrcp::manager::SolveBudget;
-use mrcp::{
-    simulate, soak, AdmissionConfig, AdmissionPolicy, BudgetController, SimConfig, SoakLimits,
-};
+use mrcp::{simulate, AdmissionConfig, AdmissionPolicy, BudgetController, RunMetrics, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Duration;
 use workload::{ArrivalConfig, Job, Resource, SyntheticConfig, SyntheticGenerator};
 
 /// A small cluster with tight deadlines, driven at a configurable rate and
@@ -29,7 +25,6 @@ fn workload(n: usize, lambda: f64, arrival: ArrivalConfig, seed: u64) -> (Vec<Re
         s_max: 1,
         deadline_multiplier: 2.0,
         arrival,
-        cells: Default::default(),
     };
     let cluster = cfg.cluster();
     let mut gen = SyntheticGenerator::new(cfg, StdRng::seed_from_u64(seed));
@@ -56,6 +51,38 @@ fn protected(policy: AdmissionPolicy, max_pending: usize) -> SimConfig {
     cfg
 }
 
+/// Run `jobs` and assert the soak bounds: every arrival accounted for, the
+/// queue never deeper than `max_depth`, no scheduling round over 2 s of
+/// wall clock, and the system empty within `max_drain_s` of the last
+/// arrival (the livelock guard).
+fn bounded_run(
+    cfg: &SimConfig,
+    cluster: &[Resource],
+    jobs: Vec<Job>,
+    max_depth: usize,
+    max_drain_s: f64,
+) -> RunMetrics {
+    let last_arrival = jobs.iter().map(|j| j.arrival).max().unwrap();
+    let m = simulate(cfg, cluster, jobs);
+    m.check_conservation().unwrap();
+    assert!(
+        m.max_queue_depth <= max_depth,
+        "queue depth peaked at {} (limit {max_depth})",
+        m.max_queue_depth
+    );
+    assert!(
+        m.max_round_latency_s <= 2.0,
+        "a scheduling round took {:.3}s (limit 2s)",
+        m.max_round_latency_s
+    );
+    let drain_s = m.end_time_s - last_arrival.as_secs_f64();
+    assert!(
+        drain_s <= max_drain_s,
+        "drained {drain_s:.0}s after the last arrival (limit {max_drain_s:.0}s)"
+    );
+    m
+}
+
 #[test]
 fn graceful_degradation_past_saturation() {
     // λ an order of magnitude past what 3×2 map slots can absorb.
@@ -78,30 +105,21 @@ fn graceful_degradation_past_saturation() {
         gated.p_late,
         open.p_late
     );
-    // Conservation: every arrival completes, is rejected, or is shed.
-    assert_eq!(
-        gated.completed as u64 + gated.jobs_rejected + gated.jobs_shed,
-        60
-    );
+    gated.check_conservation().unwrap();
 }
 
 #[test]
 fn burst_soak_stays_within_bounds() {
     // MMPP bursts five times past the calm rate.
     let (cluster, jobs) = workload(80, 0.05, ArrivalConfig::mmpp(0.25, 200.0, 40.0), 41);
-    let limits = SoakLimits {
-        max_queue_depth: 24,
-        max_round_latency: Duration::from_secs(2),
-        max_drain: SimTime::from_secs(3_600),
-    };
-    let report = soak(
+    let m = bounded_run(
         &protected(AdmissionPolicy::Strict, 24),
         &cluster,
         jobs,
-        &limits,
+        24,
+        3_600.0,
     );
-    assert!(report.ok(), "soak violations: {:?}", report.violations);
-    assert_eq!(report.metrics.arrived, 80);
+    assert_eq!(m.arrived, 80);
 }
 
 #[test]
@@ -113,11 +131,7 @@ fn flash_crowd_and_ramp_both_drain_under_protection() {
         let (cluster, jobs) = workload(50, 0.05, arrival, 42);
         let m = simulate(&protected(AdmissionPolicy::Renegotiate, 24), &cluster, jobs);
         assert_eq!(m.arrived, 50, "{name}");
-        assert_eq!(
-            m.completed as u64 + m.jobs_rejected + m.jobs_shed,
-            50,
-            "{name}: conservation"
-        );
+        m.check_conservation().unwrap();
         assert!(
             m.max_queue_depth <= 24,
             "{name}: queue bounded, got {}",
@@ -133,21 +147,16 @@ fn flash_crowd_and_ramp_both_drain_under_protection() {
 #[ignore = "long soak; run with -- --ignored"]
 fn long_soak_survives_sustained_bursts() {
     let (cluster, jobs) = workload(400, 0.05, ArrivalConfig::mmpp(0.5, 120.0, 60.0), 43);
-    let limits = SoakLimits {
-        max_queue_depth: 48,
-        max_round_latency: Duration::from_secs(2),
-        max_drain: SimTime::from_secs(7_200),
-    };
-    let report = soak(
+    let m = bounded_run(
         &protected(AdmissionPolicy::Strict, 48),
         &cluster,
         jobs,
-        &limits,
+        48,
+        7_200.0,
     );
-    assert!(report.ok(), "soak violations: {:?}", report.violations);
-    assert_eq!(report.metrics.arrived, 400);
+    assert_eq!(m.arrived, 400);
     assert!(
-        report.metrics.jobs_rejected + report.metrics.jobs_shed > 0,
+        m.jobs_rejected + m.jobs_shed > 0,
         "sustained bursts must engage the protection"
     );
 }

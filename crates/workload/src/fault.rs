@@ -122,8 +122,8 @@ impl FaultConfig {
 /// down-times, each sample floored at 1 ms so failure and repair events
 /// never coincide. [`FaultModel`] drives *resource* crashes with the same
 /// distributions; this standalone form exists for components that need
-/// their own RNG stream — the federation chaos harness uses one per cell
-/// to model manager-process crashes.
+/// their own RNG stream — each federation cell endpoint under fault
+/// injection uses one to model manager-process crashes.
 #[derive(Debug)]
 pub struct Renewal {
     mttf: SimTime,

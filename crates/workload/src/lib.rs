@@ -24,4 +24,4 @@ pub mod workflow;
 pub use facebook::{FacebookConfig, FacebookGenerator};
 pub use fault::{AttemptOutcome, FaultConfig, FaultModel, Outage};
 pub use model::{Job, JobId, Resource, ResourceId, Task, TaskId, TaskKind};
-pub use synthetic::{ArrivalConfig, ArrivalKind, CellCount, SyntheticConfig, SyntheticGenerator};
+pub use synthetic::{ArrivalConfig, ArrivalKind, SyntheticConfig, SyntheticGenerator};

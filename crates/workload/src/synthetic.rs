@@ -130,25 +130,6 @@ pub struct SyntheticConfig {
     /// crowd / ramp chaos processes; default is the paper's Poisson).
     #[serde(default)]
     pub arrival: ArrivalConfig,
-    /// Scheduler cells the resource pool is sharded into (federation
-    /// extension, `crates/cluster`; the paper's single manager is 1).
-    /// Resources are dealt round-robin, so each cell holds about
-    /// [`cell_size`](Self::cell_size) resources.
-    #[serde(default)]
-    pub cells: CellCount,
-}
-
-/// Cell count for the federation extension, newtyped so that configs
-/// serialized before the knob existed deserialize to the paper's single
-/// cell: the vendored serde subset maps a missing `#[serde(default)]`
-/// field to `Default::default()`, and a bare `u32` would default to 0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct CellCount(pub u32);
-
-impl Default for CellCount {
-    fn default() -> Self {
-        CellCount(1)
-    }
 }
 
 impl Default for SyntheticConfig {
@@ -165,7 +146,6 @@ impl Default for SyntheticConfig {
             map_capacity: 2,
             reduce_capacity: 2,
             arrival: ArrivalConfig::default(),
-            cells: CellCount(1),
         }
     }
 }
@@ -182,10 +162,6 @@ impl SyntheticConfig {
         assert!(self.lambda > 0.0);
         assert!(self.resources >= 1);
         assert!(self.map_capacity >= 1 && self.reduce_capacity >= 1);
-        assert!(
-            self.cells.0 >= 1 && self.cells.0 <= self.resources,
-            "cells must lie in [1, resources]"
-        );
         match self.arrival.kind {
             ArrivalKind::Poisson => {}
             ArrivalKind::Mmpp | ArrivalKind::FlashCrowd => {
@@ -221,12 +197,6 @@ impl SyntheticConfig {
     /// Total reduce slots across the cluster.
     pub fn total_reduce_slots(&self) -> u32 {
         self.resources * self.reduce_capacity
-    }
-
-    /// Resources per federation cell under round-robin sharding (the
-    /// largest cell's size: `ceil(resources / cells)`).
-    pub fn cell_size(&self) -> u32 {
-        self.resources.div_ceil(self.cells.0.max(1))
     }
 }
 
@@ -695,30 +665,15 @@ mod tests {
     }
 
     #[test]
-    fn cells_knob_defaults_validates_and_round_trips() {
-        // Pre-federation configs (no `cells` key at all) deserialize to the
-        // paper's single cell.
+    fn retired_cells_knob_still_loads() {
+        // A stored config that still carries the retired `cells` knob (the
+        // federation's shape is `cluster::ClusterConfig::cells`) keeps
+        // loading; the key is ignored.
         let cfg = SyntheticConfig::default();
-        let mut tree = serde::Serialize::serialize_value(&cfg);
-        let serde::Value::Map(entries) = &mut tree else {
-            panic!("config serializes to a map");
-        };
-        entries.retain(|(k, _)| k != "cells");
-        let legacy = serde_json::to_string(&tree).unwrap();
-        assert!(!legacy.contains("cells"), "failed to strip cells key");
-        let back: SyntheticConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back.cells, CellCount(1));
-        back.validate();
-        let sharded = SyntheticConfig {
-            resources: 8,
-            cells: CellCount(4),
-            ..Default::default()
-        };
-        sharded.validate();
-        assert_eq!(sharded.cell_size(), 2);
-        let json = serde_json::to_string(&sharded).unwrap();
-        let back: SyntheticConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.cells, CellCount(4));
+        let json = serde_json::to_string(&cfg).unwrap();
+        let stored = json.replacen('{', r#"{"cells":4,"#, 1);
+        let back: SyntheticConfig = serde_json::from_str(&stored).unwrap();
+        assert_eq!(back, cfg);
     }
 
     #[test]
@@ -735,17 +690,6 @@ mod tests {
         );
         let back: SyntheticConfig = serde_json::from_str(&stored).unwrap();
         assert_eq!(back, cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "cells")]
-    fn more_cells_than_resources_panics() {
-        SyntheticConfig {
-            resources: 2,
-            cells: CellCount(3),
-            ..Default::default()
-        }
-        .validate();
     }
 
     #[test]

@@ -35,7 +35,6 @@ fn synth_config() -> impl Strategy<Value = SyntheticConfig> {
                 map_capacity: cm,
                 reduce_capacity: cr,
                 arrival: Default::default(),
-                cells: Default::default(),
             },
         )
 }

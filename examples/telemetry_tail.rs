@@ -12,16 +12,13 @@
 //! observational: the same run with the handle disabled produces a
 //! bit-identical outcome.
 
-use cluster::{
-    simulate_cluster_chaos_telemetry, ChaosConfig, ChaosSimConfig, ClusterConfig, ClusterSimConfig,
-    RebalanceConfig,
-};
+use cluster::{ChaosConfig, ClusterConfig, Federation};
 use desim::{RngStreams, SimTime};
-use mrcp::SimConfig;
+use mrcp::{simulate_with, SimConfig};
 use telemetry::{
     http_get, EventFilter, EventKind, SinkConfig, Telemetry, TelemetrySink, DEFAULT_QUEUE_CAP,
 };
-use workload::{CellCount, SyntheticConfig, SyntheticGenerator};
+use workload::{SyntheticConfig, SyntheticGenerator};
 
 fn main() {
     let tel = Telemetry::new();
@@ -53,33 +50,31 @@ fn main() {
         reduce_capacity: 2,
         s_max: 1,
         deadline_multiplier: 2.5,
-        cells: CellCount(2),
         ..Default::default()
     };
     let resources = wl.cluster();
     let jobs =
         SyntheticGenerator::new(wl.clone(), RngStreams::new(42).stream("tail")).take_jobs(30);
-    let cfg = ChaosSimConfig {
-        base: ClusterSimConfig {
-            sim: SimConfig::default(),
-            cluster: ClusterConfig {
-                cells: 2,
-                rebalance: RebalanceConfig::default(),
-            },
-        },
-        chaos: ChaosConfig {
-            drop_prob: 0.1,
-            dup_prob: 0.1,
-            mean_latency: Some(SimTime::from_millis(10)),
-            call_deadline: SimTime::from_millis(200),
-            seed: 7,
-            ..Default::default()
-        },
+    let fleet = ClusterConfig {
+        cells: 2,
+        ..Default::default()
+    };
+    let chaos = ChaosConfig {
+        drop_prob: 0.1,
+        dup_prob: 0.1,
+        mean_latency: Some(SimTime::from_millis(10)),
+        call_deadline: SimTime::from_millis(200),
+        seed: 7,
+        ..Default::default()
     };
 
     let run_tel = tel.clone();
     let worker = std::thread::spawn(move || {
-        simulate_cluster_chaos_telemetry(&cfg, &resources, jobs, &run_tel)
+        simulate_with(&SimConfig::default(), &resources, jobs, |c| {
+            let mut fed = Federation::with_chaos(&fleet, c, resources.clone(), &chaos);
+            fed.set_telemetry(&run_tel);
+            fed
+        })
     });
 
     let mut tailed = 0u64;
@@ -101,8 +96,11 @@ fn main() {
         }
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
-    let run = worker.join().expect("run thread");
-    assert!(run.violations.is_empty(), "{:#?}", run.violations);
+    let (metrics, _, fed) = worker.join().expect("run thread");
+    assert!(fed.violations().is_empty(), "{:#?}", fed.violations());
+    metrics
+        .check_conservation()
+        .expect("every job accounted for");
 
     let prom = http_get(addr, "/metrics").expect("final scrape");
     let rounds = prom
