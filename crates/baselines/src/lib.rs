@@ -1,29 +1,22 @@
 //! # baselines — comparator schedulers for the MRCP-RM evaluation
 //!
 //! The paper's Figs. 2–3 compare MRCP-RM against **MinEDF-WC** from
-//! Verma, Cherkasova & Campbell ("ARIA", reference \[8\] of the paper): an
-//! earliest-deadline-first policy that allocates each job the *minimum*
-//! number of map/reduce slots needed to meet its deadline and hands spare
-//! slots out work-conservingly, reclaiming them (as tasks finish — tasks
-//! are never killed) when a needier job arrives.
+//! Verma, Cherkasova & Campbell ("ARIA", reference \[8\] of the paper):
+//! EDF over jobs that first get the *minimum* map/reduce slots their
+//! deadlines need ([`minedf_wc`]), with spare slots handed out
+//! work-conservingly and reclaimed as tasks finish.
 //!
-//! All baselines run on the shared slot-level discrete event simulator in
-//! [`slot_sim`], which models the cluster the way ARIA does: a pool of map
-//! slots and a pool of reduce slots, with reduces eligible once every map
-//! of the job has finished (the same barrier MRCP-RM's CP model enforces).
+//! Every baseline is a [`DispatchRm`], a [`mrcp::ResourceManager`] that
+//! hands out slots by a [`Policy`] (`MinEdfWc`, `MinEdf`, `Edf` or `Fcfs`).
+//! It runs on MRCP-RM's driver, so both sides of a comparison share one
+//! event loop, one warm-up cut and one [`mrcp::RunMetrics`]:
 //!
-//! Provided policies:
-//! * [`minedf_wc::MinEdfWc`] — the paper's comparator,
-//! * [`minedf_wc::MinEdf`] — its non-work-conserving variant,
-//! * [`edf::Edf`] — plain work-conserving EDF (no minimum shares),
-//! * [`fcfs::Fcfs`] — arrival order, the classic Hadoop default.
+//! ```text
+//! simulate_with(&sim, &res, jobs, |c| DispatchRm::new(Policy::MinEdfWc, c, res.to_vec()))
+//! ```
 
-pub mod edf;
-pub mod fcfs;
+pub mod dispatch;
 pub mod minedf_wc;
-pub mod slot_sim;
 
-pub use edf::Edf;
-pub use fcfs::Fcfs;
-pub use minedf_wc::{MinEdf, MinEdfWc};
-pub use slot_sim::{run_slot_sim, BaselineMetrics, DispatchPolicy, JobSnapshot};
+pub use dispatch::{DispatchRm, Policy};
+pub use minedf_wc::{min_share, MinShare};

@@ -1,29 +1,11 @@
-//! MinEDF-WC — the paper's comparator (Verma et al., "ARIA", ref \[8\]).
-//!
-//! The policy combines three ingredients:
-//!
-//! 1. **EDF job ordering** — slots are offered to jobs in deadline order.
-//! 2. **Minimum resource allocation** — at arrival, each job's *minimum*
-//!    map/reduce slot shares are computed from its profile: the smallest
-//!    `(s_m, s_r)` whose estimated completion
-//!    `n_m·m̄/s_m + n_r·r̄/s_r ≤ d_j − now` minimizes total slots. A job
-//!    that already holds its minimum share stops being "needy".
-//! 3. **Work conservation (the -WC part)** — slots left over after every
-//!    needy job is served go to EDF-ordered jobs anyway; because running
-//!    tasks are never killed, "de-allocating spare slots" happens
-//!    naturally as those tasks finish and the freed slots flow back to
-//!    needy jobs first. [`MinEdf`] is the non-work-conserving variant that
-//!    leaves spare slots idle.
-//!
-//! The minimum-share computation uses the job's true mean task durations
-//! as its profile (the simulator knows them; ARIA estimates them from
-//! history — a strictly harder setting, so this favours the baseline, not
-//! MRCP-RM).
-
-use crate::slot_sim::{DispatchPolicy, JobSnapshot, Pool};
-use desim::SimTime;
-use std::collections::HashMap;
-use workload::{Job, JobId};
+//! MinEDF-WC's minimum-share rule (Verma et al., "ARIA", ref \[8\]): at
+//! arrival, each job's *minimum* map/reduce slot shares are the smallest
+//! `(s_m, s_r)` whose estimated completion `n_m·m̄/s_m + n_r·r̄/s_r ≤ d_j −
+//! now` minimizes total slots. [`Policy::MinEdf`](crate::Policy::MinEdf)
+//! and [`Policy::MinEdfWc`](crate::Policy::MinEdfWc) serve jobs below their
+//! share first, in EDF order. The profile is the job's true mean task
+//! durations (ARIA estimates them from history — a strictly harder setting,
+//! so this favours the baseline, not MRCP-RM).
 
 /// Minimum slot shares for one job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,122 +78,11 @@ pub fn min_share(
     })
 }
 
-/// MinEDF with work conservation — the paper's comparator.
-#[derive(Debug, Default)]
-pub struct MinEdfWc {
-    shares: HashMap<JobId, MinShare>,
-}
-
-/// MinEDF without work conservation: spare slots stay idle.
-#[derive(Debug, Default)]
-pub struct MinEdf {
-    shares: HashMap<JobId, MinShare>,
-}
-
-fn record_share(shares: &mut HashMap<JobId, MinShare>, job: &Job, now: SimTime, tm: u32, tr: u32) {
-    let n_m = job.map_tasks.len();
-    let n_r = job.reduce_tasks.len();
-    let mean = |ts: &[workload::Task]| {
-        if ts.is_empty() {
-            0.0
-        } else {
-            ts.iter().map(|t| t.exec_time.as_secs_f64()).sum::<f64>() / ts.len() as f64
-        }
-    };
-    let budget = (job.deadline - job.earliest_start.max(now)).as_secs_f64();
-    shares.insert(
-        job.id,
-        min_share(
-            n_m,
-            mean(&job.map_tasks),
-            n_r,
-            mean(&job.reduce_tasks),
-            budget,
-            tm,
-            tr,
-        ),
-    );
-}
-
-/// Needy = currently holds fewer slots of this pool than its minimum share.
-fn needy(shares: &HashMap<JobId, MinShare>, s: &JobSnapshot, pool: Pool) -> bool {
-    let Some(share) = shares.get(&s.id) else {
-        return true; // unknown job: treat as needy (conservative)
-    };
-    match pool {
-        Pool::Map => s.running_maps < share.maps,
-        Pool::Reduce => s.running_reduces < share.reduces,
-    }
-}
-
-fn pick_edf(candidates: &[JobSnapshot], filter: impl Fn(&JobSnapshot) -> bool) -> Option<JobId> {
-    candidates
-        .iter()
-        .filter(|s| filter(s))
-        .min_by_key(|s| (s.deadline, s.arrival, s.id))
-        .map(|s| s.id)
-}
-
-impl DispatchPolicy for MinEdfWc {
-    fn choose(&mut self, pool: Pool, candidates: &[JobSnapshot], _now: SimTime) -> Option<JobId> {
-        // Needy jobs first (minimum shares), then work-conserving EDF.
-        pick_edf(candidates, |s| needy(&self.shares, s, pool))
-            .or_else(|| pick_edf(candidates, |_| true))
-    }
-
-    fn on_arrival(&mut self, job: &Job, now: SimTime, total_map: u32, total_reduce: u32) {
-        record_share(&mut self.shares, job, now, total_map, total_reduce);
-    }
-
-    fn on_completion(&mut self, job: JobId) {
-        self.shares.remove(&job);
-    }
-}
-
-impl DispatchPolicy for MinEdf {
-    fn choose(&mut self, pool: Pool, candidates: &[JobSnapshot], _now: SimTime) -> Option<JobId> {
-        // Only needy jobs are served; spare slots idle (no -WC).
-        pick_edf(candidates, |s| needy(&self.shares, s, pool))
-    }
-
-    fn on_arrival(&mut self, job: &Job, now: SimTime, total_map: u32, total_reduce: u32) {
-        record_share(&mut self.shares, job, now, total_map, total_reduce);
-    }
-
-    fn on_completion(&mut self, job: JobId) {
-        self.shares.remove(&job);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slot_sim::run_slot_sim;
-    use desim::SimTime;
-    use workload::{Job, Task, TaskId, TaskKind};
-
-    fn job(id: u32, arrival: i64, d: i64, maps: &[i64], reduces: &[i64]) -> Job {
-        let mut t = id * 100;
-        let mut mk = |kind, secs: i64| {
-            t += 1;
-            Task {
-                id: TaskId(t),
-                job: JobId(id),
-                kind,
-                exec_time: SimTime::from_secs(secs),
-                req: 1,
-            }
-        };
-        Job {
-            id: JobId(id),
-            arrival: SimTime::from_secs(arrival),
-            earliest_start: SimTime::from_secs(arrival),
-            deadline: SimTime::from_secs(d),
-            map_tasks: maps.iter().map(|&s| mk(TaskKind::Map, s)).collect(),
-            reduce_tasks: reduces.iter().map(|&s| mk(TaskKind::Reduce, s)).collect(),
-            precedences: vec![],
-        }
-    }
+    use crate::dispatch::tests::{mk_job, run};
+    use crate::Policy;
 
     #[test]
     fn min_share_formula_basics() {
@@ -245,10 +116,10 @@ mod tests {
         // spreads over all 4 slots; when j1 arrives it gets freed slots
         // first and still meets its deadline.
         let jobs = vec![
-            job(0, 0, 1_000, &[10, 10, 10, 10, 10, 10, 10, 10], &[]),
-            job(1, 5, 30, &[10], &[]),
+            mk_job(0, 0, 0, 1_000, &[10, 10, 10, 10, 10, 10, 10, 10], &[]),
+            mk_job(1, 5, 5, 30, &[10], &[]),
         ];
-        let m = run_slot_sim(4, 1, jobs, &mut MinEdfWc::default(), 0);
+        let (m, _) = run(Policy::MinEdfWc, (4, 1), jobs);
         assert_eq!(m.late, 0);
         // WC: 8 maps on 4 slots = 2 waves + j1's map → ends ≤ 30.
         assert!(m.end_time_s <= 30.0 + 1e-9, "end={}", m.end_time_s);
@@ -258,17 +129,17 @@ mod tests {
     fn non_wc_leaves_spare_slots_idle() {
         // Single loose job, min share = 1 slot, 4 available: MinEdf uses
         // only 1 → 4 waves of 10s; MinEdfWc uses all 4 → 1 wave.
-        let jobs = vec![job(0, 0, 1_000, &[10, 10, 10, 10], &[])];
-        let wc = run_slot_sim(4, 1, jobs.clone(), &mut MinEdfWc::default(), 0);
-        let nwc = run_slot_sim(4, 1, jobs, &mut MinEdf::default(), 0);
+        let jobs = vec![mk_job(0, 0, 0, 1_000, &[10, 10, 10, 10], &[])];
+        let (wc, _) = run(Policy::MinEdfWc, (4, 1), jobs.clone());
+        let (nwc, _) = run(Policy::MinEdf, (4, 1), jobs);
         assert!((wc.end_time_s - 10.0).abs() < 1e-9);
         assert!((nwc.end_time_s - 40.0).abs() < 1e-9);
     }
 
     #[test]
     fn reduces_get_min_shares_too() {
-        let jobs = vec![job(0, 0, 100, &[10, 10], &[10, 10])];
-        let m = run_slot_sim(2, 2, jobs, &mut MinEdfWc::default(), 0);
+        let jobs = vec![mk_job(0, 0, 0, 100, &[10, 10], &[10, 10])];
+        let (m, _) = run(Policy::MinEdfWc, (2, 2), jobs);
         assert_eq!(m.late, 0);
         // Maps 0..10 in parallel, reduces 10..20 in parallel.
         assert!((m.end_time_s - 20.0).abs() < 1e-9);
@@ -281,11 +152,11 @@ mod tests {
         // (due 40) — then both finish on time. Arrival order would have
         // made j2 late.
         let jobs = vec![
-            job(0, 0, 100, &[5], &[]),
-            job(1, 1, 40, &[10], &[]),
-            job(2, 2, 16, &[10], &[]),
+            mk_job(0, 0, 0, 100, &[5], &[]),
+            mk_job(1, 1, 1, 40, &[10], &[]),
+            mk_job(2, 2, 2, 16, &[10], &[]),
         ];
-        let m = run_slot_sim(1, 1, jobs, &mut MinEdfWc::default(), 0);
+        let (m, _) = run(Policy::MinEdfWc, (1, 1), jobs);
         assert_eq!(m.late, 0, "EDF must run the urgent job first");
     }
 }

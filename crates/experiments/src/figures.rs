@@ -20,12 +20,13 @@
 
 use crate::report::{FigureResult, PointResult, Verdict};
 use crate::runner::{replicate, replicate_series, MetricAgg, Sample, Scale};
-use baselines::{run_slot_sim, DispatchPolicy, Edf, Fcfs, MinEdf, MinEdfWc};
+use baselines::{DispatchRm, Policy};
 use desim::stats::CiMean;
 use desim::RngStreams;
-use mrcp::{simulate, simulate_with, MrcpConfig, SimConfig, SolveBudget};
+use mrcp::{simulate, simulate_with, MrcpConfig, RunMetrics, SimConfig, SolveBudget};
 use workload::{
-    FacebookConfig, FacebookGenerator, FaultConfig, Job, SyntheticConfig, SyntheticGenerator,
+    FacebookConfig, FacebookGenerator, FaultConfig, Job, Resource, SyntheticConfig,
+    SyntheticGenerator,
 };
 
 /// A regenerable paper artifact.
@@ -155,6 +156,7 @@ pub fn figure_by_name(name: &str) -> Option<Figure> {
 }
 
 const MRCP: &str = "MRCP-RM";
+const MINEDF_WC: &str = "MinEDF-WC";
 
 // ---------------------------------------------------------------------
 // Shared runners
@@ -199,9 +201,29 @@ fn synth_jobs(cfg: &SyntheticConfig, scale: &Scale, seed: u64, rep: u64) -> Vec<
     gen.take_jobs(scale.synth_jobs)
 }
 
-/// One MRCP-RM replication over a synthetic workload, with `tweak` applied
-/// to the driver configuration first.
-fn mrcp_synth_sample(
+/// One run through the one driver: MRCP-RM when `policy` is `None`, else
+/// that dispatch baseline.
+fn run_sim(
+    policy: Option<Policy>,
+    sim: &SimConfig,
+    cluster: &[Resource],
+    jobs: Vec<Job>,
+) -> RunMetrics {
+    match policy {
+        None => simulate(sim, cluster, jobs),
+        Some(p) => {
+            simulate_with(sim, cluster, jobs, |c| {
+                DispatchRm::new(p, c, cluster.to_vec())
+            })
+            .0
+        }
+    }
+}
+
+/// One replication over a synthetic workload, with `tweak` applied to the
+/// driver configuration first.
+fn synth_sample(
+    policy: Option<Policy>,
     cfg: &SyntheticConfig,
     scale: &Scale,
     seed: u64,
@@ -211,7 +233,7 @@ fn mrcp_synth_sample(
     let jobs = synth_jobs(cfg, scale, seed, rep);
     let mut sim = mrcp_sim_config(scale, jobs.len());
     tweak(&mut sim);
-    Sample::of(&simulate(&sim, &cfg.cluster(), jobs))
+    Sample::of(&run_sim(policy, &sim, &cfg.cluster(), jobs))
 }
 
 fn facebook_jobs(cfg: &FacebookConfig, scale: &Scale, seed: u64, rep: u64) -> Vec<Job> {
@@ -220,40 +242,18 @@ fn facebook_jobs(cfg: &FacebookConfig, scale: &Scale, seed: u64, rep: u64) -> Ve
     gen.take_jobs(scale.facebook_jobs)
 }
 
-fn mrcp_facebook_sample(cfg: &FacebookConfig, scale: &Scale, seed: u64, rep: u64) -> Sample {
-    let jobs = facebook_jobs(cfg, scale, seed, rep);
-    let cluster = cfg.cluster();
-    Sample::of(&simulate(
-        &mrcp_sim_config(scale, jobs.len()),
-        &cluster,
-        jobs,
-    ))
-}
-
-fn baseline_facebook_sample<P: DispatchPolicy>(
-    mut policy: P,
+/// One replication over the Facebook workload. Common random numbers: the
+/// same seed/rep yields the identical job stream for every scheduler.
+fn facebook_sample(
+    policy: Option<Policy>,
     cfg: &FacebookConfig,
     scale: &Scale,
     seed: u64,
     rep: u64,
 ) -> Sample {
-    // Common random numbers: the same seed/rep yields the identical job
-    // stream MRCP-RM sees.
     let jobs = facebook_jobs(cfg, scale, seed, rep);
-    let m = run_slot_sim(
-        cfg.total_map_slots(),
-        cfg.total_reduce_slots(),
-        jobs,
-        &mut policy,
-        scale.warmup_jobs(scale.facebook_jobs),
-    );
-    Sample {
-        p_late: m.p_late,
-        n_late: m.late as f64,
-        turnaround_s: m.mean_turnaround_s,
-        overhead_s: 0.0, // dispatch-rule overhead is sub-microsecond
-        rejected_frac: 0.0,
-    }
+    let sim = mrcp_sim_config(scale, jobs.len());
+    Sample::of(&run_sim(policy, &sim, &cfg.cluster(), jobs))
 }
 
 /// Facebook configuration at the scale's task_scale.
@@ -294,15 +294,11 @@ fn run_fig2(scale: &Scale, seed: u64) -> FigureResult {
     let mut points = Vec::new();
     for (label, lambda) in facebook_lambdas(scale) {
         let cfg = facebook_config(lambda, scale);
-        let mrcp = replicate(scale, |rep| mrcp_facebook_sample(&cfg, scale, seed, rep));
-        let base = replicate(scale, |rep| {
-            baseline_facebook_sample(MinEdfWc::default(), &cfg, scale, seed, rep)
-        });
-        for (series, agg) in [(MRCP, mrcp), ("MinEDF-WC", base)] {
+        for (series, policy) in [(MRCP, None), (MINEDF_WC, Some(Policy::MinEdfWc))] {
             points.push(PointResult {
                 label: label.clone(),
                 series: series.into(),
-                agg,
+                agg: replicate(scale, |rep| facebook_sample(policy, &cfg, scale, seed, rep)),
             });
         }
     }
@@ -328,7 +324,7 @@ fn synth_sweep<V: Copy + std::fmt::Display>(
                 label: format!("{factor}={v}"),
                 series: MRCP.into(),
                 agg: replicate(scale, |rep| {
-                    mrcp_synth_sample(&cfg, scale, seed, rep, |_| {})
+                    synth_sample(None, &cfg, scale, seed, rep, |_| {})
                 }),
             }
         })
@@ -349,7 +345,9 @@ fn run_workers_sweep(scale: &Scale, seed: u64) -> FigureResult {
             label: format!("K={k}"),
             series: MRCP.into(),
             agg: replicate(scale, |rep| {
-                mrcp_synth_sample(&cfg, scale, seed, rep, |s| s.manager.budget.workers = k)
+                synth_sample(None, &cfg, scale, seed, rep, |s| {
+                    s.manager.budget.workers = k
+                })
             }),
         })
         .collect();
@@ -357,32 +355,36 @@ fn run_workers_sweep(scale: &Scale, seed: u64) -> FigureResult {
 }
 
 /// Extra panel: the Table 3 default workload re-run under increasing task
-/// failure probability (stragglers and the retry budget held fixed). Not a
+/// failure probability (stragglers and the retry budget held fixed), for
+/// MRCP-RM and MinEDF-WC on the same fault configuration and seed. Not a
 /// paper artifact — the paper assumes exact execution times and reliable
 /// resources; this panel measures how far SLA performance degrades when
 /// that assumption breaks and the failure-aware rescheduling path carries
-/// the load. That every run drains is `crates/mrcp/tests/proptest_faults.rs`.
+/// the load. That every run drains is `crates/mrcp/tests/proptest_faults.rs`
+/// and `crates/baselines/tests/proptest_dispatch.rs`.
 fn run_fault_sweep(scale: &Scale, seed: u64) -> FigureResult {
     let synth = capped(SyntheticConfig::default(), scale);
-    let points = [0.0, 0.05, 0.1, 0.2]
-        .iter()
-        .map(|&p_fail| PointResult {
-            label: format!("p_fail={p_fail}"),
-            series: MRCP.into(),
-            agg: replicate(scale, |rep| {
-                mrcp_synth_sample(&synth, scale, seed, rep, |sim| {
-                    sim.faults = FaultConfig {
-                        task_failure_prob: p_fail,
-                        straggler_prob: 0.05,
-                        straggler_factor: (1.5, 2.5),
-                        retry_budget: 3,
-                        ..Default::default()
-                    };
-                    sim.fault_seed = seed ^ rep;
-                })
-            }),
-        })
-        .collect();
+    let mut points = Vec::new();
+    for p_fail in [0.0, 0.05, 0.1, 0.2] {
+        for (series, policy) in [(MRCP, None), (MINEDF_WC, Some(Policy::MinEdfWc))] {
+            points.push(PointResult {
+                label: format!("p_fail={p_fail}"),
+                series: series.into(),
+                agg: replicate(scale, |rep| {
+                    synth_sample(policy, &synth, scale, seed, rep, |sim| {
+                        sim.faults = FaultConfig {
+                            task_failure_prob: p_fail,
+                            straggler_prob: 0.05,
+                            straggler_factor: (1.5, 2.5),
+                            retry_budget: 3,
+                            ..Default::default()
+                        };
+                        sim.fault_seed = seed ^ rep;
+                    })
+                }),
+            });
+        }
+    }
     FigureResult { points }
 }
 
@@ -416,7 +418,7 @@ fn run_overload_sweep(scale: &Scale, seed: u64) -> FigureResult {
         );
         for (series, policy) in &policies {
             let agg: MetricAgg = replicate(scale, |rep| {
-                mrcp_synth_sample(&cfg, scale, seed, rep, |sim| {
+                synth_sample(None, &cfg, scale, seed, rep, |sim| {
                     if let Some(policy) = *policy {
                         sim.manager.admission = AdmissionConfig {
                             policy,
@@ -436,35 +438,27 @@ fn run_overload_sweep(scale: &Scale, seed: u64) -> FigureResult {
     FigureResult { points }
 }
 
-const BASELINES: [&str; 5] = [MRCP, "MinEDF-WC", "MinEDF", "EDF", "FCFS"];
+const BASELINES: [(&str, Option<Policy>); 5] = [
+    (MRCP, None),
+    (MINEDF_WC, Some(Policy::MinEdfWc)),
+    ("MinEDF", Some(Policy::MinEdf)),
+    ("EDF", Some(Policy::Edf)),
+    ("FCFS", Some(Policy::Fcfs)),
+];
 
 /// Extra panel: all baselines at the Fig. 2 midpoint arrival rate, in
 /// [`BASELINES`] order.
 fn run_baseline_panel(scale: &Scale, seed: u64) -> FigureResult {
     let (_, lambda) = facebook_lambdas(scale).remove(2);
     let cfg = facebook_config(lambda, scale);
-    let mut points = Vec::new();
-    let mrcp = replicate(scale, |rep| mrcp_facebook_sample(&cfg, scale, seed, rep));
-    points.push(PointResult {
-        label: "λ=3e-4".into(),
-        series: MRCP.into(),
-        agg: mrcp,
-    });
-    macro_rules! baseline {
-        ($name:expr, $policy:expr) => {
-            points.push(PointResult {
-                label: "λ=3e-4".into(),
-                series: $name.into(),
-                agg: replicate(scale, |rep| {
-                    baseline_facebook_sample($policy, &cfg, scale, seed, rep)
-                }),
-            });
-        };
-    }
-    baseline!(BASELINES[1], MinEdfWc::default());
-    baseline!(BASELINES[2], MinEdf::default());
-    baseline!(BASELINES[3], Edf);
-    baseline!(BASELINES[4], Fcfs);
+    let points = BASELINES
+        .iter()
+        .map(|&(series, policy)| PointResult {
+            label: "λ=3e-4".into(),
+            series: series.into(),
+            agg: replicate(scale, |rep| facebook_sample(policy, &cfg, scale, seed, rep)),
+        })
+        .collect();
     FigureResult { points }
 }
 
@@ -586,7 +580,7 @@ fn run_ablation_panel(scale: &Scale, seed: u64) -> FigureResult {
             label: "table3-default".into(),
             series: series.into(),
             agg: replicate(scale, |rep| {
-                mrcp_synth_sample(&cfg, scale, seed, rep, tweak)
+                synth_sample(None, &cfg, scale, seed, rep, tweak)
             }),
         })
         .collect();
@@ -644,7 +638,7 @@ fn run_service_sweep(scale: &Scale, seed: u64) -> FigureResult {
         };
         for (series, ingest) in &modes {
             let agg: MetricAgg = replicate(scale, |rep| {
-                mrcp_synth_sample(&cfg, scale, seed, rep, |sim| {
+                synth_sample(None, &cfg, scale, seed, rep, |sim| {
                     // Deterministic budget: the ingest equivalence anchors
                     // (batch-1 ≡ `ingest: None`) assume wall-clock-free solves.
                     sim.manager.budget.time_limit_ms = None;
@@ -733,22 +727,22 @@ fn mrcp_p_t(r: &FigureResult) -> (Vec<f64>, Vec<f64>) {
 fn check_fig2(r: &FigureResult) -> Vec<Verdict> {
     let p = (
         means(r, MRCP, MetricAgg::p_late),
-        means(r, "MinEDF-WC", MetricAgg::p_late),
+        means(r, MINEDF_WC, MetricAgg::p_late),
     );
     let t = (
         means(r, MRCP, MetricAgg::turnaround),
-        means(r, "MinEDF-WC", MetricAgg::turnaround),
+        means(r, MINEDF_WC, MetricAgg::turnaround),
     );
     vec![
         verdict(
             "Fig. 2: MRCP-RM's P ≤ MinEDF-WC's at every λ (paper: 93 % → 70 % lower)",
             below(&p.0, &p.1),
-            &[(MRCP, &p.0), ("MinEDF-WC", &p.1)],
+            &[(MRCP, &p.0), (MINEDF_WC, &p.1)],
         ),
         verdict(
             "Fig. 3: MRCP-RM's T ≤ MinEDF-WC's at every λ (paper: up to 7 % lower)",
             below(&t.0, &t.1),
-            &[(MRCP, &t.0), ("MinEDF-WC", &t.1)],
+            &[(MRCP, &t.0), (MINEDF_WC, &t.1)],
         ),
     ]
 }
@@ -841,11 +835,11 @@ fn check_fig9(r: &FigureResult) -> Vec<Verdict> {
 fn check_baselines(r: &FigureResult) -> Vec<Verdict> {
     let p: Vec<f64> = BASELINES
         .iter()
-        .flat_map(|s| means(r, s, MetricAgg::p_late))
+        .flat_map(|(s, _)| means(r, s, MetricAgg::p_late))
         .collect();
     let t: Vec<f64> = BASELINES
         .iter()
-        .flat_map(|s| means(r, s, MetricAgg::turnaround))
+        .flat_map(|(s, _)| means(r, s, MetricAgg::turnaround))
         .collect();
     let all = p.len() == BASELINES.len() && t.len() == BASELINES.len();
     let lowest = |xs: &[f64]| xs.iter().all(|&x| xs[0] <= x);
@@ -1047,8 +1041,8 @@ mod tests {
             ..Scale::for_preset(Preset::Smoke)
         };
         let cfg = facebook_config(facebook_lambdas(&scale)[1].1, &scale);
-        let m = mrcp_facebook_sample(&cfg, &scale, 7, 0);
-        let b = baseline_facebook_sample(MinEdfWc::default(), &cfg, &scale, 7, 0);
+        let m = facebook_sample(None, &cfg, &scale, 7, 0);
+        let b = facebook_sample(Some(Policy::MinEdfWc), &cfg, &scale, 7, 0);
         assert!(m.turnaround_s > 0.0);
         assert!(b.turnaround_s > 0.0);
     }
@@ -1093,8 +1087,8 @@ mod tests {
         let wc: &[(f64, f64)] = &[(0.0222, 521.9), (0.0302, 523.7), (0.056, 536.7)];
         assert_check(
             "fig2",
-            &result(&[(MRCP, mrcp), ("MinEDF-WC", wc)]),
-            &result(&[(MRCP, wc), ("MinEDF-WC", mrcp)]),
+            &result(&[(MRCP, mrcp), (MINEDF_WC, wc)]),
+            &result(&[(MRCP, wc), (MINEDF_WC, mrcp)]),
         );
     }
 

@@ -9,9 +9,9 @@
 //! cargo run --release --example facebook_trace [n_jobs] [task_scale]
 //! ```
 
-use baselines::{run_slot_sim, Edf, Fcfs, MinEdfWc};
+use baselines::{DispatchRm, Policy};
 use desim::RngStreams;
-use mrcp::{simulate, SimConfig};
+use mrcp::{simulate, simulate_with, SimConfig};
 use workload::{FacebookConfig, FacebookGenerator};
 
 fn main() {
@@ -54,41 +54,31 @@ fn main() {
         "scheduler", "late", "P", "T (s)", "O (ms/job)"
     );
 
-    // MRCP-RM (CP-based, the paper's contribution).
-    let m = simulate(&SimConfig::default(), &cluster, gen_jobs());
-    println!(
-        "{:<11} {:>8} {:>7.2}% {:>12.1} {:>14.3}",
-        "MRCP-RM",
-        m.late,
-        m.p_late * 100.0,
-        m.mean_turnaround_s,
-        m.o_per_job_s * 1e3
-    );
-
-    // Baselines on the identical job stream (common random numbers).
-    let shootout = |name: &str, m: baselines::BaselineMetrics| {
+    // Every scheduler runs through the one driver on the identical job
+    // stream (common random numbers): MRCP-RM (CP-based, the paper's
+    // contribution) first, then the dispatch baselines.
+    let sim = SimConfig::default();
+    let row = |name: &str, m: mrcp::RunMetrics| {
         println!(
-            "{:<11} {:>8} {:>7.2}% {:>12.1} {:>14}",
+            "{:<11} {:>8} {:>7.2}% {:>12.1} {:>14.3}",
             name,
             m.late,
             m.p_late * 100.0,
             m.mean_turnaround_s,
-            "~0"
+            m.o_per_job_s * 1e3
         );
     };
-    let slots = (cfg.total_map_slots(), cfg.total_reduce_slots());
-    shootout(
-        "MinEDF-WC",
-        run_slot_sim(slots.0, slots.1, gen_jobs(), &mut MinEdfWc::default(), 0),
-    );
-    shootout(
-        "EDF",
-        run_slot_sim(slots.0, slots.1, gen_jobs(), &mut Edf, 0),
-    );
-    shootout(
-        "FCFS",
-        run_slot_sim(slots.0, slots.1, gen_jobs(), &mut Fcfs, 0),
-    );
+    row("MRCP-RM", simulate(&sim, &cluster, gen_jobs()));
+    for (name, policy) in [
+        ("MinEDF-WC", Policy::MinEdfWc),
+        ("EDF", Policy::Edf),
+        ("FCFS", Policy::Fcfs),
+    ] {
+        let (m, _, _) = simulate_with(&sim, &cluster, gen_jobs(), |c| {
+            DispatchRm::new(policy, c, cluster.clone())
+        });
+        row(name, m);
+    }
 
     println!("\npaper's Fig. 2: MRCP-RM cuts the proportion of late jobs by 70–93% vs MinEDF-WC");
     println!("paper's Fig. 3: MRCP-RM's turnaround is up to 7% lower");

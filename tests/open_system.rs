@@ -3,12 +3,13 @@
 //! (generator → MRCP-RM → CP solver → simulator → metrics) and its
 //! agreement with the baselines on common inputs.
 
-use baselines::slot_sim::run_slot_sim_detailed;
-use baselines::{run_slot_sim, Edf, Fcfs, MinEdf, MinEdfWc};
+use baselines::{DispatchRm, Policy};
 use desim::RngStreams;
 use mrcp::sim_driver::simulate_detailed;
-use mrcp::{simulate, MrcpConfig, SimConfig};
-use workload::{FacebookConfig, FacebookGenerator, SyntheticConfig, SyntheticGenerator};
+use mrcp::{simulate, simulate_with, MrcpConfig, RunMetrics, SimConfig};
+use workload::{
+    FacebookConfig, FacebookGenerator, Job, Resource, SyntheticConfig, SyntheticGenerator,
+};
 
 fn synth_cfg() -> SyntheticConfig {
     SyntheticConfig {
@@ -24,6 +25,13 @@ fn synth_cfg() -> SyntheticConfig {
 fn synth_jobs(cfg: &SyntheticConfig, n: usize, seed: u64) -> Vec<workload::Job> {
     let rng = RngStreams::new(seed).stream("it");
     SyntheticGenerator::new(cfg.clone(), rng).take_jobs(n)
+}
+
+fn baseline(policy: Policy, cluster: &[Resource], jobs: Vec<Job>) -> RunMetrics {
+    let (m, _, _) = simulate_with(&SimConfig::default(), cluster, jobs, |c| {
+        DispatchRm::new(policy, c, cluster.to_vec())
+    });
+    m
 }
 
 /// The open-system pipeline drains and its metrics are internally
@@ -66,13 +74,9 @@ fn all_schedulers_drain_common_workload() {
     let m = simulate(&SimConfig::default(), &cfg.cluster(), jobs.clone());
     assert_eq!(m.completed, 60, "MRCP-RM drains");
 
-    let slots = (cfg.total_map_slots(), cfg.total_reduce_slots());
-    let b1 = run_slot_sim(slots.0, slots.1, jobs.clone(), &mut MinEdfWc::default(), 0);
-    let b2 = run_slot_sim(slots.0, slots.1, jobs.clone(), &mut MinEdf::default(), 0);
-    let b3 = run_slot_sim(slots.0, slots.1, jobs.clone(), &mut Edf, 0);
-    let b4 = run_slot_sim(slots.0, slots.1, jobs, &mut Fcfs, 0);
-    for (name, b) in [("minedf-wc", b1), ("minedf", b2), ("edf", b3), ("fcfs", b4)] {
-        assert_eq!(b.completed, 60, "{name} drains");
+    for policy in [Policy::MinEdfWc, Policy::MinEdf, Policy::Edf, Policy::Fcfs] {
+        let b = baseline(policy, &cfg.cluster(), jobs.clone());
+        assert_eq!(b.completed, 60, "{policy:?} drains");
     }
 }
 
@@ -91,14 +95,8 @@ fn mrcp_beats_minedf_wc_on_fig2_setup() {
     for rep in 0..3u64 {
         let rng = RngStreams::for_replication(99, rep).stream("it");
         let jobs = FacebookGenerator::new(cfg.clone(), rng).take_jobs(120);
-        let (m, _) = simulate_detailed(&SimConfig::default(), &cfg.cluster(), jobs.clone());
-        let (b, _) = run_slot_sim_detailed(
-            cfg.total_map_slots(),
-            cfg.total_reduce_slots(),
-            jobs,
-            &mut MinEdfWc::default(),
-            0,
-        );
+        let m = simulate(&SimConfig::default(), &cfg.cluster(), jobs.clone());
+        let b = baseline(Policy::MinEdfWc, &cfg.cluster(), jobs);
         mrcp_total += m.late;
         base_total += b.late;
     }
