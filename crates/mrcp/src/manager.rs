@@ -355,14 +355,32 @@ pub struct ScheduleEntry {
 struct JobState {
     job: Job,
     tasks: Vec<TaskImage>,
+    /// Each task's round state, index for index with `tasks`.
+    slots: Vec<TaskSlot>,
     /// Tasks not yet completed (derived from `tasks`; rebuilt on restore).
     remaining: usize,
+    /// Parked by the deferral policy: listed in [`MrcpRm`]'s `deferred`
+    /// and kept out of every round until activated.
+    deferred: bool,
 }
 
-/// Cross-round reuse state: the previous round's placements keyed by
-/// fingerprints of what produced them. A job whose fingerprint is
-/// unchanged under an unchanged resource pool gets its old placements
-/// replayed as warm-start hints; anything else re-solves from scratch.
+/// What the rounds know about one task, kept on its job so that a round
+/// reaches it by index instead of by task id.
+#[derive(Debug, Clone, Copy, Default)]
+struct TaskSlot {
+    /// Its entry in the current plan; `None` unless the task is waiting
+    /// and the last round planned it.
+    planned: Option<ScheduleEntry>,
+    /// Where the last successful round placed it: the round cache's hint,
+    /// read only while [`RoundCache::jobs`] holds the job's fingerprint.
+    placed: Option<(ResourceId, SimTime)>,
+}
+
+/// Cross-round reuse state: fingerprints of what produced the previous
+/// round, whose placements each job carries in its [`TaskSlot`]s. A job
+/// whose fingerprint is unchanged under an unchanged resource pool gets
+/// its old placements replayed as warm-start hints; anything else
+/// re-solves from scratch.
 ///
 /// Job releases are deliberately **excluded** from the fingerprint — they
 /// advance with `now` every round, so including them would invalidate the
@@ -376,8 +394,6 @@ struct RoundCache {
     pool_fp: u64,
     /// Per-job fingerprint (tasks, deadline, priority, pins) at solve time.
     jobs: HashMap<JobId, u64>,
-    /// The installed placements of the previous round.
-    placements: HashMap<TaskId, (ResourceId, SimTime)>,
 }
 
 /// Fingerprint of the schedulable resource pool (ids + capacities).
@@ -532,7 +548,10 @@ pub struct RoundCacheImage {
     pub pool_fp: u64,
     /// Per-job fingerprints at solve time, sorted by job.
     pub jobs: Vec<(JobId, u64)>,
-    /// The previous round's installed placements, sorted by task.
+    /// The previous round's installed placements of the jobs still in the
+    /// system, sorted by task. A job that has left takes its placements
+    /// with it; on restore, placements of tasks the image does not hold
+    /// are dropped.
     pub placements: Vec<(TaskId, ResourceId, SimTime)>,
 }
 
@@ -783,8 +802,6 @@ pub struct MrcpRm {
     /// event routing. Tasks never leave a job's `tasks`, so the index
     /// holds for the job's whole stay.
     task_owner: HashMap<TaskId, (JobId, usize)>,
-    /// Current plan for unstarted tasks.
-    schedule: HashMap<TaskId, ScheduleEntry>,
     /// Resources currently down — excluded from every scheduling round.
     down: HashSet<ResourceId>,
     /// The most recent round's failure, if it produced no schedule.
@@ -815,7 +832,6 @@ impl MrcpRm {
             jobs: HashMap::new(),
             deferred: Vec::new(),
             task_owner: HashMap::new(),
-            schedule: HashMap::new(),
             down: HashSet::new(),
             last_error: None,
             budget_scale: 1.0,
@@ -926,8 +942,8 @@ impl MrcpRm {
             .filter(|(_, s)| s.tasks.iter().all(|t| t.status == TaskStatusImage::Waiting))
             .map(|(&id, s)| {
                 let mut completion = SimTime::ZERO;
-                for t in &s.tasks {
-                    match self.schedule.get(&t.id) {
+                for slot in &s.slots {
+                    match slot.planned {
                         Some(e) => completion = completion.max(e.end),
                         None => {
                             completion = SimTime::MAX;
@@ -971,20 +987,18 @@ impl MrcpRm {
         let state = self.jobs.remove(&id).ok_or(ManagerError::UnknownJob(id))?;
         for t in &state.tasks {
             self.task_owner.remove(&t.id);
-            self.schedule.remove(&t.id);
         }
-        self.deferred.retain(|&(_, j)| j != id);
+        if state.deferred {
+            self.deferred.retain(|&(_, j)| j != id);
+        }
         self.tel.jobs_in_system.set(self.jobs.len() as i64);
         Ok(state)
     }
 
     /// The one path from a task id to its record (owner index → job →
-    /// task, O(1)): the owning job, the task, and the job's count of tasks
-    /// not yet completed.
-    fn task_mut(
-        &mut self,
-        task: TaskId,
-    ) -> Result<(JobId, &mut TaskImage, &mut usize), ManagerError> {
+    /// task, O(1)): the owning job's state and the task's index in its
+    /// `tasks` and `slots`.
+    fn locate(&mut self, task: TaskId) -> Result<(&mut JobState, usize), ManagerError> {
         let (job, idx) = *self
             .task_owner
             .get(&task)
@@ -993,12 +1007,20 @@ impl MrcpRm {
             .jobs
             .get_mut(&job)
             .ok_or(ManagerError::UnknownJob(job))?;
-        let t = state
-            .tasks
-            .get_mut(idx)
-            .filter(|t| t.id == task)
-            .ok_or(ManagerError::Inconsistent("stale task index"))?;
-        Ok((job, t, &mut state.remaining))
+        if state.tasks.get(idx).is_none_or(|t| t.id != task) {
+            return Err(ManagerError::Inconsistent("stale task index"));
+        }
+        Ok((state, idx))
+    }
+
+    /// [`locate`](Self::locate) narrowed to the owning job, the task, and
+    /// the job's count of tasks not yet completed.
+    fn task_mut(
+        &mut self,
+        task: TaskId,
+    ) -> Result<(JobId, &mut TaskImage, &mut usize), ManagerError> {
+        let (state, idx) = self.locate(task)?;
+        Ok((state.job.id, &mut state.tasks[idx], &mut state.remaining))
     }
 
     /// Submit an arriving job. Returns whether it joined the scheduling set
@@ -1035,8 +1057,10 @@ impl MrcpRm {
             id,
             JobState {
                 job,
+                slots: vec![TaskSlot::default(); remaining],
                 tasks,
                 remaining,
+                deferred: deferral.is_some(),
             },
         );
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.jobs.len());
@@ -1206,8 +1230,7 @@ impl MrcpRm {
         // The live jobs with outstanding work, the candidate last. Deferred
         // jobs are included: their capacity demand is real even though
         // they are parked.
-        let mut inputs =
-            Self::collect_inputs(self.cfg.ordering, &self.jobs, &self.deferred, now, true);
+        let (_, mut inputs) = Self::collect_inputs(self.cfg.ordering, &self.jobs, now, true);
         inputs.push(JobInput {
             priority: self.cfg.ordering.priority(job),
             job,
@@ -1299,7 +1322,16 @@ impl MrcpRm {
     /// many became active (if > 0 the caller should reschedule).
     pub fn activate_due(&mut self, now: SimTime) -> usize {
         let before = self.deferred.len();
-        self.deferred.retain(|&(act, _)| act > now);
+        let jobs = &mut self.jobs;
+        self.deferred.retain(|&(act, j)| {
+            if act > now {
+                return true;
+            }
+            if let Some(state) = jobs.get_mut(&j) {
+                state.deferred = false;
+            }
+            false
+        });
         before - self.deferred.len()
     }
 
@@ -1311,15 +1343,13 @@ impl MrcpRm {
     /// The host reports that a task began executing at `now` per the
     /// current schedule. Returns the resource it runs on.
     pub fn task_started(&mut self, task: TaskId, now: SimTime) -> Result<ResourceId, ManagerError> {
-        if !self.task_owner.contains_key(&task) {
-            return Err(ManagerError::UnknownTask(task));
-        }
-        let entry = self
-            .schedule
-            .remove(&task)
+        let (state, idx) = self.locate(task)?;
+        let entry = state.slots[idx]
+            .planned
+            .take()
             .ok_or(ManagerError::TaskNotScheduled(task))?;
         debug_assert_eq!(entry.start, now, "start time drifted from plan");
-        let (_, t, _) = self.task_mut(task)?;
+        let t = &mut state.tasks[idx];
         debug_assert_eq!(t.status, TaskStatusImage::Waiting);
         t.status = TaskStatusImage::Started {
             resource: entry.resource,
@@ -1431,16 +1461,18 @@ impl MrcpRm {
         }
         let mut interrupted = Vec::new();
         for state in self.jobs.values_mut() {
-            for t in state.tasks.iter_mut() {
+            for (t, slot) in state.tasks.iter_mut().zip(&mut state.slots) {
                 if matches!(t.status, TaskStatusImage::Started { resource, .. } if resource == rid)
                 {
                     t.exec_time = t.nominal_exec;
                     t.status = TaskStatusImage::Waiting;
                     interrupted.push(t.id);
                 }
+                if slot.planned.is_some_and(|e| e.resource == rid) {
+                    slot.planned = None;
+                }
             }
         }
-        self.schedule.retain(|_, e| e.resource != rid);
         self.invalidate_round_cache();
         interrupted.sort_unstable();
         self.stats.tasks_requeued += interrupted.len() as u64;
@@ -1481,11 +1513,10 @@ impl MrcpRm {
         let t0 = Instant::now();
 
         // Assemble model inputs: active jobs with outstanding tasks.
-        let inputs =
-            Self::collect_inputs(self.cfg.ordering, &self.jobs, &self.deferred, now, false);
+        let (states, inputs) = Self::collect_inputs(self.cfg.ordering, &self.jobs, now, false);
 
         if inputs.is_empty() {
-            self.schedule.clear();
+            self.clear_plan();
             return Vec::new();
         }
 
@@ -1499,7 +1530,7 @@ impl MrcpRm {
             .cloned()
             .collect();
         if up.is_empty() {
-            self.schedule.clear();
+            self.clear_plan();
             return Vec::new();
         }
 
@@ -1512,10 +1543,10 @@ impl MrcpRm {
         }
         let pressure = self.pressure_level();
 
-        // Cross-round reuse: replay the previous round's placements for
-        // jobs whose fingerprint is unchanged under the same resource
-        // pool. Pinned tasks are already constrained by the model and
-        // need no hint.
+        // Cross-round reuse: replay the previous round's placements, which
+        // each job carries in its slots, for jobs whose fingerprint is
+        // unchanged under the same resource pool. Pinned tasks are already
+        // constrained by the model and need no hint.
         let pool_fp = pool_fingerprint(&up);
         let job_fps: Vec<(JobId, u64)> = inputs
             .iter()
@@ -1526,20 +1557,23 @@ impl MrcpRm {
                 .as_ref()
                 .filter(|c| c.pool_fp == pool_fp)
                 .map(|c| {
-                    inputs
-                        .iter()
-                        .zip(&job_fps)
-                        .flat_map(|(inp, &(_, fp))| {
-                            let fresh = c.jobs.get(&inp.job.id) == Some(&fp);
-                            inp.tasks.iter().map(move |t| {
-                                if fresh && t.pinned.is_none() {
-                                    c.placements.get(&t.id).copied()
-                                } else {
-                                    None
-                                }
-                            })
-                        })
-                        .collect()
+                    let mut hints = Vec::with_capacity(n_tasks);
+                    for ((state, inp), &(id, fp)) in states.iter().zip(&inputs).zip(&job_fps) {
+                        if c.jobs.get(&id) != Some(&fp) {
+                            hints.resize(hints.len() + inp.tasks.len(), None);
+                            continue;
+                        }
+                        // The job's input tasks are its uncompleted ones,
+                        // in order.
+                        hints.extend(state.tasks.iter().zip(&state.slots).filter_map(
+                            |(t, slot)| match t.status {
+                                TaskStatusImage::Completed => None,
+                                TaskStatusImage::Waiting => Some(slot.placed),
+                                TaskStatusImage::Started { .. } => Some(None),
+                            },
+                        ));
+                    }
+                    hints
                 })
         } else {
             None
@@ -1550,21 +1584,21 @@ impl MrcpRm {
 
         let solved =
             Self::solve_round(&self.cfg, &up, &inputs, &params, pressure, hints.as_deref());
-        drop(inputs);
-        // Install: entries for unstarted tasks only. A placement that
-        // refers to state the manager does not hold fails the round (no
-        // panic), like a round in which every rung failed.
+        drop((states, inputs));
+        // Install: a placement that does not match the task the round
+        // asked about fails the round (no panic), like a round in which
+        // every rung failed.
+        let mut plan = Vec::new();
         let installed = solved.and_then(|round| {
-            self.schedule = self.planned_entries(&round.0, now)?;
+            plan = self.install(&job_fps, &round.0, now)?;
             Ok(round)
         });
-        if let Ok((placements, ..)) = &installed {
+        if installed.is_ok() {
             // Remember this round for the next one's warm start.
             if self.cfg.reuse_rounds {
                 self.cache = Some(RoundCache {
                     pool_fp,
                     jobs: job_fps.into_iter().collect(),
-                    placements: placements.iter().map(|&(t, r, s)| (t, (r, s))).collect(),
                 });
             }
             if warm {
@@ -1577,10 +1611,19 @@ impl MrcpRm {
         if self.last_error.is_some() {
             // Leave the work queued with no plan; the next round (new
             // arrival, completion, recovery) retries from a different state.
-            self.schedule.clear();
+            self.clear_plan();
             self.cache = None;
         }
-        self.current_schedule()
+        plan
+    }
+
+    /// Drop every entry of the current plan.
+    fn clear_plan(&mut self) {
+        for state in self.jobs.values_mut() {
+            for slot in &mut state.slots {
+                slot.planned = None;
+            }
+        }
     }
 
     /// The accounting every exit of a round that reached the solver
@@ -1637,65 +1680,85 @@ impl MrcpRm {
         }
     }
 
-    /// Translate a round's placements into schedule entries for the
-    /// still-waiting tasks. A placement that refers to a task the manager
-    /// does not own surfaces as a typed [`SchedulingError`] (recorded as a
-    /// failed round by the caller) rather than a panic.
-    fn planned_entries(
+    /// Install a solved round. `jobs` lists the round's jobs in input
+    /// order and `placements` its tasks in the same flattened order (every
+    /// rung returns them so), so the walk takes one job lookup per job and
+    /// none per task. Each task's slot records its placement for the next
+    /// round's hints (read only while rounds are reused), each waiting task gets its
+    /// plan entry, and the plan comes back sorted by start. A placement
+    /// out of step with the round's tasks surfaces as a typed
+    /// [`SchedulingError`] (recorded as a failed round by the caller,
+    /// which then clears the plan) rather than a panic.
+    fn install(
         &mut self,
+        jobs: &[(JobId, u64)],
         placements: &[(TaskId, ResourceId, SimTime)],
         now: SimTime,
-    ) -> Result<HashMap<TaskId, ScheduleEntry>, SchedulingError> {
+    ) -> Result<Vec<ScheduleEntry>, SchedulingError> {
         let _ = now; // only read by the debug assertion below
-        let mut plan = HashMap::with_capacity(placements.len());
-        for &(tid, rid, start) in placements {
-            let (job, t, _) = self.task_mut(tid).map_err(|e| {
-                SchedulingError::Inconsistent(format!("placement for task {tid}: {e}"))
+        let mut plan = Vec::with_capacity(placements.len());
+        let mut next = placements.iter();
+        for &(id, _) in jobs {
+            let state = self.jobs.get_mut(&id).ok_or_else(|| {
+                SchedulingError::Inconsistent(format!("round placed unknown job {id}"))
             })?;
-            if t.status == TaskStatusImage::Waiting {
-                debug_assert!(start >= now, "new start {start} in the past (now {now})");
-                plan.insert(
-                    tid,
-                    ScheduleEntry {
+            for (t, slot) in state.tasks.iter().zip(&mut state.slots) {
+                slot.planned = None;
+                if t.status == TaskStatusImage::Completed {
+                    slot.placed = None;
+                    continue;
+                }
+                let &(tid, rid, start) = next.next().ok_or_else(|| {
+                    SchedulingError::Inconsistent(format!("no placement for task {}", t.id))
+                })?;
+                if tid != t.id {
+                    return Err(SchedulingError::Inconsistent(format!(
+                        "placement for task {tid} where task {} was asked",
+                        t.id
+                    )));
+                }
+                slot.placed = Some((rid, start));
+                if t.status == TaskStatusImage::Waiting {
+                    debug_assert!(start >= now, "new start {start} in the past (now {now})");
+                    let entry = ScheduleEntry {
                         task: tid,
-                        job,
+                        job: id,
                         resource: rid,
                         start,
                         end: start + t.exec_time,
-                    },
-                );
+                    };
+                    slot.planned = Some(entry);
+                    plan.push(entry);
+                }
             }
         }
+        if let Some(&(tid, ..)) = next.next() {
+            return Err(SchedulingError::Inconsistent(format!(
+                "placement for task {tid} outside the round"
+            )));
+        }
+        plan.sort_unstable_by_key(|e| (e.start, e.task));
         Ok(plan)
     }
 
-    /// Model inputs for the active (or, for the admission probe, all) jobs
-    /// with outstanding tasks: waiting tasks are free, started tasks are
-    /// pinned, completed tasks are gone. An associated function taking the
-    /// fields it reads so callers keep field-precise borrows.
+    /// The live jobs with outstanding tasks in job-id order — the active
+    /// ones, or for the admission probe all of them — and their model
+    /// inputs: waiting tasks are free, started tasks are pinned, completed
+    /// tasks are gone. An associated function taking the field it reads so
+    /// callers keep field-precise borrows.
     fn collect_inputs<'a>(
         ordering: JobOrdering,
         jobs: &'a HashMap<JobId, JobState>,
-        deferred: &[(SimTime, JobId)],
         now: SimTime,
         include_deferred: bool,
-    ) -> Vec<JobInput<'a>> {
-        let deferred_ids: HashSet<JobId> = if include_deferred {
-            HashSet::new()
-        } else {
-            deferred.iter().map(|&(_, j)| j).collect()
-        };
-        let mut inputs: Vec<JobInput<'a>> = Vec::new();
-        let mut ids: Vec<JobId> = jobs.keys().copied().collect();
-        ids.sort_unstable(); // deterministic model construction
-        for id in ids {
-            if deferred_ids.contains(&id) {
-                continue;
-            }
-            let state = &jobs[&id];
-            if state.remaining == 0 {
-                continue;
-            }
+    ) -> (Vec<&'a JobState>, Vec<JobInput<'a>>) {
+        let mut states: Vec<&JobState> = jobs
+            .values()
+            .filter(|s| s.remaining > 0 && (include_deferred || !s.deferred))
+            .collect();
+        states.sort_unstable_by_key(|s| s.job.id); // deterministic model construction
+        let mut inputs: Vec<JobInput<'a>> = Vec::with_capacity(states.len());
+        for &state in &states {
             let tasks: Vec<TaskInput> = state
                 .tasks
                 .iter()
@@ -1717,9 +1780,7 @@ impl MrcpRm {
                     }),
                 })
                 .collect();
-            if tasks.is_empty() {
-                continue;
-            }
+            debug_assert_eq!(tasks.len(), state.remaining, "remaining out of step");
             // Table 2 lines 1–4: releases never lie in the past.
             let release = state.job.earliest_start.max(now);
             inputs.push(JobInput {
@@ -1729,7 +1790,7 @@ impl MrcpRm {
                 tasks,
             });
         }
-        inputs
+        (states, inputs)
     }
 
     /// How hard the budget controller is currently squeezing: 0 = none,
@@ -1879,9 +1940,17 @@ impl MrcpRm {
 
     /// The current plan for unstarted tasks, sorted by start time.
     pub fn current_schedule(&self) -> Vec<ScheduleEntry> {
-        let mut entries: Vec<ScheduleEntry> = self.schedule.values().copied().collect();
-        entries.sort_by_key(|e| (e.start, e.task));
+        let mut entries = self.plan_entries();
+        entries.sort_unstable_by_key(|e| (e.start, e.task));
         entries
+    }
+
+    /// Every entry of the current plan, in no particular order.
+    fn plan_entries(&self) -> Vec<ScheduleEntry> {
+        self.jobs
+            .values()
+            .flat_map(|s| s.slots.iter().filter_map(|slot| slot.planned))
+            .collect()
     }
 
     /// Capture a plain-data snapshot of the manager's mutable state (see
@@ -1901,15 +1970,23 @@ impl MrcpRm {
         jobs.sort_by_key(|j| j.job.id);
         let mut deferred = self.deferred.clone();
         deferred.sort_unstable();
-        let mut schedule: Vec<ScheduleEntry> = self.schedule.values().copied().collect();
-        schedule.sort_by_key(|e| e.task);
+        let mut schedule = self.plan_entries();
+        schedule.sort_unstable_by_key(|e| e.task);
         let mut down: Vec<ResourceId> = self.down.iter().copied().collect();
         down.sort_unstable();
         let cache = self.cache.as_ref().map(|c| {
             let mut fps: Vec<(JobId, u64)> = c.jobs.iter().map(|(&j, &fp)| (j, fp)).collect();
             fps.sort_unstable_by_key(|&(j, _)| j);
-            let mut placements: Vec<(TaskId, ResourceId, SimTime)> =
-                c.placements.iter().map(|(&t, &(r, s))| (t, r, s)).collect();
+            let mut placements: Vec<(TaskId, ResourceId, SimTime)> = self
+                .jobs
+                .values()
+                .flat_map(|s| {
+                    s.tasks
+                        .iter()
+                        .zip(&s.slots)
+                        .filter_map(|(t, slot)| slot.placed.map(|(r, start)| (t.id, r, start)))
+                })
+                .collect();
             placements.sort_unstable_by_key(|&(t, _, _)| t);
             RoundCacheImage {
                 pool_fp: c.pool_fp,
@@ -1957,26 +2034,29 @@ impl MrcpRm {
                 .count();
             let state = JobState {
                 job: ji.job,
+                slots: vec![TaskSlot::default(); tasks.len()],
                 tasks,
                 remaining,
+                deferred: false,
             };
             if jobs.insert(id, state).is_some() {
                 return Err(ManagerError::Inconsistent("snapshot lists a job twice"));
             }
         }
         for &(_, j) in &image.deferred {
-            if !jobs.contains_key(&j) {
-                return Err(ManagerError::Inconsistent("snapshot defers an unknown job"));
-            }
+            let state = jobs
+                .get_mut(&j)
+                .ok_or(ManagerError::Inconsistent("snapshot defers an unknown job"))?;
+            state.deferred = true;
         }
-        let mut schedule = HashMap::with_capacity(image.schedule.len());
         for e in image.schedule {
-            if !task_owner.contains_key(&e.task) {
-                return Err(ManagerError::Inconsistent(
+            let slot = task_owner
+                .get(&e.task)
+                .and_then(|&(j, i)| jobs.get_mut(&j).map(|s| &mut s.slots[i]))
+                .ok_or(ManagerError::Inconsistent(
                     "snapshot schedules an unknown task",
-                ));
-            }
-            if schedule.insert(e.task, e).is_some() {
+                ))?;
+            if slot.planned.replace(e).is_some() {
                 return Err(ManagerError::Inconsistent(
                     "snapshot schedules a task twice",
                 ));
@@ -1995,22 +2075,27 @@ impl MrcpRm {
                 ));
             }
         }
+        rm.cache = image.cache.map(|c| {
+            // Placements of tasks the image does not hold belong to jobs
+            // that have left; they could never be hinted again.
+            for (t, r, start) in c.placements {
+                if let Some(&(j, i)) = task_owner.get(&t) {
+                    if let Some(state) = jobs.get_mut(&j) {
+                        state.slots[i].placed = Some((r, start));
+                    }
+                }
+            }
+            RoundCache {
+                pool_fp: c.pool_fp,
+                jobs: c.jobs.into_iter().collect(),
+            }
+        });
         rm.jobs = jobs;
         rm.task_owner = task_owner;
-        rm.schedule = schedule;
         rm.down = down;
         rm.deferred = image.deferred;
         rm.budget_scale = image.budget_scale;
         rm.latency_ewma_s = image.latency_ewma_s;
-        rm.cache = image.cache.map(|c| RoundCache {
-            pool_fp: c.pool_fp,
-            jobs: c.jobs.into_iter().collect(),
-            placements: c
-                .placements
-                .into_iter()
-                .map(|(t, r, s)| (t, (r, s)))
-                .collect(),
-        });
         rm.stats = image.stats;
         Ok(rm)
     }
@@ -2203,7 +2288,7 @@ mod tests {
                 1,
                 "{ordering:?}"
             );
-            let inputs = MrcpRm::collect_inputs(ordering, &rm.jobs, &rm.deferred, now, false);
+            let (_, inputs) = MrcpRm::collect_inputs(ordering, &rm.jobs, now, false);
             let placements: Vec<_> = plan.iter().map(|e| (e.task, e.resource, e.start)).collect();
             crate::split::audit(rm.resources(), &inputs, &placements)
                 .unwrap_or_else(|e| panic!("{ordering:?}: {e}"));
@@ -2802,7 +2887,7 @@ mod tests {
             assert_eq!(done.map(|d| d.job), Some(job.id));
         }
         // (exit, earliest start): a future `s_j` parks the job in
-        // `deferred`, a past one gives it plan entries in `schedule`.
+        // `deferred`, a past one gives it plan entries.
         let table: [(&str, Exit, i64); 6] = [
             ("migrate planned", migrate, 0),
             ("migrate deferred", migrate, 500),
@@ -2879,6 +2964,132 @@ mod tests {
         b.stats.total_solve = Duration::ZERO;
         b.stats.max_round_solve = Duration::ZERO;
         assert_eq!(a, b);
+    }
+
+    /// `(task, job, resource, start, end)`, times in seconds.
+    fn plan_of(entries: &[(u32, u32, u32, i64, i64)]) -> Vec<ScheduleEntry> {
+        entries
+            .iter()
+            .map(|&(t, j, r, s, e)| ScheduleEntry {
+                task: TaskId(t),
+                job: JobId(j),
+                resource: ResourceId(r),
+                start: SimTime::from_secs(s),
+                end: SimTime::from_secs(e),
+            })
+            .collect()
+    }
+
+    /// A task planned, started and failed between two rounds keeps its
+    /// placement from the first round as a hint. The hint is stale (its
+    /// start has passed), so the hinted greedy rejects it, but the round
+    /// still counts as warm. Plan and counter are the values the
+    /// task-keyed round cache produced before the plan moved onto the
+    /// jobs.
+    #[test]
+    fn task_failed_between_rounds_keeps_its_stale_hint() {
+        let mut rm = manager();
+        rm.submit(mk_job(0, 0, 0, 60, &[10, 10], &[5]), SimTime::ZERO)
+            .unwrap();
+        rm.submit(mk_job(1, 0, 0, 40, &[8], &[4]), SimTime::ZERO)
+            .unwrap();
+        let plan = rm.reschedule(SimTime::ZERO);
+        let first = plan[0];
+        assert_eq!(first.task, TaskId(0));
+        rm.task_started(first.task, first.start).unwrap();
+        rm.task_failed(first.task, SimTime::from_secs(3)).unwrap();
+        let hinted = rm.jobs[&JobId(0)].slots[0].placed;
+        assert_eq!(hinted, Some((first.resource, first.start)), "stale hint");
+
+        let plan = rm.reschedule(SimTime::from_secs(3));
+        let expected = plan_of(&[
+            (1000, 1, 0, 3, 11),
+            (1, 0, 1, 8, 18),
+            (0, 0, 0, 11, 21),
+            (1001, 1, 0, 11, 15),
+            (2, 0, 0, 21, 26),
+        ]);
+        assert_eq!(plan, expected);
+        assert_eq!(rm.stats().warm_rounds, 1);
+    }
+
+    /// An image written while the cache was keyed by task lists the
+    /// placements of jobs that have since left. They restore without
+    /// error, are dropped (the restored image lists live jobs only), and
+    /// the next round plans exactly as before.
+    #[test]
+    fn image_listing_a_departed_jobs_placements_restores_and_plans_alike() {
+        let mut rm = manager();
+        rm.submit(mk_job(0, 0, 0, 100, &[10, 10], &[5]), SimTime::ZERO)
+            .unwrap();
+        rm.submit(mk_job(1, 0, 0, 30, &[6], &[]), SimTime::ZERO)
+            .unwrap();
+        let plan = rm.reschedule(SimTime::ZERO);
+        let gone = *plan.iter().find(|e| e.job == JobId(1)).unwrap();
+        rm.task_started(gone.task, gone.start).unwrap();
+        let done = rm.task_completed(gone.task, gone.end).unwrap();
+        assert_eq!(done.map(|d| d.job), Some(JobId(1)));
+
+        let mut image = rm.image();
+        let live = image.clone();
+        let cache = image.cache.as_mut().unwrap();
+        assert!(cache.placements.iter().all(|p| p.0 != gone.task));
+        cache
+            .placements
+            .push((gone.task, gone.resource, gone.start));
+        cache.placements.sort_unstable_by_key(|p| p.0);
+        let mut restored = MrcpRm::restore(*rm.config(), rm.resources().to_vec(), image).unwrap();
+        assert_eq!(
+            restored.image(),
+            live,
+            "the departed job's placement is dropped"
+        );
+
+        let t = SimTime::from_secs(6);
+        for m in [&mut rm, &mut restored] {
+            m.submit(mk_job(2, 6, 6, 40, &[7], &[]), t).unwrap();
+            let plan = m.reschedule(t);
+            let expected = plan_of(&[
+                (1, 0, 0, 6, 16),
+                (2000, 2, 1, 6, 13),
+                (0, 0, 1, 13, 23),
+                (2, 0, 0, 23, 28),
+            ]);
+            assert_eq!(plan, expected);
+            assert_eq!(m.stats().warm_rounds, 1);
+        }
+    }
+
+    /// Install walks the round's jobs and placements in lockstep, so a
+    /// placement list out of input order is an inconsistency: the round
+    /// fails with a typed error instead of planning task k at task j's
+    /// slot. A list that is too short or too long fails the same way.
+    #[test]
+    fn install_rejects_placements_out_of_input_order() {
+        let mut rm = manager();
+        rm.submit(mk_job(0, 0, 0, 100, &[10, 10], &[5]), SimTime::ZERO)
+            .unwrap();
+        let plan = rm.reschedule(SimTime::ZERO);
+        let mut placements: Vec<(TaskId, ResourceId, SimTime)> =
+            plan.iter().map(|e| (e.task, e.resource, e.start)).collect();
+        placements.sort_unstable_by_key(|p| p.0); // input order
+        let round = [(JobId(0), 0)];
+        assert_eq!(
+            rm.install(&round, &placements, SimTime::ZERO),
+            Ok(plan.clone())
+        );
+
+        let mut permuted = placements.clone();
+        permuted.swap(0, 1);
+        let short = &placements[..2];
+        let mut long = placements.clone();
+        long.push((TaskId(77), ResourceId(0), SimTime::ZERO));
+        for bad in [&permuted[..], short, &long[..]] {
+            assert!(matches!(
+                rm.install(&round, bad, SimTime::ZERO),
+                Err(SchedulingError::Inconsistent(_))
+            ));
+        }
     }
 
     #[test]

@@ -793,18 +793,29 @@ impl<M: ResourceManager> desim::Process<Ev> for Driver<M> {
                 self.install(now, queue);
             }
             Ev::TaskStart { task, version } => {
-                let run = match self.tasks.get_mut(&task) {
-                    Some(run) if version == self.version && run.armed == Some(version) => run,
+                match self.tasks.get_mut(&task) {
+                    Some(run) if version == self.version && run.armed == Some(version) => {
+                        run.armed = None;
+                    }
                     _ => return Flow::Continue, // superseded plan
-                };
-                run.armed = None;
+                }
+                self.pre_command(now);
+                match self.rm.task_started(task, now) {
+                    Ok(_) => {}
+                    // An outage dropped the task from the plan while the
+                    // replan waits out the manager's busy period: the start
+                    // is superseded like one from an older plan, and no
+                    // attempt is charged.
+                    Err(ManagerError::TaskNotScheduled(_)) => return Flow::Continue,
+                    Err(e) => panic!("armed starts are valid: {e}"),
+                }
+                let run = self
+                    .tasks
+                    .get_mut(&task)
+                    .expect("a started task keeps its execution state");
                 run.attempts += 1;
                 run.running = Some(run.attempts);
                 let (job, attempt, dur) = (run.job, run.attempts, run.exec_time);
-                self.pre_command(now);
-                self.rm
-                    .task_started(task, now)
-                    .expect("armed starts are valid");
                 let fate = match self.faults.as_mut() {
                     Some(fm) => fm.sample_attempt(),
                     None => AttemptOutcome::Success,
@@ -1451,6 +1462,50 @@ mod tests {
         assert_eq!(m.resource_crashes, 1);
         assert_eq!(m.tasks_requeued, 1, "the map running at 5 is interrupted");
         assert_eq!(m.end_time_s, 45.0, "both maps rerun back to back from 25");
+    }
+
+    /// An outage under a busy manager: with a 30 s overhead the plan
+    /// installed at 30 runs four 10 s maps on two one-slot resources, two
+    /// at 30 and two at 40. Resource 1 goes down at 35, so the manager
+    /// drops its map planned for 40, but the replan only installs at 65.
+    /// The start still armed for 40 is superseded, not an error: it is
+    /// skipped without charging an attempt, and the run drains.
+    #[test]
+    fn start_dropped_by_an_outage_before_the_delayed_install_is_superseded() {
+        let cluster = workload::model::homogeneous_cluster(2, 1, 1);
+        let map = |id| workload::Task {
+            id: TaskId(id),
+            job: JobId(0),
+            kind: workload::TaskKind::Map,
+            exec_time: SimTime::from_secs(10),
+            req: 1,
+        };
+        let job = Job {
+            id: JobId(0),
+            arrival: SimTime::ZERO,
+            earliest_start: SimTime::ZERO,
+            deadline: SimTime::from_secs(500),
+            map_tasks: (0..4).map(map).collect(),
+            reduce_tasks: vec![],
+            precedences: vec![],
+        };
+        let cfg = SimConfig {
+            overhead: OverheadModel::Fixed(SimTime::from_secs(30)),
+            faults: FaultConfig {
+                scheduled_outages: vec![workload::Outage {
+                    resource: cluster[1].id,
+                    at: SimTime::from_secs(35),
+                    duration: SimTime::from_secs(20),
+                }],
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let m = simulate(&cfg, &cluster, vec![job]);
+        assert_eq!(m.check_conservation(), Ok(()));
+        assert_eq!(m.completed, 1);
+        assert_eq!(m.resource_crashes, 1);
+        assert_eq!(m.tasks_requeued, 1, "only the map running at 35 reruns");
     }
 
     mod ingest {

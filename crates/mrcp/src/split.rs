@@ -35,7 +35,9 @@ pub type RoundHints = [Option<(ResourceId, SimTime)>];
 /// Result of the split solve: placements in workload terms.
 #[derive(Debug)]
 pub struct SplitOutcome {
-    /// `(task, resource, start)` for every task in the model.
+    /// `(task, resource, start)` for every task in the model, in input
+    /// order (the jobs' tasks flattened), as the full-CP and greedy rungs
+    /// return theirs.
     pub placements: Vec<(TaskId, ResourceId, SimTime)>,
     /// Number of late jobs in the installed schedule.
     pub objective: u32,
@@ -111,35 +113,34 @@ pub fn split_solve_portfolio(
 
     // Collect tasks with their solved starts; pinned first (their starts
     // precede every new start), then nondecreasing start, stable on index.
+    // Placements come back in input order; matchmaking fills in each
+    // task's resource (the placeholder never survives: a task without a
+    // lane fails the whole call).
     struct Item {
         idx: usize,
-        id: TaskId,
         kind: TaskKind,
         start: i64,
         dur: i64,
         pinned_res: Option<ResourceId>,
     }
-    let mut items: Vec<Item> = Vec::with_capacity(mm.task_ids.len());
-    {
-        let mut flat = 0usize;
-        for input in jobs {
-            for t in &input.tasks {
-                items.push(Item {
-                    idx: flat,
-                    id: t.id,
-                    kind: t.kind,
-                    start: best.starts[flat],
-                    dur: t.exec_time.as_millis(),
-                    pinned_res: t.pinned.map(|(r, _)| r),
-                });
-                flat += 1;
-            }
-        }
-        debug_assert_eq!(flat, mm.task_ids.len());
+    let n = mm.task_ids.len();
+    let mut items: Vec<Item> = Vec::with_capacity(n);
+    let mut placements: Vec<(TaskId, ResourceId, SimTime)> = Vec::with_capacity(n);
+    for t in jobs.iter().flat_map(|input| &input.tasks) {
+        let idx = items.len();
+        let start = best.starts[idx];
+        items.push(Item {
+            idx,
+            kind: t.kind,
+            start,
+            dur: t.exec_time.as_millis(),
+            pinned_res: t.pinned.map(|(r, _)| r),
+        });
+        placements.push((t.id, ResourceId(u32::MAX), SimTime::from_millis(start)));
     }
+    debug_assert_eq!(items.len(), n);
     items.sort_by_key(|it| (it.pinned_res.is_none(), it.start, it.idx));
 
-    let mut placements: Vec<(TaskId, ResourceId, SimTime)> = Vec::with_capacity(items.len());
     for it in &items {
         let lanes = match it.kind {
             TaskKind::Map => &mut map_lanes,
@@ -168,11 +169,11 @@ pub fn split_solve_portfolio(
         let li = chosen.ok_or_else(|| {
             format!(
                 "matchmaking found no free {:?} lane for task {:?} at t={} — capacity bug",
-                it.kind, it.id, it.start
+                it.kind, placements[it.idx].0, it.start
             )
         })?;
         lanes[li].last_end = it.start + it.dur;
-        placements.push((it.id, lanes[li].resource, SimTime::from_millis(it.start)));
+        placements[it.idx].1 = lanes[li].resource;
     }
 
     // Audit: the distributed schedule must satisfy the full multi-resource
