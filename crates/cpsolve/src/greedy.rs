@@ -14,15 +14,57 @@
 use crate::model::{Model, ResRef, SlotKind, TaskRef};
 use crate::solution::Solution;
 
-/// Busy intervals of one slot, kept sorted by start.
+/// Busy intervals of one slot, kept sorted by start, with a summary of the
+/// calendar: the longest idle gap between two busy intervals.
+///
+/// Durations are positive (`ModelBuilder::build` rejects the rest) and the
+/// greedy books only free time, so the intervals are disjoint and their ends
+/// are sorted too. A task longer than every inner gap then fits only before
+/// the first interval or after the last one: [`Slot::earliest_fit`] and
+/// [`Slot::fits`] answer that case from the two ends of `busy` without
+/// walking it.
 #[derive(Debug, Default, Clone)]
 struct Slot {
     busy: Vec<(i64, i64)>,
+    /// Longest `next.start − prev.end` over adjacent busy intervals (0 with
+    /// fewer than two).
+    max_gap: i64,
 }
 
 impl Slot {
+    /// The first start and the last end of the busy list when a task of
+    /// `dur` fits no gap between two busy intervals, so that it can only go
+    /// before the first or after the last; `None` when it may fit a gap or
+    /// the slot is idle.
+    fn ends_if_no_gap_fits(&self, dur: i64) -> Option<(i64, i64)> {
+        match (self.busy.first(), self.busy.last()) {
+            (Some(&(first_start, _)), Some(&(_, last_end))) if dur > self.max_gap => {
+                Some((first_start, last_end))
+            }
+            _ => None,
+        }
+    }
+
     /// Earliest `s ≥ t0` such that `[s, s+dur)` avoids every busy interval.
     fn earliest_fit(&self, t0: i64, dur: i64) -> i64 {
+        let Some((first_start, last_end)) = self.ends_if_no_gap_fits(dur) else {
+            return self.earliest_fit_walk(t0, dur);
+        };
+        let s = if t0 + dur <= first_start {
+            t0
+        } else {
+            t0.max(last_end)
+        };
+        debug_assert_eq!(
+            s,
+            self.earliest_fit_walk(t0, dur),
+            "{self:?} t0={t0} dur={dur}"
+        );
+        s
+    }
+
+    /// [`Slot::earliest_fit`] by walking the busy list from the start.
+    fn earliest_fit_walk(&self, t0: i64, dur: i64) -> i64 {
         let mut s = t0;
         for &(bs, be) in &self.busy {
             if bs >= s + dur {
@@ -37,15 +79,35 @@ impl Slot {
 
     /// True when `[start, start+dur)` is free.
     fn fits(&self, start: i64, dur: i64) -> bool {
+        let Some((first_start, last_end)) = self.ends_if_no_gap_fits(dur) else {
+            return self.fits_walk(start, dur);
+        };
+        let free = start + dur <= first_start || start >= last_end;
+        debug_assert_eq!(
+            free,
+            self.fits_walk(start, dur),
+            "{self:?} start={start} dur={dur}"
+        );
+        free
+    }
+
+    /// [`Slot::fits`] by checking every busy interval.
+    fn fits_walk(&self, start: i64, dur: i64) -> bool {
         self.busy
             .iter()
             .all(|&(bs, be)| be <= start || bs >= start + dur)
     }
 
-    /// Insert `[start, start+dur)` keeping order.
+    /// Insert `[start, start+dur)` keeping order, and refresh `max_gap`.
     fn insert(&mut self, start: i64, dur: i64) {
         let pos = self.busy.partition_point(|&(bs, _)| bs < start);
         self.busy.insert(pos, (start, start + dur));
+        self.max_gap = self
+            .busy
+            .windows(2)
+            .map(|w| w[1].0 - w[0].1)
+            .max()
+            .unwrap_or(0);
     }
 }
 
@@ -68,15 +130,39 @@ impl Pool {
     }
 
     /// Best `(resource, slot, start)` over the candidate set: earliest
-    /// start, ties to the lower resource/slot index.
+    /// start, ties to the lower resource/slot index. Stops at the first
+    /// slot free at `t0`.
     fn best_fit(&self, candidates: u128, t0: i64, dur: i64) -> Option<(usize, usize, i64)> {
+        let mut best: Option<(usize, usize, i64)> = None;
+        'scan: for (r, slots) in self.slots.iter().enumerate() {
+            if candidates & (1u128 << r) == 0 {
+                continue;
+            }
+            for (si, slot) in slots.iter().enumerate() {
+                let s = slot.earliest_fit(t0, dur);
+                if best.is_none_or(|(_, _, bs)| s < bs) {
+                    best = Some((r, si, s));
+                }
+                if s == t0 {
+                    // Nothing starts earlier, and every slot before this one
+                    // fits later.
+                    break 'scan;
+                }
+            }
+        }
+        debug_assert_eq!(best, self.best_fit_scan(candidates, t0, dur));
+        best
+    }
+
+    /// [`Pool::best_fit`] over every candidate slot, without the `t0` exit.
+    fn best_fit_scan(&self, candidates: u128, t0: i64, dur: i64) -> Option<(usize, usize, i64)> {
         let mut best: Option<(usize, usize, i64)> = None;
         for (r, slots) in self.slots.iter().enumerate() {
             if candidates & (1u128 << r) == 0 {
                 continue;
             }
             for (si, slot) in slots.iter().enumerate() {
-                let s = slot.earliest_fit(t0, dur);
+                let s = slot.earliest_fit_walk(t0, dur);
                 if best.is_none_or(|(_, _, bs)| s < bs) {
                     best = Some((r, si, s));
                 }
@@ -556,5 +642,57 @@ mod tests {
         assert_eq!(s.earliest_fit(12, 5), 20);
         assert!(s.fits(20, 10));
         assert!(!s.fits(15, 10));
+    }
+
+    #[test]
+    fn booking_into_a_hole_shrinks_the_longest_gap() {
+        let mut s = Slot::default();
+        s.insert(0, 10); // [0,10)
+        s.insert(30, 10); // [30,40): gap 20
+        s.insert(50, 10); // [50,60): gap 10
+        assert_eq!(s.max_gap, 20);
+        s.insert(12, 5); // into the hole: gaps 2, 13, 10
+        assert_eq!(s.busy, vec![(0, 10), (12, 17), (30, 40), (50, 60)]);
+        assert_eq!(s.max_gap, 13);
+        assert_eq!(s.earliest_fit(0, 14), 60, "longer than every gap");
+        assert_eq!(s.earliest_fit(0, 13), 17);
+        assert!(!s.fits(17, 14));
+        assert!(s.fits(60, 14));
+        assert!(s.fits(-14, 14), "before the first interval");
+    }
+
+    #[test]
+    fn task_that_just_fits_an_inner_gap_takes_it() {
+        let mut s = Slot::default();
+        s.insert(0, 10); // [0,10)
+        s.insert(20, 10); // [20,30): gap 10
+        assert_eq!(s.earliest_fit(0, 10), 10);
+        assert_eq!(s.earliest_fit(0, 11), 30);
+        assert_eq!(s.earliest_fit(15, 10), 30, "the gap starts too early");
+        assert!(s.fits(10, 10));
+        assert!(!s.fits(10, 11));
+        assert!(!s.fits(11, 10));
+    }
+
+    #[test]
+    fn t0_exit_takes_the_lowest_free_slot() {
+        let mut b = ModelBuilder::new();
+        for _ in 0..3 {
+            b.add_resource(2, 1);
+        }
+        let m = b.build().unwrap();
+        let mut pool = Pool::new(&m, SlotKind::Map);
+        pool.slots[0][0].insert(0, 10);
+        pool.slots[2][1].insert(0, 10);
+        assert_eq!(pool.best_fit(0b111, 0, 5), Some((0, 1, 0)));
+        assert_eq!(pool.best_fit(0b100, 0, 5), Some((2, 0, 0)));
+        pool.slots[0][1].insert(0, 3);
+        pool.slots[1][0].insert(0, 10);
+        assert_eq!(pool.best_fit(0b111, 0, 5), Some((1, 1, 0)));
+        pool.slots[1][1].insert(0, 3);
+        pool.slots[2][0].insert(0, 3);
+        // Nothing is free at 0: the earliest start wins, ties to the
+        // lowest index.
+        assert_eq!(pool.best_fit(0b111, 0, 5), Some((0, 1, 3)));
     }
 }

@@ -2252,6 +2252,29 @@ mod tests {
         assert_eq!(rm.stats().invocations, 1);
     }
 
+    /// The full CP model holds at most 128 resources; the split rung and
+    /// its audit do not build it, so a larger cluster still plans with
+    /// audits on.
+    #[test]
+    fn audited_cluster_beyond_the_full_model_limit_plans() {
+        let cfg = MrcpConfig {
+            verify_schedules: true,
+            ..Default::default()
+        };
+        let mut rm = MrcpRm::new(cfg, homogeneous_cluster(130, 1, 1));
+        for i in 0..3 {
+            rm.submit(mk_job(i, 0, 0, 10_000, &[10, 20], &[5]), SimTime::ZERO)
+                .unwrap();
+        }
+        let plan = rm.reschedule(SimTime::ZERO);
+        assert_eq!(plan.len(), 9);
+        assert!(
+            rm.last_scheduling_error().is_none(),
+            "{:?}",
+            rm.last_scheduling_error()
+        );
+    }
+
     /// Under every job ordering one round plans a whole batch on the CP
     /// rung, and the plan passes the independent audit.
     #[test]

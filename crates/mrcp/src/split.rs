@@ -19,13 +19,15 @@
 //! lanes of their actual resource first; they sort before all new tasks
 //! because their starts lie in the past.
 
-use crate::modelmap::{build_combined_model, build_model, JobInput};
+use crate::modelmap::{build_combined_model, JobInput};
 use cpsolve::greedy::{greedy_edf_with_hints, Hint};
 use cpsolve::model::ResRef;
 use cpsolve::portfolio::{solve_portfolio, PortfolioParams};
 use cpsolve::search::Outcome;
 use cpsolve::solution::Solution;
 use desim::SimTime;
+use std::collections::HashMap;
+use std::ops::Range;
 use workload::{Resource, ResourceId, TaskId, TaskKind};
 
 /// Previous-round placement suggestions, one per task in flattened
@@ -50,6 +52,68 @@ pub struct SplitOutcome {
 struct Lane {
     resource: ResourceId,
     last_end: i64,
+}
+
+/// The lanes of one task kind, in resource-list order, so each resource's
+/// lanes are contiguous.
+#[derive(Debug)]
+struct Lanes {
+    lanes: Vec<Lane>,
+    /// Each resource's lane range, sorted by resource id.
+    by_resource: Vec<(ResourceId, Range<usize>)>,
+}
+
+impl Lanes {
+    fn new(resources: &[Resource], kind: TaskKind) -> Self {
+        let mut lanes = Vec::new();
+        let mut by_resource = Vec::with_capacity(resources.len());
+        for r in resources {
+            let first = lanes.len();
+            lanes.extend((0..r.capacity(kind)).map(|_| Lane {
+                resource: r.id,
+                last_end: i64::MIN,
+            }));
+            by_resource.push((r.id, first..lanes.len()));
+        }
+        by_resource.sort_unstable_by_key(|&(id, _)| id);
+        Lanes { lanes, by_resource }
+    }
+
+    /// The lane for a task starting at `start`: [`min_gap_lane`] over every
+    /// lane, or for a task pinned to a resource over that resource's lanes
+    /// alone. A resource outside the pool has no lanes, so its pinned task
+    /// gets none.
+    fn pick(&self, start: i64, pinned: Option<ResourceId>) -> Option<usize> {
+        let Some(pr) = pinned else {
+            return min_gap_lane(&self.lanes, start, None);
+        };
+        let range = self
+            .by_resource
+            .binary_search_by_key(&pr, |&(id, _)| id)
+            .map_or(0..0, |k| self.by_resource[k].1.clone());
+        let li = min_gap_lane(&self.lanes[range.clone()], start, None).map(|i| range.start + i);
+        debug_assert_eq!(li, min_gap_lane(&self.lanes, start, Some(pr)));
+        li
+    }
+}
+
+/// The paper's gap heuristic: among `lanes` free at `start` (and, with
+/// `only`, belonging to that resource), the one leaving the smallest gap
+/// `start − last_end`, ties to the first.
+fn min_gap_lane(lanes: &[Lane], start: i64, only: Option<ResourceId>) -> Option<usize> {
+    let mut chosen: Option<usize> = None;
+    let mut best_gap = i64::MAX;
+    for (li, lane) in lanes.iter().enumerate() {
+        if lane.last_end > start || only.is_some_and(|r| lane.resource != r) {
+            continue;
+        }
+        let gap = start.saturating_sub(lane.last_end);
+        if chosen.is_none() || gap < best_gap {
+            best_gap = gap;
+            chosen = Some(li);
+        }
+    }
+    chosen
 }
 
 /// Solve with the combined-resource model, driven by the parallel
@@ -93,23 +157,8 @@ pub fn split_solve_portfolio(
         .as_ref()
         .ok_or("combined-resource solve produced no schedule")?;
 
-    // Build lanes per kind.
-    let mut map_lanes: Vec<Lane> = Vec::new();
-    let mut reduce_lanes: Vec<Lane> = Vec::new();
-    for r in resources {
-        for _ in 0..r.map_capacity {
-            map_lanes.push(Lane {
-                resource: r.id,
-                last_end: i64::MIN,
-            });
-        }
-        for _ in 0..r.reduce_capacity {
-            reduce_lanes.push(Lane {
-                resource: r.id,
-                last_end: i64::MIN,
-            });
-        }
-    }
+    let mut map_lanes = Lanes::new(resources, TaskKind::Map);
+    let mut reduce_lanes = Lanes::new(resources, TaskKind::Reduce);
 
     // Collect tasks with their solved starts; pinned first (their starts
     // precede every new start), then nondecreasing start, stable on index.
@@ -146,34 +195,15 @@ pub fn split_solve_portfolio(
             TaskKind::Map => &mut map_lanes,
             TaskKind::Reduce => &mut reduce_lanes,
         };
-        // Candidate lanes: free at `start`; pinned tasks only on lanes of
-        // their true resource. Pick the minimum remaining gap
-        // (start − last_end), ties to the first lane.
-        let mut chosen: Option<usize> = None;
-        let mut best_gap = i64::MAX;
-        for (li, lane) in lanes.iter().enumerate() {
-            if lane.last_end > it.start {
-                continue;
-            }
-            if let Some(pr) = it.pinned_res {
-                if lane.resource != pr {
-                    continue;
-                }
-            }
-            let gap = it.start.saturating_sub(lane.last_end);
-            if chosen.is_none() || gap < best_gap {
-                best_gap = gap;
-                chosen = Some(li);
-            }
-        }
-        let li = chosen.ok_or_else(|| {
+        let li = lanes.pick(it.start, it.pinned_res).ok_or_else(|| {
             format!(
                 "matchmaking found no free {:?} lane for task {:?} at t={} — capacity bug",
                 it.kind, placements[it.idx].0, it.start
             )
         })?;
-        lanes[li].last_end = it.start + it.dur;
-        placements[it.idx].1 = lanes[li].resource;
+        let lane = &mut lanes.lanes[li];
+        lane.last_end = it.start + it.dur;
+        placements[it.idx].1 = lane.resource;
     }
 
     // Audit: the distributed schedule must satisfy the full multi-resource
@@ -190,33 +220,131 @@ pub fn split_solve_portfolio(
     })
 }
 
-/// Verify placements against the full multi-resource model using the
-/// solver-independent checker.
+/// Check placements against the paper's constraints directly on the
+/// resource list, independently of the solver and of matchmaking:
+/// - every task is placed exactly once, on a known resource with capacity
+///   for its kind;
+/// - a pinned task stays exactly where it runs, a free task starts at or
+///   after its job's release;
+/// - reduces start after the job's last map ends, and the job's workflow
+///   precedences between tasks of the round hold;
+/// - no (resource, kind) pool is over capacity at any instant.
+///
+/// It builds no CP model, so it also judges clusters beyond the full
+/// model's 128-resource limit.
 pub fn audit(
     resources: &[Resource],
     jobs: &[JobInput<'_>],
     placements: &[(TaskId, ResourceId, SimTime)],
 ) -> Result<(), String> {
-    let full = build_model(resources, jobs)?;
-    let lookup: std::collections::HashMap<TaskId, (ResourceId, SimTime)> =
-        placements.iter().map(|&(t, r, s)| (t, (r, s))).collect();
-    let mut starts = Vec::with_capacity(full.task_ids.len());
-    let mut res = Vec::with_capacity(full.task_ids.len());
-    let rindex: std::collections::HashMap<ResourceId, usize> = full
-        .res_ids
-        .iter()
-        .enumerate()
-        .map(|(i, &r)| (r, i))
-        .collect();
-    for id in &full.task_ids {
-        let &(r, s) = lookup
-            .get(id)
-            .ok_or_else(|| format!("placement missing for task {id:?}"))?;
-        starts.push(s.as_millis());
-        res.push(cpsolve::model::ResRef(rindex[&r] as u32));
+    let by_id: HashMap<ResourceId, &Resource> = resources.iter().map(|r| (r.id, r)).collect();
+    let mut placed: HashMap<TaskId, (ResourceId, i64)> = HashMap::with_capacity(placements.len());
+    for &(t, r, s) in placements {
+        if placed.insert(t, (r, s.as_millis())).is_some() {
+            return Err(format!("task {t:?} placed more than once"));
+        }
     }
-    let sol = Solution::from_placements(&full.model, starts, res);
-    sol.verify(&full.model)
+    // `(resource, kind, time, Δheight)` for the capacity sweep.
+    let mut events: Vec<(ResourceId, TaskKind, i64, i64)> = Vec::with_capacity(2 * placed.len());
+    let mut n_tasks = 0;
+    for input in jobs {
+        let release = input.release.as_millis();
+        let mut last_map_end: Option<i64> = None;
+        let mut first_reduce: Option<i64> = None;
+        for t in &input.tasks {
+            n_tasks += 1;
+            let &(r, start) = placed
+                .get(&t.id)
+                .ok_or_else(|| format!("placement missing for task {:?}", t.id))?;
+            let res = by_id
+                .get(&r)
+                .ok_or_else(|| format!("task {:?} placed on unknown resource {r:?}", t.id))?;
+            if res.capacity(t.kind) < t.req {
+                return Err(format!(
+                    "task {:?} ({:?}) on resource {r:?} with insufficient capacity",
+                    t.id, t.kind
+                ));
+            }
+            match t.pinned {
+                Some((pr, ps)) if r != pr || start != ps.as_millis() => {
+                    return Err(format!(
+                        "pinned task {:?} moved: expected {pr:?}@{}, got {r:?}@{start}",
+                        t.id,
+                        ps.as_millis()
+                    ));
+                }
+                None if start < release => {
+                    return Err(format!(
+                        "task {:?} starts at {start} before job release {release}",
+                        t.id
+                    ));
+                }
+                _ => {}
+            }
+            let end = start + t.exec_time.as_millis();
+            match t.kind {
+                TaskKind::Map => last_map_end = last_map_end.max(Some(end)),
+                TaskKind::Reduce => {
+                    first_reduce = Some(first_reduce.map_or(start, |f| f.min(start)))
+                }
+            }
+            events.push((r, t.kind, start, i64::from(t.req)));
+            events.push((r, t.kind, end, -i64::from(t.req)));
+        }
+        if let (Some(lfmt), Some(rs)) = (last_map_end, first_reduce) {
+            if rs < lfmt {
+                return Err(format!(
+                    "job {:?}: a reduce starts at {rs} before last map end {lfmt}",
+                    input.job.id
+                ));
+            }
+        }
+        // Only edges whose endpoints are both in the round apply (a
+        // completed predecessor imposes nothing further).
+        if !input.job.precedences.is_empty() {
+            let span: HashMap<TaskId, (i64, i64)> = input
+                .tasks
+                .iter()
+                .map(|t| {
+                    let start = placed[&t.id].1;
+                    (t.id, (start, start + t.exec_time.as_millis()))
+                })
+                .collect();
+            for (before, after) in &input.job.precedences {
+                if let (Some(&(_, a_end)), Some(&(b_start, _))) =
+                    (span.get(before), span.get(after))
+                {
+                    if b_start < a_end {
+                        return Err(format!(
+                            "precedence violated: {after:?} starts {b_start} before {before:?} ends {a_end}"
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    if placed.len() != n_tasks {
+        return Err(format!(
+            "{} placements for the round's {n_tasks} tasks",
+            placed.len()
+        ));
+    }
+    events.sort_unstable_by_key(|&(r, kind, time, _)| (r, kind, time));
+    for group in events.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let (r, kind) = (group[0].0, group[0].1);
+        let cap = i64::from(by_id[&r].capacity(kind));
+        let mut height = 0i64;
+        for instant in group.chunk_by(|a, b| a.2 == b.2) {
+            height += instant.iter().map(|e| e.3).sum::<i64>();
+            if height > cap {
+                return Err(format!(
+                    "resource {r:?} {kind:?} pool over capacity ({height} > {cap}) at t={}",
+                    instant[0].2
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -327,7 +455,7 @@ mod tests {
     fn gap_heuristic_prefers_tight_fit() {
         // Two map lanes with different availability; heuristic picks the
         // lane leaving the smaller gap (the paper's r1-vs-r2 example).
-        let mut lanes = [
+        let lanes = [
             Lane {
                 resource: ResourceId(0),
                 last_end: 10_000, // gap 1s for a start at 11s
@@ -337,22 +465,183 @@ mod tests {
                 last_end: 8_000, // gap 3s
             },
         ];
-        // Reproduce the selection logic inline.
-        let start = 11_000i64;
-        let mut chosen = None;
-        let mut best_gap = i64::MAX;
-        for (li, lane) in lanes.iter().enumerate() {
-            if lane.last_end > start {
-                continue;
+        assert_eq!(
+            min_gap_lane(&lanes, 11_000, None),
+            Some(0),
+            "paper's example: gap 1 beats gap 3"
+        );
+        assert_eq!(min_gap_lane(&lanes, 11_000, Some(ResourceId(1))), Some(1));
+        assert_eq!(min_gap_lane(&lanes, 9_000, None), Some(1), "lane 0 is busy");
+    }
+
+    /// Resources listed out of id order with 1–3 slots per kind: each
+    /// resource's range holds exactly its lanes, and a pinned task lands on
+    /// the lane the scan over every lane would pick.
+    #[test]
+    fn pinned_tasks_land_on_the_full_scans_lanes() {
+        let caps = [(7, 2, 1), (2, 3, 2), (5, 1, 3), (0, 2, 2), (3, 3, 1)];
+        let resources: Vec<Resource> = caps
+            .iter()
+            .map(|&(id, m, r)| Resource {
+                id: ResourceId(id),
+                map_capacity: m,
+                reduce_capacity: r,
+            })
+            .collect();
+        for kind in [TaskKind::Map, TaskKind::Reduce] {
+            let mut lanes = Lanes::new(&resources, kind);
+            assert_eq!(lanes.by_resource.len(), resources.len());
+            for (id, range) in &lanes.by_resource {
+                let cap = resources
+                    .iter()
+                    .find(|r| r.id == *id)
+                    .unwrap()
+                    .capacity(kind);
+                assert_eq!(range.len(), cap as usize, "{id:?}");
+                assert!(lanes.lanes[range.clone()].iter().all(|l| l.resource == *id));
             }
-            let gap = start - lane.last_end;
-            if gap < best_gap {
-                best_gap = gap;
-                chosen = Some(li);
+            // Pinned tasks first, then free ones, in nondecreasing start.
+            let mut booked = 0;
+            for step in 0..60i64 {
+                let pinned = (step < 30).then(|| resources[(step * 7 % 5) as usize].id);
+                let start = step * 3 + (step % 4);
+                let scan = min_gap_lane(&lanes.lanes, start, pinned);
+                let li = lanes.pick(start, pinned);
+                assert_eq!(li, scan, "{kind:?} step {step}");
+                if let Some(li) = li {
+                    if let Some(pr) = pinned {
+                        assert_eq!(lanes.lanes[li].resource, pr);
+                    }
+                    lanes.lanes[li].last_end = start + 4 + step % 9;
+                    booked += 1;
+                }
             }
+            assert!(booked > 30, "{kind:?}: the walk books most steps");
         }
-        assert_eq!(chosen, Some(0), "paper's example: gap 1 beats gap 3");
-        lanes[chosen.unwrap()].last_end = start + 4_000;
-        assert_eq!(lanes[0].last_end, 15_000);
+        assert_eq!(
+            Lanes::new(&resources, TaskKind::Map).pick(0, Some(ResourceId(4))),
+            None,
+            "a resource outside the pool has no lanes"
+        );
+    }
+
+    #[test]
+    fn pin_on_a_resource_outside_the_pool_fails_the_call() {
+        let cluster = homogeneous_cluster(2, 1, 1);
+        let job = mk_job(0, 0, 10_000, &[10, 10], &[]);
+        let mut ji = inputs(&job);
+        ji.tasks[0].pinned = Some((ResourceId(9), SimTime::from_secs(2)));
+        let err = split_solve(&cluster, &[ji], &SolveParams::default()).unwrap_err();
+        assert!(err.contains("no free Map lane"), "{err}");
+    }
+
+    /// One job on two 1/1 resources (ids 0 and 1): two maps, a reduce,
+    /// released at 5 s, and a plan that passes the audit.
+    fn audited_round() -> (Vec<Resource>, Job, Vec<(TaskId, ResourceId, SimTime)>) {
+        let cluster = homogeneous_cluster(2, 1, 1);
+        let job = mk_job(0, 5, 10_000, &[10, 20], &[5]);
+        let at = |s| SimTime::from_secs(s);
+        let plan = vec![
+            (TaskId(0), ResourceId(0), at(5)),
+            (TaskId(1), ResourceId(1), at(5)),
+            (TaskId(2), ResourceId(0), at(25)),
+        ];
+        audit(&cluster, &[inputs(&job)], &plan).unwrap();
+        (cluster, job, plan)
+    }
+
+    fn audit_err(
+        cluster: &[Resource],
+        ji: &JobInput<'_>,
+        plan: &[(TaskId, ResourceId, SimTime)],
+    ) -> String {
+        audit(cluster, std::slice::from_ref(ji), plan).unwrap_err()
+    }
+
+    #[test]
+    fn audit_rejects_a_task_not_placed_exactly_once() {
+        let (cluster, job, plan) = audited_round();
+        let ji = inputs(&job);
+        let missing = audit_err(&cluster, &ji, &plan[1..]);
+        assert!(missing.contains("placement missing"), "{missing}");
+        let mut twice = plan.clone();
+        twice.push(plan[0]);
+        let twice = audit_err(&cluster, &ji, &twice);
+        assert!(twice.contains("more than once"), "{twice}");
+        let mut stranger = plan.clone();
+        stranger.push((TaskId(77), ResourceId(1), SimTime::from_secs(40)));
+        let stranger = audit_err(&cluster, &ji, &stranger);
+        assert!(stranger.contains("4 placements"), "{stranger}");
+    }
+
+    #[test]
+    fn audit_rejects_an_unknown_resource() {
+        let (cluster, job, mut plan) = audited_round();
+        plan[1].1 = ResourceId(2);
+        let err = audit_err(&cluster, &inputs(&job), &plan);
+        assert!(err.contains("unknown resource"), "{err}");
+    }
+
+    #[test]
+    fn audit_rejects_a_resource_without_capacity_for_the_kind() {
+        let (mut cluster, job, plan) = audited_round();
+        cluster[0].reduce_capacity = 0;
+        let err = audit_err(&cluster, &inputs(&job), &plan);
+        assert!(err.contains("insufficient capacity"), "{err}");
+    }
+
+    #[test]
+    fn audit_rejects_a_moved_pin() {
+        let (cluster, job, plan) = audited_round();
+        let mut ji = inputs(&job);
+        ji.tasks[1].pinned = Some((ResourceId(1), SimTime::from_secs(5)));
+        audit(&cluster, std::slice::from_ref(&ji), &plan).unwrap();
+        ji.tasks[1].pinned = Some((ResourceId(0), SimTime::from_secs(5)));
+        let elsewhere = audit_err(&cluster, &ji, &plan);
+        assert!(elsewhere.contains("pinned task"), "{elsewhere}");
+        ji.tasks[1].pinned = Some((ResourceId(1), SimTime::from_secs(4)));
+        let earlier = audit_err(&cluster, &ji, &plan);
+        assert!(earlier.contains("pinned task"), "{earlier}");
+    }
+
+    #[test]
+    fn audit_rejects_a_free_task_before_its_release() {
+        let (cluster, job, mut plan) = audited_round();
+        plan[0].2 = SimTime::from_secs(4);
+        let err = audit_err(&cluster, &inputs(&job), &plan);
+        assert!(err.contains("before job release"), "{err}");
+    }
+
+    #[test]
+    fn audit_rejects_a_reduce_before_the_last_map_ends() {
+        let (cluster, job, mut plan) = audited_round();
+        plan[2].2 = SimTime::from_secs(24);
+        let err = audit_err(&cluster, &inputs(&job), &plan);
+        assert!(err.contains("before last map end"), "{err}");
+    }
+
+    #[test]
+    fn audit_rejects_a_broken_precedence() {
+        let (cluster, mut job, plan) = audited_round();
+        job.precedences = vec![(TaskId(1), TaskId(0))];
+        let err = audit_err(&cluster, &inputs(&job), &plan);
+        assert!(err.contains("precedence violated"), "{err}");
+        // An edge from a task no longer in the round imposes nothing.
+        let mut ji = inputs(&job);
+        ji.tasks.remove(1);
+        audit(&cluster, &[ji], &[plan[0], plan[2]]).unwrap();
+    }
+
+    #[test]
+    fn audit_rejects_an_over_capacity_pool() {
+        let (cluster, job, mut plan) = audited_round();
+        plan[1] = (TaskId(1), ResourceId(0), SimTime::from_secs(14));
+        plan[2].2 = SimTime::from_secs(34);
+        let err = audit_err(&cluster, &inputs(&job), &plan);
+        assert!(err.contains("over capacity"), "{err}");
+        // Back to back is not an overlap.
+        plan[1].2 = SimTime::from_secs(15);
+        plan[2].2 = SimTime::from_secs(35);
+        audit(&cluster, &[inputs(&job)], &plan).unwrap();
     }
 }
