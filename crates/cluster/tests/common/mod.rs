@@ -22,10 +22,8 @@ pub fn det_sim() -> SimConfig {
             budget: SolveBudget {
                 node_limit: 2_000,
                 fail_limit: 2_000,
-                time_limit_ms: None,
                 adaptive: None,
-                warm_start: true,
-                workers: 1,
+                ..SolveBudget::default()
             },
             ..Default::default()
         },

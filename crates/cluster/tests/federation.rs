@@ -88,7 +88,6 @@ fn single_cell_identity_survives_budget_pressure() {
         sim.manager.budget = SolveBudget {
             node_limit: 2_000,
             fail_limit: 2_000,
-            time_limit_ms: None,
             ..SolveBudget::default()
         };
         sim.manager.controller = Some(BudgetController {

@@ -79,10 +79,8 @@ fn det_config() -> SimConfig {
         budget: SolveBudget {
             node_limit: 2_000,
             fail_limit: 2_000,
-            time_limit_ms: None,
             adaptive: None,
-            warm_start: true,
-            workers: 1,
+            ..SolveBudget::default()
         },
         ..Default::default()
     };

@@ -143,7 +143,7 @@ pub fn all_figures() -> Vec<Figure> {
         },
         Figure {
             name: "ablations",
-            title: "Extra: MRCP-RM design ablations (split §V.D, deferral §V.E, orderings, adaptive budget)",
+            title: "Extra: MRCP-RM design ablations (split §V.D, deferral §V.E, orderings)",
             run: run_ablation_panel,
             check: check_ablations,
         },
@@ -168,10 +168,7 @@ fn mrcp_sim_config(scale: &Scale, jobs: usize) -> SimConfig {
             budget: SolveBudget {
                 node_limit: scale.solver_nodes,
                 fail_limit: scale.solver_nodes,
-                time_limit_ms: Some(scale.solver_time_ms),
-                adaptive: None,
-                warm_start: true,
-                workers: 1,
+                ..SolveBudget::default()
             },
             ..Default::default()
         },
@@ -334,9 +331,9 @@ fn synth_sweep<V: Copy + std::fmt::Display>(
 
 /// Extra panel: the same Table 3 workload scheduled with K ∈ {1, 2, 4}
 /// diversified CP workers per round. Its claim — more workers never worsen
-/// P at equal budget, and O stays near-flat because the workers share one
-/// wall-clock budget — is not checked: the workers race that wall-clock
-/// budget, so P depends on the host.
+/// P at equal node budget — is not checked: with K ≥ 2 the workers share an
+/// incumbent bound whose arrival order depends on the OS scheduler, so P
+/// depends on the host.
 fn run_workers_sweep(scale: &Scale, seed: u64) -> FigureResult {
     let cfg = capped(SyntheticConfig::default(), scale);
     let points = [1usize, 2, 4]
@@ -393,10 +390,8 @@ fn run_fault_sweep(scale: &Scale, seed: u64) -> FigureResult {
 /// tightened to d_M = 2 and immediate starts so the excess cannot hide in
 /// slack), and each point is run under every admission policy. Best-effort
 /// is the paper's manager unprotected; the strict and renegotiate series
-/// add the feasibility probe, a bounded pending queue, and the adaptive
-/// budget controller.
+/// add the feasibility probe and a bounded pending queue.
 fn run_overload_sweep(scale: &Scale, seed: u64) -> FigureResult {
-    use mrcp::manager::BudgetController;
     use mrcp::{AdmissionConfig, AdmissionPolicy};
 
     let mut points = Vec::new();
@@ -424,7 +419,6 @@ fn run_overload_sweep(scale: &Scale, seed: u64) -> FigureResult {
                             policy,
                             max_pending_jobs: Some(64),
                         };
-                        sim.manager.controller = Some(BudgetController::default());
                     }
                 })
             });
@@ -479,9 +473,7 @@ fn run_chaos_sweep(scale: &Scale, seed: u64) -> FigureResult {
     let cluster = cfg.cluster();
     let chaos_run = |rep: u64, rate: f64| {
         let jobs = synth_jobs(&cfg, scale, seed, rep);
-        let mut sim = mrcp_sim_config(scale, jobs.len());
-        // Deterministic solver budget: chaos replays must not race wall-clock.
-        sim.manager.budget.time_limit_ms = None;
+        let sim = mrcp_sim_config(scale, jobs.len());
         let fleet = ClusterConfig {
             cells: 3,
             ..Default::default()
@@ -550,12 +542,11 @@ fn run_chaos_sweep(scale: &Scale, seed: u64) -> FigureResult {
 /// checked; the check is that no variant moves `P`.
 fn run_ablation_panel(scale: &Scale, seed: u64) -> FigureResult {
     use mrcp::defer::DeferPolicy;
-    use mrcp::manager::AdaptiveBudget;
     use mrcp::JobOrdering;
 
     let cfg = capped(SyntheticConfig::default(), scale);
     type Tweak = fn(&mut SimConfig);
-    let variants: [(&str, Tweak); 6] = [
+    let variants: [(&str, Tweak); 5] = [
         ("baseline (split+defer, EDF)", |_| {}),
         ("no-split (§V.D off)", |s| s.manager.use_split = false),
         ("no-defer (§V.E off)", |s| {
@@ -566,12 +557,6 @@ fn run_ablation_panel(scale: &Scale, seed: u64) -> FigureResult {
         }),
         ("ordering=least-laxity", |s| {
             s.manager.ordering = JobOrdering::LeastLaxity
-        }),
-        ("adaptive-budget", |s| {
-            s.manager.budget.adaptive = Some(AdaptiveBudget {
-                reference_tasks: 200,
-                floor_nodes: 256,
-            })
         }),
     ];
     let points = variants
@@ -639,9 +624,6 @@ fn run_service_sweep(scale: &Scale, seed: u64) -> FigureResult {
         for (series, ingest) in &modes {
             let agg: MetricAgg = replicate(scale, |rep| {
                 synth_sample(None, &cfg, scale, seed, rep, |sim| {
-                    // Deterministic budget: the ingest equivalence anchors
-                    // (batch-1 ≡ `ingest: None`) assume wall-clock-free solves.
-                    sim.manager.budget.time_limit_ms = None;
                     sim.overhead = overhead;
                     sim.ingest = *ingest;
                 })

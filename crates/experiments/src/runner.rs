@@ -34,10 +34,10 @@ pub struct Scale {
     pub ci_target: f64,
     /// Completions discarded as warm-up, as a fraction of jobs.
     pub warmup_frac: f64,
-    /// Solver node budget per scheduling round.
+    /// Solver node (and fail) budget per scheduling round; the rest of the
+    /// budget is [`mrcp::SolveBudget::default`]'s, counted and never timed,
+    /// so every simulated column repeats exactly for a fixed seed.
     pub solver_nodes: u64,
-    /// Solver wall-clock budget per scheduling round, ms.
-    pub solver_time_ms: u64,
     /// Upper bound on map/reduce task counts per synthetic job
     /// (the Table 3 value is 100).
     pub synth_tasks_cap: i64,
@@ -56,7 +56,6 @@ impl Scale {
                 ci_target: f64::INFINITY,
                 warmup_frac: 0.1,
                 solver_nodes: 1_000,
-                solver_time_ms: 20,
                 synth_tasks_cap: 10,
             },
             Preset::Default => Scale {
@@ -68,7 +67,6 @@ impl Scale {
                 ci_target: f64::INFINITY,
                 warmup_frac: 0.1,
                 solver_nodes: 4_000,
-                solver_time_ms: 50,
                 synth_tasks_cap: 40,
             },
             Preset::PaperScale => Scale {
@@ -80,7 +78,6 @@ impl Scale {
                 ci_target: 0.01,
                 warmup_frac: 0.1,
                 solver_nodes: 50_000,
-                solver_time_ms: 500,
                 synth_tasks_cap: 100,
             },
         }

@@ -185,25 +185,30 @@ type RoundResult = (Vec<(TaskId, ResourceId, SimTime)>, Outcome, bool, RoundRung
 /// Adaptive effort scaling — the paper's §VII future-work item
 /// "mechanisms that can reduce matchmaking and scheduling times when λ is
 /// high". When the model grows beyond `reference_tasks`, the per-round
-/// node/fail limits shrink proportionally (never below `floor_nodes`), so
-/// the *total* scheduling effort per unit time stays roughly constant as
-/// load rises instead of multiplying with it.
+/// node/fail limits shrink proportionally (never below `floor_nodes`, nor
+/// above the configured limit), so the *total* scheduling effort per unit
+/// time stays roughly constant as load rises instead of multiplying with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptiveBudget {
     /// Model size (task count) at which the base budget applies unscaled.
     pub reference_tasks: usize,
-    /// Lower bound on the scaled node/fail limits.
+    /// Lower bound on the scaled node/fail limits (a configured limit below
+    /// it stays as configured).
     pub floor_nodes: u64,
 }
 
-/// Per-invocation solver effort limits.
+/// Per-invocation solver effort limits. The default is counted, not timed:
+/// 150 nodes and 150 fails, scaled down past 200 tasks to a floor of 50, no
+/// wall-clock limit and one worker, so a simulated result repeats exactly
+/// for a fixed seed on any host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolveBudget {
     /// Maximum branching decisions per invocation.
     pub node_limit: u64,
     /// Maximum conflicts per invocation.
     pub fail_limit: u64,
-    /// Wall-clock ceiling per invocation, milliseconds (None = unlimited).
+    /// Wall-clock ceiling per invocation, milliseconds (None = unlimited,
+    /// the default). Where it binds, the schedule depends on the host.
     pub time_limit_ms: Option<u64>,
     /// Optional adaptive scaling with model size.
     pub adaptive: Option<AdaptiveBudget>,
@@ -220,10 +225,13 @@ pub struct SolveBudget {
 impl Default for SolveBudget {
     fn default() -> Self {
         SolveBudget {
-            node_limit: 20_000,
-            fail_limit: 20_000,
-            time_limit_ms: Some(200),
-            adaptive: None,
+            node_limit: 150,
+            fail_limit: 150,
+            time_limit_ms: None,
+            adaptive: Some(AdaptiveBudget {
+                reference_tasks: 200,
+                floor_nodes: 50,
+            }),
             warm_start: true,
             workers: 1,
         }
@@ -236,9 +244,9 @@ impl SolveBudget {
         let (nodes, fails) = match self.adaptive {
             Some(a) if n_tasks > a.reference_tasks => {
                 let scale = a.reference_tasks as f64 / n_tasks as f64;
-                let nodes = ((self.node_limit as f64 * scale) as u64).max(a.floor_nodes);
-                let fails = ((self.fail_limit as f64 * scale) as u64).max(a.floor_nodes);
-                (nodes, fails)
+                let scaled =
+                    |limit: u64| ((limit as f64 * scale) as u64).max(a.floor_nodes.min(limit));
+                (scaled(self.node_limit), scaled(self.fail_limit))
             }
             _ => (self.node_limit, self.fail_limit),
         };
@@ -2485,8 +2493,6 @@ mod tests {
             budget: SolveBudget {
                 node_limit: 0,
                 fail_limit: 0,
-                time_limit_ms: Some(0),
-                adaptive: None,
                 warm_start: false,
                 ..SolveBudget::default()
             },
@@ -2532,11 +2538,45 @@ mod tests {
         // Enormous model: clamped to the floor.
         assert_eq!(base.params_for(10_000_000).node_limit, 500);
         // Without adaptive: constant.
-        let fixed = SolveBudget::default();
+        let fixed = SolveBudget {
+            adaptive: None,
+            ..SolveBudget::default()
+        };
         assert_eq!(
             fixed.params_for(10).node_limit,
             fixed.params_for(100_000).node_limit
         );
+    }
+
+    #[test]
+    fn adaptive_floor_never_raises_a_configured_limit() {
+        let zero = SolveBudget {
+            node_limit: 0,
+            fail_limit: 0,
+            adaptive: Some(AdaptiveBudget {
+                reference_tasks: 4,
+                floor_nodes: 64,
+            }),
+            ..SolveBudget::default()
+        };
+        let p = zero.params_for(100);
+        assert_eq!((p.node_limit, p.fail_limit), (0, 0));
+        let small = SolveBudget {
+            node_limit: 40,
+            fail_limit: 20,
+            ..zero
+        };
+        let p = small.params_for(100);
+        assert_eq!((p.node_limit, p.fail_limit), (40, 20));
+    }
+
+    #[test]
+    fn default_budget_is_counted_not_timed() {
+        let budget = SolveBudget::default();
+        assert_eq!(budget.time_limit_ms, None);
+        for n in [0, 1, 200, 201, 10_000] {
+            assert_eq!(budget.params_for(n).time_limit, None);
+        }
     }
 
     #[test]

@@ -170,10 +170,8 @@ fn forced_unknown_solver_outcome_degrades_gracefully() {
         budget: SolveBudget {
             node_limit: 0,
             fail_limit: 0,
-            time_limit_ms: Some(0),
-            adaptive: None,
             warm_start: false,
-            workers: 1,
+            ..SolveBudget::default()
         },
         ..Default::default()
     };

@@ -38,10 +38,8 @@ fn protected(policy: AdmissionPolicy, max_pending: usize) -> SimConfig {
     cfg.manager.budget = SolveBudget {
         node_limit: 2_000,
         fail_limit: 2_000,
-        time_limit_ms: Some(50),
         adaptive: None,
-        warm_start: true,
-        workers: 1,
+        ..SolveBudget::default()
     };
     cfg.manager.admission = AdmissionConfig {
         policy,

@@ -110,10 +110,8 @@ fn sim_config(faults: FaultConfig, fault_seed: u64) -> SimConfig {
         budget: SolveBudget {
             node_limit: 2_000,
             fail_limit: 2_000,
-            time_limit_ms: Some(50),
             adaptive: None,
-            warm_start: true,
-            workers: 1,
+            ..SolveBudget::default()
         },
         ..Default::default()
     };

@@ -37,8 +37,8 @@ fn config(rng: &mut StdRng) -> MrcpConfig {
         budget: SolveBudget {
             node_limit: 400,
             fail_limit: 400,
-            // No wall clock in a decision: the digest must repeat anywhere.
-            time_limit_ms: None,
+            // The default budget is counted, never timed: the digest must
+            // repeat anywhere.
             ..SolveBudget::default()
         },
         use_split: rng.gen_bool(0.8),

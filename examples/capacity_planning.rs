@@ -38,7 +38,6 @@ fn main() {
         budget: SolveBudget {
             node_limit: 50_000,
             fail_limit: 50_000,
-            time_limit_ms: Some(500),
             ..Default::default()
         },
         ..Default::default()
