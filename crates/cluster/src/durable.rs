@@ -1,7 +1,8 @@
-//! Durable federation state: what a [`Federation`] plugs into the shared
-//! write-ahead/recover core (`durability::DurableCore`) — its image, its
-//! per-cell logs — and [`DurableFederation`], the multi-cell counterpart
-//! of `durability::DurableRm`.
+//! Durable federation state: what a [`Federation`] plugs into the one
+//! durable command surface (`durability::Durable`) — its image, its
+//! per-cell logs — and [`DurableFederation`], a `Durable<Federation>`
+//! built from a [`ClusterConfig`], the multi-cell counterpart of
+//! `durability::DurableRm`.
 //!
 //! ## Layout
 //!
@@ -26,8 +27,8 @@
 //!
 //! ## Two recovery granularities
 //!
-//! **Whole fleet** ([`DurableFederation::crash_and_recover`], the core's
-//! one recovery routine): restore every cell from the snapshot, then
+//! **Whole fleet** (`crash_and_recover`, `Durable`'s one recovery
+//! routine): restore every cell from the snapshot, then
 //! re-execute the manifest's surface commands through the real federation
 //! code. Routing, rebalancing, and the cluster metrics are deterministic
 //! functions of fleet state, so the replay re-derives them exactly.
@@ -49,7 +50,7 @@ use durability::codec::{Dec, DecodeError, Enc};
 use durability::snapshot::{decode_image, encode_image, read_blob};
 use durability::store::snapshot_path;
 use durability::{
-    apply, apply_surface, replay_indexed, DurabilityConfig, DurableCore, EventLog, ManagerEvent,
+    apply, apply_surface, replay_indexed, DurabilityConfig, Durable, EventLog, ManagerEvent,
     Recoverable, StoreConfig, Wal,
 };
 use mrcp::manager::{
@@ -348,12 +349,14 @@ impl Recoverable for Federation {
 
     /// The cell boundary outlives the manager process: each cell's
     /// endpoint (with its fault stream and outage state) and command
-    /// sequence, the breakers, whether faults are injected at all, and
-    /// what the fleet audit has found so far. Replay ran on fresh
-    /// reliable endpoints (so it never audits) to re-derive the pre-crash
-    /// state; the live fleet faces the same boundary the dead one did.
+    /// sequence, the breakers, whether faults are injected at all, what
+    /// the fleet audit has found so far, and the time of the latest
+    /// command. Replay ran on fresh reliable endpoints (so it never
+    /// audits) to re-derive the pre-crash state; the live fleet faces the
+    /// same boundary the dead one did.
     fn take_over(&mut self, dead: Federation) {
         self.chaos_active = dead.chaos_active;
+        self.clock = dead.clock;
         self.violations = dead.violations;
         self.health = dead.health;
         for (c, old) in self.cells.iter_mut().zip(dead.cells) {
@@ -401,10 +404,12 @@ pub fn recover_cell(
 
 /// A [`Federation`] with a surface-command manifest, per-cell logs and
 /// fleet snapshots underneath — the drop-in durable manager for
-/// multi-cell runs.
+/// multi-cell runs. It is a `Durable<Federation>` behind a newtype only
+/// because its constructor takes a [`ClusterConfig`], which the
+/// `durability` crate cannot name.
 #[derive(Debug)]
 pub struct DurableFederation {
-    core: DurableCore<Federation>,
+    core: Durable<Federation>,
 }
 
 impl DurableFederation {
@@ -426,7 +431,7 @@ impl DurableFederation {
             resources,
         };
         DurableFederation {
-            core: DurableCore::create(fed, setup, dir, d_cfg),
+            core: Durable::create(fed, setup, dir, d_cfg),
         }
     }
 
@@ -437,7 +442,7 @@ impl DurableFederation {
 
     /// Attach live telemetry to the wrapped federation (see
     /// [`Federation::set_telemetry`]), every log's write path and the
-    /// recovery path (see `durability::DurableCore::set_telemetry`).
+    /// recovery path (see `durability::Durable::set_telemetry`).
     pub fn set_telemetry(&mut self, tel: &telemetry::Telemetry) {
         self.core.set_telemetry(tel);
     }
@@ -461,17 +466,15 @@ impl DurableFederation {
     }
 }
 
+/// Every command goes through the one durable surface,
+/// `durability::Durable`'s.
 impl ResourceManager for DurableFederation {
     fn submit_with_admission(
         &mut self,
         job: Job,
         now: SimTime,
     ) -> Result<AdmissionOutcome, ManagerError> {
-        let ev = ManagerEvent::SubmitWithAdmission {
-            job: job.clone(),
-            now,
-        };
-        self.core.logged(ev, |f| f.submit_with_admission(job, now))
+        self.core.submit_with_admission(job, now)
     }
 
     fn submit_batch(
@@ -479,32 +482,19 @@ impl ResourceManager for DurableFederation {
         jobs: Vec<Job>,
         now: SimTime,
     ) -> Vec<Result<AdmissionOutcome, ManagerError>> {
-        // One manifest record for the whole burst: the federation routes a
-        // batch against a single load snapshot, so replay must re-present
-        // it as a batch — decomposing into singleton submits would replay
-        // with different (sequential) routing decisions.
-        let ev = ManagerEvent::SubmitBatch {
-            jobs: jobs.clone(),
-            now,
-        };
-        self.core.logged(ev, |f| f.submit_batch(jobs, now))
+        self.core.submit_batch(jobs, now)
     }
 
     fn activate_due(&mut self, now: SimTime) -> usize {
-        self.core
-            .logged(ManagerEvent::ActivateDue { now }, |f| f.activate_due(now))
+        self.core.activate_due(now)
     }
 
     fn reschedule(&mut self, now: SimTime) -> Vec<ScheduleEntry> {
-        self.core
-            .logged(ManagerEvent::Reschedule { now }, |f| f.reschedule(now))
+        self.core.reschedule(now)
     }
 
     fn task_started(&mut self, task: TaskId, now: SimTime) -> Result<ResourceId, ManagerError> {
-        self.core
-            .logged(ManagerEvent::TaskStarted { task, now }, |f| {
-                f.task_started(task, now)
-            })
+        self.core.task_started(task, now)
     }
 
     fn task_completed(
@@ -512,10 +502,7 @@ impl ResourceManager for DurableFederation {
         task: TaskId,
         now: SimTime,
     ) -> Result<Option<JobCompletion>, ManagerError> {
-        self.core
-            .logged(ManagerEvent::TaskCompleted { task, now }, |f| {
-                f.task_completed(task, now)
-            })
+        self.core.task_completed(task, now)
     }
 
     fn task_duration_revised(
@@ -523,17 +510,11 @@ impl ResourceManager for DurableFederation {
         task: TaskId,
         new_exec: SimTime,
     ) -> Result<(), ManagerError> {
-        self.core
-            .logged(ManagerEvent::TaskDurationRevised { task, new_exec }, |f| {
-                f.task_duration_revised(task, new_exec)
-            })
+        self.core.task_duration_revised(task, new_exec)
     }
 
     fn task_failed(&mut self, task: TaskId, now: SimTime) -> Result<FailureAction, ManagerError> {
-        self.core
-            .logged(ManagerEvent::TaskFailed { task, now }, |f| {
-                f.task_failed(task, now)
-            })
+        self.core.task_failed(task, now)
     }
 
     fn resource_down(
@@ -541,25 +522,19 @@ impl ResourceManager for DurableFederation {
         rid: ResourceId,
         now: SimTime,
     ) -> Result<Vec<TaskId>, ManagerError> {
-        self.core
-            .logged(ManagerEvent::ResourceDown { resource: rid, now }, |f| {
-                f.resource_down(rid, now)
-            })
+        self.core.resource_down(rid, now)
     }
 
     fn resource_up(&mut self, rid: ResourceId, now: SimTime) -> Result<(), ManagerError> {
-        self.core
-            .logged(ManagerEvent::ResourceUp { resource: rid, now }, |f| {
-                f.resource_up(rid, now)
-            })
+        self.core.resource_up(rid, now)
     }
 
     fn jobs_in_system(&self) -> usize {
-        self.core.inner().jobs_in_system()
+        self.core.jobs_in_system()
     }
 
     fn stats(&self) -> ManagerStats {
-        self.core.inner().stats()
+        self.core.stats()
     }
 
     fn crash_and_recover(&mut self, now: SimTime) -> bool {

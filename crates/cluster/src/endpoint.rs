@@ -401,6 +401,7 @@ impl RetryPolicy {
 mod tests {
     use super::*;
     use mrcp::manager::{ManagerError, MrcpConfig};
+    use mrcp::ResourceManager;
     use workload::{Job, JobId, Resource, ResourceId, Task, TaskId, TaskKind};
 
     fn rm() -> MrcpRm {

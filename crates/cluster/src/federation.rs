@@ -36,7 +36,8 @@
 //! rebalancer is skipped, deliveries succeed first try and draw no
 //! randomness, and a round solves iff the single cell was touched by an
 //! event — which is precisely when the plain driver would have called
-//! [`MrcpRm::reschedule`]. The determinism tests hold the repo to that.
+//! [`ResourceManager::reschedule`]. The determinism tests hold the repo to
+//! that.
 
 use crate::cell::Cell;
 use crate::chaos::ChaosConfig;
@@ -254,6 +255,9 @@ pub struct Federation {
     /// The full resource list in construction order — what
     /// [`crate::durable::recover_cell`] needs to rebuild any one cell.
     pub(crate) resources: Vec<Resource>,
+    /// The latest time any timed surface command carried: the time a
+    /// straggler revision, which carries none, is delivered at.
+    pub(crate) clock: SimTime,
     /// Whether any cell endpoint injects faults. Off: deliveries cannot
     /// fail, the health sweep and the per-round audit are skipped, and
     /// the parallel solve path runs — the bit-exact legacy behavior.
@@ -315,6 +319,7 @@ impl Federation {
             journal: None,
             last_error: None,
             resources: resources.to_vec(),
+            clock: SimTime::ZERO,
             chaos_active: false,
             violations: Vec::new(),
             health: vec![CellHealth::new(HealthConfig::default()); k],
@@ -545,6 +550,11 @@ impl Federation {
         let before = self.health[i].state();
         self.health[i].on_success(now);
         self.note_health(i, before, now);
+    }
+
+    /// A timed surface command arrived at `now`.
+    fn tick(&mut self, now: SimTime) {
+        self.clock = self.clock.max(now);
     }
 
     /// Append `ev` to cell `cell`'s WAL when the federation runs durable.
@@ -885,15 +895,11 @@ impl Federation {
             return false;
         };
         let tasks: Vec<TaskId> = owned.tasks().map(|t| t.id).collect();
-        if let Some(j) = self.journal.as_mut() {
-            j.append(
-                dst,
-                &ManagerEvent::Submit {
-                    job: owned.clone(),
-                    now,
-                },
-            );
-        }
+        let submit = ManagerEvent::Submit {
+            job: owned.clone(),
+            now,
+        };
+        self.journal_cell(dst, &submit);
         match self.cells[dst].rm.submit(owned, now) {
             Ok(_) => {
                 self.job_cell.insert(job, dst);
@@ -975,13 +981,11 @@ impl Federation {
             now,
         };
         if !self.chaos_active {
-            if let Some(j) = self.journal.as_mut() {
-                // Write-ahead: the cell WAL records the round before the
-                // solve mutates the cell.
-                for (i, c) in self.cells.iter().enumerate() {
-                    if c.dirty {
-                        j.append(i, &round);
-                    }
+            // Write-ahead: the cell WAL records the round before the solve
+            // mutates the cell.
+            for i in 0..self.cells.len() {
+                if self.cells[i].dirty {
+                    self.journal_cell(i, &round);
                 }
             }
         }
@@ -1123,6 +1127,7 @@ impl ResourceManager for Federation {
         jobs: Vec<Job>,
         now: SimTime,
     ) -> Vec<Result<AdmissionOutcome, ManagerError>> {
+        self.tick(now);
         let n = jobs.len();
         let mut results: Vec<Option<Result<AdmissionOutcome, ManagerError>>> = vec![None; n];
         // Fleet-wide duplicate screening, extended to twins inside the
@@ -1272,6 +1277,7 @@ impl ResourceManager for Federation {
     }
 
     fn activate_due(&mut self, now: SimTime) -> usize {
+        self.tick(now);
         let mut total = 0;
         for i in 0..self.cells.len() {
             // Every cell sweeps its deferral queue; a missed sweep could
@@ -1296,6 +1302,7 @@ impl ResourceManager for Federation {
     }
 
     fn reschedule(&mut self, now: SimTime) -> Vec<ScheduleEntry> {
+        self.tick(now);
         if self.chaos_active {
             self.sweep_health(now);
         }
@@ -1326,6 +1333,7 @@ impl ResourceManager for Federation {
     }
 
     fn task_started(&mut self, task: TaskId, now: SimTime) -> Result<ResourceId, ManagerError> {
+        self.tick(now);
         let cell = self.cell_of_task(task)?;
         let req = ManagerEvent::TaskStarted { task, now };
         self.ask(cell, &req, now, |r| match r {
@@ -1339,6 +1347,7 @@ impl ResourceManager for Federation {
         task: TaskId,
         now: SimTime,
     ) -> Result<Option<JobCompletion>, ManagerError> {
+        self.tick(now);
         let cell = self.cell_of_task(task)?;
         let req = ManagerEvent::TaskCompleted { task, now };
         let done = self.ask(cell, &req, now, |r| match r {
@@ -1363,7 +1372,7 @@ impl ResourceManager for Federation {
     ) -> Result<(), ManagerError> {
         let cell = self.cell_of_task(task)?;
         let req = ManagerEvent::TaskDurationRevised { task, new_exec };
-        self.ask(cell, &req, SimTime::ZERO.max(new_exec), |r| {
+        self.ask(cell, &req, self.clock, |r| {
             matches!(r, Reply::Revised).then_some(())
         })?;
         self.cells[cell].dirty = true;
@@ -1371,6 +1380,7 @@ impl ResourceManager for Federation {
     }
 
     fn task_failed(&mut self, task: TaskId, now: SimTime) -> Result<FailureAction, ManagerError> {
+        self.tick(now);
         let cell = self.cell_of_task(task)?;
         let req = ManagerEvent::TaskFailed { task, now };
         let action = self.ask(cell, &req, now, |r| match r {
@@ -1391,6 +1401,7 @@ impl ResourceManager for Federation {
         rid: ResourceId,
         now: SimTime,
     ) -> Result<Vec<TaskId>, ManagerError> {
+        self.tick(now);
         let cell = *self
             .res_cell
             .get(&rid)
@@ -1405,6 +1416,7 @@ impl ResourceManager for Federation {
     }
 
     fn resource_up(&mut self, rid: ResourceId, now: SimTime) -> Result<(), ManagerError> {
+        self.tick(now);
         let cell = *self
             .res_cell
             .get(&rid)

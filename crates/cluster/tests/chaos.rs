@@ -5,12 +5,14 @@
 
 mod common;
 
-use cluster::{ChaosConfig, DurableFederation};
+use cluster::{ChaosConfig, DurableFederation, Federation};
 use common::{det_sim, fleet, plain, problems, run, run_durable, small_workload};
 use desim::SimTime;
 use durability::{scratch_dir, DurabilityConfig, StoreConfig, WalConfig};
-use mrcp::ResourceManager;
-use telemetry::Telemetry;
+use mrcp::{MrcpConfig, ResourceManager};
+use telemetry::{EventFilter, Telemetry, DEFAULT_QUEUE_CAP};
+use workload::model::homogeneous_cluster;
+use workload::{Job, JobId, Task, TaskId, TaskKind};
 
 fn off() -> Telemetry {
     Telemetry::disabled()
@@ -229,4 +231,78 @@ fn chaos_with_fleet_crashes_conserves_jobs() {
         cm.rpc_drops > 0 && cm.rpc_retries > 0,
         "the boundary stayed lossy to the end of the run"
     );
+}
+
+/// A straggler revision carries a duration, not a time. Whatever the
+/// federation does for it at a faulty boundary (retries, breaker
+/// transitions, forced restores) happens at the time of the `task_started`
+/// the driver sends it with, so event time never runs backwards — also
+/// when the fleet crashed and recovered in between, from a snapshot taken
+/// after the start (`snapshot_every: 1`, so replay re-derives nothing).
+#[test]
+fn straggler_revision_under_faults_keeps_event_time_monotone() {
+    let chaos = ChaosConfig {
+        drop_prob: 1.0,
+        ..Default::default()
+    };
+    let (mgr, resources) = (MrcpConfig::default(), homogeneous_cluster(2, 1, 1));
+    let tel = Telemetry::new();
+    let mut fed = Federation::with_chaos(&fleet(1), mgr, resources.clone(), &chaos);
+    fed.set_telemetry(&tel);
+    revise_after_start(&mut fed, &tel, false);
+
+    let dir = scratch_dir("revise-after-crash");
+    let d = DurabilityConfig::power_loss(StoreConfig {
+        snapshot_every: 1,
+        wal: WalConfig::default(),
+    });
+    let tel = Telemetry::new();
+    let mut fed = DurableFederation::new(&fleet(1), mgr, resources, &dir, d);
+    fed.enable_chaos(&chaos);
+    fed.set_telemetry(&tel);
+    revise_after_start(&mut fed, &tel, true);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Start a task at 10 s, optionally crash, then revise its duration to
+/// 3 s; every event published meanwhile must be in time order.
+fn revise_after_start(fed: &mut impl ResourceManager, tel: &Telemetry, crash: bool) {
+    let tail = tel.bus.subscribe(EventFilter::default(), DEFAULT_QUEUE_CAP);
+    let t = SimTime::from_secs(10);
+    let task = TaskId(0);
+    let job = Job {
+        id: JobId(0),
+        arrival: t,
+        earliest_start: t,
+        deadline: SimTime::from_secs(600),
+        map_tasks: vec![Task {
+            id: task,
+            job: JobId(0),
+            kind: TaskKind::Map,
+            exec_time: SimTime::from_secs(5),
+            req: 1,
+        }],
+        reduce_tasks: vec![],
+        precedences: vec![],
+    };
+    fed.submit_with_admission(job, t).unwrap();
+    let plan = fed.reschedule(t);
+    assert_eq!(plan.first().map(|e| (e.task, e.start)), Some((task, t)));
+    fed.task_started(task, t).unwrap();
+    assert_eq!(fed.crash_and_recover(t), crash);
+    fed.task_duration_revised(task, SimTime::from_secs(3))
+        .unwrap();
+    let events = tail.drain();
+    assert!(
+        !events.is_empty(),
+        "drop_prob=1 must publish boundary events"
+    );
+    for w in events.windows(2) {
+        assert!(
+            w[0].at_ms <= w[1].at_ms,
+            "event time ran backwards: {:?} then {:?}",
+            w[0],
+            w[1]
+        );
+    }
 }

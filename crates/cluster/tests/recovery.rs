@@ -404,13 +404,110 @@ fn crash_between_every_command_matches_crash_free_run() {
     }
 }
 
-/// Every log has one record format. After a run with a migration,
-/// `manifest.log` decodes record by record with `indexed_event` to the
-/// surface commands since the snapshot's base and nothing else; where the
-/// job went and that it moved is read off the cell logs, which *are* the
-/// post-routing stream.
+/// Every record of the log at `path`, decoded with `indexed_event`.
+fn decoded(path: &std::path::Path, wal: WalConfig) -> Vec<(u64, ManagerEvent)> {
+    let (_, records) = Wal::recover(path, wal).unwrap();
+    let decode = |r: &Vec<u8>| {
+        let mut dec = Dec::new(r);
+        let rec = indexed_event(&mut dec).expect("an indexed event");
+        dec.expect_end().expect("and nothing after it");
+        rec
+    };
+    records.iter().map(decode).collect()
+}
+
+fn one_map_job(id: u32) -> Job {
+    let mut job = two_task_job(id);
+    job.reduce_tasks.clear();
+    job
+}
+
+/// Call every logged surface command once (and `task_started` twice, so
+/// one task can fail while another completes); returns the commands in
+/// call order.
+fn every_surface_command(rm: &mut impl ResourceManager) -> Vec<ManagerEvent> {
+    let t0 = SimTime::ZERO;
+    let at = SimTime::from_millis;
+    let rid = workload::ResourceId(0);
+    let (a, b) = (workload::TaskId(10), workload::TaskId(20));
+    let revised = at(4_000);
+    rm.submit_with_admission(one_map_job(1), t0).unwrap();
+    let batch = rm.submit_batch(vec![one_map_job(2)], t0);
+    assert!(batch.iter().all(Result::is_ok));
+    rm.activate_due(t0);
+    let plan = rm.reschedule(t0);
+    assert!(plan.iter().all(|e| e.start == t0), "both maps start at 0");
+    rm.task_started(a, t0).unwrap();
+    rm.task_started(b, t0).unwrap();
+    rm.task_duration_revised(a, revised).unwrap();
+    rm.task_failed(b, at(1_000)).unwrap();
+    rm.task_completed(a, revised).unwrap();
+    rm.resource_down(rid, at(5_000)).unwrap();
+    rm.resource_up(rid, at(6_000)).unwrap();
+    assert_eq!(rm.jobs_in_system(), 1, "job 2 waits for its retry");
+    vec![
+        ManagerEvent::SubmitWithAdmission {
+            job: one_map_job(1),
+            now: t0,
+        },
+        ManagerEvent::SubmitBatch {
+            jobs: vec![one_map_job(2)],
+            now: t0,
+        },
+        ManagerEvent::ActivateDue { now: t0 },
+        ManagerEvent::Reschedule { now: t0 },
+        ManagerEvent::TaskStarted { task: a, now: t0 },
+        ManagerEvent::TaskStarted { task: b, now: t0 },
+        ManagerEvent::TaskDurationRevised {
+            task: a,
+            new_exec: revised,
+        },
+        ManagerEvent::TaskFailed {
+            task: b,
+            now: at(1_000),
+        },
+        ManagerEvent::TaskCompleted {
+            task: a,
+            now: revised,
+        },
+        ManagerEvent::ResourceDown {
+            resource: rid,
+            now: at(5_000),
+        },
+        ManagerEvent::ResourceUp {
+            resource: rid,
+            now: at(6_000),
+        },
+    ]
+}
+
+/// Every log has one record format, and both durable stacks journal
+/// through the one surface. Each logged command, called once on a
+/// `DurableRm` and on a `DurableFederation`, is one record of `wal.log` /
+/// `manifest.log`, in call order with consecutive indices. After a run
+/// with a migration, `manifest.log` decodes record by record with
+/// `indexed_event` to the surface commands since the snapshot's base and
+/// nothing else; where the job went and that it moved is read off the
+/// cell logs, which *are* the post-routing stream.
 #[test]
 fn manifest_holds_indexed_surface_commands_and_nothing_else() {
+    let resources = homogeneous_cluster(2, 2, 1);
+    let (mgr, d) = (MrcpConfig::default(), DurabilityConfig::default());
+    let indexed = |evs: Vec<ManagerEvent>| -> Vec<(u64, ManagerEvent)> { (0..).zip(evs).collect() };
+    let dir = scratch_dir("surface-rm");
+    let mut rm = DurableRm::new(mgr, resources.clone(), &dir, d);
+    let called = every_surface_command(&mut rm);
+    assert_eq!(decoded(&dir.join("wal.log"), d.store.wal), indexed(called));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("surface-fleet");
+    let mut fed = DurableFederation::new(&fleet(2), mgr, resources, &dir, d);
+    let called = every_surface_command(&mut fed);
+    assert_eq!(
+        decoded(&dir.join("manifest.log"), d.store.wal),
+        indexed(called)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
     let resources = homogeneous_cluster(2, 1, 1);
     let rid0 = resources[0].id;
     let dir = scratch_dir("manifest-format");
@@ -432,16 +529,7 @@ fn manifest_holds_indexed_surface_commands_and_nothing_else() {
     fed.activate_due(t);
     assert_eq!(fed.federation().cluster_metrics().migrations, 1);
 
-    let decoded = |name: &str| -> Vec<(u64, ManagerEvent)> {
-        let (_, records) = Wal::recover(&dir.join(name), d.store.wal).unwrap();
-        let decode = |r: &Vec<u8>| {
-            let mut dec = Dec::new(r);
-            let rec = indexed_event(&mut dec).expect("an indexed event");
-            dec.expect_end().expect("and nothing after it");
-            rec
-        };
-        records.iter().map(decode).collect()
-    };
+    let decoded = |name: &str| decoded(&dir.join(name), d.store.wal);
     assert_eq!(
         decoded("manifest.log"),
         vec![

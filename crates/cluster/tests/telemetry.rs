@@ -9,7 +9,7 @@ use cluster::{ChaosConfig, DurableFederation, HealthState};
 use common::{det_sim, fleet, problems, run, run_durable, small_workload};
 use desim::SimTime;
 use durability::{scratch_dir, DurabilityConfig, StoreConfig, WalConfig};
-use mrcp::{simulate_with, ManagerCrashConfig, MrcpConfig};
+use mrcp::{simulate_with, ManagerCrashConfig, MrcpConfig, ResourceManager};
 use telemetry::{EventFilter, EventKind, Telemetry, DEFAULT_QUEUE_CAP};
 
 /// Crash-free hostile boundary: per-cell `ManagerStats` survive to the

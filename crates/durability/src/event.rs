@@ -116,7 +116,7 @@ pub enum ManagerEvent {
         now: SimTime,
     },
     /// Cell command, one scheduling round:
-    /// [`MrcpRm::set_portfolio_workers`] followed by [`MrcpRm::reschedule`].
+    /// [`MrcpRm::set_portfolio_workers`] followed by [`ResourceManager::reschedule`].
     Solve {
         /// This cell's share of the portfolio worker budget.
         workers: usize,

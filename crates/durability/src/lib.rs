@@ -20,16 +20,18 @@
 //!   [`mrcp::ManagerImage`], so recovery is snapshot + *bounded* replay
 //!   rather than full-history replay.
 //! * [`store`] — the store every durable manager shares: [`EventLog`]
-//!   (the one indexed record format of every log), and [`DurableCore`],
-//!   the write-ahead order and the recovery routine written once over
-//!   the [`Recoverable`] trait.
-//! * [`durable_rm`] — [`DurableRm`]: the drop-in [`ResourceManager`]
-//!   whose [`crash_and_recover`](mrcp::sim_driver::ResourceManager::crash_and_recover)
+//!   (the one indexed record format of every log), and [`Durable`], the
+//!   one durable [`ResourceManager`]: the write-ahead order and the
+//!   recovery routine, written once over the [`Recoverable`] trait. Its
+//!   [`crash_and_recover`](mrcp::sim_driver::ResourceManager::crash_and_recover)
 //!   actually recovers (the driver's manager-crash fault knob,
 //!   [`mrcp::ManagerCrashConfig`], calls it mid-run).
+//! * [`durable_rm`] — [`Recoverable`] for [`MrcpRm`], and
+//!   [`DurableRm`] = `Durable<MrcpRm>` with its constructor.
 //!
 //! The federation's [`Recoverable`] impl (fleet image, per-cell logs)
-//! lives in `crates/cluster` next to the state it persists.
+//! lives in `crates/cluster` next to the state it persists; its durable
+//! stack is the same `Durable`, behind `cluster::DurableFederation`.
 //!
 //! Why recovery is *bit-exact*: [`MrcpRm`] is deterministic for a fixed
 //! configuration (single portfolio worker, no wall-clock budgets), so
@@ -57,8 +59,7 @@ pub mod wal;
 pub use durable_rm::DurableRm;
 pub use event::{apply, apply_surface, ManagerEvent, Reply};
 pub use store::{
-    indexed_event, replay_indexed, DurabilityConfig, DurableCore, EventLog, Recoverable,
-    StoreConfig,
+    indexed_event, replay_indexed, DurabilityConfig, Durable, EventLog, Recoverable, StoreConfig,
 };
 pub use wal::{Wal, WalConfig};
 

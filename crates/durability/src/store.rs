@@ -1,6 +1,6 @@
 //! The durable store every durable manager shares: one directory holding
 //! the current snapshot (`snapshot.bin`) and one or more indexed event
-//! logs, plus the write-ahead/recover routine that ties them together.
+//! logs, plus [`Durable`], the one durable command surface over them.
 //!
 //! Every log — a single manager's `wal.log`, a fleet's `manifest.log`,
 //! each fleet cell's `cell-<i>.wal` — is an [`EventLog`]: records of
@@ -13,19 +13,48 @@
 //! the log's tail cannot be trusted and replay stops there — never a
 //! panic.
 //!
-//! [`DurableCore`] is the one place the write-ahead order
-//! ([`DurableCore::logged`]) and the recovery routine
-//! ([`DurableCore::crash_and_recover`]) are written; a manager plugs in
-//! through [`Recoverable`].
+//! [`Durable<M>`](Durable) wraps any manager that plugs in through
+//! [`Recoverable`] and implements [`ResourceManager`] once for all of
+//! them: the write-ahead order (`Durable::logged`) and the recovery
+//! routine (its [`crash_and_recover`](ResourceManager::crash_and_recover))
+//! are written in one place for the single manager
+//! ([`DurableRm`](crate::DurableRm)) and the federation alike.
+//!
+//! ## The crash/recovery model
+//!
+//! `crash_and_recover` simulates fail-stop process death plus machine
+//! power loss: all in-memory state is discarded and, when
+//! [`DurabilityConfig::lose_unsynced_on_crash`] is set (the default),
+//! every log is truncated to its last-synced byte first — commands whose
+//! records were still in the page cache die with the process. The
+//! manager is then rebuilt from the snapshot plus the surviving log
+//! prefix.
+//!
+//! Commands lost from the unsynced tail are *re-delivered*: [`Durable`]
+//! keeps every command since the last checkpoint in memory (standing in
+//! for the clients, who in a real deployment retry every command the
+//! manager never acknowledged) and re-applies the suffix the disk did not
+//! know about; the checkpoint that ends the recovery makes them durable.
+//! Determinism of the wrapped manager does the rest — the re-applied
+//! commands drive the recovered manager through exactly the states the
+//! pre-crash manager went through, so the run's
+//! `deterministic_signature()` is bit-identical to an uninterrupted run's.
+//! Only wall-clock solve timings differ, and those feed only metrics the
+//! signature already zeroes.
 
 use crate::codec::{Dec, DecodeError, Enc};
 use crate::event::ManagerEvent;
 use crate::snapshot::{read_blob, write_blob};
 use crate::wal::{Wal, WalConfig};
 use desim::SimTime;
+use mrcp::manager::{
+    AdmissionOutcome, FailureAction, JobCompletion, ManagerError, ManagerStats, ScheduleEntry,
+};
+use mrcp::sim_driver::ResourceManager;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
+use workload::{Job, ResourceId, TaskId};
 
 /// Write-path instruments (DESIGN.md §5k), the same `durability_*` names
 /// whichever layer runs durable. Disabled by default.
@@ -234,7 +263,7 @@ pub(crate) fn invalid(e: impl std::fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
 
-/// What [`DurableCore`] needs from the manager it makes durable.
+/// What [`Durable`] needs from the manager it makes durable.
 pub trait Recoverable: Sized {
     /// Construction inputs a restarted process re-reads (static
     /// configuration, never state).
@@ -278,14 +307,15 @@ pub trait Recoverable: Sized {
 }
 
 /// A manager with a command log and snapshots underneath: the write-ahead
-/// order and the recovery routine, written once.
+/// order and the recovery routine, written once, behind the one durable
+/// [`ResourceManager`] impl.
 ///
 /// Store I/O errors are fail-stop: a durability layer that silently drops
 /// log records is worse than none, so a failed append, snapshot or
 /// recovery panics with a clear message rather than continuing with a log
 /// that no longer matches the state (DESIGN.md §5g).
 #[derive(Debug)]
-pub struct DurableCore<M: Recoverable> {
+pub struct Durable<M: Recoverable> {
     m: M,
     setup: M::Setup,
     dir: PathBuf,
@@ -312,15 +342,15 @@ pub struct DurableCore<M: Recoverable> {
     base_tel: telemetry::Telemetry,
 }
 
-impl<M: Recoverable> DurableCore<M> {
+impl<M: Recoverable> Durable<M> {
     /// Wrap `m` over a fresh store rooted at `dir` (created if missing):
     /// a snapshot of `m` as command index 0 and an empty command log.
-    pub fn create(m: M, setup: M::Setup, dir: &Path, cfg: DurabilityConfig) -> DurableCore<M> {
+    pub fn create(m: M, setup: M::Setup, dir: &Path, cfg: DurabilityConfig) -> Durable<M> {
         let disabled = telemetry::Telemetry::disabled();
         let log = std::fs::create_dir_all(dir)
             .and_then(|()| EventLog::create(&dir.join(M::LOG_NAME), cfg.store.wal, 0))
             .unwrap_or_else(|e| panic!("durability: cannot create store at {dir:?}: {e}"));
-        let core = DurableCore {
+        let core = Durable {
             m,
             setup,
             dir: dir.to_path_buf(),
@@ -389,7 +419,7 @@ impl<M: Recoverable> DurableCore<M> {
 
     /// The write-ahead order, in one place: log `ev`, run `call` on the
     /// manager, checkpoint if due.
-    pub fn logged<T>(&mut self, ev: ManagerEvent, call: impl FnOnce(&mut M) -> T) -> T {
+    fn logged<T>(&mut self, ev: ManagerEvent, call: impl FnOnce(&mut M) -> T) -> T {
         if let Some(now) = ev.time() {
             self.last_at_ms = now.as_millis();
         }
@@ -438,34 +468,6 @@ impl<M: Recoverable> DurableCore<M> {
         Ok(())
     }
 
-    /// Simulate fail-stop process death (plus power loss when
-    /// [`DurabilityConfig::lose_unsynced_on_crash`] is set) and rebuild
-    /// the manager from disk. Always returns `true` (the
-    /// `ResourceManager::crash_and_recover` answer for "state was lost
-    /// and recovered").
-    pub fn crash_and_recover(&mut self, now: SimTime) -> bool {
-        let t0 = Instant::now();
-        let replayed = self
-            .recover()
-            .unwrap_or_else(|e| panic!("durability: recovery failed: {e}"));
-        let journaled = self.log.next_idx();
-        self.crashes += 1;
-        self.replayed += replayed;
-        let elapsed = t0.elapsed();
-        self.recovery_time += elapsed;
-        self.rec_tel.recoveries.inc();
-        self.rec_tel.replayed.add(replayed);
-        self.rec_tel.recovery_us.record(elapsed.as_micros() as u64);
-        self.tel.bus.publish(telemetry::Event {
-            at_ms: now.as_millis(),
-            kind: telemetry::EventKind::ManagerRecovery,
-            cell: None,
-            job: None,
-            detail: format!("replayed {replayed} of {journaled} journaled commands"),
-        });
-        true
-    }
-
     /// The recovery routine; returns how many logged commands it replayed.
     fn recover(&mut self) -> io::Result<u64> {
         // 1. Fail-stop: the in-memory manager dies. Under power-loss
@@ -507,13 +509,134 @@ impl<M: Recoverable> DurableCore<M> {
     }
 }
 
+/// The one durable command surface: every state-mutating command is
+/// logged ahead through `Durable::logged`; reads go to the manager.
+impl<M: Recoverable + ResourceManager> ResourceManager for Durable<M> {
+    fn submit_with_admission(
+        &mut self,
+        job: Job,
+        now: SimTime,
+    ) -> Result<AdmissionOutcome, ManagerError> {
+        let ev = ManagerEvent::SubmitWithAdmission {
+            job: job.clone(),
+            now,
+        };
+        self.logged(ev, |m| m.submit_with_admission(job, now))
+    }
+
+    fn submit_batch(
+        &mut self,
+        jobs: Vec<Job>,
+        now: SimTime,
+    ) -> Vec<Result<AdmissionOutcome, ManagerError>> {
+        // One record for the whole burst: the federation routes a batch
+        // against a single load snapshot, so replay must re-present it as
+        // a batch — decomposing into singleton submits would replay with
+        // different (sequential) routing decisions.
+        let ev = ManagerEvent::SubmitBatch {
+            jobs: jobs.clone(),
+            now,
+        };
+        self.logged(ev, |m| m.submit_batch(jobs, now))
+    }
+
+    fn activate_due(&mut self, now: SimTime) -> usize {
+        self.logged(ManagerEvent::ActivateDue { now }, |m| m.activate_due(now))
+    }
+
+    fn reschedule(&mut self, now: SimTime) -> Vec<ScheduleEntry> {
+        self.logged(ManagerEvent::Reschedule { now }, |m| m.reschedule(now))
+    }
+
+    fn task_started(&mut self, task: TaskId, now: SimTime) -> Result<ResourceId, ManagerError> {
+        self.logged(ManagerEvent::TaskStarted { task, now }, |m| {
+            m.task_started(task, now)
+        })
+    }
+
+    fn task_completed(
+        &mut self,
+        task: TaskId,
+        now: SimTime,
+    ) -> Result<Option<JobCompletion>, ManagerError> {
+        self.logged(ManagerEvent::TaskCompleted { task, now }, |m| {
+            m.task_completed(task, now)
+        })
+    }
+
+    fn task_duration_revised(
+        &mut self,
+        task: TaskId,
+        new_exec: SimTime,
+    ) -> Result<(), ManagerError> {
+        self.logged(ManagerEvent::TaskDurationRevised { task, new_exec }, |m| {
+            m.task_duration_revised(task, new_exec)
+        })
+    }
+
+    fn task_failed(&mut self, task: TaskId, now: SimTime) -> Result<FailureAction, ManagerError> {
+        self.logged(ManagerEvent::TaskFailed { task, now }, |m| {
+            m.task_failed(task, now)
+        })
+    }
+
+    fn resource_down(
+        &mut self,
+        rid: ResourceId,
+        now: SimTime,
+    ) -> Result<Vec<TaskId>, ManagerError> {
+        self.logged(ManagerEvent::ResourceDown { resource: rid, now }, |m| {
+            m.resource_down(rid, now)
+        })
+    }
+
+    fn resource_up(&mut self, rid: ResourceId, now: SimTime) -> Result<(), ManagerError> {
+        self.logged(ManagerEvent::ResourceUp { resource: rid, now }, |m| {
+            m.resource_up(rid, now)
+        })
+    }
+
+    fn jobs_in_system(&self) -> usize {
+        self.m.jobs_in_system()
+    }
+
+    fn stats(&self) -> ManagerStats {
+        self.m.stats()
+    }
+
+    /// The crash/recovery model of the module docs. Always returns `true`:
+    /// state was lost and recovered.
+    fn crash_and_recover(&mut self, now: SimTime) -> bool {
+        let t0 = Instant::now();
+        let replayed = self
+            .recover()
+            .unwrap_or_else(|e| panic!("durability: recovery failed: {e}"));
+        let journaled = self.log.next_idx();
+        self.crashes += 1;
+        self.replayed += replayed;
+        let elapsed = t0.elapsed();
+        self.recovery_time += elapsed;
+        self.rec_tel.recoveries.inc();
+        self.rec_tel.replayed.add(replayed);
+        self.rec_tel.recovery_us.record(elapsed.as_micros() as u64);
+        self.tel.bus.publish(telemetry::Event {
+            at_ms: now.as_millis(),
+            kind: telemetry::EventKind::ManagerRecovery,
+            cell: None,
+            job: None,
+            detail: format!("replayed {replayed} of {journaled} journaled commands"),
+        });
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::apply;
+    use crate::event::{apply, apply_surface};
     use mrcp::manager::MrcpConfig;
     use mrcp::MrcpRm;
-    use workload::{model::homogeneous_cluster, Job, JobId, Task, TaskId, TaskKind};
+    use workload::{model::homogeneous_cluster, JobId, Task, TaskKind};
 
     fn job(id: u32) -> Job {
         let t = |tid: u32, kind| Task {
@@ -542,11 +665,11 @@ mod tests {
     }
 
     /// A plain reference manager and a durable one over a fresh store.
-    fn pair(name: &str, cfg: DurabilityConfig) -> (MrcpRm, DurableCore<MrcpRm>) {
+    fn pair(name: &str, cfg: DurabilityConfig) -> (MrcpRm, Durable<MrcpRm>) {
         let resources = homogeneous_cluster(4, 2, 2);
         let mgr = MrcpConfig::default();
         let rm = MrcpRm::new(mgr, resources.clone());
-        let core = DurableCore::create(
+        let core = Durable::create(
             MrcpRm::new(mgr, resources.clone()),
             (mgr, resources),
             &crate::scratch_dir(name),
@@ -555,9 +678,9 @@ mod tests {
         (rm, core)
     }
 
-    fn step(plain: &mut MrcpRm, core: &mut DurableCore<MrcpRm>, ev: ManagerEvent) {
+    fn step(plain: &mut MrcpRm, core: &mut Durable<MrcpRm>, ev: ManagerEvent) {
         apply(plain, &ev);
-        core.logged(ev.clone(), |m| apply(m, &ev));
+        apply_surface(core, &ev);
     }
 
     /// Replay re-runs the solver, so wall-clock stats legitimately

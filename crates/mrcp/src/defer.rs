@@ -106,6 +106,7 @@ mod tests {
         //! the interplay with retry budgets and load shedding.
         use crate::admission::{AdmissionConfig, AdmissionPolicy};
         use crate::manager::{FailureAction, MrcpConfig, MrcpRm, Submitted};
+        use crate::ResourceManager;
         use desim::SimTime;
         use workload::model::homogeneous_cluster;
         use workload::{Job, JobId, Task, TaskId, TaskKind};

@@ -119,6 +119,7 @@ pub fn render(
 mod tests {
     use super::*;
     use crate::manager::{MrcpConfig, MrcpRm};
+    use crate::ResourceManager;
     use desim::SimTime;
     use workload::model::homogeneous_cluster;
     use workload::{Job, JobId, Task, TaskId};

@@ -32,6 +32,7 @@ use crate::admission::{
 use crate::defer::DeferPolicy;
 use crate::modelmap::{build_model, JobInput, MappedModel, TaskInput};
 use crate::ordering::JobOrdering;
+use crate::sim_driver::ResourceManager;
 use crate::split::{split_solve_portfolio, RoundHints};
 use cpsolve::greedy::{greedy_edf, greedy_edf_with_hints, Hint};
 use cpsolve::model::ResRef;
@@ -313,7 +314,7 @@ pub struct MrcpConfig {
     /// (always on in debug builds).
     pub verify_schedules: bool,
     /// Failed attempts a task may accumulate before
-    /// [`task_failed`](MrcpRm::task_failed) abandons its job.
+    /// [`task_failed`](ResourceManager::task_failed) abandons its job.
     pub retry_budget: u32,
     /// Overload protection: admission policy and pending-queue bound
     /// (default: admit everything, unbounded — the paper's behaviour).
@@ -451,7 +452,7 @@ pub struct ManagerStats {
     /// Rounds where even the fallback produced nothing (the plan is left
     /// empty; tasks wait for the next round).
     pub failed_rounds: u64,
-    /// Task attempts reported failed via [`MrcpRm::task_failed`].
+    /// Task attempts reported failed via [`ResourceManager::task_failed`].
     pub tasks_failed: u64,
     /// Failed or interrupted tasks returned to the waiting queue.
     pub tasks_requeued: u64,
@@ -631,7 +632,7 @@ pub struct JobCompletion {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Submitted {
     /// The job entered the scheduling set; call
-    /// [`reschedule`](MrcpRm::reschedule).
+    /// [`reschedule`](ResourceManager::reschedule).
     Active,
     /// §V.E deferral: the job is parked until the given activation time.
     Deferred(SimTime),
@@ -721,7 +722,7 @@ impl Default for ManagerTel {
     }
 }
 
-/// Outcome of [`MrcpRm::submit_with_admission`].
+/// Outcome of [`ResourceManager::submit_with_admission`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionOutcome {
     /// What the admission probe decided.
@@ -748,7 +749,7 @@ pub struct AbandonedJob {
     pub earliest_start: SimTime,
 }
 
-/// Outcome of [`MrcpRm::task_failed`].
+/// Outcome of [`ResourceManager::task_failed`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FailureAction {
     /// The attempt was charged and the task requeued; the caller should
@@ -765,7 +766,7 @@ pub enum FailureAction {
 ///
 /// ```
 /// use desim::SimTime;
-/// use mrcp::{MrcpConfig, MrcpRm};
+/// use mrcp::{MrcpConfig, MrcpRm, ResourceManager};
 /// use workload::model::homogeneous_cluster;
 /// use workload::{Job, JobId, Task, TaskId, TaskKind};
 ///
@@ -853,7 +854,7 @@ impl MrcpRm {
     /// Attach live telemetry: registers this manager's instruments in
     /// `tel.registry` and publishes events on `tel.bus`. Recording is
     /// atomic adds at the same sites that mutate [`ManagerStats`], so a
-    /// mid-run scrape reconciles with [`MrcpRm::stats`]. Pass
+    /// mid-run scrape reconciles with [`ResourceManager::stats`]. Pass
     /// [`telemetry::Telemetry::disabled`] (the default) for bit-exact
     /// no-op behaviour.
     pub fn set_telemetry(&mut self, tel: &telemetry::Telemetry) {
@@ -873,16 +874,6 @@ impl MrcpRm {
     /// The cluster.
     pub fn resources(&self) -> &[Resource] {
         &self.resources
-    }
-
-    /// Aggregate statistics.
-    pub fn stats(&self) -> ManagerStats {
-        self.stats
-    }
-
-    /// Number of jobs currently in the system (active + deferred).
-    pub fn jobs_in_system(&self) -> usize {
-        self.jobs.len()
     }
 
     /// Current budget-controller scale on the per-round solver budget
@@ -1033,7 +1024,7 @@ impl MrcpRm {
 
     /// Submit an arriving job. Returns whether it joined the scheduling set
     /// or was deferred (§V.E); in the former case the caller should invoke
-    /// [`reschedule`](Self::reschedule).
+    /// [`reschedule`](ResourceManager::reschedule).
     pub fn submit(&mut self, job: Job, now: SimTime) -> Result<Submitted, ManagerError> {
         debug_assert!(job.validate().is_ok(), "invalid job submitted");
         let id = job.id;
@@ -1080,137 +1071,6 @@ impl MrcpRm {
             }
             None => Ok(Submitted::Active),
         }
-    }
-
-    /// Submit an arriving job through the overload-protection layer
-    /// (DESIGN.md §5c): enforce the pending-queue bound (shedding
-    /// lowest-value jobs to make room), run the admission probe, and apply
-    /// the configured [`AdmissionPolicy`]. With the default configuration
-    /// (best-effort policy, unbounded queue) this is exactly
-    /// [`submit`](Self::submit).
-    ///
-    /// `Err` means the submission itself was malformed (duplicate ids);
-    /// a rejected-but-well-formed job comes back as
-    /// `Ok` with [`AdmissionDecision::Reject`] and `submitted: None`.
-    pub fn submit_with_admission(
-        &mut self,
-        mut job: Job,
-        now: SimTime,
-    ) -> Result<AdmissionOutcome, ManagerError> {
-        // Duplicate checks up front so a malformed submit cannot shed work.
-        if self.jobs.contains_key(&job.id) {
-            return Err(ManagerError::DuplicateJob(job.id));
-        }
-        if let Some(t) = job.tasks().find(|t| self.task_owner.contains_key(&t.id)) {
-            return Err(ManagerError::DuplicateTask(t.id));
-        }
-
-        // Backpressure: bound the pending queue, shedding the lowest-value
-        // (farthest-deadline, fully unstarted) jobs to make room for more
-        // urgent arrivals. When the arrival itself is the least valuable
-        // candidate, it is the one refused.
-        let mut shed = Vec::new();
-        if let Some(limit) = self.cfg.admission.max_pending_jobs {
-            while self.jobs.len() >= limit.max(1) {
-                match self.shed_victim() {
-                    Some((victim, victim_deadline)) if victim_deadline > job.deadline => {
-                        self.stats.jobs_shed += 1;
-                        self.tel.shed.inc();
-                        self.tel.event(
-                            now,
-                            telemetry::EventKind::JobShed,
-                            Some(u64::from(victim.0)),
-                            "queue full",
-                        );
-                        // The victim was picked from the job table a line
-                        // ago; its absence is an invariant breach, typed
-                        // rather than a panic.
-                        shed.push(self.evict(victim).map_err(|_| {
-                            ManagerError::Inconsistent("shed victim vanished from the job table")
-                        })?);
-                    }
-                    _ => {
-                        self.stats.jobs_rejected += 1;
-                        self.tel.rejected.inc();
-                        self.tel.event(
-                            now,
-                            telemetry::EventKind::AdmissionRejected,
-                            Some(u64::from(job.id.0)),
-                            "queue full",
-                        );
-                        return Ok(AdmissionOutcome {
-                            decision: AdmissionDecision::Reject {
-                                reason: RejectReason::QueueFull,
-                                earliest_feasible_deadline: SimTime::MAX,
-                            },
-                            submitted: None,
-                            shed,
-                        });
-                    }
-                }
-            }
-        }
-
-        let decision = match self.cfg.admission.policy {
-            AdmissionPolicy::BestEffort => AdmissionDecision::Admit,
-            policy => match self.admission_probe(&job, now) {
-                Ok(()) => AdmissionDecision::Admit,
-                Err((reason, earliest)) => {
-                    // Renegotiation needs a finite deadline to offer.
-                    if policy == AdmissionPolicy::Renegotiate && earliest < SimTime::MAX {
-                        self.stats.jobs_renegotiated += 1;
-                        self.tel.renegotiated.inc();
-                        self.tel.event(
-                            now,
-                            telemetry::EventKind::AdmissionRenegotiated,
-                            Some(u64::from(job.id.0)),
-                            "deadline pushed to earliest feasible",
-                        );
-                        let original = job.deadline;
-                        job.deadline = earliest.max(original);
-                        AdmissionDecision::AdmitDegraded {
-                            original_deadline: original,
-                            new_deadline: job.deadline,
-                        }
-                    } else {
-                        self.stats.jobs_rejected += 1;
-                        self.tel.rejected.inc();
-                        self.tel.event(
-                            now,
-                            telemetry::EventKind::AdmissionRejected,
-                            Some(u64::from(job.id.0)),
-                            "admission probe refused",
-                        );
-                        return Ok(AdmissionOutcome {
-                            decision: AdmissionDecision::Reject {
-                                reason,
-                                earliest_feasible_deadline: earliest,
-                            },
-                            submitted: None,
-                            shed,
-                        });
-                    }
-                }
-            },
-        };
-
-        let job_id = u64::from(job.id.0);
-        let submitted = self.submit(job, now)?;
-        self.tel.admitted.inc();
-        self.tel.event(
-            now,
-            telemetry::EventKind::AdmissionAdmitted,
-            Some(job_id),
-            match decision {
-                AdmissionDecision::AdmitDegraded { .. } => "admitted with renegotiated deadline",
-                _ => "admitted",
-            },
-        );
-        Ok(AdmissionOutcome {
-            decision,
-            submitted: Some(submitted),
-            shed,
-        })
     }
 
     /// The two-stage admission probe (see [`crate::admission`]): the EDF
@@ -1314,7 +1174,7 @@ impl MrcpRm {
     }
 
     /// Force a job out of the system (shed by the queue bound, or abandoned
-    /// by [`task_failed`](Self::task_failed)) and tell the host which tasks
+    /// by [`task_failed`](ResourceManager::task_failed)) and tell the host which tasks
     /// went with it.
     fn evict(&mut self, id: JobId) -> Result<AbandonedJob, ManagerError> {
         let state = self.remove_job(id)?;
@@ -1326,167 +1186,9 @@ impl MrcpRm {
         })
     }
 
-    /// Admit deferred jobs whose activation time has arrived. Returns how
-    /// many became active (if > 0 the caller should reschedule).
-    pub fn activate_due(&mut self, now: SimTime) -> usize {
-        let before = self.deferred.len();
-        let jobs = &mut self.jobs;
-        self.deferred.retain(|&(act, j)| {
-            if act > now {
-                return true;
-            }
-            if let Some(state) = jobs.get_mut(&j) {
-                state.deferred = false;
-            }
-            false
-        });
-        before - self.deferred.len()
-    }
-
     /// Earliest pending activation, if any.
     pub fn next_activation(&self) -> Option<SimTime> {
         self.deferred.iter().map(|&(act, _)| act).min()
-    }
-
-    /// The host reports that a task began executing at `now` per the
-    /// current schedule. Returns the resource it runs on.
-    pub fn task_started(&mut self, task: TaskId, now: SimTime) -> Result<ResourceId, ManagerError> {
-        let (state, idx) = self.locate(task)?;
-        let entry = state.slots[idx]
-            .planned
-            .take()
-            .ok_or(ManagerError::TaskNotScheduled(task))?;
-        debug_assert_eq!(entry.start, now, "start time drifted from plan");
-        let t = &mut state.tasks[idx];
-        debug_assert_eq!(t.status, TaskStatusImage::Waiting);
-        t.status = TaskStatusImage::Started {
-            resource: entry.resource,
-            start: now,
-        };
-        Ok(entry.resource)
-    }
-
-    /// The host reports task completion. Returns the job's completion
-    /// record when this was its last task (the job then leaves the system,
-    /// Table 2 lines 13–16).
-    pub fn task_completed(
-        &mut self,
-        task: TaskId,
-        now: SimTime,
-    ) -> Result<Option<JobCompletion>, ManagerError> {
-        let (job, t, remaining) = self.task_mut(task)?;
-        match t.status {
-            TaskStatusImage::Started { start, .. } => {
-                // Stragglers finish after start + e_t; completion can never
-                // precede the start.
-                debug_assert!(now >= start, "completion at {now} precedes start {start}");
-            }
-            _ => return Err(ManagerError::TaskNotRunning(task)),
-        }
-        t.status = TaskStatusImage::Completed;
-        *remaining -= 1;
-        if *remaining > 0 {
-            return Ok(None);
-        }
-        let state = self.remove_job(job)?;
-        Ok(Some(JobCompletion {
-            job,
-            completion: now,
-            deadline: state.job.deadline,
-            earliest_start: state.job.earliest_start,
-            late: now > state.job.deadline,
-        }))
-    }
-
-    /// The host reports that a running task's execution time is now known
-    /// to differ from its estimate (a detected straggler). The revised
-    /// value is carried into subsequent scheduling rounds so the solver
-    /// plans around the longer occupancy; the caller should reschedule.
-    pub fn task_duration_revised(
-        &mut self,
-        task: TaskId,
-        new_exec: SimTime,
-    ) -> Result<(), ManagerError> {
-        let (_, t, _) = self.task_mut(task)?;
-        match t.status {
-            TaskStatusImage::Started { .. } => {
-                t.exec_time = new_exec;
-                Ok(())
-            }
-            _ => Err(ManagerError::TaskNotRunning(task)),
-        }
-    }
-
-    /// The host reports that a running task's attempt failed at `now`.
-    /// Charges one failed attempt; within the retry budget the task goes
-    /// back to the waiting queue (its execution time reset to the nominal
-    /// `e_t`) and the caller should reschedule. Beyond the budget the whole
-    /// job is abandoned and leaves the system.
-    pub fn task_failed(
-        &mut self,
-        task: TaskId,
-        _now: SimTime,
-    ) -> Result<FailureAction, ManagerError> {
-        let (job, t, _) = self.task_mut(task)?;
-        if !matches!(t.status, TaskStatusImage::Started { .. }) {
-            return Err(ManagerError::TaskNotRunning(task));
-        }
-        // Back to the queue at the nominal `e_t` (moot when the job is
-        // abandoned just below).
-        t.failed_attempts += 1;
-        let failed_attempts = t.failed_attempts;
-        t.exec_time = t.nominal_exec;
-        t.status = TaskStatusImage::Waiting;
-        self.stats.tasks_failed += 1;
-        self.tel.tasks_failed.inc();
-        if failed_attempts > self.cfg.retry_budget {
-            self.stats.jobs_abandoned += 1;
-            self.tel.jobs_abandoned.inc();
-            return Ok(FailureAction::JobAbandoned(self.evict(job)?));
-        }
-        self.stats.tasks_requeued += 1;
-        self.tel.tasks_requeued.inc();
-        Ok(FailureAction::Requeued { failed_attempts })
-    }
-
-    /// The host reports that a resource crashed at `now`. The resource is
-    /// excluded from subsequent scheduling rounds; every task running on it
-    /// is un-pinned and requeued (without charging its retry budget — a
-    /// machine crash is not the task's fault), and planned-but-unstarted
-    /// work assigned to it is dropped from the current plan. Returns the
-    /// interrupted (previously running) tasks; the caller should invalidate
-    /// any events held for them and reschedule.
-    pub fn resource_down(
-        &mut self,
-        rid: ResourceId,
-        _now: SimTime,
-    ) -> Result<Vec<TaskId>, ManagerError> {
-        if !self.resources.iter().any(|r| r.id == rid) {
-            return Err(ManagerError::UnknownResource(rid));
-        }
-        if !self.down.insert(rid) {
-            return Err(ManagerError::ResourceAlreadyDown(rid));
-        }
-        let mut interrupted = Vec::new();
-        for state in self.jobs.values_mut() {
-            for (t, slot) in state.tasks.iter_mut().zip(&mut state.slots) {
-                if matches!(t.status, TaskStatusImage::Started { resource, .. } if resource == rid)
-                {
-                    t.exec_time = t.nominal_exec;
-                    t.status = TaskStatusImage::Waiting;
-                    interrupted.push(t.id);
-                }
-                if slot.planned.is_some_and(|e| e.resource == rid) {
-                    slot.planned = None;
-                }
-            }
-        }
-        self.invalidate_round_cache();
-        interrupted.sort_unstable();
-        self.stats.tasks_requeued += interrupted.len() as u64;
-        self.tel.tasks_requeued.add(interrupted.len() as u64);
-        self.tel.resources_down.set(self.down.len() as i64);
-        Ok(interrupted)
     }
 
     /// Drop the cross-round cache (resource availability changed — the
@@ -1497,132 +1199,6 @@ impl MrcpRm {
             self.stats.cache_invalidations += 1;
             self.tel.cache_invalidations.inc();
         }
-    }
-
-    /// The host reports that a crashed resource recovered at `now`; it
-    /// rejoins the pool on the next scheduling round (the caller should
-    /// reschedule to use the regained capacity).
-    pub fn resource_up(&mut self, rid: ResourceId, _now: SimTime) -> Result<(), ManagerError> {
-        if !self.resources.iter().any(|r| r.id == rid) {
-            return Err(ManagerError::UnknownResource(rid));
-        }
-        if !self.down.remove(&rid) {
-            return Err(ManagerError::ResourceNotDown(rid));
-        }
-        self.invalidate_round_cache();
-        self.tel.resources_down.set(self.down.len() as i64);
-        Ok(())
-    }
-
-    /// Run one scheduling round (Table 2). Remaps and reschedules every
-    /// active, unstarted task; pins running tasks. Returns the new plan for
-    /// unstarted tasks (the host should arm start events from it).
-    pub fn reschedule(&mut self, now: SimTime) -> Vec<ScheduleEntry> {
-        let t0 = Instant::now();
-
-        // Assemble model inputs: active jobs with outstanding tasks.
-        let (states, inputs) = Self::collect_inputs(self.cfg.ordering, &self.jobs, now, false);
-
-        if inputs.is_empty() {
-            self.clear_plan();
-            return Vec::new();
-        }
-
-        // Exclude crashed resources from the round. With the whole cluster
-        // down there is nothing to plan onto; keep the work queued until a
-        // resource recovers.
-        let up: Vec<Resource> = self
-            .resources
-            .iter()
-            .filter(|r| !self.down.contains(&r.id))
-            .cloned()
-            .collect();
-        if up.is_empty() {
-            self.clear_plan();
-            return Vec::new();
-        }
-
-        let n_tasks: usize = inputs.iter().map(|j| j.tasks.len()).sum();
-        let mut params = self.cfg.budget.params_for(n_tasks);
-        // Budget controller: a shrunken scale trims every per-round limit
-        // and escalates the degradation ladder (see solve_round).
-        if self.budget_scale < 1.0 {
-            params = params.scaled(self.budget_scale);
-        }
-        let pressure = self.pressure_level();
-
-        // Cross-round reuse: replay the previous round's placements, which
-        // each job carries in its slots, for jobs whose fingerprint is
-        // unchanged under the same resource pool. Pinned tasks are already
-        // constrained by the model and need no hint.
-        let pool_fp = pool_fingerprint(&up);
-        let job_fps: Vec<(JobId, u64)> = inputs
-            .iter()
-            .map(|i| (i.job.id, job_fingerprint(i)))
-            .collect();
-        let hints: Option<Vec<Option<(ResourceId, SimTime)>>> = if self.cfg.reuse_rounds {
-            self.cache
-                .as_ref()
-                .filter(|c| c.pool_fp == pool_fp)
-                .map(|c| {
-                    let mut hints = Vec::with_capacity(n_tasks);
-                    for ((state, inp), &(id, fp)) in states.iter().zip(&inputs).zip(&job_fps) {
-                        if c.jobs.get(&id) != Some(&fp) {
-                            hints.resize(hints.len() + inp.tasks.len(), None);
-                            continue;
-                        }
-                        // The job's input tasks are its uncompleted ones,
-                        // in order.
-                        hints.extend(state.tasks.iter().zip(&state.slots).filter_map(
-                            |(t, slot)| match t.status {
-                                TaskStatusImage::Completed => None,
-                                TaskStatusImage::Waiting => Some(slot.placed),
-                                TaskStatusImage::Started { .. } => Some(None),
-                            },
-                        ));
-                    }
-                    hints
-                })
-        } else {
-            None
-        };
-        let warm = hints
-            .as_ref()
-            .is_some_and(|h| h.iter().any(|x| x.is_some()));
-
-        let solved =
-            Self::solve_round(&self.cfg, &up, &inputs, &params, pressure, hints.as_deref());
-        drop((states, inputs));
-        // Install: a placement that does not match the task the round
-        // asked about fails the round (no panic), like a round in which
-        // every rung failed.
-        let mut plan = Vec::new();
-        let installed = solved.and_then(|round| {
-            plan = self.install(&job_fps, &round.0, now)?;
-            Ok(round)
-        });
-        if installed.is_ok() {
-            // Remember this round for the next one's warm start.
-            if self.cfg.reuse_rounds {
-                self.cache = Some(RoundCache {
-                    pool_fp,
-                    jobs: job_fps.into_iter().collect(),
-                });
-            }
-            if warm {
-                self.stats.warm_rounds += 1;
-                self.tel.warm_rounds.inc();
-            }
-        }
-        self.book_round(now, t0.elapsed(), n_tasks, &installed);
-        self.last_error = installed.err();
-        if self.last_error.is_some() {
-            // Leave the work queued with no plan; the next round (new
-            // arrival, completion, recovery) retries from a different state.
-            self.clear_plan();
-            self.cache = None;
-        }
-        plan
     }
 
     /// Drop every entry of the current plan.
@@ -2106,6 +1682,393 @@ impl MrcpRm {
         rm.latency_ewma_s = image.latency_ewma_s;
         rm.stats = image.stats;
         Ok(rm)
+    }
+}
+
+impl ResourceManager for MrcpRm {
+    /// Through the overload-protection layer (DESIGN.md §5c): enforce
+    /// the pending-queue bound (shedding lowest-value jobs to make room),
+    /// run the admission probe, and apply the configured
+    /// [`AdmissionPolicy`]. With the default configuration (best-effort
+    /// policy, unbounded queue) this is exactly [`submit`](Self::submit).
+    fn submit_with_admission(
+        &mut self,
+        mut job: Job,
+        now: SimTime,
+    ) -> Result<AdmissionOutcome, ManagerError> {
+        // Duplicate checks up front so a malformed submit cannot shed work.
+        if self.jobs.contains_key(&job.id) {
+            return Err(ManagerError::DuplicateJob(job.id));
+        }
+        if let Some(t) = job.tasks().find(|t| self.task_owner.contains_key(&t.id)) {
+            return Err(ManagerError::DuplicateTask(t.id));
+        }
+
+        // Backpressure: bound the pending queue, shedding the lowest-value
+        // (farthest-deadline, fully unstarted) jobs to make room for more
+        // urgent arrivals. When the arrival itself is the least valuable
+        // candidate, it is the one refused.
+        let mut shed = Vec::new();
+        if let Some(limit) = self.cfg.admission.max_pending_jobs {
+            while self.jobs.len() >= limit.max(1) {
+                match self.shed_victim() {
+                    Some((victim, victim_deadline)) if victim_deadline > job.deadline => {
+                        self.stats.jobs_shed += 1;
+                        self.tel.shed.inc();
+                        self.tel.event(
+                            now,
+                            telemetry::EventKind::JobShed,
+                            Some(u64::from(victim.0)),
+                            "queue full",
+                        );
+                        // The victim was picked from the job table a line
+                        // ago; its absence is an invariant breach, typed
+                        // rather than a panic.
+                        shed.push(self.evict(victim).map_err(|_| {
+                            ManagerError::Inconsistent("shed victim vanished from the job table")
+                        })?);
+                    }
+                    _ => {
+                        self.stats.jobs_rejected += 1;
+                        self.tel.rejected.inc();
+                        self.tel.event(
+                            now,
+                            telemetry::EventKind::AdmissionRejected,
+                            Some(u64::from(job.id.0)),
+                            "queue full",
+                        );
+                        return Ok(AdmissionOutcome {
+                            decision: AdmissionDecision::Reject {
+                                reason: RejectReason::QueueFull,
+                                earliest_feasible_deadline: SimTime::MAX,
+                            },
+                            submitted: None,
+                            shed,
+                        });
+                    }
+                }
+            }
+        }
+
+        let decision = match self.cfg.admission.policy {
+            AdmissionPolicy::BestEffort => AdmissionDecision::Admit,
+            policy => match self.admission_probe(&job, now) {
+                Ok(()) => AdmissionDecision::Admit,
+                Err((reason, earliest)) => {
+                    // Renegotiation needs a finite deadline to offer.
+                    if policy == AdmissionPolicy::Renegotiate && earliest < SimTime::MAX {
+                        self.stats.jobs_renegotiated += 1;
+                        self.tel.renegotiated.inc();
+                        self.tel.event(
+                            now,
+                            telemetry::EventKind::AdmissionRenegotiated,
+                            Some(u64::from(job.id.0)),
+                            "deadline pushed to earliest feasible",
+                        );
+                        let original = job.deadline;
+                        job.deadline = earliest.max(original);
+                        AdmissionDecision::AdmitDegraded {
+                            original_deadline: original,
+                            new_deadline: job.deadline,
+                        }
+                    } else {
+                        self.stats.jobs_rejected += 1;
+                        self.tel.rejected.inc();
+                        self.tel.event(
+                            now,
+                            telemetry::EventKind::AdmissionRejected,
+                            Some(u64::from(job.id.0)),
+                            "admission probe refused",
+                        );
+                        return Ok(AdmissionOutcome {
+                            decision: AdmissionDecision::Reject {
+                                reason,
+                                earliest_feasible_deadline: earliest,
+                            },
+                            submitted: None,
+                            shed,
+                        });
+                    }
+                }
+            },
+        };
+
+        let job_id = u64::from(job.id.0);
+        let submitted = self.submit(job, now)?;
+        self.tel.admitted.inc();
+        self.tel.event(
+            now,
+            telemetry::EventKind::AdmissionAdmitted,
+            Some(job_id),
+            match decision {
+                AdmissionDecision::AdmitDegraded { .. } => "admitted with renegotiated deadline",
+                _ => "admitted",
+            },
+        );
+        Ok(AdmissionOutcome {
+            decision,
+            submitted: Some(submitted),
+            shed,
+        })
+    }
+
+    fn activate_due(&mut self, now: SimTime) -> usize {
+        let before = self.deferred.len();
+        let jobs = &mut self.jobs;
+        self.deferred.retain(|&(act, j)| {
+            if act > now {
+                return true;
+            }
+            if let Some(state) = jobs.get_mut(&j) {
+                state.deferred = false;
+            }
+            false
+        });
+        before - self.deferred.len()
+    }
+
+    fn reschedule(&mut self, now: SimTime) -> Vec<ScheduleEntry> {
+        let t0 = Instant::now();
+
+        // Assemble model inputs: active jobs with outstanding tasks.
+        let (states, inputs) = Self::collect_inputs(self.cfg.ordering, &self.jobs, now, false);
+
+        if inputs.is_empty() {
+            self.clear_plan();
+            return Vec::new();
+        }
+
+        // Exclude crashed resources from the round. With the whole cluster
+        // down there is nothing to plan onto; keep the work queued until a
+        // resource recovers.
+        let up: Vec<Resource> = self
+            .resources
+            .iter()
+            .filter(|r| !self.down.contains(&r.id))
+            .cloned()
+            .collect();
+        if up.is_empty() {
+            self.clear_plan();
+            return Vec::new();
+        }
+
+        let n_tasks: usize = inputs.iter().map(|j| j.tasks.len()).sum();
+        let mut params = self.cfg.budget.params_for(n_tasks);
+        // Budget controller: a shrunken scale trims every per-round limit
+        // and escalates the degradation ladder (see solve_round).
+        if self.budget_scale < 1.0 {
+            params = params.scaled(self.budget_scale);
+        }
+        let pressure = self.pressure_level();
+
+        // Cross-round reuse: replay the previous round's placements, which
+        // each job carries in its slots, for jobs whose fingerprint is
+        // unchanged under the same resource pool. Pinned tasks are already
+        // constrained by the model and need no hint.
+        let pool_fp = pool_fingerprint(&up);
+        let job_fps: Vec<(JobId, u64)> = inputs
+            .iter()
+            .map(|i| (i.job.id, job_fingerprint(i)))
+            .collect();
+        let hints: Option<Vec<Option<(ResourceId, SimTime)>>> = if self.cfg.reuse_rounds {
+            self.cache
+                .as_ref()
+                .filter(|c| c.pool_fp == pool_fp)
+                .map(|c| {
+                    let mut hints = Vec::with_capacity(n_tasks);
+                    for ((state, inp), &(id, fp)) in states.iter().zip(&inputs).zip(&job_fps) {
+                        if c.jobs.get(&id) != Some(&fp) {
+                            hints.resize(hints.len() + inp.tasks.len(), None);
+                            continue;
+                        }
+                        // The job's input tasks are its uncompleted ones,
+                        // in order.
+                        hints.extend(state.tasks.iter().zip(&state.slots).filter_map(
+                            |(t, slot)| match t.status {
+                                TaskStatusImage::Completed => None,
+                                TaskStatusImage::Waiting => Some(slot.placed),
+                                TaskStatusImage::Started { .. } => Some(None),
+                            },
+                        ));
+                    }
+                    hints
+                })
+        } else {
+            None
+        };
+        let warm = hints
+            .as_ref()
+            .is_some_and(|h| h.iter().any(|x| x.is_some()));
+
+        let solved =
+            Self::solve_round(&self.cfg, &up, &inputs, &params, pressure, hints.as_deref());
+        drop((states, inputs));
+        // Install: a placement that does not match the task the round
+        // asked about fails the round (no panic), like a round in which
+        // every rung failed.
+        let mut plan = Vec::new();
+        let installed = solved.and_then(|round| {
+            plan = self.install(&job_fps, &round.0, now)?;
+            Ok(round)
+        });
+        if installed.is_ok() {
+            // Remember this round for the next one's warm start.
+            if self.cfg.reuse_rounds {
+                self.cache = Some(RoundCache {
+                    pool_fp,
+                    jobs: job_fps.into_iter().collect(),
+                });
+            }
+            if warm {
+                self.stats.warm_rounds += 1;
+                self.tel.warm_rounds.inc();
+            }
+        }
+        self.book_round(now, t0.elapsed(), n_tasks, &installed);
+        self.last_error = installed.err();
+        if self.last_error.is_some() {
+            // Leave the work queued with no plan; the next round (new
+            // arrival, completion, recovery) retries from a different state.
+            self.clear_plan();
+            self.cache = None;
+        }
+        plan
+    }
+
+    fn task_started(&mut self, task: TaskId, now: SimTime) -> Result<ResourceId, ManagerError> {
+        let (state, idx) = self.locate(task)?;
+        let entry = state.slots[idx]
+            .planned
+            .take()
+            .ok_or(ManagerError::TaskNotScheduled(task))?;
+        debug_assert_eq!(entry.start, now, "start time drifted from plan");
+        let t = &mut state.tasks[idx];
+        debug_assert_eq!(t.status, TaskStatusImage::Waiting);
+        t.status = TaskStatusImage::Started {
+            resource: entry.resource,
+            start: now,
+        };
+        Ok(entry.resource)
+    }
+
+    fn task_completed(
+        &mut self,
+        task: TaskId,
+        now: SimTime,
+    ) -> Result<Option<JobCompletion>, ManagerError> {
+        let (job, t, remaining) = self.task_mut(task)?;
+        match t.status {
+            TaskStatusImage::Started { start, .. } => {
+                // Stragglers finish after start + e_t; completion can never
+                // precede the start.
+                debug_assert!(now >= start, "completion at {now} precedes start {start}");
+            }
+            _ => return Err(ManagerError::TaskNotRunning(task)),
+        }
+        t.status = TaskStatusImage::Completed;
+        *remaining -= 1;
+        if *remaining > 0 {
+            return Ok(None);
+        }
+        let state = self.remove_job(job)?;
+        Ok(Some(JobCompletion {
+            job,
+            completion: now,
+            deadline: state.job.deadline,
+            earliest_start: state.job.earliest_start,
+            late: now > state.job.deadline,
+        }))
+    }
+
+    fn task_duration_revised(
+        &mut self,
+        task: TaskId,
+        new_exec: SimTime,
+    ) -> Result<(), ManagerError> {
+        let (_, t, _) = self.task_mut(task)?;
+        match t.status {
+            TaskStatusImage::Started { .. } => {
+                t.exec_time = new_exec;
+                Ok(())
+            }
+            _ => Err(ManagerError::TaskNotRunning(task)),
+        }
+    }
+
+    fn task_failed(&mut self, task: TaskId, _now: SimTime) -> Result<FailureAction, ManagerError> {
+        let (job, t, _) = self.task_mut(task)?;
+        if !matches!(t.status, TaskStatusImage::Started { .. }) {
+            return Err(ManagerError::TaskNotRunning(task));
+        }
+        // Back to the queue at the nominal `e_t` (moot when the job is
+        // abandoned just below).
+        t.failed_attempts += 1;
+        let failed_attempts = t.failed_attempts;
+        t.exec_time = t.nominal_exec;
+        t.status = TaskStatusImage::Waiting;
+        self.stats.tasks_failed += 1;
+        self.tel.tasks_failed.inc();
+        if failed_attempts > self.cfg.retry_budget {
+            self.stats.jobs_abandoned += 1;
+            self.tel.jobs_abandoned.inc();
+            return Ok(FailureAction::JobAbandoned(self.evict(job)?));
+        }
+        self.stats.tasks_requeued += 1;
+        self.tel.tasks_requeued.inc();
+        Ok(FailureAction::Requeued { failed_attempts })
+    }
+
+    fn resource_down(
+        &mut self,
+        rid: ResourceId,
+        _now: SimTime,
+    ) -> Result<Vec<TaskId>, ManagerError> {
+        if !self.resources.iter().any(|r| r.id == rid) {
+            return Err(ManagerError::UnknownResource(rid));
+        }
+        if !self.down.insert(rid) {
+            return Err(ManagerError::ResourceAlreadyDown(rid));
+        }
+        let mut interrupted = Vec::new();
+        for state in self.jobs.values_mut() {
+            for (t, slot) in state.tasks.iter_mut().zip(&mut state.slots) {
+                if matches!(t.status, TaskStatusImage::Started { resource, .. } if resource == rid)
+                {
+                    t.exec_time = t.nominal_exec;
+                    t.status = TaskStatusImage::Waiting;
+                    interrupted.push(t.id);
+                }
+                if slot.planned.is_some_and(|e| e.resource == rid) {
+                    slot.planned = None;
+                }
+            }
+        }
+        self.invalidate_round_cache();
+        interrupted.sort_unstable();
+        self.stats.tasks_requeued += interrupted.len() as u64;
+        self.tel.tasks_requeued.add(interrupted.len() as u64);
+        self.tel.resources_down.set(self.down.len() as i64);
+        Ok(interrupted)
+    }
+
+    fn resource_up(&mut self, rid: ResourceId, _now: SimTime) -> Result<(), ManagerError> {
+        if !self.resources.iter().any(|r| r.id == rid) {
+            return Err(ManagerError::UnknownResource(rid));
+        }
+        if !self.down.remove(&rid) {
+            return Err(ManagerError::ResourceNotDown(rid));
+        }
+        self.invalidate_round_cache();
+        self.tel.resources_down.set(self.down.len() as i64);
+        Ok(())
+    }
+
+    fn jobs_in_system(&self) -> usize {
+        self.jobs.len()
+    }
+
+    fn stats(&self) -> ManagerStats {
+        self.stats
     }
 }
 

@@ -374,13 +374,25 @@ impl RunMetrics {
     }
 }
 
-/// The manager call surface the simulation driver runs against. The
-/// single-cell [`MrcpRm`] implements it by delegation; the federation
-/// layer (`crates/cluster`) implements it over K sharded managers, so the
-/// same event loop — arrivals, deferral activations, task lifecycle,
-/// faults — drives either topology with identical semantics.
+/// The manager's command surface: one call per event of the paper's
+/// Table 2 loop — a job arrives, a deferral falls due, a round runs, a
+/// task starts, completes, straggles or fails, a resource goes down or
+/// comes back. [`MrcpRm`] implements it directly; the federation
+/// (`crates/cluster`) implements it over K sharded managers and
+/// `durability::Durable` over any recoverable manager, so the same event
+/// loop drives every stack with identical semantics.
 pub trait ResourceManager {
-    /// See [`MrcpRm::submit_with_admission`].
+    /// Submit an arriving job through admission control. The outcome says
+    /// what the admission probe decided, whether the job joined the
+    /// scheduling set or was deferred (§V.E; when it joined, the caller
+    /// should [`reschedule`](Self::reschedule)), and which jobs were shed
+    /// to make room.
+    ///
+    /// `Err` means the submission itself was malformed (duplicate ids);
+    /// a rejected-but-well-formed job comes back as
+    /// `Ok` with [`AdmissionDecision::Reject`] and `submitted: None`.
+    ///
+    /// [`AdmissionDecision::Reject`]: crate::AdmissionDecision::Reject
     fn submit_with_admission(
         &mut self,
         job: Job,
@@ -404,34 +416,57 @@ pub trait ResourceManager {
             .map(|j| self.submit_with_admission(j, now))
             .collect()
     }
-    /// See [`MrcpRm::activate_due`].
+    /// Admit deferred jobs whose activation time has arrived. Returns how
+    /// many became active (if > 0 the caller should reschedule).
     fn activate_due(&mut self, now: SimTime) -> usize;
-    /// See [`MrcpRm::reschedule`].
+    /// Run one scheduling round (Table 2). Remaps and reschedules every
+    /// active, unstarted task; pins running tasks. Returns the new plan for
+    /// unstarted tasks (the host should arm start events from it).
     fn reschedule(&mut self, now: SimTime) -> Vec<ScheduleEntry>;
-    /// See [`MrcpRm::task_started`].
+    /// The host reports that a task began executing at `now` per the
+    /// current schedule. Returns the resource it runs on.
     fn task_started(&mut self, task: TaskId, now: SimTime) -> Result<ResourceId, ManagerError>;
-    /// See [`MrcpRm::task_completed`].
+    /// The host reports task completion. Returns the job's completion
+    /// record when this was its last task (the job then leaves the system,
+    /// Table 2 lines 13–16).
     fn task_completed(
         &mut self,
         task: TaskId,
         now: SimTime,
     ) -> Result<Option<JobCompletion>, ManagerError>;
-    /// See [`MrcpRm::task_duration_revised`].
+    /// The host reports that a running task's execution time is now known
+    /// to differ from its estimate (a detected straggler). The revised
+    /// value is carried into subsequent scheduling rounds so the solver
+    /// plans around the longer occupancy; the caller should reschedule.
+    /// The call carries no time: the host sends it at the instant of the
+    /// task's start.
     fn task_duration_revised(
         &mut self,
         task: TaskId,
         new_exec: SimTime,
     ) -> Result<(), ManagerError>;
-    /// See [`MrcpRm::task_failed`].
+    /// The host reports that a running task's attempt failed at `now`.
+    /// Charges one failed attempt; within the retry budget the task goes
+    /// back to the waiting queue (its execution time reset to the nominal
+    /// `e_t`) and the caller should reschedule. Beyond the budget the whole
+    /// job is abandoned and leaves the system.
     fn task_failed(&mut self, task: TaskId, now: SimTime) -> Result<FailureAction, ManagerError>;
-    /// See [`MrcpRm::resource_down`].
+    /// The host reports that a resource crashed at `now`. The resource is
+    /// excluded from subsequent scheduling rounds; every task running on it
+    /// is un-pinned and requeued (without charging its retry budget — a
+    /// machine crash is not the task's fault), and planned-but-unstarted
+    /// work assigned to it is dropped from the current plan. Returns the
+    /// interrupted (previously running) tasks; the caller should invalidate
+    /// any events held for them and reschedule.
     fn resource_down(&mut self, rid: ResourceId, now: SimTime)
         -> Result<Vec<TaskId>, ManagerError>;
-    /// See [`MrcpRm::resource_up`].
+    /// The host reports that a crashed resource recovered at `now`; it
+    /// rejoins the pool on the next scheduling round (the caller should
+    /// reschedule to use the regained capacity).
     fn resource_up(&mut self, rid: ResourceId, now: SimTime) -> Result<(), ManagerError>;
-    /// See [`MrcpRm::jobs_in_system`].
+    /// Number of jobs currently in the system (active + deferred).
     fn jobs_in_system(&self) -> usize;
-    /// See [`MrcpRm::stats`] — fleet-aggregated for multi-cell managers.
+    /// Aggregate statistics — fleet-aggregated for multi-cell managers.
     fn stats(&self) -> ManagerStats;
     /// Simulate a manager-process crash at `now`: drop all in-memory
     /// state and rebuild from durable storage. Returns `true` when a
@@ -442,58 +477,6 @@ pub trait ResourceManager {
     fn crash_and_recover(&mut self, now: SimTime) -> bool {
         let _ = now;
         false
-    }
-}
-
-impl ResourceManager for MrcpRm {
-    fn submit_with_admission(
-        &mut self,
-        job: Job,
-        now: SimTime,
-    ) -> Result<AdmissionOutcome, ManagerError> {
-        MrcpRm::submit_with_admission(self, job, now)
-    }
-    fn activate_due(&mut self, now: SimTime) -> usize {
-        MrcpRm::activate_due(self, now)
-    }
-    fn reschedule(&mut self, now: SimTime) -> Vec<ScheduleEntry> {
-        MrcpRm::reschedule(self, now)
-    }
-    fn task_started(&mut self, task: TaskId, now: SimTime) -> Result<ResourceId, ManagerError> {
-        MrcpRm::task_started(self, task, now)
-    }
-    fn task_completed(
-        &mut self,
-        task: TaskId,
-        now: SimTime,
-    ) -> Result<Option<JobCompletion>, ManagerError> {
-        MrcpRm::task_completed(self, task, now)
-    }
-    fn task_duration_revised(
-        &mut self,
-        task: TaskId,
-        new_exec: SimTime,
-    ) -> Result<(), ManagerError> {
-        MrcpRm::task_duration_revised(self, task, new_exec)
-    }
-    fn task_failed(&mut self, task: TaskId, now: SimTime) -> Result<FailureAction, ManagerError> {
-        MrcpRm::task_failed(self, task, now)
-    }
-    fn resource_down(
-        &mut self,
-        rid: ResourceId,
-        now: SimTime,
-    ) -> Result<Vec<TaskId>, ManagerError> {
-        MrcpRm::resource_down(self, rid, now)
-    }
-    fn resource_up(&mut self, rid: ResourceId, now: SimTime) -> Result<(), ManagerError> {
-        MrcpRm::resource_up(self, rid, now)
-    }
-    fn jobs_in_system(&self) -> usize {
-        MrcpRm::jobs_in_system(self)
-    }
-    fn stats(&self) -> ManagerStats {
-        MrcpRm::stats(self)
     }
 }
 

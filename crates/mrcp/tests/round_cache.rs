@@ -4,7 +4,7 @@
 //! cache drops on resource availability changes.
 
 use desim::SimTime;
-use mrcp::{MrcpConfig, MrcpRm, ScheduleEntry};
+use mrcp::{MrcpConfig, MrcpRm, ResourceManager, ScheduleEntry};
 use workload::model::homogeneous_cluster;
 use workload::{Job, JobId, Task, TaskId, TaskKind};
 

@@ -12,7 +12,9 @@
 
 use desim::SimTime;
 use mrcp::admission::{AdmissionConfig, AdmissionPolicy};
-use mrcp::{ManagerImage, ManagerStats, MrcpConfig, MrcpRm, SolveBudget, TaskStatusImage};
+use mrcp::{
+    ManagerImage, ManagerStats, MrcpConfig, MrcpRm, ResourceManager, SolveBudget, TaskStatusImage,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::hash_map::DefaultHasher;

@@ -5,7 +5,7 @@
 //! queue capacity must absorb a default-size run without drops.
 
 use mrcp::sim_driver::{simulate, simulate_with};
-use mrcp::{MrcpConfig, MrcpRm, SimConfig, SolveBudget};
+use mrcp::{MrcpConfig, MrcpRm, ResourceManager, SimConfig, SolveBudget};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use telemetry::{EventFilter, EventKind, Telemetry, DEFAULT_QUEUE_CAP};

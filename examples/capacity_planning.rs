@@ -11,7 +11,7 @@
 //! ```
 
 use desim::RngStreams;
-use mrcp::{MrcpConfig, MrcpRm, SolveBudget};
+use mrcp::{MrcpConfig, MrcpRm, ResourceManager, SolveBudget};
 use workload::{SyntheticConfig, SyntheticGenerator};
 
 fn main() {

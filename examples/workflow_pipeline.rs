@@ -13,7 +13,7 @@
 
 use desim::SimTime;
 use mrcp::gantt;
-use mrcp::{MrcpConfig, MrcpRm};
+use mrcp::{MrcpConfig, MrcpRm, ResourceManager};
 use workload::model::homogeneous_cluster;
 use workload::workflow::WorkflowBuilder;
 use workload::{Job, JobId, Task, TaskId, TaskKind};

@@ -4,7 +4,7 @@
 
 use desim::{RngStreams, SimTime};
 use mrcp::sim_driver::simulate_detailed;
-use mrcp::{MrcpConfig, MrcpRm, SimConfig};
+use mrcp::{MrcpConfig, MrcpRm, ResourceManager, SimConfig};
 use workload::model::homogeneous_cluster;
 use workload::workflow::{random_workflow, WorkflowBuilder};
 use workload::{Job, JobId, TaskId, TaskKind};
