@@ -111,65 +111,187 @@ impl Slot {
     }
 }
 
-/// Per-resource slot calendars for one task kind.
+/// Slot calendars of one task kind, flattened: resource `r`'s `cap(r, kind)`
+/// slots are `slots[first[r]..first[r + 1]]`, so the slot order is resource
+/// order, then slot order within a resource.
 #[derive(Debug)]
 struct Pool {
-    /// `slots[r]` holds `cap(r, kind)` slot calendars.
-    slots: Vec<Vec<Slot>>,
+    slots: Vec<Slot>,
+    first: Vec<usize>,
 }
 
 impl Pool {
-    fn new(model: &Model, kind: SlotKind) -> Self {
+    fn new(caps: impl Iterator<Item = u32>) -> Self {
+        let mut first = vec![0];
+        for cap in caps {
+            first.push(first[first.len() - 1] + cap as usize);
+        }
         Pool {
-            slots: model
-                .resources
-                .iter()
-                .map(|r| vec![Slot::default(); r.cap(kind) as usize])
-                .collect(),
+            slots: vec![Slot::default(); first[first.len() - 1]],
+            first,
         }
     }
 
-    /// Best `(resource, slot, start)` over the candidate set: earliest
-    /// start, ties to the lower resource/slot index. Stops at the first
-    /// slot free at `t0`.
-    fn best_fit(&self, candidates: u128, t0: i64, dur: i64) -> Option<(usize, usize, i64)> {
-        let mut best: Option<(usize, usize, i64)> = None;
-        'scan: for (r, slots) in self.slots.iter().enumerate() {
-            if candidates & (1u128 << r) == 0 {
-                continue;
+    /// The resource that owns flat slot `slot`.
+    fn resource_of(&self, slot: usize) -> usize {
+        self.first.partition_point(|&f| f <= slot) - 1
+    }
+
+    /// Book `[start, start+dur)` in the first slot of resource `r` that is
+    /// free over it; false when none is (or `r` is out of range).
+    fn book_on(&mut self, r: usize, start: i64, dur: i64) -> bool {
+        let (Some(&lo), Some(&hi)) = (self.first.get(r), self.first.get(r + 1)) else {
+            return false;
+        };
+        match self.slots[lo..hi].iter_mut().find(|s| s.fits(start, dur)) {
+            Some(slot) => {
+                slot.insert(start, dur);
+                true
             }
-            for (si, slot) in slots.iter().enumerate() {
-                let s = slot.earliest_fit(t0, dur);
-                if best.is_none_or(|(_, _, bs)| s < bs) {
-                    best = Some((r, si, s));
-                }
-                if s == t0 {
-                    // Nothing starts earlier, and every slot before this one
-                    // fits later.
-                    break 'scan;
-                }
+            None => false,
+        }
+    }
+
+    /// Best `(slot, start)`: earliest start, ties to the lower slot index.
+    /// Stops at the first slot free at `t0`.
+    fn best_fit(&self, t0: i64, dur: i64) -> Option<(usize, i64)> {
+        let mut best: Option<(usize, i64)> = None;
+        for (si, slot) in self.slots.iter().enumerate() {
+            let s = slot.earliest_fit(t0, dur);
+            if best.is_none_or(|(_, bs)| s < bs) {
+                best = Some((si, s));
+            }
+            if s == t0 {
+                // Nothing starts earlier, and every slot before this one
+                // fits later.
+                break;
             }
         }
-        debug_assert_eq!(best, self.best_fit_scan(candidates, t0, dur));
+        debug_assert_eq!(best, self.best_fit_scan(t0, dur));
         best
     }
 
-    /// [`Pool::best_fit`] over every candidate slot, without the `t0` exit.
-    fn best_fit_scan(&self, candidates: u128, t0: i64, dur: i64) -> Option<(usize, usize, i64)> {
-        let mut best: Option<(usize, usize, i64)> = None;
-        for (r, slots) in self.slots.iter().enumerate() {
-            if candidates & (1u128 << r) == 0 {
-                continue;
-            }
-            for (si, slot) in slots.iter().enumerate() {
-                let s = slot.earliest_fit_walk(t0, dur);
-                if best.is_none_or(|(_, _, bs)| s < bs) {
-                    best = Some((r, si, s));
-                }
+    /// [`Pool::best_fit`] over every slot, without the `t0` exit.
+    fn best_fit_scan(&self, t0: i64, dur: i64) -> Option<(usize, i64)> {
+        let mut best: Option<(usize, i64)> = None;
+        for (si, slot) in self.slots.iter().enumerate() {
+            let s = slot.earliest_fit_walk(t0, dur);
+            if best.is_none_or(|(_, bs)| s < bs) {
+                best = Some((si, s));
             }
         }
         best
     }
+
+    /// Book `dur` at the best fit from `floor`: `(resource, start)`, or
+    /// `None` when the pool has no slot.
+    fn fit(&mut self, floor: i64, dur: i64) -> Option<(usize, i64)> {
+        let (si, s) = self.best_fit(floor, dur)?;
+        self.slots[si].insert(s, dur);
+        Some((self.resource_of(si), s))
+    }
+}
+
+/// The greedy's slot calendar of a cluster and its list-scheduling rule.
+///
+/// Each resource has `cap(r, kind)` slots per task kind, each a busy list.
+/// A resource without capacity for a kind has no slot of it, so it is never
+/// a candidate for that kind, and no resource count is too large. The
+/// calendar needs no [`Model`]: [`greedy_edf`] runs on one built from the
+/// model's resources, and the manager's admission witness on one built from
+/// the up resources (`mrcp::admission::Witness`).
+#[derive(Debug)]
+pub struct Calendar {
+    map: Pool,
+    reduce: Pool,
+}
+
+/// A free task handed to [`Calendar::place`]. `task` names it to the
+/// caller. `at` holds a suggested `(resource, start)` on entry (a hint, or
+/// `None`) and the task's placement after a successful `place`.
+#[derive(Debug, Clone, Copy)]
+pub struct Free<T> {
+    /// The caller's name for the task.
+    pub task: T,
+    /// Its duration (positive).
+    pub dur: i64,
+    /// Hint in, placement out.
+    pub at: Option<(usize, i64)>,
+}
+
+impl Calendar {
+    /// Empty calendars for resources with these `(map, reduce)` slot
+    /// capacities, in resource-index order.
+    pub fn new(caps: impl Iterator<Item = (u32, u32)> + Clone) -> Calendar {
+        Calendar {
+            map: Pool::new(caps.clone().map(|c| c.0)),
+            reduce: Pool::new(caps.map(|c| c.1)),
+        }
+    }
+
+    fn pool(&mut self, kind: SlotKind) -> &mut Pool {
+        match kind {
+            SlotKind::Map => &mut self.map,
+            SlotKind::Reduce => &mut self.reduce,
+        }
+    }
+
+    /// Book a running task over `[start, start+dur)` in the first slot of
+    /// `resource` free over it. False when there is none: the resource is
+    /// out of range, lacks capacity for `kind`, or earlier pins fill it.
+    pub fn pin(&mut self, kind: SlotKind, resource: usize, start: i64, dur: i64) -> bool {
+        self.pool(kind).book_on(resource, start, dur)
+    }
+
+    /// Book one free task of `kind` at its earliest start at or after
+    /// `floor`, ties to the lower resource and slot: `(resource, start)`,
+    /// or `None` when no resource has a slot of `kind`.
+    fn fit(&mut self, kind: SlotKind, floor: i64, dur: i64) -> Option<(usize, i64)> {
+        self.pool(kind).fit(floor, dur)
+    }
+
+    /// Place one job's free tasks: its maps longest-first from `release`,
+    /// then its reduces longest-first behind the map barrier, the latest
+    /// end among its maps (`running_maps_end` covers its running ones;
+    /// `i64::MIN` when none runs) and never before `release`. Within each
+    /// kind, valid hints book first and the rest take the best fit (ties
+    /// keep the input order). Returns the job's completion when none of its
+    /// reduces is running: the later of the barrier and its last reduce
+    /// end. `Err` names the first task no resource has a slot for.
+    pub fn place<T: Copy>(
+        &mut self,
+        release: i64,
+        running_maps_end: i64,
+        maps: &mut [Free<T>],
+        reduces: &mut [Free<T>],
+    ) -> Result<i64, T> {
+        let barrier = place_kind(&mut self.map, release, maps)?
+            .max(running_maps_end)
+            .max(release);
+        Ok(place_kind(&mut self.reduce, barrier, reduces)?.max(barrier))
+    }
+}
+
+/// [`Calendar::place`] for one kind: sort `tasks` longest-first, book the
+/// valid hints (start at or after `floor`, a free slot on the resource),
+/// then best-fit the rest from `floor`. Returns the latest end placed
+/// (`i64::MIN` for none). Hinted placements book first so heuristic ones
+/// do not squat on the slots a replayed round needs.
+fn place_kind<T: Copy>(pool: &mut Pool, floor: i64, tasks: &mut [Free<T>]) -> Result<i64, T> {
+    tasks.sort_by_key(|t| std::cmp::Reverse(t.dur));
+    for t in tasks.iter_mut() {
+        let dur = t.dur;
+        t.at = t.at.filter(|&(r, s)| s >= floor && pool.book_on(r, s, dur));
+    }
+    let mut end = i64::MIN;
+    for t in tasks.iter_mut() {
+        let (_, s) = match t.at {
+            Some(at) => at,
+            None => *t.at.insert(pool.fit(floor, t.dur).ok_or(t.task)?),
+        };
+        end = end.max(s + t.dur);
+    }
+    Ok(end)
 }
 
 /// Schedule `model` greedily. Fails when a pinned task cannot be honoured
@@ -209,11 +331,12 @@ pub type Hint = Option<(ResRef, i64)>;
 ///
 /// A hint is honoured only when it is still valid in this round's model:
 /// the start must respect the job's release (maps) or the map barrier
-/// (reduces), the resource must be in the task's candidate mask, and a
-/// free slot must exist at that time. Stale hints silently fall back to
-/// the normal best-fit rule, so the result is always a feasible schedule.
-/// Models with user precedences route to [`greedy_topo`] (hints ignored —
-/// floors there depend on dynamic predecessor completion).
+/// (reduces), the resource must exist and have capacity for the task's
+/// kind, and a free slot must exist at that time. Stale hints silently
+/// fall back to the normal best-fit rule, so the result is always a
+/// feasible schedule. Models with user precedences route to
+/// [`greedy_topo`] (hints ignored — floors there depend on dynamic
+/// predecessor completion).
 pub fn greedy_edf_with_hints(model: &Model, hints: &[Hint]) -> Result<Solution, String> {
     debug_assert_eq!(hints.len(), model.n_tasks());
     greedy_edf_core(model, Some(hints))
@@ -225,44 +348,44 @@ thread_local! {
     pub(crate) static PASSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-fn greedy_edf_core(model: &Model, hints: Option<&[Hint]>) -> Result<Solution, String> {
-    #[cfg(test)]
-    PASSES.with(|p| p.set(p.get() + 1));
+/// A calendar for `model`'s resources with every pinned task booked, in
+/// task-index order, and the pinned placements written out.
+fn pinned_calendar(
+    model: &Model,
+    starts: &mut [i64],
+    resource: &mut [ResRef],
+) -> Result<Calendar, String> {
     if model.tasks.iter().any(|t| t.req != 1) {
         return Err("greedy scheduler supports unit capacity requirements only".into());
     }
-    if !model.precedences.is_empty() {
-        return greedy_topo(model);
-    }
-    let hint_for = |t: TaskRef| -> Hint { hints.and_then(|h| h.get(t.idx()).copied().flatten()) };
-    let mut map_pool = Pool::new(model, SlotKind::Map);
-    let mut reduce_pool = Pool::new(model, SlotKind::Reduce);
-    let mut starts = vec![0i64; model.n_tasks()];
-    let mut resource = vec![ResRef(0); model.n_tasks()];
-
-    // Honour pinned (already-executing) tasks first.
-    for i in 0..model.n_tasks() {
-        let spec = &model.tasks[i];
+    let mut cal = Calendar::new(model.resources.iter().map(|r| (r.map_cap, r.reduce_cap)));
+    for (i, spec) in model.tasks.iter().enumerate() {
         if let Some((r, s)) = spec.fixed {
-            let pool = match spec.kind {
-                SlotKind::Map => &mut map_pool,
-                SlotKind::Reduce => &mut reduce_pool,
-            };
-            let slot = pool.slots[r.idx()]
-                .iter_mut()
-                .find(|slot| slot.fits(s, spec.dur))
-                .ok_or_else(|| format!("pinned task {i} overloads resource {r:?}"))?;
-            slot.insert(s, spec.dur);
+            if !cal.pin(spec.kind, r.idx(), s, spec.dur) {
+                return Err(format!("pinned task {i} overloads resource {r:?}"));
+            }
             starts[i] = s;
             resource[i] = r;
         }
     }
+    Ok(cal)
+}
+
+fn greedy_edf_core(model: &Model, hints: Option<&[Hint]>) -> Result<Solution, String> {
+    #[cfg(test)]
+    PASSES.with(|p| p.set(p.get() + 1));
+    if !model.precedences.is_empty() {
+        return greedy_topo(model);
+    }
+    let mut starts = vec![0i64; model.n_tasks()];
+    let mut resource = vec![ResRef(0); model.n_tasks()];
+    let mut cal = pinned_calendar(model, &mut starts, &mut resource)?;
 
     // Priority order over jobs (EDF by default); stable tie-break on
     // deadline, release, then index. After the pinned tasks, each job is
     // placed whole in this order, so a job's placement depends on no job
-    // after it: `mrcp::admission::witness_completion` relies on that to
-    // drop every job after its candidate, and its differential test in
+    // after it: `mrcp::admission::Witness` relies on that to place no job
+    // after its candidate, and its differential test in
     // `mrcp/tests/proptest_manager.rs` guards this key.
     let mut order: Vec<usize> = (0..model.n_jobs()).collect();
     order.sort_by_key(|&j| {
@@ -274,112 +397,48 @@ fn greedy_edf_core(model: &Model, hints: Option<&[Hint]>) -> Result<Solution, St
         )
     });
 
+    let free = |tasks: &[TaskRef], out: &mut Vec<Free<TaskRef>>| {
+        out.clear();
+        out.extend(
+            tasks
+                .iter()
+                .filter(|t| model.tasks[t.idx()].fixed.is_none())
+                .map(|&t| Free {
+                    task: t,
+                    dur: model.tasks[t.idx()].dur,
+                    at: hints
+                        .and_then(|h| h.get(t.idx()).copied().flatten())
+                        .map(|(r, s)| (r.idx(), s)),
+                }),
+        );
+    };
+    let (mut maps, mut reduces) = (Vec::new(), Vec::new());
     for j in order {
-        let release = model.jobs[j].release;
-
-        // Maps, longest first (LPT keeps the phase makespan low).
-        let mut maps: Vec<TaskRef> = model.maps_of[j]
+        free(&model.maps_of[j], &mut maps);
+        free(&model.reduces_of[j], &mut reduces);
+        let running_maps_end = model.maps_of[j]
             .iter()
-            .copied()
-            .filter(|t| model.tasks[t.idx()].fixed.is_none())
-            .collect();
-        maps.sort_by_key(|t| std::cmp::Reverse(model.tasks[t.idx()].dur));
-        // Hinted placements book first so heuristic placements don't squat
-        // on the slots a replayed round needs; failed hints fall through to
-        // the best-fit pass below.
-        maps.retain(|&t| {
-            !book_hint(
-                &mut map_pool,
-                model,
-                t,
-                hint_for(t),
-                release,
-                &mut starts,
-                &mut resource,
-            )
-        });
-        for t in maps {
-            let spec = &model.tasks[t.idx()];
-            let (r, si, s) = map_pool
-                .best_fit(model.candidate_mask(t), release, spec.dur)
-                .ok_or_else(|| format!("no resource can host map task {t:?}"))?;
-            map_pool.slots[r][si].insert(s, spec.dur);
-            starts[t.idx()] = s;
-            resource[t.idx()] = ResRef(r as u32);
-        }
-
-        // Barrier: reduces start after the job's last map end (pinned maps
-        // included).
-        let barrier = model.maps_of[j]
-            .iter()
-            .map(|&t| starts[t.idx()] + model.tasks[t.idx()].dur)
+            .filter_map(|t| {
+                let spec = &model.tasks[t.idx()];
+                spec.fixed.map(|(_, s)| s + spec.dur)
+            })
             .max()
-            .unwrap_or(release)
-            .max(release);
-
-        let mut reduces: Vec<TaskRef> = model.reduces_of[j]
-            .iter()
-            .copied()
-            .filter(|t| model.tasks[t.idx()].fixed.is_none())
-            .collect();
-        reduces.sort_by_key(|t| std::cmp::Reverse(model.tasks[t.idx()].dur));
-        reduces.retain(|&t| {
-            !book_hint(
-                &mut reduce_pool,
-                model,
-                t,
-                hint_for(t),
-                barrier,
-                &mut starts,
-                &mut resource,
-            )
-        });
-        for t in reduces {
-            let spec = &model.tasks[t.idx()];
-            let (r, si, s) = reduce_pool
-                .best_fit(model.candidate_mask(t), barrier, spec.dur)
-                .ok_or_else(|| format!("no resource can host reduce task {t:?}"))?;
-            reduce_pool.slots[r][si].insert(s, spec.dur);
-            starts[t.idx()] = s;
-            resource[t.idx()] = ResRef(r as u32);
+            .unwrap_or(i64::MIN);
+        cal.place(
+            model.jobs[j].release,
+            running_maps_end,
+            &mut maps,
+            &mut reduces,
+        )
+        .map_err(|t| format!("no resource can host task {t:?}"))?;
+        for f in maps.iter().chain(&reduces) {
+            let (r, s) = f.at.expect("a successful place books every task");
+            starts[f.task.idx()] = s;
+            resource[f.task.idx()] = ResRef(r as u32);
         }
     }
 
     Ok(Solution::from_placements(model, starts, resource))
-}
-
-/// Book `t` at its hinted placement if the hint is still valid in this
-/// model: start at/after `floor`, resource in the candidate mask and in
-/// range, and a free slot at that time. Returns true when booked.
-fn book_hint(
-    pool: &mut Pool,
-    model: &Model,
-    t: TaskRef,
-    hint: Hint,
-    floor: i64,
-    starts: &mut [i64],
-    resource: &mut [ResRef],
-) -> bool {
-    let Some((r, s)) = hint else {
-        return false;
-    };
-    let spec = &model.tasks[t.idx()];
-    if s < floor
-        || r.idx() >= model.n_resources()
-        || model.candidate_mask(t) & (1u128 << r.idx()) == 0
-    {
-        return false;
-    }
-    let Some(slot) = pool.slots[r.idx()]
-        .iter_mut()
-        .find(|sl| sl.fits(s, spec.dur))
-    else {
-        return false;
-    };
-    slot.insert(s, spec.dur);
-    starts[t.idx()] = s;
-    resource[t.idx()] = r;
-    true
 }
 
 /// Greedy list scheduler for models with arbitrary user precedences
@@ -391,14 +450,12 @@ fn book_hint(
 /// Each task starts at the earliest slot time at or after all of its
 /// predecessors' completions.
 pub fn greedy_topo(model: &Model) -> Result<Solution, String> {
-    if model.tasks.iter().any(|t| t.req != 1) {
-        return Err("greedy scheduler supports unit capacity requirements only".into());
-    }
     let n = model.n_tasks();
-    let mut map_pool = Pool::new(model, SlotKind::Map);
-    let mut reduce_pool = Pool::new(model, SlotKind::Reduce);
     let mut starts = vec![0i64; n];
     let mut resource = vec![ResRef(0); n];
+    // Pinned tasks are placed first (they are already executing and by
+    // construction have no unfinished predecessors).
+    let mut cal = pinned_calendar(model, &mut starts, &mut resource)?;
 
     // Build the dependency graph: user edges + barrier edges (every map of
     // a job precedes every reduce of the job, aggregated via counts).
@@ -424,25 +481,6 @@ pub fn greedy_topo(model: &Model) -> Result<Solution, String> {
         .map(|i| model.task_release(TaskRef(i as u32)))
         .collect();
 
-    // Pinned tasks are placed immediately (they are already executing and
-    // by construction have no unfinished predecessors).
-    for i in 0..n {
-        let spec = &model.tasks[i];
-        if let Some((r, s)) = spec.fixed {
-            let pool = match spec.kind {
-                SlotKind::Map => &mut map_pool,
-                SlotKind::Reduce => &mut reduce_pool,
-            };
-            let slot = pool.slots[r.idx()]
-                .iter_mut()
-                .find(|slot| slot.fits(s, spec.dur))
-                .ok_or_else(|| format!("pinned task {i} overloads resource {r:?}"))?;
-            slot.insert(s, spec.dur);
-            starts[i] = s;
-            resource[i] = r;
-        }
-    }
-
     // Kahn's algorithm with a priority-ordered ready set.
     let key = |t: TaskRef| {
         let job = &model.jobs[model.tasks[t.idx()].job.idx()];
@@ -463,14 +501,9 @@ pub fn greedy_topo(model: &Model) -> Result<Solution, String> {
         let i = t.idx();
         let spec = &model.tasks[i];
         if spec.fixed.is_none() {
-            let pool = match spec.kind {
-                SlotKind::Map => &mut map_pool,
-                SlotKind::Reduce => &mut reduce_pool,
-            };
-            let (r, si, s) = pool
-                .best_fit(model.candidate_mask(t), floor[i], spec.dur)
+            let (r, s) = cal
+                .fit(spec.kind, floor[i], spec.dur)
                 .ok_or_else(|| format!("no resource can host task {t:?}"))?;
-            pool.slots[r][si].insert(s, spec.dur);
             starts[i] = s;
             resource[i] = ResRef(r as u32);
         }
@@ -676,23 +709,62 @@ mod tests {
 
     #[test]
     fn t0_exit_takes_the_lowest_free_slot() {
-        let mut b = ModelBuilder::new();
-        for _ in 0..3 {
-            b.add_resource(2, 1);
-        }
-        let m = b.build().unwrap();
-        let mut pool = Pool::new(&m, SlotKind::Map);
-        pool.slots[0][0].insert(0, 10);
-        pool.slots[2][1].insert(0, 10);
-        assert_eq!(pool.best_fit(0b111, 0, 5), Some((0, 1, 0)));
-        assert_eq!(pool.best_fit(0b100, 0, 5), Some((2, 0, 0)));
-        pool.slots[0][1].insert(0, 3);
-        pool.slots[1][0].insert(0, 10);
-        assert_eq!(pool.best_fit(0b111, 0, 5), Some((1, 1, 0)));
-        pool.slots[1][1].insert(0, 3);
-        pool.slots[2][0].insert(0, 3);
+        // Three resources of two map slots: flat slot 2r + k.
+        let mut pool = Pool::new([2, 2, 2].into_iter());
+        pool.slots[0].insert(0, 10);
+        pool.slots[5].insert(0, 10);
+        assert_eq!(pool.best_fit(0, 5), Some((1, 0)));
+        pool.slots[1].insert(0, 3);
+        pool.slots[2].insert(0, 10);
+        assert_eq!(pool.best_fit(0, 5), Some((3, 0)));
+        assert_eq!(pool.resource_of(3), 1);
+        pool.slots[3].insert(0, 3);
+        pool.slots[4].insert(0, 3);
         // Nothing is free at 0: the earliest start wins, ties to the
         // lowest index.
-        assert_eq!(pool.best_fit(0b111, 0, 5), Some((0, 1, 3)));
+        assert_eq!(pool.best_fit(0, 5), Some((1, 3)));
+    }
+
+    #[test]
+    fn resources_without_capacity_own_no_slot() {
+        let mut cal = Calendar::new([(0, 1), (2, 0), (1, 1)].into_iter());
+        assert!(!cal.pin(SlotKind::Map, 0, 0, 5), "no map slot on 0");
+        assert!(!cal.pin(SlotKind::Reduce, 1, 0, 5), "no reduce slot on 1");
+        assert!(!cal.pin(SlotKind::Map, 3, 0, 5), "out of range");
+        assert!(cal.pin(SlotKind::Map, 1, 0, 5));
+        assert_eq!(cal.fit(SlotKind::Map, 0, 5), Some((1, 0)));
+        assert_eq!(cal.fit(SlotKind::Map, 0, 5), Some((2, 0)));
+        assert_eq!(cal.fit(SlotKind::Reduce, 2, 5), Some((0, 2)));
+        assert!(Calendar::new([(0, 1)].into_iter())
+            .fit(SlotKind::Map, 0, 5)
+            .is_none());
+    }
+
+    #[test]
+    fn place_puts_reduces_behind_running_and_placed_maps() {
+        let mut cal = Calendar::new([(1, 1)].into_iter());
+        let free = |task, dur| Free {
+            task,
+            dur,
+            at: None,
+        };
+        let mut maps = [free(0, 4), free(1, 6)];
+        let mut reduces = [free(2, 3)];
+        // A running map of this job ends at 20; the free maps run
+        // longest-first from the release, 6 then 4.
+        assert_eq!(cal.place(5, 20, &mut maps, &mut reduces), Ok(23));
+        assert_eq!(
+            maps.map(|f| (f.task, f.at)),
+            [(1, Some((0, 5))), (0, Some((0, 11)))]
+        );
+        assert_eq!(reduces[0].at, Some((0, 20)));
+        // A job with nothing to place completes at its release.
+        assert_eq!(cal.place::<u8>(7, i64::MIN, &mut [], &mut []), Ok(7));
+        // No reduce slot anywhere: the reduce is named.
+        let mut cal = Calendar::new([(1, 0)].into_iter());
+        assert_eq!(
+            cal.place(0, i64::MIN, &mut [free(0, 1)], &mut [free(9, 1)]),
+            Err(9)
+        );
     }
 }

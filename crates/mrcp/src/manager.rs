@@ -26,8 +26,8 @@
 //! ablations.
 
 use crate::admission::{
-    earliest_feasible_estimate, edf_demand_violation, witness_completion, AdmissionConfig,
-    AdmissionDecision, AdmissionPolicy, RejectReason,
+    earliest_feasible_estimate, edf_demand_violation, model_witness, AdmissionConfig,
+    AdmissionDecision, AdmissionPolicy, RejectReason, Witness,
 };
 use crate::defer::DeferPolicy;
 use crate::modelmap::{build_model, JobInput, MappedModel, TaskInput};
@@ -371,6 +371,27 @@ struct JobState {
     /// Parked by the deferral policy: listed in [`MrcpRm`]'s `deferred`
     /// and kept out of every round until activated.
     deferred: bool,
+}
+
+impl JobState {
+    /// Its outstanding tasks as model inputs: waiting tasks are free,
+    /// started tasks are pinned, completed tasks are gone.
+    fn outstanding(&self) -> impl Iterator<Item = TaskInput> + '_ {
+        self.tasks.iter().filter_map(|t| {
+            let pinned = match t.status {
+                TaskStatusImage::Completed => return None,
+                TaskStatusImage::Waiting => None,
+                TaskStatusImage::Started { resource, start } => Some((resource, start)),
+            };
+            Some(TaskInput {
+                id: t.id,
+                kind: t.kind,
+                exec_time: t.exec_time,
+                req: t.req,
+                pinned,
+            })
+        })
+    }
 }
 
 /// What the rounds know about one task, kept on its job so that a round
@@ -1075,69 +1096,64 @@ impl MrcpRm {
 
     /// The two-stage admission probe (see [`crate::admission`]): the EDF
     /// demand bound per slot pool over every live job plus the candidate,
-    /// then the greedy witness schedule over the part of that model that
-    /// can delay the candidate ([`witness_completion`]). Both stages read
-    /// one walk of the job table. `Err` carries the reason and the
-    /// earliest deadline the manager could have promised.
+    /// then the greedy witness ([`Witness`]). Both stages read one walk of
+    /// the job table in job-id order, deferred jobs included: their
+    /// capacity demand is real even though they are parked. `Err` carries
+    /// the reason and the earliest deadline the manager could have
+    /// promised.
     fn admission_probe(&self, job: &Job, now: SimTime) -> Result<(), (RejectReason, SimTime)> {
-        let up: Vec<Resource> = self
-            .resources
-            .iter()
-            .filter(|r| !self.down.contains(&r.id))
-            .cloned()
-            .collect();
-        let map_slots: u32 = up.iter().map(|r| r.map_capacity).sum();
-        let reduce_slots: u32 = up.iter().map(|r| r.reduce_capacity).sum();
-        if up.is_empty()
+        let up = || self.resources.iter().filter(|r| !self.down.contains(&r.id));
+        let map_slots: u32 = up().map(|r| r.map_capacity).sum();
+        let reduce_slots: u32 = up().map(|r| r.reduce_capacity).sum();
+        if up().next().is_none()
             || (!job.map_tasks.is_empty() && map_slots == 0)
             || (!job.reduce_tasks.is_empty() && reduce_slots == 0)
         {
             return Err((RejectReason::DemandExceedsCapacity, SimTime::MAX));
         }
 
-        // The live jobs with outstanding work, the candidate last. Deferred
-        // jobs are included: their capacity demand is real even though
-        // they are parked.
-        let (_, mut inputs) = Self::collect_inputs(self.cfg.ordering, &self.jobs, now, true);
-        inputs.push(JobInput {
-            priority: self.cfg.ordering.priority(job),
-            job,
-            release: job.earliest_start.max(now),
-            tasks: job
-                .tasks()
-                .map(|t| TaskInput {
-                    id: t.id,
-                    kind: t.kind,
-                    exec_time: t.exec_time,
-                    req: t.req,
-                    pinned: None,
-                })
-                .collect(),
-        });
-
-        // Stage 1: the EDF demand bound per slot pool over outstanding
-        // work. Started tasks count only their remaining occupancy.
+        // Stage 1 sums each job's outstanding work per slot pool; a
+        // started task counts only its remaining occupancy. Stage 2 books
+        // the running tasks as the same walk passes them.
         let now_ms = now.as_millis();
-        let mut map_demand: Vec<(i64, i64)> = Vec::with_capacity(inputs.len());
-        let mut reduce_demand: Vec<(i64, i64)> = Vec::with_capacity(inputs.len());
-        for input in &inputs {
-            let (mut map_work, mut reduce_work) = (0i64, 0i64);
-            for t in &input.tasks {
-                let w = match t.pinned {
-                    None => t.exec_time.as_millis(),
-                    Some((_, start)) => {
-                        (start.as_millis() + t.exec_time.as_millis() - now_ms).max(0)
-                    }
-                };
-                match t.kind {
-                    TaskKind::Map => map_work += w,
-                    TaskKind::Reduce => reduce_work += w,
-                }
+        let add_work = |work: &mut (i64, i64), t: &TaskInput| {
+            let w = match t.pinned {
+                None => t.exec_time.as_millis(),
+                Some((_, start)) => (start.as_millis() + t.exec_time.as_millis() - now_ms).max(0),
+            };
+            match t.kind {
+                TaskKind::Map => work.0 += w,
+                TaskKind::Reduce => work.1 += w,
             }
-            let d = input.job.deadline.as_millis();
-            map_demand.push((d, map_work));
-            reduce_demand.push((d, reduce_work));
+        };
+        let ordering = self.cfg.ordering;
+        let key = |j: &Job| {
+            (
+                ordering.priority(j),
+                j.deadline.as_millis(),
+                j.earliest_start.max(now).as_millis(),
+            )
+        };
+        let mut map_demand: Vec<(i64, i64)> = Vec::with_capacity(self.jobs.len() + 1);
+        let mut reduce_demand: Vec<(i64, i64)> = Vec::with_capacity(self.jobs.len() + 1);
+        let mut witness = Witness::new(up(), key(job));
+        let mut workflow = !job.precedences.is_empty();
+        let mut states: Vec<&JobState> = self.jobs.values().filter(|s| s.remaining > 0).collect();
+        states.sort_unstable_by_key(|s| s.job.id);
+        for state in states {
+            let mut work = (0, 0);
+            let tasks = state.outstanding().inspect(|t| add_work(&mut work, t));
+            witness.book(state, key(&state.job), tasks);
+            let d = state.job.deadline.as_millis();
+            map_demand.push((d, work.0));
+            reduce_demand.push((d, work.1));
+            workflow |= !state.job.precedences.is_empty();
         }
+        let candidate = job.tasks().map(TaskInput::free);
+        let mut work = (0, 0);
+        candidate.clone().for_each(|t| add_work(&mut work, &t));
+        map_demand.push((job.deadline.as_millis(), work.0));
+        reduce_demand.push((job.deadline.as_millis(), work.1));
         let total = |demand: &[(i64, i64)]| SimTime::from_millis(demand.iter().map(|p| p.1).sum());
         let bound_violated = edf_demand_violation(now_ms, map_slots, &map_demand).is_some()
             || edf_demand_violation(now_ms, reduce_slots, &reduce_demand).is_some();
@@ -1145,8 +1161,22 @@ impl MrcpRm {
             earliest_feasible_estimate(now, reduce_slots, total(&reduce_demand)),
         );
 
-        // Stage 2: the greedy witness.
-        match witness_completion(&up, inputs) {
+        // Stage 2: the greedy witness. Workflow edges need the model.
+        let completion = if workflow {
+            self.model_witness(job, now)
+        } else {
+            let c = witness.complete(JobState::outstanding, candidate);
+            #[cfg(debug_assertions)]
+            if up().count() <= 128 {
+                debug_assert_eq!(
+                    c,
+                    self.model_witness(job, now),
+                    "admission witness diverged from the greedy over the full model"
+                );
+            }
+            c
+        };
+        match completion {
             // A violated bound is a proof that the job set (candidate
             // included) cannot all meet its deadlines; the witness
             // completion is still the better renegotiation quote.
@@ -1161,6 +1191,26 @@ impl MrcpRm {
             // the job as unmeetable.
             None => Err((RejectReason::WitnessLate, estimate)),
         }
+    }
+
+    /// The witness through the CP model ([`model_witness`]): the live jobs
+    /// with outstanding work and the candidate last, over the up
+    /// resources.
+    fn model_witness(&self, job: &Job, now: SimTime) -> Option<SimTime> {
+        let up: Vec<Resource> = self
+            .resources
+            .iter()
+            .filter(|r| !self.down.contains(&r.id))
+            .cloned()
+            .collect();
+        let (_, mut inputs) = Self::collect_inputs(self.cfg.ordering, &self.jobs, now, true);
+        inputs.push(JobInput {
+            priority: self.cfg.ordering.priority(job),
+            job,
+            release: job.earliest_start.max(now),
+            tasks: job.tasks().map(TaskInput::free).collect(),
+        });
+        model_witness(&up, &inputs)
     }
 
     /// The lowest-value shedding candidate: among fully unstarted jobs,
@@ -1326,10 +1376,9 @@ impl MrcpRm {
     }
 
     /// The live jobs with outstanding tasks in job-id order — the active
-    /// ones, or for the admission probe all of them — and their model
-    /// inputs: waiting tasks are free, started tasks are pinned, completed
-    /// tasks are gone. An associated function taking the field it reads so
-    /// callers keep field-precise borrows.
+    /// ones, or for the admission probe's model all of them — and their
+    /// model inputs ([`JobState::outstanding`]). An associated function
+    /// taking the field it reads so callers keep field-precise borrows.
     fn collect_inputs<'a>(
         ordering: JobOrdering,
         jobs: &'a HashMap<JobId, JobState>,
@@ -1343,27 +1392,7 @@ impl MrcpRm {
         states.sort_unstable_by_key(|s| s.job.id); // deterministic model construction
         let mut inputs: Vec<JobInput<'a>> = Vec::with_capacity(states.len());
         for &state in &states {
-            let tasks: Vec<TaskInput> = state
-                .tasks
-                .iter()
-                .filter_map(|t| match t.status {
-                    TaskStatusImage::Completed => None,
-                    TaskStatusImage::Waiting => Some(TaskInput {
-                        id: t.id,
-                        kind: t.kind,
-                        exec_time: t.exec_time,
-                        req: t.req,
-                        pinned: None,
-                    }),
-                    TaskStatusImage::Started { resource, start } => Some(TaskInput {
-                        id: t.id,
-                        kind: t.kind,
-                        exec_time: t.exec_time,
-                        req: t.req,
-                        pinned: Some((resource, start)),
-                    }),
-                })
-                .collect();
+            let tasks: Vec<TaskInput> = state.outstanding().collect();
             debug_assert_eq!(tasks.len(), state.remaining, "remaining out of step");
             // Table 2 lines 1–4: releases never lie in the past.
             let release = state.job.earliest_start.max(now);

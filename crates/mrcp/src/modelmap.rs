@@ -8,7 +8,7 @@
 
 use cpsolve::model::{Model, ModelBuilder, ResRef, SlotKind, TaskRef};
 use desim::SimTime;
-use workload::{Job, JobId, Resource, ResourceId, TaskId, TaskKind};
+use workload::{Job, JobId, Resource, ResourceId, Task, TaskId, TaskKind};
 
 /// One job to include in the model.
 #[derive(Debug, Clone)]
@@ -41,6 +41,19 @@ pub struct TaskInput {
     /// completed executing — the paper's `isPrevScheduled` pinning
     /// constraint (Table 2 line 11).
     pub pinned: Option<(ResourceId, SimTime)>,
+}
+
+impl TaskInput {
+    /// `t` not yet started.
+    pub fn free(t: &Task) -> TaskInput {
+        TaskInput {
+            id: t.id,
+            kind: t.kind,
+            exec_time: t.exec_time,
+            req: t.req,
+            pinned: None,
+        }
+    }
 }
 
 /// A compiled model plus the mappings back to workload identifiers.

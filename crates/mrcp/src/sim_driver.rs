@@ -68,9 +68,9 @@ impl OverheadModel {
     }
 
     /// Busy time an admission probe charges to the manager. Only
-    /// [`PerTask`] charges probes: the probe is a model-generation +
-    /// solve pass over the submitted jobs, so it costs the same shape as
-    /// a round over that many tasks. `Fixed` keeps its historical
+    /// [`PerTask`] charges probes: the probe list-schedules the submitted
+    /// jobs' tasks against the live jobs (a greedy pass, no CP model), and
+    /// is charged as a round over that many tasks. `Fixed` keeps its historical
     /// meaning — a flat cost per *replan* round only — so runs that
     /// compare burst ingestion modes under `Fixed` stay comparable.
     ///

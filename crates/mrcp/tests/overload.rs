@@ -158,3 +158,44 @@ fn long_soak_survives_sustained_bursts() {
         "sustained bursts must engage the protection"
     );
 }
+
+/// Admission judges clusters larger than the CP model's 128 resources: on
+/// 129 resources a one-task job with a 1 000 s deadline is admitted as it
+/// asked, under both policies that run the probe.
+#[test]
+fn admission_admits_a_feasible_job_on_more_than_128_resources() {
+    use desim::SimTime;
+    use mrcp::{AdmissionDecision, MrcpConfig, MrcpRm, ResourceManager};
+    use workload::model::homogeneous_cluster;
+    use workload::{JobId, Task, TaskId, TaskKind};
+
+    let job = Job {
+        id: JobId(0),
+        arrival: SimTime::ZERO,
+        earliest_start: SimTime::ZERO,
+        deadline: SimTime::from_secs(1_000),
+        map_tasks: vec![Task {
+            id: TaskId(0),
+            job: JobId(0),
+            kind: TaskKind::Map,
+            exec_time: SimTime::from_secs(10),
+            req: 1,
+        }],
+        reduce_tasks: vec![],
+        precedences: vec![],
+    };
+    for policy in [AdmissionPolicy::Strict, AdmissionPolicy::Renegotiate] {
+        let cfg = MrcpConfig {
+            admission: AdmissionConfig {
+                policy,
+                max_pending_jobs: None,
+            },
+            ..MrcpConfig::default()
+        };
+        let mut rm = MrcpRm::new(cfg, homogeneous_cluster(129, 1, 1));
+        let out = rm
+            .submit_with_admission(job.clone(), SimTime::ZERO)
+            .unwrap();
+        assert_eq!(out.decision, AdmissionDecision::Admit, "{policy:?}");
+    }
+}

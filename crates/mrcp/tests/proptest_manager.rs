@@ -1,8 +1,9 @@
 #![allow(clippy::type_complexity, clippy::field_reassign_with_default)]
 //! Property tests for MRCP-RM over random open-system workloads: the
 //! pipeline always drains, outcomes are consistent, schedules are audited,
-//! and runs are deterministic. The admission witness, which schedules only
-//! what can delay its candidate, answers as the greedy over the full model.
+//! and runs are deterministic. The admission witness, which list-schedules
+//! what can delay its candidate on the greedy's slot calendar with no
+//! model, answers as the greedy over the full model.
 
 use cpsolve::greedy::greedy_edf;
 use desim::SimTime;
@@ -327,16 +328,16 @@ proptest! {
 
     /// Over random live states (pins on up resources, deferred jobs,
     /// order-key ties, one resource down, the candidate's deadline first,
-    /// among or after the others), the witness built from what can delay
-    /// the candidate completes it exactly when the greedy over every
-    /// input does.
+    /// among or after the others), the witness, which places only what can
+    /// delay the candidate and builds no model, completes it exactly when
+    /// the greedy over the full model of every input does.
     #[test]
     fn trimmed_witness_matches_full_greedy(s in probe_state()) {
         let case = ProbeCase::new(&s);
         let inputs = case.inputs();
         let full = full_witness(&case.up, &inputs);
         prop_assert!(full.is_some(), "pins never collide and every kind has a host");
-        prop_assert_eq!(witness_completion(&case.up, inputs), full);
+        prop_assert_eq!(witness_completion(&case.up, &inputs), full);
     }
 }
 
@@ -398,17 +399,14 @@ fn workflow_witness_keeps_the_whole_model() {
     // [150, 350) then [350, 360).
     let ms = SimTime::from_millis;
     assert_eq!(full_witness(&up, &inputs), Some(ms(360)));
-    assert_eq!(witness_completion(&up, inputs), Some(ms(360)));
+    assert_eq!(witness_completion(&up, &inputs), Some(ms(360)));
     // Without `later` the chain would finish at 210.
-    assert_eq!(
-        witness_completion(&up, vec![free_input(&cand)]),
-        Some(ms(210))
-    );
+    assert_eq!(witness_completion(&up, &[free_input(&cand)]), Some(ms(210)));
 }
 
 /// A job after the candidate with a free task the greedy cannot place (no
 /// up resource hosts it, or it needs two slots) makes the full witness
-/// fail; the trimmed one fails with it.
+/// fail; the witness, which never places that job, fails with it.
 #[test]
 fn witness_fails_when_a_later_job_cannot_be_placed() {
     let up = homogeneous_cluster(2, 1, 0); // no reduce slot is up
@@ -430,6 +428,78 @@ fn witness_fails_when_a_later_job_cannot_be_placed() {
         );
         let inputs = vec![free_input(&later), free_input(&cand)];
         assert_eq!(full_witness(&up, &inputs), None, "{kind:?} req {req}");
-        assert_eq!(witness_completion(&up, inputs), None, "{kind:?} req {req}");
+        assert_eq!(witness_completion(&up, &inputs), None, "{kind:?} req {req}");
+    }
+}
+
+/// `job` with its first task running on `resource` from `start` ms.
+fn with_running_map(job: &Job, resource: u32, start: i64) -> JobInput<'_> {
+    let mut input = free_input(job);
+    input.tasks[0].pinned = Some((ResourceId(resource), SimTime::from_millis(start)));
+    input
+}
+
+/// A running task pinned onto a resource that is not up (down, so not in
+/// the witness's resource list) fails the witness, as it fails the model.
+#[test]
+fn witness_fails_on_a_pin_onto_a_down_resource() {
+    let cluster = homogeneous_cluster(2, 1, 1);
+    let up = vec![cluster[0]]; // resource 1 is down
+    let later = probe_job(
+        0,
+        0,
+        500_000,
+        vec![probe_task(0, 0, TaskKind::Map, 5_000, 1)],
+    );
+    let cand = probe_job(
+        1,
+        0,
+        50_000,
+        vec![probe_task(1, 1, TaskKind::Map, 5_000, 1)],
+    );
+    let on_up = vec![with_running_map(&later, 0, 0), free_input(&cand)];
+    assert_eq!(
+        full_witness(&up, &on_up),
+        Some(SimTime::from_millis(10_000))
+    );
+    assert_eq!(witness_completion(&up, &on_up), full_witness(&up, &on_up));
+    let on_down = vec![with_running_map(&later, 1, 0), free_input(&cand)];
+    assert_eq!(full_witness(&up, &on_down), None);
+    assert_eq!(witness_completion(&up, &on_down), None);
+}
+
+/// Two running tasks pinned into the one map slot of a resource over
+/// overlapping times collide: the witness fails, as the greedy over the
+/// model does.
+#[test]
+fn witness_fails_when_two_pins_collide() {
+    let up = homogeneous_cluster(1, 1, 1);
+    let a = probe_job(
+        0,
+        0,
+        500_000,
+        vec![probe_task(0, 0, TaskKind::Map, 5_000, 1)],
+    );
+    let b = probe_job(
+        1,
+        0,
+        500_000,
+        vec![probe_task(1, 1, TaskKind::Map, 5_000, 1)],
+    );
+    let cand = probe_job(
+        2,
+        0,
+        50_000,
+        vec![probe_task(2, 2, TaskKind::Map, 5_000, 1)],
+    );
+    for (b_start, ok) in [(5_000, true), (4_999, false)] {
+        let inputs = vec![
+            with_running_map(&a, 0, 0),
+            with_running_map(&b, 0, b_start),
+            free_input(&cand),
+        ];
+        let expected = ok.then(|| SimTime::from_millis(15_000));
+        assert_eq!(full_witness(&up, &inputs), expected, "b at {b_start}");
+        assert_eq!(witness_completion(&up, &inputs), expected, "b at {b_start}");
     }
 }

@@ -107,7 +107,7 @@ pub struct Job {
 
 impl Job {
     /// Iterate over all tasks, maps first.
-    pub fn tasks(&self) -> impl Iterator<Item = &Task> {
+    pub fn tasks(&self) -> impl Iterator<Item = &Task> + Clone {
         self.map_tasks.iter().chain(self.reduce_tasks.iter())
     }
 
