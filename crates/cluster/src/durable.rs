@@ -107,6 +107,14 @@ impl CellLogs {
             .append(ev)
             .unwrap_or_else(|e| panic!("durability: cell-{cell} WAL append failed: {e}"));
     }
+
+    /// Write `cell`'s batched records to its log file, so that
+    /// [`recover_cell`] reads every request the cell was sent.
+    pub(crate) fn flush(&mut self, cell: usize) {
+        self.logs[cell]
+            .flush()
+            .unwrap_or_else(|e| panic!("durability: cell-{cell} WAL flush failed: {e}"));
+    }
 }
 
 /// Everything mutable about a [`Federation`], as plain data: the

@@ -643,9 +643,13 @@ impl Federation {
             None,
             "rebuilding cell state",
         );
-        let Some(j) = self.journal.as_ref() else {
+        let Some(j) = self.journal.as_mut() else {
             return; // ideal store: nothing was actually lost
         };
+        // The cell process died, the supervisor that owns its log did
+        // not: the log's batch is still in memory, so write it out before
+        // `recover_cell` reads the file.
+        j.flush(i);
         let dir = j.dir.clone();
         let store_cfg = j.cfg;
         let mgr_cfg = *self.cells[i].rm.config();

@@ -115,6 +115,8 @@ fn cell_crashes_fail_over_and_rejoin() {
     );
 }
 
+/// Once with every record synced on append, and once with a cell log
+/// whose unsynced tail is still batched in memory when its cell crashes.
 #[test]
 fn durable_federation_rehydrates_crashed_cells_from_wal() {
     let chaos = ChaosConfig {
@@ -123,37 +125,39 @@ fn durable_federation_rehydrates_crashed_cells_from_wal() {
         seed: 13,
         ..Default::default()
     };
-    let (resources, jobs) = small_workload(30, 4, 19);
-    let dir = scratch_dir("chaos-rehydrate");
-    let durability = DurabilityConfig {
-        store: StoreConfig {
-            snapshot_every: 16,
-            wal: WalConfig::default(),
-        },
-        ..Default::default()
-    };
-    let (m, d) = run_durable(
-        &det_sim(),
-        2,
-        &chaos,
-        &off(),
-        &resources,
-        jobs,
-        &dir,
-        durability,
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(problems(&m, d.federation()), Vec::<String>::new());
-    let cm = d.federation().cluster_metrics();
-    assert!(cm.cell_crashes > 0, "MTTF=60s over this run must crash");
-    assert!(
-        cm.rehydrations > 0,
-        "a durable federation must rebuild crashed cells from the store"
-    );
-    assert_eq!(
-        cm.rehydrate_mismatches, 0,
-        "WAL replay diverged from the live fleet state"
-    );
+    for wal in [WalConfig::default(), WalConfig { sync_every: 8 }] {
+        let (resources, jobs) = small_workload(30, 4, 19);
+        let dir = scratch_dir("chaos-rehydrate");
+        let durability = DurabilityConfig {
+            store: StoreConfig {
+                snapshot_every: 16,
+                wal,
+            },
+            ..Default::default()
+        };
+        let (m, d) = run_durable(
+            &det_sim(),
+            2,
+            &chaos,
+            &off(),
+            &resources,
+            jobs,
+            &dir,
+            durability,
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(problems(&m, d.federation()), Vec::<String>::new());
+        let cm = d.federation().cluster_metrics();
+        assert!(cm.cell_crashes > 0, "MTTF=60s over this run must crash");
+        assert!(
+            cm.rehydrations > 0,
+            "a durable federation must rebuild crashed cells from the store"
+        );
+        assert_eq!(
+            cm.rehydrate_mismatches, 0,
+            "WAL replay diverged from the live fleet state ({wal:?})"
+        );
+    }
 }
 
 /// Fault injection belongs to the cell boundary, not to the manager

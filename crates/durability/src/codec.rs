@@ -41,6 +41,16 @@ impl Enc {
         self.buf
     }
 
+    /// The bytes encoded so far.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Start over empty, keeping the buffer's allocation for reuse.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Write one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);

@@ -8,8 +8,9 @@
 //! exists to enforce. This crate removes that single point of total
 //! state loss:
 //!
-//! * [`wal`] — the log itself: `[len][crc32][payload]` framing, fsync
-//!   batching, and longest-valid-prefix recovery that survives torn
+//! * [`wal`] — the log itself: `[len][crc32][payload]` framing, group
+//!   commit (one write and one fsync per batch of records), and
+//!   longest-valid-prefix recovery that survives torn
 //!   tails and flipped bits without ever replaying a partial record.
 //! * [`event`] — the one command vocabulary ([`ManagerEvent`], answered
 //!   by [`Reply`]): every state-mutating call on the [`ResourceManager`]

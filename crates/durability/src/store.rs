@@ -22,13 +22,19 @@
 //!
 //! ## The crash/recovery model
 //!
-//! `crash_and_recover` simulates fail-stop process death plus machine
-//! power loss: all in-memory state is discarded and, when
-//! [`DurabilityConfig::lose_unsynced_on_crash`] is set (the default),
-//! every log is truncated to its last-synced byte first — commands whose
-//! records were still in the page cache die with the process. The
-//! manager is then rebuilt from the snapshot plus the surviving log
-//! prefix.
+//! `crash_and_recover` simulates fail-stop process death: all in-memory
+//! state is discarded, each log's batch of records not yet written to its
+//! file included (a [`Wal`] group-commits, so a record reaches the file at
+//! the sync that ends its batch, or earlier at a spill or an explicit
+//! flush). That batch dies with the process under both crash semantics.
+//! When [`DurabilityConfig::lose_unsynced_on_crash`] is set (the
+//! default), the crash is also a machine power loss: every log is
+//! truncated to its last-synced byte first, so records written but not
+//! synced are lost too; unset, those written records survive. The manager
+//! is then rebuilt from the snapshot plus the surviving log prefix. With
+//! `WalConfig::sync_every` 1 (the default) every record is synced by the
+//! append that logs it, so nothing logged is ever lost and recovery
+//! replays every command since the snapshot.
 //!
 //! Commands lost from the unsynced tail are *re-delivered*: [`Durable`]
 //! keeps every command since the last checkpoint in memory (standing in
@@ -61,7 +67,9 @@ use workload::{Job, ResourceId, TaskId};
 #[derive(Debug, Clone)]
 struct WalTel {
     bus: telemetry::EventBus,
-    /// `durability_wal_append_us` — wall latency of one log append.
+    /// `durability_wal_append_us` — wall latency of one log append: the
+    /// record joins the log's batch, and the append that ends a batch
+    /// also pays its one write and fsync (`Wal::sync`).
     wal_append_us: telemetry::Histogram,
     /// `durability_wal_appends_total` — records written ahead, all logs.
     wal_appends: telemetry::Counter,
@@ -138,9 +146,11 @@ impl Default for StoreConfig {
 pub struct DurabilityConfig {
     /// Snapshot cadence and WAL sync batching.
     pub store: StoreConfig,
-    /// Crash semantics: `true` (default) models power loss — unsynced
-    /// log bytes are lost and the affected commands must be re-delivered;
-    /// `false` models a process-only crash where the page cache survives.
+    /// Crash semantics: `true` (default) models power loss — every log
+    /// record not yet synced is lost and the affected commands must be
+    /// re-delivered; `false` models a process-only crash, where records
+    /// already written to a log file survive. A log's batch of records
+    /// not yet written dies with the process either way.
     pub lose_unsynced_on_crash: bool,
 }
 
@@ -169,6 +179,8 @@ pub struct EventLog {
     cfg: WalConfig,
     /// Index the next appended record will carry.
     next: u64,
+    /// Encoding buffer, reused by every append.
+    enc: Enc,
     tel: WalTel,
 }
 
@@ -180,6 +192,7 @@ impl EventLog {
             wal: Wal::create(path, cfg)?,
             cfg,
             next,
+            enc: Enc::new(),
             tel: WalTel::new(&telemetry::Telemetry::disabled()),
         })
     }
@@ -191,11 +204,11 @@ impl EventLog {
 
     /// Append one event (write-ahead: call this *before* applying it).
     pub fn append(&mut self, ev: &ManagerEvent) -> io::Result<()> {
-        let mut e = Enc::new();
-        e.u64(self.next);
-        ev.encode(&mut e);
+        self.enc.clear();
+        self.enc.u64(self.next);
+        ev.encode(&mut self.enc);
         let t0 = Instant::now();
-        let out = self.wal.append(&e.finish());
+        let out = self.wal.append(self.enc.as_slice());
         self.tel
             .wal_append_us
             .record(t0.elapsed().as_micros() as u64);
@@ -205,9 +218,16 @@ impl EventLog {
     }
 
     /// Start the file over empty after a checkpoint; indices continue.
+    /// The old log's unwritten batch is discarded: the snapshot covers it.
     pub fn reset(&mut self) -> io::Result<()> {
         self.wal = Wal::create(self.wal.path(), self.cfg)?;
         Ok(())
+    }
+
+    /// Write the log's batch to its file, so that a reader of the file
+    /// sees every record appended so far.
+    pub fn flush(&mut self) -> io::Result<()> {
+        self.wal.flush()
     }
 
     /// Simulate power loss on the log's file: drop every byte past the

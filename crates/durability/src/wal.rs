@@ -8,15 +8,25 @@
 //! [len u32 LE][crc32 u32 LE of payload][payload len bytes]   × N
 //! ```
 //!
-//! Appends are buffered by the OS; [`Wal::sync`] (driven by
-//! [`WalConfig::sync_every`]) makes the prefix durable. Reopening a log
-//! after a crash scans from the front and keeps the **longest valid
-//! prefix**: the scan stops at the first record whose length field runs
-//! past the end of the file (torn tail), whose length is implausible
-//! (corrupted length field), or whose payload fails its CRC (bit rot /
-//! partial write). CRC-32 detects every single-bit flip, so a corrupted
-//! record cannot be replayed as valid; the file is truncated back to the
-//! surviving prefix so subsequent appends continue from a clean tail.
+//! Appends are group-committed: each framed record joins an in-memory
+//! batch, and [`Wal::sync`] (driven by [`WalConfig::sync_every`]) writes
+//! the whole batch with one `write` and then makes the prefix durable with
+//! one `fdatasync`. A batch that outgrows a fixed 64 KiB is written early
+//! without a sync, so a log's memory stays bounded whatever the cadence.
+//! A batch reaches the file only through [`Wal::sync`], that spill or
+//! [`Wal::flush`] — never through `Drop`: a simulated crash truncates the
+//! file by path ([`Wal::drop_unsynced`]) while the dead `Wal` is still
+//! alive, and a flushing drop would write the lost tail back past the
+//! truncation point.
+//!
+//! Reopening a log after a crash scans from the front and keeps the
+//! **longest valid prefix**: the scan stops at the first record whose
+//! length field runs past the end of the file (torn tail), whose length is
+//! implausible (corrupted length field), or whose payload fails its CRC
+//! (bit rot / partial write). CRC-32 detects every single-bit flip, so a
+//! corrupted record cannot be replayed as valid; the file is truncated
+//! back to the surviving prefix so subsequent appends continue from a
+//! clean tail.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -30,12 +40,16 @@ pub const WAL_MAGIC: &[u8; 8] = b"MRCPWAL1";
 /// can make recovery read.
 pub const MAX_RECORD_LEN: u32 = 16 << 20;
 
+/// A batch longer than this is written to the file without a sync.
+const SPILL_BYTES: usize = 64 << 10;
+
 /// Write-ahead log knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalConfig {
-    /// fsync after every `sync_every`-th appended record (1 = every
-    /// append is durable before the call returns; larger batches trade a
-    /// bounded tail of re-deliverable commands for append throughput).
+    /// Write the batch and fsync after every `sync_every`-th appended
+    /// record (1 = every append is durable before the call returns;
+    /// larger batches trade a bounded tail of re-deliverable commands for
+    /// append throughput).
     pub sync_every: u64,
 }
 
@@ -51,13 +65,15 @@ pub struct Wal {
     file: File,
     path: PathBuf,
     cfg: WalConfig,
+    /// Framed records appended but not yet written to the file.
+    batch: Vec<u8>,
     /// Records appended since the last sync.
     unsynced: u64,
-    /// Total records in the log.
+    /// Total records in the log, the batch included.
     records: u64,
     /// Byte length of the durable (synced) prefix.
     synced_len: u64,
-    /// Current byte length of the file.
+    /// Current byte length of the file (the batch not included).
     len: u64,
 }
 
@@ -107,6 +123,7 @@ impl Wal {
             file,
             path: path.to_path_buf(),
             cfg,
+            batch: Vec::new(),
             unsynced: 0,
             records: 0,
             synced_len: WAL_MAGIC.len() as u64,
@@ -158,6 +175,7 @@ impl Wal {
                 file,
                 path: path.to_path_buf(),
                 cfg,
+                batch: Vec::new(),
                 unsynced: 0,
                 records: n,
                 synced_len: pos as u64,
@@ -167,25 +185,55 @@ impl Wal {
         ))
     }
 
-    /// Append one record; syncs per [`WalConfig::sync_every`].
+    /// Append one record to the batch; syncs per
+    /// [`WalConfig::sync_every`]. A payload longer than
+    /// [`MAX_RECORD_LEN`] is refused with [`io::ErrorKind::InvalidInput`]
+    /// and leaves the log as it was: recovery would read its length as
+    /// corruption and drop it together with every later record.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        debug_assert!(payload.len() as u64 <= MAX_RECORD_LEN as u64);
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.file.write_all(&frame)?;
-        self.len += frame.len() as u64;
+        let len = u32::try_from(payload.len())
+            .ok()
+            .filter(|&n| n <= MAX_RECORD_LEN)
+            .ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "WAL record of {} bytes exceeds the {MAX_RECORD_LEN}-byte limit",
+                        payload.len()
+                    ),
+                )
+            })?;
+        self.batch.extend_from_slice(&len.to_le_bytes());
+        self.batch.extend_from_slice(&crc32(payload).to_le_bytes());
+        self.batch.extend_from_slice(payload);
         self.records += 1;
         self.unsynced += 1;
         if self.unsynced >= self.cfg.sync_every.max(1) {
-            self.sync()?;
+            self.sync()
+        } else if self.batch.len() > SPILL_BYTES {
+            self.flush()
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Write the batch to the file, without a sync: the records become
+    /// visible to a reader of the file, and survive a process crash but
+    /// not a power loss.
+    pub fn flush(&mut self) -> io::Result<()> {
+        if !self.batch.is_empty() {
+            self.file.write_all(&self.batch)?;
+            self.len += self.batch.len() as u64;
+            self.batch.clear();
+            // One large record must not pin its buffer for the log's life.
+            self.batch.shrink_to(2 * SPILL_BYTES);
         }
         Ok(())
     }
 
-    /// Force the whole log durable.
+    /// Write the batch and force the whole log durable.
     pub fn sync(&mut self) -> io::Result<()> {
+        self.flush()?;
         self.file.sync_data()?;
         self.unsynced = 0;
         self.synced_len = self.len;
@@ -212,7 +260,8 @@ impl Wal {
     /// Simulate losing every byte past the durable prefix (power-loss
     /// semantics for fsync batching): truncate the file to
     /// [`synced_len`](Self::synced_len). The `Wal` must be dropped and
-    /// re-[`recover`](Self::recover)ed afterwards.
+    /// re-[`recover`](Self::recover)ed afterwards; dropping it writes
+    /// nothing, so its batch dies with it.
     pub fn drop_unsynced(path: &Path, synced_len: u64) -> io::Result<()> {
         let file = OpenOptions::new().write(true).open(path)?;
         file.set_len(synced_len)?;
@@ -299,6 +348,71 @@ mod tests {
         assert_eq!(records[1], vec![1u8; 20]);
     }
 
+    /// A record recovery would take for a corrupted length is refused at
+    /// append, in every build, and the log before it stays whole.
+    #[test]
+    fn oversize_record_is_refused_and_earlier_records_survive() {
+        let path = tmp("oversize");
+        let mut wal = Wal::create(&path, WalConfig::default()).unwrap();
+        for i in 0..3u32 {
+            wal.append(&i.to_le_bytes()).unwrap();
+        }
+        let big = vec![7u8; MAX_RECORD_LEN as usize + 1];
+        let err = wal.append(&big).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(wal.records(), 3);
+        wal.append(&3u32.to_le_bytes()).unwrap();
+        drop(wal);
+        let (_, records) = Wal::recover(&path, WalConfig::default()).unwrap();
+        let expect: Vec<Vec<u8>> = (0..4u32).map(|i| i.to_le_bytes().to_vec()).collect();
+        assert_eq!(records, expect);
+    }
+
+    /// Group commit: an appended record stays in memory until a sync, a
+    /// flush or the spill past `SPILL_BYTES` writes its batch.
+    #[test]
+    fn appended_records_reach_the_file_only_through_sync_flush_or_spill() {
+        let path = tmp("batch");
+        let file_len = || fs::metadata(&path).unwrap().len();
+        let header = WAL_MAGIC.len() as u64;
+        let mut wal = Wal::create(&path, WalConfig { sync_every: 4 }).unwrap();
+        for i in 0..3u32 {
+            wal.append(&i.to_le_bytes()).unwrap();
+        }
+        assert_eq!(file_len(), header, "three records wait in the batch");
+        wal.flush().unwrap();
+        assert_eq!(file_len(), header + 3 * 12);
+        assert_eq!(wal.synced_len(), header, "a flush does not sync");
+        wal.append(&3u32.to_le_bytes()).unwrap();
+        assert_eq!(file_len(), header + 4 * 12, "the fourth append syncs");
+        assert_eq!(wal.synced_len(), header + 4 * 12);
+
+        let never = WalConfig {
+            sync_every: u64::MAX,
+        };
+        let mut wal = Wal::create(&path, never).unwrap();
+        let record = [5u8; 1_016];
+        let frames_per_spill = SPILL_BYTES / (8 + record.len()) + 1;
+        for _ in 0..frames_per_spill - 1 {
+            wal.append(&record).unwrap();
+        }
+        assert_eq!(file_len(), header);
+        wal.append(&record).unwrap();
+        let spilled = header + (frames_per_spill * (8 + record.len())) as u64;
+        assert_eq!(file_len(), spilled, "the batch spills past 64 KiB");
+        assert_eq!(wal.synced_len(), header, "a spill does not sync");
+        wal.append(&record).unwrap();
+        wal.sync().unwrap();
+        assert_eq!(file_len(), spilled + 8 + record.len() as u64);
+        drop(wal);
+        let (_, records) = Wal::recover(&path, WalConfig::default()).unwrap();
+        assert_eq!(records.len(), frames_per_spill + 1);
+    }
+
+    /// Power loss keeps only the synced prefix: records written by a flush
+    /// but not synced are truncated away, and dropping the `Wal` afterwards
+    /// writes nothing — the dead log's batch must not land past the
+    /// truncation point.
     #[test]
     fn drop_unsynced_models_power_loss() {
         let path = tmp("powerloss");
@@ -307,12 +421,17 @@ mod tests {
             wal.append(&i.to_le_bytes()).unwrap();
         }
         wal.sync().unwrap();
-        for i in 3..7u32 {
+        for i in 3..5u32 {
+            wal.append(&i.to_le_bytes()).unwrap();
+        }
+        wal.flush().unwrap();
+        for i in 5..7u32 {
             wal.append(&i.to_le_bytes()).unwrap();
         }
         let synced = wal.synced_len();
-        drop(wal);
         Wal::drop_unsynced(&path, synced).unwrap();
+        drop(wal);
+        assert_eq!(fs::metadata(&path).unwrap().len(), synced);
         let (_, records) = Wal::recover(&path, WalConfig::default()).unwrap();
         assert_eq!(records.len(), 3, "only the synced prefix survives");
     }

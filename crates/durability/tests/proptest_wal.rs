@@ -74,6 +74,44 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Group commit keeps today's fsync cadence and loses only whole
+    /// records: after n appends at `sync_every` k the durable prefix is
+    /// exactly the first ⌊n/k⌋·k frames; the file holds exactly the frames
+    /// a sync or a flush wrote; and a log dropped without a sync recovers
+    /// those frames (every synced record among them, never a partial
+    /// one), while a log synced before the drop recovers them all.
+    #[test]
+    fn group_commit_syncs_on_cadence_and_loses_only_the_batch(
+        recs in records(),
+        sync_every in 1u64..=5,
+        flush_after in 0usize..=12,
+        sync_before_drop in any::<bool>(),
+    ) {
+        let dir = scratch_dir("pt-batch");
+        let path = dir.join("wal.log");
+        let mut wal = Wal::create(&path, WalConfig { sync_every }).unwrap();
+        for (i, r) in recs.iter().enumerate() {
+            if i == flush_after {
+                wal.flush().unwrap();
+            }
+            wal.append(r).unwrap();
+        }
+        let n = recs.len();
+        let synced = n / sync_every as usize * sync_every as usize;
+        let written = if flush_after < n { synced.max(flush_after) } else { synced };
+        let offs = record_offsets(&recs);
+        prop_assert_eq!(wal.synced_len(), offs[synced]);
+        prop_assert_eq!(std::fs::metadata(&path).unwrap().len(), offs[written]);
+        if sync_before_drop {
+            wal.sync().unwrap();
+        }
+        drop(wal);
+        let (_, got) = Wal::recover(&path, WalConfig::default()).unwrap();
+        let expect = if sync_before_drop { n } else { written };
+        prop_assert_eq!(&got[..], &recs[..expect]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Flipping any single bit of the record area invalidates exactly the
     /// record it lands in (CRC-32 detects all single-bit errors):
     /// recovery returns the records before it, bit-exact, and drops the

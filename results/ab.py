@@ -15,12 +15,21 @@ Writes the raw per-run lines (the `results/runs/PR-N.md` format, every
 end-to-end metric in BENCHMARK.json order, full precision) to FILE, appended,
 or to stdout without `--out`; then prints the CHANGES.md table: per metric
 the median [q1–q3] of each side, the change's wins / ties / pairs (pair i is
-parent run i against change run i), and how much worse the change's median
+parent run i against change run i), how much worse the change's median
 is than the parent's in the metric's bad direction (negative = better),
-with the bound BENCHMARK.json sets. A metric equal in every run on both
-sides is printed once with "identical". Metric names, directions, bounds
-and run_seconds are read from the change checkout's BENCHMARK.json.
-Stdlib only.
+with the bound BENCHMARK.json sets, and a verdict:
+
+  identical     equal in every run on both sides (printed once);
+  better        the change wins at least 9 of 10 pairs (ties count for
+                neither) and the medians differ, its way, by more than the
+                parent's interquartile range;
+  worse         the change's median is worse by more than the bound;
+  unresolved    the parent's interquartile range is wider than the bound,
+                and not every change run reads better than every parent run;
+  within bound  otherwise.
+
+Metric names, directions, bounds and run_seconds are read from the change
+checkout's BENCHMARK.json. Stdlib only.
 """
 import argparse
 import json
@@ -56,6 +65,26 @@ def spread(xs):
     return f"{med:.4g} [{q1:.4g}–{q3:.4g}]"
 
 
+def better(a, b, higher):
+    """Whether `b` reads better than `a`."""
+    return b > a if higher else b < a
+
+
+def verdict(p, c, higher, bound, worse, wins):
+    """The module doc's verdict on one metric's runs; `worse` in percent."""
+    if len(set(p + c)) == 1:
+        return "identical"
+    q1, pm, q3 = quartiles(p)
+    cm = quartiles(c)[1]
+    if 10 * wins >= 9 * len(p) and better(pm, cm, higher) and abs(cm - pm) > q3 - q1:
+        return "better"
+    if worse > bound * 100:
+        return "worse"
+    if q3 - q1 > bound * abs(pm) and not all(better(a, b, higher) for a in p for b in c):
+        return "unresolved"
+    return "within bound"
+
+
 def table_rows(workload, seed, metrics, parent, change):
     """The CHANGES.md rows for one workload and seed."""
     rows = []
@@ -65,14 +94,15 @@ def table_rows(workload, seed, metrics, parent, change):
         c = [r["metrics"][name]["value"] for r in change]
         pm, cm = quartiles(p)[1], quartiles(c)[1]
         worse = (pm - cm if higher else cm - pm) / pm * 100 if pm else 0.0
-        head = f"| `{workload}` | {seed} | `{name}` |"
-        tail = f"{worse:+.1f} % ({bound * 100:g} %) |"
-        if len(set(p + c)) == 1:
-            rows.append(f"{head} {p[0]!r} | {c[0]!r} | identical | {tail}")
-            continue
-        wins = sum(1 for a, b in zip(p, c) if (b > a if higher else b < a))
+        wins = sum(1 for a, b in zip(p, c) if better(a, b, higher))
         ties = sum(1 for a, b in zip(p, c) if a == b)
-        rows.append(f"{head} {spread(p)} | {spread(c)} | {wins} / {ties} / {len(p)} | {tail}")
+        head = f"| `{workload}` | {seed} | `{name}` |"
+        tail = (f"{wins} / {ties} / {len(p)} | {worse:+.1f} % ({bound * 100:g} %) "
+                f"| {verdict(p, c, higher, bound, worse, wins)} |")
+        if len(set(p + c)) == 1:
+            rows.append(f"{head} {p[0]!r} | {c[0]!r} | {tail}")
+        else:
+            rows.append(f"{head} {spread(p)} | {spread(c)} | {tail}")
     return rows
 
 
@@ -121,8 +151,8 @@ def main():
     else:
         print("\n".join(raw) + "\n")
     print("| workload | seed | metric | parent median [q1–q3] | change median [q1–q3] "
-          "| change wins / ties / pairs | change worse by (bound) |")
-    print("|---|---|---|---|---|---|---|")
+          "| change wins / ties / pairs | change worse by (bound) | verdict |")
+    print("|---|---|---|---|---|---|---|---|")
     print("\n".join(rows))
 
 
