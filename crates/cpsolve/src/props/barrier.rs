@@ -57,6 +57,12 @@ impl Propagator for PhaseBarrier {
         Ok(())
     }
 
+    /// Idempotent: a run reads the maps' `lb`s and the reduces' `ub`s and
+    /// writes only the reduces' `lb`s and the maps' `ub`s.
+    fn at_own_fixpoint(&self) -> bool {
+        true
+    }
+
     fn watched_tasks(&self, model: &Model) -> Vec<TaskRef> {
         model.tasks_of(self.job).collect()
     }
@@ -91,6 +97,12 @@ impl Propagator for Precedence {
                 .set_ub(self.before, ctx.dom.ub(self.after) - dur_before)?;
         }
         Ok(())
+    }
+
+    /// Idempotent: a run reads `lb(before)` and `ub(after)` and writes only
+    /// `lb(after)` and `ub(before)` (the model rejects self-precedences).
+    fn at_own_fixpoint(&self) -> bool {
+        true
     }
 
     fn watched_tasks(&self, _model: &Model) -> Vec<TaskRef> {

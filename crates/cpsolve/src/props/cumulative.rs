@@ -35,6 +35,17 @@
 //! anyway; skipping it changes no answer. On the manager's combined pool
 //! (unit tasks, many slots) only a full segment is tall. Debug builds
 //! repeat every fit over the whole profile and compare.
+//!
+//! Two short cuts read the span of the tall segments, both exact. With no
+//! tall segment every fit is its window's own end, so the run returns
+//! before the task loop. A task whose `[lb, ub + dur)` lies clear of the
+//! span skips both fit scans. Debug builds check every skipped task's fits
+//! over the whole profile as well.
+//!
+//! A run reports its own fixpoint ([`Propagator::at_own_fixpoint`]) iff it
+//! changed no pool task's mandatory part: a re-run would then build the
+//! same profile, and every window it left is already its own earliest and
+//! latest fit.
 
 use super::{Ctx, PropClass, Propagator};
 use crate::model::{Model, ResRef, SlotKind, TaskRef};
@@ -48,16 +59,20 @@ struct Seg {
     height: i64,
 }
 
+/// The part `[ub, lb + dur)` that every start in `[lb, ub]` covers, or
+/// `None` when it is empty.
+#[inline]
+fn part_of(lb: i64, ub: i64, dur: i64) -> Option<(i64, i64)> {
+    (ub < lb + dur).then_some((ub, lb + dur))
+}
+
 /// The mandatory part of `t` on `res`, or `None`.
 #[inline]
 fn mandatory_part(ctx: &Ctx<'_>, t: TaskRef, res: ResRef) -> Option<(i64, i64)> {
     if ctx.dom.assigned(t) != Some(res) {
         return None;
     }
-    let dur = ctx.model.tasks[t.idx()].dur;
-    let m_start = ctx.dom.ub(t);
-    let m_end = ctx.dom.lb(t) + dur;
-    (m_start < m_end).then_some((m_start, m_end))
+    part_of(ctx.dom.lb(t), ctx.dom.ub(t), ctx.model.tasks[t.idx()].dur)
 }
 
 /// Build the profile of `tasks`' mandatory parts from scratch into `segs`
@@ -253,6 +268,9 @@ pub struct Cumulative {
     /// propagation — see tests/alloc_count.rs).
     #[allow(dead_code)]
     check_segs: Vec<Seg>,
+    /// Whether the last run left the pool at its own fixpoint: it changed
+    /// no pool task's mandatory part.
+    at_fixpoint: bool,
 }
 
 impl Cumulative {
@@ -287,6 +305,7 @@ impl Cumulative {
             valid: false,
             old_segs: Vec::new(),
             check_segs: Vec::new(),
+            at_fixpoint: false,
         })
     }
 
@@ -526,13 +545,30 @@ impl Propagator for Cumulative {
         self.tall.clear();
         self.tall
             .extend(self.segs.iter().filter(|seg| seg.height > floor));
+        // Every tall segment lies in `[span_start, span_end)`.
+        let (span_start, span_end) = match (self.tall.first(), self.tall.last()) {
+            (Some(first), Some(last)) => (first.start, last.end),
+            // No tall segment: every fit is its window's own end, so the run
+            // can narrow nothing.
+            _ if !cfg!(debug_assertions) => {
+                self.at_fixpoint = true;
+                return Ok(());
+            }
+            // Debug builds walk the tasks anyway, each clear of the empty
+            // span, so the check below covers this short cut too.
+            _ => (i64::MAX, i64::MIN),
+        };
 
         // Iterate over a snapshot of indices; domains change inside the loop
         // but the profile is only rebuilt on the next engine invocation
         // (which the dirtying of the changed task guarantees). Filtering
         // with a slightly stale profile is still sound: mandatory parts only
         // grow as bounds tighten, so the stale profile under-approximates
-        // and the fixpoint loop converges on the strongest bounds.
+        // and the fixpoint loop converges on the strongest bounds. While no
+        // mandatory part moves, the profile is not stale and each window
+        // left behind is its own earliest and latest fit: the pool is at its
+        // own fixpoint.
+        let mut at_fixpoint = true;
         for idx in 0..self.tasks.len() {
             let t = self.tasks[idx];
             if !ctx.dom.has_res(t, self.res) {
@@ -543,16 +579,26 @@ impl Propagator for Cumulative {
             let req = spec.req as i64;
             let lb = ctx.dom.lb(t);
             let ub = ctx.dom.ub(t);
+            let assigned = ctx.dom.assigned(t) == Some(self.res);
+            if assigned && lb == ub {
+                continue; // fully placed; participates via profile only
+            }
+            let part = if assigned { part_of(lb, ub, dur) } else { None };
+            let own = part.map(|(s, e)| (s, e, req));
+            if ub + dur <= span_start || lb >= span_end {
+                // No placement in the window meets a tall segment.
+                debug_assert_eq!(
+                    (
+                        earliest_fit_in(&self.segs, lb, ub, dur, own, cap, req),
+                        latest_fit_in(&self.segs, lb, ub, dur, own, cap, req)
+                    ),
+                    (Some(lb), Some(ub)),
+                    "a window clear of the tall segments is not its own fit"
+                );
+                continue;
+            }
 
-            if ctx.dom.assigned(t) == Some(self.res) {
-                if lb == ub {
-                    continue; // fully placed; participates via profile only
-                }
-                let own = if ub < lb + dur {
-                    Some((ub, lb + dur, req))
-                } else {
-                    None
-                };
+            if assigned {
                 match self.earliest_fit(lb, ub, dur, own, cap, req) {
                     Some(s) => {
                         ctx.dom.set_lb(t, s)?;
@@ -565,6 +611,7 @@ impl Propagator for Cumulative {
                     }
                     None => return Err(Conflict),
                 }
+                at_fixpoint &= part_of(ctx.dom.lb(t), ctx.dom.ub(t), dur) == part;
             } else {
                 // Alternative-side filtering: drop this resource if nothing
                 // fits anywhere in the window.
@@ -573,7 +620,12 @@ impl Propagator for Cumulative {
                 }
             }
         }
+        self.at_fixpoint = at_fixpoint;
         Ok(())
+    }
+
+    fn at_own_fixpoint(&self) -> bool {
+        self.at_fixpoint
     }
 
     fn watched_tasks(&self, _model: &Model) -> Vec<TaskRef> {
@@ -1011,6 +1063,107 @@ mod tests {
         assert_eq!(c.tall, vec![tall]);
         assert_eq!(d.lb(fwd), 15, "forward scan resumes at the tall end");
         assert_eq!(d.ub(bwd), 5, "backward scan resumes before the tall start");
+    }
+
+    /// One propagation of `c` on `d`.
+    fn run(c: &mut Cumulative, m: &Model, d: &mut Domains) -> Result<(), Conflict> {
+        let mut ctx = Ctx {
+            model: m,
+            dom: d,
+            bound: u32::MAX,
+        };
+        c.propagate(&mut ctx)
+    }
+
+    /// Capacity 2, unit tasks: `a` at [0,10) leaves the profile one below
+    /// capacity, so no segment is tall. Nothing can narrow, and the run
+    /// says so.
+    #[test]
+    fn a_pool_below_capacity_everywhere_is_at_its_fixpoint() {
+        let mut b = ModelBuilder::new();
+        b.add_resource(2, 0);
+        let j = b.add_job(0, 1000);
+        let a = b.add_task(j, SlotKind::Map, 10, 1);
+        let t = b.add_task(j, SlotKind::Map, 5, 1);
+        b.set_horizon(100);
+        let m = b.build().unwrap();
+        let mut d = Domains::new(&m);
+        d.fix_start(a, 0).unwrap();
+        d.set_ub(t, 8).unwrap(); // part [8,5) is empty
+        d.clear_dirty();
+        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Map).unwrap();
+        run(&mut c, &m, &mut d).unwrap();
+        assert_eq!(c.segs.len(), 1);
+        assert!(c.tall.is_empty());
+        assert_eq!((d.lb(t), d.ub(t), d.pending_dirty()), (0, 8, 0));
+        assert!(c.at_own_fixpoint());
+    }
+
+    /// Capacity 1, `a` at [0,10). The run pushes `b` (5 long, window
+    /// [0,12]) to [10,12], which gives it the part [12,15): not at its
+    /// fixpoint. `c` was filtered against the profile without that part, so
+    /// only the second run moves it past 15.
+    #[test]
+    fn a_run_that_grows_a_mandatory_part_is_not_at_its_fixpoint() {
+        let mut b = ModelBuilder::new();
+        b.add_resource(1, 0);
+        let j = b.add_job(0, 1000);
+        let a = b.add_task(j, SlotKind::Map, 10, 1);
+        let bt = b.add_task(j, SlotKind::Map, 5, 1);
+        let ct = b.add_task(j, SlotKind::Map, 2, 1);
+        b.set_horizon(20);
+        let m = b.build().unwrap();
+        let mut d = Domains::new(&m);
+        d.fix_start(a, 0).unwrap();
+        d.set_ub(bt, 12).unwrap();
+        d.set_lb(ct, 12).unwrap();
+        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Map).unwrap();
+        run(&mut c, &m, &mut d).unwrap();
+        assert_eq!((d.lb(bt), d.ub(bt)), (10, 12));
+        assert_eq!(d.lb(ct), 12, "filtered against the part-less profile");
+        assert!(!c.at_own_fixpoint());
+        run(&mut c, &m, &mut d).unwrap();
+        assert_eq!(d.lb(ct), 15, "the second run sees b's part [12,15)");
+        assert!(c.at_own_fixpoint(), "c's window [15,20] has no part");
+    }
+
+    /// Capacity 1, `a` at [10,20) is the only tall segment. A window that
+    /// ends before it and one that starts at its end skip the fit scans,
+    /// keep their bounds, and the full-profile fits agree.
+    #[test]
+    fn a_window_clear_of_the_tall_span_is_its_own_fit() {
+        let mut b = ModelBuilder::new();
+        b.add_resource(1, 0);
+        let j = b.add_job(0, 1000);
+        let a = b.add_task(j, SlotKind::Map, 10, 1);
+        let early = b.add_task(j, SlotKind::Map, 3, 1);
+        let late = b.add_task(j, SlotKind::Map, 3, 1);
+        b.set_horizon(30);
+        let m = b.build().unwrap();
+        let mut d = Domains::new(&m);
+        d.fix_start(a, 10).unwrap();
+        d.set_ub(early, 7).unwrap(); // placements inside [0,10)
+        d.set_lb(late, 20).unwrap(); // placements inside [20,33)
+        d.clear_dirty();
+        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Map).unwrap();
+        run(&mut c, &m, &mut d).unwrap();
+        let tall = Seg {
+            start: 10,
+            end: 20,
+            height: 1,
+        };
+        assert_eq!(c.tall, vec![tall]);
+        for (t, window) in [(early, (0, 7)), (late, (20, 30))] {
+            assert_eq!((d.lb(t), d.ub(t)), window);
+            let (lb, ub) = window;
+            let fits = (
+                earliest_fit_in(&c.segs, lb, ub, 3, None, 1, 1),
+                latest_fit_in(&c.segs, lb, ub, 3, None, 1, 1),
+            );
+            assert_eq!(fits, (Some(lb), Some(ub)));
+        }
+        assert_eq!(d.pending_dirty(), 0);
+        assert!(c.at_own_fixpoint());
     }
 
     /// The mirror image: `t`'s own part [3,5) abuts `a` at [5,6) on its

@@ -67,6 +67,13 @@ impl Propagator for JobLateness {
         Ok(())
     }
 
+    /// Idempotent: a run writes only `ub`s, so a re-run sees the same
+    /// `completion_lb` and decides the same status, and its `ub` writes
+    /// already hold.
+    fn at_own_fixpoint(&self) -> bool {
+        true
+    }
+
     fn watched_tasks(&self, model: &Model) -> Vec<TaskRef> {
         model.tasks_of(self.job).collect()
     }

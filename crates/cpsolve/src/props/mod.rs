@@ -19,6 +19,19 @@
 //! tiered by cost: cheap bound propagators (barrier, precedence, lateness,
 //! objective) drain before timetable filtering, so the expensive filter
 //! always runs on quiesced domains.
+//!
+//! A propagator may report, after a run, that it left itself at its own
+//! fixpoint ([`Propagator::at_own_fixpoint`]): run again at once, it would
+//! narrow nothing. The engine then wakes every other watcher of that run's
+//! narrowings but not the propagator itself (the idempotence protocol of
+//! Schulte & Stuckey, *Efficient Constraint Propagation Engines*, TOPLAS
+//! 2008). The barrier, precedence, lateness and objective propagators
+//! always claim it: none of them writes what would change its next run's
+//! writes (each impl says why). The timetable answers per run: it claims
+//! it unless the run changed a pool task's own mandatory part. Skipping
+//! such re-runs changes no domain at any fixpoint. Debug builds never trust
+//! a claim: the engine re-runs the propagator at once and asserts that it
+//! narrows nothing.
 
 pub mod barrier;
 pub mod cumulative;
@@ -103,6 +116,14 @@ pub const PROP_CLASSES: [PropClass; N_PROP_CLASSES] = [
 pub trait Propagator {
     /// Run to local fixpoint for this constraint.
     fn propagate(&mut self, ctx: &mut Ctx<'_>) -> Result<(), Conflict>;
+
+    /// True when the run that just returned `Ok` left this propagator at
+    /// its own fixpoint: run again at once on the domains it left, it would
+    /// narrow nothing. The engine then does not wake it for its own
+    /// narrowings. The default claims nothing.
+    fn at_own_fixpoint(&self) -> bool {
+        false
+    }
 
     /// Tasks whose domain changes should re-trigger this propagator.
     fn watched_tasks(&self, model: &Model) -> Vec<TaskRef>;
@@ -351,10 +372,20 @@ impl Engine {
             self.stats.by_class[class_idx].runs += 1;
             match result {
                 Ok(()) => {
+                    let own_fixpoint = self.props[id].at_own_fixpoint();
+                    #[cfg(debug_assertions)]
+                    if own_fixpoint {
+                        self.check_own_fixpoint(id, model, dom);
+                    }
+                    // A propagator at its own fixpoint counts as queued while
+                    // its narrowings wake their watchers, so it does not wake
+                    // itself; every other watcher still runs.
+                    self.in_queue[id] = own_fixpoint;
                     let before = self.stats.prunings;
                     self.enqueue_watchers(dom);
                     let pruned = self.stats.prunings - before;
                     self.stats.by_class[class_idx].prunings += pruned;
+                    self.in_queue[id] = false;
                 }
                 Err(c) => {
                     self.stats.conflicts += 1;
@@ -369,10 +400,30 @@ impl Engine {
         debug_assert!(dom.dirty_is_empty());
         Ok(())
     }
+
+    /// Debug check of a fixpoint claim: re-run propagator `id` on the
+    /// domains its run left and assert that it neither fails nor narrows.
+    /// The re-run is not counted.
+    #[cfg(debug_assertions)]
+    fn check_own_fixpoint(&mut self, id: PropId, model: &Model, dom: &mut Domains) {
+        let pending = dom.pending_dirty();
+        let mut ctx = Ctx {
+            model,
+            dom,
+            bound: self.bound,
+        };
+        let rerun = self.props[id].propagate(&mut ctx);
+        assert!(
+            rerun.is_ok() && dom.pending_dirty() == pending,
+            "{} propagator claimed its own fixpoint, but a re-run {}",
+            self.classes[id].name(),
+            if rerun.is_ok() { "narrowed" } else { "failed" }
+        );
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::model::{ModelBuilder, SlotKind};
     use crate::state::Lateness;
@@ -427,10 +478,9 @@ mod tests {
         assert_eq!(s.conflicts, 0);
     }
 
-    /// Per-class counters of a solve that exhausts a 3 000-node limit on
-    /// map + reduce jobs with tight deadlines over two shared resources.
-    /// Every class runs over a thousand times.
-    fn contended_solve() -> [PropClassStats; N_PROP_CLASSES] {
+    /// Map + reduce jobs with tight deadlines over two shared resources: a
+    /// solve exhausts a 3 000-node limit on it.
+    pub(crate) fn contended_model() -> Model {
         let mut b = ModelBuilder::new();
         b.add_resource(2, 1);
         b.add_resource(1, 1);
@@ -442,13 +492,19 @@ mod tests {
             b.add_task(job, SlotKind::Reduce, 2 + j % 3, 1);
         }
         b.set_horizon(400);
+        b.build().unwrap()
+    }
+
+    /// Per-class counters of a solve that exhausts a 3 000-node limit on
+    /// the contended model. Every class runs over a thousand times.
+    fn contended_solve() -> [PropClassStats; N_PROP_CLASSES] {
         let params = crate::SolveParams {
             node_limit: 3_000,
             warm_start: false,
             restarts: None,
             ..Default::default()
         };
-        crate::solve(&b.build().unwrap(), &params).stats.by_class
+        crate::solve(&contended_model(), &params).stats.by_class
     }
 
     /// Only one run in 16 is timed, but a class with over a thousand runs

@@ -46,6 +46,12 @@ impl Propagator for ObjectiveBound {
         Ok(())
     }
 
+    /// Idempotent: a run marks jobs only `OnTime`, so a re-run counts the
+    /// same late jobs and finds no undecided one left to force.
+    fn at_own_fixpoint(&self) -> bool {
+        true
+    }
+
     fn watched_tasks(&self, _model: &Model) -> Vec<TaskRef> {
         Vec::new()
     }

@@ -148,14 +148,6 @@ impl Domains {
         self.late[j.idx()]
     }
 
-    /// True when every task has a fixed start and a single resource.
-    pub fn all_fixed(&self) -> bool {
-        (0..self.start_lb.len()).all(|i| {
-            let t = TaskRef(i as u32);
-            self.start_fixed(t) && self.assigned(t).is_some()
-        })
-    }
-
     /// Number of jobs currently marked late.
     pub fn late_count(&self) -> u32 {
         self.late.iter().filter(|&&l| l == Lateness::Late).count() as u32
@@ -357,6 +349,12 @@ impl Domains {
     pub fn dirty_is_empty(&self) -> bool {
         self.dirty_tasks.is_empty() && self.dirty_jobs.is_empty()
     }
+
+    /// Number of entries pending in the dirty queues, tasks and jobs
+    /// together: a run that leaves it unchanged narrowed nothing.
+    pub fn pending_dirty(&self) -> usize {
+        self.dirty_tasks.len() + self.dirty_jobs.len()
+    }
 }
 
 #[cfg(test)]
@@ -383,7 +381,10 @@ mod tests {
         assert_eq!(d.ub(TaskRef(0)), 100);
         assert_eq!(d.mask(TaskRef(0)), 0b11);
         assert_eq!(d.late(JobRef(0)), Lateness::Unknown);
-        assert!(!d.all_fixed());
+        for t in [TaskRef(0), TaskRef(1)] {
+            assert!(!d.start_fixed(t));
+            assert_eq!(d.assigned(t), None);
+        }
     }
 
     #[test]
@@ -523,6 +524,6 @@ mod tests {
         assert_eq!(d.lb(t), 2);
         assert_eq!(d.ub(t), 2);
         assert_eq!(d.assigned(t), Some(ResRef(1)));
-        assert!(d.all_fixed());
+        assert!(d.start_fixed(t));
     }
 }

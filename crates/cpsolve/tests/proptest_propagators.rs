@@ -11,11 +11,19 @@
 //! directly, on instances small enough to enumerate: root propagation of
 //! the whole engine keeps every start and resource that some complete
 //! feasible placement uses.
+//!
+//! A third property pins the engine's scheduling against a naive
+//! fixpoint: a propagator that reports its own fixpoint is not woken by its
+//! own narrowings, and that must never leave narrowing undone.
 
 use cpsolve::greedy::{greedy_edf, greedy_topo};
-use cpsolve::model::{Model, ModelBuilder, ResRef, SlotKind, TaskRef};
-use cpsolve::props::Engine;
-use cpsolve::state::Domains;
+use cpsolve::model::{JobRef, Model, ModelBuilder, ResRef, SlotKind, TaskRef};
+use cpsolve::props::barrier::{PhaseBarrier, Precedence};
+use cpsolve::props::cumulative::Cumulative;
+use cpsolve::props::lateness::JobLateness;
+use cpsolve::props::objective::ObjectiveBound;
+use cpsolve::props::{Ctx, Engine, Propagator};
+use cpsolve::state::{Conflict, Domains, Lateness};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -303,6 +311,127 @@ fn assert_keeps_feasible_placements(model: &Model) {
                 );
             }
         }
+    }
+}
+
+/// The naive fixpoint: every propagator of the engine's set, built
+/// directly, run round-robin on `dom` until a full pass narrows nothing.
+fn naive_fixpoint(model: &Model, dom: &mut Domains, bound: u32) -> Result<(), Conflict> {
+    let mut props: Vec<Box<dyn Propagator>> = Vec::new();
+    for j in 0..model.n_jobs() {
+        let job = JobRef(j as u32);
+        if !model.maps_of[j].is_empty() && !model.reduces_of[j].is_empty() {
+            props.push(Box::new(PhaseBarrier::new(job)));
+        }
+        props.push(Box::new(JobLateness::new(job)));
+    }
+    for &(a, b) in &model.precedences {
+        props.push(Box::new(Precedence::new(a, b)));
+    }
+    for r in 0..model.n_resources() {
+        for kind in [SlotKind::Map, SlotKind::Reduce] {
+            if model.resources[r].cap(kind) > 0 {
+                if let Some(c) = Cumulative::new(model, ResRef(r as u32), kind) {
+                    props.push(Box::new(c));
+                }
+            }
+        }
+    }
+    props.push(Box::new(ObjectiveBound::new()));
+    loop {
+        dom.clear_dirty();
+        for p in &mut props {
+            p.propagate(&mut Ctx { model, dom, bound })?;
+        }
+        if dom.dirty_is_empty() {
+            return Ok(());
+        }
+    }
+}
+
+/// Every task's `(lb, ub, mask)` and every job's lateness.
+type Snapshot = (Vec<(i64, i64, u128)>, Vec<Lateness>);
+
+fn snapshot(model: &Model, dom: &Domains) -> Snapshot {
+    let tasks = (0..model.n_tasks() as u32)
+        .map(TaskRef)
+        .map(|t| (dom.lb(t), dom.ub(t), dom.mask(t)))
+        .collect();
+    let jobs = (0..model.n_jobs() as u32)
+        .map(|j| dom.late(JobRef(j)))
+        .collect();
+    (tasks, jobs)
+}
+
+/// One dive decision, as the search would take it: the first task whose
+/// resource or start is open gets its lowest candidate resource, or else
+/// its earliest start. False at a leaf.
+fn decide(model: &Model, dom: &mut Domains) -> bool {
+    let Some(t) = (0..model.n_tasks() as u32)
+        .map(TaskRef)
+        .find(|&t| !(dom.start_fixed(t) && dom.assigned(t).is_some()))
+    else {
+        return false;
+    };
+    match dom.assigned(t) {
+        None => dom.assign_res(t, ResRef(dom.mask(t).trailing_zeros())),
+        Some(_) => dom.fix_start(t, dom.lb(t)),
+    }
+    .expect("a decision inside the domain");
+    true
+}
+
+/// Under each objective cut, the engine reaches the naive fixpoint at the
+/// root and after every decision of a dive (the search's dirty-driven
+/// path). A conflict on one side is a conflict on the other.
+fn assert_engine_matches_naive(model: &Model) {
+    for bound in [u32::MAX, 1, 0] {
+        let mut dom = Domains::new(model);
+        let mut eng = Engine::new(model);
+        eng.set_bound(bound);
+        let mut naive = Domains::new(model);
+        let mut ok = eng.propagate_all(model, &mut dom).is_ok();
+        let mut step = 0;
+        loop {
+            let naive_ok = naive_fixpoint(model, &mut naive, bound).is_ok();
+            assert_eq!(
+                ok, naive_ok,
+                "bound {bound}, step {step}: conflict on one side only"
+            );
+            if !ok {
+                break;
+            }
+            assert_eq!(
+                snapshot(model, &dom),
+                snapshot(model, &naive),
+                "bound {bound}, step {step}: fixpoints differ"
+            );
+            if !decide(model, &mut dom) {
+                break;
+            }
+            decide(model, &mut naive);
+            ok = eng.propagate_dirty(model, &mut dom).is_ok();
+            step += 1;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn engine_reaches_the_naive_fixpoint(i in tiny()) {
+        assert_engine_matches_naive(&build_tiny(&i));
+    }
+
+    #[test]
+    fn engine_reaches_the_naive_fixpoint_when_packed(i in packed()) {
+        assert_engine_matches_naive(&build_packed(&i));
+    }
+
+    #[test]
+    fn engine_reaches_the_naive_fixpoint_on_deadlines(i in inst()) {
+        assert_engine_matches_naive(&build(&i));
     }
 }
 
