@@ -69,7 +69,7 @@ impl ChaosConfig {
     /// Whether any fault mechanism is active. Under an inactive config no
     /// RNG is ever consulted, which is what the bit-exactness guarantee
     /// rests on; the federation then also skips its health sweep and
-    /// per-round audit and solves dirty cells in parallel.
+    /// per-round audit and applies each round in place.
     pub fn is_active(&self) -> bool {
         self.drop_prob > 0.0
             || self.dup_prob > 0.0

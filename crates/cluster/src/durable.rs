@@ -328,7 +328,7 @@ impl Recoverable for Federation {
             rms.push(MrcpRm::restore(setup.mgr, pool, ci).map_err(io_invalid)?);
             dirty.push(d);
         }
-        let mut fed = Federation::assemble(&setup.cluster, setup.mgr, &setup.resources, rms);
+        let mut fed = Federation::assemble(&setup.resources, rms);
         for (c, d) in fed.cells.iter_mut().zip(dirty) {
             c.dirty = d;
         }
@@ -561,10 +561,7 @@ mod tests {
     fn new_equals_restore_from_a_fresh_image() {
         let resources = homogeneous_cluster(5, 2, 1);
         let setup = FleetSetup {
-            cluster: ClusterConfig {
-                cells: 3,
-                ..ClusterConfig::default()
-            },
+            cluster: ClusterConfig { cells: 3 },
             mgr: MrcpConfig::default(),
             resources: resources.clone(),
         };
@@ -591,8 +588,6 @@ mod tests {
         assert_eq!(fresh.max_fleet_depth, restored.max_fleet_depth);
         assert_eq!(fresh.health, restored.health);
         assert_eq!(fresh.resources, restored.resources);
-        assert_eq!(fresh.rebalance, restored.rebalance);
-        assert_eq!(fresh.base_workers, restored.base_workers);
         assert_eq!(fresh.chaos_active, restored.chaos_active);
     }
 }

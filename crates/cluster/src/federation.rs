@@ -4,8 +4,8 @@
 //! routed to the owning cell (tasks and resources are mapped at
 //! submission / construction time), arrivals are placed by
 //! power-of-two-choices over the cells' load and admission estimators,
-//! and [`Federation::reschedule`] solves every *dirty* cell concurrently
-//! on scoped threads before running the cross-cell rebalancer.
+//! and [`Federation::reschedule`] solves every *dirty* cell, one after
+//! another, before running the cross-cell rebalancer.
 //!
 //! ## The fallible boundary
 //!
@@ -44,7 +44,7 @@ use crate::chaos::ChaosConfig;
 use crate::endpoint::{Delivery, Endpoint, RetryPolicy, RpcError};
 use crate::health::{CellHealth, HealthConfig, HealthState};
 use crate::metrics::ClusterMetrics;
-use crate::rebalance::{RebalanceConfig, PROBE_FANOUT};
+use crate::rebalance::{MAX_MIGRATIONS_PER_ROUND, PROBE_FANOUT};
 use crate::router::two_choices;
 use desim::SimTime;
 use durability::{apply, ManagerEvent, Reply};
@@ -62,22 +62,17 @@ use workload::{Job, JobId, Resource, ResourceId, TaskId};
 /// repeats itself every round.
 const MAX_VIOLATIONS: usize = 64;
 
-/// Federation shape: how many cells and how eagerly to rebalance.
+/// Federation shape: how many cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// Number of cells to shard the resource pool into (clamped to
     /// `[1, resources]`; resources are dealt round-robin).
     pub cells: usize,
-    /// Cross-cell rebalancing knobs.
-    pub rebalance: RebalanceConfig,
 }
 
 impl Default for ClusterConfig {
     fn default() -> Self {
-        ClusterConfig {
-            cells: 1,
-            rebalance: RebalanceConfig::default(),
-        }
+        ClusterConfig { cells: 1 }
     }
 }
 
@@ -234,10 +229,6 @@ impl FedTel {
 #[derive(Debug)]
 pub struct Federation {
     pub(crate) cells: Vec<Cell>,
-    pub(crate) rebalance: RebalanceConfig,
-    /// The undivided portfolio worker budget ([`mrcp::SolveBudget`]
-    /// `workers`), split across the cells active in each round.
-    pub(crate) base_workers: usize,
     pub(crate) res_cell: HashMap<ResourceId, usize>,
     pub(crate) task_cell: HashMap<TaskId, usize>,
     pub(crate) job_cell: HashMap<JobId, usize>,
@@ -260,7 +251,8 @@ pub struct Federation {
     pub(crate) clock: SimTime,
     /// Whether any cell endpoint injects faults. Off: deliveries cannot
     /// fail, the health sweep and the per-round audit are skipped, and
-    /// the parallel solve path runs — the bit-exact legacy behavior.
+    /// rounds apply in place without an endpoint round trip — the
+    /// bit-exact legacy behavior.
     pub(crate) chaos_active: bool,
     /// What the per-round audit found, capped at [`MAX_VIOLATIONS`].
     pub(crate) violations: Vec<String>,
@@ -285,18 +277,13 @@ impl Federation {
             .into_iter()
             .map(|pool| MrcpRm::new(mgr, pool))
             .collect();
-        Federation::assemble(cfg, mgr, &resources, rms)
+        Federation::assemble(&resources, rms)
     }
 
     /// A fleet around `rms`, one manager per [`shard`] of `resources`,
     /// with empty fleet maps and a reliable, fault-free boundary — what
     /// both a fresh fleet and one restored from a snapshot start from.
-    pub(crate) fn assemble(
-        cfg: &ClusterConfig,
-        mgr: MrcpConfig,
-        resources: &[Resource],
-        rms: Vec<MrcpRm>,
-    ) -> Self {
+    pub(crate) fn assemble(resources: &[Resource], rms: Vec<MrcpRm>) -> Self {
         let k = rms.len();
         let res_cell = rms
             .iter()
@@ -309,8 +296,6 @@ impl Federation {
                 .enumerate()
                 .map(|(id, rm)| Cell::new(id, rm))
                 .collect(),
-            rebalance: cfg.rebalance,
-            base_workers: mgr.budget.workers.max(1),
             res_cell,
             task_cell: HashMap::new(),
             job_cell: HashMap::new(),
@@ -962,70 +947,34 @@ impl Federation {
         }
     }
 
-    /// Solve every dirty cell's round, splitting the portfolio worker
-    /// budget across the cells that actually hold work — concurrently on
-    /// scoped threads when the boundary is reliable, sequentially
-    /// through the fallible endpoints under chaos (a down cell's round
-    /// is skipped; it stays dirty and replans after its restore). The
-    /// internal-inconsistency arm (a dirty cell vanishing between count
-    /// and solve) is unreachable, but it is reported as a typed
-    /// [`ManagerError::Inconsistent`] rather than a panic.
-    fn solve_dirty(&mut self, now: SimTime) -> Result<(), ManagerError> {
-        let active = self
-            .cells
-            .iter()
-            .filter(|c| c.dirty && c.rm.jobs_in_system() > 0)
-            .count();
-        let dirty = self.cells.iter().filter(|c| c.dirty).count();
-        if dirty == 0 {
-            return Ok(());
-        }
-        let round = ManagerEvent::Solve {
-            workers: (self.base_workers / active.max(1)).max(1),
-            now,
-        };
-        if !self.chaos_active {
-            // Write-ahead: the cell WAL records the round before the solve
-            // mutates the cell.
-            for i in 0..self.cells.len() {
-                if self.cells[i].dirty {
-                    self.journal_cell(i, &round);
-                }
-            }
-        }
+    /// Solve every dirty cell's round, one cell after another in index
+    /// order. A cell that is not routable is skipped: it stays dirty and
+    /// replans after its restore. Under chaos the round travels through
+    /// the cell's fallible endpoint; otherwise it is journalled
+    /// write-ahead and applied in place.
+    fn solve_dirty(&mut self, now: SimTime) {
+        let round = ManagerEvent::Reschedule { now };
+        let mut active = 0;
         let t0 = Instant::now();
-        if self.chaos_active {
-            for i in 0..self.cells.len() {
-                if !self.cells[i].dirty || !self.health[i].routable() {
-                    // A down cell's round is skipped; it stays dirty and
-                    // replans after its restore.
-                    continue;
-                }
+        for i in 0..self.cells.len() {
+            if !self.cells[i].dirty || !self.health[i].routable() {
+                continue;
+            }
+            if self.cells[i].rm.jobs_in_system() > 0 {
+                active += 1;
+            }
+            if self.chaos_active {
                 // Must-answer: the driver may never call another round,
                 // so a routable cell's solve cannot be deferred to a
                 // "next time" that might not come.
                 self.call_cell(i, &round, now, CallMode::MustAnswer);
-                self.cells[i].dirty = false;
+            } else {
+                // Write-ahead: the cell WAL records the round before the
+                // solve mutates the cell.
+                self.journal_cell(i, &round);
+                apply(&mut self.cells[i].rm, &round);
             }
-        } else if dirty == 1 {
-            // Hot path (and the cells=1 identity path): no thread setup.
-            let Some(c) = self.cells.iter_mut().find(|c| c.dirty) else {
-                return Err(ManagerError::Inconsistent(
-                    "dirty cell vanished between count and solve",
-                ));
-            };
-            apply(&mut c.rm, &round);
-            c.dirty = false;
-        } else {
-            let round = &round;
-            std::thread::scope(|s| {
-                for c in self.cells.iter_mut().filter(|c| c.dirty) {
-                    s.spawn(move || {
-                        apply(&mut c.rm, round);
-                        c.dirty = false;
-                    });
-                }
-            });
+            self.cells[i].dirty = false;
         }
         if active > 0 {
             self.metrics.rounds += 1;
@@ -1035,15 +984,13 @@ impl Federation {
             self.tel.rounds.inc();
             self.tel.round_solve_us.record(us);
         }
-        Ok(())
     }
 
     /// Offer each cell's planned-late, fully-unstarted jobs to the cells
     /// with the most slack, bounded by the per-round migration budget.
     /// Returns how many jobs moved.
     fn run_rebalance(&mut self, now: SimTime) -> usize {
-        let budget = self.rebalance.max_migrations_per_round;
-        if budget == 0 || self.cells.len() < 2 {
+        if self.cells.len() < 2 {
             return 0;
         }
         // Candidates: late by the cell's own incumbent (or unplanned
@@ -1072,7 +1019,7 @@ impl Federation {
 
         let mut moved = 0usize;
         for (_, src, job_id) in cands {
-            if moved >= budget {
+            if moved >= MAX_MIGRATIONS_PER_ROUND {
                 break;
             }
             let Some(job) = self.cells[src].rm.job(job_id).cloned() else {
@@ -1310,17 +1257,11 @@ impl ResourceManager for Federation {
         if self.chaos_active {
             self.sweep_health(now);
         }
-        if let Err(e) = self.solve_dirty(now) {
-            debug_assert!(false, "solve_dirty went inconsistent: {e}");
-            self.last_error = Some(e);
-        }
+        self.solve_dirty(now);
         if self.run_rebalance(now) > 0 {
             // One follow-up pass replans the cells the migrations touched;
             // no second rebalance, so a round cannot ping-pong jobs.
-            if let Err(e) = self.solve_dirty(now) {
-                debug_assert!(false, "solve_dirty went inconsistent: {e}");
-                self.last_error = Some(e);
-            }
+            self.solve_dirty(now);
         }
         if self.chaos_active {
             let found = self.audit();
@@ -1454,31 +1395,41 @@ mod tests {
     use super::*;
     use workload::model::homogeneous_cluster;
 
-    /// A two-cell fleet holding one job, with one fleet-map entry planted
-    /// for a job no cell holds.
-    fn planted(chaos: &ChaosConfig) -> Federation {
-        let cfg = ClusterConfig {
-            cells: 2,
-            ..ClusterConfig::default()
-        };
-        let res = homogeneous_cluster(2, 2, 2);
-        let mut fed = Federation::with_chaos(&cfg, MrcpConfig::default(), res, chaos);
-        let job = Job {
-            id: JobId(1),
+    /// A job of one five-second map task, due in 1 000 s.
+    fn one_map_job(id: u32) -> Job {
+        Job {
+            id: JobId(id),
             arrival: SimTime::ZERO,
             earliest_start: SimTime::ZERO,
             deadline: SimTime::from_secs(1_000),
             map_tasks: vec![workload::Task {
-                id: TaskId(10),
-                job: JobId(1),
+                id: TaskId(id * 10),
+                job: JobId(id),
                 kind: workload::TaskKind::Map,
                 exec_time: SimTime::from_secs(5),
                 req: 1,
             }],
             reduce_tasks: Vec::new(),
             precedences: Vec::new(),
-        };
-        fed.submit_with_admission(job, SimTime::ZERO).unwrap();
+        }
+    }
+
+    fn two_cells(chaos: &ChaosConfig) -> Federation {
+        let res = homogeneous_cluster(2, 2, 2);
+        Federation::with_chaos(
+            &ClusterConfig { cells: 2 },
+            MrcpConfig::default(),
+            res,
+            chaos,
+        )
+    }
+
+    /// A two-cell fleet holding one job, with one fleet-map entry planted
+    /// for a job no cell holds.
+    fn planted(chaos: &ChaosConfig) -> Federation {
+        let mut fed = two_cells(chaos);
+        fed.submit_with_admission(one_map_job(1), SimTime::ZERO)
+            .unwrap();
         assert!(fed.audit().is_empty(), "{:?}", fed.audit());
         fed.job_cell.insert(JobId(99), 0);
         fed
@@ -1507,5 +1458,30 @@ mod tests {
         assert!(fed.violations().is_empty());
         // The plant is there; only the audit did not run.
         assert_eq!(fed.audit().len(), 1);
+    }
+
+    /// A down cell's round is skipped, so it neither solves nor counts:
+    /// the round booked is the one cell that did.
+    #[test]
+    fn a_round_counts_only_the_cells_that_solved() {
+        let chaos = ChaosConfig {
+            dup_prob: 1.0,
+            ..ChaosConfig::default()
+        };
+        let mut fed = two_cells(&chaos);
+        for id in [1, 2] {
+            fed.submit_with_admission(one_map_job(id), SimTime::ZERO)
+                .unwrap();
+        }
+        assert_eq!(fed.cluster_metrics().jobs_routed, [1, 1]);
+        fed.health[0].force_down(SimTime::ZERO);
+        fed.solve_dirty(SimTime::ZERO);
+        assert!(
+            fed.cells[0].dirty,
+            "the down cell replans after its restore"
+        );
+        assert!(!fed.cells[1].dirty);
+        assert_eq!(fed.cluster_metrics().rounds, 1);
+        assert_eq!(fed.cluster_metrics().max_cells_active, 1);
     }
 }

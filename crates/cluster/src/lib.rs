@@ -12,9 +12,9 @@
 //!   power-of-two-choices: probe the two least-loaded cells' admission
 //!   estimators and send the job to the better one, spilling to the
 //!   alternative when the first probe rejects;
-//! * **concurrent rounds** ([`federation`]): cells dirtied since the last
-//!   round solve simultaneously on scoped threads, splitting the
-//!   [`mrcp::SolveBudget`] `workers` portfolio budget between them;
+//! * **rounds** ([`federation`]): the cells dirtied since the last round
+//!   solve one after another, each with its own unchanged
+//!   [`mrcp::MrcpConfig`], so a round costs the sum of the cells' solves;
 //! * a **rebalancer** ([`rebalance`]): after each round, jobs a cell's
 //!   incumbent schedule leaves late are offered, under a bounded
 //!   migration budget, to the cell whose probe reports the most slack.
@@ -69,4 +69,3 @@ pub use endpoint::RpcError;
 pub use federation::{ClusterConfig, Federation};
 pub use health::{CellHealth, HealthState};
 pub use metrics::ClusterMetrics;
-pub use rebalance::RebalanceConfig;

@@ -1,5 +1,5 @@
-//! Federation-level observability: what the router, the concurrent solve
-//! rounds, and the rebalancer did over a run. Per-cell scheduling stats
+//! Federation-level observability: what the router, the solve rounds,
+//! and the rebalancer did over a run. Per-cell scheduling stats
 //! stay in each cell's [`mrcp::ManagerStats`]; this struct covers only
 //! what exists *between* cells.
 
@@ -19,11 +19,10 @@ pub struct ClusterMetrics {
     pub migration_probes: u64,
     /// Scheduling rounds in which at least one non-empty cell solved.
     pub rounds: u64,
-    /// Wall-clock latency of each such round — the concurrent solve of
-    /// every dirty cell, so with K cells active this is the max of K
-    /// parallel solves, not their sum.
+    /// Wall-clock latency of each such round: the cells solve one after
+    /// another, so with K cells active this is the sum of K solves.
     pub round_latencies_us: Vec<u64>,
-    /// Most cells solving concurrently in a single round.
+    /// Most cells that solved in one round.
     pub max_cells_active: usize,
     /// Logical commands sent across the router→cell boundary.
     pub rpc_commands: u64,

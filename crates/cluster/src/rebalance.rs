@@ -1,4 +1,4 @@
-//! Cross-cell rebalancing policy knobs.
+//! Cross-cell rebalancing bounds.
 //!
 //! Routing alone cannot keep cells balanced forever: loads are estimates,
 //! stragglers and crashes land unevenly, and a burst admitted while a
@@ -10,21 +10,9 @@
 //! migration budget (unbounded migration could thrash: a hot round could
 //! reshuffle every queued job and resolve every cell from scratch).
 
-/// Rebalancer configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RebalanceConfig {
-    /// Most jobs migrated per scheduling round; 0 disables rebalancing.
-    pub max_migrations_per_round: usize,
-}
+/// Most jobs migrated per scheduling round.
+pub(crate) const MAX_MIGRATIONS_PER_ROUND: usize = 4;
 
 /// How many destination cells (least-loaded first) each candidate's
 /// migration probes before giving up.
 pub(crate) const PROBE_FANOUT: usize = 2;
-
-impl Default for RebalanceConfig {
-    fn default() -> Self {
-        RebalanceConfig {
-            max_migrations_per_round: 4,
-        }
-    }
-}

@@ -56,10 +56,7 @@ pub fn small_workload(n: usize, m: u32, seed: u64) -> (Vec<Resource>, Vec<Job>) 
 
 /// A fleet of `cells` cells with the default rebalancer.
 pub fn fleet(cells: usize) -> ClusterConfig {
-    ClusterConfig {
-        cells,
-        ..Default::default()
-    }
+    ClusterConfig { cells }
 }
 
 /// Run `jobs` through a plain memory-only federation of `cells` cells.

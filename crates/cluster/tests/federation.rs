@@ -1,10 +1,10 @@
 //! End-to-end federation tests: determinism, the cells=1 identity with
-//! the plain single-manager driver, multi-cell draining, worker-budget
-//! splitting, and the cross-cell rebalancer.
+//! the plain single-manager driver, multi-cell draining, cell configs
+//! left as built, and the cross-cell rebalancer.
 
 mod common;
 
-use cluster::{ClusterConfig, Federation, RebalanceConfig};
+use cluster::{ClusterConfig, Federation};
 use common::{det_sim, plain, workload};
 use desim::SimTime;
 use mrcp::{simulate, AdmissionPolicy, MrcpConfig, ResourceManager, SimConfig};
@@ -132,14 +132,11 @@ fn multi_cell_run_drains_and_conserves_jobs() {
 }
 
 #[test]
-fn worker_budget_splits_across_active_cells() {
+fn a_round_leaves_every_cell_config_as_built() {
     let resources = homogeneous_cluster(2, 2, 2);
     let mut mgr = MrcpConfig::default();
     mgr.budget.workers = 4;
-    let cfg = ClusterConfig {
-        cells: 2,
-        rebalance: RebalanceConfig::default(),
-    };
+    let cfg = ClusterConfig { cells: 2 };
     let mut fed = Federation::new(&cfg, mgr, resources);
     // First arrival lands in cell 0 (tie on empty loads), second in the
     // now-less-loaded cell 1.
@@ -169,8 +166,8 @@ fn worker_budget_splits_across_active_cells() {
     for c in fed.cells() {
         assert_eq!(
             c.rm.config().budget.workers,
-            2,
-            "two active cells split the 4-worker portfolio budget"
+            4,
+            "a round solves each cell with the portfolio it was built with"
         );
     }
 }
@@ -179,10 +176,7 @@ fn worker_budget_splits_across_active_cells() {
 fn rebalancer_moves_planned_late_job_off_downed_cell() {
     let resources = homogeneous_cluster(2, 1, 1);
     let rids: Vec<_> = resources.iter().map(|r| r.id).collect();
-    let cfg = ClusterConfig {
-        cells: 2,
-        rebalance: RebalanceConfig::default(),
-    };
+    let cfg = ClusterConfig { cells: 2 };
     let mut fed = Federation::new(&cfg, MrcpConfig::default(), resources);
     // The only arrival lands in cell 0 and gets planned there.
     let j = job(
@@ -229,10 +223,7 @@ fn arrival_spills_when_primary_probe_rejects_and_alternate_admits() {
     ];
     let mut mgr = MrcpConfig::default();
     mgr.admission.policy = AdmissionPolicy::Strict;
-    let cfg = ClusterConfig {
-        cells: 2,
-        rebalance: RebalanceConfig::default(),
-    };
+    let cfg = ClusterConfig { cells: 2 };
     let mut fed = Federation::new(&cfg, mgr, resources);
     // 4 maps of 10s + one 10s reduce, due in 30s: serial maps need 50s.
     let wide = job(

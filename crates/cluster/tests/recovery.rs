@@ -118,14 +118,12 @@ fn single_cell_recovers_from_its_own_wal_alone() {
 
 /// The cell WAL holds what the cell was asked, one record per applied
 /// request: a burst leaves one `SubmitBatch` in each cell it touched
-/// (however many jobs went there) and the round one `Solve`, and those two
-/// records rebuild the cell.
+/// (however many jobs went there) and the round one `Reschedule`, and
+/// those two records rebuild the cell.
 #[test]
 fn a_batch_and_a_round_are_two_records_in_each_touched_cell_wal() {
     let resources = homogeneous_cluster(4, 2, 2);
-    // No rebalancing: a migration would add its own take/submit records.
-    let mut ccfg = fleet(2);
-    ccfg.rebalance.max_migrations_per_round = 0;
+    let ccfg = fleet(2);
     let mgr_cfg = det_sim().manager;
     let dir = scratch_dir("cell-batch");
     let d = DurabilityConfig::power_loss(StoreConfig {
@@ -142,6 +140,8 @@ fn a_batch_and_a_round_are_two_records_in_each_touched_cell_wal() {
         .iter()
         .all(|o| matches!(o, Ok(out) if out.submitted.is_some())));
     fed.reschedule(SimTime::ZERO);
+    // No migration: one would add its own take/submit records.
+    assert_eq!(fed.federation().cluster_metrics().migrations, 0);
     let routed = fed.federation().cluster_metrics().jobs_routed.clone();
     assert_eq!(routed.iter().sum::<u64>(), 6);
     assert!(routed.iter().any(|&n| n > 1), "no cell got a real batch");

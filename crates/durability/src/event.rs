@@ -9,9 +9,10 @@
 //!   simulation driver invokes. [`apply_surface`] executes them against
 //!   any manager, which is how a whole fleet (or a single manager) is
 //!   rebuilt from its command log.
-//! * **Cell commands** — the surface plus the three operations only a
-//!   federation issues to a bare [`MrcpRm`] ([`ManagerEvent::Submit`],
-//!   [`ManagerEvent::TakeUnstartedJob`], [`ManagerEvent::Solve`]).
+//! * **Cell commands** — the surface plus the two operations only a
+//!   federation issues to a bare [`MrcpRm`], the migration steps
+//!   [`ManagerEvent::TakeUnstartedJob`] and [`ManagerEvent::Submit`]. A
+//!   cell's round is a plain [`ManagerEvent::Reschedule`].
 //!   [`apply`] executes those and delegates the rest to
 //!   [`apply_surface`]: live delivery through a cell endpoint,
 //!   single-manager recovery and one cell's recovery from its own WAL all
@@ -115,14 +116,6 @@ pub enum ManagerEvent {
         /// Submission time.
         now: SimTime,
     },
-    /// Cell command, one scheduling round:
-    /// [`MrcpRm::set_portfolio_workers`] followed by [`ResourceManager::reschedule`].
-    Solve {
-        /// This cell's share of the portfolio worker budget.
-        workers: usize,
-        /// Round time.
-        now: SimTime,
-    },
 }
 
 const TAG_SUBMIT_ADM: u8 = 0;
@@ -136,10 +129,10 @@ const TAG_RES_DOWN: u8 = 7;
 const TAG_RES_UP: u8 = 8;
 const TAG_TAKE_JOB: u8 = 9;
 const TAG_SUBMIT: u8 = 10;
-// Tag 11 is retired (a worker split logged apart from its round); it
-// decodes as an unknown tag, so a store written with it is refused.
+// Tags 11 and 13 are retired (a cell's worker split, logged apart from
+// its round and then with it); they decode as unknown tags, so a store
+// written with either is refused.
 const TAG_SUBMIT_BATCH: u8 = 12;
-const TAG_SOLVE: u8 = 13;
 
 impl ManagerEvent {
     /// The simulated time the command carries, when it carries one.
@@ -156,8 +149,7 @@ impl ManagerEvent {
             | ManagerEvent::ResourceDown { now, .. }
             | ManagerEvent::ResourceUp { now, .. }
             | ManagerEvent::SubmitBatch { now, .. }
-            | ManagerEvent::Submit { now, .. }
-            | ManagerEvent::Solve { now, .. } => Some(*now),
+            | ManagerEvent::Submit { now, .. } => Some(*now),
             ManagerEvent::TaskDurationRevised { .. } | ManagerEvent::TakeUnstartedJob { .. } => {
                 None
             }
@@ -227,11 +219,6 @@ impl ManagerEvent {
                 e.time(*now);
                 e.job(job);
             }
-            ManagerEvent::Solve { workers, now } => {
-                e.u8(TAG_SOLVE);
-                e.usize(*workers);
-                e.time(*now);
-            }
         }
     }
 
@@ -286,10 +273,6 @@ impl ManagerEvent {
                 let job = d.job()?;
                 ManagerEvent::Submit { job, now }
             }
-            TAG_SOLVE => ManagerEvent::Solve {
-                workers: d.usize()?,
-                now: d.time()?,
-            },
             _ => return Err(DecodeError("unknown event tag")),
         })
     }
@@ -315,8 +298,8 @@ pub enum Reply {
     Submitted(Submitted),
     /// Answer to [`ManagerEvent::ActivateDue`]: jobs activated.
     Activated(usize),
-    /// Answer to [`ManagerEvent::Reschedule`] and [`ManagerEvent::Solve`]:
-    /// the round ran; the plan is read off the manager.
+    /// Answer to [`ManagerEvent::Reschedule`]: the round ran; the plan is
+    /// read off the manager.
     Solved,
     /// Answer to [`ManagerEvent::TaskStarted`]: the executing resource.
     Started(ResourceId),
@@ -370,9 +353,7 @@ pub fn apply_surface<R: ResourceManager>(rm: &mut R, ev: &ManagerEvent) -> Reply
         ManagerEvent::ResourceUp { resource, now } => rm
             .resource_up(*resource, *now)
             .map_or_else(Reply::Err, |()| Reply::ResourceUp),
-        ManagerEvent::TakeUnstartedJob { .. }
-        | ManagerEvent::Submit { .. }
-        | ManagerEvent::Solve { .. } => {
+        ManagerEvent::TakeUnstartedJob { .. } | ManagerEvent::Submit { .. } => {
             let e = ManagerError::Inconsistent("cell-only event in a surface command log");
             debug_assert!(false, "{e}");
             Reply::Err(e)
@@ -380,7 +361,7 @@ pub fn apply_surface<R: ResourceManager>(rm: &mut R, ev: &ManagerEvent) -> Reply
     }
 }
 
-/// Execute any command against a bare [`MrcpRm`]: the three cell-only
+/// Execute any command against a bare [`MrcpRm`]: the two cell-only
 /// commands here, the surface through [`apply_surface`]. This is *the*
 /// apply function of a cell — live delivery and WAL replay are both
 /// defined by it.
@@ -392,11 +373,6 @@ pub fn apply(rm: &mut MrcpRm, ev: &ManagerEvent) -> Reply {
         ManagerEvent::Submit { job, now } => rm
             .submit(job.clone(), *now)
             .map_or_else(Reply::Err, Reply::Submitted),
-        ManagerEvent::Solve { workers, now } => {
-            rm.set_portfolio_workers(*workers);
-            rm.reschedule(*now);
-            Reply::Solved
-        }
         surface => apply_surface(rm, surface),
     }
 }
@@ -463,7 +439,6 @@ mod tests {
                 job: sample_job(),
                 now: t,
             },
-            ManagerEvent::Solve { workers: 3, now: t },
             ManagerEvent::SubmitBatch {
                 jobs: vec![sample_job(), sample_job()],
                 now: t,
@@ -500,16 +475,21 @@ mod tests {
     }
 
     /// Tag 11 was `SetWorkers { workers }`, logged apart from the round it
-    /// configured. A store still holding one must be refused, not misread.
+    /// configured; tag 13 was `Solve { workers, now }`, the two in one
+    /// record. A store still holding either must be refused, not misread.
     #[test]
     fn retired_set_workers_tag_is_refused() {
-        let mut e = Enc::new();
-        e.u8(11);
-        e.usize(3);
-        let bytes = e.finish();
-        assert_eq!(
-            ManagerEvent::decode(&mut Dec::new(&bytes)),
-            Err(DecodeError("unknown event tag"))
-        );
+        for tag in [11, 13] {
+            let mut e = Enc::new();
+            e.u8(tag);
+            e.usize(3);
+            e.time(SimTime::from_millis(42));
+            let bytes = e.finish();
+            assert_eq!(
+                ManagerEvent::decode(&mut Dec::new(&bytes)),
+                Err(DecodeError("unknown event tag")),
+                "tag {tag}"
+            );
+        }
     }
 }

@@ -474,10 +474,7 @@ fn run_chaos_sweep(scale: &Scale, seed: u64) -> FigureResult {
     let chaos_run = |rep: u64, rate: f64| {
         let jobs = synth_jobs(&cfg, scale, seed, rep);
         let sim = mrcp_sim_config(scale, jobs.len());
-        let fleet = ClusterConfig {
-            cells: 3,
-            ..Default::default()
-        };
+        let fleet = ClusterConfig { cells: 3 };
         let chaos = ChaosConfig {
             drop_prob: rate,
             dup_prob: rate,
@@ -541,7 +538,6 @@ fn run_chaos_sweep(scale: &Scale, seed: u64) -> FigureResult {
 /// split and deferral claims — each cuts `O` — are wall clock and not
 /// checked; the check is that no variant moves `P`.
 fn run_ablation_panel(scale: &Scale, seed: u64) -> FigureResult {
-    use mrcp::defer::DeferPolicy;
     use mrcp::JobOrdering;
 
     let cfg = capped(SyntheticConfig::default(), scale);
@@ -549,9 +545,7 @@ fn run_ablation_panel(scale: &Scale, seed: u64) -> FigureResult {
     let variants: [(&str, Tweak); 5] = [
         ("baseline (split+defer, EDF)", |_| {}),
         ("no-split (§V.D off)", |s| s.manager.use_split = false),
-        ("no-defer (§V.E off)", |s| {
-            s.manager.defer = DeferPolicy::disabled()
-        }),
+        ("no-defer (§V.E off)", |s| s.manager.defer = false),
         ("ordering=job-id", |s| {
             s.manager.ordering = JobOrdering::JobId
         }),

@@ -16,6 +16,10 @@ pub enum Preset {
     PaperScale,
 }
 
+/// Completions discarded as warm-up, as a fraction of a run's jobs (the
+/// same in every preset).
+pub const WARMUP_FRAC: f64 = 0.1;
+
 /// Concrete effort knobs derived from a [`Preset`].
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {
@@ -32,8 +36,6 @@ pub struct Scale {
     /// Relative CI half-width target on `T` (the paper's is 0.01); a point
     /// stops adding replications once reached.
     pub ci_target: f64,
-    /// Completions discarded as warm-up, as a fraction of jobs.
-    pub warmup_frac: f64,
     /// Solver node (and fail) budget per scheduling round; the rest of the
     /// budget is [`mrcp::SolveBudget::default`]'s, counted and never timed,
     /// so every simulated column repeats exactly for a fixed seed.
@@ -54,7 +56,6 @@ impl Scale {
                 reps: 2,
                 max_reps: 2,
                 ci_target: f64::INFINITY,
-                warmup_frac: 0.1,
                 solver_nodes: 1_000,
                 synth_tasks_cap: 10,
             },
@@ -65,7 +66,6 @@ impl Scale {
                 reps: 5,
                 max_reps: 5,
                 ci_target: f64::INFINITY,
-                warmup_frac: 0.1,
                 solver_nodes: 4_000,
                 synth_tasks_cap: 40,
             },
@@ -76,16 +76,16 @@ impl Scale {
                 reps: 10,
                 max_reps: 100,
                 ci_target: 0.01,
-                warmup_frac: 0.1,
                 solver_nodes: 50_000,
                 synth_tasks_cap: 100,
             },
         }
     }
 
-    /// Warm-up job count for a run of `jobs`.
+    /// Warm-up job count for a run of `jobs`: the first
+    /// [`WARMUP_FRAC`] of completions are discarded.
     pub fn warmup_jobs(&self, jobs: usize) -> usize {
-        (jobs as f64 * self.warmup_frac).round() as usize
+        (jobs as f64 * WARMUP_FRAC).round() as usize
     }
 }
 

@@ -11,15 +11,14 @@
 //! * [`manager`] — the MRCP-RM resource manager itself (Fig. 1 + the
 //!   Table 2 algorithm): submit jobs, track started/completed tasks, and
 //!   reschedule incrementally — pinning started-but-unfinished tasks and
-//!   remapping everything else.
+//!   remapping everything else. It also holds the §V.E performance
+//!   optimization ([`MrcpConfig::defer`]): a job whose earliest start time
+//!   lies in the future is parked and enters the CP model only then.
 //! * [`modelmap`] — translation of the live system state into a
 //!   [`cpsolve`] model (the role of the OPL model generation in §V.C).
 //! * [`split`] — the §V.D performance optimization: solve scheduling on a
 //!   single combined resource, then run the gap-minimizing matchmaking
 //!   that distributes the schedule over the real resources.
-//! * [`defer`] — the §V.E performance optimization: jobs whose earliest
-//!   start time lies far in the future are parked and only enter the CP
-//!   model shortly before they become runnable.
 //! * [`admission`] — overload protection beyond the paper: SLA-aware
 //!   admission control (EDF demand bound + greedy witness schedule),
 //!   pending-queue backpressure, and the adaptive budget controller.
@@ -30,7 +29,6 @@
 //!   (`O`, `N`, `T`, `P`).
 
 pub mod admission;
-pub mod defer;
 pub mod gantt;
 pub mod manager;
 pub mod modelmap;

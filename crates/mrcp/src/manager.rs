@@ -29,7 +29,6 @@ use crate::admission::{
     earliest_feasible_estimate, edf_demand_violation, model_witness, AdmissionConfig,
     AdmissionDecision, AdmissionPolicy, RejectReason, Witness,
 };
-use crate::defer::DeferPolicy;
 use crate::modelmap::{build_model, JobInput, MappedModel, TaskInput};
 use crate::ordering::JobOrdering;
 use crate::sim_driver::ResourceManager;
@@ -308,8 +307,16 @@ pub struct MrcpConfig {
     pub budget: SolveBudget,
     /// §V.D: schedule on one combined resource, then matchmake (default on).
     pub use_split: bool,
-    /// §V.E: defer jobs whose `s_j` lies in the future (default on).
-    pub defer: DeferPolicy,
+    /// §V.E: defer jobs whose `s_j` lies in the future (default on). "A
+    /// mechanism was implemented to start matchmaking and scheduling jobs
+    /// only when their `s_j` have arrived, or are close to arriving. …
+    /// Jobs that have arrived and have a `s_j` in the future are placed in
+    /// a queue, and are mapped and scheduled at a later time." A parked job
+    /// enters the CP model at its `s_j`; keeping it out until then shrinks
+    /// the decision variables and constraints of every earlier round, which
+    /// is what drives the overhead reductions of Figs. 5 and 6. Off, every
+    /// arrival is scheduled at once (the §V.E ablation's baseline).
+    pub defer: bool,
     /// Audit every installed schedule with the independent verifier
     /// (always on in debug builds).
     pub verify_schedules: bool,
@@ -335,7 +342,7 @@ impl Default for MrcpConfig {
             ordering: JobOrdering::Edf,
             budget: SolveBudget::default(),
             use_split: true,
-            defer: DeferPolicy::default(),
+            defer: true,
             verify_schedules: cfg!(debug_assertions),
             retry_budget: 3,
             admission: AdmissionConfig::default(),
@@ -935,13 +942,6 @@ impl MrcpRm {
         self.jobs.get(&id).map(|s| &s.job)
     }
 
-    /// Override the per-round portfolio worker count. The federation layer
-    /// splits one [`SolveBudget::workers`] budget across the cells solving
-    /// concurrently in a round; clamped to at least one worker.
-    pub fn set_portfolio_workers(&mut self, workers: usize) {
-        self.cfg.budget.workers = workers.max(1);
-    }
-
     /// Run the two-stage admission probe (DESIGN.md §5c) against this
     /// manager's live state without submitting anything. The federation
     /// router and rebalancer use this as the per-cell slack estimator:
@@ -1072,7 +1072,7 @@ impl MrcpRm {
             debug_assert!(prev.is_none(), "task {:?} already known", t.id);
         }
         let remaining = tasks.len();
-        let deferral = self.cfg.defer.activation(now, job.earliest_start);
+        let deferral = (self.cfg.defer && job.earliest_start > now).then_some(job.earliest_start);
         self.jobs.insert(
             id,
             JobState {
@@ -2177,10 +2177,11 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::field_reassign_with_default)]
     fn defer_disabled_schedules_immediately() {
-        let mut cfg = MrcpConfig::default();
-        cfg.defer = DeferPolicy::disabled();
+        let cfg = MrcpConfig {
+            defer: false,
+            ..MrcpConfig::default()
+        };
         let mut rm = MrcpRm::new(cfg, homogeneous_cluster(2, 1, 1));
         let job = mk_job(0, 0, 500, 1000, &[10], &[]);
         assert_eq!(rm.submit(job, SimTime::ZERO), Ok(Submitted::Active));
@@ -2188,6 +2189,40 @@ mod tests {
         assert_eq!(plan.len(), 1);
         // Still respects s_j even though scheduled early.
         assert_eq!(plan[0].start, SimTime::from_secs(500));
+    }
+
+    #[test]
+    fn immediate_jobs_are_not_deferred() {
+        // `s_j` at or before `now`: the job enters the scheduling set now.
+        let mut rm = manager();
+        let now = SimTime::from_secs(100);
+        for (id, s) in [(0, 100), (1, 50)] {
+            let job = mk_job(id, 0, s, 1_000, &[10], &[]);
+            assert_eq!(rm.submit(job, now), Ok(Submitted::Active));
+        }
+        assert_eq!(rm.next_activation(), None);
+    }
+
+    #[test]
+    fn future_jobs_are_parked_until_s_j() {
+        let mut rm = manager();
+        let job = mk_job(0, 0, 500, 1_000, &[10], &[]);
+        assert_eq!(
+            rm.submit(job, SimTime::from_secs(100)),
+            Ok(Submitted::Deferred(SimTime::from_secs(500)))
+        );
+    }
+
+    #[test]
+    fn disabled_never_defers() {
+        let cfg = MrcpConfig {
+            defer: false,
+            ..MrcpConfig::default()
+        };
+        let mut rm = MrcpRm::new(cfg, homogeneous_cluster(2, 1, 1));
+        let job = mk_job(0, 0, 1_000_000, 2_000_000, &[10], &[]);
+        assert_eq!(rm.submit(job, SimTime::ZERO), Ok(Submitted::Active));
+        assert_eq!(rm.next_activation(), None);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! through the ramp harness, and conservation through the threaded front
 //! door.
 
-use cluster::{ClusterConfig, Federation, RebalanceConfig};
+use cluster::{ClusterConfig, Federation};
 use desim::SimTime;
 use mrcp::{IngestConfig, MrcpConfig, MrcpRm, SimConfig, SolveBudget};
 use service::front_door::{FrontDoorConfig, IngestService, SubmitError};
@@ -147,10 +147,7 @@ fn single_cell_federation_rung_matches_plain_manager_rung() {
     let plain = run_rung(&wl, &sim, &resources, &cfg, 0, 0.5, |mc| {
         MrcpRm::new(mc, resources.clone())
     });
-    let cluster_cfg = ClusterConfig {
-        cells: 1,
-        rebalance: RebalanceConfig::default(),
-    };
+    let cluster_cfg = ClusterConfig { cells: 1 };
     let fed = run_rung(&wl, &sim, &resources, &cfg, 0, 0.5, |mc| {
         Federation::new(&cluster_cfg, mc, resources.clone())
     });

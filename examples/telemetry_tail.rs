@@ -55,10 +55,7 @@ fn main() {
     let resources = wl.cluster();
     let jobs =
         SyntheticGenerator::new(wl.clone(), RngStreams::new(42).stream("tail")).take_jobs(30);
-    let fleet = ClusterConfig {
-        cells: 2,
-        ..Default::default()
-    };
+    let fleet = ClusterConfig { cells: 2 };
     let chaos = ChaosConfig {
         drop_prob: 0.1,
         dup_prob: 0.1,

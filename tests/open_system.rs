@@ -119,7 +119,7 @@ fn deferral_preserves_completions() {
 
     let on = simulate(&SimConfig::default(), &cfg.cluster(), jobs.clone());
     let mut sim_off = SimConfig::default();
-    sim_off.manager.defer = mrcp::defer::DeferPolicy::disabled();
+    sim_off.manager.defer = false;
     let off = simulate(&sim_off, &cfg.cluster(), jobs);
     assert_eq!(on.completed, 40);
     assert_eq!(off.completed, 40);
