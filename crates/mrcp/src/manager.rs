@@ -318,7 +318,8 @@ pub struct MrcpConfig {
     /// arrival is scheduled at once (the §V.E ablation's baseline).
     pub defer: bool,
     /// Audit every installed schedule with the independent verifier
-    /// (always on in debug builds).
+    /// (always on in debug builds). Off, every 64th round is audited all
+    /// the same.
     pub verify_schedules: bool,
     /// Failed attempts a task may accumulate before
     /// [`task_failed`](ResourceManager::task_failed) abandons its job.
@@ -351,6 +352,12 @@ impl Default for MrcpConfig {
         }
     }
 }
+
+/// Every this many rounds (by [`ManagerStats::invocations`], so the sample
+/// repeats per run) `split::audit` checks the placements a round installs
+/// even when [`MrcpConfig::verify_schedules`] is off; a failure falls
+/// through the ladder as the audit always does.
+const AUDIT_EVERY: u64 = 64;
 
 /// One planned (not yet started) task execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -423,8 +430,9 @@ struct TaskSlot {
 /// advance with `now` every round, so including them would invalidate the
 /// cache permanently. Staleness from advancing time is handled at replay:
 /// a hint whose start lies before this round's release is dropped by the
-/// hinted greedy, and the solver independently verifies the warm-start
-/// incumbent before using it.
+/// warm start ([`crate::split::warm_start`]), and the warm start is checked
+/// before it is used: by the split rung's own checks when no job is late,
+/// else by the solver before it adopts the incumbent.
 #[derive(Debug)]
 struct RoundCache {
     /// Fingerprint of the up-resource pool the placements assume.
@@ -687,6 +695,8 @@ pub(crate) struct ManagerTel {
     rejected: telemetry::Counter,
     shed: telemetry::Counter,
     warm_rounds: telemetry::Counter,
+    /// Rounds whose installed placements `split::audit` checked.
+    audited_rounds: telemetry::Counter,
     cache_invalidations: telemetry::Counter,
     tasks_failed: telemetry::Counter,
     tasks_requeued: telemetry::Counter,
@@ -713,6 +723,7 @@ impl ManagerTel {
             rejected: reg.counter("mrcp_admission_total", &[("verdict", "rejected")]),
             shed: reg.counter("mrcp_jobs_shed_total", &[]),
             warm_rounds: reg.counter("mrcp_warm_rounds_total", &[]),
+            audited_rounds: reg.counter("mrcp_audited_rounds_total", &[]),
             cache_invalidations: reg.counter("mrcp_cache_invalidations_total", &[]),
             tasks_failed: reg.counter("mrcp_tasks_failed_total", &[]),
             tasks_requeued: reg.counter("mrcp_tasks_requeued_total", &[]),
@@ -1449,10 +1460,10 @@ impl MrcpRm {
     /// One pass down the degradation ladder: the configured CP path first
     /// (§V.D split model when `use_split`, else the full model), then the
     /// full CP model as a second chance, and finally greedy EDF — which
-    /// cannot time out and succeeds on any consistent state. Each rung's
-    /// result is audited (when `verify_schedules`) before being accepted;
-    /// an audit failure falls through to the next rung rather than
-    /// installing a bad plan.
+    /// cannot time out and succeeds on any consistent state. With `audit`,
+    /// each rung's result is audited before being accepted; an audit
+    /// failure falls through to the next rung rather than installing a bad
+    /// plan.
     /// Under budget-controller `pressure` the ladder is entered lower
     /// down: level 1 skips the full-CP second chance, level 2 goes straight
     /// to greedy.
@@ -1465,9 +1476,10 @@ impl MrcpRm {
         params: &SolveParams,
         pressure: u8,
         hints: Option<&RoundHints>,
+        audit: bool,
     ) -> Result<RoundResult, SchedulingError> {
         let audit_ok = |placements: &[(TaskId, ResourceId, SimTime)]| -> Result<(), String> {
-            if cfg.verify_schedules {
+            if audit {
                 crate::split::audit(resources, inputs, placements)
             } else {
                 Ok(())
@@ -1929,8 +1941,17 @@ impl ResourceManager for MrcpRm {
             .as_ref()
             .is_some_and(|h| h.iter().any(|x| x.is_some()));
 
-        let solved =
-            Self::solve_round(&self.cfg, &up, &inputs, &params, pressure, hints.as_deref());
+        let audit =
+            self.cfg.verify_schedules || (self.stats.invocations + 1).is_multiple_of(AUDIT_EVERY);
+        let solved = Self::solve_round(
+            &self.cfg,
+            &up,
+            &inputs,
+            &params,
+            pressure,
+            hints.as_deref(),
+            audit,
+        );
         drop((states, inputs));
         // Install: a placement that does not match the task the round
         // asked about fails the round (no panic), like a round in which
@@ -1951,6 +1972,9 @@ impl ResourceManager for MrcpRm {
             if warm {
                 self.stats.warm_rounds += 1;
                 self.tel.warm_rounds.inc();
+            }
+            if audit {
+                self.tel.audited_rounds.inc();
             }
         }
         self.book_round(now, t0.elapsed(), n_tasks, &installed);
@@ -2537,6 +2561,93 @@ mod tests {
         assert!(rm.last_scheduling_error().is_none());
     }
 
+    /// An on-time round, cold or warm, builds no CP model: the split rung's
+    /// calendar warm start has no late job, so it goes straight to
+    /// matchmaking. A round with a late job builds the combined model.
+    #[test]
+    fn an_on_time_round_builds_no_model() {
+        let builds = || crate::modelmap::BUILDS.with(|b| b.get());
+        let mut rm = manager();
+        let before = builds();
+        rm.submit(mk_job(0, 0, 0, 100, &[10, 20], &[5]), SimTime::ZERO)
+            .unwrap();
+        assert_eq!(rm.reschedule(SimTime::ZERO).len(), 3);
+        // Job 0 is unchanged, so the second round replays its placements.
+        rm.submit(mk_job(1, 0, 0, 200, &[10], &[]), SimTime::ZERO)
+            .unwrap();
+        assert_eq!(rm.reschedule(SimTime::ZERO).len(), 4);
+        let stats = rm.stats();
+        assert_eq!((stats.warm_rounds, stats.optimal_rounds), (1, 2));
+        assert_eq!(stats.total_nodes, 0);
+        assert_eq!(builds(), before, "an on-time round built a model");
+        // A 10 s map due at 5 s is late whatever the plan.
+        rm.submit(mk_job(2, 0, 0, 5, &[10], &[]), SimTime::ZERO)
+            .unwrap();
+        assert_eq!(rm.reschedule(SimTime::ZERO).len(), 5);
+        assert_eq!(
+            builds(),
+            before + 1,
+            "a late round builds the combined model"
+        );
+        assert_eq!(rm.stats().degraded_rounds, 0);
+    }
+
+    /// A warm start that overloads a real pool fails matchmaking, and the
+    /// ladder serves the round from the full-CP rung.
+    #[test]
+    fn a_lane_shortage_falls_through_to_the_full_cp_rung() {
+        let tel = telemetry::Telemetry::new();
+        let mut rm = manager();
+        rm.set_telemetry(&tel);
+        for i in 0..2 {
+            rm.submit(mk_job(i, 0, 0, 1_000, &[10, 10], &[]), SimTime::ZERO)
+                .unwrap();
+        }
+        // Four maps at 0 s on two map slots.
+        crate::split::CRAM.with(|c| c.set(true));
+        let plan = rm.reschedule(SimTime::ZERO);
+        assert_eq!(plan.len(), 4);
+        assert!(rm.last_scheduling_error().is_none());
+        assert_eq!(rm.stats().degraded_rounds, 1);
+        let rung = |r| {
+            tel.registry
+                .counter("mrcp_rounds_total", &[("rung", r)])
+                .get()
+        };
+        assert_eq!((rung("split_cp"), rung("full_cp")), (0, 1));
+        let (_, inputs) = MrcpRm::collect_inputs(JobOrdering::Edf, &rm.jobs, SimTime::ZERO, false);
+        let placements: Vec<_> = plan.iter().map(|e| (e.task, e.resource, e.start)).collect();
+        crate::split::audit(rm.resources(), &inputs, &placements).unwrap();
+    }
+
+    /// With `verify_schedules` off, every [`AUDIT_EVERY`]th round audits
+    /// what it installs all the same, and the counter says so; on, every
+    /// round does.
+    #[test]
+    fn every_64th_round_is_audited_when_audits_are_off() {
+        for verify_schedules in [false, true] {
+            let cfg = MrcpConfig {
+                verify_schedules,
+                ..MrcpConfig::default()
+            };
+            let tel = telemetry::Telemetry::new();
+            let mut rm = MrcpRm::new(cfg, homogeneous_cluster(2, 1, 1));
+            rm.set_telemetry(&tel);
+            rm.submit(mk_job(0, 0, 0, 10_000, &[10], &[]), SimTime::ZERO)
+                .unwrap();
+            for round in 1..=2 * AUDIT_EVERY + 1 {
+                rm.reschedule(SimTime::ZERO);
+                let audited = tel.registry.counter("mrcp_audited_rounds_total", &[]).get();
+                let expected = if verify_schedules {
+                    round
+                } else {
+                    round / AUDIT_EVERY
+                };
+                assert_eq!(audited, expected, "round {round}");
+            }
+        }
+    }
+
     #[test]
     fn empty_reschedule_is_harmless() {
         let mut rm = manager();
@@ -3072,7 +3183,7 @@ mod tests {
 
     /// A task planned, started and failed between two rounds keeps its
     /// placement from the first round as a hint. The hint is stale (its
-    /// start has passed), so the hinted greedy rejects it, but the round
+    /// start has passed), so the warm start rejects it, but the round
     /// still counts as warm. Plan and counter are the values the
     /// task-keyed round cache produced before the plan moved onto the
     /// jobs.

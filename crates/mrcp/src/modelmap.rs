@@ -70,7 +70,7 @@ pub struct MappedModel {
     pub res_ids: Vec<ResourceId>,
 }
 
-fn kind_to_slot(kind: TaskKind) -> SlotKind {
+pub(crate) fn kind_to_slot(kind: TaskKind) -> SlotKind {
     match kind {
         TaskKind::Map => SlotKind::Map,
         TaskKind::Reduce => SlotKind::Reduce,
@@ -125,8 +125,18 @@ fn add_jobs(
     Ok((task_ids, job_ids))
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Models built on this thread by [`build_model`] and
+    /// [`build_combined_model`] (tests only; the debug cross-checks build
+    /// theirs uncounted).
+    pub(crate) static BUILDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Build the full multi-resource model (the paper's base formulation).
 pub fn build_model(resources: &[Resource], jobs: &[JobInput<'_>]) -> Result<MappedModel, String> {
+    #[cfg(test)]
+    BUILDS.with(|b| b.set(b.get() + 1));
     let mut b = ModelBuilder::new();
     let mut res_ids = Vec::with_capacity(resources.len());
     let mut index = std::collections::HashMap::new();
@@ -149,6 +159,17 @@ pub fn build_model(resources: &[Resource], jobs: &[JobInput<'_>]) -> Result<Mapp
 /// tasks keep their start times but all pin to the combined resource (their
 /// true resource is restored by the matchmaking step).
 pub fn build_combined_model(
+    resources: &[Resource],
+    jobs: &[JobInput<'_>],
+) -> Result<MappedModel, String> {
+    #[cfg(test)]
+    BUILDS.with(|b| b.set(b.get() + 1));
+    combined_model(resources, jobs)
+}
+
+/// [`build_combined_model`], uncounted: the debug cross-check of the split
+/// rung's calendar warm start builds its model here.
+pub(crate) fn combined_model(
     resources: &[Resource],
     jobs: &[JobInput<'_>],
 ) -> Result<MappedModel, String> {

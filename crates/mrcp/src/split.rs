@@ -18,16 +18,23 @@
 //! lanes are busy whenever a task needs one). Started tasks are pinned to
 //! lanes of their actual resource first; they sort before all new tasks
 //! because their starts lie in the past.
+//!
+//! Most rounds need no model for step 1. The solver's greedy warm start is
+//! list-scheduled first, on a one-resource `Calendar` ([`warm_start`]);
+//! when no job is late nothing can beat it, so the round goes straight to
+//! matchmaking and only a round with a late job builds and solves the
+//! combined model ([`split_solve_portfolio`]).
 
-use crate::modelmap::{build_combined_model, JobInput};
-use cpsolve::greedy::{greedy_edf_with_hints, Hint};
+use crate::modelmap::{build_combined_model, kind_to_slot, JobInput};
+use cpsolve::greedy::{greedy_edf, greedy_edf_with_hints, greedy_topo, Calendar, Free, Hint};
 use cpsolve::model::ResRef;
 use cpsolve::portfolio::{solve_portfolio, PortfolioParams};
-use cpsolve::search::Outcome;
+use cpsolve::search::{Outcome, SolveStats, Status};
 use cpsolve::solution::Solution;
 use desim::SimTime;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::time::Instant;
 use workload::{Resource, ResourceId, TaskId, TaskKind};
 
 /// Previous-round placement suggestions, one per task in flattened
@@ -116,55 +123,369 @@ fn min_gap_lane(lanes: &[Lane], start: i64, only: Option<ResourceId>) -> Option<
     chosen
 }
 
+/// The combined model's greedy warm start, computed without the model.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WarmStart {
+    /// Every task's start (ms), in flattened input order.
+    pub starts: Vec<i64>,
+    /// Jobs that complete after their deadline.
+    pub late: u32,
+}
+
+/// The warm start of the combined model, list-scheduled on a one-resource
+/// [`Calendar`] holding the cluster's map and reduce totals:
+/// [`greedy_edf_with_hints`] over [`build_combined_model`] (with `hints`,
+/// each read as `(0, start)`) or [`greedy_edf`] (without), bit for bit. As
+/// the greedy does, it books the pins in flattened input order, then
+/// places whole jobs by `(priority, deadline, release, index)` through
+/// [`Calendar::place`].
+///
+/// `None` leaves the round to the model: a job has a workflow edge between
+/// two tasks of the round (the greedy takes `greedy_topo`), a task has
+/// `req ≠ 1` or a non-positive duration, a pin cannot be booked, or no
+/// slot of its kind can host a free task.
+pub fn warm_start(
+    resources: &[Resource],
+    jobs: &[JobInput<'_>],
+    hints: Option<&RoundHints>,
+) -> Option<WarmStart> {
+    let map_total: u32 = resources.iter().map(|r| r.map_capacity).sum();
+    let reduce_total: u32 = resources.iter().map(|r| r.reduce_capacity).sum();
+    let mut cal = Calendar::new(std::iter::once((map_total, reduce_total)));
+    let mut starts = Vec::new();
+    // Each job's first index into `starts`.
+    let mut first = Vec::with_capacity(jobs.len());
+    for input in jobs {
+        if has_round_edge(input) {
+            return None;
+        }
+        first.push(starts.len());
+        for t in &input.tasks {
+            let dur = t.exec_time.as_millis();
+            if t.req != 1 || dur <= 0 {
+                return None;
+            }
+            // A free task's start is written when its job is placed.
+            let mut start = 0;
+            if let Some((_, s)) = t.pinned {
+                start = s.as_millis();
+                if !cal.pin(kind_to_slot(t.kind), 0, start, dur) {
+                    return None;
+                }
+            }
+            starts.push(start);
+        }
+    }
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_unstable_by_key(|&j| {
+        let input = &jobs[j];
+        let (deadline, release) = (input.job.deadline.as_millis(), input.release.as_millis());
+        (input.priority, deadline, release, j)
+    });
+    let (mut maps, mut reduces) = (Vec::new(), Vec::new());
+    for j in order {
+        maps.clear();
+        reduces.clear();
+        let mut running_maps_end = i64::MIN;
+        for (k, t) in jobs[j].tasks.iter().enumerate() {
+            let idx = first[j] + k;
+            let dur = t.exec_time.as_millis();
+            let free = Free {
+                task: idx,
+                dur,
+                at: hints
+                    .and_then(|h| h.get(idx).copied().flatten())
+                    .map(|(_, s)| (0, s.as_millis())),
+            };
+            match (t.kind, t.pinned) {
+                (TaskKind::Map, Some(_)) => {
+                    running_maps_end = running_maps_end.max(starts[idx] + dur)
+                }
+                (TaskKind::Reduce, Some(_)) => {}
+                (TaskKind::Map, None) => maps.push(free),
+                (TaskKind::Reduce, None) => reduces.push(free),
+            }
+        }
+        cal.place(
+            jobs[j].release.as_millis(),
+            running_maps_end,
+            &mut maps,
+            &mut reduces,
+        )
+        .ok()?;
+        for f in maps.iter().chain(&reduces) {
+            starts[f.task] = f.at.expect("a successful place books every task").1;
+        }
+    }
+    let late = jobs
+        .iter()
+        .zip(&first)
+        .filter(|&(input, &f)| {
+            completion(input, &starts[f..f + input.tasks.len()])
+                .is_some_and(|c| c > input.job.deadline.as_millis())
+        })
+        .count() as u32;
+    Some(WarmStart { starts, late })
+}
+
+/// True when one of `input`'s workflow edges joins two tasks of the round
+/// (only those reach the model).
+fn has_round_edge(input: &JobInput<'_>) -> bool {
+    let in_round = |id: &TaskId| input.tasks.iter().any(|t| t.id == *id);
+    input
+        .job
+        .precedences
+        .iter()
+        .any(|(before, after)| in_round(before) && in_round(after))
+}
+
+/// The latest end among `input`'s tasks at `starts` (its own, in order).
+fn completion(input: &JobInput<'_>, starts: &[i64]) -> Option<i64> {
+    input
+        .tasks
+        .iter()
+        .zip(starts)
+        .map(|(t, &s)| s + t.exec_time.as_millis())
+        .max()
+}
+
+/// The checks an on-time warm start passes instead of the solver's
+/// `Solution::verify`, one pass over the tasks: every pin is exact, every
+/// free task starts at or after its job's release, every reduce starts
+/// after its job's last map ends, and no job is late. Capacity is
+/// [`matchmake`]'s check, on the real per-resource pools.
+fn check_on_time(jobs: &[JobInput<'_>], starts: &[i64]) -> Result<(), String> {
+    let mut next = 0;
+    for input in jobs {
+        let own = &starts[next..next + input.tasks.len()];
+        next += input.tasks.len();
+        let release = input.release.as_millis();
+        let mut last_map_end = i64::MIN;
+        let mut first_reduce = i64::MAX;
+        for (t, &s) in input.tasks.iter().zip(own) {
+            match t.pinned {
+                Some((_, ps)) if s != ps.as_millis() => {
+                    return Err(format!("pinned task {:?} moved to {s}", t.id));
+                }
+                None if s < release => {
+                    return Err(format!(
+                        "task {:?} starts at {s} before job release {release}",
+                        t.id
+                    ));
+                }
+                _ => {}
+            }
+            match t.kind {
+                TaskKind::Map => last_map_end = last_map_end.max(s + t.exec_time.as_millis()),
+                TaskKind::Reduce => first_reduce = first_reduce.min(s),
+            }
+        }
+        if first_reduce < last_map_end {
+            return Err(format!(
+                "job {:?}: a reduce starts at {first_reduce} before last map end {last_map_end}",
+                input.job.id
+            ));
+        }
+        if let Some(c) = completion(input, own).filter(|&c| c > input.job.deadline.as_millis()) {
+            return Err(format!("job {:?} completes late at {c}", input.job.id));
+        }
+    }
+    Ok(())
+}
+
+/// Debug builds: the calendar warm start is the greedy's over the combined
+/// model, bit for bit (`None` exactly where the model or its greedy fails,
+/// or the model has workflow edges).
+fn assert_matches_model_greedy(
+    resources: &[Resource],
+    jobs: &[JobInput<'_>],
+    hints: Option<&RoundHints>,
+    warm: Option<&WarmStart>,
+) {
+    let Ok(mm) = crate::modelmap::combined_model(resources, jobs) else {
+        assert!(
+            warm.is_none(),
+            "a warm start for a model that does not build"
+        );
+        return;
+    };
+    if !mm.model.precedences.is_empty() {
+        assert!(
+            warm.is_none(),
+            "a calendar warm start across workflow edges"
+        );
+        return;
+    }
+    let greedy = match hints {
+        Some(h) => greedy_edf_with_hints(&mm.model, &combined_hints(h)),
+        None => greedy_edf(&mm.model),
+    };
+    assert_eq!(
+        warm.map(|w| (&w.starts[..], w.late)),
+        greedy.as_ref().ok().map(|g| (&g.starts[..], g.objective)),
+        "calendar warm start differs from the greedy over the combined model"
+    );
+}
+
+/// Round hints on the combined model: only the start carries over.
+fn combined_hints(hints: &RoundHints) -> Vec<Hint> {
+    hints
+        .iter()
+        .map(|o| o.map(|(_, s)| (ResRef(0), s.as_millis())))
+        .collect()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Tests only: the next on-time warm start, once checked, has every
+    /// free task moved to its job's release before matchmaking — a
+    /// capacity bug that only the lane walk can see.
+    pub(crate) static CRAM: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// Solve with the combined-resource model, driven by the parallel
 /// portfolio and optionally seeded with the previous round's placements,
 /// and matchmake the result onto the real cluster. The combined model has a
 /// single synthetic resource, so only the hinted start times carry over — a
 /// hint whose start is stale (before this round's release) falls back to
-/// the greedy heuristic inside [`greedy_edf_with_hints`]. Errors only on
-/// internal inconsistency (no solution within budget with warm starts
-/// disabled, or a lane shortage that would indicate a capacity bug).
+/// the greedy's best fit.
+///
+/// The warm start comes first, from [`warm_start`], with no model. When it
+/// has no late job (and the solver would have adopted it: hints given or
+/// `warm_start` on, no caller incumbent), nothing can beat it, so the
+/// round skips the model and the solver: it passes a one-pass check and
+/// goes straight to matchmaking, and the outcome is what `solve`'s own
+/// early exit reports (`Optimal`, zero counters, timed). Every other round
+/// builds the model and solves it, with a hinted warm start as the initial
+/// incumbent. Errors only on internal inconsistency (no solution within
+/// budget with warm starts disabled, a failed check, or a lane shortage
+/// that would indicate a capacity bug).
 pub fn split_solve_portfolio(
     resources: &[Resource],
     jobs: &[JobInput<'_>],
     pp: &PortfolioParams,
     hints: Option<&RoundHints>,
 ) -> Result<SplitOutcome, String> {
-    let mm = build_combined_model(resources, jobs)?;
-    let mut pp = pp.clone();
+    let t0 = Instant::now();
     if let Some(h) = hints {
-        debug_assert_eq!(h.len(), mm.task_ids.len());
-        let combined: Vec<Hint> = h
-            .iter()
-            .map(|o| o.map(|(_, s)| (ResRef(0), s.as_millis())))
-            .collect();
-        if let Ok(sol) = greedy_edf_with_hints(&mm.model, &combined) {
+        debug_assert_eq!(h.len(), jobs.iter().map(|j| j.tasks.len()).sum::<usize>());
+    }
+    let warm = warm_start(resources, jobs, hints);
+    if cfg!(debug_assertions) {
+        assert_matches_model_greedy(resources, jobs, hints, warm.as_ref());
+    }
+    let adopted = pp.base.initial.is_none() && (hints.is_some() || pp.base.warm_start);
+    let (best, outcome) = match warm {
+        Some(ws) if adopted && ws.late == 0 => {
+            check_on_time(jobs, &ws.starts)?;
+            let stats = SolveStats {
+                elapsed_us: t0.elapsed().as_micros() as u64,
+                ..SolveStats::default()
+            };
+            let best = Solution {
+                resource: vec![ResRef(0); ws.starts.len()],
+                starts: ws.starts,
+                late: vec![false; jobs.len()],
+                objective: 0,
+            };
+            #[cfg(test)]
+            let best = cram(jobs, best);
+            let outcome = Outcome {
+                status: Status::Optimal,
+                best: None,
+                stats,
+            };
+            (best, outcome)
+        }
+        warm => {
+            let mm = build_combined_model(resources, jobs)?;
+            let mut pp = pp.clone();
             // The hinted schedule replays the surviving part of the last
             // round; the portfolio improves on it from the first node.
-            if pp
-                .base
-                .initial
-                .as_ref()
-                .is_none_or(|cur| sol.objective < cur.objective)
-            {
-                pp.base.initial = Some(sol);
+            let hinted = hints.and_then(|_| match warm {
+                Some(ws) => Some(Solution::from_placements(
+                    &mm.model,
+                    ws.starts,
+                    vec![ResRef(0); mm.task_ids.len()],
+                )),
+                // Workflow edges take the topological greedy, which
+                // ignores hints; every other `None` is a greedy failure.
+                None if !mm.model.precedences.is_empty() => greedy_topo(&mm.model).ok(),
+                None => None,
+            });
+            if let Some(sol) = hinted {
+                if pp
+                    .base
+                    .initial
+                    .as_ref()
+                    .is_none_or(|cur| sol.objective < cur.objective)
+                {
+                    pp.base.initial = Some(sol);
+                }
+            }
+            let mut outcome = solve_portfolio(&mm.model, &pp);
+            let best = outcome
+                .best
+                .take()
+                .ok_or("combined-resource solve produced no schedule")?;
+            (best, outcome)
+        }
+    };
+
+    let placements = matchmake(resources, jobs, &best.starts)?;
+
+    // Audit: the distributed schedule must satisfy the full multi-resource
+    // formulation. This is cheap relative to the solve and catches any
+    // matchmaking regression immediately.
+    if cfg!(debug_assertions) {
+        audit(resources, jobs, &placements)?;
+    }
+
+    Ok(SplitOutcome {
+        placements,
+        objective: best.objective,
+        outcome: Outcome {
+            best: Some(best),
+            ..outcome
+        },
+    })
+}
+
+/// [`CRAM`]: move every free task of `best` to its job's release.
+#[cfg(test)]
+fn cram(jobs: &[JobInput<'_>], mut best: Solution) -> Solution {
+    if CRAM.with(|c| c.replace(false)) {
+        let mut next = 0;
+        for input in jobs {
+            for t in &input.tasks {
+                if t.pinned.is_none() {
+                    best.starts[next] = input.release.as_millis();
+                }
+                next += 1;
             }
         }
     }
-    let outcome = solve_portfolio(&mm.model, &pp);
-    let best: &Solution = outcome
-        .best
-        .as_ref()
-        .ok_or("combined-resource solve produced no schedule")?;
+    best
+}
 
+/// Matchmaking, step 2: each task of `jobs` at its `starts` entry
+/// (flattened input order) goes to the lane of a real resource that the
+/// paper's gap heuristic picks, a pinned task among its own resource's
+/// lanes. Placements come back in input order. Pinned tasks go first (their
+/// starts precede every new start), then nondecreasing start, stable on
+/// index, so each lane's previous interval ends by the next task's start:
+/// the walk is the capacity check on every (resource, kind) pool. A task
+/// with no free lane fails the call with the lane-shortage error.
+pub fn matchmake(
+    resources: &[Resource],
+    jobs: &[JobInput<'_>],
+    starts: &[i64],
+) -> Result<Vec<(TaskId, ResourceId, SimTime)>, String> {
     let mut map_lanes = Lanes::new(resources, TaskKind::Map);
     let mut reduce_lanes = Lanes::new(resources, TaskKind::Reduce);
 
-    // Collect tasks with their solved starts; pinned first (their starts
-    // precede every new start), then nondecreasing start, stable on index.
-    // Placements come back in input order; matchmaking fills in each
-    // task's resource (the placeholder never survives: a task without a
-    // lane fails the whole call).
+    // The placeholder resource never survives: a task without a lane fails
+    // the whole call.
     struct Item {
         idx: usize,
         kind: TaskKind,
@@ -172,12 +493,12 @@ pub fn split_solve_portfolio(
         dur: i64,
         pinned_res: Option<ResourceId>,
     }
-    let n = mm.task_ids.len();
+    let n = starts.len();
     let mut items: Vec<Item> = Vec::with_capacity(n);
     let mut placements: Vec<(TaskId, ResourceId, SimTime)> = Vec::with_capacity(n);
     for t in jobs.iter().flat_map(|input| &input.tasks) {
         let idx = items.len();
-        let start = best.starts[idx];
+        let start = starts[idx];
         items.push(Item {
             idx,
             kind: t.kind,
@@ -205,19 +526,7 @@ pub fn split_solve_portfolio(
         lane.last_end = it.start + it.dur;
         placements[it.idx].1 = lane.resource;
     }
-
-    // Audit: the distributed schedule must satisfy the full multi-resource
-    // formulation. This is cheap relative to the solve and catches any
-    // matchmaking regression immediately.
-    if cfg!(debug_assertions) {
-        audit(resources, jobs, &placements)?;
-    }
-
-    Ok(SplitOutcome {
-        placements,
-        objective: best.objective,
-        outcome,
-    })
+    Ok(placements)
 }
 
 /// Check placements against the paper's constraints directly on the
@@ -523,6 +832,89 @@ mod tests {
             None,
             "a resource outside the pool has no lanes"
         );
+    }
+
+    /// The one-pass check that stands in for `Solution::verify` on an
+    /// on-time warm start rejects what `verify` would.
+    #[test]
+    fn on_time_check_rejects_a_schedule_verify_would() {
+        let (_, mut job, plan) = audited_round();
+        let starts: Vec<i64> = plan.iter().map(|p| p.2.as_millis()).collect();
+        let check =
+            |ji: &JobInput<'_>, starts: &[i64]| check_on_time(std::slice::from_ref(ji), starts);
+        check(&inputs(&job), &starts).unwrap();
+        // A pin may start before the release, but not move.
+        let mut pinned = inputs(&job);
+        pinned.tasks[1].pinned = Some((ResourceId(1), SimTime::from_secs(4)));
+        let mut at_pin = starts.clone();
+        at_pin[1] = 4_000;
+        check(&pinned, &at_pin).unwrap();
+        let moved = check(&pinned, &starts).unwrap_err();
+        assert!(moved.contains("pinned task"), "{moved}");
+        let mut early = starts.clone();
+        early[0] = 4_999;
+        let early = check(&inputs(&job), &early).unwrap_err();
+        assert!(early.contains("before job release"), "{early}");
+        let mut eager = starts.clone();
+        eager[2] = 24_999;
+        let eager = check(&inputs(&job), &eager).unwrap_err();
+        assert!(eager.contains("before last map end"), "{eager}");
+        // The reduce ends at 30 s.
+        job.deadline = SimTime::from_secs(30);
+        check(&inputs(&job), &starts).unwrap();
+        job.deadline = SimTime::from_millis(29_999);
+        let late = check(&inputs(&job), &starts).unwrap_err();
+        assert!(late.contains("late"), "{late}");
+    }
+
+    /// Matchmaking is the on-time path's capacity check, and on the real
+    /// pools: starts within the combined capacity that overload one
+    /// resource fail it with the lane-shortage error.
+    #[test]
+    fn an_overloading_start_vector_fails_matchmaking() {
+        let cluster = homogeneous_cluster(2, 1, 1);
+        let job = mk_job(0, 0, 10_000, &[10, 10, 10], &[]);
+        let ji = [inputs(&job)];
+        matchmake(&cluster, &ji, &[0, 0, 10_000]).unwrap();
+        let err = matchmake(&cluster, &ji, &[0, 0, 9_999]).unwrap_err();
+        assert!(err.contains("no free Map lane"), "{err}");
+        // Two pins on resource 0's one map slot: two slots in all.
+        let mut pins = inputs(&job);
+        pins.tasks.truncate(2);
+        for t in &mut pins.tasks {
+            t.pinned = Some((ResourceId(0), SimTime::ZERO));
+        }
+        let err = matchmake(&cluster, &[pins], &[0, 0]).unwrap_err();
+        assert!(err.contains("no free Map lane"), "{err}");
+    }
+
+    /// A start vector crammed past capacity after the on-time check fails
+    /// the split call with the lane-shortage error.
+    #[test]
+    fn a_crammed_on_time_warm_start_fails_the_call() {
+        let cluster = homogeneous_cluster(2, 1, 1);
+        let job = mk_job(0, 0, 10_000, &[10, 10, 10], &[]);
+        let ji = [inputs(&job)];
+        split_solve(&cluster, &ji, &SolveParams::default()).unwrap();
+        CRAM.with(|c| c.set(true));
+        let err = split_solve(&cluster, &ji, &SolveParams::default()).unwrap_err();
+        assert!(err.contains("no free Map lane"), "{err}");
+        assert!(!CRAM.with(|c| c.get()), "the hook fires once");
+    }
+
+    /// An edge between two tasks of the round leaves the warm start to the
+    /// model (the greedy takes its topological variant there); an edge from
+    /// a task no longer in the round does not.
+    #[test]
+    fn a_workflow_edge_in_the_round_leaves_the_warm_start_to_the_model() {
+        let cluster = homogeneous_cluster(2, 1, 1);
+        let mut job = mk_job(0, 0, 10_000, &[10, 10], &[5]);
+        job.precedences = vec![(TaskId(0), TaskId(1))];
+        assert!(warm_start(&cluster, &[inputs(&job)], None).is_none());
+        let mut ji = inputs(&job);
+        ji.tasks.remove(0);
+        let ws = warm_start(&cluster, &[ji], None).unwrap();
+        assert_eq!((ws.starts, ws.late), (vec![0, 10_000], 0));
     }
 
     #[test]
