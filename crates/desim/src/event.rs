@@ -4,9 +4,15 @@
 //! same instant pop in FIFO order. Stable tie-breaking matters for
 //! reproducibility: without it, two policies compared under common random
 //! numbers could diverge purely from heap ordering noise.
+//!
+//! Beside the heap sits one *replaceable batch*: a time-sorted run of
+//! events that a policy installs wholesale and later supersedes wholesale
+//! (a dispatch plan rewritten every scheduling round). Replacing it drops
+//! the unfired entries at once instead of leaving them in the heap to pop
+//! later as no-ops.
 
 use crate::time::SimTime;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A scheduled event: fires at `time`, carrying a policy-defined payload.
 #[derive(Debug, Clone)]
@@ -45,6 +51,11 @@ impl<E> Ord for Scheduled<E> {
 /// order. The queue is generic over the payload type `E`, which each policy
 /// crate defines as its own event enum.
 ///
+/// Events enter one at a time ([`schedule_at`](Self::schedule_at)) or as
+/// the queue's one batch ([`replace_batch`](Self::replace_batch)); both
+/// share one sequence counter, so the order of what pops does not depend
+/// on which way an event came in.
+///
 /// ```
 /// use desim::{EventQueue, SimTime};
 /// let mut q = EventQueue::new();
@@ -58,6 +69,9 @@ impl<E> Ord for Scheduled<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
+    /// The replaceable batch, sorted by `(time, seq)`; fired entries are
+    /// popped off its front.
+    batch: VecDeque<Scheduled<E>>,
     next_seq: u64,
     now: SimTime,
 }
@@ -73,6 +87,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            batch: VecDeque::new(),
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -114,32 +129,88 @@ impl<E> EventQueue<E> {
         self.schedule_at(self.now + delay, payload);
     }
 
+    /// Replace the queue's batch with `entries`, which must be sorted by
+    /// time and lie no earlier than the current time. The old batch's
+    /// unfired entries are dropped; the return value is the latest of
+    /// their times, or `None` when every entry had fired. The new entries
+    /// take the next sequence numbers in order, so they pop exactly as if
+    /// each had been [`schedule_at`](Self::schedule_at)-ed now, one after
+    /// another.
+    ///
+    /// ```
+    /// use desim::{EventQueue, SimTime};
+    /// let s = SimTime::from_secs;
+    /// let mut q = EventQueue::new();
+    /// assert_eq!(q.replace_batch([(s(2), "old plan"), (s(9), "old plan")]), None);
+    /// q.schedule_at(s(2), "one-off");
+    /// assert_eq!(q.pop(), Some((s(2), "old plan")));
+    /// assert_eq!(q.replace_batch([(s(5), "new plan")]), Some(s(9)));
+    /// assert_eq!(q.pop(), Some((s(2), "one-off")));
+    /// assert_eq!(q.pop(), Some((s(5), "new plan")));
+    /// assert_eq!(q.pop(), None);
+    /// ```
+    pub fn replace_batch(
+        &mut self,
+        entries: impl IntoIterator<Item = (SimTime, E)>,
+    ) -> Option<SimTime> {
+        let dropped = self.batch.back().map(|e| e.time);
+        self.batch.clear();
+        for (time, payload) in entries {
+            debug_assert!(
+                time >= self.now,
+                "batch entry in the past: at={time:?} now={:?}",
+                self.now
+            );
+            debug_assert!(
+                self.batch.back().is_none_or(|last| last.time <= time),
+                "batch not sorted by time at {time:?}"
+            );
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.batch.push_back(Scheduled { time, seq, payload });
+        }
+        dropped
+    }
+
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let ev = self.heap.pop()?;
-        debug_assert!(ev.time >= self.now, "heap returned an event in the past");
+        let from_batch = match (self.batch.front(), self.heap.peek()) {
+            (Some(b), Some(h)) => (b.time, b.seq) < (h.time, h.seq),
+            (b, _) => b.is_some(),
+        };
+        let ev = if from_batch {
+            self.batch.pop_front()
+        } else {
+            self.heap.pop()
+        }?;
+        debug_assert!(ev.time >= self.now, "queue returned an event in the past");
         self.now = ev.time;
         Some((ev.time, ev.payload))
     }
 
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        let heap = self.heap.peek().map(|e| e.time);
+        heap.into_iter()
+            .chain(self.batch.front().map(|e| e.time))
+            .min()
     }
 
-    /// Number of pending events.
+    /// Number of pending events, the batch's unfired entries included.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.batch.len()
     }
 
     /// True when no events remain.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.batch.is_empty()
     }
 
-    /// Drop all pending events (used when a run terminates early).
+    /// Drop all pending events, the batch included (used when a run
+    /// terminates early).
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.batch.clear();
     }
 }
 
@@ -206,6 +277,82 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
+    }
+
+    /// Batch and heap events at one instant pop in scheduling order,
+    /// whichever way round they were scheduled.
+    #[test]
+    fn batch_and_heap_tie_fifo_both_ways() {
+        let t = SimTime::from_secs(3);
+        let mut q = EventQueue::new();
+        q.schedule_at(t, "heap first");
+        q.replace_batch([(t, "batch a"), (t, "batch b")]);
+        q.schedule_at(t, "heap last");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
+        assert_eq!(order, ["heap first", "batch a", "batch b", "heap last"]);
+
+        let mut q = EventQueue::new();
+        q.replace_batch([(t, "batch first")]);
+        q.schedule_at(t, "heap");
+        q.replace_batch([(t, "batch again")]);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
+        assert_eq!(order, ["heap", "batch again"]);
+    }
+
+    #[test]
+    fn replacing_drops_unfired_entries_and_returns_the_latest() {
+        let s = SimTime::from_secs;
+        let mut q = EventQueue::new();
+        assert_eq!(q.replace_batch([(s(1), 1), (s(4), 2), (s(6), 3)]), None);
+        assert_eq!(q.pop(), Some((s(1), 1)));
+        assert_eq!(q.replace_batch([(s(2), 4)]), Some(s(6)));
+        assert_eq!(q.pop(), Some((s(2), 4)));
+        // Every entry fired: nothing is dropped.
+        assert_eq!(q.replace_batch([(s(5), 5)]), None);
+        assert_eq!(q.replace_batch(std::iter::empty()), Some(s(5)));
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.now(), s(2));
+    }
+
+    #[test]
+    fn len_peek_and_clear_cover_the_batch() {
+        let s = SimTime::from_secs;
+        let mut q = EventQueue::new();
+        q.replace_batch([(s(2), ()), (s(8), ())]);
+        assert_eq!((q.len(), q.is_empty()), (2, false));
+        assert_eq!(q.peek_time(), Some(s(2)));
+        q.schedule_at(s(5), ());
+        assert_eq!(q.len(), 3);
+        q.pop();
+        // The heap's event comes before the batch's next entry.
+        assert_eq!(q.peek_time(), Some(s(5)));
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
+        assert_eq!(
+            q.replace_batch([(s(9), ())]),
+            None,
+            "clear emptied the batch"
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "batch not sorted")]
+    fn unsorted_batch_panics_in_debug() {
+        let mut q = EventQueue::new();
+        q.replace_batch([(SimTime::from_secs(2), ()), (SimTime::from_secs(1), ())]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "batch entry in the past")]
+    fn batch_in_the_past_panics_in_debug() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_secs(10), ());
+        q.pop();
+        q.replace_batch([(SimTime::from_secs(9), ())]);
     }
 
     #[test]

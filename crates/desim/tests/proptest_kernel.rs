@@ -1,9 +1,25 @@
 //! Property tests for the simulation kernel: total temporal order with
-//! FIFO tie-breaking, and statistics correctness against naive references.
+//! FIFO tie-breaking, the replaceable batch against a queue that leaves
+//! superseded entries in the heap, and statistics correctness against
+//! naive references.
 
 use desim::stats::{Replications, Tally, Welford};
 use desim::{EventQueue, SimTime};
 use proptest::prelude::*;
+
+/// The reference queue's pop: the next event that is not a batch entry of
+/// a generation before `generation`.
+fn pop_live(
+    reference: &mut EventQueue<(Option<u32>, usize)>,
+    generation: u32,
+) -> Option<(SimTime, usize)> {
+    loop {
+        match reference.pop()? {
+            (t, (g, id)) if g.is_none_or(|g| g == generation) => return Some((t, id)),
+            _ => continue,
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -26,6 +42,70 @@ proptest! {
                 prop_assert!(w[0].1 < w[1].1, "FIFO violated at equal times");
             }
         }
+    }
+
+    /// A random program of `schedule_at`, batch replacement and `pop` runs
+    /// on the batch queue and on a reference that schedules every batch
+    /// entry one by one, tagged with its batch's generation, and skips
+    /// older generations when they pop. The live pop sequences are equal,
+    /// and the reference's final clock is the batch queue's clock raised
+    /// to every horizon `replace_batch` returned.
+    #[test]
+    fn batch_matches_a_heap_that_skips_superseded_entries(
+        program in prop::collection::vec(
+            (0u8..3, 0i64..20, prop::collection::vec(0i64..20, 0..6)),
+            1..80,
+        )
+    ) {
+        let mut q: EventQueue<usize> = EventQueue::new();
+        let mut reference: EventQueue<(Option<u32>, usize)> = EventQueue::new();
+        let mut generation = 0u32;
+        let mut horizon = SimTime::ZERO;
+        let mut next_id = 0usize;
+        let mut live = Vec::new();
+        let mut live_ref = Vec::new();
+        for (op, dt, mut offsets) in program {
+            // Both clocks may differ once the reference has skipped
+            // superseded entries; schedule no earlier than either.
+            let base = q.now().max(reference.now());
+            match op {
+                0 => {
+                    q.schedule_at(base + SimTime::from_millis(dt), next_id);
+                    reference.schedule_at(base + SimTime::from_millis(dt), (None, next_id));
+                    next_id += 1;
+                }
+                1 => {
+                    offsets.sort_unstable();
+                    generation += 1;
+                    let entries: Vec<(SimTime, usize)> = offsets
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &o)| (base + SimTime::from_millis(o), next_id + i))
+                        .collect();
+                    next_id += entries.len();
+                    for &(t, id) in &entries {
+                        reference.schedule_at(t, (Some(generation), id));
+                    }
+                    if let Some(t) = q.replace_batch(entries) {
+                        horizon = horizon.max(t);
+                    }
+                }
+                _ => {
+                    live.push(q.pop());
+                    live_ref.push(pop_live(&mut reference, generation));
+                }
+            }
+            prop_assert_eq!(&live, &live_ref);
+        }
+        while let Some(e) = q.pop() {
+            live.push(Some(e));
+        }
+        while let Some(e) = pop_live(&mut reference, generation) {
+            live_ref.push(Some(e));
+        }
+        prop_assert_eq!(&live, &live_ref);
+        prop_assert!(q.is_empty() && reference.is_empty());
+        prop_assert_eq!(reference.now(), q.now().max(horizon));
     }
 
     /// Welford mean/variance equal the two-pass reference within float

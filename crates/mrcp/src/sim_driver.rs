@@ -10,10 +10,11 @@
 //! * `T` — average turnaround `CT_j − s_j`.
 //!
 //! As in the paper, scheduling happens on the manager's "own CPU": solver
-//! wall time is *measured* but does not consume simulated time. Schedules
-//! are versioned so that start events armed from a superseded plan are
-//! ignored — mirroring how the Java implementation rewrites the dispatch
-//! plan on each round.
+//! wall time is *measured* but does not consume simulated time. The
+//! installed plan's start events are the event queue's one replaceable
+//! batch ([`EventQueue::replace_batch`]), replaced wholesale each round so
+//! that a superseded plan leaves nothing behind to fire — mirroring how the
+//! Java implementation rewrites the dispatch plan on each round.
 
 use crate::manager::{
     AbandonedJob, AdmissionOutcome, FailureAction, JobCompletion, ManagerError, ManagerStats,
@@ -489,9 +490,11 @@ enum Ev {
     Activate,
     /// The manager's busy period ends; install the (re)computed schedule.
     Install,
+    /// A start from the installed plan: the queue's batch holds only the
+    /// current plan's entries, so every one that fires is live unless its
+    /// job left the system or an outage dropped the task.
     TaskStart {
         task: TaskId,
-        version: u64,
     },
     /// Completion of one *attempt*; stale once the attempt is superseded
     /// (failed, interrupted by a crash, or its job abandoned).
@@ -521,8 +524,6 @@ struct TaskRun {
     /// Owning job, for fault attribution.
     job: JobId,
     exec_time: SimTime,
-    /// Plan version that armed this task's pending start event.
-    armed: Option<u64>,
     /// Attempts started so far.
     attempts: u32,
     /// The running attempt; a pending completion/failure event is live
@@ -534,9 +535,10 @@ struct Driver<M: ResourceManager> {
     rm: M,
     jobs: Vec<Option<Job>>,
     total_jobs: usize,
-    /// The installed plan's version; start events armed by an earlier
-    /// plan are stale.
-    version: u64,
+    /// Latest time of any start a replaced plan dropped unfired. The run
+    /// ends at the later of this and the last event: `end_time_s` counts a
+    /// superseded start as an event at its planned time.
+    horizon: SimTime,
     tasks: HashMap<TaskId, TaskRun>,
     /// Jobs touched by any fault, for `late_due_to_faults`.
     fault_jobs: HashSet<JobId>,
@@ -604,19 +606,25 @@ impl<M: ResourceManager> Driver<M> {
 
     fn install(&mut self, now: SimTime, queue: &mut EventQueue<Ev>) {
         self.pre_command(now);
-        let plan = self.rm.reschedule(now);
-        self.version += 1;
-        for e in plan {
-            if let Some(run) = self.tasks.get_mut(&e.task) {
-                run.armed = Some(self.version);
-            }
-            queue.schedule_at(
-                e.start,
-                Ev::TaskStart {
-                    task: e.task,
-                    version: self.version,
-                },
-            );
+        let mut plan = self.rm.reschedule(now);
+        // A `ResourceManager` need not return its plan sorted, and the
+        // batch wants time order. The sort is stable: equal starts fire in
+        // the order the manager listed them.
+        if !plan.is_sorted_by_key(|e| e.start) {
+            plan.sort_by_key(|e| e.start);
+        }
+        debug_assert!(
+            {
+                let mut seen = HashSet::with_capacity(plan.len());
+                plan.iter().all(|e| seen.insert(e.task))
+            },
+            "a plan names each task once"
+        );
+        let starts = plan
+            .into_iter()
+            .map(|e| (e.start, Ev::TaskStart { task: e.task }));
+        if let Some(dropped) = queue.replace_batch(starts) {
+            self.horizon = self.horizon.max(dropped);
         }
     }
 
@@ -685,7 +693,6 @@ impl<M: ResourceManager> Driver<M> {
                             TaskRun {
                                 job: job_id,
                                 exec_time,
-                                armed: None,
                                 attempts: 0,
                                 running: None,
                             },
@@ -775,20 +782,16 @@ impl<M: ResourceManager> desim::Process<Ev> for Driver<M> {
                 self.install_pending = false;
                 self.install(now, queue);
             }
-            Ev::TaskStart { task, version } => {
-                match self.tasks.get_mut(&task) {
-                    Some(run) if version == self.version && run.armed == Some(version) => {
-                        run.armed = None;
-                    }
-                    _ => return Flow::Continue, // superseded plan
+            Ev::TaskStart { task } => {
+                if !self.tasks.contains_key(&task) {
+                    return Flow::Continue; // the job was shed or abandoned
                 }
                 self.pre_command(now);
                 match self.rm.task_started(task, now) {
                     Ok(_) => {}
                     // An outage dropped the task from the plan while the
                     // replan waits out the manager's busy period: the start
-                    // is superseded like one from an older plan, and no
-                    // attempt is charged.
+                    // is void, and no attempt is charged.
                     Err(ManagerError::TaskNotScheduled(_)) => return Flow::Continue,
                     Err(e) => panic!("armed starts are valid: {e}"),
                 }
@@ -1033,7 +1036,7 @@ where
         rm: build(mgr_cfg),
         jobs: jobs.into_iter().map(Some).collect(),
         total_jobs: n,
-        version: 0,
+        horizon: SimTime::ZERO,
         tasks: HashMap::new(),
         fault_jobs: HashSet::new(),
         faults,
@@ -1083,7 +1086,7 @@ where
             }
         }
     }
-    let end = engine.run(&mut driver);
+    let end = engine.run(&mut driver).max(driver.horizon);
 
     let stats = driver.rm.stats();
     let completed = driver.completions.len();
@@ -1404,12 +1407,12 @@ mod tests {
         );
     }
 
-    /// A start event armed by a superseded plan must not start a task the
-    /// newer plan left out. Two 10 s maps on a one-slot cluster are planned
-    /// at 0 and 10; the only resource is down from 5 to 25, so the round at
-    /// 5 installs an empty plan while the start armed for 10 is still
-    /// queued. That event must go stale — the manager holds no entry for
-    /// it — and both tasks run only once the resource is back.
+    /// A start from a superseded plan must not start a task the newer plan
+    /// left out. Two 10 s maps on a one-slot cluster are planned at 0 and
+    /// 10; the only resource is down from 5 to 25, so the round at 5
+    /// installs an empty plan while the start planned for 10 has not fired.
+    /// Replacing the batch drops it — the manager holds no entry for it —
+    /// and both tasks run only once the resource is back.
     #[test]
     fn start_armed_by_a_superseded_plan_skips_a_task_the_newer_plan_left_out() {
         let cluster = workload::model::homogeneous_cluster(1, 1, 1);
@@ -1451,8 +1454,8 @@ mod tests {
     /// installed at 30 runs four 10 s maps on two one-slot resources, two
     /// at 30 and two at 40. Resource 1 goes down at 35, so the manager
     /// drops its map planned for 40, but the replan only installs at 65.
-    /// The start still armed for 40 is superseded, not an error: it is
-    /// skipped without charging an attempt, and the run drains.
+    /// The start still queued for 40 is void, not an error: it is skipped
+    /// without charging an attempt, and the run drains.
     #[test]
     fn start_dropped_by_an_outage_before_the_delayed_install_is_superseded() {
         let cluster = workload::model::homogeneous_cluster(2, 1, 1);
@@ -1489,6 +1492,166 @@ mod tests {
         assert_eq!(m.completed, 1);
         assert_eq!(m.resource_crashes, 1);
         assert_eq!(m.tasks_requeued, 1, "only the map running at 35 reruns");
+    }
+
+    /// The run's clock counts superseded starts: four 1 s maps arrive at 1
+    /// on a cluster whose second one-slot resource is down from 0 to 1, so
+    /// the arrival's plan runs them back to back at 1, 2, 3 and 4. The
+    /// resource returns at the same instant, and the replan runs them two
+    /// at a time; the job completes at 3. The dropped start at 4 lies
+    /// beyond every live event, and `end_time_s` reads 4: the run's clock
+    /// counts a superseded start as an event at its planned time.
+    #[test]
+    fn end_time_includes_the_latest_superseded_start() {
+        let cluster = workload::model::homogeneous_cluster(2, 1, 1);
+        let map = |id| workload::Task {
+            id: TaskId(id),
+            job: JobId(0),
+            kind: workload::TaskKind::Map,
+            exec_time: SimTime::from_secs(1),
+            req: 1,
+        };
+        let job = Job {
+            id: JobId(0),
+            arrival: SimTime::from_secs(1),
+            earliest_start: SimTime::from_secs(1),
+            deadline: SimTime::from_secs(100),
+            map_tasks: (0..4).map(map).collect(),
+            reduce_tasks: vec![],
+            precedences: vec![],
+        };
+        let cfg = SimConfig {
+            faults: FaultConfig {
+                scheduled_outages: vec![workload::Outage {
+                    resource: cluster[1].id,
+                    at: SimTime::ZERO,
+                    duration: SimTime::from_secs(1),
+                }],
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let (m, outcomes) = simulate_detailed(&cfg, &cluster, vec![job]);
+        assert_eq!(m.completed, 1);
+        assert_eq!(m.invocations, 2, "one round on arrival, one on recovery");
+        assert_eq!(outcomes[0].completion, SimTime::from_secs(3));
+        assert_eq!(m.end_time_s, 4.0);
+    }
+
+    /// A manager that returns its plans reversed and records the order in
+    /// which the driver starts tasks.
+    struct Reversed {
+        inner: MrcpRm,
+        plans: Vec<Vec<ScheduleEntry>>,
+        started: Vec<TaskId>,
+    }
+
+    impl ResourceManager for Reversed {
+        fn submit_with_admission(
+            &mut self,
+            job: Job,
+            now: SimTime,
+        ) -> Result<AdmissionOutcome, ManagerError> {
+            self.inner.submit_with_admission(job, now)
+        }
+        fn activate_due(&mut self, now: SimTime) -> usize {
+            self.inner.activate_due(now)
+        }
+        fn reschedule(&mut self, now: SimTime) -> Vec<ScheduleEntry> {
+            let mut plan = self.inner.reschedule(now);
+            plan.reverse();
+            self.plans.push(plan.clone());
+            plan
+        }
+        fn task_started(&mut self, task: TaskId, now: SimTime) -> Result<ResourceId, ManagerError> {
+            self.started.push(task);
+            self.inner.task_started(task, now)
+        }
+        fn task_completed(
+            &mut self,
+            task: TaskId,
+            now: SimTime,
+        ) -> Result<Option<JobCompletion>, ManagerError> {
+            self.inner.task_completed(task, now)
+        }
+        fn task_duration_revised(
+            &mut self,
+            task: TaskId,
+            new_exec: SimTime,
+        ) -> Result<(), ManagerError> {
+            self.inner.task_duration_revised(task, new_exec)
+        }
+        fn task_failed(
+            &mut self,
+            task: TaskId,
+            now: SimTime,
+        ) -> Result<FailureAction, ManagerError> {
+            self.inner.task_failed(task, now)
+        }
+        fn resource_down(
+            &mut self,
+            rid: ResourceId,
+            now: SimTime,
+        ) -> Result<Vec<TaskId>, ManagerError> {
+            self.inner.resource_down(rid, now)
+        }
+        fn resource_up(&mut self, rid: ResourceId, now: SimTime) -> Result<(), ManagerError> {
+            self.inner.resource_up(rid, now)
+        }
+        fn jobs_in_system(&self) -> usize {
+            self.inner.jobs_in_system()
+        }
+        fn stats(&self) -> ManagerStats {
+            self.inner.stats()
+        }
+    }
+
+    /// The driver sorts an unsorted plan by start but keeps the returned
+    /// order among equal starts: six 10 s maps on three one-slot resources
+    /// are planned three at 0 and three at 10, returned reversed, and the
+    /// tasks start in the reversed plan's order within each instant.
+    #[test]
+    fn equal_starts_fire_in_the_returned_order() {
+        let cluster = workload::model::homogeneous_cluster(3, 1, 1);
+        let map = |id| workload::Task {
+            id: TaskId(id),
+            job: JobId(0),
+            kind: workload::TaskKind::Map,
+            exec_time: SimTime::from_secs(10),
+            req: 1,
+        };
+        let job = Job {
+            id: JobId(0),
+            arrival: SimTime::ZERO,
+            earliest_start: SimTime::ZERO,
+            deadline: SimTime::from_secs(100),
+            map_tasks: (0..6).map(map).collect(),
+            reduce_tasks: vec![],
+            precedences: vec![],
+        };
+        let (m, _, rm) = simulate_with(&SimConfig::default(), &cluster, vec![job], |c| Reversed {
+            inner: MrcpRm::new(c, cluster.clone()),
+            plans: Vec::new(),
+            started: Vec::new(),
+        });
+        assert_eq!(m.completed, 1);
+        let [plan] = &rm.plans[..] else {
+            panic!("one round, on the arrival: {:?}", rm.plans);
+        };
+        assert!(
+            !plan.is_sorted_by_key(|e| e.start),
+            "the reversal unsorts the plan"
+        );
+        let mut expected = plan.clone();
+        expected.sort_by_key(|e| e.start);
+        let expected: Vec<TaskId> = expected.iter().map(|e| e.task).collect();
+        assert_eq!(rm.started, expected);
+        let mut by_id = expected.clone();
+        by_id.sort_unstable();
+        assert_ne!(
+            rm.started, by_id,
+            "equal starts do not fall back to task order"
+        );
     }
 
     mod ingest {

@@ -509,7 +509,9 @@ pub fn matchmake(
         placements.push((t.id, ResourceId(u32::MAX), SimTime::from_millis(start)));
     }
     debug_assert_eq!(items.len(), n);
-    items.sort_by_key(|it| (it.pinned_res.is_none(), it.start, it.idx));
+    // `idx` is unique, so no two keys tie and the unstable sort yields the
+    // one order a stable sort would.
+    items.sort_unstable_by_key(|it| (it.pinned_res.is_none(), it.start, it.idx));
 
     for it in &items {
         let lanes = match it.kind {

@@ -122,6 +122,9 @@ def main():
     ap.add_argument("--pairs", required=True, type=int)
     ap.add_argument("--out", help="append the raw per-run lines here")
     a = ap.parse_args()
+    # Each binary runs with its own checkout as the working directory, so a
+    # relative path must not be joined onto it a second time.
+    a.parent, a.change = os.path.abspath(a.parent), os.path.abspath(a.change)
 
     with open(os.path.join(a.change, "BENCHMARK.json"), encoding="utf-8") as f:
         bench = json.load(f)
