@@ -10,6 +10,14 @@
 //!
 //! Only unit capacity requirements (`q_t = 1`, the paper's setting) are
 //! supported; models with larger requirements solve without a warm start.
+//!
+//! Running tasks are booked first, and in a rescheduling round they all
+//! overlap `now`, so first-fit would put the k-th pin on a resource into
+//! its slot k after probing k busy slots. A pool books such pins in O(1):
+//! while it holds nothing but pins, each resource counts its pins and
+//! keeps the window they all share, and a pin that meets that window goes
+//! straight into the next slot. Any other booking turns this off for the
+//! pool (debug builds check every fast pin against first-fit).
 
 use crate::model::{Model, ResRef, SlotKind, TaskRef};
 use crate::solution::Solution;
@@ -114,10 +122,21 @@ impl Slot {
 /// Slot calendars of one task kind, flattened: resource `r`'s `cap(r, kind)`
 /// slots are `slots[first[r]..first[r + 1]]`, so the slot order is resource
 /// order, then slot order within a resource.
+///
+/// Every caller books its running tasks before any free task, and running
+/// tasks mostly all overlap the round's `now`. While nothing but pins has
+/// been booked, `pins[r]` holds how many pins resource `r` has and the
+/// window `[lo, hi)` they all share: each of its first `n` slots then holds
+/// exactly one of them, so a new pin that meets the window collides with
+/// every one and first-fit would put it in slot `n`. Any other booking
+/// empties `pins` and every later pin takes first-fit.
 #[derive(Debug)]
 struct Pool {
     slots: Vec<Slot>,
     first: Vec<usize>,
+    /// Per resource `(n, lo, hi)` while only pins have been booked; empty
+    /// once anything else has.
+    pins: Vec<(usize, i64, i64)>,
 }
 
 impl Pool {
@@ -128,8 +147,38 @@ impl Pool {
         }
         Pool {
             slots: vec![Slot::default(); first[first.len() - 1]],
+            pins: vec![(0, i64::MIN, i64::MAX); first.len() - 1],
             first,
         }
+    }
+
+    /// Book a running task on resource `r` as [`Pool::book_on`] does: in
+    /// O(1) while the pins-only window holds, else by first-fit.
+    fn pin(&mut self, r: usize, start: i64, dur: i64) -> bool {
+        if let Some(&(n, lo, hi)) = self.pins.get(r) {
+            let (lo, hi) = (lo.max(start), hi.min(start + dur));
+            if lo < hi {
+                let slot = self.first[r] + n;
+                let free = slot < self.first[r + 1];
+                debug_assert_eq!(
+                    free.then_some(slot),
+                    self.first_fit(r, start, dur),
+                    "pin fast path r={r} start={start} dur={dur}"
+                );
+                if free {
+                    self.slots[slot].insert(start, dur);
+                    self.pins[r] = (n + 1, lo, hi);
+                }
+                return free;
+            }
+        }
+        self.book_on(r, start, dur)
+    }
+
+    /// The first slot of resource `r` free over `[start, start+dur)`.
+    fn first_fit(&self, r: usize, start: i64, dur: i64) -> Option<usize> {
+        let (&lo, &hi) = (self.first.get(r)?, self.first.get(r + 1)?);
+        (lo..hi).find(|&si| self.slots[si].fits(start, dur))
     }
 
     /// The resource that owns flat slot `slot`.
@@ -138,14 +187,13 @@ impl Pool {
     }
 
     /// Book `[start, start+dur)` in the first slot of resource `r` that is
-    /// free over it; false when none is (or `r` is out of range).
+    /// free over it; false when none is (or `r` is out of range). Turns the
+    /// pin fast path off.
     fn book_on(&mut self, r: usize, start: i64, dur: i64) -> bool {
-        let (Some(&lo), Some(&hi)) = (self.first.get(r), self.first.get(r + 1)) else {
-            return false;
-        };
-        match self.slots[lo..hi].iter_mut().find(|s| s.fits(start, dur)) {
-            Some(slot) => {
-                slot.insert(start, dur);
+        self.pins.clear();
+        match self.first_fit(r, start, dur) {
+            Some(si) => {
+                self.slots[si].insert(start, dur);
                 true
             }
             None => false,
@@ -186,6 +234,7 @@ impl Pool {
     /// Book `dur` at the best fit from `floor`: `(resource, start)`, or
     /// `None` when the pool has no slot.
     fn fit(&mut self, floor: i64, dur: i64) -> Option<(usize, i64)> {
+        self.pins.clear();
         let (si, s) = self.best_fit(floor, dur)?;
         self.slots[si].insert(s, dur);
         Some((self.resource_of(si), s))
@@ -240,7 +289,7 @@ impl Calendar {
     /// `resource` free over it. False when there is none: the resource is
     /// out of range, lacks capacity for `kind`, or earlier pins fill it.
     pub fn pin(&mut self, kind: SlotKind, resource: usize, start: i64, dur: i64) -> bool {
-        self.pool(kind).book_on(resource, start, dur)
+        self.pool(kind).pin(resource, start, dur)
     }
 
     /// Book one free task of `kind` at its earliest start at or after
@@ -723,6 +772,77 @@ mod tests {
         // Nothing is free at 0: the earliest start wins, ties to the
         // lowest index.
         assert_eq!(pool.best_fit(0, 5), Some((1, 3)));
+    }
+
+    /// Each slot's busy intervals, in slot order.
+    fn busy_of(pool: &Pool) -> Vec<Vec<(i64, i64)>> {
+        pool.slots.iter().map(|s| s.busy.clone()).collect()
+    }
+
+    #[test]
+    fn pins_sharing_an_instant_take_the_next_slot() {
+        let mut pool = Pool::new([3].into_iter());
+        assert!(pool.pin(0, 0, 10));
+        assert!(pool.pin(0, 5, 10));
+        assert!(pool.pin(0, 2, 4));
+        assert_eq!(busy_of(&pool), [[(0, 10)], [(5, 15)], [(2, 6)]]);
+        assert_eq!(pool.pins, [(3, 5, 6)]);
+        assert!(!pool.pin(0, 5, 1), "every slot holds an overlapping pin");
+        assert_eq!(pool.pins, [(3, 5, 6)], "a refused pin changes nothing");
+
+        // Per resource: flat slots 0–1 on resource 0, 2–4 on resource 1.
+        let mut pool = Pool::new([2, 3].into_iter());
+        for (r, start) in [(1, 0), (0, 3), (1, 2), (0, 1), (1, 4)] {
+            assert!(pool.pin(r, start, 10));
+        }
+        assert_eq!(
+            busy_of(&pool),
+            [[(3, 13)], [(1, 11)], [(0, 10)], [(2, 12)], [(4, 14)]]
+        );
+        assert_eq!(pool.pins, [(2, 3, 11), (3, 4, 10)]);
+    }
+
+    #[test]
+    fn a_pin_outside_the_window_falls_back_to_first_fit_for_good() {
+        let mut pool = Pool::new([3].into_iter());
+        assert!(pool.pin(0, 10, 10));
+        // Ends exactly where the window starts: it shares no instant with
+        // the first pin, so first-fit puts it beside it in slot 0.
+        assert!(pool.pin(0, 0, 10));
+        assert!(pool.pins.is_empty(), "the fast path is off");
+        assert_eq!(busy_of(&pool), [vec![(0, 10), (10, 20)], vec![], vec![]]);
+        // A pin that meets every earlier one still goes by first-fit.
+        assert!(pool.pin(0, 5, 10));
+        assert!(pool.pin(0, 15, 2));
+        assert_eq!(
+            busy_of(&pool),
+            [vec![(0, 10), (10, 20)], vec![(5, 15), (15, 17)], vec![]]
+        );
+        assert!(pool.pins.is_empty());
+    }
+
+    #[test]
+    fn a_hint_or_best_fit_between_pins_turns_the_fast_path_off() {
+        let mut cal = Calendar::new([(3, 3)].into_iter());
+        assert!(cal.pin(SlotKind::Map, 0, 0, 10));
+        let mut hinted = [Free {
+            task: 0,
+            dur: 10,
+            at: Some((0, 5)),
+        }];
+        cal.place(0, i64::MIN, &mut hinted, &mut []).unwrap();
+        assert!(cal.map.pins.is_empty(), "a hint books through first-fit");
+        assert_eq!(cal.reduce.pins, [(0, i64::MIN, i64::MAX)]);
+        // The pin meets the first one's window, but slot 1 now holds the
+        // hint: first-fit, not the next slot, takes it.
+        assert!(cal.pin(SlotKind::Map, 0, 8, 1));
+        assert_eq!(busy_of(&cal.map), [[(0, 10)], [(5, 15)], [(8, 9)]]);
+
+        assert!(cal.pin(SlotKind::Reduce, 0, 0, 10));
+        assert_eq!(cal.fit(SlotKind::Reduce, 0, 3), Some((0, 0)));
+        assert!(cal.reduce.pins.is_empty(), "a best fit turns it off too");
+        assert!(cal.pin(SlotKind::Reduce, 0, 2, 3));
+        assert_eq!(busy_of(&cal.reduce), [[(0, 10)], [(0, 3)], [(2, 5)]]);
     }
 
     #[test]

@@ -123,34 +123,37 @@ pub struct AdmissionConfig {
     pub max_pending_jobs: Option<usize>,
 }
 
-/// First deadline (ms) at which cumulative work provably exceeds pool
-/// capacity, or `None` when the bound holds everywhere.
+/// First deadline (ms) at which cumulative work provably exceeds the
+/// capacity of the map or the reduce slot pool, or `None` when the bound
+/// holds everywhere.
 ///
-/// `demands` is one `(deadline_ms, work_ms)` pair per job for a single
-/// slot pool with `slots` parallel slots; work counts outstanding
-/// (unfinished) slot-milliseconds only. The check is the classic EDF
-/// demand bound anchored at `now_ms`: for every deadline `d`,
-/// `Σ {work | deadline ≤ d} ≤ slots × (d − now)`.
-pub fn edf_demand_violation(now_ms: i64, slots: u32, demands: &[(i64, i64)]) -> Option<i64> {
-    let mut sorted: Vec<(i64, i64)> = demands.iter().copied().filter(|&(_, w)| w > 0).collect();
-    if sorted.is_empty() {
-        return None;
-    }
-    if slots == 0 {
-        return sorted.iter().map(|&(d, _)| d).min();
-    }
-    sorted.sort_unstable();
-    let mut cum: i64 = 0;
-    let mut i = 0;
-    while i < sorted.len() {
-        let d = sorted[i].0;
-        // Fold all work sharing this deadline before testing it.
-        while i < sorted.len() && sorted[i].0 == d {
-            cum = cum.saturating_add(sorted[i].1);
-            i += 1;
+/// `demands` is one `(deadline_ms, map_work_ms, reduce_work_ms)` triple
+/// per job and `slots` the pools' `(map, reduce)` parallel slots; work
+/// counts outstanding (unfinished, non-negative) slot-milliseconds only.
+/// The check is the classic EDF demand bound anchored at `now_ms`: for
+/// every deadline `d` and each pool, `Σ {work | deadline ≤ d} ≤ slots ×
+/// (d − now)`. One sort of `demands` (in place, by deadline) and one
+/// cumulative pass check both pools. A deadline that adds no work cannot
+/// be the first violation: the last deadline with work before it has the
+/// same cumulative sum in a smaller window. So a pool without slots
+/// violates at its first deadline with work, and never without any.
+pub fn edf_demand_violation(
+    now_ms: i64,
+    slots: (u32, u32),
+    demands: &mut [(i64, i64, i64)],
+) -> Option<i64> {
+    demands.sort_unstable_by_key(|&(d, ..)| d);
+    let over = |work: i64, window: i128, slots: u32| work as i128 > window * slots as i128;
+    let (mut map, mut reduce) = (0i64, 0i64);
+    // Fold all work sharing a deadline before testing it.
+    for group in demands.chunk_by(|a, b| a.0 == b.0) {
+        for &(_, m, r) in group {
+            map = map.saturating_add(m);
+            reduce = reduce.saturating_add(r);
         }
+        let d = group[0].0;
         let window = (d - now_ms).max(0) as i128;
-        if cum as i128 > window * slots as i128 {
+        if over(map, window, slots.0) || over(reduce, window, slots.1) {
             return Some(d);
         }
     }
@@ -368,27 +371,34 @@ pub fn model_witness(up: &[Resource], inputs: &[JobInput<'_>]) -> Option<SimTime
 mod tests {
     use super::*;
 
+    /// The bound over one pool's `(deadline, work)` pairs, checked in each
+    /// lane of the two-pool pass with the other lane idle and slotless.
+    fn single(now_ms: i64, slots: u32, demands: &[(i64, i64)]) -> Option<i64> {
+        let mut map: Vec<_> = demands.iter().map(|&(d, w)| (d, w, 0)).collect();
+        let mut reduce: Vec<_> = demands.iter().map(|&(d, w)| (d, 0, w)).collect();
+        let violation = edf_demand_violation(now_ms, (slots, 0), &mut map);
+        assert_eq!(
+            violation,
+            edf_demand_violation(now_ms, (0, slots), &mut reduce)
+        );
+        violation
+    }
+
     #[test]
     fn bound_holds_for_underloaded_pool() {
         // 2 slots, two jobs of 10 s due at 20 s: 20 000 ≤ 2 × 20 000.
-        assert_eq!(
-            edf_demand_violation(0, 2, &[(20_000, 10_000), (20_000, 10_000)]),
-            None
-        );
+        assert_eq!(single(0, 2, &[(20_000, 10_000), (20_000, 10_000)]), None);
     }
 
     #[test]
     fn bound_detects_overcommitted_deadline() {
         // 1 slot, 30 s of work due at 20 s.
         assert_eq!(
-            edf_demand_violation(0, 1, &[(20_000, 10_000), (20_000, 20_000)]),
+            single(0, 1, &[(20_000, 10_000), (20_000, 20_000)]),
             Some(20_000)
         );
         // The same work spread over a 40 s horizon fits.
-        assert_eq!(
-            edf_demand_violation(0, 1, &[(40_000, 10_000), (40_000, 20_000)]),
-            None
-        );
+        assert_eq!(single(0, 1, &[(40_000, 10_000), (40_000, 20_000)]), None);
     }
 
     #[test]
@@ -396,7 +406,7 @@ mod tests {
         // Each deadline fits alone; together the earlier work crowds out
         // the later deadline: at d=30 s cum work 25 s+10 s > 30 s.
         assert_eq!(
-            edf_demand_violation(0, 1, &[(26_000, 25_000), (30_000, 10_000)]),
+            single(0, 1, &[(26_000, 25_000), (30_000, 10_000)]),
             Some(30_000)
         );
     }
@@ -404,22 +414,35 @@ mod tests {
     #[test]
     fn bound_is_anchored_at_now() {
         // 5 s of work due 4 s from now (t=10 s, d=14 s) on one slot.
-        assert_eq!(
-            edf_demand_violation(10_000, 1, &[(14_000, 5_000)]),
-            Some(14_000)
-        );
-        assert_eq!(edf_demand_violation(8_000, 1, &[(14_000, 5_000)]), None);
+        assert_eq!(single(10_000, 1, &[(14_000, 5_000)]), Some(14_000));
+        assert_eq!(single(8_000, 1, &[(14_000, 5_000)]), None);
     }
 
     #[test]
     fn zero_capacity_rejects_any_work() {
-        assert_eq!(edf_demand_violation(0, 0, &[(5_000, 1)]), Some(5_000));
-        assert_eq!(edf_demand_violation(0, 0, &[]), None);
+        assert_eq!(single(0, 0, &[(5_000, 1)]), Some(5_000));
+        assert_eq!(single(0, 0, &[]), None);
     }
 
     #[test]
     fn zero_work_never_violates() {
-        assert_eq!(edf_demand_violation(0, 1, &[(5_000, 0), (1, 0)]), None);
+        assert_eq!(single(0, 1, &[(5_000, 0), (1, 0)]), None);
+    }
+
+    #[test]
+    fn one_pass_reports_the_first_violation_of_either_pool() {
+        // The lone reduce slot is overrun at 10 s; the maps first at 30 s.
+        let mut demands = [
+            (30_000, 70_000, 0),
+            (10_000, 5_000, 12_000),
+            (20_000, 5_000, 0),
+        ];
+        assert_eq!(edf_demand_violation(0, (2, 1), &mut demands), Some(10_000));
+        demands[0].2 = 0;
+        demands[1].2 = 2_000;
+        assert_eq!(edf_demand_violation(0, (2, 1), &mut demands), Some(30_000));
+        demands.iter_mut().for_each(|d| d.1 = 0);
+        assert_eq!(edf_demand_violation(0, (0, 1), &mut demands), None);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use cpsolve::portfolio::{solve_portfolio, PortfolioParams};
 use cpsolve::search::{Outcome, SolveParams, SolveStats, Status};
 use desim::SimTime;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
@@ -385,6 +385,14 @@ struct JobState {
     /// Parked by the deferral policy: listed in [`MrcpRm`]'s `deferred`
     /// and kept out of every round until activated.
     deferred: bool,
+    /// Memo of [`job_fingerprint`] over the job's current outstanding
+    /// inputs, filled by the round that installs it; `None` once any of
+    /// those inputs changes.
+    fp: Option<u64>,
+    /// `(epoch, fingerprint)` of the last successful round that planned the
+    /// job: it belongs to the cached round iff the epoch is
+    /// [`RoundCache::epoch`].
+    cached: Option<(u64, u64)>,
 }
 
 impl JobState {
@@ -416,15 +424,23 @@ struct TaskSlot {
     /// and the last round planned it.
     planned: Option<ScheduleEntry>,
     /// Where the last successful round placed it: the round cache's hint,
-    /// read only while [`RoundCache::jobs`] holds the job's fingerprint.
+    /// read only while the job is fresh (its [`JobState::cached`] record
+    /// carries the cache's epoch and its current fingerprint).
     placed: Option<(ResourceId, SimTime)>,
 }
 
-/// Cross-round reuse state: fingerprints of what produced the previous
-/// round, whose placements each job carries in its [`TaskSlot`]s. A job
-/// whose fingerprint is unchanged under an unchanged resource pool gets
-/// its old placements replayed as warm-start hints; anything else
-/// re-solves from scratch.
+/// Cross-round reuse state: what produced the previous successful round.
+/// The round lives on its jobs: each job records the fingerprint it was
+/// planned with, tagged with the round's `epoch`, and carries its
+/// placements in its [`TaskSlot`]s. A job whose fingerprint is unchanged
+/// under an unchanged resource pool gets its old placements replayed as
+/// warm-start hints; anything else re-solves from scratch. Each job
+/// memoises its fingerprint ([`JobState::fp`]), so a round hashes only the
+/// jobs whose outstanding tasks changed since the last one; the cache still
+/// compares content, so a change that is undone before the next round
+/// (a start, then a failure) keeps the job warm. Every install opens a new
+/// epoch, so dropping the cache (invalidation, failed round) leaves every
+/// record stale at once.
 ///
 /// Job releases are deliberately **excluded** from the fingerprint — they
 /// advance with `now` every round, so including them would invalidate the
@@ -437,12 +453,15 @@ struct TaskSlot {
 struct RoundCache {
     /// Fingerprint of the up-resource pool the placements assume.
     pool_fp: u64,
-    /// Per-job fingerprint (tasks, deadline, priority, pins) at solve time.
-    jobs: HashMap<JobId, u64>,
+    /// The round's tag on its jobs' [`JobState::cached`] records.
+    epoch: u64,
+    /// Jobs of the round that have left the system since, with their
+    /// fingerprints: [`MrcpRm::image`] lists every job of the round.
+    departed: Vec<(JobId, u64)>,
 }
 
 /// Fingerprint of the schedulable resource pool (ids + capacities).
-fn pool_fingerprint(up: &[Resource]) -> u64 {
+fn pool_fingerprint<'r>(up: impl IntoIterator<Item = &'r Resource>) -> u64 {
     let mut h = DefaultHasher::new();
     for r in up {
         r.id.hash(&mut h);
@@ -467,6 +486,14 @@ fn job_fingerprint(input: &JobInput<'_>) -> u64 {
         t.pinned.map(|(r, s)| (r, s.as_millis())).hash(&mut h);
     }
     h.finish()
+}
+
+/// Total `exec_time` of the uncompleted tasks of `jobs`, by walking them.
+fn outstanding_of(jobs: &BTreeMap<JobId, JobState>) -> SimTime {
+    let tasks = jobs.values().flat_map(|s| &s.tasks);
+    tasks
+        .filter(|t| t.status != TaskStatusImage::Completed)
+        .fold(SimTime::ZERO, |sum, t| sum + t.exec_time)
 }
 
 /// Aggregate manager statistics (drives the paper's `O` metric).
@@ -607,11 +634,11 @@ pub struct RoundCacheImage {
 /// live jobs with task lifecycle states, the deferral queue, the current
 /// plan, downed resources, the budget-controller state, the round cache,
 /// and the accumulated statistics. Collections are sorted so two managers
-/// in the same logical state produce identical images (`HashMap` iteration
-/// order never leaks). The configuration and the resource pool are *not*
-/// part of the image — they are construction inputs the durability layer
-/// persists separately (they never change mid-run, except the portfolio
-/// worker override, which the federation re-asserts every round).
+/// in the same logical state produce identical images. The configuration
+/// and the resource pool are *not* part of the image — they are
+/// construction inputs the durability layer persists separately (they
+/// never change mid-run, except the portfolio worker override, which the
+/// federation re-asserts every round).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ManagerImage {
     /// Live jobs (active + deferred), sorted by job id.
@@ -843,7 +870,8 @@ pub enum FailureAction {
 pub struct MrcpRm {
     cfg: MrcpConfig,
     resources: Vec<Resource>,
-    jobs: HashMap<JobId, JobState>,
+    /// Live jobs (active and deferred), iterated in job-id order.
+    jobs: BTreeMap<JobId, JobState>,
     /// Jobs parked by the deferral policy: `(activation, job)`.
     deferred: Vec<(SimTime, JobId)>,
     /// Task → owning job and the task's index in that job's `tasks`, for
@@ -852,6 +880,12 @@ pub struct MrcpRm {
     task_owner: HashMap<TaskId, (JobId, usize)>,
     /// Resources currently down — excluded from every scheduling round.
     down: HashSet<ResourceId>,
+    /// [`pool_fingerprint`] of the up resources, refreshed whenever one
+    /// goes down or comes back.
+    up_fp: u64,
+    /// Total `exec_time` of the live jobs' uncompleted tasks, kept by every
+    /// call that changes it ([`MrcpRm::outstanding_work`]).
+    outstanding: SimTime,
     /// The most recent round's failure, if it produced no schedule.
     last_error: Option<SchedulingError>,
     /// Budget-controller state: current scale on the per-round solver
@@ -863,6 +897,8 @@ pub struct MrcpRm {
     /// Previous round's placements for cross-round reuse; `None` when
     /// cold (first round, failed round, or invalidated).
     cache: Option<RoundCache>,
+    /// The newest round epoch: every install opens one.
+    epoch: u64,
     stats: ManagerStats,
     /// Live instruments mirroring `stats` (disabled by default; see
     /// [`MrcpRm::set_telemetry`]). Strictly observational: never read
@@ -876,15 +912,18 @@ impl MrcpRm {
         assert!(!resources.is_empty(), "manager needs at least one resource");
         MrcpRm {
             cfg,
+            up_fp: pool_fingerprint(&resources),
             resources,
-            jobs: HashMap::new(),
+            jobs: BTreeMap::new(),
             deferred: Vec::new(),
             task_owner: HashMap::new(),
             down: HashSet::new(),
+            outstanding: SimTime::ZERO,
             last_error: None,
             budget_scale: 1.0,
             latency_ewma_s: None,
             cache: None,
+            epoch: 0,
             stats: ManagerStats::default(),
             tel: ManagerTel::default(),
         }
@@ -937,15 +976,12 @@ impl MrcpRm {
     /// Total remaining execution time across live jobs' non-completed
     /// tasks — the load estimate the federation router compares cells by.
     pub fn outstanding_work(&self) -> SimTime {
-        let mut total = SimTime::ZERO;
-        for state in self.jobs.values() {
-            for t in &state.tasks {
-                if t.status != TaskStatusImage::Completed {
-                    total += t.exec_time;
-                }
-            }
-        }
-        total
+        debug_assert_eq!(
+            self.outstanding,
+            outstanding_of(&self.jobs),
+            "running total of outstanding work out of step"
+        );
+        self.outstanding
     }
 
     /// The stored job, if it is in the system (active or deferred).
@@ -967,8 +1003,7 @@ impl MrcpRm {
     /// tasks report [`SimTime::MAX`]. The federation rebalancer offers the
     /// late ones to cells with more slack.
     pub fn planned_unstarted_jobs(&self) -> Vec<PlannedJob> {
-        let mut out: Vec<PlannedJob> = self
-            .jobs
+        self.jobs
             .iter()
             .filter(|(_, s)| s.tasks.iter().all(|t| t.status == TaskStatusImage::Waiting))
             .map(|(&id, s)| {
@@ -989,9 +1024,7 @@ impl MrcpRm {
                     planned_completion: completion,
                 }
             })
-            .collect();
-        out.sort_unstable_by_key(|p| p.job);
-        out
+            .collect()
     }
 
     /// Remove a fully-unstarted job and hand it back for migration to
@@ -1011,24 +1044,34 @@ impl MrcpRm {
     }
 
     /// The one exit from the system: drop a job's record together with
-    /// its task ownership, plan entries and deferral. Migration, shedding,
-    /// abandonment and completion all leave through here, so the job (or
-    /// its task ids) can be submitted again afterwards.
+    /// its task ownership, plan entries, deferral and outstanding work.
+    /// Migration, shedding, abandonment and completion all leave through
+    /// here, so the job (or its task ids) can be submitted again afterwards.
+    /// A job of the cached round stays listed in the cache's image.
     fn remove_job(&mut self, id: JobId) -> Result<JobState, ManagerError> {
         let state = self.jobs.remove(&id).ok_or(ManagerError::UnknownJob(id))?;
         for t in &state.tasks {
             self.task_owner.remove(&t.id);
+            if t.status != TaskStatusImage::Completed {
+                self.outstanding -= t.exec_time;
+            }
         }
         if state.deferred {
             self.deferred.retain(|&(_, j)| j != id);
+        }
+        if let (Some(c), Some((epoch, fp))) = (self.cache.as_mut(), state.cached) {
+            if epoch == c.epoch {
+                c.departed.push((id, fp));
+            }
         }
         self.tel.jobs_in_system.set(self.jobs.len() as i64);
         Ok(state)
     }
 
     /// The one path from a task id to its record (owner index → job →
-    /// task, O(1)): the owning job's state and the task's index in its
-    /// `tasks` and `slots`.
+    /// task): the owning job's state and the task's index in its `tasks`
+    /// and `slots`. Every caller changes the task, so the job's
+    /// fingerprint memo is dropped.
     fn locate(&mut self, task: TaskId) -> Result<(&mut JobState, usize), ManagerError> {
         let (job, idx) = *self
             .task_owner
@@ -1041,6 +1084,7 @@ impl MrcpRm {
         if state.tasks.get(idx).is_none_or(|t| t.id != task) {
             return Err(ManagerError::Inconsistent("stale task index"));
         }
+        state.fp = None;
         Ok((state, idx))
     }
 
@@ -1083,6 +1127,7 @@ impl MrcpRm {
             debug_assert!(prev.is_none(), "task {:?} already known", t.id);
         }
         let remaining = tasks.len();
+        self.outstanding += tasks.iter().fold(SimTime::ZERO, |sum, t| sum + t.exec_time);
         let deferral = (self.cfg.defer && job.earliest_start > now).then_some(job.earliest_start);
         self.jobs.insert(
             id,
@@ -1092,6 +1137,8 @@ impl MrcpRm {
                 tasks,
                 remaining,
                 deferred: deferral.is_some(),
+                fp: None,
+                cached: None,
             },
         );
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.jobs.len());
@@ -1113,10 +1160,9 @@ impl MrcpRm {
     /// the reason and the earliest deadline the manager could have
     /// promised.
     fn admission_probe(&self, job: &Job, now: SimTime) -> Result<(), (RejectReason, SimTime)> {
-        let up = || self.resources.iter().filter(|r| !self.down.contains(&r.id));
-        let map_slots: u32 = up().map(|r| r.map_capacity).sum();
-        let reduce_slots: u32 = up().map(|r| r.reduce_capacity).sum();
-        if up().next().is_none()
+        let map_slots: u32 = self.up().map(|r| r.map_capacity).sum();
+        let reduce_slots: u32 = self.up().map(|r| r.reduce_capacity).sum();
+        if self.up().next().is_none()
             || (!job.map_tasks.is_empty() && map_slots == 0)
             || (!job.reduce_tasks.is_empty() && reduce_slots == 0)
         {
@@ -1145,32 +1191,29 @@ impl MrcpRm {
                 j.earliest_start.max(now).as_millis(),
             )
         };
-        let mut map_demand: Vec<(i64, i64)> = Vec::with_capacity(self.jobs.len() + 1);
-        let mut reduce_demand: Vec<(i64, i64)> = Vec::with_capacity(self.jobs.len() + 1);
-        let mut witness = Witness::new(up(), key(job));
+        let mut demand: Vec<(i64, i64, i64)> = Vec::with_capacity(self.jobs.len() + 1);
+        let mut witness = Witness::new(self.up(), key(job));
         let mut workflow = !job.precedences.is_empty();
-        let mut states: Vec<&JobState> = self.jobs.values().filter(|s| s.remaining > 0).collect();
-        states.sort_unstable_by_key(|s| s.job.id);
-        for state in states {
+        for state in self.jobs.values().filter(|s| s.remaining > 0) {
             let mut work = (0, 0);
             let tasks = state.outstanding().inspect(|t| add_work(&mut work, t));
             witness.book(state, key(&state.job), tasks);
-            let d = state.job.deadline.as_millis();
-            map_demand.push((d, work.0));
-            reduce_demand.push((d, work.1));
+            demand.push((state.job.deadline.as_millis(), work.0, work.1));
             workflow |= !state.job.precedences.is_empty();
         }
         let candidate = job.tasks().map(TaskInput::free);
         let mut work = (0, 0);
         candidate.clone().for_each(|t| add_work(&mut work, &t));
-        map_demand.push((job.deadline.as_millis(), work.0));
-        reduce_demand.push((job.deadline.as_millis(), work.1));
-        let total = |demand: &[(i64, i64)]| SimTime::from_millis(demand.iter().map(|p| p.1).sum());
-        let bound_violated = edf_demand_violation(now_ms, map_slots, &map_demand).is_some()
-            || edf_demand_violation(now_ms, reduce_slots, &reduce_demand).is_some();
-        let estimate = earliest_feasible_estimate(now, map_slots, total(&map_demand)).max(
-            earliest_feasible_estimate(now, reduce_slots, total(&reduce_demand)),
-        );
+        demand.push((job.deadline.as_millis(), work.0, work.1));
+        let (map_work, reduce_work) = demand
+            .iter()
+            .fold((0, 0), |sum, &(_, m, r)| (sum.0 + m, sum.1 + r));
+        let bound_violated =
+            edf_demand_violation(now_ms, (map_slots, reduce_slots), &mut demand).is_some();
+        let estimate =
+            earliest_feasible_estimate(now, map_slots, SimTime::from_millis(map_work)).max(
+                earliest_feasible_estimate(now, reduce_slots, SimTime::from_millis(reduce_work)),
+            );
 
         // Stage 2: the greedy witness. Workflow edges need the model.
         let completion = if workflow {
@@ -1178,7 +1221,7 @@ impl MrcpRm {
         } else {
             let c = witness.complete(JobState::outstanding, candidate);
             #[cfg(debug_assertions)]
-            if up().count() <= 128 {
+            if self.up().count() <= 128 {
                 debug_assert_eq!(
                     c,
                     self.model_witness(job, now),
@@ -1208,12 +1251,7 @@ impl MrcpRm {
     /// with outstanding work and the candidate last, over the up
     /// resources.
     fn model_witness(&self, job: &Job, now: SimTime) -> Option<SimTime> {
-        let up: Vec<Resource> = self
-            .resources
-            .iter()
-            .filter(|r| !self.down.contains(&r.id))
-            .cloned()
-            .collect();
+        let up: Vec<Resource> = self.up().cloned().collect();
         let (_, mut inputs) = Self::collect_inputs(self.cfg.ordering, &self.jobs, now, true);
         inputs.push(JobInput {
             priority: self.cfg.ordering.priority(job),
@@ -1260,6 +1298,17 @@ impl MrcpRm {
             self.stats.cache_invalidations += 1;
             self.tel.cache_invalidations.inc();
         }
+    }
+
+    /// The resources not down, in pool order.
+    fn up(&self) -> impl Iterator<Item = &Resource> + Clone {
+        self.resources.iter().filter(|r| !self.down.contains(&r.id))
+    }
+
+    /// Recompute [`pool_fingerprint`] of the up resources after the set of
+    /// downed ones changed.
+    fn refresh_up_fp(&mut self) {
+        self.up_fp = pool_fingerprint(self.up());
     }
 
     /// Drop every entry of the current plan.
@@ -1326,12 +1375,14 @@ impl MrcpRm {
     }
 
     /// Install a solved round. `jobs` lists the round's jobs in input
-    /// order and `placements` its tasks in the same flattened order (every
-    /// rung returns them so), so the walk takes one job lookup per job and
-    /// none per task. Each task's slot records its placement for the next
-    /// round's hints (read only while rounds are reused), each waiting task gets its
-    /// plan entry, and the plan comes back sorted by start. A placement
-    /// out of step with the round's tasks surfaces as a typed
+    /// order with their fingerprints, and `placements` its tasks in the
+    /// same flattened order (every rung returns them so), so the walk takes
+    /// one job lookup per job and none per task. Install opens a new epoch:
+    /// each job keeps its fingerprint as its memo and, while rounds are
+    /// reused, as its record of this round under the new epoch. Each task's
+    /// slot records its placement for the next round's hints, each waiting
+    /// task gets its plan entry, and the plan comes back sorted by start. A
+    /// placement out of step with the round's tasks surfaces as a typed
     /// [`SchedulingError`] (recorded as a failed round by the caller,
     /// which then clears the plan) rather than a panic.
     fn install(
@@ -1341,12 +1392,18 @@ impl MrcpRm {
         now: SimTime,
     ) -> Result<Vec<ScheduleEntry>, SchedulingError> {
         let _ = now; // only read by the debug assertion below
+        self.epoch += 1;
+        let record = self.cfg.reuse_rounds.then_some(self.epoch);
         let mut plan = Vec::with_capacity(placements.len());
         let mut next = placements.iter();
-        for &(id, _) in jobs {
+        for &(id, fp) in jobs {
             let state = self.jobs.get_mut(&id).ok_or_else(|| {
                 SchedulingError::Inconsistent(format!("round placed unknown job {id}"))
             })?;
+            state.fp = Some(fp);
+            if let Some(epoch) = record {
+                state.cached = Some((epoch, fp));
+            }
             for (t, slot) in state.tasks.iter().zip(&mut state.slots) {
                 slot.planned = None;
                 if t.status == TaskStatusImage::Completed {
@@ -1392,15 +1449,14 @@ impl MrcpRm {
     /// taking the field it reads so callers keep field-precise borrows.
     fn collect_inputs<'a>(
         ordering: JobOrdering,
-        jobs: &'a HashMap<JobId, JobState>,
+        jobs: &'a BTreeMap<JobId, JobState>,
         now: SimTime,
         include_deferred: bool,
     ) -> (Vec<&'a JobState>, Vec<JobInput<'a>>) {
-        let mut states: Vec<&JobState> = jobs
+        let states: Vec<&JobState> = jobs
             .values()
             .filter(|s| s.remaining > 0 && (include_deferred || !s.deferred))
             .collect();
-        states.sort_unstable_by_key(|s| s.job.id); // deterministic model construction
         let mut inputs: Vec<JobInput<'a>> = Vec::with_capacity(states.len());
         for &state in &states {
             let tasks: Vec<TaskInput> = state.outstanding().collect();
@@ -1584,7 +1640,7 @@ impl MrcpRm {
     /// is diagnostic-only and deliberately not captured; a restored
     /// manager starts with none.
     pub fn image(&self) -> ManagerImage {
-        let mut jobs: Vec<JobImage> = self
+        let jobs: Vec<JobImage> = self
             .jobs
             .values()
             .map(|s| JobImage {
@@ -1592,7 +1648,6 @@ impl MrcpRm {
                 tasks: s.tasks.clone(),
             })
             .collect();
-        jobs.sort_by_key(|j| j.job.id);
         let mut deferred = self.deferred.clone();
         deferred.sort_unstable();
         let mut schedule = self.plan_entries();
@@ -1600,7 +1655,15 @@ impl MrcpRm {
         let mut down: Vec<ResourceId> = self.down.iter().copied().collect();
         down.sort_unstable();
         let cache = self.cache.as_ref().map(|c| {
-            let mut fps: Vec<(JobId, u64)> = c.jobs.iter().map(|(&j, &fp)| (j, fp)).collect();
+            let mut fps: Vec<(JobId, u64)> = self
+                .jobs
+                .iter()
+                .filter_map(|(&id, s)| match s.cached {
+                    Some((epoch, fp)) if epoch == c.epoch => Some((id, fp)),
+                    _ => None,
+                })
+                .chain(c.departed.iter().copied())
+                .collect();
             fps.sort_unstable_by_key(|&(j, _)| j);
             let mut placements: Vec<(TaskId, ResourceId, SimTime)> = self
                 .jobs
@@ -1643,7 +1706,7 @@ impl MrcpRm {
         image: ManagerImage,
     ) -> Result<MrcpRm, ManagerError> {
         let mut rm = MrcpRm::new(cfg, resources);
-        let mut jobs = HashMap::with_capacity(image.jobs.len());
+        let mut jobs = BTreeMap::new();
         let mut task_owner = HashMap::new();
         for ji in image.jobs {
             let id = ji.job.id;
@@ -1663,6 +1726,8 @@ impl MrcpRm {
                 tasks,
                 remaining,
                 deferred: false,
+                fp: None,
+                cached: None,
             };
             if jobs.insert(id, state).is_some() {
                 return Err(ManagerError::Inconsistent("snapshot lists a job twice"));
@@ -1710,14 +1775,26 @@ impl MrcpRm {
                     }
                 }
             }
+            // The round's jobs still in the system carry their record; the
+            // rest left after it and stay listed.
+            let mut departed = Vec::new();
+            for (j, fp) in c.jobs {
+                match jobs.get_mut(&j) {
+                    Some(state) => state.cached = Some((rm.epoch, fp)),
+                    None => departed.push((j, fp)),
+                }
+            }
             RoundCache {
                 pool_fp: c.pool_fp,
-                jobs: c.jobs.into_iter().collect(),
+                epoch: rm.epoch,
+                departed,
             }
         });
+        rm.outstanding = outstanding_of(&jobs);
         rm.jobs = jobs;
         rm.task_owner = task_owner;
         rm.down = down;
+        rm.refresh_up_fp();
         rm.deferred = image.deferred;
         rm.budget_scale = image.budget_scale;
         rm.latency_ewma_s = image.latency_ewma_s;
@@ -1882,12 +1959,7 @@ impl ResourceManager for MrcpRm {
         // Exclude crashed resources from the round. With the whole cluster
         // down there is nothing to plan onto; keep the work queued until a
         // resource recovers.
-        let up: Vec<Resource> = self
-            .resources
-            .iter()
-            .filter(|r| !self.down.contains(&r.id))
-            .cloned()
-            .collect();
+        let up: Vec<Resource> = self.up().cloned().collect();
         if up.is_empty() {
             self.clear_plan();
             return Vec::new();
@@ -1905,11 +1977,18 @@ impl ResourceManager for MrcpRm {
         // Cross-round reuse: replay the previous round's placements, which
         // each job carries in its slots, for jobs whose fingerprint is
         // unchanged under the same resource pool. Pinned tasks are already
-        // constrained by the model and need no hint.
-        let pool_fp = pool_fingerprint(&up);
-        let job_fps: Vec<(JobId, u64)> = inputs
+        // constrained by the model and need no hint. Only a job whose
+        // inputs changed since it was last installed is hashed.
+        let pool_fp = self.up_fp;
+        debug_assert_eq!(pool_fp, pool_fingerprint(&up), "stale pool fingerprint");
+        let job_fps: Vec<(JobId, u64)> = states
             .iter()
-            .map(|i| (i.job.id, job_fingerprint(i)))
+            .zip(&inputs)
+            .map(|(state, input)| {
+                let fp = state.fp.unwrap_or_else(|| job_fingerprint(input));
+                debug_assert_eq!(fp, job_fingerprint(input), "stale fingerprint memo");
+                (input.job.id, fp)
+            })
             .collect();
         let hints: Option<Vec<Option<(ResourceId, SimTime)>>> = if self.cfg.reuse_rounds {
             self.cache
@@ -1917,8 +1996,8 @@ impl ResourceManager for MrcpRm {
                 .filter(|c| c.pool_fp == pool_fp)
                 .map(|c| {
                     let mut hints = Vec::with_capacity(n_tasks);
-                    for ((state, inp), &(id, fp)) in states.iter().zip(&inputs).zip(&job_fps) {
-                        if c.jobs.get(&id) != Some(&fp) {
+                    for ((state, inp), &(_, fp)) in states.iter().zip(&inputs).zip(&job_fps) {
+                        if state.cached != Some((c.epoch, fp)) {
                             hints.resize(hints.len() + inp.tasks.len(), None);
                             continue;
                         }
@@ -1962,11 +2041,13 @@ impl ResourceManager for MrcpRm {
             Ok(round)
         });
         if installed.is_ok() {
-            // Remember this round for the next one's warm start.
+            // Remember this round for the next one's warm start: install
+            // recorded it on its jobs under the newest epoch.
             if self.cfg.reuse_rounds {
                 self.cache = Some(RoundCache {
                     pool_fp,
-                    jobs: job_fps.into_iter().collect(),
+                    epoch: self.epoch,
+                    departed: Vec::new(),
                 });
             }
             if warm {
@@ -2019,8 +2100,11 @@ impl ResourceManager for MrcpRm {
             _ => return Err(ManagerError::TaskNotRunning(task)),
         }
         t.status = TaskStatusImage::Completed;
+        let exec = t.exec_time;
         *remaining -= 1;
-        if *remaining > 0 {
+        let done = *remaining == 0;
+        self.outstanding -= exec;
+        if !done {
             return Ok(None);
         }
         let state = self.remove_job(job)?;
@@ -2039,13 +2123,12 @@ impl ResourceManager for MrcpRm {
         new_exec: SimTime,
     ) -> Result<(), ManagerError> {
         let (_, t, _) = self.task_mut(task)?;
-        match t.status {
-            TaskStatusImage::Started { .. } => {
-                t.exec_time = new_exec;
-                Ok(())
-            }
-            _ => Err(ManagerError::TaskNotRunning(task)),
+        if !matches!(t.status, TaskStatusImage::Started { .. }) {
+            return Err(ManagerError::TaskNotRunning(task));
         }
+        let old = std::mem::replace(&mut t.exec_time, new_exec);
+        self.outstanding = self.outstanding - old + new_exec;
+        Ok(())
     }
 
     fn task_failed(&mut self, task: TaskId, _now: SimTime) -> Result<FailureAction, ManagerError> {
@@ -2057,8 +2140,10 @@ impl ResourceManager for MrcpRm {
         // abandoned just below).
         t.failed_attempts += 1;
         let failed_attempts = t.failed_attempts;
-        t.exec_time = t.nominal_exec;
+        let old = std::mem::replace(&mut t.exec_time, t.nominal_exec);
+        let nominal = t.nominal_exec;
         t.status = TaskStatusImage::Waiting;
+        self.outstanding = self.outstanding - old + nominal;
         self.stats.tasks_failed += 1;
         self.tel.tasks_failed.inc();
         if failed_attempts > self.cfg.retry_budget {
@@ -2082,13 +2167,16 @@ impl ResourceManager for MrcpRm {
         if !self.down.insert(rid) {
             return Err(ManagerError::ResourceAlreadyDown(rid));
         }
+        self.refresh_up_fp();
         let mut interrupted = Vec::new();
         for state in self.jobs.values_mut() {
             for (t, slot) in state.tasks.iter_mut().zip(&mut state.slots) {
                 if matches!(t.status, TaskStatusImage::Started { resource, .. } if resource == rid)
                 {
+                    self.outstanding = self.outstanding - t.exec_time + t.nominal_exec;
                     t.exec_time = t.nominal_exec;
                     t.status = TaskStatusImage::Waiting;
+                    state.fp = None;
                     interrupted.push(t.id);
                 }
                 if slot.planned.is_some_and(|e| e.resource == rid) {
@@ -2111,6 +2199,7 @@ impl ResourceManager for MrcpRm {
         if !self.down.remove(&rid) {
             return Err(ManagerError::ResourceNotDown(rid));
         }
+        self.refresh_up_fp();
         self.invalidate_round_cache();
         self.tel.resources_down.set(self.down.len() as i64);
         Ok(())
@@ -3259,6 +3348,165 @@ mod tests {
             assert_eq!(plan, expected);
             assert_eq!(m.stats().warm_rounds, 1);
         }
+    }
+
+    /// What a round would hash for `state` (the release is not hashed).
+    fn fingerprint_of(rm: &MrcpRm, state: &JobState) -> u64 {
+        job_fingerprint(&JobInput {
+            priority: rm.cfg.ordering.priority(&state.job),
+            job: &state.job,
+            release: SimTime::ZERO,
+            tasks: state.outstanding().collect(),
+        })
+    }
+
+    /// Every started task: `(task, start, exec_time)`.
+    fn running(rm: &MrcpRm) -> Vec<(TaskId, SimTime, SimTime)> {
+        let tasks = rm.jobs.values().flat_map(|s| &s.tasks);
+        tasks
+            .filter_map(|t| match t.status {
+                TaskStatusImage::Started { start, .. } => Some((t.id, start, t.exec_time)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Random command sequences: submits (some deferred), resubmits of jobs
+    /// that left, starts, completions, failures, stragglers, outages,
+    /// migrations and restores, most followed by a round. After every
+    /// command each job's fingerprint memo is empty or current, the pool
+    /// fingerprint and the running total of outstanding work match a fresh
+    /// computation, and restoring the image gives the same image back,
+    /// departed jobs' fingerprints included. Checked explicitly, so the
+    /// release build tests what debug builds also assert every round.
+    #[test]
+    fn memos_totals_and_images_hold_under_random_commands() {
+        use rand::{Rng, SeedableRng};
+        let (mut memos, mut departed_listed, mut warm_rounds) = (0, 0, 0);
+        for seed in 0..24 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut rm = MrcpRm::new(MrcpConfig::default(), homogeneous_cluster(3, 1, 1));
+            let mut now = SimTime::ZERO;
+            let mut gone: Vec<Job> = Vec::new();
+            let pick = |rng: &mut rand::rngs::StdRng, n: usize| rng.gen_range(0..n);
+            for next_id in 0..80 {
+                let run = running(&rm);
+                let cmd = rng.gen_range(0..10);
+                match cmd {
+                    0 | 1 => {
+                        let maps: Vec<i64> = (0..rng.gen_range(1..4))
+                            .map(|_| rng.gen_range(1..10))
+                            .collect();
+                        let reduces: Vec<i64> = (0..rng.gen_range(0..3))
+                            .map(|_| rng.gen_range(1..6))
+                            .collect();
+                        let arrival = now.as_millis() / 1000 + 1;
+                        let s = arrival + rng.gen_range(0..3i64) * 5;
+                        let deadline = s + rng.gen_range(10..60i64);
+                        let job = mk_job(next_id, arrival, s, deadline, &maps, &reduces);
+                        now = job.arrival;
+                        rm.submit(job, now).unwrap();
+                    }
+                    2 if !gone.is_empty() => {
+                        let job = gone.swap_remove(pick(&mut rng, gone.len()));
+                        now = now.max(job.arrival);
+                        rm.submit(job, now).unwrap();
+                    }
+                    3 => {
+                        // As a host would: a reduce starts once its job's
+                        // maps have all completed.
+                        let plan = rm.current_schedule();
+                        let ready = |e: &&ScheduleEntry| {
+                            let tasks = &rm.jobs[&e.job].tasks;
+                            let map = tasks
+                                .iter()
+                                .any(|t| t.id == e.task && t.kind == TaskKind::Map);
+                            e.start >= now
+                                && (map
+                                    || tasks.iter().all(|t| {
+                                        t.kind == TaskKind::Reduce
+                                            || t.status == TaskStatusImage::Completed
+                                    }))
+                        };
+                        if let Some(e) = plan.iter().find(ready) {
+                            now = e.start;
+                            rm.task_started(e.task, now).unwrap();
+                        }
+                    }
+                    4 | 5 if !run.is_empty() => {
+                        let (task, start, exec) = run[pick(&mut rng, run.len())];
+                        now = now.max(start + exec);
+                        let job = rm.job(rm.task_owner[&task].0).unwrap().clone();
+                        if rm.task_completed(task, now).unwrap().is_some() {
+                            gone.push(job);
+                        }
+                    }
+                    6 if !run.is_empty() => {
+                        let task = run[pick(&mut rng, run.len())].0;
+                        let job = rm.job(rm.task_owner[&task].0).unwrap().clone();
+                        if let FailureAction::JobAbandoned(_) = rm.task_failed(task, now).unwrap() {
+                            gone.push(job);
+                        }
+                    }
+                    7 if !run.is_empty() => {
+                        let (task, _, exec) = run[pick(&mut rng, run.len())];
+                        let longer = exec + SimTime::from_secs(rng.gen_range(1..5));
+                        rm.task_duration_revised(task, longer).unwrap();
+                    }
+                    8 => {
+                        let rid = ResourceId(rng.gen_range(0..3));
+                        if rm.down.contains(&rid) {
+                            rm.resource_up(rid, now).unwrap();
+                        } else {
+                            rm.resource_down(rid, now).unwrap();
+                        }
+                    }
+                    9 => {
+                        let unstarted = rm.planned_unstarted_jobs();
+                        if rng.gen_bool(0.5) && !unstarted.is_empty() {
+                            let id = unstarted[pick(&mut rng, unstarted.len())].job;
+                            gone.push(rm.take_unstarted_job(id).unwrap());
+                        } else {
+                            let image = rm.image();
+                            rm = MrcpRm::restore(*rm.config(), rm.resources().to_vec(), image)
+                                .unwrap();
+                        }
+                    }
+                    _ => continue,
+                }
+                // Rounds follow most events, but not every one: a job that
+                // leaves stays listed in the image until the next round.
+                if rng.gen_bool(if cmd == 3 { 0.3 } else { 0.6 }) {
+                    rm.activate_due(now);
+                    rm.reschedule(now);
+                }
+
+                for state in rm.jobs.values() {
+                    if let Some(fp) = state.fp {
+                        assert_eq!(fp, fingerprint_of(&rm, state), "stale memo (seed {seed})");
+                        memos += 1;
+                    }
+                }
+                assert_eq!(rm.up_fp, pool_fingerprint(rm.up()));
+                let walk = outstanding_of(&rm.jobs);
+                assert_eq!(rm.outstanding_work(), walk, "seed {seed}");
+                let image = rm.image();
+                let restored =
+                    MrcpRm::restore(*rm.config(), rm.resources().to_vec(), image.clone()).unwrap();
+                assert_eq!(restored.image(), image, "seed {seed}");
+                assert_eq!(restored.outstanding_work(), walk);
+                if let Some(c) = &image.cache {
+                    departed_listed += c.jobs.iter().filter(|&&(j, _)| rm.job(j).is_none()).count();
+                }
+            }
+            warm_rounds += rm.stats().warm_rounds;
+        }
+        assert!(memos > 2_000, "memos checked: {memos}");
+        assert!(
+            departed_listed > 20,
+            "departed jobs listed: {departed_listed}"
+        );
+        assert!(warm_rounds > 100, "warm rounds: {warm_rounds}");
     }
 
     /// Install walks the round's jobs and placements in lockstep, so a
