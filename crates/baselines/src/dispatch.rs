@@ -2,7 +2,7 @@
 //! MRCP-RM runs on ([`mrcp::simulate_with`]), with the same metrics.
 //!
 //! ARIA's cluster model: map and reduce slots, one task per slot (task
-//! `req` and job `precedences` are ignored), no preemption. A job is
+//! `req` is ignored), no preemption. A job is
 //! eligible at `max(v_j, s_j)`, its reduces once its maps are done. A free
 //! slot goes to the job the [`Policy`] picks, on the lowest-id up resource
 //! with one; for one-slot tasks that is the schedule a slot pool gives.
@@ -280,6 +280,9 @@ impl ResourceManager for DispatchRm {
     ) -> Result<AdmissionOutcome, ManagerError> {
         if self.jobs.contains_key(&job.id) {
             return Err(ManagerError::DuplicateJob(job.id));
+        }
+        if let Some(id) = job.repeated_task() {
+            return Err(ManagerError::DuplicateTask(id));
         }
         let (maps, reduces) = (&job.map_tasks, &job.reduce_tasks);
         let left = [maps.len(), reduces.len()];
@@ -588,7 +591,6 @@ pub(crate) mod tests {
             deadline: SimTime::from_secs(d),
             map_tasks: maps.iter().map(|&e| task(TaskKind::Map, e)).collect(),
             reduce_tasks: reduces.iter().map(|&e| task(TaskKind::Reduce, e)).collect(),
-            precedences: vec![],
         }
     }
 
@@ -629,6 +631,21 @@ pub(crate) mod tests {
 
     fn at(secs: i64) -> SimTime {
         SimTime::from_secs(secs)
+    }
+
+    /// A job whose two maps share a task id is refused before any state
+    /// changes: a plan keyed by task id could start only one of the two,
+    /// and the job would never leave the system.
+    #[test]
+    fn a_job_that_repeats_a_task_id_is_refused() {
+        let mut d = rm(Policy::MinEdfWc, (1, 1));
+        let mut job = mk_job(0, 0, 0, 100, &[10, 10], &[5]);
+        job.map_tasks[1].id = job.map_tasks[0].id;
+        let refused = d.submit_with_admission(job, at(0));
+        assert_eq!(refused.unwrap_err(), ManagerError::DuplicateTask(TaskId(0)));
+        assert_eq!(d.jobs_in_system(), 0);
+        assert_eq!(d.stats().jobs_rejected, 0);
+        assert!(d.reschedule(at(0)).is_empty());
     }
 
     #[test]

@@ -433,7 +433,6 @@ mod tests {
                 exec_time: SimTime::from_secs(5),
                 req: 1,
             }],
-            precedences: Vec::new(),
         }
     }
 

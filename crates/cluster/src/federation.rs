@@ -1410,7 +1410,6 @@ mod tests {
                 req: 1,
             }],
             reduce_tasks: Vec::new(),
-            precedences: Vec::new(),
         }
     }
 

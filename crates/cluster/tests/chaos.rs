@@ -287,7 +287,6 @@ fn revise_after_start(fed: &mut impl ResourceManager, tel: &Telemetry, crash: bo
             req: 1,
         }],
         reduce_tasks: vec![],
-        precedences: vec![],
     };
     fed.submit_with_admission(job, t).unwrap();
     let plan = fed.reschedule(t);

@@ -36,7 +36,6 @@ fn job(id: u32, maps: u32, exec: SimTime, deadline: SimTime) -> Job {
         deadline,
         map_tasks,
         reduce_tasks,
-        precedences: Vec::new(),
     }
 }
 

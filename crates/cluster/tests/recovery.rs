@@ -305,7 +305,6 @@ fn two_task_job(id: u32) -> Job {
         deadline: SimTime::from_millis(120_000),
         map_tasks: vec![t(id * 10, workload::TaskKind::Map)],
         reduce_tasks: vec![t(id * 10 + 1, workload::TaskKind::Reduce)],
-        precedences: vec![],
     }
 }
 

@@ -13,9 +13,8 @@ use crate::model::{Model, ResRef, SlotKind, TaskRef};
 /// `max_states` placement attempts. Returns `None` when the state budget is
 /// exceeded or a pinned task is contradictory (no complete placement).
 pub fn brute_force_optimal(model: &Model, max_states: u64) -> Option<u32> {
-    // Placement order: maps before their job's reduces (barrier), and a
-    // topological order over any user precedence edges, so each task's
-    // earliest permissible start is known once its predecessors are placed.
+    // Placement order: maps before their job's reduces (barrier), so each
+    // reduce's earliest permissible start is known once its maps are placed.
     let mut order: Vec<TaskRef> = Vec::with_capacity(model.n_tasks());
     for j in 0..model.n_jobs() {
         order.extend(model.maps_of[j].iter().copied());
@@ -23,41 +22,6 @@ pub fn brute_force_optimal(model: &Model, max_states: u64) -> Option<u32> {
     for j in 0..model.n_jobs() {
         order.extend(model.reduces_of[j].iter().copied());
     }
-    if !model.precedences.is_empty() {
-        // Stable topological sort over user edges PLUS the barrier edges
-        // (each job's maps before its reduces), so every floor computation
-        // below sees all of its inputs already placed.
-        let n = model.n_tasks();
-        let mut indeg = vec![0usize; n];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &(a, b) in &model.precedences {
-            succs[a.idx()].push(b.idx());
-            indeg[b.idx()] += 1;
-        }
-        for j in 0..model.n_jobs() {
-            for &m in &model.maps_of[j] {
-                for &r in &model.reduces_of[j] {
-                    succs[m.idx()].push(r.idx());
-                    indeg[r.idx()] += 1;
-                }
-            }
-        }
-        let mut placed = vec![false; n];
-        let mut topo: Vec<TaskRef> = Vec::with_capacity(n);
-        while topo.len() < n {
-            let next = order
-                .iter()
-                .position(|t| !placed[t.idx()] && indeg[t.idx()] == 0)?; // cycle → None
-            let t = order[next];
-            placed[t.idx()] = true;
-            for &s in &succs[t.idx()] {
-                indeg[s] -= 1;
-            }
-            topo.push(t);
-        }
-        order = topo;
-    }
-
     let horizon = model.horizon;
     let max_end = horizon + model.tasks.iter().map(|t| t.dur).max().unwrap_or(0) + 1;
 
@@ -129,16 +93,11 @@ pub fn brute_force_optimal(model: &Model, max_states: u64) -> Option<u32> {
         let req = spec.req as i64;
 
         // Barrier floor: reduces wait for their job's maps (all already
-        // placed thanks to the ordering); user precedence floors likewise.
+        // placed thanks to the ordering).
         let mut floor = model.task_release(t);
         if spec.kind == SlotKind::Reduce {
             for &m in &model.maps_of[spec.job.idx()] {
                 floor = floor.max(starts[m.idx()] + model.tasks[m.idx()].dur);
-            }
-        }
-        for &(a, b) in &model.precedences {
-            if b == t {
-                floor = floor.max(starts[a.idx()] + model.tasks[a.idx()].dur);
             }
         }
 
@@ -261,31 +220,6 @@ mod tests {
         let m = b.build().unwrap();
         // reduce can start at 4 at the earliest → ends at 8 > 7 → 1 late.
         assert_eq!(brute_force_optimal(&m, 10_000_000), Some(1));
-    }
-
-    #[test]
-    fn respects_user_precedences() {
-        // Chain of two 3-long maps on 2 free resources: serialized by the
-        // edge, so a 5-deadline is missed but 6 is met.
-        let mut b = ModelBuilder::new();
-        b.add_resource(2, 1);
-        let j = b.add_job(0, 5);
-        let a = b.add_task(j, SlotKind::Map, 3, 1);
-        let c = b.add_task(j, SlotKind::Map, 3, 1);
-        b.add_precedence(a, c);
-        b.set_horizon(8);
-        let m = b.build().unwrap();
-        assert_eq!(brute_force_optimal(&m, 10_000_000), Some(1));
-
-        let mut b = ModelBuilder::new();
-        b.add_resource(2, 1);
-        let j = b.add_job(0, 6);
-        let a = b.add_task(j, SlotKind::Map, 3, 1);
-        let c = b.add_task(j, SlotKind::Map, 3, 1);
-        b.add_precedence(a, c);
-        b.set_horizon(8);
-        let m = b.build().unwrap();
-        assert_eq!(brute_force_optimal(&m, 10_000_000), Some(0));
     }
 
     #[test]

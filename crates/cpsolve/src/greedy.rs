@@ -294,7 +294,9 @@ impl Calendar {
 
     /// Book one free task of `kind` at its earliest start at or after
     /// `floor`, ties to the lower resource and slot: `(resource, start)`,
-    /// or `None` when no resource has a slot of `kind`.
+    /// or `None` when no resource has a slot of `kind`. The kernel's own
+    /// callers go through [`Calendar::place`]; the tests drive it directly.
+    #[cfg(test)]
     fn fit(&mut self, kind: SlotKind, floor: i64, dur: i64) -> Option<(usize, i64)> {
         self.pool(kind).fit(floor, dur)
     }
@@ -346,10 +348,6 @@ fn place_kind<T: Copy>(pool: &mut Pool, floor: i64, tasks: &mut [Free<T>]) -> Re
 /// Schedule `model` greedily. Fails when a pinned task cannot be honoured
 /// (capacity conflict among pinned tasks) or when a task has `q_t > 1`.
 ///
-/// Models with user precedences are routed through the topological variant
-/// ([`greedy_topo`]), which respects arbitrary precedence DAGs at the cost
-/// of a weaker job-grouping heuristic.
-///
 /// ```
 /// use cpsolve::model::{ModelBuilder, SlotKind};
 /// use cpsolve::greedy::greedy_edf;
@@ -383,9 +381,7 @@ pub type Hint = Option<(ResRef, i64)>;
 /// (reduces), the resource must exist and have capacity for the task's
 /// kind, and a free slot must exist at that time. Stale hints silently
 /// fall back to the normal best-fit rule, so the result is always a
-/// feasible schedule. Models with user precedences route to
-/// [`greedy_topo`] (hints ignored — floors there depend on dynamic
-/// predecessor completion).
+/// feasible schedule.
 pub fn greedy_edf_with_hints(model: &Model, hints: &[Hint]) -> Result<Solution, String> {
     debug_assert_eq!(hints.len(), model.n_tasks());
     greedy_edf_core(model, Some(hints))
@@ -397,16 +393,15 @@ thread_local! {
     pub(crate) static PASSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// A calendar for `model`'s resources with every pinned task booked, in
-/// task-index order, and the pinned placements written out.
-fn pinned_calendar(
-    model: &Model,
-    starts: &mut [i64],
-    resource: &mut [ResRef],
-) -> Result<Calendar, String> {
+fn greedy_edf_core(model: &Model, hints: Option<&[Hint]>) -> Result<Solution, String> {
+    #[cfg(test)]
+    PASSES.with(|p| p.set(p.get() + 1));
     if model.tasks.iter().any(|t| t.req != 1) {
         return Err("greedy scheduler supports unit capacity requirements only".into());
     }
+    let mut starts = vec![0i64; model.n_tasks()];
+    let mut resource = vec![ResRef(0); model.n_tasks()];
+    // Every pinned task booked first, in task-index order.
     let mut cal = Calendar::new(model.resources.iter().map(|r| (r.map_cap, r.reduce_cap)));
     for (i, spec) in model.tasks.iter().enumerate() {
         if let Some((r, s)) = spec.fixed {
@@ -417,18 +412,6 @@ fn pinned_calendar(
             resource[i] = r;
         }
     }
-    Ok(cal)
-}
-
-fn greedy_edf_core(model: &Model, hints: Option<&[Hint]>) -> Result<Solution, String> {
-    #[cfg(test)]
-    PASSES.with(|p| p.set(p.get() + 1));
-    if !model.precedences.is_empty() {
-        return greedy_topo(model);
-    }
-    let mut starts = vec![0i64; model.n_tasks()];
-    let mut resource = vec![ResRef(0); model.n_tasks()];
-    let mut cal = pinned_calendar(model, &mut starts, &mut resource)?;
 
     // Priority order over jobs (EDF by default); stable tie-break on
     // deadline, release, then index. After the pinned tasks, each job is
@@ -487,90 +470,6 @@ fn greedy_edf_core(model: &Model, hints: Option<&[Hint]>) -> Result<Solution, St
         }
     }
 
-    Ok(Solution::from_placements(model, starts, resource))
-}
-
-/// Greedy list scheduler for models with arbitrary user precedences
-/// (the paper's future-work "complex workflows" generalization).
-///
-/// Tasks are dispatched in Kahn topological order over the combined
-/// precedence graph (user edges + the implicit map→reduce barrier), with
-/// the owning job's priority (then deadline, then index) breaking ties.
-/// Each task starts at the earliest slot time at or after all of its
-/// predecessors' completions.
-pub fn greedy_topo(model: &Model) -> Result<Solution, String> {
-    let n = model.n_tasks();
-    let mut starts = vec![0i64; n];
-    let mut resource = vec![ResRef(0); n];
-    // Pinned tasks are placed first (they are already executing and by
-    // construction have no unfinished predecessors).
-    let mut cal = pinned_calendar(model, &mut starts, &mut resource)?;
-
-    // Build the dependency graph: user edges + barrier edges (every map of
-    // a job precedes every reduce of the job, aggregated via counts).
-    let mut indegree = vec![0usize; n];
-    let mut succs: Vec<Vec<TaskRef>> = vec![Vec::new(); n];
-    for &(a, b) in &model.precedences {
-        succs[a.idx()].push(b);
-        indegree[b.idx()] += 1;
-    }
-    for j in 0..model.n_jobs() {
-        let maps = &model.maps_of[j];
-        let reduces = &model.reduces_of[j];
-        for &m in maps {
-            for &r in reduces {
-                succs[m.idx()].push(r);
-                indegree[r.idx()] += 1;
-            }
-        }
-    }
-
-    // Earliest-permissible floor per task, raised as predecessors finish.
-    let mut floor: Vec<i64> = (0..n)
-        .map(|i| model.task_release(TaskRef(i as u32)))
-        .collect();
-
-    // Kahn's algorithm with a priority-ordered ready set.
-    let key = |t: TaskRef| {
-        let job = &model.jobs[model.tasks[t.idx()].job.idx()];
-        (job.priority, job.deadline, t.0)
-    };
-    let mut ready: Vec<TaskRef> = (0..n)
-        .map(|i| TaskRef(i as u32))
-        .filter(|t| indegree[t.idx()] == 0)
-        .collect();
-    let mut placed = 0usize;
-    while let Some(pos) = ready
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, &t)| key(t))
-        .map(|(i, _)| i)
-    {
-        let t = ready.swap_remove(pos);
-        let i = t.idx();
-        let spec = &model.tasks[i];
-        if spec.fixed.is_none() {
-            let (r, s) = cal
-                .fit(spec.kind, floor[i], spec.dur)
-                .ok_or_else(|| format!("no resource can host task {t:?}"))?;
-            starts[i] = s;
-            resource[i] = ResRef(r as u32);
-        }
-        placed += 1;
-        let end = starts[i] + spec.dur;
-        #[allow(clippy::needless_range_loop)] // indexes two arrays via succ
-        for k in 0..succs[i].len() {
-            let succ = succs[i][k];
-            floor[succ.idx()] = floor[succ.idx()].max(end);
-            indegree[succ.idx()] -= 1;
-            if indegree[succ.idx()] == 0 {
-                ready.push(succ);
-            }
-        }
-    }
-    if placed != n {
-        return Err("precedence graph contains a cycle".into());
-    }
     Ok(Solution::from_placements(model, starts, resource))
 }
 

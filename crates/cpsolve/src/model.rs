@@ -108,7 +108,6 @@ pub struct ModelBuilder {
     jobs: Vec<JobSpec>,
     tasks: Vec<TaskSpec>,
     resources: Vec<ResSpec>,
-    precedences: Vec<(TaskRef, TaskRef)>,
     horizon: Option<i64>,
 }
 
@@ -166,23 +165,11 @@ impl ModelBuilder {
         self.tasks[task.idx()].fixed = Some((resource, start));
     }
 
-    /// Add an explicit precedence `before` → `after` beyond the implicit
-    /// map→reduce phase barrier (the paper's future-work "complex workflows
-    /// with user-specified precedence relationships").
-    pub fn add_precedence(&mut self, before: TaskRef, after: TaskRef) {
-        self.precedences.push((before, after));
-    }
-
     /// Override the scheduling horizon (start-time upper bound). Without an
     /// override a safe horizon is derived: every job could be serialized
     /// after the latest release.
     pub fn set_horizon(&mut self, horizon: i64) {
         self.horizon = Some(horizon);
-    }
-
-    /// Number of tasks added so far.
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
     }
 
     /// Compile into an immutable [`Model`], validating the input.
@@ -225,14 +212,6 @@ impl ModelBuilder {
         // Note: `deadline < release` is legal — an open system can carry a
         // job that already blew its deadline while waiting; the formulation
         // just forces `N_j = 1` for it.
-        for &(a, b) in &self.precedences {
-            if a.idx() >= self.tasks.len() || b.idx() >= self.tasks.len() {
-                return Err(format!("precedence ({a:?},{b:?}) references unknown task"));
-            }
-            if a == b {
-                return Err(format!("self-precedence on {a:?}"));
-            }
-        }
 
         // Per-job task lists.
         let mut maps_of = vec![Vec::new(); self.jobs.len()];
@@ -272,7 +251,6 @@ impl ModelBuilder {
             jobs: self.jobs,
             tasks: self.tasks,
             resources: self.resources,
-            precedences: self.precedences,
             maps_of,
             reduces_of,
             horizon,
@@ -289,8 +267,6 @@ pub struct Model {
     pub tasks: Vec<TaskSpec>,
     /// The resource pool `R`.
     pub resources: Vec<ResSpec>,
-    /// Extra user precedences (beyond the map→reduce barrier).
-    pub precedences: Vec<(TaskRef, TaskRef)>,
     /// Map tasks of each job (`T_j^mp`).
     pub maps_of: Vec<Vec<TaskRef>>,
     /// Reduce tasks of each job (`T_j^rd`).
@@ -459,11 +435,6 @@ mod tests {
         b.add_resource(1, 0);
         let j = b.add_job(0, 10);
         b.add_task(j, SlotKind::Reduce, 1, 1);
-        assert!(b.build().is_err());
-
-        // self precedence
-        let mut b = small();
-        b.add_precedence(TaskRef(0), TaskRef(0));
         assert!(b.build().is_err());
 
         // too many resources

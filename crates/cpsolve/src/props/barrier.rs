@@ -1,5 +1,4 @@
-//! Precedence propagation: the map→reduce phase barrier (paper constraint 3)
-//! and generic pairwise task precedences.
+//! The map→reduce phase barrier (paper constraint 3).
 
 use super::{Ctx, PropClass, Propagator};
 use crate::model::{JobRef, Model, TaskRef};
@@ -65,48 +64,6 @@ impl Propagator for PhaseBarrier {
 
     fn watched_tasks(&self, model: &Model) -> Vec<TaskRef> {
         model.tasks_of(self.job).collect()
-    }
-
-    fn class(&self) -> PropClass {
-        PropClass::Barrier
-    }
-}
-
-/// A user-specified precedence `before → after`:
-/// `start(after) ≥ start(before) + dur(before)`.
-#[derive(Debug)]
-pub struct Precedence {
-    before: TaskRef,
-    after: TaskRef,
-}
-
-impl Precedence {
-    /// `before` must complete before `after` starts.
-    pub fn new(before: TaskRef, after: TaskRef) -> Self {
-        Precedence { before, after }
-    }
-}
-
-impl Propagator for Precedence {
-    fn propagate(&mut self, ctx: &mut Ctx<'_>) -> Result<(), Conflict> {
-        let dur_before = ctx.model.tasks[self.before.idx()].dur;
-        ctx.dom
-            .set_lb(self.after, ctx.dom.lb(self.before) + dur_before)?;
-        if ctx.model.tasks[self.before.idx()].fixed.is_none() {
-            ctx.dom
-                .set_ub(self.before, ctx.dom.ub(self.after) - dur_before)?;
-        }
-        Ok(())
-    }
-
-    /// Idempotent: a run reads `lb(before)` and `ub(after)` and writes only
-    /// `lb(after)` and `ub(before)` (the model rejects self-precedences).
-    fn at_own_fixpoint(&self) -> bool {
-        true
-    }
-
-    fn watched_tasks(&self, _model: &Model) -> Vec<TaskRef> {
-        vec![self.before, self.after]
     }
 
     fn class(&self) -> PropClass {
@@ -180,23 +137,6 @@ mod tests {
             bound: u32::MAX,
         };
         assert!(p.propagate(&mut c).is_err());
-    }
-
-    #[test]
-    fn pairwise_precedence_propagates_both_ways() {
-        let model = ctx_model();
-        let mut dom = Domains::new(&model);
-        let mut p = Precedence::new(TaskRef(0), TaskRef(1));
-        dom.set_lb(TaskRef(0), 5).unwrap();
-        dom.set_ub(TaskRef(1), 40).unwrap();
-        let mut c = Ctx {
-            model: &model,
-            dom: &mut dom,
-            bound: u32::MAX,
-        };
-        p.propagate(&mut c).unwrap();
-        assert_eq!(dom.lb(TaskRef(1)), 15); // 5 + 10
-        assert_eq!(dom.ub(TaskRef(0)), 30); // 40 - 10
     }
 
     #[test]

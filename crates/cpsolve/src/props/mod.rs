@@ -5,8 +5,6 @@
 //!
 //! * [`barrier::PhaseBarrier`] — constraint (3): reduces start after every
 //!   map of the job completes,
-//! * [`barrier::Precedence`] — user-specified task precedences (the paper's
-//!   future-work generalization),
 //! * [`lateness::JobLateness`] — constraints (2)/(4): deadline reification
 //!   onto the lateness indicator `N_j`,
 //! * [`cumulative::Cumulative`] — constraints (5)/(6): per-resource
@@ -16,8 +14,8 @@
 //!   `Σ N_j ≤ bound`.
 //!
 //! The [`Engine`] runs them to fixpoint with a watcher-driven worklist,
-//! tiered by cost: cheap bound propagators (barrier, precedence, lateness,
-//! objective) drain before timetable filtering, so the expensive filter
+//! tiered by cost: cheap bound propagators (barrier, lateness, objective)
+//! drain before timetable filtering, so the expensive filter
 //! always runs on quiesced domains.
 //!
 //! A propagator may report, after a run, that it left itself at its own
@@ -25,7 +23,7 @@
 //! narrow nothing. The engine then wakes every other watcher of that run's
 //! narrowings but not the propagator itself (the idempotence protocol of
 //! Schulte & Stuckey, *Efficient Constraint Propagation Engines*, TOPLAS
-//! 2008). The barrier, precedence, lateness and objective propagators
+//! 2008). The barrier, lateness and objective propagators
 //! always claim it: none of them writes what would change its next run's
 //! writes (each impl says why). The timetable answers per run: it claims
 //! it unless the run changed a pool task's own mandatory part. Skipping
@@ -58,7 +56,7 @@ pub struct Ctx<'a> {
 /// its counters land in ([`PropStats::by_class`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PropClass {
-    /// Phase barriers and precedences (cheap bound propagation).
+    /// Phase barriers (cheap bound propagation).
     Barrier,
     /// Deadline/lateness reification (cheap).
     Lateness,
@@ -227,9 +225,6 @@ impl Engine {
                 props.push(Box::new(barrier::PhaseBarrier::new(j)));
             }
             props.push(Box::new(lateness::JobLateness::new(j)));
-        }
-        for &(a, b) in &model.precedences {
-            props.push(Box::new(barrier::Precedence::new(a, b)));
         }
         for r in 0..model.n_resources() {
             let r = crate::model::ResRef(r as u32);

@@ -139,17 +139,6 @@ impl Solution {
             }
         }
 
-        // User precedences.
-        for &(a, b) in &model.precedences {
-            if self.starts[b.idx()] < self.end(model, a) {
-                return Err(format!(
-                    "precedence violated: {b:?} starts {} before {a:?} ends {}",
-                    self.starts[b.idx()],
-                    self.end(model, a)
-                ));
-            }
-        }
-
         // Constraints 5/6: capacity per (resource, kind) at every instant.
         for r in 0..model.n_resources() {
             for kind in [SlotKind::Map, SlotKind::Reduce] {
@@ -310,21 +299,6 @@ mod tests {
         let mut s = good_solution(&m);
         s.objective = 5;
         assert!(s.verify(&m).unwrap_err().contains("objective"));
-    }
-
-    #[test]
-    fn precedence_violation_detected() {
-        let mut b = ModelBuilder::new();
-        b.add_resource(2, 2);
-        let j = b.add_job(0, 100);
-        let a = b.add_task(j, SlotKind::Map, 5, 1);
-        let c = b.add_task(j, SlotKind::Map, 5, 1);
-        b.add_precedence(a, c);
-        let m = b.build().unwrap();
-        let bad = Solution::from_placements(&m, vec![0, 2], vec![ResRef(0), ResRef(0)]);
-        assert!(bad.verify(&m).unwrap_err().contains("precedence"));
-        let good = Solution::from_placements(&m, vec![0, 5], vec![ResRef(0), ResRef(0)]);
-        good.verify(&m).unwrap();
     }
 
     #[test]

@@ -90,10 +90,8 @@ impl RefPool {
     }
 }
 
-/// The greedy EDF pass over the reference pools (models without user
-/// precedences, which route to `greedy_topo` instead).
+/// The greedy EDF pass over the reference pools.
 fn reference_greedy(model: &Model, hints: Option<&[Hint]>) -> Result<Solution, String> {
-    assert!(model.precedences.is_empty());
     if model.tasks.iter().any(|t| t.req != 1) {
         return Err("greedy scheduler supports unit capacity requirements only".into());
     }

@@ -16,9 +16,9 @@
 //! fixpoint: a propagator that reports its own fixpoint is not woken by its
 //! own narrowings, and that must never leave narrowing undone.
 
-use cpsolve::greedy::{greedy_edf, greedy_topo};
+use cpsolve::greedy::greedy_edf;
 use cpsolve::model::{JobRef, Model, ModelBuilder, ResRef, SlotKind, TaskRef};
-use cpsolve::props::barrier::{PhaseBarrier, Precedence};
+use cpsolve::props::barrier::PhaseBarrier;
 use cpsolve::props::cumulative::Cumulative;
 use cpsolve::props::lateness::JobLateness;
 use cpsolve::props::objective::ObjectiveBound;
@@ -325,9 +325,6 @@ fn naive_fixpoint(model: &Model, dom: &mut Domains, bound: u32) -> Result<(), Co
         }
         props.push(Box::new(JobLateness::new(job)));
     }
-    for &(a, b) in &model.precedences {
-        props.push(Box::new(Precedence::new(a, b)));
-    }
     for r in 0..model.n_resources() {
         for kind in [SlotKind::Map, SlotKind::Reduce] {
             if model.resources[r].cap(kind) > 0 {
@@ -489,62 +486,5 @@ proptest! {
         let model = build(&i);
         let sol = greedy_edf(&model).unwrap();
         prop_assert!(sol.verify(&model).is_ok());
-    }
-
-    /// The topological greedy agrees with the plain one on precedence-free
-    /// models (same feasibility; not necessarily the same schedule).
-    #[test]
-    fn topo_greedy_feasible_without_edges(i in inst()) {
-        let model = build(&i);
-        let sol = greedy_topo(&model).unwrap();
-        prop_assert!(sol.verify(&model).is_ok());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Random chains (user precedences): topo greedy respects every edge
-    /// and the solver returns verified schedules.
-    #[test]
-    fn chains_schedule_feasibly(
-        durs in prop::collection::vec(1i64..=5, 2..=5),
-        extra_jobs in prop::collection::vec(1i64..=5, 0..=2),
-    ) {
-        let mut b = ModelBuilder::new();
-        b.add_resource(1, 1);
-        b.add_resource(1, 1);
-        let j = b.add_job(0, 200);
-        let mut prev = None;
-        for &d in &durs {
-            let t = b.add_task(j, SlotKind::Map, d, 1);
-            if let Some(p) = prev {
-                b.add_precedence(p, t);
-            }
-            prev = Some(t);
-        }
-        for &d in &extra_jobs {
-            let j2 = b.add_job(0, 50);
-            b.add_task(j2, SlotKind::Map, d, 1);
-        }
-        let model = b.build().unwrap();
-
-        let g = greedy_edf(&model).unwrap();
-        g.verify(&model).expect("chain greedy verifies");
-
-        let out = cpsolve::search::solve(&model, &cpsolve::search::SolveParams {
-            node_limit: 50_000,
-            fail_limit: 50_000,
-            ..Default::default()
-        });
-        let best = out.best.expect("solvable");
-        best.verify(&model).expect("solver respects chains");
-        // The chain's makespan is at least the serial sum.
-        let total: i64 = durs.iter().sum();
-        let chain_end = (0..durs.len())
-            .map(|i| best.starts[i] + model.tasks[i].dur)
-            .max()
-            .unwrap();
-        prop_assert!(chain_end >= total);
     }
 }

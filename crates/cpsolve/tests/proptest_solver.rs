@@ -195,46 +195,6 @@ fn regression_bnb_beats_greedy() {
     assert_eq!(brute_force_optimal(&model, 20_000_000), Some(0));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// On tiny chain-DAG instances (user precedences) the solver's
-    /// exhausted-search objective equals the brute-force optimum.
-    #[test]
-    fn solver_matches_brute_on_chains(
-        durs in prop::collection::vec(1i64..=3, 2..=3),
-        window in 3i64..=12,
-        extra in prop::collection::vec(1i64..=3, 0..=1),
-    ) {
-        let mut b = ModelBuilder::new();
-        b.add_resource(1, 1);
-        b.add_resource(1, 1);
-        let j = b.add_job(0, window);
-        let mut prev = None;
-        let total: i64 = durs.iter().sum();
-        for &d in &durs {
-            let t = b.add_task(j, SlotKind::Map, d, 1);
-            if let Some(p) = prev {
-                b.add_precedence(p, t);
-            }
-            prev = Some(t);
-        }
-        for &d in &extra {
-            let j2 = b.add_job(0, window);
-            b.add_task(j2, SlotKind::Map, d, 1);
-        }
-        b.set_horizon(total + extra.iter().sum::<i64>() + 2);
-        let model = b.build().unwrap();
-        let out = solve(&model, &SolveParams::default());
-        prop_assume!(out.status == Status::Optimal);
-        if let Some(oracle) = brute_force_optimal(&model, 20_000_000) {
-            let got = out.best.expect("optimal implies solution").objective;
-            prop_assert_eq!(got, oracle,
-                "chain solver {} vs oracle {}", got, oracle);
-        }
-    }
-}
-
 /// The solver is deterministic: same model, same params → same outcome.
 #[test]
 fn solver_is_deterministic() {

@@ -101,7 +101,7 @@ impl Enc {
         self.u32(t.req);
     }
 
-    /// Encode a [`Job`] with all tasks and precedence edges.
+    /// Encode a [`Job`] with all its tasks.
     pub fn job(&mut self, j: &Job) {
         self.u32(j.id.0);
         self.time(j.arrival);
@@ -114,11 +114,6 @@ impl Enc {
         self.u64(j.reduce_tasks.len() as u64);
         for t in &j.reduce_tasks {
             self.task(t);
-        }
-        self.u64(j.precedences.len() as u64);
-        for &(a, b) in &j.precedences {
-            self.u32(a.0);
-            self.u32(b.0);
         }
     }
 }
@@ -249,13 +244,6 @@ impl<'a> Dec<'a> {
         for _ in 0..n {
             reduce_tasks.push(self.task()?);
         }
-        let n = self.seq_len()?;
-        let mut precedences = Vec::with_capacity(n);
-        for _ in 0..n {
-            let a = TaskId(self.u32()?);
-            let b = TaskId(self.u32()?);
-            precedences.push((a, b));
-        }
         Ok(Job {
             id,
             arrival,
@@ -263,7 +251,6 @@ impl<'a> Dec<'a> {
             deadline,
             map_tasks,
             reduce_tasks,
-            precedences,
         })
     }
 
@@ -343,7 +330,6 @@ mod tests {
             deadline: SimTime::from_millis(90_000),
             map_tasks: vec![t(0, TaskKind::Map), t(1, TaskKind::Map)],
             reduce_tasks: vec![t(2, TaskKind::Reduce)],
-            precedences: vec![(TaskId(0), TaskId(1))],
         };
         let mut e = Enc::new();
         e.job(&job);
@@ -363,7 +349,6 @@ mod tests {
             deadline: SimTime::from_millis(1000),
             map_tasks: vec![],
             reduce_tasks: vec![],
-            precedences: vec![],
         });
         let buf = e.finish();
         for cut in 0..buf.len() {

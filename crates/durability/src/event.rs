@@ -396,7 +396,6 @@ mod tests {
                 req: 1,
             }],
             reduce_tasks: vec![],
-            precedences: vec![],
         }
     }
 

@@ -1,6 +1,6 @@
 //! Snapshots: atomic on-disk images of a manager's full mutable state.
 //!
-//! A snapshot file is `[magic 8B "MRCPSNP2"][len u32][crc32 u32][payload]`
+//! A snapshot file is `[magic 8B "MRCPSNP3"][len u32][crc32 u32][payload]`
 //! written to a temp file and renamed into place, so a crash mid-write
 //! leaves the previous snapshot intact — there is always exactly one
 //! valid snapshot. The payload carries the command index the image was
@@ -19,7 +19,7 @@ use std::time::Duration;
 use workload::{JobId, ResourceId, TaskId, TaskKind};
 
 /// Snapshot file magic, also the format version.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MRCPSNP2";
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MRCPSNP3";
 
 /// Encode a [`ManagerStats`]. Destructured exhaustively so a new counter
 /// cannot silently be dropped from snapshots.
@@ -359,7 +359,6 @@ mod tests {
                 req: 1,
             }],
             reduce_tasks: vec![],
-            precedences: vec![],
         };
         let stats = ManagerStats {
             invocations: 4,
@@ -434,11 +433,15 @@ mod tests {
         bytes[last] ^= 1;
         std::fs::write(&path, &bytes).unwrap();
         assert!(read_blob(&path).is_err());
-        // An intact blob of the previous format version is refused, not
-        // misread.
+        // An intact blob of an earlier format version (`MRCPSNP2` job
+        // records carried an edge list) is refused, not misread.
         bytes[last] ^= 1;
-        bytes[..8].copy_from_slice(b"MRCPSNP1");
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(read_blob(&path).is_err());
+        for old in [b"MRCPSNP1", b"MRCPSNP2"] {
+            bytes[..8].copy_from_slice(old);
+            std::fs::write(&path, &bytes).unwrap();
+            let err = read_blob(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(err.to_string(), "not a snapshot file (bad magic)");
+        }
     }
 }

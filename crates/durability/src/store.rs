@@ -673,7 +673,6 @@ mod tests {
             deadline: SimTime::from_millis(120_000),
             map_tasks: vec![t(id * 10, TaskKind::Map), t(id * 10 + 1, TaskKind::Map)],
             reduce_tasks: vec![t(id * 10 + 2, TaskKind::Reduce)],
-            precedences: vec![],
         }
     }
 

@@ -4,7 +4,7 @@
 //! On-disk format — a fixed header followed by records:
 //!
 //! ```text
-//! [magic  8B "MRCPWAL1"]
+//! [magic  8B "MRCPWAL2"]
 //! [len u32 LE][crc32 u32 LE of payload][payload len bytes]   × N
 //! ```
 //!
@@ -33,7 +33,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Log file magic, also the format version.
-pub const WAL_MAGIC: &[u8; 8] = b"MRCPWAL1";
+pub const WAL_MAGIC: &[u8; 8] = b"MRCPWAL2";
 
 /// Largest payload a record may carry (16 MiB). A length field beyond
 /// this is treated as corruption, bounding how much a flipped length bit
@@ -303,6 +303,23 @@ mod tests {
         for (i, r) in records.iter().enumerate() {
             assert_eq!(r.as_slice(), (i as u32).to_le_bytes());
         }
+    }
+
+    /// A log of the previous format version (`MRCPWAL1` job records carried
+    /// an edge list) is refused, not decoded into shifted fields.
+    #[test]
+    fn a_log_of_the_previous_format_is_refused() {
+        let path = tmp("previous-magic");
+        let mut wal = Wal::create(&path, WalConfig::default()).unwrap();
+        wal.append(&[7; 12]).unwrap();
+        wal.flush().unwrap();
+        drop(wal);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[..8].copy_from_slice(b"MRCPWAL1");
+        fs::write(&path, &bytes).unwrap();
+        let err = Wal::recover(&path, WalConfig::default()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "not a WAL file (bad magic)");
     }
 
     #[test]

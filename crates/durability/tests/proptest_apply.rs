@@ -79,7 +79,6 @@ fn jobs() -> Vec<Job> {
                     .map(|m| mk(TaskKind::Map, 2 + i64::from(m)))
                     .collect(),
                 reduce_tasks: (0..i % 2).map(|_| mk(TaskKind::Reduce, 3)).collect(),
-                precedences: vec![],
             }
         })
         .collect()

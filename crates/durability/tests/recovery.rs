@@ -63,7 +63,6 @@ fn jobs_of(w: &W) -> Vec<Job> {
                 deadline: start + SimTime::from_secs(*window),
                 map_tasks: maps.iter().map(|&s| mk(TaskKind::Map, s)).collect(),
                 reduce_tasks: reduces.iter().map(|&s| mk(TaskKind::Reduce, s)).collect(),
-                precedences: vec![],
             }
         })
         .collect();

@@ -24,16 +24,17 @@
 //!    candidate's completion is the one the greedy over the live model plus
 //!    the candidate would give. It is an upper bound on what the real
 //!    solver will achieve, and doubles as the `earliest_feasible_deadline`
-//!    quoted in renegotiations and rejections. Only workflow edges still
-//!    build the model ([`model_witness`]).
+//!    quoted in renegotiations and rejections. The probe never builds a
+//!    CP model; debug builds check each witness against the greedy over
+//!    one.
 //!
 //! What happens to an infeasible candidate is the [`AdmissionPolicy`]'s
 //! choice: admit anyway (the paper's behaviour), reject, or admit with
 //! the deadline renegotiated to the earliest feasible one.
 
-use crate::modelmap::{build_model, JobInput, TaskInput};
-use cpsolve::greedy::{greedy_edf, Calendar, Free};
-use cpsolve::model::{JobRef, SlotKind};
+use crate::modelmap::{JobInput, TaskInput};
+use cpsolve::greedy::{Calendar, Free};
+use cpsolve::model::SlotKind;
 use desim::SimTime;
 use workload::{Resource, ResourceId, TaskKind};
 
@@ -178,6 +179,8 @@ pub fn earliest_feasible_estimate(now: SimTime, slots: u32, total_work: SimTime)
 /// A job's place in [`greedy_edf`]'s order, in the model's units:
 /// `(priority, deadline, release)` in milliseconds, ties to the lower job
 /// index.
+///
+/// [`greedy_edf`]: cpsolve::greedy::greedy_edf
 pub type WitnessKey = (i64, i64, i64);
 
 /// The greedy witness without a CP model: [`greedy_edf`]'s list-scheduling
@@ -201,6 +204,8 @@ pub type WitnessKey = (i64, i64, i64);
 ///
 /// `J` is the caller's handle on a job; [`Witness::complete`] turns it
 /// back into the job's outstanding tasks.
+///
+/// [`greedy_edf`]: cpsolve::greedy::greedy_edf
 #[derive(Debug)]
 pub struct Witness<J> {
     /// Up resource ids, sorted, with their calendar index.
@@ -340,31 +345,16 @@ fn key(input: &JobInput<'_>) -> WitnessKey {
 /// The greedy witness over model inputs: the completion of the candidate,
 /// the last job of `inputs` (it has started nothing), in [`greedy_edf`]
 /// over the `up` resources. One walk through a [`Witness`], as the
-/// manager's probe walks its job table; an input with workflow edges takes
-/// [`model_witness`] instead.
+/// manager's probe walks its job table.
+///
+/// [`greedy_edf`]: cpsolve::greedy::greedy_edf
 pub fn witness_completion(up: &[Resource], inputs: &[JobInput<'_>]) -> Option<SimTime> {
     let (candidate, live) = inputs.split_last()?;
-    if inputs.iter().any(|i| !i.job.precedences.is_empty()) {
-        return model_witness(up, inputs);
-    }
     let mut witness = Witness::new(up.iter(), key(candidate));
     for input in live {
         witness.book(input, key(input), input.tasks.iter().copied());
     }
     witness.complete(|i| i.tasks.iter().copied(), candidate.tasks.iter().copied())
-}
-
-/// The witness through the CP model: [`greedy_edf`] over [`build_model`]
-/// of every input, the completion of the last one. Workflow edges need it:
-/// they route the greedy to `greedy_topo`, which interleaves the tasks of
-/// different jobs, so every job can delay the candidate. Debug builds also
-/// check each [`Witness`] against it on up to 128 resources, the model's
-/// limit.
-pub fn model_witness(up: &[Resource], inputs: &[JobInput<'_>]) -> Option<SimTime> {
-    let mm = build_model(up, inputs).ok()?;
-    let g = greedy_edf(&mm.model).ok()?;
-    let last = JobRef(mm.model.n_jobs().checked_sub(1)? as u32);
-    Some(SimTime::from_millis(g.job_completion(&mm.model, last)))
 }
 
 #[cfg(test)]

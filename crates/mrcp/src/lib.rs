@@ -29,7 +29,6 @@
 //!   (`O`, `N`, `T`, `P`).
 
 pub mod admission;
-pub mod gantt;
 pub mod manager;
 pub mod modelmap;
 pub mod ordering;

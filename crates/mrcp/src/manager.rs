@@ -26,8 +26,8 @@
 //! ablations.
 
 use crate::admission::{
-    earliest_feasible_estimate, edf_demand_violation, model_witness, AdmissionConfig,
-    AdmissionDecision, AdmissionPolicy, RejectReason, Witness,
+    earliest_feasible_estimate, edf_demand_violation, AdmissionConfig, AdmissionDecision,
+    AdmissionPolicy, RejectReason, Witness,
 };
 use crate::modelmap::{build_model, JobInput, MappedModel, TaskInput};
 use crate::ordering::JobOrdering;
@@ -72,16 +72,6 @@ pub enum ManagerError {
     ResourceAlreadyDown(ResourceId),
     /// `resource_up` for a resource that is not down.
     ResourceNotDown(ResourceId),
-    /// Gantt rendering: the requested chart width is below the minimum.
-    ChartTooNarrow {
-        /// The width asked for.
-        width: usize,
-        /// The smallest width the renderer can lay out.
-        min: usize,
-    },
-    /// Gantt rendering: concurrent schedule entries exceed a resource's
-    /// slot capacity, so the task cannot be placed in any lane.
-    ScheduleOverCapacity(TaskId),
     /// An internal invariant was violated (e.g. a shedding victim vanished
     /// between selection and eviction, or a restored snapshot references
     /// ids twice). Surfaced as a typed error instead of a panic so a
@@ -108,12 +98,6 @@ impl fmt::Display for ManagerError {
                 write!(f, "resource {r:?} is already down")
             }
             ManagerError::ResourceNotDown(r) => write!(f, "resource {r:?} is not down"),
-            ManagerError::ChartTooNarrow { width, min } => {
-                write!(f, "chart width {width} below minimum {min}")
-            }
-            ManagerError::ScheduleOverCapacity(t) => {
-                write!(f, "task {t} does not fit any capacity lane")
-            }
             ManagerError::Inconsistent(what) => {
                 write!(f, "internal inconsistency: {what}")
             }
@@ -847,7 +831,6 @@ pub enum FailureAction {
 ///         exec_time: SimTime::from_secs(10), req: 1,
 ///     }],
 ///     reduce_tasks: vec![],
-///     precedences: vec![],
 /// };
 ///
 /// let mut rm = MrcpRm::new(MrcpConfig::default(), homogeneous_cluster(2, 1, 1));
@@ -1098,18 +1081,26 @@ impl MrcpRm {
         Ok((state.job.id, &mut state.tasks[idx], &mut state.remaining))
     }
 
+    /// Refuse, before any state changes, a job whose id is in the system
+    /// or one of whose task ids is already known or repeats within the job.
+    fn check_fresh(&self, job: &Job) -> Result<(), ManagerError> {
+        if self.jobs.contains_key(&job.id) {
+            return Err(ManagerError::DuplicateJob(job.id));
+        }
+        let known = (job.tasks().map(|t| t.id)).find(|id| self.task_owner.contains_key(id));
+        match known.or_else(|| job.repeated_task()) {
+            Some(id) => Err(ManagerError::DuplicateTask(id)),
+            None => Ok(()),
+        }
+    }
+
     /// Submit an arriving job. Returns whether it joined the scheduling set
     /// or was deferred (§V.E); in the former case the caller should invoke
     /// [`reschedule`](ResourceManager::reschedule).
     pub fn submit(&mut self, job: Job, now: SimTime) -> Result<Submitted, ManagerError> {
+        self.check_fresh(&job)?;
         debug_assert!(job.validate().is_ok(), "invalid job submitted");
         let id = job.id;
-        if self.jobs.contains_key(&id) {
-            return Err(ManagerError::DuplicateJob(id));
-        }
-        if let Some(t) = job.tasks().find(|t| self.task_owner.contains_key(&t.id)) {
-            return Err(ManagerError::DuplicateTask(t.id));
-        }
         let tasks: Vec<TaskImage> = job
             .tasks()
             .map(|t| TaskImage {
@@ -1193,13 +1184,11 @@ impl MrcpRm {
         };
         let mut demand: Vec<(i64, i64, i64)> = Vec::with_capacity(self.jobs.len() + 1);
         let mut witness = Witness::new(self.up(), key(job));
-        let mut workflow = !job.precedences.is_empty();
         for state in self.jobs.values().filter(|s| s.remaining > 0) {
             let mut work = (0, 0);
             let tasks = state.outstanding().inspect(|t| add_work(&mut work, t));
             witness.book(state, key(&state.job), tasks);
             demand.push((state.job.deadline.as_millis(), work.0, work.1));
-            workflow |= !state.job.precedences.is_empty();
         }
         let candidate = job.tasks().map(TaskInput::free);
         let mut work = (0, 0);
@@ -1215,21 +1204,16 @@ impl MrcpRm {
                 earliest_feasible_estimate(now, reduce_slots, SimTime::from_millis(reduce_work)),
             );
 
-        // Stage 2: the greedy witness. Workflow edges need the model.
-        let completion = if workflow {
-            self.model_witness(job, now)
-        } else {
-            let c = witness.complete(JobState::outstanding, candidate);
-            #[cfg(debug_assertions)]
-            if self.up().count() <= 128 {
-                debug_assert_eq!(
-                    c,
-                    self.model_witness(job, now),
-                    "admission witness diverged from the greedy over the full model"
-                );
-            }
-            c
-        };
+        // Stage 2: the greedy witness, with no model.
+        let completion = witness.complete(JobState::outstanding, candidate);
+        #[cfg(debug_assertions)]
+        if self.up().count() <= 128 {
+            debug_assert_eq!(
+                completion,
+                self.model_witness(job, now),
+                "admission witness diverged from the greedy over the full model"
+            );
+        }
         match completion {
             // A violated bound is a proof that the job set (candidate
             // included) cannot all meet its deadlines; the witness
@@ -1247,9 +1231,10 @@ impl MrcpRm {
         }
     }
 
-    /// The witness through the CP model ([`model_witness`]): the live jobs
-    /// with outstanding work and the candidate last, over the up
-    /// resources.
+    /// The admission witness's debug reference: the candidate's completion
+    /// in [`greedy_edf`] over the CP model of the live jobs with
+    /// outstanding work and the candidate last, on the up resources.
+    #[cfg(debug_assertions)]
     fn model_witness(&self, job: &Job, now: SimTime) -> Option<SimTime> {
         let up: Vec<Resource> = self.up().cloned().collect();
         let (_, mut inputs) = Self::collect_inputs(self.cfg.ordering, &self.jobs, now, true);
@@ -1259,7 +1244,10 @@ impl MrcpRm {
             release: job.earliest_start.max(now),
             tasks: job.tasks().map(TaskInput::free).collect(),
         });
-        model_witness(&up, &inputs)
+        let mm = build_model(&up, &inputs).ok()?;
+        let g = greedy_edf(&mm.model).ok()?;
+        let last = cpsolve::model::JobRef(mm.model.n_jobs().checked_sub(1)? as u32);
+        Some(SimTime::from_millis(g.job_completion(&mm.model, last)))
     }
 
     /// The lowest-value shedding candidate: among fully unstarted jobs,
@@ -1815,12 +1803,7 @@ impl ResourceManager for MrcpRm {
         now: SimTime,
     ) -> Result<AdmissionOutcome, ManagerError> {
         // Duplicate checks up front so a malformed submit cannot shed work.
-        if self.jobs.contains_key(&job.id) {
-            return Err(ManagerError::DuplicateJob(job.id));
-        }
-        if let Some(t) = job.tasks().find(|t| self.task_owner.contains_key(&t.id)) {
-            return Err(ManagerError::DuplicateTask(t.id));
-        }
+        self.check_fresh(&job)?;
 
         // Backpressure: bound the pending queue, shedding the lowest-value
         // (farthest-deadline, fully unstarted) jobs to make room for more
@@ -2240,7 +2223,6 @@ mod tests {
             deadline: SimTime::from_secs(d),
             map_tasks: maps.iter().map(|&e| task(TaskKind::Map, e)).collect(),
             reduce_tasks: reduces.iter().map(|&e| task(TaskKind::Reduce, e)).collect(),
-            precedences: vec![],
         }
     }
 
@@ -2478,6 +2460,36 @@ mod tests {
         // The rejection left the original intact.
         assert_eq!(rm.jobs_in_system(), 1);
         assert_eq!(rm.reschedule(SimTime::ZERO).len(), 1);
+    }
+
+    /// A job whose two maps share a task id is refused by both submit
+    /// paths before any state changes, in debug and release builds alike.
+    /// Under a one-job queue bound the refused arrival sheds nothing,
+    /// though its deadline is the nearer one.
+    #[test]
+    fn a_job_that_repeats_a_task_id_is_refused() {
+        let bounded = MrcpConfig {
+            admission: AdmissionConfig {
+                policy: AdmissionPolicy::Strict,
+                max_pending_jobs: Some(1),
+            },
+            ..Default::default()
+        };
+        for cfg in [MrcpConfig::default(), bounded] {
+            let mut rm = MrcpRm::new(cfg, homogeneous_cluster(1, 1, 1));
+            rm.submit(mk_job(0, 0, 0, 1_000, &[10], &[]), SimTime::ZERO)
+                .unwrap();
+            rm.reschedule(SimTime::ZERO);
+            let before = rm.image();
+            let mut job = mk_job(1, 0, 0, 100, &[10, 10], &[5]);
+            job.map_tasks[1].id = job.map_tasks[0].id;
+            let twice = ManagerError::DuplicateTask(TaskId(1000));
+            assert_eq!(rm.submit(job.clone(), SimTime::ZERO), Err(twice));
+            assert_eq!(rm.image(), before);
+            let refused = rm.submit_with_admission(job, SimTime::ZERO);
+            assert_eq!(refused.unwrap_err(), twice);
+            assert_eq!(rm.image(), before);
+        }
     }
 
     #[test]
@@ -3117,8 +3129,6 @@ mod tests {
             Box::new(ManagerError::UnknownResource(ResourceId(6))),
             Box::new(ManagerError::ResourceAlreadyDown(ResourceId(7))),
             Box::new(ManagerError::ResourceNotDown(ResourceId(8))),
-            Box::new(ManagerError::ChartTooNarrow { width: 5, min: 20 }),
-            Box::new(ManagerError::ScheduleOverCapacity(TaskId(9))),
             Box::new(ManagerError::Inconsistent("invariant breach")),
             Box::new(SchedulingError::ModelBuild("bad model".into())),
             Box::new(SchedulingError::NoSolution("no rung".into())),

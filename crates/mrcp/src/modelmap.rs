@@ -6,7 +6,7 @@
 //! tuple sets of the CP formulation, with dense solver indices mapped back
 //! to workload identifiers afterwards.
 
-use cpsolve::model::{Model, ModelBuilder, ResRef, SlotKind, TaskRef};
+use cpsolve::model::{Model, ModelBuilder, ResRef, SlotKind};
 use desim::SimTime;
 use workload::{Job, JobId, Resource, ResourceId, Task, TaskId, TaskKind};
 
@@ -91,7 +91,6 @@ fn add_jobs(
             input.priority,
         );
         job_ids.push(input.job.id);
-        let first = b.task_count();
         for t in &input.tasks {
             let tr = b.add_task(j, kind_to_slot(t.kind), t.exec_time.as_millis(), t.req);
             task_ids.push(t.id);
@@ -102,23 +101,6 @@ fn add_jobs(
                 let rr = res_index(rid)
                     .ok_or_else(|| format!("task {} pinned to unknown resource {rid:?}", t.id))?;
                 b.fix_task(tr, rr, start.as_millis());
-            }
-        }
-        // Workflow edges (the paper's future-work generalization): only
-        // edges whose endpoints are both still in the model apply — a
-        // completed predecessor imposes nothing further. Edges join tasks
-        // of one job, so the index covers this job's tasks alone.
-        if !input.job.precedences.is_empty() {
-            let task_index: std::collections::HashMap<TaskId, TaskRef> = input
-                .tasks
-                .iter()
-                .enumerate()
-                .map(|(k, t)| (t.id, TaskRef((first + k) as u32)))
-                .collect();
-            for &(before, after) in &input.job.precedences {
-                if let (Some(&a), Some(&bb)) = (task_index.get(&before), task_index.get(&after)) {
-                    b.add_precedence(a, bb);
-                }
             }
         }
     }
@@ -212,7 +194,6 @@ mod tests {
             deadline: SimTime::from_secs(d),
             map_tasks: (0..maps).map(|_| task(TaskKind::Map, 10)).collect(),
             reduce_tasks: (0..reduces).map(|_| task(TaskKind::Reduce, 5)).collect(),
-            precedences: vec![],
         }
     }
 

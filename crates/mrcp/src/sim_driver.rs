@@ -1430,7 +1430,6 @@ mod tests {
             deadline: SimTime::from_secs(100),
             map_tasks: vec![map(0), map(1)],
             reduce_tasks: vec![],
-            precedences: vec![],
         };
         let cfg = SimConfig {
             faults: FaultConfig {
@@ -1473,7 +1472,6 @@ mod tests {
             deadline: SimTime::from_secs(500),
             map_tasks: (0..4).map(map).collect(),
             reduce_tasks: vec![],
-            precedences: vec![],
         };
         let cfg = SimConfig {
             overhead: OverheadModel::Fixed(SimTime::from_secs(30)),
@@ -1518,7 +1516,6 @@ mod tests {
             deadline: SimTime::from_secs(100),
             map_tasks: (0..4).map(map).collect(),
             reduce_tasks: vec![],
-            precedences: vec![],
         };
         let cfg = SimConfig {
             faults: FaultConfig {
@@ -1627,7 +1624,6 @@ mod tests {
             deadline: SimTime::from_secs(100),
             map_tasks: (0..6).map(map).collect(),
             reduce_tasks: vec![],
-            precedences: vec![],
         };
         let (m, _, rm) = simulate_with(&SimConfig::default(), &cluster, vec![job], |c| Reversed {
             inner: MrcpRm::new(c, cluster.clone()),

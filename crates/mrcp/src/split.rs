@@ -26,7 +26,7 @@
 //! combined model ([`split_solve_portfolio`]).
 
 use crate::modelmap::{build_combined_model, kind_to_slot, JobInput};
-use cpsolve::greedy::{greedy_edf, greedy_edf_with_hints, greedy_topo, Calendar, Free, Hint};
+use cpsolve::greedy::{greedy_edf, greedy_edf_with_hints, Calendar, Free, Hint};
 use cpsolve::model::ResRef;
 use cpsolve::portfolio::{solve_portfolio, PortfolioParams};
 use cpsolve::search::{Outcome, SolveStats, Status};
@@ -140,10 +140,9 @@ pub struct WarmStart {
 /// places whole jobs by `(priority, deadline, release, index)` through
 /// [`Calendar::place`].
 ///
-/// `None` leaves the round to the model: a job has a workflow edge between
-/// two tasks of the round (the greedy takes `greedy_topo`), a task has
-/// `req ≠ 1` or a non-positive duration, a pin cannot be booked, or no
-/// slot of its kind can host a free task.
+/// `None` leaves the round to the model: a task has `req ≠ 1` or a
+/// non-positive duration, a pin cannot be booked, or no slot of its kind
+/// can host a free task.
 pub fn warm_start(
     resources: &[Resource],
     jobs: &[JobInput<'_>],
@@ -156,9 +155,6 @@ pub fn warm_start(
     // Each job's first index into `starts`.
     let mut first = Vec::with_capacity(jobs.len());
     for input in jobs {
-        if has_round_edge(input) {
-            return None;
-        }
         first.push(starts.len());
         for t in &input.tasks {
             let dur = t.exec_time.as_millis();
@@ -228,17 +224,6 @@ pub fn warm_start(
     Some(WarmStart { starts, late })
 }
 
-/// True when one of `input`'s workflow edges joins two tasks of the round
-/// (only those reach the model).
-fn has_round_edge(input: &JobInput<'_>) -> bool {
-    let in_round = |id: &TaskId| input.tasks.iter().any(|t| t.id == *id);
-    input
-        .job
-        .precedences
-        .iter()
-        .any(|(before, after)| in_round(before) && in_round(after))
-}
-
 /// The latest end among `input`'s tasks at `starts` (its own, in order).
 fn completion(input: &JobInput<'_>, starts: &[i64]) -> Option<i64> {
     input
@@ -294,8 +279,7 @@ fn check_on_time(jobs: &[JobInput<'_>], starts: &[i64]) -> Result<(), String> {
 }
 
 /// Debug builds: the calendar warm start is the greedy's over the combined
-/// model, bit for bit (`None` exactly where the model or its greedy fails,
-/// or the model has workflow edges).
+/// model, bit for bit (`None` exactly where the model or its greedy fails).
 fn assert_matches_model_greedy(
     resources: &[Resource],
     jobs: &[JobInput<'_>],
@@ -309,13 +293,6 @@ fn assert_matches_model_greedy(
         );
         return;
     };
-    if !mm.model.precedences.is_empty() {
-        assert!(
-            warm.is_none(),
-            "a calendar warm start across workflow edges"
-        );
-        return;
-    }
     let greedy = match hints {
         Some(h) => greedy_edf_with_hints(&mm.model, &combined_hints(h)),
         None => greedy_edf(&mm.model),
@@ -401,17 +378,10 @@ pub fn split_solve_portfolio(
             let mm = build_combined_model(resources, jobs)?;
             let mut pp = pp.clone();
             // The hinted schedule replays the surviving part of the last
-            // round; the portfolio improves on it from the first node.
-            let hinted = hints.and_then(|_| match warm {
-                Some(ws) => Some(Solution::from_placements(
-                    &mm.model,
-                    ws.starts,
-                    vec![ResRef(0); mm.task_ids.len()],
-                )),
-                // Workflow edges take the topological greedy, which
-                // ignores hints; every other `None` is a greedy failure.
-                None if !mm.model.precedences.is_empty() => greedy_topo(&mm.model).ok(),
-                None => None,
+            // round; the portfolio improves on it from the first node. A
+            // `None` warm start is a greedy failure: there is none to seed.
+            let hinted = hints.and(warm).map(|ws| {
+                Solution::from_placements(&mm.model, ws.starts, vec![ResRef(0); mm.task_ids.len()])
             });
             if let Some(sol) = hinted {
                 if pp
@@ -537,8 +507,7 @@ pub fn matchmake(
 ///   for its kind;
 /// - a pinned task stays exactly where it runs, a free task starts at or
 ///   after its job's release;
-/// - reduces start after the job's last map ends, and the job's workflow
-///   precedences between tasks of the round hold;
+/// - reduces start after the job's last map ends;
 /// - no (resource, kind) pool is over capacity at any instant.
 ///
 /// It builds no CP model, so it also judges clusters beyond the full
@@ -610,29 +579,6 @@ pub fn audit(
                 ));
             }
         }
-        // Only edges whose endpoints are both in the round apply (a
-        // completed predecessor imposes nothing further).
-        if !input.job.precedences.is_empty() {
-            let span: HashMap<TaskId, (i64, i64)> = input
-                .tasks
-                .iter()
-                .map(|t| {
-                    let start = placed[&t.id].1;
-                    (t.id, (start, start + t.exec_time.as_millis()))
-                })
-                .collect();
-            for (before, after) in &input.job.precedences {
-                if let (Some(&(_, a_end)), Some(&(b_start, _))) =
-                    (span.get(before), span.get(after))
-                {
-                    if b_start < a_end {
-                        return Err(format!(
-                            "precedence violated: {after:?} starts {b_start} before {before:?} ends {a_end}"
-                        ));
-                    }
-                }
-            }
-        }
     }
     if placed.len() != n_tasks {
         return Err(format!(
@@ -687,7 +633,6 @@ mod tests {
             deadline: SimTime::from_secs(d),
             map_tasks: maps.iter().map(|&e| task(TaskKind::Map, e)).collect(),
             reduce_tasks: reduces.iter().map(|&e| task(TaskKind::Reduce, e)).collect(),
-            precedences: vec![],
         }
     }
 
@@ -904,21 +849,6 @@ mod tests {
         assert!(!CRAM.with(|c| c.get()), "the hook fires once");
     }
 
-    /// An edge between two tasks of the round leaves the warm start to the
-    /// model (the greedy takes its topological variant there); an edge from
-    /// a task no longer in the round does not.
-    #[test]
-    fn a_workflow_edge_in_the_round_leaves_the_warm_start_to_the_model() {
-        let cluster = homogeneous_cluster(2, 1, 1);
-        let mut job = mk_job(0, 0, 10_000, &[10, 10], &[5]);
-        job.precedences = vec![(TaskId(0), TaskId(1))];
-        assert!(warm_start(&cluster, &[inputs(&job)], None).is_none());
-        let mut ji = inputs(&job);
-        ji.tasks.remove(0);
-        let ws = warm_start(&cluster, &[ji], None).unwrap();
-        assert_eq!((ws.starts, ws.late), (vec![0, 10_000], 0));
-    }
-
     #[test]
     fn pin_on_a_resource_outside_the_pool_fails_the_call() {
         let cluster = homogeneous_cluster(2, 1, 1);
@@ -1012,18 +942,6 @@ mod tests {
         plan[2].2 = SimTime::from_secs(24);
         let err = audit_err(&cluster, &inputs(&job), &plan);
         assert!(err.contains("before last map end"), "{err}");
-    }
-
-    #[test]
-    fn audit_rejects_a_broken_precedence() {
-        let (cluster, mut job, plan) = audited_round();
-        job.precedences = vec![(TaskId(1), TaskId(0))];
-        let err = audit_err(&cluster, &inputs(&job), &plan);
-        assert!(err.contains("precedence violated"), "{err}");
-        // An edge from a task no longer in the round imposes nothing.
-        let mut ji = inputs(&job);
-        ji.tasks.remove(1);
-        audit(&cluster, &[ji], &[plan[0], plan[2]]).unwrap();
     }
 
     #[test]

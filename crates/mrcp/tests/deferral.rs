@@ -21,7 +21,6 @@ fn mk_job(id: u32, s: i64, d: i64, map_secs: i64) -> Job {
             req: 1,
         }],
         reduce_tasks: vec![],
-        precedences: vec![],
     }
 }
 

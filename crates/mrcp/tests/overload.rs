@@ -182,7 +182,6 @@ fn admission_admits_a_feasible_job_on_more_than_128_resources() {
             req: 1,
         }],
         reduce_tasks: vec![],
-        precedences: vec![],
     };
     for policy in [AdmissionPolicy::Strict, AdmissionPolicy::Renegotiate] {
         let cfg = MrcpConfig {

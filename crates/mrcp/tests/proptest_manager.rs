@@ -69,7 +69,6 @@ fn jobs_of(w: &W) -> Vec<Job> {
                 deadline: start + SimTime::from_secs(*window),
                 map_tasks: maps.iter().map(|&s| mk(TaskKind::Map, s)).collect(),
                 reduce_tasks: reduces.iter().map(|&s| mk(TaskKind::Reduce, s)).collect(),
-                precedences: vec![],
             }
         })
         .collect();
@@ -250,7 +249,6 @@ impl ProbeCase {
                 deadline: NOW + SimTime::from_secs(*dl),
                 map_tasks: maps.iter().map(|&x| mk(TaskKind::Map, x)).collect(),
                 reduce_tasks: reduces.iter().map(|&x| mk(TaskKind::Reduce, x)).collect(),
-                precedences: vec![],
             };
             let mut tasks = Vec::new();
             for (k, t) in job.map_tasks.iter().enumerate() {
@@ -362,7 +360,6 @@ fn probe_job(id: u32, start: i64, deadline: i64, tasks: Vec<Task>) -> Job {
         deadline: SimTime::from_millis(deadline),
         map_tasks,
         reduce_tasks,
-        precedences: vec![],
     }
 }
 
@@ -374,34 +371,6 @@ fn free_input(job: &Job) -> JobInput<'_> {
         priority: job.deadline.as_millis(),
         tasks: job.tasks().map(|t| task_input(t, None)).collect(),
     }
-}
-
-/// A workflow job routes the greedy to `greedy_topo`, which interleaves
-/// jobs by task index: here a job that sorts after the candidate in EDF
-/// order (same deadline, later release) still delays it, so the witness
-/// must keep the whole model.
-#[test]
-fn workflow_witness_keeps_the_whole_model() {
-    let up = homogeneous_cluster(1, 1, 1);
-    let later = probe_job(0, 100, 1_000, vec![probe_task(0, 0, TaskKind::Map, 50, 1)]);
-    let mut cand = probe_job(
-        1,
-        0,
-        1_000,
-        vec![
-            probe_task(1, 1, TaskKind::Map, 200, 1),
-            probe_task(2, 1, TaskKind::Map, 10, 1),
-        ],
-    );
-    cand.precedences = vec![(TaskId(1), TaskId(2))];
-    let inputs = vec![free_input(&later), free_input(&cand)];
-    // `later` holds the slot over [100, 150), so the chain runs
-    // [150, 350) then [350, 360).
-    let ms = SimTime::from_millis;
-    assert_eq!(full_witness(&up, &inputs), Some(ms(360)));
-    assert_eq!(witness_completion(&up, &inputs), Some(ms(360)));
-    // Without `later` the chain would finish at 210.
-    assert_eq!(witness_completion(&up, &[free_input(&cand)]), Some(ms(210)));
 }
 
 /// A job after the candidate with a free task the greedy cannot place (no

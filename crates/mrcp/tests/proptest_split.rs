@@ -109,7 +109,6 @@ fn build(r: &Round) -> Built {
             deadline: s(r.now + window),
             map_tasks: vec![],
             reduce_tasks: vec![],
-            precedences: vec![],
         };
         let mut inputs = Vec::new();
         for (kind, specs) in [(TaskKind::Map, maps), (TaskKind::Reduce, reduces)] {

@@ -28,7 +28,6 @@ fn mk_job(id: u32, s: i64, d: i64, maps: &[i64], reduces: &[i64]) -> Job {
         deadline: SimTime::from_secs(d),
         map_tasks: maps.iter().map(|&e| task(TaskKind::Map, e)).collect(),
         reduce_tasks: reduces.iter().map(|&e| task(TaskKind::Reduce, e)).collect(),
-        precedences: vec![],
     }
 }
 

@@ -27,7 +27,7 @@ use workload::{Job, JobId, Resource, ResourceId, Task, TaskId, TaskKind};
 
 const SEQUENCES: u64 = 200;
 const COMMANDS: usize = 40;
-const EXPECTED: u64 = 1_712_142_432_534_968_404;
+const EXPECTED: u64 = 17_024_541_424_127_193_967;
 
 fn config(rng: &mut StdRng) -> MrcpConfig {
     let policy = match rng.gen_range(0..4u32) {
@@ -85,7 +85,6 @@ fn job(rng: &mut StdRng, id: u32, now: SimTime) -> Job {
         deadline: start + SimTime::from_secs(rng.gen_range(15..=150i64)),
         map_tasks: maps,
         reduce_tasks: reduces,
-        precedences: vec![],
     }
 }
 

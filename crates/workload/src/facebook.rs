@@ -233,7 +233,6 @@ impl<R: Rng> FacebookGenerator<R> {
             deadline: SimTime::MAX,
             map_tasks,
             reduce_tasks,
-            precedences: vec![],
         };
         let te = job.min_execution_time(self.cfg.total_map_slots(), self.cfg.total_reduce_slots());
         let mult = Uniform::new(1.0, self.cfg.deadline_multiplier).sample(&mut self.rng);

@@ -19,7 +19,6 @@ pub mod fault;
 pub mod model;
 pub mod synthetic;
 pub mod trace;
-pub mod workflow;
 
 pub use facebook::{FacebookConfig, FacebookGenerator};
 pub use fault::{AttemptOutcome, FaultConfig, FaultModel, Outage};

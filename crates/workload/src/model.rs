@@ -96,13 +96,6 @@ pub struct Job {
     pub map_tasks: Vec<Task>,
     /// The job's reduce tasks `T_j^rd` (empty for map-only jobs).
     pub reduce_tasks: Vec<Task>,
-    /// User-specified precedence edges `(before, after)` between this job's
-    /// tasks — the paper's future-work generalization to "more complex
-    /// workflows with user-specified precedence relationships" (§VII).
-    /// Plain MapReduce jobs leave this empty; the implicit map→reduce
-    /// barrier always applies in addition to these edges.
-    #[serde(default)]
-    pub precedences: Vec<(TaskId, TaskId)>,
 }
 
 impl Job {
@@ -141,6 +134,12 @@ impl Job {
         self.deadline - self.earliest_start - self.min_execution_time(u32::MAX, u32::MAX)
     }
 
+    /// The first task id that appears a second time in the job, if any.
+    pub fn repeated_task(&self) -> Option<TaskId> {
+        let mut ids = std::collections::HashSet::with_capacity(self.task_count());
+        self.tasks().map(|t| t.id).find(|&id| !ids.insert(id))
+    }
+
     /// Validity check used by generators and the trace loader.
     pub fn validate(&self) -> Result<(), String> {
         if self.earliest_start < self.arrival {
@@ -157,6 +156,9 @@ impl Job {
         }
         if self.map_tasks.is_empty() && self.reduce_tasks.is_empty() {
             return Err(format!("{}: job has no tasks", self.id));
+        }
+        if let Some(id) = self.repeated_task() {
+            return Err(format!("{}: task {id} appears twice", self.id));
         }
         for t in self.tasks() {
             if t.job != self.id {
@@ -184,62 +186,6 @@ impl Job {
             if t.kind != TaskKind::Reduce {
                 return Err(format!("{}: map task {} in reduce list", self.id, t.id));
             }
-        }
-        self.validate_precedences()?;
-        Ok(())
-    }
-
-    /// Workflow-edge validity: endpoints belong to this job, no self-loops,
-    /// no reduce→map edges (they always cycle with the phase barrier), and
-    /// the edge set is acyclic.
-    fn validate_precedences(&self) -> Result<(), String> {
-        if self.precedences.is_empty() {
-            return Ok(());
-        }
-        let kind_of: std::collections::HashMap<TaskId, TaskKind> =
-            self.tasks().map(|t| (t.id, t.kind)).collect();
-        for &(a, b) in &self.precedences {
-            if a == b {
-                return Err(format!("{}: self-precedence on {a}", self.id));
-            }
-            let (Some(&ka), Some(&kb)) = (kind_of.get(&a), kind_of.get(&b)) else {
-                return Err(format!(
-                    "{}: precedence ({a},{b}) references foreign task",
-                    self.id
-                ));
-            };
-            if ka == TaskKind::Reduce && kb == TaskKind::Map && !self.map_tasks.is_empty() {
-                return Err(format!(
-                    "{}: reduce→map edge ({a},{b}) cycles with the phase barrier",
-                    self.id
-                ));
-            }
-        }
-        // Kahn cycle check over the user edges alone (the barrier adds only
-        // map→reduce edges, which cannot close a cycle once reduce→map user
-        // edges are rejected above).
-        let ids: Vec<TaskId> = self.tasks().map(|t| t.id).collect();
-        let index: std::collections::HashMap<TaskId, usize> =
-            ids.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-        let mut indegree = vec![0usize; ids.len()];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); ids.len()];
-        for &(a, b) in &self.precedences {
-            succs[index[&a]].push(index[&b]);
-            indegree[index[&b]] += 1;
-        }
-        let mut queue: Vec<usize> = (0..ids.len()).filter(|&i| indegree[i] == 0).collect();
-        let mut seen = 0;
-        while let Some(i) = queue.pop() {
-            seen += 1;
-            for &s in &succs[i] {
-                indegree[s] -= 1;
-                if indegree[s] == 0 {
-                    queue.push(s);
-                }
-            }
-        }
-        if seen != ids.len() {
-            return Err(format!("{}: precedence edges contain a cycle", self.id));
         }
         Ok(())
     }
@@ -338,7 +284,6 @@ mod tests {
             deadline: SimTime::from_secs(100),
             map_tasks: vec![task(0, 1, TaskKind::Map, 5), task(1, 1, TaskKind::Map, 9)],
             reduce_tasks: vec![task(2, 1, TaskKind::Reduce, 4)],
-            precedences: vec![],
         }
     }
 
@@ -415,6 +360,14 @@ mod tests {
         let mut j = sample_job();
         j.reduce_tasks[0].kind = TaskKind::Map;
         assert!(j.validate().is_err());
+
+        // A repeated task id, within a phase or across the two.
+        let mut j = sample_job();
+        j.map_tasks[1].id = TaskId(0);
+        assert_eq!(j.validate(), Err("j1: task t0 appears twice".into()));
+        let mut j = sample_job();
+        j.reduce_tasks[0].id = TaskId(1);
+        assert_eq!(j.validate(), Err("j1: task t1 appears twice".into()));
     }
 
     #[test]

@@ -373,7 +373,6 @@ impl<R: Rng> SyntheticGenerator<R> {
             deadline: SimTime::MAX, // fixed below
             map_tasks,
             reduce_tasks,
-            precedences: vec![],
         };
         let te = job.min_execution_time(cfg.total_map_slots(), cfg.total_reduce_slots());
         let mult = Uniform::new(1.0, cfg.deadline_multiplier).sample(&mut self.rng);

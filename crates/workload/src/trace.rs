@@ -4,7 +4,7 @@
 //! archived as JSON and replayed later, so a figure in EXPERIMENTS.md is
 //! always reproducible from its artifact even if generator code evolves.
 
-use crate::model::{Job, Resource};
+use crate::model::{Job, JobId, Resource};
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 
@@ -55,8 +55,15 @@ impl Trace {
     }
 
     /// Parse from JSON and validate.
+    ///
+    /// A job is the paper's map/reduce job and nothing more. Traces written
+    /// while jobs carried user precedence edges hold a `precedences` list on
+    /// every job; an empty one is accepted, a non-empty one is refused
+    /// rather than silently dropped.
     pub fn from_json(s: &str) -> Result<Trace, String> {
-        let t: Trace = serde_json::from_str(s).map_err(|e| e.to_string())?;
+        let v: serde_json::Value = serde_json::from_str(s).map_err(|e| e.to_string())?;
+        refuse_precedence_edges(&v)?;
+        let t = Trace::deserialize_value(&v)?;
         t.validate()?;
         Ok(t)
     }
@@ -72,6 +79,27 @@ impl Trace {
         r.read_to_string(&mut s).map_err(|e| e.to_string())?;
         Trace::from_json(&s)
     }
+}
+
+/// Refuse a job whose JSON carries a non-empty `precedences` list.
+fn refuse_precedence_edges(v: &serde_json::Value) -> Result<(), String> {
+    fn field<'a>(v: &'a serde_json::Value, key: &str) -> Option<&'a serde_json::Value> {
+        v.as_map()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+    let jobs = field(v, "jobs")
+        .and_then(|j| j.as_seq())
+        .unwrap_or_default();
+    for job in jobs {
+        let edges = field(job, "precedences").and_then(|p| p.as_seq());
+        if edges.is_some_and(|e| !e.is_empty()) {
+            let id = field(job, "id").map_or(Ok(JobId(0)), JobId::deserialize_value)?;
+            return Err(format!(
+                "{id}: precedence edges are not supported \
+                 (a job is its map tasks, its reduce tasks and the barrier between them)"
+            ));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -117,6 +145,30 @@ mod tests {
         let mut t3 = sample_trace();
         t3.jobs[0].deadline = desim::SimTime::from_millis(-1);
         assert!(t3.validate().is_err());
+    }
+
+    /// One job with the given `precedences` JSON, on one resource.
+    fn one_job_trace(precedences: &str) -> String {
+        format!(
+            r#"{{"description": "one job", "resources": [{{"id": 0, "map_capacity": 1, "reduce_capacity": 1}}],
+              "jobs": [{{"id": 7, "arrival": 0, "earliest_start": 0, "deadline": 10000,
+                "map_tasks": [{{"id": 1, "job": 7, "kind": "Map", "exec_time": 1000, "req": 1}}],
+                "reduce_tasks": [{{"id": 2, "job": 7, "kind": "Reduce", "exec_time": 1000, "req": 1}}],
+                "precedences": {precedences}}}]}}"#
+        )
+    }
+
+    #[test]
+    fn from_json_accepts_an_empty_edge_list() {
+        let t = Trace::from_json(&one_job_trace("[]")).unwrap();
+        assert_eq!(t.jobs.len(), 1);
+        assert_eq!(t.jobs[0].task_count(), 2);
+    }
+
+    #[test]
+    fn from_json_refuses_precedence_edges_and_names_the_job() {
+        let err = Trace::from_json(&one_job_trace("[[1, 2]]")).unwrap_err();
+        assert!(err.starts_with("j7: precedence edges"), "{err}");
     }
 
     #[test]

@@ -6,8 +6,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use workload::trace::Trace;
-use workload::workflow::random_workflow;
-use workload::{FacebookConfig, FacebookGenerator, JobId, SyntheticConfig, SyntheticGenerator};
+use workload::{FacebookConfig, FacebookGenerator, SyntheticConfig, SyntheticGenerator};
 
 fn synth_config() -> impl Strategy<Value = SyntheticConfig> {
     (
@@ -84,26 +83,11 @@ proptest! {
         }
     }
 
-    /// Traces survive a JSON round trip bit-exactly, workflows included.
+    /// Traces survive a JSON round trip bit-exactly.
     #[test]
     fn trace_round_trip_lossless(cfg in synth_config(), seed in 0u64..1000) {
         let mut gen = SyntheticGenerator::new(cfg.clone(), StdRng::seed_from_u64(seed));
-        let mut jobs = gen.take_jobs(8);
-        // Append a workflow job to exercise the precedences field.
-        let base: u32 = jobs.iter().map(|j| j.task_count() as u32).sum::<u32>() + 10_000;
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
-        let last_arrival = jobs.last().unwrap().arrival;
-        let wf = random_workflow(
-            &mut rng,
-            JobId(jobs.len() as u32),
-            base,
-            last_arrival,
-            2.0,
-            3,
-            2,
-            5,
-        );
-        jobs.push(wf);
+        let jobs = gen.take_jobs(8);
         let t = Trace::new("prop", cfg.cluster(), jobs);
         t.validate().unwrap();
         let back = Trace::from_json(&t.to_json()).unwrap();

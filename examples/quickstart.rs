@@ -38,7 +38,6 @@ fn job(
         deadline: SimTime::from_secs(deadline_s),
         map_tasks: maps.iter().map(|&s| mk(TaskKind::Map, s)).collect(),
         reduce_tasks: reduces.iter().map(|&s| mk(TaskKind::Reduce, s)).collect(),
-        precedences: vec![],
     }
 }
 
