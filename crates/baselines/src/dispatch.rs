@@ -23,8 +23,9 @@ use mrcp::{
     ManagerStats, MrcpConfig, RejectReason, ResourceManager, ScheduleEntry,
 };
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::mem::{replace, take};
+use std::sync::Arc;
 use std::time::Instant;
 use workload::{Job, JobId, Resource, ResourceId, Task, TaskId};
 
@@ -77,6 +78,8 @@ struct JobRun {
     waiting: [VecDeque<(TaskId, SimTime, u32)>; 2],
     running: [u32; 2],
     left: [usize; 2],
+    /// Every task id of the job, to release when it leaves.
+    tasks: Arc<[TaskId]>,
 }
 
 impl JobRun {
@@ -119,6 +122,8 @@ pub struct DispatchRm {
     /// Map and reduce slots over the whole cluster.
     slots: [u32; 2],
     jobs: BTreeMap<JobId, JobRun>,
+    /// The task ids of the jobs in the system.
+    owned: HashSet<TaskId>,
     running: HashMap<TaskId, Run>,
     /// The last plan: job, kind, resource index and, for a start that is
     /// final at `plan_at`, its key.
@@ -140,6 +145,7 @@ impl DispatchRm {
             slots: [total(|r| r.map_capacity), total(|r| r.reduce_capacity)],
             resources: resources.into_iter().map(|r| (r, true)).collect(),
             jobs: BTreeMap::new(),
+            owned: HashSet::new(),
             running: HashMap::new(),
             plan: HashMap::new(),
             plan_at: SimTime::ZERO,
@@ -156,6 +162,15 @@ impl DispatchRm {
     fn resource(&self, rid: ResourceId) -> Result<usize, ManagerError> {
         let r = self.resources.iter().position(|(r, _)| r.id == rid);
         r.ok_or(ManagerError::UnknownResource(rid))
+    }
+
+    /// Take `job` out of the system and free its task ids.
+    fn remove_job(&mut self, job: JobId) -> Option<JobRun> {
+        let run = self.jobs.remove(&job)?;
+        for id in run.tasks.iter() {
+            self.owned.remove(id);
+        }
+        Some(run)
     }
 
     /// Put a running task back at the head of its job's queue.
@@ -271,8 +286,7 @@ impl Projection {
 impl ResourceManager for DispatchRm {
     /// Admits every job as [`Submitted::Active`]. A job with tasks of a
     /// kind the cluster has no slots for could never finish; it is rejected
-    /// with [`RejectReason::DemandExceedsCapacity`]. Task ids are trusted
-    /// to be unique.
+    /// with [`RejectReason::DemandExceedsCapacity`].
     fn submit_with_admission(
         &mut self,
         job: Job,
@@ -281,7 +295,8 @@ impl ResourceManager for DispatchRm {
         if self.jobs.contains_key(&job.id) {
             return Err(ManagerError::DuplicateJob(job.id));
         }
-        if let Some(id) = job.repeated_task() {
+        let known = (job.tasks().map(|t| t.id)).find(|id| self.owned.contains(id));
+        if let Some(id) = known.or_else(|| job.repeated_task()) {
             return Err(ManagerError::DuplicateTask(id));
         }
         let (maps, reduces) = (&job.map_tasks, &job.reduce_tasks);
@@ -310,6 +325,8 @@ impl ResourceManager for DispatchRm {
         for t in job.tasks() {
             waiting[t.kind as usize].push_back((t.id, t.exec_time, 0));
         }
+        let tasks: Arc<[TaskId]> = job.tasks().map(|t| t.id).collect();
+        self.owned.extend(tasks.iter().copied());
         let run = JobRun {
             id: job.id,
             arrival: job.arrival,
@@ -320,6 +337,7 @@ impl ResourceManager for DispatchRm {
             waiting,
             running: [0, 0],
             left,
+            tasks,
         };
         self.jobs.insert(job.id, run);
         let (decision, submitted) = (AdmissionDecision::Admit, Some(Submitted::Active));
@@ -454,7 +472,7 @@ impl ResourceManager for DispatchRm {
             return Ok(None);
         }
         let (job, deadline, earliest_start) = (t.job, run.deadline, run.earliest_start);
-        self.jobs.remove(&job);
+        self.remove_job(job);
         Ok(Some(JobCompletion {
             job,
             completion: now,
@@ -490,10 +508,7 @@ impl ResourceManager for DispatchRm {
         }
         self.stats.jobs_abandoned += 1;
         let job = t.job;
-        let run = self
-            .jobs
-            .remove(&job)
-            .ok_or(ManagerError::UnknownJob(job))?;
+        let run = self.remove_job(job).ok_or(ManagerError::UnknownJob(job))?;
         let mut tasks: Vec<TaskId> = run.waiting.iter().flatten().map(|w| w.0).collect();
         tasks.push(task);
         tasks.extend(
@@ -646,6 +661,24 @@ pub(crate) mod tests {
         assert_eq!(d.jobs_in_system(), 0);
         assert_eq!(d.stats().jobs_rejected, 0);
         assert!(d.reschedule(at(0)).is_empty());
+    }
+
+    /// A job reusing a task id that another live job owns is refused
+    /// before any state or counter changes: the plan would list the task
+    /// twice, and the second job would never leave the system.
+    #[test]
+    fn a_task_id_another_live_job_owns_is_refused() {
+        let mut d = rm(Policy::MinEdfWc, (1, 1));
+        let first = mk_job(0, 0, 0, 100, &[10], &[]);
+        d.submit_with_admission(first, at(0)).unwrap();
+        let plan = d.reschedule(at(0));
+        let mut second = mk_job(1, 0, 0, 100, &[10], &[]);
+        second.map_tasks[0].id = TaskId(0);
+        let refused = d.submit_with_admission(second, at(0));
+        assert_eq!(refused.unwrap_err(), ManagerError::DuplicateTask(TaskId(0)));
+        assert_eq!(d.jobs_in_system(), 1);
+        assert_eq!(d.stats().jobs_rejected, 0);
+        assert_eq!(d.reschedule(at(0)), plan);
     }
 
     #[test]

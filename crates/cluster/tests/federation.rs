@@ -78,10 +78,10 @@ fn single_cell_identity_survives_budget_pressure() {
     use mrcp::{BudgetController, SolveBudget};
     use std::time::Duration;
     // Wall-clock-free budget plus a zero latency ceiling: the controller
-    // halves the scale every round (1.0, 0.5, 0.25, 0.125, 0.1, …), so
-    // the run passes through pressure level 1 — split CP with no full-CP
-    // second chance — on its way to the greedy-only floor. The cells=1
-    // identity must hold on every rung the controller can pick.
+    // halves the scale every round (1, ½, ¼, ⅛, … down to 1/64), so the
+    // run is served by the split CP rung at first and by greedy EDF once
+    // the scale is under a quarter. The cells=1 identity must hold on both
+    // rungs the controller can pick.
     let sim = || {
         let mut sim = SimConfig::default();
         sim.manager.budget = SolveBudget {
@@ -89,11 +89,7 @@ fn single_cell_identity_survives_budget_pressure() {
             fail_limit: 2_000,
             ..SolveBudget::default()
         };
-        sim.manager.controller = Some(BudgetController {
-            latency_ceiling: Duration::ZERO,
-            alpha: 1.0,
-            min_scale: 0.1,
-        });
+        sim.manager.controller = Some(BudgetController::with_ceiling(Duration::ZERO));
         sim
     };
     let (resources, jobs) = workload(30, 4, 0.05, 29);

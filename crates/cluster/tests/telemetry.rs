@@ -58,7 +58,7 @@ fn registry_reconciles_with_end_of_run_structs() {
     for (i, cell) in fed.cells().iter().enumerate() {
         let scoped = tel.scoped("cell", i);
         let stats = cell.rm.stats();
-        let rung_sum: u64 = ["split_cp", "full_cp", "greedy", "failed"]
+        let rung_sum: u64 = ["split_cp", "greedy", "failed"]
             .iter()
             .map(|rung| {
                 scoped

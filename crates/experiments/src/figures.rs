@@ -37,8 +37,7 @@ pub struct Figure {
     pub title: &'static str,
     /// Regenerate at the given scale and master seed.
     pub run: fn(&Scale, u64) -> FigureResult,
-    /// Judge the figure's claims on a regenerated result; an empty list
-    /// means the figure makes no claim on the simulated columns.
+    /// Judge the figure's claims on a regenerated result.
     pub check: fn(&FigureResult) -> Vec<Verdict>,
 }
 
@@ -124,12 +123,6 @@ pub fn all_figures() -> Vec<Figure> {
             check: check_overload,
         },
         Figure {
-            name: "workers",
-            title: "Extra: portfolio workers sweep — per-round parallel CP search (K = 1, 2, 4)",
-            run: run_workers_sweep,
-            check: |_| Vec::new(),
-        },
-        Figure {
             name: "chaos",
             title: "Extra: chaos sweep — SLA performance under a faulty cell boundary (drop/dup/hang/crash)",
             run: run_chaos_sweep,
@@ -143,7 +136,7 @@ pub fn all_figures() -> Vec<Figure> {
         },
         Figure {
             name: "ablations",
-            title: "Extra: MRCP-RM design ablations (split §V.D, deferral §V.E, orderings)",
+            title: "Extra: MRCP-RM job ordering ablations (§VI.B: EDF, job id, least laxity)",
             run: run_ablation_panel,
             check: check_ablations,
         },
@@ -324,28 +317,6 @@ fn synth_sweep<V: Copy + std::fmt::Display>(
                     synth_sample(None, &cfg, scale, seed, rep, |_| {})
                 }),
             }
-        })
-        .collect();
-    FigureResult { points }
-}
-
-/// Extra panel: the same Table 3 workload scheduled with K ∈ {1, 2, 4}
-/// diversified CP workers per round. Its claim — more workers never worsen
-/// P at equal node budget — is not checked: with K ≥ 2 the workers share an
-/// incumbent bound whose arrival order depends on the OS scheduler, so P
-/// depends on the host.
-fn run_workers_sweep(scale: &Scale, seed: u64) -> FigureResult {
-    let cfg = capped(SyntheticConfig::default(), scale);
-    let points = [1usize, 2, 4]
-        .iter()
-        .map(|&k| PointResult {
-            label: format!("K={k}"),
-            series: MRCP.into(),
-            agg: replicate(scale, |rep| {
-                synth_sample(None, &cfg, scale, seed, rep, |s| {
-                    s.manager.budget.workers = k
-                })
-            }),
         })
         .collect();
     FigureResult { points }
@@ -533,19 +504,17 @@ fn run_chaos_sweep(scale: &Scale, seed: u64) -> FigureResult {
     FigureResult { points }
 }
 
-/// Extra panel: the design-choice ablations of DESIGN.md §5, measured on
-/// the default Table 3 point (all factors at their boldface values). The
-/// split and deferral claims — each cuts `O` — are wall clock and not
-/// checked; the check is that no variant moves `P`.
+/// Extra panel: the job orderings of §VI.B, measured on the default
+/// Table 3 point (all factors at their boldface values) in the paper's
+/// configuration (split §V.D and deferral §V.E on). The check is that no
+/// ordering moves `P`.
 fn run_ablation_panel(scale: &Scale, seed: u64) -> FigureResult {
     use mrcp::JobOrdering;
 
     let cfg = capped(SyntheticConfig::default(), scale);
     type Tweak = fn(&mut SimConfig);
-    let variants: [(&str, Tweak); 5] = [
+    let variants: [(&str, Tweak); 3] = [
         ("baseline (split+defer, EDF)", |_| {}),
-        ("no-split (§V.D off)", |s| s.manager.use_split = false),
-        ("no-defer (§V.E off)", |s| s.manager.defer = false),
         ("ordering=job-id", |s| {
             s.manager.ordering = JobOrdering::JobId
         }),

@@ -72,9 +72,6 @@ pub fn render_table(name: &str, title: &str, fig: &FigureResult) -> String {
 
 /// Render one `PASS`/`FAIL` line per verdict of figure `name`.
 pub fn render_verdicts(name: &str, verdicts: &[Verdict]) -> String {
-    if verdicts.is_empty() {
-        return format!("{name}: no checked claims\n");
-    }
     verdicts
         .iter()
         .map(|v| {
@@ -178,10 +175,6 @@ mod tests {
         assert_eq!(
             render_verdicts("fig7", &[verdict(true), verdict(false)]),
             "PASS fig7: P falls — P [0.1, 0]\nFAIL fig7: P falls — P [0.1, 0]\n"
-        );
-        assert_eq!(
-            render_verdicts("workers", &[]),
-            "workers: no checked claims\n"
         );
     }
 

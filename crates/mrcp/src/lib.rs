@@ -12,8 +12,8 @@
 //!   Table 2 algorithm): submit jobs, track started/completed tasks, and
 //!   reschedule incrementally — pinning started-but-unfinished tasks and
 //!   remapping everything else. It also holds the §V.E performance
-//!   optimization ([`MrcpConfig::defer`]): a job whose earliest start time
-//!   lies in the future is parked and enters the CP model only then.
+//!   optimization, always on: a job whose earliest start time lies in the
+//!   future is parked and enters the CP model only then.
 //! * [`modelmap`] — translation of the live system state into a
 //!   [`cpsolve`] model (the role of the OPL model generation in §V.C).
 //! * [`split`] — the §V.D performance optimization: solve scheduling on a

@@ -21,21 +21,23 @@
 //! `task_completed` notifications from its host (the simulator or a real
 //! execution layer) — equivalent bookkeeping with the same outcome.
 //!
-//! The §V.D split optimization and §V.E deferral are both on by default,
-//! as in the paper's evaluated configuration, and can be disabled for
-//! ablations.
+//! The §V.D split optimization and §V.E deferral are always on, as in the
+//! paper's evaluated configuration. Deferral: "Jobs that have arrived and
+//! have a `s_j` in the future are placed in a queue, and are mapped and
+//! scheduled at a later time." A parked job enters the CP model at its
+//! `s_j`; keeping it out until then shrinks every earlier round's model,
+//! which is what drives the overhead reductions of Figs. 5 and 6.
 
 use crate::admission::{
     earliest_feasible_estimate, edf_demand_violation, AdmissionConfig, AdmissionDecision,
     AdmissionPolicy, RejectReason, Witness,
 };
-use crate::modelmap::{build_model, JobInput, MappedModel, TaskInput};
+use crate::modelmap::{build_model, JobInput, TaskInput};
 use crate::ordering::JobOrdering;
 use crate::sim_driver::ResourceManager;
 use crate::split::{split_solve_portfolio, RoundHints};
-use cpsolve::greedy::{greedy_edf, greedy_edf_with_hints, Hint};
-use cpsolve::model::ResRef;
-use cpsolve::portfolio::{solve_portfolio, PortfolioParams};
+use cpsolve::greedy::greedy_edf;
+use cpsolve::portfolio::PortfolioParams;
 use cpsolve::search::{Outcome, SolveParams, SolveStats, Status};
 use desim::SimTime;
 use std::collections::hash_map::DefaultHasher;
@@ -107,8 +109,8 @@ impl fmt::Display for ManagerError {
 
 impl std::error::Error for ManagerError {}
 
-/// A scheduling round that could not produce any schedule, after every
-/// rung of the degradation ladder (split CP → full CP → greedy EDF).
+/// A scheduling round that could not produce any schedule, after both
+/// rungs of the degradation ladder (split CP → greedy EDF).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SchedulingError {
@@ -143,8 +145,6 @@ impl std::error::Error for SchedulingError {}
 enum RoundRung {
     /// The §V.D split model (schedule-then-matchmake).
     SplitCp,
-    /// The monolithic multi-resource CP model.
-    FullCp,
     /// Greedy EDF, the unconditional fallback.
     Greedy,
 }
@@ -154,17 +154,15 @@ impl RoundRung {
     fn name(self) -> &'static str {
         match self {
             RoundRung::SplitCp => "split_cp",
-            RoundRung::FullCp => "full_cp",
             RoundRung::Greedy => "greedy",
         }
     }
 }
 
 /// What a scheduling round yields: the placements (task, resource, start),
-/// the solver outcome they came from, whether the primary rung of the
-/// degradation ladder was abandoned along the way, and which rung finally
-/// served the schedule.
-type RoundResult = (Vec<(TaskId, ResourceId, SimTime)>, Outcome, bool, RoundRung);
+/// the solver outcome they came from, and which rung served the schedule
+/// (a greedy round is a degraded one).
+type RoundResult = (Vec<(TaskId, ResourceId, SimTime)>, Outcome, RoundRung);
 
 /// Adaptive effort scaling — the paper's §VII future-work item
 /// "mechanisms that can reduce matchmaking and scheduling times when λ is
@@ -184,7 +182,8 @@ pub struct AdaptiveBudget {
 /// Per-invocation solver effort limits. The default is counted, not timed:
 /// 150 nodes and 150 fails, scaled down past 200 tasks to a floor of 50, no
 /// wall-clock limit and one worker, so a simulated result repeats exactly
-/// for a fixed seed on any host.
+/// for a fixed seed on any host. Every solve is seeded with the greedy EDF
+/// incumbent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolveBudget {
     /// Maximum branching decisions per invocation.
@@ -196,10 +195,6 @@ pub struct SolveBudget {
     pub time_limit_ms: Option<u64>,
     /// Optional adaptive scaling with model size.
     pub adaptive: Option<AdaptiveBudget>,
-    /// Seed each solve with the greedy EDF incumbent (on in the paper's
-    /// configuration; turning it off exposes the `Unknown` degradation
-    /// path for testing).
-    pub warm_start: bool,
     /// Parallel portfolio workers per solve (1 = the single-threaded
     /// search; >1 spawns diversified workers sharing the incumbent bound,
     /// see [`cpsolve::portfolio`]).
@@ -216,7 +211,6 @@ impl Default for SolveBudget {
                 reference_tasks: 200,
                 floor_nodes: 50,
             }),
-            warm_start: true,
             workers: 1,
         }
     }
@@ -238,7 +232,6 @@ impl SolveBudget {
             node_limit: nodes,
             fail_limit: fails,
             time_limit: self.time_limit_ms.map(Duration::from_millis),
-            warm_start: self.warm_start,
             ..Default::default()
         }
     }
@@ -246,39 +239,32 @@ impl SolveBudget {
 
 /// Feedback controller keeping per-round scheduling latency under a
 /// ceiling (DESIGN.md §5c). After every round the observed wall-clock
-/// latency updates an EWMA; when the EWMA crosses three quarters of the
-/// ceiling the per-round solver budget is halved (down to `min_scale`),
-/// and when it falls below a quarter the budget doubles back toward
-/// full. Shrunken budgets also escalate the degradation ladder early:
-/// below half scale the full-CP second chance is skipped, and below a
-/// quarter (or at `min_scale`) rounds go straight to greedy EDF.
+/// latency updates an EWMA (smoothing factor 0.3); when the EWMA crosses
+/// three quarters of the ceiling the per-round solver budget is halved
+/// (down to 1/64), and when it falls below a quarter the budget doubles
+/// back toward full. Below a quarter of the budget, rounds skip the split
+/// CP rung and go straight to greedy EDF.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BudgetController {
     /// Target ceiling for per-round scheduling latency.
     pub latency_ceiling: Duration,
-    /// EWMA smoothing factor in `(0, 1]`; higher reacts faster.
-    pub alpha: f64,
-    /// Lower bound on the budget scale factor.
-    pub min_scale: f64,
 }
+
+/// The controller's EWMA smoothing factor in `(0, 1]`; higher reacts faster.
+const EWMA_ALPHA: f64 = 0.3;
+/// The controller's lower bound on the budget scale.
+const MIN_SCALE: f64 = 1.0 / 64.0;
 
 impl Default for BudgetController {
     fn default() -> Self {
-        BudgetController {
-            latency_ceiling: Duration::from_millis(250),
-            alpha: 0.3,
-            min_scale: 1.0 / 64.0,
-        }
+        BudgetController::with_ceiling(Duration::from_millis(250))
     }
 }
 
 impl BudgetController {
-    /// A controller with the given latency ceiling and default dynamics.
+    /// A controller with the given latency ceiling.
     pub fn with_ceiling(latency_ceiling: Duration) -> Self {
-        BudgetController {
-            latency_ceiling,
-            ..Default::default()
-        }
+        BudgetController { latency_ceiling }
     }
 }
 
@@ -289,18 +275,6 @@ pub struct MrcpConfig {
     pub ordering: JobOrdering,
     /// Per-invocation solver budget.
     pub budget: SolveBudget,
-    /// §V.D: schedule on one combined resource, then matchmake (default on).
-    pub use_split: bool,
-    /// §V.E: defer jobs whose `s_j` lies in the future (default on). "A
-    /// mechanism was implemented to start matchmaking and scheduling jobs
-    /// only when their `s_j` have arrived, or are close to arriving. …
-    /// Jobs that have arrived and have a `s_j` in the future are placed in
-    /// a queue, and are mapped and scheduled at a later time." A parked job
-    /// enters the CP model at its `s_j`; keeping it out until then shrinks
-    /// the decision variables and constraints of every earlier round, which
-    /// is what drives the overhead reductions of Figs. 5 and 6. Off, every
-    /// arrival is scheduled at once (the §V.E ablation's baseline).
-    pub defer: bool,
     /// Audit every installed schedule with the independent verifier
     /// (always on in debug builds). Off, every 64th round is audited all
     /// the same.
@@ -326,8 +300,6 @@ impl Default for MrcpConfig {
         MrcpConfig {
             ordering: JobOrdering::Edf,
             budget: SolveBudget::default(),
-            use_split: true,
-            defer: true,
             verify_schedules: cfg!(debug_assertions),
             retry_budget: 3,
             admission: AdmissionConfig::default(),
@@ -493,8 +465,8 @@ pub struct ManagerStats {
     pub optimal_rounds: u64,
     /// Rounds stopped by budget with an incumbent.
     pub feasible_rounds: u64,
-    /// Rounds where every CP rung came back empty and the greedy EDF
-    /// fallback supplied the schedule.
+    /// Rounds the greedy EDF fallback served: the split CP rung failed,
+    /// or the budget controller skipped it.
     pub degraded_rounds: u64,
     /// Rounds where even the fallback produced nothing (the plan is left
     /// empty; tasks wait for the next round).
@@ -633,7 +605,7 @@ pub struct ManagerImage {
     pub schedule: Vec<ScheduleEntry>,
     /// Resources currently down, sorted.
     pub down: Vec<ResourceId>,
-    /// Budget-controller scale, `(min_scale, 1]`.
+    /// Budget-controller scale, `[1/64, 1]`.
     pub budget_scale: f64,
     /// Round-latency EWMA, `None` before the first round.
     pub latency_ewma_s: Option<f64>,
@@ -697,7 +669,6 @@ pub(crate) struct ManagerTel {
     bus: telemetry::EventBus,
     /// Rounds served, labeled by degradation-ladder rung.
     rounds_split: telemetry::Counter,
-    rounds_full: telemetry::Counter,
     rounds_greedy: telemetry::Counter,
     rounds_failed: telemetry::Counter,
     round_solve_us: telemetry::Histogram,
@@ -725,7 +696,6 @@ impl ManagerTel {
         ManagerTel {
             bus: tel.bus.clone(),
             rounds_split: reg.counter("mrcp_rounds_total", &[("rung", "split_cp")]),
-            rounds_full: reg.counter("mrcp_rounds_total", &[("rung", "full_cp")]),
             rounds_greedy: reg.counter("mrcp_rounds_total", &[("rung", "greedy")]),
             rounds_failed: reg.counter("mrcp_rounds_total", &[("rung", "failed")]),
             round_solve_us: reg.histogram("mrcp_round_solve_us", &[], telemetry::LATENCY_US_BOUNDS),
@@ -750,7 +720,6 @@ impl ManagerTel {
     fn rung_counter(&self, rung: RoundRung) -> &telemetry::Counter {
         match rung {
             RoundRung::SplitCp => &self.rounds_split,
-            RoundRung::FullCp => &self.rounds_full,
             RoundRung::Greedy => &self.rounds_greedy,
         }
     }
@@ -872,7 +841,7 @@ pub struct MrcpRm {
     /// The most recent round's failure, if it produced no schedule.
     last_error: Option<SchedulingError>,
     /// Budget-controller state: current scale on the per-round solver
-    /// budget, `(min_scale, 1]`; 1.0 when no controller is configured.
+    /// budget, `[1/64, 1]`; 1.0 when no controller is configured.
     budget_scale: f64,
     /// EWMA of recent round latencies (seconds), `None` before the first
     /// round.
@@ -1119,7 +1088,7 @@ impl MrcpRm {
         }
         let remaining = tasks.len();
         self.outstanding += tasks.iter().fold(SimTime::ZERO, |sum, t| sum + t.exec_time);
-        let deferral = (self.cfg.defer && job.earliest_start > now).then_some(job.earliest_start);
+        let deferral = (job.earliest_start > now).then_some(job.earliest_start);
         self.jobs.insert(
             id,
             JobState {
@@ -1322,8 +1291,8 @@ impl MrcpRm {
         self.stats.total_solve += elapsed;
         self.observe_round_latency(elapsed);
         self.tel.round_solve_us.record(elapsed.as_micros() as u64);
-        let (outcome, degraded, rung) = match round {
-            Ok((_, outcome, degraded, rung)) => (outcome, *degraded, *rung),
+        let (outcome, rung) = match round {
+            Ok((_, outcome, rung)) => (outcome, *rung),
             Err(err) => {
                 self.stats.failed_rounds += 1;
                 self.tel.rounds_failed.inc();
@@ -1342,7 +1311,7 @@ impl MrcpRm {
         self.tel.solve.record(&outcome.stats);
         self.tel
             .event(now, telemetry::EventKind::RoundSolved, None, rung.name());
-        if degraded {
+        if rung == RoundRung::Greedy {
             self.tel.event(
                 now,
                 telemetry::EventKind::LadderEscalation,
@@ -1354,7 +1323,7 @@ impl MrcpRm {
             match outcome.status {
                 Status::Optimal => self.stats.optimal_rounds += 1,
                 Status::Feasible => self.stats.feasible_rounds += 1,
-                // A primary-rung success always carries a solution, but the
+                // A split-rung success always carries a solution, but the
                 // status can be Unknown when the budget ran out before the
                 // warm start was improved; it still counts as a round.
                 _ => {}
@@ -1461,14 +1430,10 @@ impl MrcpRm {
         (states, inputs)
     }
 
-    /// How hard the budget controller is currently squeezing: 0 = none,
-    /// 1 = skip the full-CP second chance, 2 = greedy only.
-    fn pressure_level(&self) -> u8 {
-        match self.cfg.controller {
-            Some(ctl) if self.budget_scale < 0.25 || self.budget_scale <= ctl.min_scale => 2,
-            Some(_) if self.budget_scale < 0.5 => 1,
-            _ => 0,
-        }
+    /// The budget controller has squeezed the budget below a quarter: the
+    /// round skips the split CP rung and goes straight to greedy EDF.
+    fn greedy_only(&self) -> bool {
+        self.cfg.controller.is_some() && self.budget_scale < 0.25
     }
 
     /// Feed one round's wall-clock latency to the budget controller:
@@ -1481,14 +1446,14 @@ impl MrcpRm {
         };
         let e = elapsed.as_secs_f64();
         let ewma = match self.latency_ewma_s {
-            Some(prev) => ctl.alpha * e + (1.0 - ctl.alpha) * prev,
+            Some(prev) => EWMA_ALPHA * e + (1.0 - EWMA_ALPHA) * prev,
             None => e,
         };
         self.latency_ewma_s = Some(ewma);
         let ceiling = ctl.latency_ceiling.as_secs_f64();
         let old = self.budget_scale;
         if ewma > 0.75 * ceiling {
-            self.budget_scale = (self.budget_scale * 0.5).max(ctl.min_scale);
+            self.budget_scale = (self.budget_scale * 0.5).max(MIN_SCALE);
         } else if ewma < 0.25 * ceiling && self.budget_scale < 1.0 {
             self.budget_scale = (self.budget_scale * 2.0).min(1.0);
         }
@@ -1501,24 +1466,20 @@ impl MrcpRm {
         }
     }
 
-    /// One pass down the degradation ladder: the configured CP path first
-    /// (§V.D split model when `use_split`, else the full model), then the
-    /// full CP model as a second chance, and finally greedy EDF — which
-    /// cannot time out and succeeds on any consistent state. With `audit`,
-    /// each rung's result is audited before being accepted; an audit
-    /// failure falls through to the next rung rather than installing a bad
-    /// plan.
-    /// Under budget-controller `pressure` the ladder is entered lower
-    /// down: level 1 skips the full-CP second chance, level 2 goes straight
-    /// to greedy.
-    /// Returns the placements, the solver outcome they came from, whether
-    /// the primary rung was abandoned, and which rung served the round.
+    /// One pass down the degradation ladder: the §V.D split CP rung first,
+    /// then greedy EDF over the full model, which cannot time out and
+    /// succeeds on any consistent state. With `audit`, each rung's result
+    /// is audited before being accepted; a failed audit falls through to
+    /// greedy rather than installing a bad plan. With `greedy_only` (the
+    /// budget controller's squeeze) the round goes straight to greedy.
+    /// Returns the placements, the solver outcome they came from, and which
+    /// rung served the round.
     fn solve_round(
         cfg: &MrcpConfig,
         resources: &[Resource],
         inputs: &[JobInput<'_>],
         params: &SolveParams,
-        pressure: u8,
+        greedy_only: bool,
         hints: Option<&RoundHints>,
         audit: bool,
     ) -> Result<RoundResult, SchedulingError> {
@@ -1529,82 +1490,40 @@ impl MrcpRm {
                 Ok(())
             }
         };
-        let mut pp = PortfolioParams {
-            base: params.clone(),
-            workers: cfg.budget.workers,
-            seed: 0,
-        };
-
-        let mut degraded = false;
-        // Rung 1: the §V.D split path, when configured and not under
-        // heavy pressure.
-        if cfg.use_split && pressure < 2 {
-            match split_solve_portfolio(resources, inputs, &pp, hints) {
-                Ok(s) if audit_ok(&s.placements).is_ok() => {
-                    return Ok((s.placements, s.outcome, false, RoundRung::SplitCp));
-                }
-                _ => degraded = true,
-            }
-        }
-
-        // Rung 2: the monolithic multi-resource model. Build it once; the
-        // greedy rung reuses it.
-        let mm: MappedModel =
-            build_model(resources, inputs).map_err(SchedulingError::ModelBuild)?;
-        let placements_of = |mm: &MappedModel, best: &cpsolve::solution::Solution| {
-            mm.task_ids
-                .iter()
-                .enumerate()
-                .map(|(i, &tid)| {
-                    (
-                        tid,
-                        mm.res_ids[best.resource[i].idx()],
-                        SimTime::from_millis(best.starts[i]),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        if pressure == 0 {
-            // Hint-fed incumbent on the full model (hints carry the real
-            // resource assignment too).
-            let hinted_initial = hints.and_then(|h| {
-                let rindex: HashMap<ResourceId, u32> = mm
-                    .res_ids
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &r)| (r, i as u32))
-                    .collect();
-                let full: Vec<Hint> = h
-                    .iter()
-                    .map(|o| {
-                        o.and_then(|(r, s)| rindex.get(&r).map(|&i| (ResRef(i), s.as_millis())))
-                    })
-                    .collect();
-                greedy_edf_with_hints(&mm.model, &full).ok()
-            });
-            pp.base.initial = hinted_initial;
-            let out = solve_portfolio(&mm.model, &pp);
-            if let Some(best) = out.best.as_ref() {
-                let placements = placements_of(&mm, best);
-                if audit_ok(&placements).is_ok() {
-                    return Ok((placements, out, degraded, RoundRung::FullCp));
+        if !greedy_only {
+            let pp = PortfolioParams {
+                base: params.clone(),
+                workers: cfg.budget.workers,
+                seed: 0,
+            };
+            if let Ok(s) = split_solve_portfolio(resources, inputs, &pp, hints) {
+                if audit_ok(&s.placements).is_ok() {
+                    return Ok((s.placements, s.outcome, RoundRung::SplitCp));
                 }
             }
         }
 
-        // Rung 3: greedy EDF, wrapped as a feasible outcome. An audit
-        // failure here is terminal — nothing further to fall back to.
-        // Pressure-escalated rounds land here by design and count as
-        // degraded, like any other round the CP rungs did not serve.
+        // Greedy EDF on the multi-resource model, wrapped as a feasible
+        // outcome. An audit failure here is terminal: there is nothing
+        // further to fall back to.
+        let mm = build_model(resources, inputs).map_err(SchedulingError::ModelBuild)?;
         let g = greedy_edf(&mm.model).map_err(SchedulingError::NoSolution)?;
-        let placements = placements_of(&mm, &g);
+        let placements: Vec<_> = mm
+            .task_ids
+            .iter()
+            .enumerate()
+            .map(|(i, &tid)| {
+                let start = SimTime::from_millis(g.starts[i]);
+                (tid, mm.res_ids[g.resource[i].idx()], start)
+            })
+            .collect();
         audit_ok(&placements).map_err(SchedulingError::AuditFailed)?;
         let outcome = Outcome {
             status: Status::Feasible,
             best: Some(g),
             stats: SolveStats::default(),
         };
-        Ok((placements, outcome, true, RoundRung::Greedy))
+        Ok((placements, outcome, RoundRung::Greedy))
     }
 
     /// The current plan for unstarted tasks, sorted by start time.
@@ -1950,12 +1869,12 @@ impl ResourceManager for MrcpRm {
 
         let n_tasks: usize = inputs.iter().map(|j| j.tasks.len()).sum();
         let mut params = self.cfg.budget.params_for(n_tasks);
-        // Budget controller: a shrunken scale trims every per-round limit
-        // and escalates the degradation ladder (see solve_round).
+        // Budget controller: a shrunken scale trims every per-round limit,
+        // and below a quarter the round is greedy only (see solve_round).
         if self.budget_scale < 1.0 {
             params = params.scaled(self.budget_scale);
         }
-        let pressure = self.pressure_level();
+        let greedy_only = self.greedy_only();
 
         // Cross-round reuse: replay the previous round's placements, which
         // each job carries in its slots, for jobs whose fingerprint is
@@ -2010,7 +1929,7 @@ impl ResourceManager for MrcpRm {
             &up,
             &inputs,
             &params,
-            pressure,
+            greedy_only,
             hints.as_deref(),
             audit,
         );
@@ -2272,21 +2191,6 @@ mod tests {
     }
 
     #[test]
-    fn defer_disabled_schedules_immediately() {
-        let cfg = MrcpConfig {
-            defer: false,
-            ..MrcpConfig::default()
-        };
-        let mut rm = MrcpRm::new(cfg, homogeneous_cluster(2, 1, 1));
-        let job = mk_job(0, 0, 500, 1000, &[10], &[]);
-        assert_eq!(rm.submit(job, SimTime::ZERO), Ok(Submitted::Active));
-        let plan = rm.reschedule(SimTime::ZERO);
-        assert_eq!(plan.len(), 1);
-        // Still respects s_j even though scheduled early.
-        assert_eq!(plan[0].start, SimTime::from_secs(500));
-    }
-
-    #[test]
     fn immediate_jobs_are_not_deferred() {
         // `s_j` at or before `now`: the job enters the scheduling set now.
         let mut rm = manager();
@@ -2306,18 +2210,6 @@ mod tests {
             rm.submit(job, SimTime::from_secs(100)),
             Ok(Submitted::Deferred(SimTime::from_secs(500)))
         );
-    }
-
-    #[test]
-    fn disabled_never_defers() {
-        let cfg = MrcpConfig {
-            defer: false,
-            ..MrcpConfig::default()
-        };
-        let mut rm = MrcpRm::new(cfg, homogeneous_cluster(2, 1, 1));
-        let job = mk_job(0, 0, 1_000_000, 2_000_000, &[10], &[]);
-        assert_eq!(rm.submit(job, SimTime::ZERO), Ok(Submitted::Active));
-        assert_eq!(rm.next_activation(), None);
     }
 
     #[test]
@@ -2364,22 +2256,6 @@ mod tests {
         let eb = plan.iter().find(|e| e.job == JobId(1)).unwrap();
         assert_eq!(eb.start, SimTime::ZERO, "urgent job moved to the front");
         assert!(ea.start >= eb.end);
-    }
-
-    #[test]
-    fn full_model_path_matches_split_feasibility() {
-        let cfg = MrcpConfig {
-            use_split: false,
-            ..Default::default()
-        };
-        let mut rm = MrcpRm::new(cfg, homogeneous_cluster(2, 2, 2));
-        for i in 0..3 {
-            rm.submit(mk_job(i, 0, 0, 10_000, &[10, 20], &[5]), SimTime::ZERO)
-                .unwrap();
-        }
-        let plan = rm.reschedule(SimTime::ZERO);
-        assert_eq!(plan.len(), 9);
-        assert_eq!(rm.stats().invocations, 1);
     }
 
     /// The full CP model holds at most 128 resources; the split rung and
@@ -2639,15 +2515,17 @@ mod tests {
 
     #[test]
     fn forced_unknown_budget_falls_back_to_greedy() {
-        // node_limit 0 + warm starts off force Status::Unknown from every CP
-        // rung; the greedy rung must still produce a full schedule.
+        // A zero node budget under a zero latency ceiling: the controller
+        // halves the scale after every round (1, ½, ¼, ⅛), so the fourth
+        // round skips the split rung, and the greedy rung must still
+        // produce a full schedule.
         let cfg = MrcpConfig {
             budget: SolveBudget {
                 node_limit: 0,
                 fail_limit: 0,
-                warm_start: false,
                 ..SolveBudget::default()
             },
+            controller: Some(BudgetController::with_ceiling(Duration::ZERO)),
             ..Default::default()
         };
         let mut rm = MrcpRm::new(cfg, homogeneous_cluster(2, 1, 1));
@@ -2655,9 +2533,12 @@ mod tests {
             rm.submit(mk_job(i, 0, 0, 10_000, &[10, 20], &[5]), SimTime::ZERO)
                 .unwrap();
         }
-        let plan = rm.reschedule(SimTime::ZERO);
-        assert_eq!(plan.len(), 9, "greedy fallback schedules everything");
-        assert_eq!(rm.stats().degraded_rounds, 1);
+        for round in 1..=4 {
+            let plan = rm.reschedule(SimTime::ZERO);
+            assert_eq!(plan.len(), 9, "round {round} schedules everything");
+            let greedy = u64::from(round == 4);
+            assert_eq!(rm.stats().degraded_rounds, greedy, "round {round}");
+        }
         assert_eq!(rm.stats().failed_rounds, 0);
         assert!(rm.last_scheduling_error().is_none());
     }
@@ -2694,9 +2575,9 @@ mod tests {
     }
 
     /// A warm start that overloads a real pool fails matchmaking, and the
-    /// ladder serves the round from the full-CP rung.
+    /// ladder serves the round from the greedy rung.
     #[test]
-    fn a_lane_shortage_falls_through_to_the_full_cp_rung() {
+    fn a_lane_shortage_falls_through_to_the_greedy_rung() {
         let tel = telemetry::Telemetry::new();
         let mut rm = manager();
         rm.set_telemetry(&tel);
@@ -2715,7 +2596,7 @@ mod tests {
                 .counter("mrcp_rounds_total", &[("rung", r)])
                 .get()
         };
-        assert_eq!((rung("split_cp"), rung("full_cp")), (0, 1));
+        assert_eq!((rung("split_cp"), rung("greedy")), (0, 1));
         let (_, inputs) = MrcpRm::collect_inputs(JobOrdering::Edf, &rm.jobs, SimTime::ZERO, false);
         let placements: Vec<_> = plan.iter().map(|e| (e.task, e.resource, e.start)).collect();
         crate::split::audit(rm.resources(), &inputs, &placements).unwrap();
@@ -2766,7 +2647,6 @@ mod tests {
                 reference_tasks: 100,
                 floor_nodes: 500,
             }),
-            warm_start: true,
             workers: 1,
         };
         // At or below the reference size: unscaled.
@@ -3061,11 +2941,7 @@ mod tests {
     fn budget_controller_shrinks_then_recovers() {
         // A ceiling of zero makes every round count as over budget.
         let cfg = MrcpConfig {
-            controller: Some(BudgetController {
-                latency_ceiling: Duration::ZERO,
-                alpha: 1.0,
-                min_scale: 0.25,
-            }),
+            controller: Some(BudgetController::with_ceiling(Duration::ZERO)),
             ..Default::default()
         };
         let mut rm = MrcpRm::new(cfg, homogeneous_cluster(2, 1, 1));
@@ -3073,36 +2949,33 @@ mod tests {
             .unwrap();
         rm.reschedule(SimTime::ZERO);
         assert!(rm.budget_scale() < 1.0, "over-budget round shrinks scale");
-        rm.reschedule(SimTime::from_secs(1));
-        assert_eq!(rm.budget_scale(), 0.25, "clamped at min_scale");
-        assert!(rm.stats().budget_adaptations >= 2);
+        // Halved once per round: 1 → 1/64 takes six rounds, then it holds.
+        for round in 1..8 {
+            rm.reschedule(SimTime::from_secs(round));
+        }
+        assert_eq!(rm.budget_scale(), MIN_SCALE, "clamped at 1/64");
+        assert_eq!(rm.stats().budget_adaptations, 6);
         assert!(rm.stats().max_round_solve > Duration::ZERO);
 
-        // An enormous ceiling lets the scale grow back to full.
+        // An enormous ceiling lets the scale grow back to full. The EWMA
+        // forgets the zero-ceiling rounds at once: they were far under an
+        // hour.
         let mut relaxed = rm;
-        relaxed.cfg.controller = Some(BudgetController {
-            latency_ceiling: Duration::from_secs(3600),
-            alpha: 1.0,
-            min_scale: 0.25,
-        });
-        relaxed.reschedule(SimTime::from_secs(2));
-        relaxed.reschedule(SimTime::from_secs(3));
+        relaxed.cfg.controller = Some(BudgetController::with_ceiling(Duration::from_secs(3600)));
+        for round in 8..14 {
+            relaxed.reschedule(SimTime::from_secs(round));
+        }
         assert_eq!(relaxed.budget_scale(), 1.0, "scale doubles back to full");
     }
 
     #[test]
     fn max_pressure_goes_straight_to_greedy() {
-        // Two ways into pressure level 2: min_scale = 1.0 keeps the scale at
-        // the floor from the start, and 0.2 is under a quarter though above
-        // its floor. Either way the round is greedy only, counted as
-        // degraded, but still a complete schedule.
-        for (min_scale, scale) in [(1.0, 1.0), (0.1, 0.2)] {
+        // Under a quarter of the budget, at the 1/64 floor or above it, the
+        // round is greedy only, counted as degraded, but still a complete
+        // schedule. At a quarter the split rung still serves it.
+        for (scale, greedy) in [(MIN_SCALE, 1), (0.2, 1), (0.25, 0)] {
             let cfg = MrcpConfig {
-                controller: Some(BudgetController {
-                    latency_ceiling: Duration::from_secs(3600),
-                    alpha: 0.3,
-                    min_scale,
-                }),
+                controller: Some(BudgetController::with_ceiling(Duration::from_secs(3600))),
                 ..Default::default()
             };
             let mut rm = MrcpRm::new(cfg, homogeneous_cluster(2, 1, 1));
@@ -3112,8 +2985,8 @@ mod tests {
                     .unwrap();
             }
             let plan = rm.reschedule(SimTime::ZERO);
-            assert_eq!(plan.len(), 9, "greedy still schedules everything");
-            assert_eq!(rm.stats().degraded_rounds, 1);
+            assert_eq!(plan.len(), 9, "scale {scale} schedules everything");
+            assert_eq!(rm.stats().degraded_rounds, greedy, "scale {scale}");
             assert_eq!(rm.stats().failed_rounds, 0);
         }
     }

@@ -1317,17 +1317,6 @@ mod tests {
         assert!((extra.late as i64 - base.late as i64).abs() <= 2);
     }
 
-    #[test]
-    fn split_and_full_paths_both_drain() {
-        let (cluster, jobs) = small_workload(15, 0.05, 5);
-        let mut cfg = SimConfig::default();
-        cfg.manager.use_split = false;
-        let full = simulate(&cfg, &cluster, jobs.clone());
-        let split = simulate(&SimConfig::default(), &cluster, jobs);
-        assert_eq!(full.completed, 15);
-        assert_eq!(split.completed, 15);
-    }
-
     /// The [`RunMetrics::deterministic_signature`] contract: exactly the
     /// wall-clock observations (`o_per_job_s`, `mean_nodes_per_round`,
     /// `budget_adaptations`, `max_round_latency_s`) and the injected-

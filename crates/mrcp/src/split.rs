@@ -45,8 +45,8 @@ pub type RoundHints = [Option<(ResourceId, SimTime)>];
 #[derive(Debug)]
 pub struct SplitOutcome {
     /// `(task, resource, start)` for every task in the model, in input
-    /// order (the jobs' tasks flattened), as the full-CP and greedy rungs
-    /// return theirs.
+    /// order (the jobs' tasks flattened), as the greedy rung returns
+    /// its own.
     pub placements: Vec<(TaskId, ResourceId, SimTime)>,
     /// Number of late jobs in the installed schedule.
     pub objective: u32,

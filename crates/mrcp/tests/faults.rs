@@ -5,10 +5,11 @@
 //! exercises.
 
 use desim::SimTime;
-use mrcp::manager::{MrcpConfig, SolveBudget};
+use mrcp::manager::{BudgetController, MrcpConfig, SolveBudget};
 use mrcp::{simulate, simulate_detailed, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Duration;
 use workload::{FaultConfig, Job, Outage, Resource, SyntheticConfig, SyntheticGenerator};
 
 fn small_workload(n: usize, lambda: f64, seed: u64) -> (Vec<Resource>, Vec<Job>) {
@@ -151,9 +152,10 @@ fn exhausted_retry_budget_abandons_jobs() {
     );
 }
 
-/// Forcing `Status::Unknown` from every CP rung (zero node budget, warm
-/// starts off) must degrade to the greedy schedule, not panic — and the
-/// simulation still drains, faults and all.
+/// A zero node budget under a zero latency ceiling: the budget controller
+/// halves the scale every round until the rounds skip the split CP rung,
+/// and the greedy schedule must carry them, not panic — the simulation
+/// still drains, faults and all.
 #[test]
 fn forced_unknown_solver_outcome_degrades_gracefully() {
     let (cluster, jobs) = small_workload(15, 0.05, 23);
@@ -170,9 +172,9 @@ fn forced_unknown_solver_outcome_degrades_gracefully() {
         budget: SolveBudget {
             node_limit: 0,
             fail_limit: 0,
-            warm_start: false,
             ..SolveBudget::default()
         },
+        controller: Some(BudgetController::with_ceiling(Duration::ZERO)),
         ..Default::default()
     };
     let n = jobs.len();

@@ -10,8 +10,9 @@ use desim::SimTime;
 use mrcp::admission::witness_completion;
 use mrcp::modelmap::{build_model, JobInput, TaskInput};
 use mrcp::sim_driver::simulate_detailed;
-use mrcp::{MrcpConfig, SimConfig, SolveBudget};
+use mrcp::{BudgetController, MrcpConfig, SimConfig, SolveBudget};
 use proptest::prelude::*;
+use std::time::Duration;
 use workload::model::{heterogeneous_cluster, homogeneous_cluster};
 use workload::{Job, JobId, Resource, ResourceId, Task, TaskId, TaskKind};
 
@@ -123,16 +124,19 @@ proptest! {
         prop_assert_eq!(a.invocations, b.invocations);
     }
 
-    /// The split (§V.D) and monolithic paths both drain every workload with
-    /// verified schedules.
+    /// The split (§V.D) rung and the greedy rung both drain every workload
+    /// with verified schedules: under a zero latency ceiling the budget
+    /// controller sends every round from the fourth on straight to greedy.
     #[test]
-    fn split_and_full_both_audit_clean(w in workload()) {
+    fn split_and_greedy_both_audit_clean(w in workload()) {
         let jobs = jobs_of(&w);
-        let mut full_cfg = audited_config();
-        full_cfg.manager.use_split = false;
+        let mut greedy_cfg = audited_config();
+        greedy_cfg.manager.controller = Some(BudgetController::with_ceiling(Duration::ZERO));
         let (split, _) = simulate_detailed(&audited_config(), &w.cluster, jobs.clone());
-        let (full, _) = simulate_detailed(&full_cfg, &w.cluster, jobs);
-        prop_assert_eq!(split.completed, full.completed);
+        let (greedy, _) = simulate_detailed(&greedy_cfg, &w.cluster, jobs);
+        prop_assert_eq!(split.completed, greedy.completed);
+        prop_assert_eq!((split.failed_rounds, greedy.failed_rounds), (0, 0));
+        prop_assert!(greedy.degraded_rounds > 0 || greedy.invocations <= 3);
     }
 }
 

@@ -27,7 +27,7 @@ use workload::{Job, JobId, Resource, ResourceId, Task, TaskId, TaskKind};
 
 const SEQUENCES: u64 = 200;
 const COMMANDS: usize = 40;
-const EXPECTED: u64 = 17_024_541_424_127_193_967;
+const EXPECTED: u64 = 15_745_780_134_574_213_671;
 
 fn config(rng: &mut StdRng) -> MrcpConfig {
     let policy = match rng.gen_range(0..4u32) {
@@ -43,7 +43,6 @@ fn config(rng: &mut StdRng) -> MrcpConfig {
             // repeat anywhere.
             ..SolveBudget::default()
         },
-        use_split: rng.gen_bool(0.8),
         verify_schedules: true,
         retry_budget: rng.gen_range(0..=2u32),
         admission: AdmissionConfig {

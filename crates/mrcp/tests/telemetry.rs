@@ -67,7 +67,7 @@ fn registry_reconciles_with_manager_stats() {
     let reg = &tel.registry;
     let c = |name: &str| reg.counter(name, &[]).get();
     // Exactly one rung counter fires per solver invocation.
-    let rung_sum: u64 = ["split_cp", "full_cp", "greedy", "failed"]
+    let rung_sum: u64 = ["split_cp", "greedy", "failed"]
         .iter()
         .map(|rung| reg.counter("mrcp_rounds_total", &[("rung", rung)]).get())
         .sum();

@@ -7,9 +7,8 @@
 Run from the repository root. The solver budget is counted in nodes, never
 timed, so every simulated column repeats exactly per seed on any machine and
 the committed results/*.csv are a golden file: any difference is a behaviour
-change. Not compared: O (wall clock), and the workers rows with K >= 2, whose
-portfolio threads share an incumbent bound that arrives in an order the OS
-scheduler picks. Exits 1 on any difference or missing row. Stdlib only.
+change. Not compared: O (wall clock). Exits 1 on any difference or missing
+row. Stdlib only.
 """
 import csv, glob, os
 SIMULATED = ("reps", "p_late", "p_late_hw", "n_late", "n_late_hw",
@@ -18,8 +17,6 @@ def rows(out_dir):
     out = {}
     for path in glob.glob(f"{out_dir}/*.csv"):
         for r in csv.DictReader(open(path, newline="")):
-            if r["figure"] == "workers" and r["point"] != "K=1":
-                continue
             out[os.path.basename(path), r["point"], r["series"]] = {c: r[c] for c in SIMULATED}
     return out
 base, fresh = rows("results"), rows("/tmp/default")

@@ -106,50 +106,6 @@ fn mrcp_beats_minedf_wc_on_fig2_setup() {
     );
 }
 
-/// Deferral (§V.E) changes scheduling effort but not job completion: the
-/// same jobs finish either way.
-#[test]
-fn deferral_preserves_completions() {
-    let cfg = SyntheticConfig {
-        p_future_start: 0.8,
-        s_max: 2_000,
-        ..synth_cfg()
-    };
-    let jobs = synth_jobs(&cfg, 40, 2);
-
-    let on = simulate(&SimConfig::default(), &cfg.cluster(), jobs.clone());
-    let mut sim_off = SimConfig::default();
-    sim_off.manager.defer = false;
-    let off = simulate(&sim_off, &cfg.cluster(), jobs);
-    assert_eq!(on.completed, 40);
-    assert_eq!(off.completed, 40);
-    // Deferral reduces (or keeps equal) the model sizes per round.
-    assert!(on.max_tasks_in_model <= off.max_tasks_in_model);
-}
-
-/// The split optimization (§V.D) and the monolithic model agree that the
-/// workload drains, and late counts stay close (split is lossless on
-/// homogeneous clusters; small divergence can come from search order).
-#[test]
-fn split_and_monolithic_agree() {
-    let cfg = synth_cfg();
-    let jobs = synth_jobs(&cfg, 40, 3);
-
-    let split = simulate(&SimConfig::default(), &cfg.cluster(), jobs.clone());
-    let mut sim_full = SimConfig::default();
-    sim_full.manager.use_split = false;
-    let full = simulate(&sim_full, &cfg.cluster(), jobs);
-    assert_eq!(split.completed, 40);
-    assert_eq!(full.completed, 40);
-    let diff = (split.late as i64 - full.late as i64).abs();
-    assert!(
-        diff <= 3,
-        "split late {} vs full late {}",
-        split.late,
-        full.late
-    );
-}
-
 /// Schedules installed by the manager are audited by the independent
 /// verifier when `verify_schedules` is on (here: forced on in release too).
 #[test]
