@@ -247,8 +247,8 @@ impl Pool {
 /// A resource without capacity for a kind has no slot of it, so it is never
 /// a candidate for that kind, and no resource count is too large. The
 /// calendar needs no [`Model`]: [`greedy_edf`] runs on one built from the
-/// model's resources, and the manager's admission witness on one built from
-/// the up resources (`mrcp::admission::Witness`).
+/// model's resources, and the manager's list scheduler (`mrcp::list`) on
+/// one built from the up resources or from their combined slot totals.
 #[derive(Debug)]
 pub struct Calendar {
     map: Pool,
@@ -416,9 +416,9 @@ fn greedy_edf_core(model: &Model, hints: Option<&[Hint]>) -> Result<Solution, St
     // Priority order over jobs (EDF by default); stable tie-break on
     // deadline, release, then index. After the pinned tasks, each job is
     // placed whole in this order, so a job's placement depends on no job
-    // after it: `mrcp::admission::Witness` relies on that to place no job
-    // after its candidate, and its differential test in
-    // `mrcp/tests/proptest_manager.rs` guards this key.
+    // after it: `mrcp::list` relies on that to place no job after the
+    // admission witness's candidate, and the differential tests in
+    // `mrcp/tests/proptest_{manager,split}.rs` guard this key.
     let mut order: Vec<usize> = (0..model.n_jobs()).collect();
     order.sort_by_key(|&j| {
         (

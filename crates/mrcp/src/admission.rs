@@ -17,10 +17,10 @@
 //!    deadline `d`. Release times and the map→reduce barrier are ignored,
 //!    which only relaxes the problem — a violated bound is a *proof* of
 //!    infeasibility, never a false rejection;
-//! 2. a **greedy witness schedule** ([`Witness`]): the greedy EDF warm
-//!    start's list-scheduling rule, run on its own slot calendar over the
-//!    up resources with no CP model, books every running task and places
-//!    the jobs that sort before the candidate, then the candidate. The
+//! 2. a **greedy witness schedule**: the manager's one list scheduler
+//!    ([`crate::list`]) on one calendar per up resource, with no CP model,
+//!    books every running task and places the jobs that sort before the
+//!    candidate, then the candidate (the cut is the candidate's key). The
 //!    candidate's completion is the one the greedy over the live model plus
 //!    the candidate would give. It is an upper bound on what the real
 //!    solver will achieve, and doubles as the `earliest_feasible_deadline`
@@ -32,11 +32,7 @@
 //! choice: admit anyway (the paper's behaviour), reject, or admit with
 //! the deadline renegotiated to the earliest feasible one.
 
-use crate::modelmap::{JobInput, TaskInput};
-use cpsolve::greedy::{Calendar, Free};
-use cpsolve::model::SlotKind;
 use desim::SimTime;
-use workload::{Resource, ResourceId, TaskKind};
 
 /// How the manager treats arrivals whose SLA the probe finds unmeetable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -174,187 +170,6 @@ pub fn earliest_feasible_estimate(now: SimTime, slots: u32, total_work: SimTime)
         return SimTime::MAX;
     }
     now + SimTime::from_millis((ms + slots as i64 - 1) / slots as i64)
-}
-
-/// A job's place in [`greedy_edf`]'s order, in the model's units:
-/// `(priority, deadline, release)` in milliseconds, ties to the lower job
-/// index.
-///
-/// [`greedy_edf`]: cpsolve::greedy::greedy_edf
-pub type WitnessKey = (i64, i64, i64);
-
-/// The greedy witness without a CP model: [`greedy_edf`]'s list-scheduling
-/// rule run on its own slot calendar ([`Calendar`]) over the up resources.
-///
-/// `greedy_edf` books every pinned task first, in task-index order, then
-/// places whole jobs one at a time in [`WitnessKey`] order, so nothing
-/// placed after the candidate can move it. The witness is fed one walk of
-/// the live jobs in job-id order ([`Witness::book`]): it books their
-/// running tasks and keeps only the jobs that sort before the candidate.
-/// [`Witness::complete`] books the candidate's pins, places the kept jobs
-/// in key order, then the candidate, and reads its completion. The
-/// candidate is the last job of the model, so a key tie sorts before it.
-/// The answer is `greedy_edf`'s over the model of every job, bit for bit,
-/// and it is `None` exactly when that model or its greedy fails:
-/// - a pin onto a resource that is down, unknown or lacks capacity;
-/// - two pins that collide;
-/// - an outstanding task with `req ≠ 1` or a non-positive duration;
-/// - a free task that no up resource can host;
-/// - no resource is up.
-///
-/// `J` is the caller's handle on a job; [`Witness::complete`] turns it
-/// back into the job's outstanding tasks.
-///
-/// [`greedy_edf`]: cpsolve::greedy::greedy_edf
-#[derive(Debug)]
-pub struct Witness<J> {
-    /// Up resource ids, sorted, with their calendar index.
-    index: Vec<(ResourceId, usize)>,
-    /// Some up resource has a map (`[0]`) or a reduce (`[1]`) slot.
-    hosts: [bool; 2],
-    cal: Calendar,
-    candidate: WitnessKey,
-    /// Jobs with free tasks that sort before the candidate, in walk order.
-    kept: Vec<(WitnessKey, J)>,
-    failed: bool,
-    maps: Vec<Free<()>>,
-    reduces: Vec<Free<()>>,
-}
-
-impl<J: Copy> Witness<J> {
-    /// An empty witness over the `up` resources for a candidate with this
-    /// order key.
-    pub fn new<'r>(up: impl Iterator<Item = &'r Resource> + Clone, candidate: WitnessKey) -> Self {
-        let mut index: Vec<(ResourceId, usize)> =
-            up.clone().enumerate().map(|(k, r)| (r.id, k)).collect();
-        index.sort_unstable();
-        let hosts = |kind| up.clone().any(|r| r.capacity(kind) >= 1);
-        Witness {
-            hosts: [hosts(TaskKind::Map), hosts(TaskKind::Reduce)],
-            failed: index.is_empty(),
-            index,
-            cal: Calendar::new(up.map(|r| (r.map_capacity, r.reduce_capacity))),
-            candidate,
-            kept: Vec::new(),
-            maps: Vec::new(),
-            reduces: Vec::new(),
-        }
-    }
-
-    /// Book one live job's outstanding `tasks`, jobs in job-id order: its
-    /// running tasks go onto the calendar, and the job is kept for
-    /// placement when it has a free task and its `key` sorts before the
-    /// candidate's.
-    pub fn book(&mut self, job: J, key: WitnessKey, tasks: impl Iterator<Item = TaskInput>) {
-        let mut free = false;
-        for t in tasks {
-            free |= t.pinned.is_none();
-            self.book_task(&t);
-        }
-        if free && key <= self.candidate {
-            self.kept.push((key, job));
-        }
-    }
-
-    /// Book `t` if it runs; mark the witness failed when `t` cannot take
-    /// part in a greedy schedule at all.
-    fn book_task(&mut self, t: &TaskInput) {
-        if self.failed {
-            return;
-        }
-        let dur = t.exec_time.as_millis();
-        let kind = match t.kind {
-            TaskKind::Map => SlotKind::Map,
-            TaskKind::Reduce => SlotKind::Reduce,
-        };
-        let ok = t.req == 1
-            && dur > 0
-            && match t.pinned {
-                None => self.hosts[kind as usize],
-                Some((rid, start)) => match self.index.binary_search_by_key(&rid, |e| e.0) {
-                    Ok(k) => self.cal.pin(kind, self.index[k].1, start.as_millis(), dur),
-                    Err(_) => false,
-                },
-            };
-        self.failed = !ok;
-    }
-
-    /// Book the candidate's pins, place every kept job (its outstanding
-    /// tasks from `tasks_of`) in key order, then the candidate, and return
-    /// the candidate's completion. The candidate is an arrival, so it has
-    /// started nothing.
-    pub fn complete<I: Iterator<Item = TaskInput>>(
-        mut self,
-        tasks_of: impl Fn(J) -> I,
-        candidate: impl Iterator<Item = TaskInput> + Clone,
-    ) -> Option<SimTime> {
-        for t in candidate.clone() {
-            debug_assert!(t.pinned.is_none(), "a candidate has started nothing");
-            self.book_task(&t);
-        }
-        if self.failed {
-            return None;
-        }
-        // Stable: a key tie keeps the walk's job-id order.
-        let mut kept = std::mem::take(&mut self.kept);
-        kept.sort_by_key(|&(key, _)| key);
-        for (key, job) in kept {
-            self.place(key.2, tasks_of(job))?;
-        }
-        self.place(self.candidate.2, candidate)
-            .map(SimTime::from_millis)
-    }
-
-    /// Place one job's free tasks from `release`: its completion per
-    /// [`Calendar::place`].
-    fn place(&mut self, release: i64, tasks: impl Iterator<Item = TaskInput>) -> Option<i64> {
-        self.maps.clear();
-        self.reduces.clear();
-        let mut running_maps_end = i64::MIN;
-        for t in tasks {
-            let dur = t.exec_time.as_millis();
-            let free = Free {
-                task: (),
-                dur,
-                at: None,
-            };
-            match (t.kind, t.pinned) {
-                (TaskKind::Map, Some((_, start))) => {
-                    running_maps_end = running_maps_end.max(start.as_millis() + dur);
-                }
-                (TaskKind::Reduce, Some(_)) => {}
-                (TaskKind::Map, None) => self.maps.push(free),
-                (TaskKind::Reduce, None) => self.reduces.push(free),
-            }
-        }
-        self.cal
-            .place(release, running_maps_end, &mut self.maps, &mut self.reduces)
-            .ok()
-    }
-}
-
-/// A model input's [`WitnessKey`].
-fn key(input: &JobInput<'_>) -> WitnessKey {
-    (
-        input.priority,
-        input.job.deadline.as_millis(),
-        input.release.as_millis(),
-    )
-}
-
-/// The greedy witness over model inputs: the completion of the candidate,
-/// the last job of `inputs` (it has started nothing), in [`greedy_edf`]
-/// over the `up` resources. One walk through a [`Witness`], as the
-/// manager's probe walks its job table.
-///
-/// [`greedy_edf`]: cpsolve::greedy::greedy_edf
-pub fn witness_completion(up: &[Resource], inputs: &[JobInput<'_>]) -> Option<SimTime> {
-    let (candidate, live) = inputs.split_last()?;
-    let mut witness = Witness::new(up.iter(), key(candidate));
-    for input in live {
-        witness.book(input, key(input), input.tasks.iter().copied());
-    }
-    witness.complete(|i| i.tasks.iter().copied(), candidate.tasks.iter().copied())
 }
 
 #[cfg(test)]

@@ -19,6 +19,8 @@
 //! * [`split`] — the §V.D performance optimization: solve scheduling on a
 //!   single combined resource, then run the gap-minimizing matchmaking
 //!   that distributes the schedule over the real resources.
+//! * [`list`] — greedy EDF's list-scheduling rule with no CP model: the
+//!   split rung's warm start, the greedy rung and the admission witness.
 //! * [`admission`] — overload protection beyond the paper: SLA-aware
 //!   admission control (EDF demand bound + greedy witness schedule),
 //!   pending-queue backpressure, and the adaptive budget controller.
@@ -29,6 +31,7 @@
 //!   (`O`, `N`, `T`, `P`).
 
 pub mod admission;
+pub mod list;
 pub mod manager;
 pub mod modelmap;
 pub mod ordering;

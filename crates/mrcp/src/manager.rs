@@ -30,13 +30,13 @@
 
 use crate::admission::{
     earliest_feasible_estimate, edf_demand_violation, AdmissionConfig, AdmissionDecision,
-    AdmissionPolicy, RejectReason, Witness,
+    AdmissionPolicy, RejectReason,
 };
-use crate::modelmap::{build_model, JobInput, TaskInput};
+use crate::list;
+use crate::modelmap::{JobInput, TaskInput};
 use crate::ordering::JobOrdering;
 use crate::sim_driver::ResourceManager;
 use crate::split::{split_solve_portfolio, RoundHints};
-use cpsolve::greedy::greedy_edf;
 use cpsolve::portfolio::PortfolioParams;
 use cpsolve::search::{Outcome, SolveParams, SolveStats, Status};
 use desim::SimTime;
@@ -110,12 +110,11 @@ impl fmt::Display for ManagerError {
 impl std::error::Error for ManagerError {}
 
 /// A scheduling round that could not produce any schedule, after both
-/// rungs of the degradation ladder (split CP → greedy EDF).
+/// rungs of the degradation ladder (split CP → greedy EDF). Neither rung
+/// builds the multi-resource CP model, so no cluster is too large for one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SchedulingError {
-    /// The live state could not be translated into a CP model.
-    ModelBuild(String),
     /// No rung produced a solution (contradictory pins are the only
     /// plausible cause — greedy always succeeds on consistent state).
     NoSolution(String),
@@ -130,7 +129,6 @@ pub enum SchedulingError {
 impl fmt::Display for SchedulingError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SchedulingError::ModelBuild(e) => write!(f, "model build failed: {e}"),
             SchedulingError::NoSolution(e) => write!(f, "no schedule found: {e}"),
             SchedulingError::AuditFailed(e) => write!(f, "schedule audit failed: {e}"),
             SchedulingError::Inconsistent(e) => write!(f, "inconsistent round: {e}"),
@@ -1114,7 +1112,8 @@ impl MrcpRm {
 
     /// The two-stage admission probe (see [`crate::admission`]): the EDF
     /// demand bound per slot pool over every live job plus the candidate,
-    /// then the greedy witness ([`Witness`]). Both stages read one walk of
+    /// then the greedy witness: the list scheduler ([`crate::list`]) on the
+    /// up resources, cut at the candidate's key. Both stages read one walk of
     /// the job table in job-id order, deferred jobs included: their
     /// capacity demand is real even though they are parked. `Err` carries
     /// the reason and the earliest deadline the manager could have
@@ -1152,16 +1151,28 @@ impl MrcpRm {
             )
         };
         let mut demand: Vec<(i64, i64, i64)> = Vec::with_capacity(self.jobs.len() + 1);
-        let mut witness = Witness::new(self.up(), key(job));
+        // The witness's handle on a job: a live one, or `None` for the
+        // candidate, which has started nothing.
+        let tasks_of = |state| {
+            let live = Option::map(state, JobState::outstanding);
+            let candidate = live.is_none().then(|| job.tasks().map(TaskInput::free));
+            let live = live.into_iter().flatten();
+            live.chain(candidate.into_iter().flatten())
+        };
+        let mut witness = list::per_resource(self.up(), Some(key(job)));
         for state in self.jobs.values().filter(|s| s.remaining > 0) {
             let mut work = (0, 0);
             let tasks = state.outstanding().inspect(|t| add_work(&mut work, t));
-            witness.book(state, key(&state.job), tasks);
+            witness.book(Some(state), key(&state.job), tasks);
             demand.push((state.job.deadline.as_millis(), work.0, work.1));
         }
-        let candidate = job.tasks().map(TaskInput::free);
         let mut work = (0, 0);
-        candidate.clone().for_each(|t| add_work(&mut work, &t));
+        let candidate = job.tasks().map(TaskInput::free);
+        witness.book(
+            None,
+            key(job),
+            candidate.inspect(|t| add_work(&mut work, t)),
+        );
         demand.push((job.deadline.as_millis(), work.0, work.1));
         let (map_work, reduce_work) = demand
             .iter()
@@ -1174,15 +1185,23 @@ impl MrcpRm {
             );
 
         // Stage 2: the greedy witness, with no model.
-        let completion = witness.complete(JobState::outstanding, candidate);
+        let completion = witness.place(tasks_of, None).map(SimTime::from_millis);
+        // Debug builds: against the greedy over the full model of the live
+        // jobs with outstanding work, then the candidate.
         #[cfg(debug_assertions)]
-        if self.up().count() <= 128 {
-            debug_assert_eq!(
-                completion,
-                self.model_witness(job, now),
-                "admission witness diverged from the greedy over the full model"
-            );
-        }
+        witness.assert_matches_model(
+            || {
+                let (_, mut inputs) = Self::collect_inputs(ordering, &self.jobs, now, true);
+                inputs.push(JobInput {
+                    priority: ordering.priority(job),
+                    job,
+                    release: job.earliest_start.max(now),
+                    tasks: job.tasks().map(TaskInput::free).collect(),
+                });
+                crate::modelmap::build_model(&self.up().cloned().collect::<Vec<_>>(), &inputs)
+            },
+            None,
+        );
         match completion {
             // A violated bound is a proof that the job set (candidate
             // included) cannot all meet its deadlines; the witness
@@ -1198,25 +1217,6 @@ impl MrcpRm {
             // the job as unmeetable.
             None => Err((RejectReason::WitnessLate, estimate)),
         }
-    }
-
-    /// The admission witness's debug reference: the candidate's completion
-    /// in [`greedy_edf`] over the CP model of the live jobs with
-    /// outstanding work and the candidate last, on the up resources.
-    #[cfg(debug_assertions)]
-    fn model_witness(&self, job: &Job, now: SimTime) -> Option<SimTime> {
-        let up: Vec<Resource> = self.up().cloned().collect();
-        let (_, mut inputs) = Self::collect_inputs(self.cfg.ordering, &self.jobs, now, true);
-        inputs.push(JobInput {
-            priority: self.cfg.ordering.priority(job),
-            job,
-            release: job.earliest_start.max(now),
-            tasks: job.tasks().map(TaskInput::free).collect(),
-        });
-        let mm = build_model(&up, &inputs).ok()?;
-        let g = greedy_edf(&mm.model).ok()?;
-        let last = cpsolve::model::JobRef(mm.model.n_jobs().checked_sub(1)? as u32);
-        Some(SimTime::from_millis(g.job_completion(&mm.model, last)))
     }
 
     /// The lowest-value shedding candidate: among fully unstarted jobs,
@@ -1467,8 +1467,9 @@ impl MrcpRm {
     }
 
     /// One pass down the degradation ladder: the §V.D split CP rung first,
-    /// then greedy EDF over the full model, which cannot time out and
-    /// succeeds on any consistent state. With `audit`, each rung's result
+    /// then greedy EDF on one calendar per resource ([`list::greedy`], no
+    /// CP model), which cannot time out and succeeds on any consistent
+    /// state. With `audit`, each rung's result
     /// is audited before being accepted; a failed audit falls through to
     /// greedy rather than installing a bad plan. With `greedy_only` (the
     /// budget controller's squeeze) the round goes straight to greedy.
@@ -1503,24 +1504,16 @@ impl MrcpRm {
             }
         }
 
-        // Greedy EDF on the multi-resource model, wrapped as a feasible
-        // outcome. An audit failure here is terminal: there is nothing
-        // further to fall back to.
-        let mm = build_model(resources, inputs).map_err(SchedulingError::ModelBuild)?;
-        let g = greedy_edf(&mm.model).map_err(SchedulingError::NoSolution)?;
-        let placements: Vec<_> = mm
-            .task_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &tid)| {
-                let start = SimTime::from_millis(g.starts[i]);
-                (tid, mm.res_ids[g.resource[i].idx()], start)
-            })
-            .collect();
+        // Greedy EDF on the real resources, wrapped as a feasible outcome.
+        // An audit failure here is terminal: there is nothing further to
+        // fall back to.
+        let placements = list::greedy(resources, inputs).ok_or_else(|| {
+            SchedulingError::NoSolution("greedy EDF: a pin or a task cannot be placed".into())
+        })?;
         audit_ok(&placements).map_err(SchedulingError::AuditFailed)?;
         let outcome = Outcome {
             status: Status::Feasible,
-            best: Some(g),
+            best: None,
             stats: SolveStats::default(),
         };
         Ok((placements, outcome, RoundRung::Greedy))
@@ -2258,13 +2251,15 @@ mod tests {
         assert!(ea.start >= eb.end);
     }
 
-    /// The full CP model holds at most 128 resources; the split rung and
-    /// its audit do not build it, so a larger cluster still plans with
-    /// audits on.
+    /// No rung builds the multi-resource CP model, which holds at most 128
+    /// resources, so a larger cluster plans in full on both rungs with
+    /// audits on. A zero latency ceiling halves the budget scale after
+    /// every round (1, ½, ¼, ⅛, 1/16): rounds 4 and 5 skip the split rung.
     #[test]
-    fn audited_cluster_beyond_the_full_model_limit_plans() {
+    fn a_cluster_beyond_128_resources_degrades_to_a_full_plan() {
         let cfg = MrcpConfig {
             verify_schedules: true,
+            controller: Some(BudgetController::with_ceiling(Duration::ZERO)),
             ..Default::default()
         };
         let mut rm = MrcpRm::new(cfg, homogeneous_cluster(130, 1, 1));
@@ -2272,8 +2267,12 @@ mod tests {
             rm.submit(mk_job(i, 0, 0, 10_000, &[10, 20], &[5]), SimTime::ZERO)
                 .unwrap();
         }
-        let plan = rm.reschedule(SimTime::ZERO);
-        assert_eq!(plan.len(), 9);
+        for round in 1..=5 {
+            let plan = rm.reschedule(SimTime::ZERO);
+            assert_eq!(plan.len(), 9, "round {round} plans every task");
+        }
+        let stats = rm.stats();
+        assert_eq!((stats.degraded_rounds, stats.failed_rounds), (2, 0));
         assert!(
             rm.last_scheduling_error().is_none(),
             "{:?}",
@@ -3003,7 +3002,6 @@ mod tests {
             Box::new(ManagerError::ResourceAlreadyDown(ResourceId(7))),
             Box::new(ManagerError::ResourceNotDown(ResourceId(8))),
             Box::new(ManagerError::Inconsistent("invariant breach")),
-            Box::new(SchedulingError::ModelBuild("bad model".into())),
             Box::new(SchedulingError::NoSolution("no rung".into())),
             Box::new(SchedulingError::AuditFailed("overlap".into())),
         ];

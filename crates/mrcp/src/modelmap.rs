@@ -8,7 +8,7 @@
 
 use cpsolve::model::{Model, ModelBuilder, ResRef, SlotKind};
 use desim::SimTime;
-use workload::{Job, JobId, Resource, ResourceId, Task, TaskId, TaskKind};
+use workload::{Job, Resource, ResourceId, Task, TaskId, TaskKind};
 
 /// One job to include in the model.
 #[derive(Debug, Clone)]
@@ -63,8 +63,6 @@ pub struct MappedModel {
     pub model: Model,
     /// Workload task id for each solver task index.
     pub task_ids: Vec<TaskId>,
-    /// Workload job id for each solver job index.
-    pub job_ids: Vec<JobId>,
     /// Workload resource id for each solver resource index
     /// (for the combined model this is a single synthetic entry).
     pub res_ids: Vec<ResourceId>,
@@ -81,16 +79,14 @@ fn add_jobs(
     b: &mut ModelBuilder,
     jobs: &[JobInput<'_>],
     res_index: impl Fn(ResourceId) -> Option<ResRef>,
-) -> Result<(Vec<TaskId>, Vec<JobId>), String> {
+) -> Result<Vec<TaskId>, String> {
     let mut task_ids = Vec::new();
-    let mut job_ids = Vec::new();
     for input in jobs {
         let j = b.add_job_with_priority(
             input.release.as_millis(),
             input.job.deadline.as_millis(),
             input.priority,
         );
-        job_ids.push(input.job.id);
         for t in &input.tasks {
             let tr = b.add_task(j, kind_to_slot(t.kind), t.exec_time.as_millis(), t.req);
             task_ids.push(t.id);
@@ -104,21 +100,20 @@ fn add_jobs(
             }
         }
     }
-    Ok((task_ids, job_ids))
+    Ok(task_ids)
 }
 
 #[cfg(test)]
 thread_local! {
-    /// Models built on this thread by [`build_model`] and
-    /// [`build_combined_model`] (tests only; the debug cross-checks build
-    /// theirs uncounted).
+    /// Combined models built on this thread by [`build_combined_model`]
+    /// (tests only; the debug cross-checks build theirs uncounted). No
+    /// round builds the full model ([`build_model`]): only the debug
+    /// cross-checks of [`crate::list`] and the tests do.
     pub(crate) static BUILDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Build the full multi-resource model (the paper's base formulation).
 pub fn build_model(resources: &[Resource], jobs: &[JobInput<'_>]) -> Result<MappedModel, String> {
-    #[cfg(test)]
-    BUILDS.with(|b| b.set(b.get() + 1));
     let mut b = ModelBuilder::new();
     let mut res_ids = Vec::with_capacity(resources.len());
     let mut index = std::collections::HashMap::new();
@@ -127,11 +122,10 @@ pub fn build_model(resources: &[Resource], jobs: &[JobInput<'_>]) -> Result<Mapp
         index.insert(r.id, rr);
         res_ids.push(r.id);
     }
-    let (task_ids, job_ids) = add_jobs(&mut b, jobs, |rid| index.get(&rid).copied())?;
+    let task_ids = add_jobs(&mut b, jobs, |rid| index.get(&rid).copied())?;
     Ok(MappedModel {
         model: b.build()?,
         task_ids,
-        job_ids,
         res_ids,
     })
 }
@@ -150,7 +144,7 @@ pub fn build_combined_model(
 }
 
 /// [`build_combined_model`], uncounted: the debug cross-check of the split
-/// rung's calendar warm start builds its model here.
+/// rung's warm start builds its model here.
 pub(crate) fn combined_model(
     resources: &[Resource],
     jobs: &[JobInput<'_>],
@@ -159,11 +153,10 @@ pub(crate) fn combined_model(
     let reduce_total: u32 = resources.iter().map(|r| r.reduce_capacity).sum();
     let mut b = ModelBuilder::new();
     let combined = b.add_resource(map_total, reduce_total);
-    let (task_ids, job_ids) = add_jobs(&mut b, jobs, |_| Some(combined))?;
+    let task_ids = add_jobs(&mut b, jobs, |_| Some(combined))?;
     Ok(MappedModel {
         model: b.build()?,
         task_ids,
-        job_ids,
         res_ids: vec![ResourceId(u32::MAX)], // synthetic
     })
 }

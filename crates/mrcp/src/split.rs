@@ -20,13 +20,14 @@
 //! because their starts lie in the past.
 //!
 //! Most rounds need no model for step 1. The solver's greedy warm start is
-//! list-scheduled first, on a one-resource `Calendar` ([`warm_start`]);
-//! when no job is late nothing can beat it, so the round goes straight to
-//! matchmaking and only a round with a late job builds and solves the
-//! combined model ([`split_solve_portfolio`]).
+//! computed first by the manager's one list scheduler ([`crate::list`]) on
+//! a single calendar of the combined totals ([`warm_start`]); when no job
+//! is late nothing can beat it, so the round goes straight to matchmaking
+//! and only a round with a late job builds and solves the combined model
+//! ([`split_solve_portfolio`]).
 
-use crate::modelmap::{build_combined_model, kind_to_slot, JobInput};
-use cpsolve::greedy::{greedy_edf, greedy_edf_with_hints, Calendar, Free, Hint};
+use crate::list;
+use crate::modelmap::{build_combined_model, JobInput};
 use cpsolve::model::ResRef;
 use cpsolve::portfolio::{solve_portfolio, PortfolioParams};
 use cpsolve::search::{Outcome, SolveStats, Status};
@@ -132,13 +133,11 @@ pub struct WarmStart {
     pub late: u32,
 }
 
-/// The warm start of the combined model, list-scheduled on a one-resource
-/// [`Calendar`] holding the cluster's map and reduce totals:
-/// [`greedy_edf_with_hints`] over [`build_combined_model`] (with `hints`,
-/// each read as `(0, start)`) or [`greedy_edf`] (without), bit for bit. As
-/// the greedy does, it books the pins in flattened input order, then
-/// places whole jobs by `(priority, deadline, release, index)` through
-/// [`Calendar::place`].
+/// The warm start of the combined model: the list scheduler
+/// ([`crate::list`]) on one calendar holding the cluster's map and reduce
+/// totals, which every pin and hint maps to. It is `greedy_edf_with_hints`
+/// over [`build_combined_model`] (with `hints`, each read as `(0, start)`)
+/// or `greedy_edf` (without), bit for bit.
 ///
 /// `None` leaves the round to the model: a task has `req ≠ 1` or a
 /// non-positive duration, a pin cannot be booked, or no slot of its kind
@@ -148,77 +147,20 @@ pub fn warm_start(
     jobs: &[JobInput<'_>],
     hints: Option<&RoundHints>,
 ) -> Option<WarmStart> {
-    let map_total: u32 = resources.iter().map(|r| r.map_capacity).sum();
-    let reduce_total: u32 = resources.iter().map(|r| r.reduce_capacity).sum();
-    let mut cal = Calendar::new(std::iter::once((map_total, reduce_total)));
-    let mut starts = Vec::new();
-    // Each job's first index into `starts`.
-    let mut first = Vec::with_capacity(jobs.len());
-    for input in jobs {
-        first.push(starts.len());
-        for t in &input.tasks {
-            let dur = t.exec_time.as_millis();
-            if t.req != 1 || dur <= 0 {
-                return None;
-            }
-            // A free task's start is written when its job is placed.
-            let mut start = 0;
-            if let Some((_, s)) = t.pinned {
-                start = s.as_millis();
-                if !cal.pin(kind_to_slot(t.kind), 0, start, dur) {
-                    return None;
-                }
-            }
-            starts.push(start);
-        }
-    }
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_unstable_by_key(|&j| {
-        let input = &jobs[j];
-        let (deadline, release) = (input.job.deadline.as_millis(), input.release.as_millis());
-        (input.priority, deadline, release, j)
-    });
-    let (mut maps, mut reduces) = (Vec::new(), Vec::new());
-    for j in order {
-        maps.clear();
-        reduces.clear();
-        let mut running_maps_end = i64::MIN;
-        for (k, t) in jobs[j].tasks.iter().enumerate() {
-            let idx = first[j] + k;
-            let dur = t.exec_time.as_millis();
-            let free = Free {
-                task: idx,
-                dur,
-                at: hints
-                    .and_then(|h| h.get(idx).copied().flatten())
-                    .map(|(_, s)| (0, s.as_millis())),
-            };
-            match (t.kind, t.pinned) {
-                (TaskKind::Map, Some(_)) => {
-                    running_maps_end = running_maps_end.max(starts[idx] + dur)
-                }
-                (TaskKind::Reduce, Some(_)) => {}
-                (TaskKind::Map, None) => maps.push(free),
-                (TaskKind::Reduce, None) => reduces.push(free),
-            }
-        }
-        cal.place(
-            jobs[j].release.as_millis(),
-            running_maps_end,
-            &mut maps,
-            &mut reduces,
-        )
-        .ok()?;
-        for f in maps.iter().chain(&reduces) {
-            starts[f.task] = f.at.expect("a successful place books every task").1;
-        }
-    }
+    let mut walk = list::combined(resources);
+    let done = walk.schedule(jobs, hints);
+    #[cfg(debug_assertions)]
+    walk.assert_matches_model(|| crate::modelmap::combined_model(resources, jobs), hints);
+    done?;
+    let placed = walk.placed.iter();
+    let starts: Vec<i64> = placed.map(|p| p.expect("no cut places all").1).collect();
+    let mut next = 0;
     let late = jobs
         .iter()
-        .zip(&first)
-        .filter(|&(input, &f)| {
-            completion(input, &starts[f..f + input.tasks.len()])
-                .is_some_and(|c| c > input.job.deadline.as_millis())
+        .filter(|input| {
+            let own = &starts[next..next + input.tasks.len()];
+            next += input.tasks.len();
+            completion(input, own).is_some_and(|c| c > input.job.deadline.as_millis())
         })
         .count() as u32;
     Some(WarmStart { starts, late })
@@ -278,40 +220,6 @@ fn check_on_time(jobs: &[JobInput<'_>], starts: &[i64]) -> Result<(), String> {
     Ok(())
 }
 
-/// Debug builds: the calendar warm start is the greedy's over the combined
-/// model, bit for bit (`None` exactly where the model or its greedy fails).
-fn assert_matches_model_greedy(
-    resources: &[Resource],
-    jobs: &[JobInput<'_>],
-    hints: Option<&RoundHints>,
-    warm: Option<&WarmStart>,
-) {
-    let Ok(mm) = crate::modelmap::combined_model(resources, jobs) else {
-        assert!(
-            warm.is_none(),
-            "a warm start for a model that does not build"
-        );
-        return;
-    };
-    let greedy = match hints {
-        Some(h) => greedy_edf_with_hints(&mm.model, &combined_hints(h)),
-        None => greedy_edf(&mm.model),
-    };
-    assert_eq!(
-        warm.map(|w| (&w.starts[..], w.late)),
-        greedy.as_ref().ok().map(|g| (&g.starts[..], g.objective)),
-        "calendar warm start differs from the greedy over the combined model"
-    );
-}
-
-/// Round hints on the combined model: only the start carries over.
-fn combined_hints(hints: &RoundHints) -> Vec<Hint> {
-    hints
-        .iter()
-        .map(|o| o.map(|(_, s)| (ResRef(0), s.as_millis())))
-        .collect()
-}
-
 #[cfg(test)]
 thread_local! {
     /// Tests only: the next on-time warm start, once checked, has every
@@ -348,9 +256,6 @@ pub fn split_solve_portfolio(
         debug_assert_eq!(h.len(), jobs.iter().map(|j| j.tasks.len()).sum::<usize>());
     }
     let warm = warm_start(resources, jobs, hints);
-    if cfg!(debug_assertions) {
-        assert_matches_model_greedy(resources, jobs, hints, warm.as_ref());
-    }
     let adopted = pp.base.initial.is_none() && (hints.is_some() || pp.base.warm_start);
     let (best, outcome) = match warm {
         Some(ws) if adopted && ws.late == 0 => {

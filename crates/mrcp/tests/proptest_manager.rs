@@ -3,11 +3,12 @@
 //! pipeline always drains, outcomes are consistent, schedules are audited,
 //! and runs are deterministic. The admission witness, which list-schedules
 //! what can delay its candidate on the greedy's slot calendar with no
-//! model, answers as the greedy over the full model.
+//! model, answers as the greedy over the full model, and the greedy rung,
+//! the same walk over every job, places each task as that greedy does.
 
 use cpsolve::greedy::greedy_edf;
 use desim::SimTime;
-use mrcp::admission::witness_completion;
+use mrcp::list::{greedy, key, per_resource};
 use mrcp::modelmap::{build_model, JobInput, TaskInput};
 use mrcp::sim_driver::simulate_detailed;
 use mrcp::{BudgetController, MrcpConfig, SimConfig, SolveBudget};
@@ -313,6 +314,14 @@ fn task_input(t: &Task, pinned: Option<(ResourceId, SimTime)>) -> TaskInput {
     }
 }
 
+/// The witness over model inputs, as the manager's probe walks its job
+/// table: the completion of the candidate, the last job of `inputs`, in the
+/// list scheduler on the `up` resources, cut at the candidate's key.
+fn witness_completion(up: &[Resource], inputs: &[JobInput<'_>]) -> Option<SimTime> {
+    let mut walk = per_resource(up.iter(), Some(key(inputs.last()?)));
+    walk.schedule(inputs, None).map(SimTime::from_millis)
+}
+
 /// The candidate's completion in `greedy_edf` over the full model of
 /// `inputs`: the latest end among the candidate's tasks, found by id.
 fn full_witness(up: &[Resource], inputs: &[JobInput<'_>]) -> Option<SimTime> {
@@ -332,7 +341,9 @@ proptest! {
     /// order-key ties, one resource down, the candidate's deadline first,
     /// among or after the others), the witness, which places only what can
     /// delay the candidate and builds no model, completes it exactly when
-    /// the greedy over the full model of every input does.
+    /// the greedy over the full model of every input does. The greedy
+    /// rung, the same list scheduler with no cut, places every task where
+    /// that greedy does.
     #[test]
     fn trimmed_witness_matches_full_greedy(s in probe_state()) {
         let case = ProbeCase::new(&s);
@@ -340,6 +351,15 @@ proptest! {
         let full = full_witness(&case.up, &inputs);
         prop_assert!(full.is_some(), "pins never collide and every kind has a host");
         prop_assert_eq!(witness_completion(&case.up, &inputs), full);
+        let mm = build_model(&case.up, &inputs).unwrap();
+        let g = greedy_edf(&mm.model).unwrap();
+        let model: Vec<_> = (0..mm.task_ids.len())
+            .map(|i| {
+                let start = SimTime::from_millis(g.starts[i]);
+                (mm.task_ids[i], mm.res_ids[g.resource[i].idx()], start)
+            })
+            .collect();
+        prop_assert_eq!(greedy(&case.up, &inputs), Some(model));
     }
 }
 

@@ -23,10 +23,15 @@ with the bound BENCHMARK.json sets, and a verdict:
   better        the change wins at least 9 of 10 pairs (ties count for
                 neither) and the medians differ, its way, by more than the
                 parent's interquartile range;
-  worse         the change's median is worse by more than the bound;
   unresolved    the parent's interquartile range is wider than the bound,
-                and not every change run reads better than every parent run;
+                and not every change run reads better than every parent run
+                (nor, with the median worse by more than the bound, every
+                change run worse than every parent run);
+  worse         the change's median is worse by more than the bound;
   within bound  otherwise.
+
+The verdicts are tested in that order; `python3 -m doctest results/ab.py`
+runs the examples on `verdict`.
 
 Metric names, directions, bounds and run_seconds are read from the change
 checkout's BENCHMARK.json. Stdlib only.
@@ -70,18 +75,61 @@ def better(a, b, higher):
     return b > a if higher else b < a
 
 
-def verdict(p, c, higher, bound, worse, wins):
-    """The module doc's verdict on one metric's runs; `worse` in percent."""
+def worse_by(p, c, higher):
+    """How much worse the change's median is than the parent's, in percent
+    of the parent's (negative = better)."""
+    pm, cm = quartiles(p)[1], quartiles(c)[1]
+    return (pm - cm if higher else cm - pm) / pm * 100 if pm else 0.0
+
+
+def wins(p, c, higher):
+    """Pairs (parent run i, change run i) that the change wins."""
+    return sum(1 for a, b in zip(p, c) if better(a, b, higher))
+
+
+def verdict(p, c, higher, bound):
+    """The module doc's verdict on one metric's parent runs `p` and change
+    runs `c`; `higher` when higher is better, `bound` a fraction.
+
+    >>> verdict([1.0] * 5, [1.0] * 5, True, 0.03)
+    'identical'
+    >>> verdict([100, 101, 102, 103, 104], [110, 111, 112, 113, 114], True, 0.25)
+    'better'
+
+    A `plan_ms_p99` of five pairs whose parent interquartile range is 42 %
+    of its median, against a 25 % bound: the change's median reads 27 %
+    worse, but its runs straddle the parent's.
+
+    >>> parent = [0.04093, 0.04731, 0.04758, 0.06720, 0.1026]
+    >>> change = [0.03815, 0.03951, 0.06050, 0.07332, 0.07100]
+    >>> round(worse_by(parent, change, False), 1)
+    27.2
+    >>> verdict(parent, change, False, 0.25)
+    'unresolved'
+
+    With every change run worse than every parent run, the same spread
+    does not hide a median past the bound; nor does a narrow one.
+
+    >>> verdict(parent, [x + 0.07 for x in parent], False, 0.25)
+    'worse'
+    >>> verdict([100, 101, 102, 103, 104], [60, 61, 62, 63, 64], True, 0.25)
+    'worse'
+    >>> verdict([100, 101, 102, 103, 104], [99, 100, 101, 102, 103], True, 0.25)
+    'within bound'
+    """
     if len(set(p + c)) == 1:
         return "identical"
     q1, pm, q3 = quartiles(p)
     cm = quartiles(c)[1]
-    if 10 * wins >= 9 * len(p) and better(pm, cm, higher) and abs(cm - pm) > q3 - q1:
+    if 10 * wins(p, c, higher) >= 9 * len(p) and better(pm, cm, higher) and abs(cm - pm) > q3 - q1:
         return "better"
-    if worse > bound * 100:
-        return "worse"
-    if q3 - q1 > bound * abs(pm) and not all(better(a, b, higher) for a in p for b in c):
+    past_bound = worse_by(p, c, higher) > bound * 100
+    all_better = all(better(a, b, higher) for a in p for b in c)
+    all_worse = all(better(b, a, higher) for a in p for b in c)
+    if q3 - q1 > bound * abs(pm) and not all_better and not (past_bound and all_worse):
         return "unresolved"
+    if past_bound:
+        return "worse"
     return "within bound"
 
 
@@ -92,13 +140,11 @@ def table_rows(workload, seed, metrics, parent, change):
         name, higher, bound = m["name"], m["better"] == "higher", m["bound"]
         p = [r["metrics"][name]["value"] for r in parent]
         c = [r["metrics"][name]["value"] for r in change]
-        pm, cm = quartiles(p)[1], quartiles(c)[1]
-        worse = (pm - cm if higher else cm - pm) / pm * 100 if pm else 0.0
-        wins = sum(1 for a, b in zip(p, c) if better(a, b, higher))
         ties = sum(1 for a, b in zip(p, c) if a == b)
         head = f"| `{workload}` | {seed} | `{name}` |"
-        tail = (f"{wins} / {ties} / {len(p)} | {worse:+.1f} % ({bound * 100:g} %) "
-                f"| {verdict(p, c, higher, bound, worse, wins)} |")
+        tail = (f"{wins(p, c, higher)} / {ties} / {len(p)} "
+                f"| {worse_by(p, c, higher):+.1f} % ({bound * 100:g} %) "
+                f"| {verdict(p, c, higher, bound)} |")
         if len(set(p + c)) == 1:
             rows.append(f"{head} {p[0]!r} | {c[0]!r} | {tail}")
         else:
