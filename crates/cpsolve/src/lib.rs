@@ -1,8 +1,8 @@
 //! # cpsolve — a constraint programming solver for MapReduce SLA scheduling
 //!
 //! This crate replaces the role IBM ILOG CPLEX CP Optimizer plays in
-//! Lim et al. (ICPP 2014): it models and solves the matchmaking-and-
-//! scheduling formulation of the paper's Table 1:
+//! Lim et al. (ICPP 2014). It models the matchmaking-and-scheduling
+//! formulation of the paper's Table 1:
 //!
 //! * **Variables** — per task: a resource assignment (the paper's `x_tr`)
 //!   and an integer start time (`a_t`); per job: a lateness indicator
@@ -16,13 +16,18 @@
 //!   (the incremental-rescheduling constraints of the paper's §V.B).
 //! * **Objective** — minimize `Σ N_j`, the number of late jobs.
 //!
-//! The solver is a classic trail-based CP kernel: bounds domains for start
-//! times, bitset domains for assignments, a propagation fixpoint over
-//! dedicated propagators (phase barrier, timetable cumulative, lateness
-//! reification, objective bound), and depth-first branch-and-bound with an
-//! EDF-guided set-times branching rule. A greedy EDF list scheduler
-//! ([`greedy`]) provides warm-start incumbents, and [`brute`] provides an
-//! independent brute-force oracle for small-instance optimality tests.
+//! Table 1 is what the checkers judge against: [`Solution::verify`], the
+//! greedy EDF list scheduler ([`greedy`], also the search's warm start) and
+//! the independent brute-force oracle ([`brute`]) all take any number of
+//! resources. The search ([`search`], [`portfolio`]) solves the model the
+//! product builds, §V.D's combined model: one resource whose pools hold
+//! every slot of the cluster, so `x_tr` is decided up front and only start
+//! times are searched; it refuses a model with more than one resource. It
+//! is a classic trail-based CP kernel: bounds domains for start times, a
+//! propagation fixpoint over dedicated propagators (phase barrier,
+//! timetable cumulative, lateness reification, objective bound), and
+//! depth-first branch-and-bound with an EDF-guided set-times branching
+//! rule.
 //!
 //! Times are plain `i64` ticks — callers choose the unit (the MRCP-RM crate
 //! uses milliseconds).

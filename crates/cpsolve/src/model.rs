@@ -177,12 +177,6 @@ impl ModelBuilder {
         if self.resources.is_empty() {
             return Err("model has no resources".into());
         }
-        if self.resources.len() > 128 {
-            return Err(format!(
-                "at most 128 resources supported (got {}); the paper's largest system is m=100",
-                self.resources.len()
-            ));
-        }
         for (i, t) in self.tasks.iter().enumerate() {
             if t.dur <= 0 {
                 return Err(format!("task {i} has nonpositive duration {}", t.dur));
@@ -291,22 +285,6 @@ impl Model {
         self.resources.len()
     }
 
-    /// Resources able to host `task` (sufficient capacity of its kind), as a
-    /// bitmask. For a pinned task this is exactly its pinned resource.
-    pub fn candidate_mask(&self, task: TaskRef) -> u128 {
-        let t = &self.tasks[task.idx()];
-        if let Some((r, _)) = t.fixed {
-            return 1u128 << r.idx();
-        }
-        let mut mask = 0u128;
-        for (i, r) in self.resources.iter().enumerate() {
-            if r.cap(t.kind) >= t.req {
-                mask |= 1u128 << i;
-            }
-        }
-        mask
-    }
-
     /// Earliest permissible start of `task`: the job release for unpinned
     /// tasks (paper constraint 2, which MRCP-RM also applies to reduces via
     /// the barrier — the release is a valid lower bound for them too), the
@@ -376,24 +354,11 @@ mod tests {
     }
 
     #[test]
-    fn candidate_mask_honours_capacity() {
-        let mut b = ModelBuilder::new();
-        b.add_resource(1, 0); // no reduce slots
-        b.add_resource(1, 1);
-        let j = b.add_job(0, 10);
-        b.add_task(j, SlotKind::Map, 1, 1);
-        b.add_task(j, SlotKind::Reduce, 1, 1);
-        let m = b.build().unwrap();
-        assert_eq!(m.candidate_mask(TaskRef(0)), 0b11);
-        assert_eq!(m.candidate_mask(TaskRef(1)), 0b10);
-    }
-
-    #[test]
-    fn pinned_task_mask_and_release() {
+    fn pinned_task_release_is_its_start() {
         let mut b = small();
         b.fix_task(TaskRef(0), ResRef(1), 2); // started in the "past" (< release)
         let m = b.build().unwrap();
-        assert_eq!(m.candidate_mask(TaskRef(0)), 0b10);
+        assert_eq!(m.tasks[0].fixed, Some((ResRef(1), 2)));
         assert_eq!(m.task_release(TaskRef(0)), 2);
     }
 
@@ -435,13 +400,6 @@ mod tests {
         b.add_resource(1, 0);
         let j = b.add_job(0, 10);
         b.add_task(j, SlotKind::Reduce, 1, 1);
-        assert!(b.build().is_err());
-
-        // too many resources
-        let mut b = ModelBuilder::new();
-        for _ in 0..129 {
-            b.add_resource(1, 1);
-        }
         assert!(b.build().is_err());
     }
 

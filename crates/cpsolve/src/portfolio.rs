@@ -4,8 +4,8 @@
 //! diversified parallel search; this module gives [`crate::search::solve`]
 //! the same treatment with `std::thread::scope` and no extra dependencies.
 //! K workers run the existing branch-and-bound over the same model with
-//! deliberately different strategies (branching rule, value-ordering
-//! rotation, restart schedule, guidance), sharing two atomics:
+//! deliberately different strategies (branching rule, restart schedule),
+//! sharing two atomics:
 //!
 //! * the **global incumbent objective** — published on every improvement
 //!   and folded into every worker's objective cut each node, so one
@@ -33,9 +33,9 @@ pub struct PortfolioParams {
     /// Number of workers to spawn (clamped to at least 1; 1 degenerates to
     /// the single-threaded [`crate::search::solve`]).
     pub workers: usize,
-    /// Seed offsetting every worker's value-ordering rotation; the same
-    /// seed reproduces the same strategies (and, for proven-optimal
-    /// outcomes, the same objective).
+    /// Inert: the search branches on start times only, so there is no
+    /// value ordering for a seed to vary. Kept because callers outside the
+    /// workspace construct it.
     pub seed: u64,
 }
 
@@ -63,37 +63,34 @@ impl PortfolioParams {
 /// The strategy mix for worker `w`.
 ///
 /// Worker 0 is the *anchor*: it runs `base` exactly as the single-threaded
-/// solver would (greedy warm start, set-times, solution-guided), so the
-/// portfolio can never do worse than `solve` on the same budget.
+/// solver would (greedy warm start, set-times), so the portfolio can never
+/// do worse than `solve` on the same budget.
 ///
 /// Workers 1.. are all complete searches, so any of them can produce an
 /// exhaustion proof; they take the shared bound instead of a warm start and
-/// differ in restart schedule, guidance and branching rule by `w % 4`.
+/// differ in restart schedule and branching rule by `w % 4`: restarts every
+/// 32 conflicts (× Luby), deadline-first branching, restarts every 128, or
+/// `base`'s own strategy. The search is deterministic, so a worker from the
+/// fifth on repeats the one four below it.
 fn worker_params(params: &PortfolioParams, w: usize) -> SolveParams {
     let mut wp = params.base.clone();
     if w == 0 {
         return wp;
     }
     wp.warm_start = false;
-    wp.value_rotation = params.seed.wrapping_add(w as u64);
     match w % 4 {
-        1 => {
-            wp.restarts = Some(32);
-        }
-        2 => {
-            wp.branching = crate::search::Branching::Edf;
-        }
-        3 => {
-            wp.solution_guided = false;
-            wp.restarts = Some(128);
-        }
-        _ => {} // rotation-only variant
+        1 => wp.restarts = Some(32),
+        2 => wp.branching = crate::search::Branching::Edf,
+        3 => wp.restarts = Some(128),
+        _ => {} // the anchor's strategy without the warm start
     }
     wp
 }
 
 /// Minimize the number of late jobs with `params.workers` diversified
-/// workers sharing incumbent bound and cancellation.
+/// workers sharing incumbent bound and cancellation. A model with more
+/// than one resource gets [`crate::search::solve`]'s refusal,
+/// [`Status::Unsupported`], and spawns no worker.
 ///
 /// Statuses merge as follows: any worker exhausting its tree (local
 /// `Optimal`, or `Infeasible` under a shared bound while some worker holds
@@ -103,7 +100,7 @@ fn worker_params(params: &PortfolioParams, w: usize) -> SolveParams {
 pub fn solve_portfolio(model: &Model, params: &PortfolioParams) -> Outcome {
     let t0 = std::time::Instant::now();
     let k = params.workers.max(1);
-    if k == 1 {
+    if k == 1 || model.n_resources() > 1 {
         return solve_shared(model, &worker_params(params, 0), None);
     }
 
@@ -173,10 +170,10 @@ mod tests {
     use crate::model::{ModelBuilder, SlotKind};
     use crate::search::{solve, SolveParams};
 
-    /// Two resources, several tight jobs — small enough to prove optimal.
+    /// One slot of each kind, several tight jobs — small enough to prove
+    /// optimal, and the greedy warm start leaves search to do.
     fn instance() -> Model {
         let mut b = ModelBuilder::new();
-        b.add_resource(1, 1);
         b.add_resource(1, 1);
         for i in 0..4 {
             let j = b.add_job(0, 24 + 2 * i);
@@ -191,6 +188,10 @@ mod tests {
         let m = instance();
         let single = solve(&m, &SolveParams::default());
         let multi = solve_portfolio(&m, &PortfolioParams::default());
+        assert!(
+            single.stats.nodes > 0,
+            "the warm start alone is not optimal"
+        );
         assert_eq!(single.status, Status::Optimal);
         assert_eq!(multi.status, Status::Optimal);
         let msol = multi.best.unwrap();
@@ -237,6 +238,20 @@ mod tests {
         assert!(out.best.is_none());
     }
 
+    /// Four workers on a two-resource model: `solve`'s refusal, no panic.
+    #[test]
+    fn refuses_a_model_with_two_resources() {
+        let mut b = ModelBuilder::new();
+        b.add_resource(1, 1);
+        b.add_resource(1, 1);
+        let j = b.add_job(0, 100);
+        b.add_task(j, SlotKind::Map, 10, 1);
+        let m = b.build().unwrap();
+        let out = solve_portfolio(&m, &PortfolioParams::default());
+        assert_eq!(out.status, Status::Unsupported);
+        assert!(out.best.is_none());
+    }
+
     #[test]
     fn worker_zero_is_the_unchanged_base() {
         let base = SolveParams::default();
@@ -247,13 +262,13 @@ mod tests {
         };
         let w0 = worker_params(&params, 0);
         assert_eq!(w0.warm_start, base.warm_start);
-        assert_eq!(w0.value_rotation, 0);
-        // Diversified workers get distinct rotations and drop the greedy
-        // warm start.
+        assert_eq!((w0.restarts, w0.branching), (base.restarts, base.branching));
+        // Diversified workers drop the greedy warm start and differ in
+        // restarts or branching.
         let w1 = worker_params(&params, 1);
         let w2 = worker_params(&params, 2);
-        assert!(!w2.warm_start);
-        assert_ne!(w1.value_rotation, w2.value_rotation);
+        assert!(!w1.warm_start && !w2.warm_start);
+        assert_eq!(w1.restarts, Some(32));
         assert_eq!(w2.branching, crate::search::Branching::Edf);
     }
 
@@ -265,14 +280,13 @@ mod tests {
             seed: 0,
         };
         assert_eq!(worker_params(&params, 1).restarts, Some(32));
-        let w3 = worker_params(&params, 3);
-        assert!(!w3.solution_guided);
-        assert_eq!(w3.restarts, Some(128));
-        // Worker 4 is rotation-only; worker 5 restarts like worker 1.
+        assert_eq!(worker_params(&params, 3).restarts, Some(128));
+        // Worker 4 runs the anchor's strategy cold; worker 5 restarts like
+        // worker 1.
         let w4 = worker_params(&params, 4);
         assert_eq!(w4.branching, crate::search::Branching::SetTimes);
         assert_eq!(w4.restarts, None);
-        assert!(w4.solution_guided);
+        assert!(!w4.warm_start);
         assert_eq!(worker_params(&params, 5).restarts, Some(32));
     }
 }

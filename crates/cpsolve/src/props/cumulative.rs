@@ -1,26 +1,24 @@
 //! Timetable `cumulative` filtering (paper constraints 5 and 6).
 //!
-//! One propagator instance guards one `(resource, slot kind)` pool, exactly
-//! like the paper's per-resource `cumulative` constraints built from `pulse`
-//! functions in OPL. The propagator:
+//! One propagator instance guards one slot kind of the model's one
+//! resource, like the paper's per-resource `cumulative` constraints built
+//! from `pulse` functions in OPL. On §V.D's combined model that resource's
+//! pools hold every map or reduce slot of the cluster, and every task of
+//! the kind runs in its pool. The propagator:
 //!
-//! 1. maintains the *mandatory-part profile* of tasks currently assigned to
-//!    the resource (a task assigned to `r` with start window `[lb, ub]` and
-//!    duration `e` certainly occupies `[ub, lb + e)` when that interval is
-//!    nonempty),
+//! 1. maintains the *mandatory-part profile* of the pool's tasks (a task
+//!    with start window `[lb, ub]` and duration `e` certainly occupies
+//!    `[ub, lb + e)` when that interval is nonempty),
 //! 2. fails when the profile exceeds the pool capacity anywhere (overload),
-//! 3. tightens the start bounds of assigned tasks so their whole execution
-//!    fits under the capacity given everyone else's mandatory parts
-//!    (timetable filtering, both directions), and
-//! 4. implements the assignment side of the OPL `alternative`: a resource
-//!    with no feasible placement anywhere in a task's start window is
-//!    removed from the task's candidate set.
+//!    and
+//! 3. tightens the start bounds of the pool's tasks so their whole
+//!    execution fits under the capacity given everyone else's mandatory
+//!    parts (timetable filtering, both directions).
 //!
 //! The profile is **incremental**: along one search path (no backtracking
 //! between invocations, witnessed by [`crate::state::Domains::generation`])
-//! mandatory parts only *grow* — bounds tighten monotonically and an
-//! assignment to this resource is never undone without a pop — so the
-//! profile update for the tasks dirtied since the last call (witnessed by
+//! mandatory parts only *grow* — bounds tighten monotonically without a
+//! pop — so the profile update for the tasks dirtied since the last call (witnessed by
 //! per-task change stamps) is a pure merge of added rectangles into the
 //! previous profile, O(changed + segments) instead of a full
 //! O(tasks log tasks) re-sort. Any backtrack, conflict mid-build, or
@@ -48,7 +46,7 @@
 //! latest fit.
 
 use super::{Ctx, PropClass, Propagator};
-use crate::model::{Model, ResRef, SlotKind, TaskRef};
+use crate::model::{Model, SlotKind, TaskRef};
 use crate::state::Conflict;
 
 /// A maximal constant-height interval of the mandatory profile.
@@ -66,12 +64,9 @@ fn part_of(lb: i64, ub: i64, dur: i64) -> Option<(i64, i64)> {
     (ub < lb + dur).then_some((ub, lb + dur))
 }
 
-/// The mandatory part of `t` on `res`, or `None`.
+/// The mandatory part of `t`, or `None`.
 #[inline]
-fn mandatory_part(ctx: &Ctx<'_>, t: TaskRef, res: ResRef) -> Option<(i64, i64)> {
-    if ctx.dom.assigned(t) != Some(res) {
-        return None;
-    }
+fn mandatory_part(ctx: &Ctx<'_>, t: TaskRef) -> Option<(i64, i64)> {
     part_of(ctx.dom.lb(t), ctx.dom.ub(t), ctx.model.tasks[t.idx()].dur)
 }
 
@@ -80,7 +75,6 @@ fn mandatory_part(ctx: &Ctx<'_>, t: TaskRef, res: ResRef) -> Option<(i64, i64)> 
 /// overload.
 fn profile_from_scratch(
     ctx: &Ctx<'_>,
-    res: ResRef,
     tasks: &[TaskRef],
     events: &mut Vec<(i64, i64)>,
     segs: &mut Vec<Seg>,
@@ -88,7 +82,7 @@ fn profile_from_scratch(
 ) -> Result<(), Conflict> {
     events.clear();
     for &t in tasks {
-        if let Some((m_start, m_end)) = mandatory_part(ctx, t, res) {
+        if let Some((m_start, m_end)) = mandatory_part(ctx, t) {
             let req = ctx.model.tasks[t.idx()].req as i64;
             events.push((m_start, req));
             events.push((m_end, -req));
@@ -235,12 +229,11 @@ fn latest_fit_in(
     None
 }
 
-/// Timetable cumulative for one `(resource, kind)` slot pool.
+/// Timetable cumulative for one slot kind of the one resource.
 #[derive(Debug)]
 pub struct Cumulative {
-    res: ResRef,
     kind: SlotKind,
-    /// Tasks of this kind that may run on this resource (root candidates).
+    /// Every task of this kind.
     tasks: Vec<TaskRef>,
     /// Scratch: sweep events (full rebuilds) / delta events (incremental).
     events: Vec<(i64, i64)>,
@@ -274,13 +267,12 @@ pub struct Cumulative {
 }
 
 impl Cumulative {
-    /// Propagator for the `kind` pool of `res`, or `None` if no task can
-    /// ever use it.
-    pub fn new(model: &Model, res: ResRef, kind: SlotKind) -> Option<Self> {
-        let bit = 1u128 << res.idx();
+    /// Propagator for the `kind` pool of resource 0, or `None` if the model
+    /// has no task of that kind.
+    pub fn new(model: &Model, kind: SlotKind) -> Option<Self> {
         let tasks: Vec<TaskRef> = (0..model.n_tasks())
             .map(|i| TaskRef(i as u32))
-            .filter(|&t| model.tasks[t.idx()].kind == kind && model.candidate_mask(t) & bit != 0)
+            .filter(|&t| model.tasks[t.idx()].kind == kind)
             .collect();
         if tasks.is_empty() {
             return None;
@@ -292,7 +284,6 @@ impl Cumulative {
             .max()
             .unwrap_or(0);
         Some(Cumulative {
-            res,
             kind,
             tasks,
             events: Vec::new(),
@@ -314,16 +305,9 @@ impl Cumulative {
         self.valid = false;
         for (i, &t) in self.tasks.iter().enumerate() {
             self.last_stamp[i] = ctx.dom.task_stamp(t);
-            self.cached_mp[i] = mandatory_part(ctx, t, self.res).unwrap_or((0, 0));
+            self.cached_mp[i] = mandatory_part(ctx, t).unwrap_or((0, 0));
         }
-        profile_from_scratch(
-            ctx,
-            self.res,
-            &self.tasks,
-            &mut self.events,
-            &mut self.segs,
-            cap,
-        )?;
+        profile_from_scratch(ctx, &self.tasks, &mut self.events, &mut self.segs, cap)?;
         self.last_gen = gen;
         self.valid = true;
         Ok(())
@@ -427,7 +411,7 @@ impl Cumulative {
             self.last_stamp[i] = stamp;
             let (os, oe) = self.cached_mp[i];
             let old_some = os < oe;
-            match mandatory_part(ctx, t, self.res) {
+            match mandatory_part(ctx, t) {
                 None => {
                     if old_some {
                         // A part vanished without a backtrack: impossible by
@@ -472,14 +456,7 @@ impl Cumulative {
         #[cfg(debug_assertions)]
         {
             let mut check = std::mem::take(&mut self.check_segs);
-            let scratch = profile_from_scratch(
-                ctx,
-                self.res,
-                &self.tasks,
-                &mut self.events,
-                &mut check,
-                cap,
-            );
+            let scratch = profile_from_scratch(ctx, &self.tasks, &mut self.events, &mut check, cap);
             match (&merged, &scratch) {
                 (Ok(()), Ok(())) => debug_assert_eq!(
                     self.segs, check,
@@ -539,7 +516,7 @@ impl Cumulative {
 
 impl Propagator for Cumulative {
     fn propagate(&mut self, ctx: &mut Ctx<'_>) -> Result<(), Conflict> {
-        let cap = ctx.model.resources[self.res.idx()].cap(self.kind) as i64;
+        let cap = ctx.model.resources[0].cap(self.kind) as i64;
         self.build_profile(ctx, cap)?;
         let floor = cap - self.max_req;
         self.tall.clear();
@@ -571,19 +548,15 @@ impl Propagator for Cumulative {
         let mut at_fixpoint = true;
         for idx in 0..self.tasks.len() {
             let t = self.tasks[idx];
-            if !ctx.dom.has_res(t, self.res) {
-                continue;
-            }
             let spec = &ctx.model.tasks[t.idx()];
             let dur = spec.dur;
             let req = spec.req as i64;
             let lb = ctx.dom.lb(t);
             let ub = ctx.dom.ub(t);
-            let assigned = ctx.dom.assigned(t) == Some(self.res);
-            if assigned && lb == ub {
+            if lb == ub {
                 continue; // fully placed; participates via profile only
             }
-            let part = if assigned { part_of(lb, ub, dur) } else { None };
+            let part = part_of(lb, ub, dur);
             let own = part.map(|(s, e)| (s, e, req));
             if ub + dur <= span_start || lb >= span_end {
                 // No placement in the window meets a tall segment.
@@ -598,27 +571,19 @@ impl Propagator for Cumulative {
                 continue;
             }
 
-            if assigned {
-                match self.earliest_fit(lb, ub, dur, own, cap, req) {
-                    Some(s) => {
-                        ctx.dom.set_lb(t, s)?;
-                    }
-                    None => return Err(Conflict),
+            match self.earliest_fit(lb, ub, dur, own, cap, req) {
+                Some(s) => {
+                    ctx.dom.set_lb(t, s)?;
                 }
-                match self.latest_fit(ctx.dom.lb(t), ub, dur, own, cap, req) {
-                    Some(s) => {
-                        ctx.dom.set_ub(t, s)?;
-                    }
-                    None => return Err(Conflict),
-                }
-                at_fixpoint &= part_of(ctx.dom.lb(t), ctx.dom.ub(t), dur) == part;
-            } else {
-                // Alternative-side filtering: drop this resource if nothing
-                // fits anywhere in the window.
-                if self.earliest_fit(lb, ub, dur, None, cap, req).is_none() {
-                    ctx.dom.remove_res(t, self.res)?;
-                }
+                None => return Err(Conflict),
             }
+            match self.latest_fit(ctx.dom.lb(t), ub, dur, own, cap, req) {
+                Some(s) => {
+                    ctx.dom.set_ub(t, s)?;
+                }
+                None => return Err(Conflict),
+            }
+            at_fixpoint &= part_of(ctx.dom.lb(t), ctx.dom.ub(t), dur) == part;
         }
         self.at_fixpoint = at_fixpoint;
         Ok(())
@@ -656,7 +621,7 @@ mod tests {
         b.set_horizon(100);
         let m = b.build().unwrap();
         let mut d = Domains::new(&m);
-        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Map).unwrap();
+        let mut c = Cumulative::new(&m, SlotKind::Map).unwrap();
         {
             let mut ctx = Ctx {
                 model: &m,
@@ -721,7 +686,7 @@ mod tests {
         b.set_horizon(100);
         let m = b.build().unwrap();
         let mut d = Domains::new(&m);
-        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Map).unwrap();
+        let mut c = Cumulative::new(&m, SlotKind::Map).unwrap();
         {
             let mut ctx = Ctx {
                 model: &m,
@@ -760,7 +725,7 @@ mod tests {
         b.set_horizon(100);
         let m = b.build().unwrap();
         let mut d = Domains::new(&m);
-        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Map).unwrap();
+        let mut c = Cumulative::new(&m, SlotKind::Map).unwrap();
         d.push_level();
         d.fix_start(t0, 0).unwrap();
         {
@@ -800,7 +765,7 @@ mod tests {
         let mut d = Domains::new(&m);
         d.fix_start(t0, 0).unwrap();
         let _ = d.drain_dirty();
-        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Map).unwrap();
+        let mut c = Cumulative::new(&m, SlotKind::Map).unwrap();
         let mut ctx = Ctx {
             model: &m,
             dom: &mut d,
@@ -825,7 +790,7 @@ mod tests {
         d.fix_start(t0, 0).unwrap();
         d.fix_start(t1, 0).unwrap();
         let _ = d.drain_dirty();
-        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Map).unwrap();
+        let mut c = Cumulative::new(&m, SlotKind::Map).unwrap();
         let mut ctx = Ctx {
             model: &m,
             dom: &mut d,
@@ -848,7 +813,7 @@ mod tests {
         let mut d = Domains::new(&m);
         d.fix_start(t0, 0).unwrap();
         d.fix_start(t1, 5).unwrap();
-        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Map).unwrap();
+        let mut c = Cumulative::new(&m, SlotKind::Map).unwrap();
         let mut ctx = Ctx {
             model: &m,
             dom: &mut d,
@@ -871,7 +836,7 @@ mod tests {
         let mut d = Domains::new(&m);
         d.fix_start(t0, 0).unwrap();
         d.fix_start(t1, 15).unwrap();
-        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Map).unwrap();
+        let mut c = Cumulative::new(&m, SlotKind::Map).unwrap();
         let mut ctx = Ctx {
             model: &m,
             dom: &mut d,
@@ -895,7 +860,7 @@ mod tests {
         let mut d = Domains::new(&m);
         d.fix_start(t0, 20).unwrap();
         // t1's window is [0,25]; starts in (15,25] collide with [20,30).
-        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Map).unwrap();
+        let mut c = Cumulative::new(&m, SlotKind::Map).unwrap();
         let mut ctx = Ctx {
             model: &m,
             dom: &mut d,
@@ -903,30 +868,6 @@ mod tests {
         };
         c.propagate(&mut ctx).unwrap();
         assert_eq!(d.ub(t1), 15);
-    }
-
-    /// Alternative filtering: a fully-blocked resource leaves the mask.
-    #[test]
-    fn removes_blocked_resource_candidate() {
-        let mut b = ModelBuilder::new();
-        b.add_resource(1, 1); // r0 will be fully occupied
-        b.add_resource(1, 1); // r1 stays free
-        let j = b.add_job(0, 1000);
-        let blocker = b.add_task(j, SlotKind::Map, 100, 1);
-        let t = b.add_task(j, SlotKind::Map, 10, 1);
-        b.set_horizon(90); // t must start within [0,90] ⊂ blocker's [0,100)
-        let m = b.build().unwrap();
-        let mut d = Domains::new(&m);
-        d.assign_res(blocker, ResRef(0)).unwrap();
-        d.fix_start(blocker, 0).unwrap();
-        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Map).unwrap();
-        let mut ctx = Ctx {
-            model: &m,
-            dom: &mut d,
-            bound: u32::MAX,
-        };
-        c.propagate(&mut ctx).unwrap();
-        assert_eq!(d.assigned(t), Some(ResRef(1)));
     }
 
     /// Reduce pools are independent from map pools.
@@ -943,7 +884,7 @@ mod tests {
         d.fix_start(mt, 0).unwrap();
         let _ = d.drain_dirty();
         // The reduce pool sees no interference from the map task.
-        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Reduce).unwrap();
+        let mut c = Cumulative::new(&m, SlotKind::Reduce).unwrap();
         let mut ctx = Ctx {
             model: &m,
             dom: &mut d,
@@ -962,8 +903,8 @@ mod tests {
         let j = b.add_job(0, 100);
         b.add_task(j, SlotKind::Map, 10, 1);
         let m = b.build().unwrap();
-        assert!(Cumulative::new(&m, ResRef(0), SlotKind::Reduce).is_none());
-        assert!(Cumulative::new(&m, ResRef(0), SlotKind::Map).is_some());
+        assert!(Cumulative::new(&m, SlotKind::Reduce).is_none());
+        assert!(Cumulative::new(&m, SlotKind::Map).is_some());
     }
 
     /// The canonical profile merges equal-height neighbours: `a` occupies
@@ -984,7 +925,7 @@ mod tests {
         d.fix_start(a, 2).unwrap();
         d.set_lb(t, 2).unwrap();
         d.set_ub(t, 3).unwrap();
-        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Map).unwrap();
+        let mut c = Cumulative::new(&m, SlotKind::Map).unwrap();
         let mut ctx = Ctx {
             model: &m,
             dom: &mut d,
@@ -1010,7 +951,7 @@ mod tests {
         let mut d = Domains::new(&m);
         d.fix_start(a0, 0).unwrap();
         d.fix_start(a1, 0).unwrap();
-        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Map).unwrap();
+        let mut c = Cumulative::new(&m, SlotKind::Map).unwrap();
         let mut ctx = Ctx {
             model: &m,
             dom: &mut d,
@@ -1046,7 +987,7 @@ mod tests {
         d.fix_start(mid, 10).unwrap();
         d.set_lb(fwd, 8).unwrap();
         d.set_ub(bwd, 12).unwrap();
-        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Map).unwrap();
+        let mut c = Cumulative::new(&m, SlotKind::Map).unwrap();
         let mut ctx = Ctx {
             model: &m,
             dom: &mut d,
@@ -1091,7 +1032,7 @@ mod tests {
         d.fix_start(a, 0).unwrap();
         d.set_ub(t, 8).unwrap(); // part [8,5) is empty
         d.clear_dirty();
-        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Map).unwrap();
+        let mut c = Cumulative::new(&m, SlotKind::Map).unwrap();
         run(&mut c, &m, &mut d).unwrap();
         assert_eq!(c.segs.len(), 1);
         assert!(c.tall.is_empty());
@@ -1117,7 +1058,7 @@ mod tests {
         d.fix_start(a, 0).unwrap();
         d.set_ub(bt, 12).unwrap();
         d.set_lb(ct, 12).unwrap();
-        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Map).unwrap();
+        let mut c = Cumulative::new(&m, SlotKind::Map).unwrap();
         run(&mut c, &m, &mut d).unwrap();
         assert_eq!((d.lb(bt), d.ub(bt)), (10, 12));
         assert_eq!(d.lb(ct), 12, "filtered against the part-less profile");
@@ -1145,7 +1086,7 @@ mod tests {
         d.set_ub(early, 7).unwrap(); // placements inside [0,10)
         d.set_lb(late, 20).unwrap(); // placements inside [20,33)
         d.clear_dirty();
-        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Map).unwrap();
+        let mut c = Cumulative::new(&m, SlotKind::Map).unwrap();
         run(&mut c, &m, &mut d).unwrap();
         let tall = Seg {
             start: 10,
@@ -1182,7 +1123,7 @@ mod tests {
         d.fix_start(a, 5).unwrap();
         d.set_lb(t, 2).unwrap();
         d.set_ub(t, 3).unwrap();
-        let mut c = Cumulative::new(&m, ResRef(0), SlotKind::Map).unwrap();
+        let mut c = Cumulative::new(&m, SlotKind::Map).unwrap();
         let mut ctx = Ctx {
             model: &m,
             dom: &mut d,

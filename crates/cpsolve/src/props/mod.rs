@@ -1,15 +1,16 @@
 //! Propagators and the propagation fixpoint engine.
 //!
-//! Each constraint family of the paper's Table 1 formulation has a dedicated
+//! The engine propagates §V.D's combined model, whose one resource hosts
+//! every task (see [`crate::search`]). Each constraint family of the
+//! paper's Table 1 formulation that binds on it has a dedicated
 //! propagator:
 //!
 //! * [`barrier::PhaseBarrier`] — constraint (3): reduces start after every
 //!   map of the job completes,
 //! * [`lateness::JobLateness`] — constraints (2)/(4): deadline reification
 //!   onto the lateness indicator `N_j`,
-//! * [`cumulative::Cumulative`] — constraints (5)/(6): per-resource
-//!   map/reduce slot capacity (timetable filtering), interacting with the
-//!   assignment domains (constraint (1) / the OPL `alternative`),
+//! * [`cumulative::Cumulative`] — constraints (5)/(6): map/reduce slot
+//!   capacity of the one pool (timetable filtering),
 //! * [`objective::ObjectiveBound`] — the branch-and-bound cut
 //!   `Σ N_j ≤ bound`.
 //!
@@ -216,8 +217,10 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Build the standard propagator set for `model`.
+    /// Build the standard propagator set for `model`, which has one
+    /// resource.
     pub fn new(model: &Model) -> Self {
+        debug_assert_eq!(model.n_resources(), 1, "the engine propagates one pool");
         let mut props: Vec<Box<dyn Propagator>> = Vec::new();
         for j in 0..model.n_jobs() {
             let j = JobRef(j as u32);
@@ -226,14 +229,9 @@ impl Engine {
             }
             props.push(Box::new(lateness::JobLateness::new(j)));
         }
-        for r in 0..model.n_resources() {
-            let r = crate::model::ResRef(r as u32);
-            for kind in [crate::model::SlotKind::Map, crate::model::SlotKind::Reduce] {
-                if model.resources[r.idx()].cap(kind) > 0 {
-                    if let Some(c) = cumulative::Cumulative::new(model, r, kind) {
-                        props.push(Box::new(c));
-                    }
-                }
+        for kind in [crate::model::SlotKind::Map, crate::model::SlotKind::Reduce] {
+            if let Some(c) = cumulative::Cumulative::new(model, kind) {
+                props.push(Box::new(c));
             }
         }
         props.push(Box::new(objective::ObjectiveBound::new()));
@@ -473,12 +471,12 @@ pub(crate) mod tests {
         assert_eq!(s.conflicts, 0);
     }
 
-    /// Map + reduce jobs with tight deadlines over two shared resources: a
-    /// solve exhausts a 3 000-node limit on it.
+    /// Map + reduce jobs with tight deadlines over one pool with three map
+    /// slots and two reduce slots: a solve exhausts a 3 000-node limit on
+    /// it.
     pub(crate) fn contended_model() -> Model {
         let mut b = ModelBuilder::new();
-        b.add_resource(2, 1);
-        b.add_resource(1, 1);
+        b.add_resource(3, 2);
         for j in 0..8i64 {
             let job = b.add_job(j % 3, 14 + (j * 7) % 11);
             for k in 0..3 {

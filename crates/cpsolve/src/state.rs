@@ -1,11 +1,15 @@
 //! Backtrackable solver state: domains and the trail.
 //!
-//! Start times use bounds domains (`[lb, ub]`), resource assignments use a
-//! 128-bit candidate bitmask, and per-job lateness indicators are three-
-//! valued (`Unknown` / `OnTime` / `Late`). Every narrowing is recorded on a
-//! trail so the search can restore state on backtracking in O(changes).
+//! Start times use bounds domains (`[lb, ub]`) and per-job lateness
+//! indicators are three-valued (`Unknown` / `OnTime` / `Late`). Every
+//! narrowing is recorded on a trail so the search can restore state on
+//! backtracking in O(changes).
+//!
+//! There is no assignment domain: the search solves §V.D's combined model,
+//! whose one pool hosts every task, so the paper's `x_tr` is decided before
+//! the search starts. A pinned task's resource is read from the model.
 
-use crate::model::{JobRef, Model, ResRef, TaskRef};
+use crate::model::{JobRef, Model, TaskRef};
 
 /// Domain wipe-out (or any constraint violation detected by a propagator).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +31,6 @@ pub enum Lateness {
 enum TrailEntry {
     StartLb(u32, i64),
     StartUb(u32, i64),
-    Mask(u32, u128),
     Late(u32, Lateness),
     AppliedCut(u32),
 }
@@ -37,7 +40,6 @@ enum TrailEntry {
 pub struct Domains {
     start_lb: Vec<i64>,
     start_ub: Vec<i64>,
-    mask: Vec<u128>,
     late: Vec<Lateness>,
     trail: Vec<TrailEntry>,
     levels: Vec<usize>,
@@ -51,7 +53,7 @@ pub struct Domains {
     /// jumped to a different path and their cached view is stale.
     generation: u64,
     /// Per-task monotone change stamp: bumped on every narrowing of the
-    /// task's start bounds or resource mask. A stateful propagator records
+    /// task's start bounds. A stateful propagator records
     /// the stamps it has seen and refreshes only tasks whose stamp moved.
     stamp: Vec<u64>,
     /// Global stamp counter backing [`stamp`](Self::stamp).
@@ -65,13 +67,11 @@ pub struct Domains {
 
 impl Domains {
     /// Root domains for `model`: unpinned tasks get `[release, horizon]`
-    /// starts and their capacity-feasible resource set; pinned tasks get
-    /// singleton start and resource.
+    /// starts, pinned tasks a singleton start.
     pub fn new(model: &Model) -> Self {
         let n = model.n_tasks();
         let mut start_lb = Vec::with_capacity(n);
         let mut start_ub = Vec::with_capacity(n);
-        let mut mask = Vec::with_capacity(n);
         for i in 0..n {
             let t = TaskRef(i as u32);
             let release = model.task_release(t);
@@ -81,12 +81,10 @@ impl Domains {
                 None => model.horizon.max(release),
             };
             start_ub.push(ub);
-            mask.push(model.candidate_mask(t));
         }
         Domains {
             start_lb,
             start_ub,
-            mask,
             late: vec![Lateness::Unknown; model.n_jobs()],
             trail: Vec::new(),
             levels: Vec::new(),
@@ -119,29 +117,6 @@ impl Domains {
         self.start_lb[t.idx()] == self.start_ub[t.idx()]
     }
 
-    /// Candidate resource mask of `t`.
-    #[inline]
-    pub fn mask(&self, t: TaskRef) -> u128 {
-        self.mask[t.idx()]
-    }
-
-    /// The assigned resource, if the candidate set is a singleton.
-    #[inline]
-    pub fn assigned(&self, t: TaskRef) -> Option<ResRef> {
-        let m = self.mask[t.idx()];
-        if m != 0 && m & (m - 1) == 0 {
-            Some(ResRef(m.trailing_zeros()))
-        } else {
-            None
-        }
-    }
-
-    /// True when `r` is still a candidate for `t`.
-    #[inline]
-    pub fn has_res(&self, t: TaskRef, r: ResRef) -> bool {
-        self.mask[t.idx()] & (1u128 << r.idx()) != 0
-    }
-
     /// Lateness status of `j`.
     #[inline]
     pub fn late(&self, j: JobRef) -> Lateness {
@@ -163,7 +138,7 @@ impl Domains {
     }
 
     /// Monotone change stamp of `t`: moves on every narrowing of its start
-    /// bounds or resource mask (never reverts on backtracking — a stale
+    /// bounds (never reverts on backtracking — a stale
     /// stamp only means "maybe changed", which pairs with
     /// [`generation`](Self::generation) for correctness).
     #[inline]
@@ -237,39 +212,6 @@ impl Domains {
         Ok(a || b)
     }
 
-    /// Remove resource `r` from `t`'s candidates.
-    pub fn remove_res(&mut self, t: TaskRef, r: ResRef) -> Result<bool, Conflict> {
-        let i = t.idx();
-        let bit = 1u128 << r.idx();
-        if self.mask[i] & bit == 0 {
-            return Ok(false);
-        }
-        let new = self.mask[i] & !bit;
-        if new == 0 {
-            return Err(Conflict);
-        }
-        self.trail.push(TrailEntry::Mask(t.0, self.mask[i]));
-        self.mask[i] = new;
-        self.touch(t);
-        Ok(true)
-    }
-
-    /// Assign `t` to exactly `r`.
-    pub fn assign_res(&mut self, t: TaskRef, r: ResRef) -> Result<bool, Conflict> {
-        let i = t.idx();
-        let bit = 1u128 << r.idx();
-        if self.mask[i] & bit == 0 {
-            return Err(Conflict);
-        }
-        if self.mask[i] == bit {
-            return Ok(false);
-        }
-        self.trail.push(TrailEntry::Mask(t.0, self.mask[i]));
-        self.mask[i] = bit;
-        self.touch(t);
-        Ok(true)
-    }
-
     /// Decide the lateness of `j`. Contradicting an earlier decision fails.
     pub fn set_late(&mut self, j: JobRef, v: Lateness) -> Result<bool, Conflict> {
         assert!(v != Lateness::Unknown, "cannot un-decide lateness");
@@ -300,7 +242,6 @@ impl Domains {
             match self.trail.pop().unwrap() {
                 TrailEntry::StartLb(t, v) => self.start_lb[t as usize] = v,
                 TrailEntry::StartUb(t, v) => self.start_ub[t as usize] = v,
-                TrailEntry::Mask(t, v) => self.mask[t as usize] = v,
                 TrailEntry::Late(j, v) => self.late[j as usize] = v,
                 TrailEntry::AppliedCut(v) => self.applied_cut = v,
             }
@@ -365,7 +306,6 @@ mod tests {
     fn model() -> Model {
         let mut b = ModelBuilder::new();
         b.add_resource(1, 1);
-        b.add_resource(1, 1);
         let j = b.add_job(3, 50);
         b.add_task(j, SlotKind::Map, 5, 1);
         b.add_task(j, SlotKind::Reduce, 5, 1);
@@ -379,11 +319,9 @@ mod tests {
         let d = Domains::new(&m);
         assert_eq!(d.lb(TaskRef(0)), 3);
         assert_eq!(d.ub(TaskRef(0)), 100);
-        assert_eq!(d.mask(TaskRef(0)), 0b11);
         assert_eq!(d.late(JobRef(0)), Lateness::Unknown);
         for t in [TaskRef(0), TaskRef(1)] {
             assert!(!d.start_fixed(t));
-            assert_eq!(d.assigned(t), None);
         }
     }
 
@@ -398,19 +336,6 @@ mod tests {
         assert_eq!(d.set_lb(t, 21), Err(Conflict));
         assert!(d.fix_start(t, 15).unwrap());
         assert!(d.start_fixed(t));
-    }
-
-    #[test]
-    fn mask_updates() {
-        let m = model();
-        let mut d = Domains::new(&m);
-        let t = TaskRef(0);
-        assert_eq!(d.assigned(t), None);
-        assert!(d.remove_res(t, ResRef(0)).unwrap());
-        assert_eq!(d.assigned(t), Some(ResRef(1)));
-        assert_eq!(d.remove_res(t, ResRef(1)), Err(Conflict));
-        assert_eq!(d.assign_res(t, ResRef(0)), Err(Conflict));
-        assert!(!d.assign_res(t, ResRef(1)).unwrap(), "already singleton");
     }
 
     #[test]
@@ -431,7 +356,7 @@ mod tests {
         let t = TaskRef(0);
         d.push_level();
         d.set_lb(t, 10).unwrap();
-        d.remove_res(t, ResRef(0)).unwrap();
+        d.set_ub(t, 40).unwrap();
         d.set_late(JobRef(0), Lateness::Late).unwrap();
         assert_eq!(d.late_count(), 1);
         d.push_level();
@@ -442,7 +367,7 @@ mod tests {
         assert!(!d.start_fixed(t));
         d.pop_level();
         assert_eq!(d.lb(t), 3);
-        assert_eq!(d.mask(t), 0b11);
+        assert_eq!(d.ub(t), 100);
         assert_eq!(d.late(JobRef(0)), Lateness::Unknown);
         assert_eq!(d.depth(), 0);
     }
@@ -482,7 +407,7 @@ mod tests {
         d.set_lb(t, 10).unwrap();
         let s1 = d.task_stamp(t);
         assert_ne!(s0, s1);
-        d.remove_res(t, ResRef(0)).unwrap();
+        d.set_ub(t, 40).unwrap();
         let s2 = d.task_stamp(t);
         assert_ne!(s1, s2);
         d.pop_level();
@@ -515,15 +440,13 @@ mod tests {
     fn pinned_task_domains_are_singletons() {
         let mut b = ModelBuilder::new();
         b.add_resource(1, 1);
-        b.add_resource(1, 1);
         let j = b.add_job(10, 50);
         let t = b.add_task(j, SlotKind::Map, 5, 1);
-        b.fix_task(t, crate::model::ResRef(1), 2);
+        b.fix_task(t, crate::model::ResRef(0), 2);
         let m = b.build().unwrap();
         let d = Domains::new(&m);
         assert_eq!(d.lb(t), 2);
         assert_eq!(d.ub(t), 2);
-        assert_eq!(d.assigned(t), Some(ResRef(1)));
         assert!(d.start_fixed(t));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A counting global allocator wraps `System`; we run the same model twice
 //! with different node limits and require the allocation delta to be far
-//! smaller than the node delta. Frame/alternative/scratch buffers are
-//! reused after warm-up, so extra nodes should be (nearly) free.
+//! smaller than the node delta. The decision stack and the propagators'
+//! buffers are reused after warm-up, so extra nodes should be (nearly) free.
 //!
 //! This lives in its own integration-test binary because the global
 //! allocator is process-wide.
@@ -35,12 +35,11 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static A: Counting = Counting;
 
-/// A contended instance that forces real search (tight deadlines, shared
-/// resources) so the node limits below are actually reached.
+/// A contended instance that forces real search (tight deadlines, a small
+/// pool) so the node limits below are actually reached.
 fn contended_model() -> Model {
     let mut b = ModelBuilder::new();
-    b.add_resource(2, 1);
-    b.add_resource(1, 1);
+    b.add_resource(3, 2);
     for j in 0..8i64 {
         let job = b.add_job(j % 3, 14 + (j * 7) % 11);
         for k in 0..3 {

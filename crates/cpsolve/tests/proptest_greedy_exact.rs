@@ -7,7 +7,7 @@
 //! slot — and checks that [`greedy_edf`] and [`greedy_edf_with_hints`]
 //! return the same `Solution` (or the same error) as the reference on
 //! random models: pooled capacities from 1 to 64, 1–20 resources with
-//! mixed candidate masks, pinned tasks, and hints that are valid, stale,
+//! mixed slot counts, pinned tasks, and hints that are valid, stale,
 //! out of range or colliding.
 
 use cpsolve::greedy::{greedy_edf, greedy_edf_with_hints, Hint};
@@ -72,13 +72,11 @@ impl RefPool {
         }
     }
 
-    /// Earliest start over every candidate slot, ties to the lower index.
-    fn best_fit(&self, candidates: u128, t0: i64, dur: i64) -> Option<(usize, usize, i64)> {
+    /// Earliest start over every slot, ties to the lower index. Tasks need
+    /// one slot, so every resource with a slot of the kind is a candidate.
+    fn best_fit(&self, t0: i64, dur: i64) -> Option<(usize, usize, i64)> {
         let mut best: Option<(usize, usize, i64)> = None;
         for (r, slots) in self.slots.iter().enumerate() {
-            if candidates & (1u128 << r) == 0 {
-                continue;
-            }
             for (si, slot) in slots.iter().enumerate() {
                 let s = slot.earliest_fit(t0, dur);
                 if best.is_none_or(|(_, _, bs)| s < bs) {
@@ -146,12 +144,10 @@ fn reference_greedy(model: &Model, hints: Option<&[Hint]>) -> Result<Solution, S
                 return true;
             };
             let dur = model.tasks[t.idx()].dur;
-            if s < floor
-                || r.idx() >= model.n_resources()
-                || model.candidate_mask(t) & (1u128 << r.idx()) == 0
-            {
+            if s < floor || r.idx() >= model.n_resources() {
                 return true;
             }
+            // A resource without a slot of the kind finds no slot here.
             let Some(slot) = pool.slots[r.idx()].iter_mut().find(|sl| sl.fits(s, dur)) else {
                 return true;
             };
@@ -163,7 +159,7 @@ fn reference_greedy(model: &Model, hints: Option<&[Hint]>) -> Result<Solution, S
         for t in tasks {
             let dur = model.tasks[t.idx()].dur;
             let (r, si, s) = pool
-                .best_fit(model.candidate_mask(t), floor, dur)
+                .best_fit(floor, dur)
                 .ok_or_else(|| format!("no resource can host {what} task {t:?}"))?;
             pool.slots[r][si].insert(s, dur);
             starts[t.idx()] = s;
@@ -202,8 +198,8 @@ fn reference_greedy(model: &Model, hints: Option<&[Hint]>) -> Result<Solution, S
 
 /// A random model and hints from `seed`: either one pooled resource with
 /// 1–64 slots per kind (the split path's combined model) or 1–20 resources
-/// with 0–4 map and 0–3 reduce slots each, so candidate masks differ by
-/// kind. Short and long tasks mix, so some fit the holes that pins and
+/// with 0–4 map and 0–3 reduce slots each, so the resources able to host a
+/// task differ by kind. Short and long tasks mix, so some fit the holes that pins and
 /// hints leave and most do not.
 fn random_case(seed: u64) -> (Model, Vec<Hint>) {
     let mut rng = StdRng::seed_from_u64(seed);

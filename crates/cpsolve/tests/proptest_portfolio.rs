@@ -5,6 +5,8 @@
 //!   optimality, their objectives agree — diversified workers plus the
 //!   shared bound must not change the optimum.
 //! * Portfolio results are reproducible for a fixed seed.
+//!
+//! The instances are one-pool models, the only ones the search solves.
 
 use cpsolve::greedy::greedy_edf;
 use cpsolve::model::{Model, ModelBuilder, SlotKind};
@@ -15,14 +17,15 @@ use proptest::prelude::*;
 /// A small random instance description (same shape as the solver suite).
 #[derive(Debug, Clone)]
 struct TinyInstance {
-    resources: Vec<(u32, u32)>,
+    /// (map, reduce) slots of the one pool.
+    pool: (u32, u32),
     /// Per job: (release, window, map durs, reduce durs)
     jobs: Vec<(i64, i64, Vec<i64>, Vec<i64>)>,
     horizon: i64,
 }
 
 fn tiny_instance() -> impl Strategy<Value = TinyInstance> {
-    let res = prop::collection::vec((1u32..=2, 1u32..=2), 1..=2);
+    let pool = (1u32..=3, 1u32..=3);
     let job = (
         0i64..=3,
         1i64..=12,
@@ -30,14 +33,14 @@ fn tiny_instance() -> impl Strategy<Value = TinyInstance> {
         prop::collection::vec(1i64..=3, 0..=1),
     );
     let jobs = prop::collection::vec(job, 1..=3);
-    (res, jobs).prop_map(|(resources, jobs)| {
+    (pool, jobs).prop_map(|(pool, jobs)| {
         let total: i64 = jobs
             .iter()
             .map(|(_, _, m, r)| m.iter().sum::<i64>() + r.iter().sum::<i64>())
             .sum();
         let max_rel = jobs.iter().map(|j| j.0).max().unwrap_or(0);
         TinyInstance {
-            resources,
+            pool,
             jobs,
             horizon: max_rel + total,
         }
@@ -46,9 +49,7 @@ fn tiny_instance() -> impl Strategy<Value = TinyInstance> {
 
 fn build(inst: &TinyInstance) -> Model {
     let mut b = ModelBuilder::new();
-    for &(mc, rc) in &inst.resources {
-        b.add_resource(mc, rc);
-    }
+    b.add_resource(inst.pool.0, inst.pool.1);
     for (rel, window, maps, reduces) in &inst.jobs {
         let j = b.add_job(*rel, rel + window);
         for &d in maps {

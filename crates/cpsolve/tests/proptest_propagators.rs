@@ -9,15 +9,18 @@
 //! domains pinned to that placement must not report a conflict — for the
 //! timetable cumulative, the barrier, and the lateness logic alike. And
 //! directly, on instances small enough to enumerate: root propagation of
-//! the whole engine keeps every start and resource that some complete
-//! feasible placement uses.
+//! the whole engine keeps every start that some complete feasible placement
+//! uses.
 //!
 //! A third property pins the engine's scheduling against a naive
 //! fixpoint: a propagator that reports its own fixpoint is not woken by its
 //! own narrowings, and that must never leave narrowing undone.
+//!
+//! Every instance is a one-pool model, the only kind the engine propagates
+//! (§V.D's combined model).
 
 use cpsolve::greedy::greedy_edf;
-use cpsolve::model::{JobRef, Model, ModelBuilder, ResRef, SlotKind, TaskRef};
+use cpsolve::model::{JobRef, Model, ModelBuilder, SlotKind, TaskRef};
 use cpsolve::props::barrier::PhaseBarrier;
 use cpsolve::props::cumulative::Cumulative;
 use cpsolve::props::lateness::JobLateness;
@@ -28,26 +31,25 @@ use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 struct Inst {
-    resources: Vec<(u32, u32)>,
+    /// (map, reduce) slots of the pool.
+    pool: (u32, u32),
     jobs: Vec<(i64, i64, Vec<i64>, Vec<i64>)>,
 }
 
 fn inst() -> impl Strategy<Value = Inst> {
-    let res = prop::collection::vec((1u32..=3, 1u32..=3), 1..=3);
+    let pool = (1u32..=3, 1u32..=3);
     let job = (
         0i64..=5,
         5i64..=60,
         prop::collection::vec(1i64..=6, 1..=4),
         prop::collection::vec(1i64..=4, 0..=2),
     );
-    (res, prop::collection::vec(job, 1..=4)).prop_map(|(resources, jobs)| Inst { resources, jobs })
+    (pool, prop::collection::vec(job, 1..=4)).prop_map(|(pool, jobs)| Inst { pool, jobs })
 }
 
 fn build(i: &Inst) -> Model {
     let mut b = ModelBuilder::new();
-    for &(mc, rc) in &i.resources {
-        b.add_resource(mc, rc);
-    }
+    b.add_resource(i.pool.0, i.pool.1);
     for (rel, window, maps, reduces) in &i.jobs {
         let j = b.add_job(*rel, rel + window);
         for &d in maps {
@@ -62,8 +64,8 @@ fn build(i: &Inst) -> Model {
 
 #[derive(Debug, Clone)]
 struct Tiny {
-    /// (map_cap, reduce_cap) per resource.
-    resources: Vec<(u32, u32)>,
+    /// (map_cap, reduce_cap) of the pool.
+    pool: (u32, u32),
     /// (release, map durations, reduce durations) per job.
     jobs: Vec<(i64, Vec<i64>, Vec<i64>)>,
     horizon: i64,
@@ -73,21 +75,21 @@ struct Tiny {
 /// horizon) but varied enough to overload a pool and to lift starts from
 /// both ends of a window.
 fn tiny() -> impl Strategy<Value = Tiny> {
-    let res = prop::collection::vec((1u32..=2, 1u32..=2), 1..=2);
+    let pool = (1u32..=2, 1u32..=2);
     let main_job = (
         0i64..=2,
         prop::collection::vec(1i64..=4, 1..=2),
         prop::collection::vec(1i64..=3, 0..=1),
     );
     let extra = (any::<bool>(), 0i64..=2, 1i64..=4);
-    (res, main_job, extra, 6i64..=9).prop_map(|(resources, (rel, maps, reds), extra, horizon)| {
+    (pool, main_job, extra, 6i64..=9).prop_map(|(pool, (rel, maps, reds), extra, horizon)| {
         let mut jobs = vec![(rel, maps, reds)];
         let (with_extra, rel2, d) = extra;
         if with_extra {
             jobs.push((rel2, vec![d], vec![]));
         }
         Tiny {
-            resources,
+            pool,
             jobs,
             horizon,
         }
@@ -96,9 +98,7 @@ fn tiny() -> impl Strategy<Value = Tiny> {
 
 fn build_tiny(i: &Tiny) -> Model {
     let mut b = ModelBuilder::new();
-    for &(mc, rc) in &i.resources {
-        b.add_resource(mc, rc);
-    }
+    b.add_resource(i.pool.0, i.pool.1);
     for (rel, maps, reds) in &i.jobs {
         // Loose deadlines: this family is about capacity, release and
         // barrier filtering.
@@ -115,48 +115,41 @@ fn build_tiny(i: &Tiny) -> Model {
 }
 
 /// An instance built to make the filters act, not just survive them:
-/// pinned blocks (mandatory parts from the root), multi-unit requirements,
-/// deadline windows a few ticks wide, and free tasks that are unassigned
-/// candidates on two pools — or assigned with a window, when only one pool
-/// is wide enough.
+/// pinned blocks (mandatory parts from the root), multi-unit requirements
+/// and deadline windows a few ticks wide.
 #[derive(Debug, Clone)]
 struct Packed {
-    /// Map capacity of the two resources.
-    caps: [u32; 2],
-    /// Pinned blocks: (resource, start, dur, req).
-    blocks: Vec<(u32, i64, i64, u32)>,
+    /// Map capacity of the pool.
+    cap: u32,
+    /// Pinned blocks: (start, dur, req).
+    blocks: Vec<(i64, i64, u32)>,
     /// Free tasks, one job each: (release, dur, req, deadline slack).
     free: Vec<(i64, i64, u32, i64)>,
     horizon: i64,
 }
 
 fn packed() -> impl Strategy<Value = Packed> {
-    let blocks = prop::collection::vec((0u32..2, 0i64..=5, 1i64..=4, 1u32..=2), 0..=2);
+    let blocks = prop::collection::vec((0i64..=5, 1i64..=4, 1u32..=2), 0..=2);
     let free = prop::collection::vec((0i64..=4, 1i64..=4, 1u32..=3, 0i64..=3), 2..=4);
-    ((1u32..=3, 1u32..=3), blocks, free, 5i64..=8).prop_map(|((c0, c1), blocks, free, horizon)| {
-        Packed {
-            caps: [c0, c1],
-            blocks,
-            free,
-            horizon,
-        }
+    (1u32..=3, blocks, free, 5i64..=8).prop_map(|(cap, blocks, free, horizon)| Packed {
+        cap,
+        blocks,
+        free,
+        horizon,
     })
 }
 
 fn build_packed(i: &Packed) -> Model {
     let mut b = ModelBuilder::new();
-    for &c in &i.caps {
-        b.add_resource(c, 0);
-    }
-    let widest = i.caps[0].max(i.caps[1]);
-    for &(r, start, dur, req) in &i.blocks {
+    let pool = b.add_resource(i.cap, 0);
+    for &(start, dur, req) in &i.blocks {
         let pinned = b.add_job(0, 1000);
-        let t = b.add_task(pinned, SlotKind::Map, dur, req.min(i.caps[r as usize]));
-        b.fix_task(t, ResRef(r), start);
+        let t = b.add_task(pinned, SlotKind::Map, dur, req.min(i.cap));
+        b.fix_task(t, pool, start);
     }
     for &(rel, dur, req, slack) in &i.free {
         let j = b.add_job(rel, rel + dur + slack);
-        b.add_task(j, SlotKind::Map, dur, req.min(widest));
+        b.add_task(j, SlotKind::Map, dur, req.min(i.cap));
     }
     b.set_horizon(i.horizon);
     b.build().expect("well-formed")
@@ -165,8 +158,8 @@ fn build_packed(i: &Packed) -> Model {
 /// Exhaustively enumerate every complete `(resource, start)` placement that
 /// satisfies release times, the map→reduce barrier, the horizon and the
 /// slot capacities — sharing no code with the propagators — and record each
-/// task's feasible starts and resources.
-fn enumerate_feasible(model: &Model) -> (Vec<Vec<i64>>, Vec<Vec<bool>>) {
+/// task's feasible starts.
+fn enumerate_feasible(model: &Model) -> Vec<Vec<i64>> {
     let n = model.n_tasks();
     let nr = model.n_resources();
     let horizon = model.horizon;
@@ -185,7 +178,6 @@ fn enumerate_feasible(model: &Model) -> (Vec<Vec<i64>>, Vec<Vec<bool>>) {
     let mut usage = vec![[vec![0i64; max_end], vec![0i64; max_end]]; nr];
     let mut starts = vec![0i64; n];
     let mut feas_starts: Vec<Vec<i64>> = vec![Vec::new(); n];
-    let mut feas_res: Vec<Vec<bool>> = vec![vec![false; nr]; n];
 
     fn kind_idx(k: SlotKind) -> usize {
         match k {
@@ -195,7 +187,6 @@ fn enumerate_feasible(model: &Model) -> (Vec<Vec<i64>>, Vec<Vec<bool>>) {
     }
 
     /// Returns the number of complete feasible placements in this subtree.
-    #[allow(clippy::too_many_arguments)]
     fn rec(
         model: &Model,
         order: &[TaskRef],
@@ -203,7 +194,6 @@ fn enumerate_feasible(model: &Model) -> (Vec<Vec<i64>>, Vec<Vec<bool>>) {
         usage: &mut [[Vec<i64>; 2]],
         starts: &mut [i64],
         feas_starts: &mut [Vec<i64>],
-        feas_res: &mut [Vec<bool>],
     ) -> u64 {
         if pos == order.len() {
             for &t in order {
@@ -250,11 +240,7 @@ fn enumerate_feasible(model: &Model) -> (Vec<Vec<i64>>, Vec<Vec<bool>>) {
                     usage[r][k][u] += spec.req as i64;
                 }
                 starts[t.idx()] = s;
-                let below = rec(model, order, pos + 1, usage, starts, feas_starts, feas_res);
-                if below > 0 {
-                    feas_res[t.idx()][r] = true;
-                    found += below;
-                }
+                found += rec(model, order, pos + 1, usage, starts, feas_starts);
                 for u in range {
                     usage[r][k][u] -= spec.req as i64;
                 }
@@ -263,25 +249,16 @@ fn enumerate_feasible(model: &Model) -> (Vec<Vec<i64>>, Vec<Vec<bool>>) {
         found
     }
 
-    rec(
-        model,
-        &order,
-        0,
-        &mut usage,
-        &mut starts,
-        &mut feas_starts,
-        &mut feas_res,
-    );
-    (feas_starts, feas_res)
+    rec(model, &order, 0, &mut usage, &mut starts, &mut feas_starts);
+    feas_starts
 }
 
-/// Whatever root propagation of the whole engine narrows, every start and
-/// every resource that participates in at least one complete feasible
-/// placement must survive: filters only remove provably infeasible values.
+/// Whatever root propagation of the whole engine narrows, every start that
+/// participates in at least one complete feasible placement must survive: filters only remove provably infeasible values.
 /// No job is allowed late, which is how `enumerate_feasible` reads
 /// deadlines: as hard windows.
 fn assert_keeps_feasible_placements(model: &Model) {
-    let (feas_starts, feas_res) = enumerate_feasible(model);
+    let feas_starts = enumerate_feasible(model);
     let mut dom = Domains::new(model);
     let mut eng = Engine::new(model);
     eng.set_bound(0);
@@ -293,23 +270,15 @@ fn assert_keeps_feasible_placements(model: &Model) {
         return;
     }
     assert!(ok, "root conflict on a feasible instance");
-    for t in 0..model.n_tasks() {
+    for (t, starts) in feas_starts.iter().enumerate() {
         let tr = TaskRef(t as u32);
-        for &s in &feas_starts[t] {
+        for &s in starts {
             assert!(
                 dom.lb(tr) <= s && s <= dom.ub(tr),
                 "task {t}: feasible start {s} pruned to [{}, {}]",
                 dom.lb(tr),
                 dom.ub(tr)
             );
-        }
-        for (r, &feas) in feas_res[t].iter().enumerate() {
-            if feas {
-                assert!(
-                    dom.mask(tr) & (1u128 << r) != 0,
-                    "task {t}: feasible resource {r} removed"
-                );
-            }
         }
     }
 }
@@ -325,13 +294,9 @@ fn naive_fixpoint(model: &Model, dom: &mut Domains, bound: u32) -> Result<(), Co
         }
         props.push(Box::new(JobLateness::new(job)));
     }
-    for r in 0..model.n_resources() {
-        for kind in [SlotKind::Map, SlotKind::Reduce] {
-            if model.resources[r].cap(kind) > 0 {
-                if let Some(c) = Cumulative::new(model, ResRef(r as u32), kind) {
-                    props.push(Box::new(c));
-                }
-            }
+    for kind in [SlotKind::Map, SlotKind::Reduce] {
+        if let Some(c) = Cumulative::new(model, kind) {
+            props.push(Box::new(c));
         }
     }
     props.push(Box::new(ObjectiveBound::new()));
@@ -346,13 +311,13 @@ fn naive_fixpoint(model: &Model, dom: &mut Domains, bound: u32) -> Result<(), Co
     }
 }
 
-/// Every task's `(lb, ub, mask)` and every job's lateness.
-type Snapshot = (Vec<(i64, i64, u128)>, Vec<Lateness>);
+/// Every task's `(lb, ub)` and every job's lateness.
+type Snapshot = (Vec<(i64, i64)>, Vec<Lateness>);
 
 fn snapshot(model: &Model, dom: &Domains) -> Snapshot {
     let tasks = (0..model.n_tasks() as u32)
         .map(TaskRef)
-        .map(|t| (dom.lb(t), dom.ub(t), dom.mask(t)))
+        .map(|t| (dom.lb(t), dom.ub(t)))
         .collect();
     let jobs = (0..model.n_jobs() as u32)
         .map(|j| dom.late(JobRef(j)))
@@ -361,20 +326,16 @@ fn snapshot(model: &Model, dom: &Domains) -> Snapshot {
 }
 
 /// One dive decision, as the search would take it: the first task whose
-/// resource or start is open gets its lowest candidate resource, or else
-/// its earliest start. False at a leaf.
+/// start is open gets its earliest start. False at a leaf.
 fn decide(model: &Model, dom: &mut Domains) -> bool {
     let Some(t) = (0..model.n_tasks() as u32)
         .map(TaskRef)
-        .find(|&t| !(dom.start_fixed(t) && dom.assigned(t).is_some()))
+        .find(|&t| !dom.start_fixed(t))
     else {
         return false;
     };
-    match dom.assigned(t) {
-        None => dom.assign_res(t, ResRef(dom.mask(t).trailing_zeros())),
-        Some(_) => dom.fix_start(t, dom.lb(t)),
-    }
-    .expect("a decision inside the domain");
+    dom.fix_start(t, dom.lb(t))
+        .expect("a decision inside the domain");
     true
 }
 
@@ -464,9 +425,7 @@ proptest! {
 
         let mut dom = Domains::new(&model);
         for t in 0..model.n_tasks() {
-            let tr = TaskRef(t as u32);
-            dom.assign_res(tr, sol.resource[t]).expect("resource in domain");
-            dom.fix_start(tr, sol.starts[t]).expect("start in domain");
+            dom.fix_start(TaskRef(t as u32), sol.starts[t]).expect("start in domain");
         }
         let mut eng = Engine::new(&model);
         prop_assert!(eng.propagate_all(&model, &mut dom).is_ok(),

@@ -1,5 +1,8 @@
 //! Property-based tests for the CP solver.
 //!
+//! The instances are one-pool models, the only ones the search solves
+//! (§V.D's combined model).
+//!
 //! * Every solution the solver returns verifies against the independent
 //!   checker (capacity, barrier, release, pinning, lateness flags).
 //! * On tiny random instances, the solver's objective equals the
@@ -16,14 +19,15 @@ use proptest::prelude::*;
 /// A small random instance description.
 #[derive(Debug, Clone)]
 struct TinyInstance {
-    resources: Vec<(u32, u32)>,
+    /// (map, reduce) slots of the one pool.
+    pool: (u32, u32),
     /// Per job: (release, window, maps durs, reduce durs)
     jobs: Vec<(i64, i64, Vec<i64>, Vec<i64>)>,
     horizon: i64,
 }
 
 fn tiny_instance() -> impl Strategy<Value = TinyInstance> {
-    let res = prop::collection::vec((1u32..=2, 1u32..=2), 1..=2);
+    let pool = (1u32..=3, 1u32..=3);
     let job = (
         0i64..=3,
         1i64..=12,
@@ -31,7 +35,7 @@ fn tiny_instance() -> impl Strategy<Value = TinyInstance> {
         prop::collection::vec(1i64..=3, 0..=1),
     );
     let jobs = prop::collection::vec(job, 1..=3);
-    (res, jobs).prop_map(|(resources, jobs)| {
+    (pool, jobs).prop_map(|(pool, jobs)| {
         // Keep the oracle tractable: horizon bounded by total work + max release.
         let total: i64 = jobs
             .iter()
@@ -39,7 +43,7 @@ fn tiny_instance() -> impl Strategy<Value = TinyInstance> {
             .sum();
         let max_rel = jobs.iter().map(|j| j.0).max().unwrap_or(0);
         TinyInstance {
-            resources,
+            pool,
             jobs,
             horizon: max_rel + total,
         }
@@ -48,10 +52,7 @@ fn tiny_instance() -> impl Strategy<Value = TinyInstance> {
 
 fn build(inst: &TinyInstance) -> Model {
     let mut b = ModelBuilder::new();
-    for &(mc, rc) in &inst.resources {
-        // Guarantee reduce capacity somewhere if any job has reduces.
-        b.add_resource(mc, rc);
-    }
+    b.add_resource(inst.pool.0, inst.pool.1);
     for (rel, window, maps, reduces) in &inst.jobs {
         let j = b.add_job(*rel, rel + window);
         for &d in maps {
@@ -151,8 +152,7 @@ proptest! {
         durs in prop::collection::vec(1i64..=4, 1..=3),
     ) {
         let mut b = ModelBuilder::new();
-        b.add_resource(1, 1);
-        b.add_resource(1, 1);
+        b.add_resource(2, 2);
         let j0 = b.add_job(0, 30);
         let pinned = b.add_task(j0, SlotKind::Map, 6, 1);
         b.fix_task(pinned, ResRef(0), pin_start);
@@ -169,15 +169,13 @@ proptest! {
     }
 }
 
-/// Deterministic regression: a 3-job instance where EDF greedy is
-/// suboptimal but B&B recovers the optimum (found by an earlier proptest
-/// run of this suite's ancestor during development).
+/// Deterministic regression: a tight instance, first found by an earlier
+/// proptest run on two 1/1 resources; here on their combined pool.
 #[test]
 fn regression_bnb_beats_greedy() {
     let mut b = ModelBuilder::new();
-    b.add_resource(1, 1);
-    b.add_resource(1, 1);
-    // j0: deadline 8, 2 maps of 4 → needs both resources in parallel.
+    b.add_resource(2, 2);
+    // j0: deadline 8, 2 maps of 4 → needs both slots in parallel.
     let j0 = b.add_job(0, 8);
     b.add_task(j0, SlotKind::Map, 4, 1);
     b.add_task(j0, SlotKind::Map, 4, 1);
@@ -189,7 +187,7 @@ fn regression_bnb_beats_greedy() {
     assert_eq!(out.status, Status::Optimal);
     let best = out.best.unwrap();
     best.verify(&model).unwrap();
-    // Optimal: j1 on r0 [0,3), j0 on r1 [0,4) and r0 [3,7) → j0 ends 7 ≤ 8.
+    // Optimal: j1 at [0,3), j0's maps at [0,4) and [3,7) → j0 ends 7 ≤ 8.
     assert_eq!(best.objective, 0);
     // Confirm against the oracle.
     assert_eq!(brute_force_optimal(&model, 20_000_000), Some(0));

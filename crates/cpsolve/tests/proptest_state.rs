@@ -2,18 +2,16 @@
 //! trailed narrowings and level pops, the domains equal what a naive
 //! snapshot-based implementation would produce.
 
-use cpsolve::model::{JobRef, ModelBuilder, ResRef, SlotKind, TaskRef};
+use cpsolve::model::{JobRef, ModelBuilder, SlotKind, TaskRef};
 use cpsolve::state::{Domains, Lateness};
 use proptest::prelude::*;
 
 const N_TASKS: usize = 4;
-const N_RES: usize = 3;
 
 #[derive(Debug, Clone)]
 enum Op {
     SetLb(usize, i64),
     SetUb(usize, i64),
-    RemoveRes(usize, u32),
     SetLate(usize, bool),
     Push,
     Pop,
@@ -23,7 +21,6 @@ fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0..N_TASKS, 0i64..100).prop_map(|(t, v)| Op::SetLb(t, v)),
         (0..N_TASKS, 0i64..100).prop_map(|(t, v)| Op::SetUb(t, v)),
-        (0..N_TASKS, 0u32..N_RES as u32).prop_map(|(t, r)| Op::RemoveRes(t, r)),
         (0..N_TASKS, any::<bool>()).prop_map(|(j, l)| Op::SetLate(j, l)),
         Just(Op::Push),
         Just(Op::Pop),
@@ -35,7 +32,6 @@ fn op() -> impl Strategy<Value = Op> {
 struct Snapshot {
     lb: Vec<i64>,
     ub: Vec<i64>,
-    mask: Vec<u128>,
     late: Vec<Option<bool>>,
 }
 
@@ -44,7 +40,6 @@ impl Snapshot {
         Snapshot {
             lb: (0..n_tasks).map(|i| d.lb(TaskRef(i as u32))).collect(),
             ub: (0..n_tasks).map(|i| d.ub(TaskRef(i as u32))).collect(),
-            mask: (0..n_tasks).map(|i| d.mask(TaskRef(i as u32))).collect(),
             late: (0..n_jobs)
                 .map(|i| match d.late(JobRef(i as u32)) {
                     Lateness::Unknown => None,
@@ -62,9 +57,7 @@ proptest! {
     #[test]
     fn trail_restores_exactly(ops in prop::collection::vec(op(), 0..60)) {
         let mut b = ModelBuilder::new();
-        for _ in 0..N_RES {
-            b.add_resource(2, 2);
-        }
+        b.add_resource(2, 2);
         for _ in 0..N_TASKS {
             let j = b.add_job(0, 100);
             b.add_task(j, SlotKind::Map, 5, 1);
@@ -82,9 +75,6 @@ proptest! {
                 }
                 Op::SetUb(t, v) => {
                     let _ = dom.set_ub(TaskRef(t as u32), v);
-                }
-                Op::RemoveRes(t, r) => {
-                    let _ = dom.remove_res(TaskRef(t as u32), ResRef(r));
                 }
                 Op::SetLate(j, l) => {
                     let v = if l { Lateness::Late } else { Lateness::OnTime };

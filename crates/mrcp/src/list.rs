@@ -57,10 +57,7 @@ pub struct ListSchedule<J, F> {
     /// from `book`, a free task's from `place`, which leaves `None` for
     /// the free tasks of a job it did not keep.
     pub(crate) placed: Vec<Option<(usize, i64)>>,
-    /// Debug builds: the number of calendars, and the last job's first
-    /// flattened task index.
-    #[cfg(debug_assertions)]
-    calendars: usize,
+    /// Debug builds: the last job's first flattened task index.
     #[cfg(debug_assertions)]
     last_job: usize,
 }
@@ -104,8 +101,6 @@ impl<J: Copy, F: Fn(ResourceId) -> Option<usize>> ListSchedule<J, F> {
         ListSchedule {
             hosts: [caps.clone().any(|c| c.0 > 0), caps.clone().any(|c| c.1 > 0)],
             failed: caps.clone().next().is_none(),
-            #[cfg(debug_assertions)]
-            calendars: caps.clone().count(),
             cal: Calendar::new(caps),
             calendar_of,
             records: cut.is_none() || cfg!(debug_assertions),
@@ -215,8 +210,7 @@ impl<J: Copy, F: Fn(ResourceId) -> Option<usize>> ListSchedule<J, F> {
     /// them) puts it, every task is placed when there is no cut (and the
     /// last job's, whose key is the cut, when there is), and the walk
     /// failed exactly where the model's build or its greedy fails.
-    /// `model` builds the model whose resources are the walk's calendars; it
-    /// is not built above 128 calendars, which no model holds.
+    /// `model` builds the model whose resources are the walk's calendars.
     #[cfg(debug_assertions)]
     pub(crate) fn assert_matches_model(
         &self,
@@ -224,9 +218,6 @@ impl<J: Copy, F: Fn(ResourceId) -> Option<usize>> ListSchedule<J, F> {
         hints: Option<&RoundHints>,
     ) {
         use cpsolve::{greedy::greedy_edf, greedy::greedy_edf_with_hints, model::ResRef};
-        if self.calendars > 128 {
-            return;
-        }
         let greedy = model().and_then(|mm| match hints {
             None => greedy_edf(&mm.model),
             Some(h) => {

@@ -2251,10 +2251,11 @@ mod tests {
         assert!(ea.start >= eb.end);
     }
 
-    /// No rung builds the multi-resource CP model, which holds at most 128
-    /// resources, so a larger cluster plans in full on both rungs with
-    /// audits on. A zero latency ceiling halves the budget scale after
-    /// every round (1, ½, ¼, ⅛, 1/16): rounds 4 and 5 skip the split rung.
+    /// A cluster beyond 128 resources plans in full on both rungs with
+    /// audits on; debug builds also compare the greedy rung's walk with the
+    /// greedy over the full 130-resource model. A zero latency ceiling
+    /// halves the budget scale after every round (1, ½, ¼, ⅛, 1/16): rounds
+    /// 4 and 5 skip the split rung.
     #[test]
     fn a_cluster_beyond_128_resources_degrades_to_a_full_plan() {
         let cfg = MrcpConfig {

@@ -223,6 +223,20 @@ mod tests {
         assert_eq!(mm.model.resources[0].reduce_cap, 1);
     }
 
+    /// The full model has no resource cap: 130 resources build, and the
+    /// greedy that judges the list scheduler runs on them.
+    #[test]
+    fn full_model_builds_beyond_128_resources() {
+        let cluster = homogeneous_cluster(130, 1, 1);
+        let jobs: Vec<Job> = (0..3).map(|i| mk_job(i, 0, 500, 2, 1)).collect();
+        let inputs: Vec<_> = jobs.iter().map(|j| inputs(j, 0)).collect();
+        let mm = build_model(&cluster, &inputs).unwrap();
+        assert_eq!(mm.model.n_resources(), 130);
+        let g = cpsolve::greedy::greedy_edf(&mm.model).unwrap();
+        g.verify(&mm.model).unwrap();
+        assert_eq!(g.objective, 0);
+    }
+
     #[test]
     fn release_uses_now_when_later() {
         let cluster = homogeneous_cluster(1, 1, 1);

@@ -414,9 +414,6 @@ pub fn matchmake(
 ///   after its job's release;
 /// - reduces start after the job's last map ends;
 /// - no (resource, kind) pool is over capacity at any instant.
-///
-/// It builds no CP model, so it also judges clusters beyond the full
-/// model's 128-resource limit.
 pub fn audit(
     resources: &[Resource],
     jobs: &[JobInput<'_>],

@@ -159,8 +159,8 @@ fn long_soak_survives_sustained_bursts() {
     );
 }
 
-/// Admission judges clusters larger than the CP model's 128 resources: on
-/// 129 resources a one-task job with a 1 000 s deadline is admitted as it
+/// Admission judges clusters beyond 128 resources: on 129 resources a
+/// one-task job with a 1 000 s deadline is admitted as it
 /// asked, under both policies that run the probe.
 #[test]
 fn admission_admits_a_feasible_job_on_more_than_128_resources() {
