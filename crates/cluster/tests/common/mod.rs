@@ -14,8 +14,8 @@ use std::path::Path;
 use telemetry::Telemetry;
 use workload::{Job, Resource, SyntheticConfig, SyntheticGenerator};
 
-/// A fully deterministic manager: one portfolio worker and no wall-clock
-/// budget, so two runs of one workload compare bit-exactly.
+/// A fully deterministic manager: no wall-clock budget, so two runs of one
+/// workload compare bit-exactly.
 pub fn det_sim() -> SimConfig {
     SimConfig {
         manager: MrcpConfig {

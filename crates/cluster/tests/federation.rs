@@ -130,7 +130,7 @@ fn multi_cell_run_drains_and_conserves_jobs() {
 fn a_round_leaves_every_cell_config_as_built() {
     let resources = homogeneous_cluster(2, 2, 2);
     let mut mgr = MrcpConfig::default();
-    mgr.budget.workers = 4;
+    mgr.budget.node_limit = 7;
     let cfg = ClusterConfig { cells: 2 };
     let mut fed = Federation::new(&cfg, mgr, resources);
     // First arrival lands in cell 0 (tie on empty loads), second in the
@@ -160,9 +160,9 @@ fn a_round_leaves_every_cell_config_as_built() {
     assert!(!entries.is_empty());
     for c in fed.cells() {
         assert_eq!(
-            c.rm.config().budget.workers,
-            4,
-            "a round solves each cell with the portfolio it was built with"
+            c.rm.config().budget.node_limit,
+            7,
+            "a round solves each cell with the node budget it was built with"
         );
     }
 }

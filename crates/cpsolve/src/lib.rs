@@ -19,15 +19,15 @@
 //! Table 1 is what the checkers judge against: [`Solution::verify`], the
 //! greedy EDF list scheduler ([`greedy`], also the search's warm start) and
 //! the independent brute-force oracle ([`brute`]) all take any number of
-//! resources. The search ([`search`], [`portfolio`]) solves the model the
-//! product builds, §V.D's combined model: one resource whose pools hold
-//! every slot of the cluster, so `x_tr` is decided up front and only start
-//! times are searched; it refuses a model with more than one resource. It
-//! is a classic trail-based CP kernel: bounds domains for start times, a
+//! resources. The search ([`search`]) solves the model the product builds,
+//! §V.D's combined model: one resource whose pools hold every slot of the
+//! cluster, so `x_tr` is decided up front and only start times are
+//! searched; it refuses a model with more than one resource. It is a
+//! classic trail-based CP kernel: bounds domains for start times, a
 //! propagation fixpoint over dedicated propagators (phase barrier,
-//! timetable cumulative, lateness reification, objective bound), and
-//! depth-first branch-and-bound with an EDF-guided set-times branching
-//! rule.
+//! timetable cumulative, lateness reification, objective bound), and one
+//! sequential depth-first branch-and-bound with an EDF-guided set-times
+//! branching rule. The crate starts no threads.
 //!
 //! Times are plain `i64` ticks — callers choose the unit (the MRCP-RM crate
 //! uses milliseconds).
@@ -56,7 +56,6 @@ pub mod brute;
 pub mod greedy;
 pub mod model;
 pub mod observe;
-pub mod portfolio;
 pub mod props;
 pub mod search;
 pub mod solution;
@@ -64,7 +63,6 @@ pub mod state;
 
 pub use model::{JobRef, Model, ModelBuilder, ResRef, SlotKind, TaskRef};
 pub use observe::{record_solve, SolveTel};
-pub use portfolio::{solve_portfolio, PortfolioParams};
 pub use props::{PropClass, PropClassStats, N_PROP_CLASSES, PROP_CLASSES};
-pub use search::{solve, Branching, Outcome, SolveParams, SolveStats, Status};
+pub use search::{solve, Outcome, PortfolioParams, SolveParams, SolveStats, Status};
 pub use solution::Solution;

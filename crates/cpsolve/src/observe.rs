@@ -2,9 +2,9 @@
 //! [`telemetry::Registry`].
 //!
 //! The solver's inner loops keep their own plain-integer counters (a
-//! per-node atomic would cost real time at millions of nodes); callers —
-//! the manager's scheduling round, the portfolio driver — publish the
-//! totals here once per solve, so a scraper watching the registry sees
+//! per-node atomic would cost real time at millions of nodes); the caller
+//! — the manager's scheduling round — publishes the totals here once per
+//! solve, so a scraper watching the registry sees
 //! per-class propagation effort move mid-run while the search hot path
 //! stays untouched.
 
@@ -19,7 +19,6 @@ pub struct SolveTel {
     nodes: telemetry::Counter,
     fails: telemetry::Counter,
     solutions: telemetry::Counter,
-    restarts: telemetry::Counter,
     /// Two series that stay at zero with [`SolveStats::lns_iters`], and go
     /// when it goes.
     lns_iters: telemetry::Counter,
@@ -44,7 +43,6 @@ impl SolveTel {
             nodes: reg.counter("cpsolve_nodes_total", &[]),
             fails: reg.counter("cpsolve_fails_total", &[]),
             solutions: reg.counter("cpsolve_solutions_total", &[]),
-            restarts: reg.counter("cpsolve_restarts_total", &[]),
             lns_iters: reg.counter("cpsolve_lns_iters_total", &[]),
             lns_improves: reg.counter("cpsolve_lns_improves_total", &[]),
             class_runs: per_class("cpsolve_prop_runs_total"),
@@ -58,7 +56,6 @@ impl SolveTel {
         self.nodes.add(stats.nodes);
         self.fails.add(stats.fails);
         self.solutions.add(stats.solutions);
-        self.restarts.add(stats.restarts);
         self.lns_iters.add(stats.lns_iters);
         self.lns_improves.add(stats.lns_improves);
         for (i, c) in stats.by_class.iter().enumerate() {

@@ -162,16 +162,6 @@ pub struct PropClassStats {
     pub time_us: u64,
 }
 
-impl PropClassStats {
-    /// Accumulate another counter set (portfolio merge).
-    pub fn merge(&mut self, other: &PropClassStats) {
-        self.runs += other.runs;
-        self.prunings += other.prunings;
-        self.conflicts += other.conflicts;
-        self.time_us += other.time_us;
-    }
-}
-
 /// Aggregate propagation counters (observability; see
 /// [`Engine::prop_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -494,7 +484,6 @@ pub(crate) mod tests {
         let params = crate::SolveParams {
             node_limit: 3_000,
             warm_start: false,
-            restarts: None,
             ..Default::default()
         };
         crate::solve(&contended_model(), &params).stats.by_class

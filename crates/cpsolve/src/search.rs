@@ -15,9 +15,11 @@
 //! job cannot be beaten, so the solve returns it at once as `Optimal`. That
 //! zero-late test is the one early exit, at the root and at every leaf.
 //!
-//! Branching is chronological set-times with EDF tie-breaking: pick the
-//! unfixed task with the smallest earliest start (ties: earlier job
-//! deadline, longer duration) and decide its start time (`a_t = lb`, on
+//! It is the crate's one search: a single continuous dive on the calling
+//! thread, as the paper runs CP Optimizer once per round. The branching
+//! rule is chronological set-times with EDF tie-breaking: pick the unfixed
+//! task with the smallest earliest start (ties: earlier job deadline,
+//! longer duration) and decide its start time (`a_t = lb`, on
 //! backtracking `a_t ≥ lb + 1` — propagation jumps the lower bound to the
 //! next feasible placement, so the "+1" branch advances by whole profile
 //! segments, not by single ticks). The tie-break never changes within a
@@ -30,12 +32,11 @@ use crate::model::{Model, ResRef, TaskRef};
 use crate::props::{Engine, PropClassStats, N_PROP_CLASSES};
 use crate::solution::Solution;
 use crate::state::{Domains, Lateness};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::time::{Duration, Instant};
 
-/// How often (in nodes) the search pays for a wall-clock read and polls the
-/// shared cancellation flag. A threshold counter, not a modulus — see the
-/// comment at the check site.
+/// How often (in nodes) a search with a `time_limit` pays for a wall-clock
+/// read. A threshold counter, not a modulus — see the comment at the check
+/// site.
 pub(crate) const CHECK_STRIDE: u64 = 64;
 
 /// Search termination status.
@@ -56,20 +57,6 @@ pub enum Status {
     Unsupported,
 }
 
-/// Variable-selection strategy (portfolio diversification axis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Branching {
-    /// Chronological set-times: the unfixed task with the smallest start
-    /// lower bound first, EDF tie-break (the default, and the rule the
-    /// single-threaded solver always used).
-    #[default]
-    SetTimes,
-    /// Deadline-first: the most urgent job's tasks first (pure EDF), ties
-    /// broken by the start lower bound. Dives commit whole jobs early,
-    /// which explores a different region of the tree than set-times.
-    Edf,
-}
-
 /// Search effort budgets and options.
 #[derive(Debug, Clone)]
 pub struct SolveParams {
@@ -85,13 +72,6 @@ pub struct SolveParams {
     /// Explicit initial incumbent (e.g. the previous scheduling round's
     /// solution re-based); must verify against the model.
     pub initial: Option<Solution>,
-    /// Luby restarts: `Some(base)` abandons the dive after
-    /// `base × luby(k)` conflicts and dives again from the root under the
-    /// objective cut tightened so far. `None` (default) runs one
-    /// continuous DFS.
-    pub restarts: Option<u64>,
-    /// Variable-selection strategy.
-    pub branching: Branching,
 }
 
 impl Default for SolveParams {
@@ -102,8 +82,6 @@ impl Default for SolveParams {
             time_limit: None,
             warm_start: true,
             initial: None,
-            restarts: None,
-            branching: Branching::SetTimes,
         }
     }
 }
@@ -134,17 +112,40 @@ impl SolveParams {
     }
 }
 
+/// The split rung's solve parameters as the benchmark (`e2e/`) names them.
+/// Only `base` is read: the search runs once, on the calling thread, so
+/// `workers` and `seed` are inert. Both stay until the benchmark stops
+/// constructing them (ROADMAP item 3).
+#[derive(Debug, Clone)]
+pub struct PortfolioParams {
+    /// The parameters of the one search.
+    pub base: SolveParams,
+    /// Inert: read by nothing.
+    pub workers: usize,
+    /// Inert: read by nothing.
+    pub seed: u64,
+}
+
+impl PortfolioParams {
+    /// `base` with the inert fields at 1 worker and seed 0.
+    pub fn single(base: &SolveParams) -> Self {
+        PortfolioParams {
+            base: base.clone(),
+            workers: 1,
+            seed: 0,
+        }
+    }
+}
+
 /// Search effort counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Branching decisions applied.
+    /// Search decisions applied (one per branch taken).
     pub nodes: u64,
     /// Conflicts encountered.
     pub fails: u64,
     /// Improving solutions found (excluding the warm start).
     pub solutions: u64,
-    /// Luby restarts performed.
-    pub restarts: u64,
     /// Propagator invocations.
     pub propagations: u64,
     /// Domain narrowings produced by propagation.
@@ -159,50 +160,6 @@ pub struct SolveStats {
     pub lns_iters: u64,
     /// Always zero, kept for the same reader as [`Self::lns_iters`].
     pub lns_improves: u64,
-}
-
-impl SolveStats {
-    /// Add another solve's counters (a portfolio worker). `elapsed_us` is
-    /// left to the caller, who times the whole.
-    pub fn merge(&mut self, other: &SolveStats) {
-        // Exhaustive on purpose: a new field is added here or does not
-        // compile.
-        let SolveStats {
-            nodes,
-            fails,
-            solutions,
-            restarts,
-            propagations,
-            prunings,
-            elapsed_us: _,
-            by_class,
-            lns_iters: _,
-            lns_improves: _,
-        } = other;
-        self.nodes += nodes;
-        self.fails += fails;
-        self.solutions += solutions;
-        self.restarts += restarts;
-        self.propagations += propagations;
-        self.prunings += prunings;
-        for (acc, c) in self.by_class.iter_mut().zip(by_class) {
-            acc.merge(c);
-        }
-    }
-}
-
-/// The Luby sequence 1,1,2,1,1,2,4,… (`i` is 1-based).
-pub fn luby(i: u64) -> u64 {
-    debug_assert!(i >= 1);
-    let mut k = 1u64;
-    while (1u64 << k) < i + 1 {
-        k += 1;
-    }
-    if (1u64 << k) == i + 1 {
-        1u64 << (k - 1)
-    } else {
-        luby(i - (1 << (k - 1)) + 1)
-    }
 }
 
 /// Result of a solve call.
@@ -227,70 +184,10 @@ struct Frame {
     second: bool,
 }
 
-/// State shared by the workers of a [portfolio](crate::portfolio) run: the
-/// best objective published by any worker (folded into every worker's
-/// objective cut) and the cooperative cancellation flag (raised on any
-/// worker exit — optimality proof or budget expiry).
-#[derive(Debug)]
-pub struct SharedSearch {
-    /// Best objective published by any worker; `i64::MAX` = none yet.
-    pub(crate) best_obj: AtomicI64,
-    /// Raised when any worker finishes (proof or budget); every worker
-    /// polls it at the [`CHECK_STRIDE`] cadence and stops cooperatively.
-    pub(crate) cancel: AtomicBool,
-}
-
-impl SharedSearch {
-    /// Fresh shared state: no incumbent, not cancelled.
-    pub fn new() -> Self {
-        SharedSearch {
-            best_obj: AtomicI64::new(i64::MAX),
-            cancel: AtomicBool::new(false),
-        }
-    }
-
-    /// Publish an incumbent objective (monotone min).
-    pub(crate) fn publish(&self, obj: u32) {
-        self.best_obj.fetch_min(obj as i64, Ordering::Relaxed);
-    }
-
-    /// The best objective any worker has published so far.
-    pub(crate) fn best(&self) -> Option<u32> {
-        let g = self.best_obj.load(Ordering::Relaxed);
-        (g < i64::MAX).then_some(g as u32)
-    }
-}
-
-impl Default for SharedSearch {
-    fn default() -> Self {
-        SharedSearch::new()
-    }
-}
-
 /// Minimize the number of late jobs for `model` under `params`. A model
 /// with more than one resource is refused: the outcome is
 /// [`Status::Unsupported`] with no solution and zero counters.
 pub fn solve(model: &Model, params: &SolveParams) -> Outcome {
-    solve_shared(model, params, None)
-}
-
-/// [`solve`] with optional portfolio shared state: fold the global bound
-/// into the objective cut on every node, publish improvements, and stop
-/// when the cancellation flag is raised. Raises the flag itself on every
-/// exit path (proof or budget) so sibling workers stop promptly.
-pub(crate) fn solve_shared(
-    model: &Model,
-    params: &SolveParams,
-    shared: Option<&SharedSearch>,
-) -> Outcome {
-    let out = solve_inner(model, params, shared);
-    if let Some(sh) = shared {
-        sh.cancel.store(true, Ordering::Relaxed);
-    }
-    out
-}
-
-fn solve_inner(model: &Model, params: &SolveParams, shared: Option<&SharedSearch>) -> Outcome {
     let t0 = Instant::now();
     let mut stats = SolveStats::default();
     if model.n_resources() > 1 {
@@ -322,12 +219,6 @@ fn solve_inner(model: &Model, params: &SolveParams, shared: Option<&SharedSearch
         }
     }
 
-    // Make the warm-start/initial incumbent's objective visible to sibling
-    // portfolio workers before any search happens.
-    if let (Some(sh), Some(b)) = (shared, &best) {
-        sh.publish(b.objective);
-    }
-
     if unbeatable(&best) {
         stats.elapsed_us = t0.elapsed().as_micros() as u64;
         return Outcome {
@@ -341,11 +232,6 @@ fn solve_inner(model: &Model, params: &SolveParams, shared: Option<&SharedSearch
     let mut engine = Engine::new(model);
     if let Some(b) = &best {
         engine.set_bound(b.objective - 1);
-    }
-    // A sibling worker may already hold a better incumbent: fold its
-    // objective into the cut before the root propagation.
-    if let Some(g) = shared.and_then(|sh| sh.best()) {
-        engine.set_bound(g.saturating_sub(1));
     }
 
     // Root propagation.
@@ -368,19 +254,14 @@ fn solve_inner(model: &Model, params: &SolveParams, shared: Option<&SharedSearch
     }
 
     // The set-times tie-break, ranked once for the whole search.
-    let rank = match params.branching {
-        Branching::SetTimes => set_times_rank(model),
-        Branching::Edf => Vec::new(),
-    };
+    let rank = set_times_rank(model);
 
     // The active decision levels, innermost last. The stack keeps its
     // capacity, so the hot path allocates nothing once it has grown to the
     // maximum depth (see tests/alloc_count.rs).
     let mut frames: Vec<Frame> = Vec::new();
     let mut exhausted = false;
-    let mut restart_no: u64 = 0;
-    let mut fails_at_restart: u64 = 0;
-    // Next node count at which to pay for a clock read / cancellation poll.
+    // Next node count at which to pay for a clock read.
     // A threshold (not `nodes % k == 0`) so the check cannot be skipped
     // forever: backtracking advances `nodes` by more than one, which could
     // step over every multiple of k and loop past the deadline
@@ -389,47 +270,21 @@ fn solve_inner(model: &Model, params: &SolveParams, shared: Option<&SharedSearch
     let mut next_check: u64 = 0;
 
     'search: loop {
-        // Budget checks (time and cancellation polled at a coarse cadence).
+        // Budget checks (wall time polled at a coarse cadence).
         if stats.nodes >= params.node_limit || stats.fails >= params.fail_limit {
             break;
         }
-        if (params.time_limit.is_some() || shared.is_some()) && stats.nodes >= next_check {
-            next_check = stats.nodes + CHECK_STRIDE;
-            if params.time_limit.is_some_and(|tl| t0.elapsed() > tl)
-                || shared.is_some_and(|sh| sh.cancel.load(Ordering::Relaxed))
-            {
-                break;
-            }
-        }
-        // Fold the portfolio-wide incumbent into the objective cut on every
-        // node: a sibling worker's improvement prunes this worker's subtree
-        // as if it were a local incumbent.
-        if let Some(g) = shared.and_then(|sh| sh.best()) {
-            if (g as i64) < best.as_ref().map_or(i64::MAX, |b| b.objective as i64) {
-                engine.set_bound(g.saturating_sub(1));
-            }
-        }
-        // Luby restart: abandon the dive, keep the (monotone) objective
-        // cut for the next dive.
-        if let Some(base) = params.restarts {
-            if stats.fails - fails_at_restart >= base.saturating_mul(luby(restart_no + 1)) {
-                while frames.pop().is_some() {
-                    dom.pop_level();
-                }
-                restart_no += 1;
-                stats.restarts += 1;
-                fails_at_restart = stats.fails;
-                if engine.propagate_dirty(model, &mut dom).is_err() {
-                    // The tightened cut is already infeasible at the root.
-                    exhausted = true;
+        if let Some(tl) = params.time_limit {
+            if stats.nodes >= next_check {
+                next_check = stats.nodes + CHECK_STRIDE;
+                if t0.elapsed() > tl {
                     break;
                 }
             }
         }
-
-        let selected = select_task(model, &dom, params.branching, &rank);
+        let selected = select_task(&dom, &rank);
         #[cfg(test)]
-        tests::check_selection(model, &dom, params.branching, selected);
+        tests::check_selection(model, &dom, selected);
         let Some(task) = selected else {
             // Leaf: propagation has decided every lateness flag.
             let solution = extract(model, &dom);
@@ -438,9 +293,6 @@ fn solve_inner(model: &Model, params: &SolveParams, shared: Option<&SharedSearch
             stats.solutions += 1;
             let improved = best.as_ref().is_none_or(|b| obj < b.objective);
             if improved {
-                if let Some(sh) = shared {
-                    sh.publish(obj);
-                }
                 best = Some(solution);
                 if unbeatable(&best) {
                     break 'search;
@@ -559,41 +411,17 @@ fn set_times_rank(model: &Model) -> Vec<u32> {
     rank
 }
 
-/// Variable selection: the unfixed task with the smallest key, or `None`
-/// at a leaf. `SetTimes` is chronological + EDF: the smallest start lower
-/// bound, ties broken by `rank` (from [`set_times_rank`]). `Edf` puts the
-/// job's priority and deadline first and ignores `rank`.
-fn select_task(
-    model: &Model,
-    dom: &Domains,
-    branching: Branching,
-    rank: &[u32],
-) -> Option<TaskRef> {
-    match branching {
-        Branching::SetTimes => min_unfixed_by(model, dom, |i, t| (dom.lb(t), rank[i])),
-        Branching::Edf => min_unfixed_by(model, dom, |i, t| {
-            let spec = &model.tasks[i];
-            let job = &model.jobs[spec.job.idx()];
-            (job.priority, job.deadline, dom.lb(t), -spec.dur, i as u32)
-        }),
-    }
-}
-
-/// The task with the smallest `key` among those whose start is still open;
-/// the first one on a tie.
-#[inline]
-fn min_unfixed_by<K: Ord>(
-    model: &Model,
-    dom: &Domains,
-    key: impl Fn(usize, TaskRef) -> K,
-) -> Option<TaskRef> {
-    let mut best: Option<(K, TaskRef)> = None;
-    for i in 0..model.n_tasks() {
+/// Variable selection, chronological + EDF: the unfixed task with the
+/// smallest start lower bound, ties broken by `rank` (from
+/// [`set_times_rank`]), or `None` at a leaf.
+fn select_task(dom: &Domains, rank: &[u32]) -> Option<TaskRef> {
+    let mut best: Option<((i64, u32), TaskRef)> = None;
+    for (i, &r) in rank.iter().enumerate() {
         let t = TaskRef(i as u32);
         if dom.start_fixed(t) {
             continue;
         }
-        let k = key(i, t);
+        let k = (dom.lb(t), r);
         if best.as_ref().is_none_or(|(b, _)| k < *b) {
             best = Some((k, t));
         }
@@ -631,7 +459,7 @@ mod tests {
     use std::cell::Cell;
 
     thread_local! {
-        /// Set-times nodes at which `check_selection` compared the pick
+        /// Nodes at which `check_selection` compared the pick
         /// with the five-field key, on this thread.
         static SELECTIONS_CHECKED: Cell<u64> = const { Cell::new(0) };
     }
@@ -650,18 +478,11 @@ mod tests {
             })
     }
 
-    /// Called by every search node of a unit-test build: a set-times pick
-    /// must be the oracle's.
-    pub(super) fn check_selection(
-        model: &Model,
-        dom: &Domains,
-        branching: Branching,
-        selected: Option<TaskRef>,
-    ) {
-        if branching == Branching::SetTimes {
-            assert_eq!(selected, select_by_full_key(model, dom));
-            SELECTIONS_CHECKED.with(|n| n.set(n.get() + 1));
-        }
+    /// Called by every search node of a unit-test build: the pick must be
+    /// the oracle's.
+    pub(super) fn check_selection(model: &Model, dom: &Domains, selected: Option<TaskRef>) {
+        assert_eq!(selected, select_by_full_key(model, dom));
+        SELECTIONS_CHECKED.with(|n| n.set(n.get() + 1));
     }
 
     /// One shared pool with multi-unit requirements: every task is assigned
@@ -817,6 +638,23 @@ mod tests {
         assert_eq!(out.status, Status::Unsupported);
         assert!(out.best.is_none());
         assert_eq!(out.stats, SolveStats::default());
+    }
+
+    /// Two pinned tasks overlapping on a one-slot pool: no solution, and the
+    /// exhausted tree says so.
+    #[test]
+    fn infeasible_pins_report_infeasible() {
+        let mut b = ModelBuilder::new();
+        b.add_resource(1, 1);
+        let j = b.add_job(0, 100);
+        let t0 = b.add_task(j, SlotKind::Map, 10, 1);
+        let t1 = b.add_task(j, SlotKind::Map, 10, 1);
+        b.fix_task(t0, ResRef(0), 0);
+        b.fix_task(t1, ResRef(0), 5);
+        let m = b.build().unwrap();
+        let out = solve(&m, &SolveParams::default());
+        assert_eq!(out.status, Status::Infeasible);
+        assert!(out.best.is_none());
     }
 
     /// Pinned running tasks are honoured and the rest scheduled around them.
@@ -1028,41 +866,6 @@ mod tests {
         assert_eq!(out.best, Some(greedy_edf(&m).unwrap()));
     }
 
-    #[test]
-    fn luby_sequence_is_correct() {
-        let expect = [1u64, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8];
-        for (i, &e) in expect.iter().enumerate() {
-            assert_eq!(luby(i as u64 + 1), e, "luby({})", i + 1);
-        }
-    }
-
-    /// Restarted search still reaches the optimum and verifies.
-    #[test]
-    fn restarts_preserve_correctness() {
-        let mut b = ModelBuilder::new();
-        b.add_resource(1, 1);
-        for i in 0..4 {
-            let j = b.add_job(0, 25 + i);
-            b.add_task(j, SlotKind::Map, 10, 1);
-            b.add_task(j, SlotKind::Reduce, 2, 1);
-        }
-        let m = b.build().unwrap();
-        let plain = solve(&m, &SolveParams::default());
-        let restarted = solve(
-            &m,
-            &SolveParams {
-                restarts: Some(4), // restart aggressively
-                ..Default::default()
-            },
-        );
-        let p = plain.best.unwrap();
-        let r = restarted.best.unwrap();
-        r.verify(&m).unwrap();
-        assert_eq!(p.objective, r.objective, "same optimum either way");
-        assert_eq!(restarted.status, Status::Optimal);
-        assert!(restarted.stats.restarts > 0);
-    }
-
     /// Map-only and reduce-carrying jobs mix correctly under contention.
     #[test]
     fn mixed_phases_under_contention() {
@@ -1081,34 +884,6 @@ mod tests {
         let s = out.best.unwrap();
         s.verify(&m).unwrap();
         assert_eq!(s.objective, 0);
-    }
-
-    /// Deadline-first branching reaches the same optimum as set-times on a
-    /// contended instance that actually produces conflicts.
-    #[test]
-    fn edf_branching_preserves_optimum() {
-        let mut b = ModelBuilder::new();
-        b.add_resource(1, 1);
-        for i in 0..4 {
-            let j = b.add_job(0, 25 + i);
-            b.add_task(j, SlotKind::Map, 10, 1);
-            b.add_task(j, SlotKind::Reduce, 2, 1);
-        }
-        let m = b.build().unwrap();
-        let baseline = solve(&m, &SolveParams::default());
-        let expect = baseline.best.as_ref().unwrap().objective;
-        let out = solve(
-            &m,
-            &SolveParams {
-                branching: Branching::Edf,
-                ..Default::default()
-            },
-        );
-        assert_eq!(out.status, Status::Optimal);
-        assert!(out.stats.fails > 0);
-        let s = out.best.unwrap();
-        s.verify(&m).unwrap();
-        assert_eq!(s.objective, expect);
     }
 
     /// The per-class stats surface through SolveStats and account for every

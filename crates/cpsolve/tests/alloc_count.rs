@@ -107,7 +107,6 @@ fn run(model: &Model, node_limit: u64) -> (usize, u64) {
     let params = SolveParams {
         node_limit,
         warm_start: false,
-        restarts: None,
         ..Default::default()
     };
     let before = ALLOCS.load(Ordering::Relaxed);

@@ -35,11 +35,12 @@
 //! stack is the same `Durable`, behind `cluster::DurableFederation`.
 //!
 //! Why recovery is *bit-exact*: [`MrcpRm`] is deterministic for a fixed
-//! configuration (single portfolio worker, no wall-clock budgets), so
-//! re-applying the logged command sequence from a snapshot drives the
-//! recovered manager through exactly the pre-crash states. The only
-//! divergence is wall-clock solve timing, which feeds only the metrics
-//! [`RunMetrics::deterministic_signature`] already zeroes — giving the
+//! configuration without wall-clock budgets (the search runs once per
+//! round on the calling thread), so re-applying the logged command
+//! sequence from a snapshot drives the recovered manager through exactly
+//! the pre-crash states. The only divergence is wall-clock solve timing,
+//! which feeds only the metrics [`RunMetrics::deterministic_signature`]
+//! already zeroes — giving the
 //! equivalence property the proptests in `tests/` pin: a run interrupted
 //! by any number of manager crashes has the same signature as the
 //! uninterrupted run.

@@ -84,7 +84,7 @@ fn jobs() -> Vec<Job> {
         .collect()
 }
 
-/// One portfolio worker, no wall-clock budget: twins solve identically.
+/// No wall-clock budget: twins solve identically.
 fn det_manager() -> MrcpRm {
     let cfg = MrcpConfig {
         budget: SolveBudget {

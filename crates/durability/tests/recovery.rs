@@ -4,9 +4,9 @@
 //! without losing the unsynced WAL tail — produces the *bit-identical*
 //! [`RunMetrics::deterministic_signature`] of the uninterrupted run.
 //!
-//! The manager is configured deterministically (single portfolio worker,
-//! no wall-clock budget), so the only thing a crash may change is solve
-//! wall time, which the signature already excludes.
+//! The manager is configured deterministically (no wall-clock budget), so
+//! the only thing a crash may change is solve wall time, which the
+//! signature already excludes.
 
 use desim::SimTime;
 use durability::{DurabilityConfig, DurableRm, StoreConfig, WalConfig};
@@ -70,8 +70,8 @@ fn jobs_of(w: &W) -> Vec<Job> {
     jobs
 }
 
-/// A fully deterministic manager: one portfolio worker, no wall-clock
-/// budget, no adaptive controller — replay must retrace every solve.
+/// A fully deterministic manager: no wall-clock budget, no adaptive
+/// controller — replay must retrace every solve.
 fn det_config() -> SimConfig {
     let mut cfg = SimConfig::default();
     cfg.manager = MrcpConfig {

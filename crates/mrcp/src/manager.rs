@@ -37,8 +37,7 @@ use crate::modelmap::{JobInput, TaskInput};
 use crate::ordering::JobOrdering;
 use crate::sim_driver::ResourceManager;
 use crate::split::{split_solve_portfolio, RoundHints};
-use cpsolve::portfolio::PortfolioParams;
-use cpsolve::search::{Outcome, SolveParams, SolveStats, Status};
+use cpsolve::search::{Outcome, PortfolioParams, SolveParams, SolveStats, Status};
 use desim::SimTime;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -178,9 +177,9 @@ pub struct AdaptiveBudget {
 }
 
 /// Per-invocation solver effort limits. The default is counted, not timed:
-/// 150 nodes and 150 fails, scaled down past 200 tasks to a floor of 50, no
-/// wall-clock limit and one worker, so a simulated result repeats exactly
-/// for a fixed seed on any host. Every solve is seeded with the greedy EDF
+/// 150 nodes and 150 fails, scaled down past 200 tasks to a floor of 50 and
+/// no wall-clock limit, so a simulated result repeats exactly for a fixed
+/// seed on any host. Every solve is seeded with the greedy EDF
 /// incumbent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolveBudget {
@@ -193,9 +192,9 @@ pub struct SolveBudget {
     pub time_limit_ms: Option<u64>,
     /// Optional adaptive scaling with model size.
     pub adaptive: Option<AdaptiveBudget>,
-    /// Parallel portfolio workers per solve (1 = the single-threaded
-    /// search; >1 spawns diversified workers sharing the incumbent bound,
-    /// see [`cpsolve::portfolio`]).
+    /// Inert: the search runs once per round on the calling thread, so
+    /// nothing reads this. It stays until the benchmark (`e2e/`) stops
+    /// setting it (ROADMAP item 3).
     pub workers: usize,
 }
 
@@ -591,8 +590,7 @@ pub struct RoundCacheImage {
 /// in the same logical state produce identical images. The configuration
 /// and the resource pool are *not* part of the image — they are
 /// construction inputs the durability layer persists separately (they
-/// never change mid-run, except the portfolio worker override, which the
-/// federation re-asserts every round).
+/// never change mid-run).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ManagerImage {
     /// Live jobs (active + deferred), sorted by job id.
@@ -1476,7 +1474,6 @@ impl MrcpRm {
     /// Returns the placements, the solver outcome they came from, and which
     /// rung served the round.
     fn solve_round(
-        cfg: &MrcpConfig,
         resources: &[Resource],
         inputs: &[JobInput<'_>],
         params: &SolveParams,
@@ -1492,11 +1489,7 @@ impl MrcpRm {
             }
         };
         if !greedy_only {
-            let pp = PortfolioParams {
-                base: params.clone(),
-                workers: cfg.budget.workers,
-                seed: 0,
-            };
+            let pp = PortfolioParams::single(params);
             if let Ok(s) = split_solve_portfolio(resources, inputs, &pp, hints) {
                 if audit_ok(&s.placements).is_ok() {
                     return Ok((s.placements, s.outcome, RoundRung::SplitCp));
@@ -1917,15 +1910,7 @@ impl ResourceManager for MrcpRm {
 
         let audit =
             self.cfg.verify_schedules || (self.stats.invocations + 1).is_multiple_of(AUDIT_EVERY);
-        let solved = Self::solve_round(
-            &self.cfg,
-            &up,
-            &inputs,
-            &params,
-            greedy_only,
-            hints.as_deref(),
-            audit,
-        );
+        let solved = Self::solve_round(&up, &inputs, &params, greedy_only, hints.as_deref(), audit);
         drop((states, inputs));
         // Install: a placement that does not match the task the round
         // asked about fails the round (no panic), like a round in which

@@ -29,8 +29,7 @@
 use crate::list;
 use crate::modelmap::{build_combined_model, JobInput};
 use cpsolve::model::ResRef;
-use cpsolve::portfolio::{solve_portfolio, PortfolioParams};
-use cpsolve::search::{Outcome, SolveStats, Status};
+use cpsolve::search::{solve, Outcome, PortfolioParams, SolveStats, Status};
 use cpsolve::solution::Solution;
 use desim::SimTime;
 use std::collections::HashMap;
@@ -228,9 +227,10 @@ thread_local! {
     pub(crate) static CRAM: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Solve with the combined-resource model, driven by the parallel
-/// portfolio and optionally seeded with the previous round's placements,
-/// and matchmake the result onto the real cluster. The combined model has a
+/// Solve with the combined-resource model under `pp.base` (the search
+/// runs once; `pp`'s other fields are inert), optionally seeded with the
+/// previous round's placements, and matchmake the result onto the real
+/// cluster. The combined model has a
 /// single synthetic resource, so only the hinted start times carry over — a
 /// hint whose start is stale (before this round's release) falls back to
 /// the greedy's best fit.
@@ -281,24 +281,23 @@ pub fn split_solve_portfolio(
         }
         warm => {
             let mm = build_combined_model(resources, jobs)?;
-            let mut pp = pp.clone();
+            let mut params = pp.base.clone();
             // The hinted schedule replays the surviving part of the last
-            // round; the portfolio improves on it from the first node. A
+            // round; the search improves on it from the first node. A
             // `None` warm start is a greedy failure: there is none to seed.
             let hinted = hints.and(warm).map(|ws| {
                 Solution::from_placements(&mm.model, ws.starts, vec![ResRef(0); mm.task_ids.len()])
             });
             if let Some(sol) = hinted {
-                if pp
-                    .base
+                if params
                     .initial
                     .as_ref()
                     .is_none_or(|cur| sol.objective < cur.objective)
                 {
-                    pp.base.initial = Some(sol);
+                    params.initial = Some(sol);
                 }
             }
-            let mut outcome = solve_portfolio(&mm.model, &pp);
+            let mut outcome = solve(&mm.model, &params);
             let best = outcome
                 .best
                 .take()

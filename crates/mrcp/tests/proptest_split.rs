@@ -8,8 +8,7 @@
 
 use cpsolve::greedy::{greedy_edf, greedy_edf_with_hints, Hint};
 use cpsolve::model::ResRef;
-use cpsolve::portfolio::{solve_portfolio, PortfolioParams};
-use cpsolve::search::{SolveParams, Status};
+use cpsolve::search::{solve, PortfolioParams, SolveParams, Status};
 use desim::SimTime;
 use mrcp::modelmap::{build_combined_model, JobInput, TaskInput};
 use mrcp::split::{audit, matchmake, split_solve_portfolio, warm_start, RoundHints};
@@ -212,7 +211,7 @@ fn reference(
             }
         }
     }
-    let outcome = solve_portfolio(&mm.model, &pp);
+    let outcome = solve(&mm.model, &pp.base);
     let best = outcome
         .best
         .as_ref()

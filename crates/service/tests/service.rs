@@ -11,7 +11,7 @@ use service::ramp::{run_rung, RampConfig};
 use std::time::Duration;
 use workload::SyntheticConfig;
 
-/// Wall-clock-free manager: one portfolio worker, no time budget — every
+/// Wall-clock-free manager: no time budget — every
 /// measured rung must be reproducible bit for bit.
 fn det_sim() -> SimConfig {
     SimConfig {
