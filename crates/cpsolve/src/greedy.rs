@@ -18,6 +18,13 @@
 //! keeps the window they all share, and a pin that meets that window goes
 //! straight into the next slot. Any other booking turns this off for the
 //! pool (debug builds check every fast pin against first-fit).
+//!
+//! A walk that wants to take bookings back asks for an undo trail with
+//! [`Calendar::mark`]: from then on each booking logs its slot, its
+//! position in the slot's busy list and the slot's previous `max_gap`, and
+//! [`Calendar::undo`] pops them in LIFO order, which restores every busy
+//! list and its summary exactly. A calendar that never marks keeps no
+//! trail.
 
 use crate::model::{Model, ResRef, SlotKind, TaskRef};
 use crate::solution::Solution;
@@ -31,7 +38,7 @@ use crate::solution::Solution;
 /// the first interval or after the last one: [`Slot::earliest_fit`] and
 /// [`Slot::fits`] answer that case from the two ends of `busy` without
 /// walking it.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 struct Slot {
     busy: Vec<(i64, i64)>,
     /// Longest `next.start − prev.end` over adjacent busy intervals (0 with
@@ -107,16 +114,28 @@ impl Slot {
     }
 
     /// Insert `[start, start+dur)` keeping order, and refresh `max_gap`.
-    fn insert(&mut self, start: i64, dur: i64) {
+    /// Returns the interval's position in `busy` and the `max_gap` before.
+    fn insert(&mut self, start: i64, dur: i64) -> (usize, i64) {
         let pos = self.busy.partition_point(|&(bs, _)| bs < start);
         self.busy.insert(pos, (start, start + dur));
+        let gap = self.max_gap;
         self.max_gap = self
             .busy
             .windows(2)
             .map(|w| w[1].0 - w[0].1)
             .max()
             .unwrap_or(0);
+        (pos, gap)
     }
+}
+
+/// One logged booking of a [`Pool`]: its flat slot, its position in that
+/// slot's busy list and the slot's `max_gap` before it.
+#[derive(Debug, Clone, Copy)]
+struct Booked {
+    slot: usize,
+    pos: usize,
+    max_gap: i64,
 }
 
 /// Slot calendars of one task kind, flattened: resource `r`'s `cap(r, kind)`
@@ -137,6 +156,9 @@ struct Pool {
     /// Per resource `(n, lo, hi)` while only pins have been booked; empty
     /// once anything else has.
     pins: Vec<(usize, i64, i64)>,
+    /// Every booking since the first [`Pool::mark`], oldest first; `None`
+    /// until then.
+    trail: Option<Vec<Booked>>,
 }
 
 impl Pool {
@@ -149,6 +171,38 @@ impl Pool {
             slots: vec![Slot::default(); first[first.len() - 1]],
             pins: vec![(0, i64::MIN, i64::MAX); first.len() - 1],
             first,
+            trail: None,
+        }
+    }
+
+    /// Book `[start, start+dur)` into flat slot `si`, logged when the pool
+    /// keeps a trail.
+    fn insert(&mut self, si: usize, start: i64, dur: i64) {
+        let (pos, max_gap) = self.slots[si].insert(start, dur);
+        if let Some(trail) = &mut self.trail {
+            trail.push(Booked {
+                slot: si,
+                pos,
+                max_gap,
+            });
+        }
+    }
+
+    /// The trail's length, starting the trail if there is none. The pin
+    /// fast path goes off for good: an undone pin would leave its window
+    /// count behind, and first-fit books the same slot.
+    fn mark(&mut self) -> usize {
+        self.pins.clear();
+        self.trail.get_or_insert_with(Vec::new).len()
+    }
+
+    /// Take back every booking logged after `mark`, newest first.
+    fn undo(&mut self, mark: usize) {
+        let trail = self.trail.as_mut().expect("undo follows a mark");
+        for b in trail.drain(mark..).rev() {
+            let slot = &mut self.slots[b.slot];
+            slot.busy.remove(b.pos);
+            slot.max_gap = b.max_gap;
         }
     }
 
@@ -166,7 +220,7 @@ impl Pool {
                     "pin fast path r={r} start={start} dur={dur}"
                 );
                 if free {
-                    self.slots[slot].insert(start, dur);
+                    self.insert(slot, start, dur);
                     self.pins[r] = (n + 1, lo, hi);
                 }
                 return free;
@@ -193,7 +247,7 @@ impl Pool {
         self.pins.clear();
         match self.first_fit(r, start, dur) {
             Some(si) => {
-                self.slots[si].insert(start, dur);
+                self.insert(si, start, dur);
                 true
             }
             None => false,
@@ -236,7 +290,7 @@ impl Pool {
     fn fit(&mut self, floor: i64, dur: i64) -> Option<(usize, i64)> {
         self.pins.clear();
         let (si, s) = self.best_fit(floor, dur)?;
-        self.slots[si].insert(s, dur);
+        self.insert(si, s, dur);
         Some((self.resource_of(si), s))
     }
 }
@@ -254,6 +308,10 @@ pub struct Calendar {
     map: Pool,
     reduce: Pool,
 }
+
+/// A point in a [`Calendar`]'s bookings that [`Calendar::undo`] returns to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mark([usize; 2]);
 
 /// A free task handed to [`Calendar::place`]. `task` names it to the
 /// caller. `at` holds a suggested `(resource, start)` on entry (a hint, or
@@ -290,6 +348,20 @@ impl Calendar {
     /// out of range, lacks capacity for `kind`, or earlier pins fill it.
     pub fn pin(&mut self, kind: SlotKind, resource: usize, start: i64, dur: i64) -> bool {
         self.pool(kind).pin(resource, start, dur)
+    }
+
+    /// The calendar as it is now, to [`Calendar::undo`] back to. The first
+    /// mark starts the trail: every later booking is logged.
+    pub fn mark(&mut self) -> Mark {
+        Mark([self.map.mark(), self.reduce.mark()])
+    }
+
+    /// Take back every booking made since `mark`, newest first, leaving
+    /// each busy list and its longest gap as they were at `mark`. Marks
+    /// taken after `mark` are spent.
+    pub fn undo(&mut self, mark: Mark) {
+        self.map.undo(mark.0[0]);
+        self.reduce.undo(mark.0[1]);
     }
 
     /// Book one free task of `kind` at its earliest start at or after
@@ -742,6 +814,67 @@ mod tests {
         assert!(cal.reduce.pins.is_empty(), "a best fit turns it off too");
         assert!(cal.pin(SlotKind::Reduce, 0, 2, 3));
         assert_eq!(busy_of(&cal.reduce), [[(0, 10)], [(0, 3)], [(2, 5)]]);
+    }
+
+    /// Each slot (busy list and longest gap), in slot order, per pool.
+    fn calendar_of(cal: &Calendar) -> [Vec<Slot>; 2] {
+        [cal.map.slots.clone(), cal.reduce.slots.clone()]
+    }
+
+    #[test]
+    fn undo_leaves_the_calendar_as_if_never_booked() {
+        let free = |task, dur, at| Free { task, dur, at };
+        let jobs: [(i64, [i64; 3], i64); 4] = [
+            (0, [7, 3, 5], 4),
+            (2, [2, 9, 1], 6),
+            (1, [4, 4, 4], 3),
+            (5, [8, 1, 2], 2),
+        ];
+        let place = |cal: &mut Calendar, (release, maps, reduce): (i64, [i64; 3], i64), hint| {
+            let mut maps = maps.map(|d| free(0, d, hint));
+            let mut reduces = [free(1, reduce, None)];
+            let done = cal.place(release, i64::MIN, &mut maps, &mut reduces);
+            (done.unwrap(), maps.map(|f| f.at), reduces[0].at)
+        };
+        let pinned = || {
+            let mut cal = Calendar::new([(2, 1), (1, 2)].into_iter());
+            assert!(cal.pin(SlotKind::Map, 0, -3, 6));
+            assert!(cal.pin(SlotKind::Reduce, 1, -1, 4));
+            cal
+        };
+        let (mut undone, mut fresh) = (pinned(), pinned());
+        place(&mut undone, jobs[0], None);
+        let at_one = undone.mark();
+        place(&mut undone, jobs[1], Some((1, 2)));
+        let at_two = undone.mark();
+        place(&mut undone, jobs[2], None);
+        // Back past two marks at once, then place again and undo again.
+        undone.undo(at_one);
+        place(&mut fresh, jobs[0], None);
+        assert_eq!(calendar_of(&undone), calendar_of(&fresh));
+        place(&mut undone, jobs[3], None);
+        undone.undo(at_one);
+        assert_eq!(calendar_of(&undone), calendar_of(&fresh));
+        assert_ne!(at_two, at_one);
+        for job in [jobs[2], jobs[1], jobs[3]] {
+            assert_eq!(place(&mut undone, job, None), place(&mut fresh, job, None));
+            assert_eq!(calendar_of(&undone), calendar_of(&fresh));
+        }
+        // A pin after the mark takes first-fit, the slot the fast path
+        // would have given it.
+        let mut pins = pinned();
+        let mark = pins.mark();
+        assert!(pins.pin(SlotKind::Map, 0, -2, 6));
+        pins.undo(mark);
+        assert!(pins.pin(SlotKind::Map, 0, -2, 6));
+        let mut fast = pinned();
+        assert!(fast.pin(SlotKind::Map, 0, -2, 6));
+        assert_eq!(calendar_of(&pins), calendar_of(&fast));
+        assert!(pins.map.pins.is_empty() && !fast.map.pins.is_empty());
+        assert!(
+            fresh.map.trail.is_none(),
+            "a calendar that never marks logs nothing"
+        );
     }
 
     #[test]

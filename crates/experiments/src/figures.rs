@@ -833,6 +833,11 @@ fn check_overload(r: &FigureResult) -> Vec<Verdict> {
             never_falls(&rejected) && ends_higher(&rejected),
             &[("strict rejected", &rejected)],
         ),
+        verdict(
+            "best-effort P at λ×4 < 0.75 (the warm start sacrifices the fewest jobs)",
+            best_effort.get(1).is_some_and(|&p| p < 0.75),
+            &[("best-effort P", &best_effort)],
+        ),
     ]
 }
 

@@ -11,6 +11,25 @@
 //! to a calendar index. Debug builds check every walk against `greedy_edf`
 //! over the matching model.
 //!
+//! The objective counts late jobs, and under overload plain EDF is the
+//! worst order for a count: one job too many makes every job with a later
+//! deadline late. When the warm start's plain walk leaves a job late, the
+//! split rung walks again with Moore's rejection rule
+//! (`ListSchedule::schedule_rejecting`; Moore 1968, exact for 1‖ΣU_j):
+//! at a late job it rejects the placed job with the most free work and
+//! places the rejected jobs last. The walk takes a [`Calendar::mark`]
+//! before each job, so a rejection undoes the calendar to the victim's
+//! mark and re-places only the jobs after it, never the prefix. The
+//! rescue rule keeps a rejection honest: a victim rejected for a job that
+//! is still late when the walk reaches it again comes back, and that job
+//! is rejected instead. Debug builds check every re-placed suffix against
+//! a walk from scratch with the same rejected jobs last. The greedy rung
+//! and the admission witness keep plain EDF. The witness's cut walk places
+//! no job after the candidate because in plain EDF no later job can move
+//! it; a rejection places a job after every other, which breaks that. The
+//! greedy rung is the ladder's floor, and stays the walk debug builds
+//! check against `greedy_edf` on the full model.
+//!
 //! [`greedy_edf`]: cpsolve::greedy::greedy_edf
 
 use crate::modelmap::{kind_to_slot, JobInput, TaskInput};
@@ -46,8 +65,10 @@ pub struct ListSchedule<J, F> {
     /// Some calendar has a map (`[0]`) or a reduce (`[1]`) slot.
     hosts: [bool; 2],
     cut: Option<ListKey>,
-    /// The kept jobs in input order: key, first flattened task index, handle.
-    kept: Vec<(ListKey, usize, J)>,
+    /// The kept jobs: key, position among the kept in input order, first
+    /// flattened task index, handle. In input order until placing starts,
+    /// then in list order.
+    kept: Vec<(ListKey, usize, usize, J)>,
     failed: bool,
     n_tasks: usize,
     /// Whether `placed` is filled: with no cut (a cut walk's caller reads
@@ -57,10 +78,18 @@ pub struct ListSchedule<J, F> {
     /// from `book`, a free task's from `place`, which leaves `None` for
     /// the free tasks of a job it did not keep.
     pub(crate) placed: Vec<Option<(usize, i64)>>,
+    /// One job's free maps and reduces on their way to the calendar.
+    free: (Vec<Free<usize>>, Vec<Free<usize>>),
     /// Debug builds: the last job's first flattened task index.
     #[cfg(debug_assertions)]
     last_job: usize,
+    /// Debug builds: the calendars' capacities, for a walk from scratch.
+    #[cfg(debug_assertions)]
+    caps: Vec<(u32, u32)>,
 }
+
+/// The most jobs [`ListSchedule::schedule_rejecting`] rejects in one walk.
+const MAX_REJECTIONS: usize = 64;
 
 /// One calendar over the combined map and reduce slot totals, which every
 /// resource id maps to.
@@ -101,15 +130,18 @@ impl<J: Copy, F: Fn(ResourceId) -> Option<usize>> ListSchedule<J, F> {
         ListSchedule {
             hosts: [caps.clone().any(|c| c.0 > 0), caps.clone().any(|c| c.1 > 0)],
             failed: caps.clone().next().is_none(),
-            cal: Calendar::new(caps),
             calendar_of,
             records: cut.is_none() || cfg!(debug_assertions),
             cut,
             kept: Vec::new(),
             n_tasks: 0,
             placed: Vec::new(),
+            free: (Vec::new(), Vec::new()),
             #[cfg(debug_assertions)]
             last_job: 0,
+            #[cfg(debug_assertions)]
+            caps: caps.clone().collect(),
+            cal: Calendar::new(caps),
         }
     }
 
@@ -144,14 +176,19 @@ impl<J: Copy, F: Fn(ResourceId) -> Option<usize>> ListSchedule<J, F> {
             }
         }
         if self.cut.is_none_or(|cut| key < cut && free || key == cut) {
-            self.kept.push((key, first, job));
+            self.kept.push((key, self.kept.len(), first, job));
         }
     }
 
-    /// Place the kept jobs in key order, ties in input order, each job's
-    /// free tasks through [`Calendar::place`] from its release, honouring
-    /// the valid `hints` (per flattened task index), and record the free
-    /// tasks in [`ListSchedule::placed`]. `tasks_of` gives a job's tasks as `book`
+    /// Put the kept jobs in list order: by key, ties in input order.
+    fn sort_kept(&mut self) {
+        self.kept.sort_unstable_by_key(|&(key, pos, ..)| (key, pos));
+    }
+
+    /// Place the kept jobs in list order, each job's free tasks through
+    /// [`Calendar::place`] from its release, honouring the valid `hints`
+    /// (per flattened task index), and record the free tasks in
+    /// [`ListSchedule::placed`]. `tasks_of` gives a job's tasks as `book`
     /// had them. Returns the completion of the job placed last (`i64::MIN`
     /// when none is), or `None` when the walk fails.
     pub(crate) fn place<I: Iterator<Item = TaskInput>>(
@@ -162,47 +199,55 @@ impl<J: Copy, F: Fn(ResourceId) -> Option<usize>> ListSchedule<J, F> {
         if self.failed {
             return None;
         }
-        let mut kept = std::mem::take(&mut self.kept);
-        // Stable: a key tie keeps the input order.
-        kept.sort_by_key(|&(key, ..)| key);
-        let (mut maps, mut reduces) = (Vec::new(), Vec::new());
+        self.sort_kept();
         let mut completion = i64::MIN;
-        for (key, first, job) in kept {
-            maps.clear();
-            reduces.clear();
-            let mut running_maps_end = i64::MIN;
-            for (task, t) in (first..).zip(tasks_of(job)) {
-                let dur = t.exec_time.as_millis();
-                if let Some((_, start)) = t.pinned {
-                    if t.kind == TaskKind::Map {
-                        running_maps_end = running_maps_end.max(start.as_millis() + dur);
-                    }
-                    continue;
-                }
-                let at = hints
-                    .and_then(|h| h.get(task).copied().flatten())
-                    .and_then(|(rid, s)| Some(((self.calendar_of)(rid)?, s.as_millis())));
-                let free = Free { task, dur, at };
-                match t.kind {
-                    TaskKind::Map => maps.push(free),
-                    TaskKind::Reduce => reduces.push(free),
-                }
-            }
-            let Ok(end) = self
-                .cal
-                .place(key.2, running_maps_end, &mut maps, &mut reduces)
-            else {
-                self.failed = true;
-                return None;
-            };
-            completion = end;
-            if self.records {
-                for f in maps.iter().chain(&reduces) {
-                    self.placed[f.task] = f.at;
-                }
-            }
+        for k in 0..self.kept.len() {
+            completion = self.place_job(k, &tasks_of, hints)?;
         }
         Some(completion)
+    }
+
+    /// Place the kept job at list position `k` as [`ListSchedule::place`]
+    /// places each: its completion, or `None` (and the walk failed) when a
+    /// free task has no slot of its kind.
+    fn place_job<I: Iterator<Item = TaskInput>>(
+        &mut self,
+        k: usize,
+        tasks_of: &impl Fn(J) -> I,
+        hints: Option<&RoundHints>,
+    ) -> Option<i64> {
+        let (key, _, first, job) = self.kept[k];
+        let (maps, reduces) = &mut self.free;
+        maps.clear();
+        reduces.clear();
+        let mut running_maps_end = i64::MIN;
+        for (task, t) in (first..).zip(tasks_of(job)) {
+            let dur = t.exec_time.as_millis();
+            if let Some((_, start)) = t.pinned {
+                if t.kind == TaskKind::Map {
+                    running_maps_end = running_maps_end.max(start.as_millis() + dur);
+                }
+                continue;
+            }
+            let at = hints
+                .and_then(|h| h.get(task).copied().flatten())
+                .and_then(|(rid, s)| Some(((self.calendar_of)(rid)?, s.as_millis())));
+            let free = Free { task, dur, at };
+            match t.kind {
+                TaskKind::Map => maps.push(free),
+                TaskKind::Reduce => reduces.push(free),
+            }
+        }
+        let Ok(end) = self.cal.place(key.2, running_maps_end, maps, reduces) else {
+            self.failed = true;
+            return None;
+        };
+        if self.records {
+            for f in maps.iter().chain(reduces.iter()) {
+                self.placed[f.task] = f.at;
+            }
+        }
+        Some(end)
     }
 
     /// Debug builds, after [`ListSchedule::place`]: every task placed is
@@ -246,11 +291,166 @@ impl<'a, 'b, F: Fn(ResourceId) -> Option<usize>> ListSchedule<&'a JobInput<'b>, 
         jobs: &'a [JobInput<'b>],
         hints: Option<&RoundHints>,
     ) -> Option<i64> {
+        self.book_all(jobs);
+        self.place(tasks_of, hints)
+    }
+
+    /// Book every job of `jobs` in order.
+    fn book_all(&mut self, jobs: &'a [JobInput<'b>]) {
+        self.kept.reserve(jobs.len());
+        if self.records {
+            self.placed
+                .reserve(jobs.iter().map(|j| j.tasks.len()).sum());
+        }
         for input in jobs {
             self.book(input, key(input), input.tasks.iter().copied());
         }
-        self.place(|input| input.tasks.iter().copied(), hints)
     }
+
+    /// [`ListSchedule::schedule`] with Moore's rejection rule: the walk
+    /// places the jobs in list order, taking a calendar mark before each.
+    /// At a late job `j` whose pins alone do not make it late, it rejects
+    /// the placed job `v` with the most free work (ties to the later
+    /// deadline, then the later list position; `v` may be `j`), undoes the
+    /// calendar to `v`'s mark and re-places only the jobs after `v`. If `j`
+    /// is still late when the walk reaches it again, `v` comes back and `j`
+    /// is rejected instead. After [`MAX_REJECTIONS`] rejections late jobs
+    /// stay where they fall. The rejected jobs go last, in list order.
+    /// `None` when the walk fails, where `schedule` fails.
+    pub(crate) fn schedule_rejecting(
+        &mut self,
+        jobs: &'a [JobInput<'b>],
+        hints: Option<&RoundHints>,
+    ) -> Option<()> {
+        self.book_all(jobs);
+        if self.failed {
+            return None;
+        }
+        self.sort_kept();
+        let n = self.kept.len();
+        // Per list position: deadline, free work, and whether the job's
+        // pins alone end after its deadline.
+        let jobs_at: Vec<(i64, i64, bool)> = (self.kept.iter())
+            .map(|&(.., input)| {
+                let free = input.tasks.iter().filter(|t| t.pinned.is_none());
+                let free_work = free.map(|t| t.exec_time.as_millis()).sum();
+                (input.job.deadline.as_millis(), free_work, pins_late(input))
+            })
+            .collect();
+        let mut rejected = vec![false; n];
+        let mut marks = Vec::with_capacity(n);
+        // `(v, j)`: `v` was rejected for `j`, which the walk has not
+        // reached since.
+        let mut rescue: Option<(usize, usize)> = None;
+        let mut rejections = 0;
+        let mut k = 0;
+        while k < n {
+            marks.truncate(k);
+            marks.push(self.cal.mark());
+            if rejected[k] {
+                k += 1;
+                continue;
+            }
+            self.place_job(k, &tasks_of, hints)?;
+            let (deadline, _, pins_late) = jobs_at[k];
+            let due = rescue.filter(|&(_, j)| j == k);
+            if due.is_some() {
+                rescue = None;
+            }
+            let stuck = pins_late || rejections == MAX_REJECTIONS;
+            if !self.is_late(k, deadline) || due.is_none() && stuck {
+                k += 1;
+                continue;
+            }
+            #[cfg(debug_assertions)]
+            self.assert_matches_scratch(jobs, hints, (0..=k).filter(|&i| !rejected[i]));
+            // Back to `v`'s mark: a rescued `v` is placed again and `k`
+            // goes instead; a new victim `v` is skipped.
+            let v = match due {
+                Some((v, _)) => {
+                    rejected[v] = false;
+                    rejected[k] = true;
+                    v
+                }
+                None => {
+                    rejections += 1;
+                    let v = (0..=k)
+                        .filter(|&i| !rejected[i])
+                        .max_by_key(|&i| {
+                            let (deadline, free_work, _) = jobs_at[i];
+                            (free_work, deadline, i)
+                        })
+                        .expect("k itself is placed");
+                    rejected[v] = true;
+                    rescue = (v != k).then_some((v, k));
+                    v
+                }
+            };
+            self.cal.undo(marks[v]);
+            k = v;
+        }
+        for k in (0..n).filter(|&k| rejected[k]) {
+            self.place_job(k, &tasks_of, hints)?;
+        }
+        #[cfg(debug_assertions)]
+        {
+            let (kept, last) = (0..n).partition::<Vec<_>, _>(|&k| !rejected[k]);
+            self.assert_matches_scratch(jobs, hints, kept.into_iter().chain(last));
+        }
+        Some(())
+    }
+
+    /// Whether the job at list position `k`, placed, ends after `deadline`.
+    fn is_late(&self, k: usize, deadline: i64) -> bool {
+        let (.., first, input) = self.kept[k];
+        let placed = &self.placed[first..first + input.tasks.len()];
+        (input.tasks.iter().zip(placed))
+            .any(|(t, p)| p.expect("a placed job's tasks").1 + t.exec_time.as_millis() > deadline)
+    }
+
+    /// Debug builds, inside [`ListSchedule::schedule_rejecting`]: every
+    /// job of `order` (list positions) is where a walk from scratch that
+    /// places exactly `order`, in that order, puts it, so undoing and
+    /// re-placing only the suffix changed nothing.
+    #[cfg(debug_assertions)]
+    fn assert_matches_scratch(
+        &self,
+        jobs: &'a [JobInput<'b>],
+        hints: Option<&RoundHints>,
+        order: impl Iterator<Item = usize> + Clone,
+    ) {
+        let mut scratch = ListSchedule::new(self.caps.iter().copied(), &self.calendar_of, None);
+        scratch.book_all(jobs);
+        scratch.sort_kept();
+        for k in order.clone() {
+            scratch.place_job(k, &tasks_of, hints).expect("placed once");
+        }
+        for k in order {
+            let (.., first, input) = self.kept[k];
+            let own = first..first + input.tasks.len();
+            assert_eq!(
+                self.placed[own.clone()],
+                scratch.placed[own],
+                "job {:?} after an undo",
+                input.job.id
+            );
+        }
+    }
+}
+
+/// Whether `input`'s running tasks alone end after its deadline: no
+/// rejection of other jobs can make it on time.
+pub(crate) fn pins_late(input: &JobInput<'_>) -> bool {
+    let pins = input.tasks.iter().filter_map(|t| {
+        let (_, start) = t.pinned?;
+        Some(start.as_millis() + t.exec_time.as_millis())
+    });
+    pins.max() > Some(input.job.deadline.as_millis())
+}
+
+/// A model input's tasks, as [`ListSchedule::book`] takes them.
+fn tasks_of<'a>(input: &'a JobInput<'_>) -> std::iter::Copied<std::slice::Iter<'a, TaskInput>> {
+    input.tasks.iter().copied()
 }
 
 /// The greedy rung: the walk on one calendar per resource, as `(task,

@@ -399,7 +399,8 @@ struct TaskSlot {
 /// advance with `now` every round, so including them would invalidate the
 /// cache permanently. Staleness from advancing time is handled at replay:
 /// a hint whose start lies before this round's release is dropped by the
-/// warm start ([`crate::split::warm_start`]), and the warm start is checked
+/// warm start ([`crate::split::warm_start`], plain walk and rejection
+/// pass alike), and the warm start is checked
 /// before it is used: by the split rung's own checks when no job is late,
 /// else by the solver before it adopts the incumbent.
 #[derive(Debug)]

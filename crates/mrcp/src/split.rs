@@ -19,12 +19,15 @@
 //! lanes of their actual resource first; they sort before all new tasks
 //! because their starts lie in the past.
 //!
-//! Most rounds need no model for step 1. The solver's greedy warm start is
-//! computed first by the manager's one list scheduler ([`crate::list`]) on
-//! a single calendar of the combined totals ([`warm_start`]); when no job
-//! is late nothing can beat it, so the round goes straight to matchmaking
-//! and only a round with a late job builds and solves the combined model
-//! ([`split_solve_portfolio`]).
+//! Most rounds need no model for step 1. The warm start is computed first
+//! by the manager's one list scheduler ([`crate::list`]) on a single
+//! calendar of the combined totals ([`warm_start`]): plain EDF, which is
+//! `greedy_edf` over the combined model bit for bit ([`edf_warm_start`]),
+//! and when that leaves a job late, the same walk with Moore's rejection
+//! rule, keeping whichever has fewer late jobs. When no job is late
+//! nothing can beat it, so the round goes straight to matchmaking, and
+//! only a round with a late job builds and solves the combined model
+//! ([`split_solve_portfolio`]), from the warm start as its incumbent.
 
 use crate::list;
 use crate::modelmap::{build_combined_model, JobInput};
@@ -123,7 +126,7 @@ fn min_gap_lane(lanes: &[Lane], start: i64, only: Option<ResourceId>) -> Option<
     chosen
 }
 
-/// The combined model's greedy warm start, computed without the model.
+/// A warm start of the combined model, computed without the model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WarmStart {
     /// Every task's start (ms), in flattened input order.
@@ -132,16 +135,41 @@ pub struct WarmStart {
     pub late: u32,
 }
 
-/// The warm start of the combined model: the list scheduler
-/// ([`crate::list`]) on one calendar holding the cluster's map and reduce
-/// totals, which every pin and hint maps to. It is `greedy_edf_with_hints`
-/// over [`build_combined_model`] (with `hints`, each read as `(0, start)`)
-/// or `greedy_edf` (without), bit for bit.
+impl WarmStart {
+    /// The starts of a walk that placed every task, and its late count.
+    fn of_walk(jobs: &[JobInput<'_>], placed: Vec<Option<(usize, i64)>>) -> WarmStart {
+        let starts: Vec<i64> = placed
+            .into_iter()
+            .map(|p| p.expect("no cut places all").1)
+            .collect();
+        let late = late_jobs(jobs, &starts).count() as u32;
+        WarmStart { starts, late }
+    }
+}
+
+/// The jobs of `jobs` that end after their deadline at `starts`.
+fn late_jobs<'j, 'a>(
+    jobs: &'j [JobInput<'a>],
+    starts: &'j [i64],
+) -> impl Iterator<Item = &'j JobInput<'a>> {
+    let mut next = 0;
+    jobs.iter().filter(move |input| {
+        let own = &starts[next..next + input.tasks.len()];
+        next += input.tasks.len();
+        completion(input, own).is_some_and(|c| c > input.job.deadline.as_millis())
+    })
+}
+
+/// The plain EDF walk: the list scheduler ([`crate::list`]) on one
+/// calendar holding the cluster's map and reduce totals, which every pin
+/// and hint maps to. It is `greedy_edf_with_hints` over
+/// [`build_combined_model`] (with `hints`, each read as `(0, start)`) or
+/// `greedy_edf` (without), bit for bit.
 ///
 /// `None` leaves the round to the model: a task has `req ≠ 1` or a
 /// non-positive duration, a pin cannot be booked, or no slot of its kind
 /// can host a free task.
-pub fn warm_start(
+pub fn edf_warm_start(
     resources: &[Resource],
     jobs: &[JobInput<'_>],
     hints: Option<&RoundHints>,
@@ -151,18 +179,32 @@ pub fn warm_start(
     #[cfg(debug_assertions)]
     walk.assert_matches_model(|| crate::modelmap::combined_model(resources, jobs), hints);
     done?;
-    let placed = walk.placed.iter();
-    let starts: Vec<i64> = placed.map(|p| p.expect("no cut places all").1).collect();
-    let mut next = 0;
-    let late = jobs
-        .iter()
-        .filter(|input| {
-            let own = &starts[next..next + input.tasks.len()];
-            next += input.tasks.len();
-            completion(input, own).is_some_and(|c| c > input.job.deadline.as_millis())
-        })
-        .count() as u32;
-    Some(WarmStart { starts, late })
+    Some(WarmStart::of_walk(jobs, walk.placed))
+}
+
+/// The split rung's warm start: the plain EDF walk ([`edf_warm_start`]),
+/// and when that leaves a job late (other than by its pins alone), the
+/// same walk with Moore's rejection rule
+/// (`ListSchedule::schedule_rejecting`), which sacrifices the jobs whose
+/// free work makes the most room and places them last. The walk with
+/// fewer late jobs wins, plain EDF on a tie, so the warm start is never
+/// worse than `greedy_edf`. `None` exactly where [`edf_warm_start`] is
+/// `None`.
+pub fn warm_start(
+    resources: &[Resource],
+    jobs: &[JobInput<'_>],
+    hints: Option<&RoundHints>,
+) -> Option<WarmStart> {
+    let edf = edf_warm_start(resources, jobs, hints)?;
+    // With every late job late by its pins alone, the rejection walk
+    // rejects nothing and repeats the plain walk.
+    if late_jobs(jobs, &edf.starts).all(list::pins_late) {
+        return Some(edf);
+    }
+    let mut walk = list::combined(resources);
+    walk.schedule_rejecting(jobs, hints)?;
+    let pass = WarmStart::of_walk(jobs, walk.placed);
+    Some(if pass.late < edf.late { pass } else { edf })
 }
 
 /// The latest end among `input`'s tasks at `starts` (its own, in order).
@@ -241,8 +283,8 @@ thread_local! {
 /// round skips the model and the solver: it passes a one-pass check and
 /// goes straight to matchmaking, and the outcome is what `solve`'s own
 /// early exit reports (`Optimal`, zero counters, timed). Every other round
-/// builds the model and solves it, with a hinted warm start as the initial
-/// incumbent. Errors only on internal inconsistency (no solution within
+/// builds the model and solves it, with the warm start, hinted or not, as
+/// the initial incumbent. Errors only on internal inconsistency (no solution within
 /// budget with warm starts disabled, a failed check, or a lane shortage
 /// that would indicate a capacity bug).
 pub fn split_solve_portfolio(
@@ -282,13 +324,14 @@ pub fn split_solve_portfolio(
         warm => {
             let mm = build_combined_model(resources, jobs)?;
             let mut params = pp.base.clone();
-            // The hinted schedule replays the surviving part of the last
-            // round; the search improves on it from the first node. A
-            // `None` warm start is a greedy failure: there is none to seed.
-            let hinted = hints.and(warm).map(|ws| {
+            // The warm start (with hints, replaying the surviving part of
+            // the last round) is the incumbent the search improves on from
+            // the first node. A `None` warm start is a greedy failure:
+            // there is none to seed.
+            let seeded = warm.map(|ws| {
                 Solution::from_placements(&mm.model, ws.starts, vec![ResRef(0); mm.task_ids.len()])
             });
-            if let Some(sol) = hinted {
+            if let Some(sol) = seeded {
                 if params
                     .initial
                     .as_ref()

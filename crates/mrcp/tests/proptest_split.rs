@@ -1,17 +1,22 @@
 //! Property tests for the split rung's model-free warm start: on random
 //! rounds (pins, valid, stale and missing hints, slack and tight
-//! deadlines) the calendar warm start is the greedy's over the combined
-//! model, and `split_solve_portfolio` answers as the model-then-solve path
-//! it replaces on on-time rounds. The comparisons are explicit, so they
-//! hold in release builds too, where the rung's own debug cross-check is
-//! off.
+//! deadlines) the plain calendar walk is the greedy's over the combined
+//! model, `split_solve_portfolio` answers as the model-then-solve path
+//! it replaces on on-time rounds, and on rounds small enough for the
+//! brute-force oracle the rejection pass lies between the optimum and
+//! plain EDF. The comparisons are explicit, so they hold in release builds
+//! too, where the rung's own debug cross-checks are off.
 
+use cpsolve::brute::brute_force_optimal;
 use cpsolve::greedy::{greedy_edf, greedy_edf_with_hints, Hint};
 use cpsolve::model::ResRef;
 use cpsolve::search::{solve, PortfolioParams, SolveParams, Status};
+use cpsolve::solution::Solution;
 use desim::SimTime;
 use mrcp::modelmap::{build_combined_model, JobInput, TaskInput};
-use mrcp::split::{audit, matchmake, split_solve_portfolio, warm_start, RoundHints};
+use mrcp::split::{
+    audit, edf_warm_start, matchmake, split_solve_portfolio, warm_start, RoundHints,
+};
 use proptest::prelude::*;
 use workload::model::{heterogeneous_cluster, homogeneous_cluster};
 use workload::{Job, JobId, Resource, ResourceId, Task, TaskId, TaskKind};
@@ -188,9 +193,8 @@ fn combined_hints(h: &RoundHints) -> Vec<Hint> {
 /// the error.
 type Answer = Result<(Vec<(TaskId, ResourceId, SimTime)>, u32, Status, u64), String>;
 
-/// The split rung as it was before the calendar warm start: build the
-/// combined model, seed the solve with the hinted greedy over it, solve,
-/// matchmake the best schedule.
+/// The split rung without its on-time shortcut: build the combined model,
+/// seed the solve with the warm start, solve, matchmake the best schedule.
 fn reference(
     resources: &[Resource],
     jobs: &[JobInput<'_>],
@@ -199,16 +203,16 @@ fn reference(
 ) -> Answer {
     let mm = build_combined_model(resources, jobs)?;
     let mut pp = pp.clone();
-    if let Some(h) = hints {
-        if let Ok(sol) = greedy_edf_with_hints(&mm.model, &combined_hints(h)) {
-            if pp
-                .base
-                .initial
-                .as_ref()
-                .is_none_or(|cur| sol.objective < cur.objective)
-            {
-                pp.base.initial = Some(sol);
-            }
+    if let Some(ws) = warm_start(resources, jobs, hints) {
+        let sol =
+            Solution::from_placements(&mm.model, ws.starts, vec![ResRef(0); mm.task_ids.len()]);
+        if pp
+            .base
+            .initial
+            .as_ref()
+            .is_none_or(|cur| sol.objective < cur.objective)
+        {
+            pp.base.initial = Some(sol);
         }
     }
     let outcome = solve(&mm.model, &pp.base);
@@ -240,14 +244,14 @@ fn params(warm_start: bool) -> PortfolioParams {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
-    /// The calendar warm start is `greedy_edf_with_hints` (or `greedy_edf`
+    /// The plain calendar walk is `greedy_edf_with_hints` (or `greedy_edf`
     /// without hints) over the combined model: the same starts and late
     /// count, and `None` exactly where the model or its greedy fails.
     #[test]
     fn calendar_warm_start_is_the_model_greedy(r in round()) {
         let b = build(&r);
         let jobs = inputs(&r, &b);
-        let warm = warm_start(&r.cluster, &jobs, b.hints.as_deref());
+        let warm = edf_warm_start(&r.cluster, &jobs, b.hints.as_deref());
         let greedy = build_combined_model(&r.cluster, &jobs).and_then(|mm| match &b.hints {
             Some(h) => greedy_edf_with_hints(&mm.model, &combined_hints(h)),
             None => greedy_edf(&mm.model),
@@ -274,6 +278,142 @@ proptest! {
         });
         prop_assert_eq!(got, reference(&r.cluster, &jobs, &pp, hints), "{:?}", r);
     }
+}
+
+/// One tiny job, in milliseconds: `(release, window, maps, reduces,
+/// pinned)`, where `pinned` runs the first map on resource 0 from 0 ms.
+type TinyJob = (i64, i64, Vec<i64>, Vec<i64>, bool);
+
+/// A round small enough for the brute-force oracle: all at `now` = 0, each
+/// job's deadline `release + window`, priorities EDF.
+#[derive(Debug, Clone)]
+struct Tiny {
+    cluster: Vec<Resource>,
+    jobs: Vec<TinyJob>,
+}
+
+fn tiny() -> impl Strategy<Value = Tiny> {
+    let cluster = prop_oneof![
+        (1u32..=2, 1u32..=2).prop_map(|(m, r)| homogeneous_cluster(1, m, r)),
+        (1u32..=2, 1u32..=2).prop_map(|(m, r)| homogeneous_cluster(2, m.min(1), r.min(1))),
+    ];
+    let job = (
+        0i64..=3,
+        1i64..=9,
+        prop::collection::vec(1i64..=4, 1..=2),
+        prop::collection::vec(1i64..=3, 0..=1),
+        prop_oneof![Just(false), Just(false), Just(true)],
+    );
+    (cluster, prop::collection::vec(job, 2..=3)).prop_map(|(cluster, jobs)| Tiny { cluster, jobs })
+}
+
+fn tiny_jobs(t: &Tiny) -> (Vec<Job>, Vec<Vec<TaskInput>>) {
+    let ms = SimTime::from_millis;
+    let mut next = 0u32;
+    let (mut jobs, mut tasks) = (Vec::new(), Vec::new());
+    for (j, (release, window, maps, reduces, pinned)) in t.jobs.iter().enumerate() {
+        let mut job = Job {
+            id: JobId(j as u32),
+            arrival: ms(*release),
+            earliest_start: ms(*release),
+            deadline: ms(release + window),
+            map_tasks: vec![],
+            reduce_tasks: vec![],
+        };
+        let mut inputs = Vec::new();
+        for (kind, durs) in [(TaskKind::Map, maps), (TaskKind::Reduce, reduces)] {
+            for (k, &dur) in durs.iter().enumerate() {
+                let task = Task {
+                    id: TaskId(next),
+                    job: job.id,
+                    kind,
+                    exec_time: ms(dur),
+                    req: 1,
+                };
+                next += 1;
+                let running = *pinned && kind == TaskKind::Map && k == 0;
+                inputs.push(TaskInput {
+                    pinned: running.then(|| (ResourceId(0), ms(0))),
+                    ..TaskInput::free(&task)
+                });
+                match kind {
+                    TaskKind::Map => job.map_tasks.push(task),
+                    TaskKind::Reduce => job.reduce_tasks.push(task),
+                }
+            }
+        }
+        jobs.push(job);
+        tasks.push(inputs);
+    }
+    (jobs, tasks)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// On rounds the oracle can exhaust, the rejection pass's warm start
+    /// verifies on the combined model, its late count is the schedule's,
+    /// and it lies between the optimum and plain EDF.
+    #[test]
+    fn rejection_pass_lies_between_the_optimum_and_edf(t in tiny()) {
+        let (jobs, tasks) = tiny_jobs(&t);
+        let inputs: Vec<JobInput<'_>> = jobs
+            .iter()
+            .zip(&tasks)
+            .map(|(job, tasks)| JobInput {
+                job,
+                release: job.earliest_start,
+                priority: job.deadline.as_millis(),
+                tasks: tasks.clone(),
+            })
+            .collect();
+        // Two pins on one resource's single map slot cannot both run.
+        let Ok(mm) = build_combined_model(&t.cluster, &inputs) else { return Ok(()) };
+        let (Some(warm), Some(edf)) = (
+            warm_start(&t.cluster, &inputs, None),
+            edf_warm_start(&t.cluster, &inputs, None),
+        ) else {
+            prop_assert!(greedy_edf(&mm.model).is_err(), "{:?}", t);
+            return Ok(());
+        };
+        let sol = Solution::from_placements(&mm.model, warm.starts, vec![ResRef(0); mm.task_ids.len()]);
+        prop_assert!(sol.verify(&mm.model).is_ok(), "{:?}: {:?}", t, sol.verify(&mm.model));
+        prop_assert_eq!(sol.objective, warm.late);
+        prop_assert!(warm.late <= edf.late, "{:?}", t);
+        if let Some(optimum) = brute_force_optimal(&mm.model, 200_000) {
+            prop_assert!(optimum <= warm.late, "{:?}", t);
+        }
+    }
+}
+
+/// The tiny rounds hold cases where the pass beats plain EDF and cases
+/// where it ties, so the bounds above are not met by equality alone.
+#[test]
+fn tiny_rounds_reach_the_pass() {
+    let (mut better, mut tied) = (0, 0);
+    let strategy = tiny();
+    for case in 0..512 {
+        let mut rng = proptest::test_runner::TestRng::for_case("tiny", case);
+        let t = strategy.sample(&mut rng);
+        let (jobs, tasks) = tiny_jobs(&t);
+        let inputs: Vec<JobInput<'_>> = jobs
+            .iter()
+            .zip(&tasks)
+            .map(|(job, tasks)| JobInput {
+                job,
+                release: job.earliest_start,
+                priority: job.deadline.as_millis(),
+                tasks: tasks.clone(),
+            })
+            .collect();
+        let warm = warm_start(&t.cluster, &inputs, None);
+        match (warm, edf_warm_start(&t.cluster, &inputs, None)) {
+            (Some(w), Some(e)) if w.late < e.late => better += 1,
+            (Some(w), Some(e)) if e.late > 0 && w == e => tied += 1,
+            _ => {}
+        }
+    }
+    assert!(better >= 10 && tied >= 10, "better {better}, tied {tied}");
 }
 
 /// The generator reaches every branch the comparisons are about: on-time

@@ -27,7 +27,7 @@ use workload::{Job, JobId, Resource, ResourceId, Task, TaskId, TaskKind};
 
 const SEQUENCES: u64 = 200;
 const COMMANDS: usize = 40;
-const EXPECTED: u64 = 15_745_780_134_574_213_671;
+const EXPECTED: u64 = 17_819_910_998_772_326_818;
 
 fn config(rng: &mut StdRng) -> MrcpConfig {
     let policy = match rng.gen_range(0..4u32) {
