@@ -1,15 +1,18 @@
-//! Greedy EDF list scheduler — warm-start incumbents for branch-and-bound.
+//! Greedy EDF list scheduler: the slot [`Calendar`] every list walk books
+//! on, and [`greedy_edf`], the walk over a model.
 //!
 //! Jobs are taken earliest-deadline-first; within a job, maps are placed
 //! longest-first at the earliest feasible slot time, then reduces behind the
 //! job's last map end. The result is always a feasible schedule (deadlines
-//! are *not* hard here — late jobs are simply counted), which gives the
-//! solver an immediate upper bound on `Σ N_j` and lets the objective cut
-//! prune from the first node, mirroring how a CP Optimizer run benefits
-//! from a starting point.
+//! are *not* hard here — late jobs are simply counted). Passed to the
+//! search as its incumbent (`SolveParams::initial`), it gives the solver an
+//! immediate upper bound on `Σ N_j` and lets the objective cut prune from
+//! the first node, mirroring how a CP Optimizer run benefits from a
+//! starting point. The manager walks the same [`Calendar`] without a model
+//! (`mrcp::list`); `greedy_edf` is the reference its checks compare with.
 //!
 //! Only unit capacity requirements (`q_t = 1`, the paper's setting) are
-//! supported; models with larger requirements solve without a warm start.
+//! supported; a model with larger requirements has no greedy schedule.
 //!
 //! Running tasks are booked first, and in a rescheduling round they all
 //! overlap `now`, so first-fit would put the k-th pin on a resource into
@@ -459,15 +462,7 @@ pub fn greedy_edf_with_hints(model: &Model, hints: &[Hint]) -> Result<Solution, 
     greedy_edf_core(model, Some(hints))
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Greedy passes started on this thread (warm-start skip pin, tests only).
-    pub(crate) static PASSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
 fn greedy_edf_core(model: &Model, hints: Option<&[Hint]>) -> Result<Solution, String> {
-    #[cfg(test)]
-    PASSES.with(|p| p.set(p.get() + 1));
     if model.tasks.iter().any(|t| t.req != 1) {
         return Err("greedy scheduler supports unit capacity requirements only".into());
     }

@@ -17,7 +17,7 @@
 //! * **Objective** — minimize `Σ N_j`, the number of late jobs.
 //!
 //! Table 1 is what the checkers judge against: [`Solution::verify`], the
-//! greedy EDF list scheduler ([`greedy`], also the search's warm start) and
+//! greedy EDF list scheduler ([`greedy`], also a source of incumbents) and
 //! the independent brute-force oracle ([`brute`]) all take any number of
 //! resources. The search ([`search`]) solves the model the product builds,
 //! §V.D's combined model: one resource whose pools hold every slot of the

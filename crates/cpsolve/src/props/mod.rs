@@ -483,7 +483,6 @@ pub(crate) mod tests {
     fn contended_solve() -> [PropClassStats; N_PROP_CLASSES] {
         let params = crate::SolveParams {
             node_limit: 3_000,
-            warm_start: false,
             ..Default::default()
         };
         crate::solve(&contended_model(), &params).stats.by_class

@@ -8,12 +8,13 @@
 //! searched (matchmaking onto real resources follows the solve). A model
 //! with more than one resource is refused ([`Status::Unsupported`]); the
 //! Table 1 model stays the one the checkers judge against
-//! ([`Solution::verify`], [`crate::greedy`], [`crate::brute`]). A greedy EDF
-//! schedule seeds the incumbent so the objective cut prunes from the root.
-//! The greedy pass runs only when the caller's `initial` incumbent is
-//! missing, fails verification or has a late job: an incumbent with no late
-//! job cannot be beaten, so the solve returns it at once as `Optimal`. That
-//! zero-late test is the one early exit, at the root and at every leaf.
+//! ([`Solution::verify`], [`crate::greedy`], [`crate::brute`]). The search
+//! starts from the caller's `initial` incumbent when it verifies, so the
+//! objective cut prunes from the root, or from nothing. Choosing that seed
+//! is the caller's job (the manager's is its split rung's warm start). An
+//! incumbent with no late job cannot be beaten, so the solve returns it at
+//! once as `Optimal`. That zero-late test is the one early exit, at the
+//! root and at every leaf.
 //!
 //! It is the crate's one search: a single continuous dive on the calling
 //! thread, as the paper runs CP Optimizer once per round. The branching
@@ -27,7 +28,6 @@
 //! `(lb, rank)`. The one walk over the tasks that picks the branching task
 //! is also the leaf test: no unfixed task left means a leaf.
 
-use crate::greedy::greedy_edf;
 use crate::model::{Model, ResRef, TaskRef};
 use crate::props::{Engine, PropClassStats, N_PROP_CLASSES};
 use crate::solution::Solution;
@@ -66,11 +66,9 @@ pub struct SolveParams {
     pub fail_limit: u64,
     /// Wall-clock ceiling.
     pub time_limit: Option<Duration>,
-    /// Seed the incumbent with the greedy EDF schedule. The pass is skipped
-    /// when `initial` verifies and has no late job: nothing can beat it.
-    pub warm_start: bool,
-    /// Explicit initial incumbent (e.g. the previous scheduling round's
-    /// solution re-based); must verify against the model.
+    /// The incumbent the search starts from (the manager passes its warm
+    /// start); one that fails verification against the model is dropped.
+    /// With none, the search starts from nothing.
     pub initial: Option<Solution>,
 }
 
@@ -80,7 +78,6 @@ impl Default for SolveParams {
             node_limit: 5_000_000,
             fail_limit: u64::MAX,
             time_limit: None,
-            warm_start: true,
             initial: None,
         }
     }
@@ -144,7 +141,7 @@ pub struct SolveStats {
     pub nodes: u64,
     /// Conflicts encountered.
     pub fails: u64,
-    /// Improving solutions found (excluding the warm start).
+    /// Improving solutions found (excluding `initial`).
     pub solutions: u64,
     /// Propagator invocations.
     pub propagations: u64,
@@ -208,17 +205,6 @@ pub fn solve(model: &Model, params: &SolveParams) -> Outcome {
             debug_assert!(false, "initial incumbent invalid: {:?}", init.verify(model));
         }
     }
-    // A greedy schedule can only replace an incumbent it strictly beats,
-    // and nothing beats zero late jobs: skip the pass then.
-    if params.warm_start && !unbeatable(&best) {
-        if let Ok(g) = greedy_edf(model) {
-            debug_assert!(g.verify(model).is_ok(), "greedy produced invalid schedule");
-            if g.verify(model).is_ok() && best.as_ref().is_none_or(|b| g.objective < b.objective) {
-                best = Some(g);
-            }
-        }
-    }
-
     if unbeatable(&best) {
         stats.elapsed_us = t0.elapsed().as_micros() as u64;
         return Outcome {
@@ -455,6 +441,7 @@ fn extract(model: &Model, dom: &Domains) -> Solution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::greedy::greedy_edf;
     use crate::model::{ModelBuilder, SlotKind};
     use std::cell::Cell;
 
@@ -543,7 +530,6 @@ mod tests {
                 &model,
                 &SolveParams {
                     node_limit: 3_000,
-                    warm_start: false,
                     ..Default::default()
                 },
             );
@@ -624,7 +610,7 @@ mod tests {
     }
 
     /// A model with two resources is refused, not searched: no solution,
-    /// no greedy pass, zero counters, and no panic.
+    /// zero counters, and no panic.
     #[test]
     fn refuses_a_model_with_two_resources() {
         let mut b = ModelBuilder::new();
@@ -633,8 +619,7 @@ mod tests {
         let j = b.add_job(0, 12);
         b.add_task(j, SlotKind::Map, 10, 1);
         let m = b.build().unwrap();
-        let (passes, out) = greedy_passes(|| solve(&m, &SolveParams::default()));
-        assert_eq!(passes, 0);
+        let out = solve(&m, &SolveParams::default());
         assert_eq!(out.status, Status::Unsupported);
         assert!(out.best.is_none());
         assert_eq!(out.stats, SolveStats::default());
@@ -677,7 +662,8 @@ mod tests {
         assert!(s.starts[1] >= 20);
     }
 
-    /// Warm start alone already optimal → solver returns immediately.
+    /// An on-time greedy incumbent is already optimal → the solver returns
+    /// immediately.
     #[test]
     fn warm_start_shortcircuits_optimal() {
         let mut b = ModelBuilder::new();
@@ -685,12 +671,19 @@ mod tests {
         let j = b.add_job(0, 1000);
         b.add_task(j, SlotKind::Map, 1, 1);
         let m = b.build().unwrap();
-        let out = solve(&m, &SolveParams::default());
+        let initial = greedy_edf(&m).ok();
+        let out = solve(
+            &m,
+            &SolveParams {
+                initial,
+                ..Default::default()
+            },
+        );
         assert_eq!(out.status, Status::Optimal);
         assert_eq!(out.stats.nodes, 0, "no search needed");
     }
 
-    /// Node budget of zero with warm start disabled → Unknown.
+    /// Node budget of zero and no incumbent → Unknown.
     #[test]
     fn budget_exhaustion_reports_unknown() {
         let mut b = ModelBuilder::new();
@@ -702,7 +695,6 @@ mod tests {
             &m,
             &SolveParams {
                 node_limit: 0,
-                warm_start: false,
                 ..Default::default()
             },
         );
@@ -728,7 +720,6 @@ mod tests {
             &SolveParams {
                 node_limit: u64::MAX,
                 time_limit: Some(Duration::ZERO),
-                warm_start: false,
                 ..Default::default()
             },
         );
@@ -752,20 +743,12 @@ mod tests {
         let out = solve(
             &m,
             &SolveParams {
-                warm_start: false,
                 initial: Some(bad),
                 ..Default::default()
             },
         );
         assert_eq!(out.status, Status::Optimal);
         assert_eq!(out.best.unwrap().objective, 0);
-    }
-
-    /// Greedy passes `f` runs on this thread.
-    fn greedy_passes<T>(f: impl FnOnce() -> T) -> (u64, T) {
-        let before = crate::greedy::PASSES.with(|p| p.get());
-        let out = f();
-        (crate::greedy::PASSES.with(|p| p.get()) - before, out)
     }
 
     /// Two one-map jobs (10 ticks, due at 12) on a pool with `slots` map
@@ -780,90 +763,49 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// An on-time incumbent cannot be beaten: no greedy pass, no search,
-    /// and the incumbent itself comes back (not greedy's equal-valued one).
+    /// An on-time incumbent cannot be beaten: no search, and the incumbent
+    /// itself comes back (not greedy's equal-valued one).
     #[test]
-    fn on_time_initial_skips_the_greedy_pass() {
+    fn on_time_initial_returns_at_once() {
         let m = pair_model(2);
         // Greedy starts both jobs at 0; this incumbent starts job 0 a tick
         // later, still on time.
         let initial = Solution::from_placements(&m, vec![1, 0], vec![ResRef(0), ResRef(0)]);
         assert_eq!(initial.objective, 0);
         assert_ne!(greedy_edf(&m).unwrap(), initial);
-        let (passes, out) = greedy_passes(|| {
-            solve(
-                &m,
-                &SolveParams {
-                    initial: Some(initial.clone()),
-                    ..Default::default()
-                },
-            )
-        });
-        assert_eq!(passes, 0);
+        let out = solve(
+            &m,
+            &SolveParams {
+                initial: Some(initial.clone()),
+                ..Default::default()
+            },
+        );
         assert_eq!(out.status, Status::Optimal);
         assert_eq!(out.stats.nodes, 0);
         assert_eq!(out.best, Some(initial));
     }
 
-    /// A late incumbent still gets exactly one greedy pass, and the solve
-    /// keeps the strictly better schedule — the incumbent on a tie.
-    #[test]
-    fn late_initial_runs_one_greedy_pass_and_keeps_the_better() {
-        let no_search = |initial: &Solution| SolveParams {
-            node_limit: 0,
-            initial: Some(initial.clone()),
-            ..Default::default()
-        };
-        // Greedy runs the two jobs side by side (0 late) and beats the
-        // serialized incumbent (1 late).
-        let m = pair_model(2);
-        let serial = Solution::from_placements(&m, vec![0, 10], vec![ResRef(0), ResRef(0)]);
-        assert_eq!(serial.objective, 1);
-        let (passes, out) = greedy_passes(|| solve(&m, &no_search(&serial)));
-        assert_eq!(passes, 1);
-        assert_eq!(out.status, Status::Optimal);
-        assert_eq!(out.best, Some(greedy_edf(&m).unwrap()));
-        // One slot: every schedule has one late job. Greedy runs job 0
-        // first; the incumbent runs job 1 first and survives the tie.
-        let m = pair_model(1);
-        let swapped = Solution::from_placements(&m, vec![10, 0], vec![ResRef(0), ResRef(0)]);
-        let greedy = greedy_edf(&m).unwrap();
-        assert_eq!((swapped.objective, greedy.objective), (1, 1));
-        assert_ne!(greedy, swapped);
-        let (passes, out) = greedy_passes(|| solve(&m, &no_search(&swapped)));
-        assert_eq!(passes, 1);
-        assert_eq!(out.best, Some(swapped));
-    }
-
-    /// With no incumbent in hand the warm start runs once.
-    #[test]
-    fn no_initial_runs_one_greedy_pass() {
-        let m = pair_model(2);
-        let (passes, out) = greedy_passes(|| solve(&m, &SolveParams::default()));
-        assert_eq!(passes, 1);
-        assert_eq!(out.best, Some(greedy_edf(&m).unwrap()));
-    }
-
-    /// An incumbent that fails verification is dropped and the warm start
-    /// runs once (release builds); debug builds stop at the caller's bug.
+    /// An incumbent that fails verification is dropped and the search
+    /// starts from nothing (release builds); debug builds stop at the
+    /// caller's bug.
     #[test]
     #[cfg_attr(debug_assertions, should_panic(expected = "initial incumbent invalid"))]
-    fn invalid_initial_runs_one_greedy_pass() {
+    fn invalid_initial_is_dropped() {
         let m = pair_model(1);
         // Both maps on the one slot at once: over capacity.
         let bad = Solution::from_placements(&m, vec![0, 0], vec![ResRef(0), ResRef(0)]);
         assert!(bad.verify(&m).is_err());
-        let (passes, out) = greedy_passes(|| {
-            solve(
-                &m,
-                &SolveParams {
-                    initial: Some(bad),
-                    ..Default::default()
-                },
-            )
-        });
-        assert_eq!(passes, 1);
-        assert_eq!(out.best, Some(greedy_edf(&m).unwrap()));
+        let out = solve(
+            &m,
+            &SolveParams {
+                initial: Some(bad),
+                ..Default::default()
+            },
+        );
+        assert_eq!(out.status, Status::Optimal);
+        let best = out.best.expect("the search finds a schedule");
+        best.verify(&m).unwrap();
+        assert_eq!(best.objective, 1, "one slot: one of the two is late");
     }
 
     /// Map-only and reduce-carrying jobs mix correctly under contention.
@@ -897,13 +839,7 @@ mod tests {
             b.add_task(j, SlotKind::Map, 10, 1);
         }
         let m = b.build().unwrap();
-        let out = solve(
-            &m,
-            &SolveParams {
-                warm_start: false,
-                ..Default::default()
-            },
-        );
+        let out = solve(&m, &SolveParams::default());
         let total: u64 = out.stats.by_class.iter().map(|c| c.runs).sum();
         assert_eq!(total, out.stats.propagations, "classes partition runs");
         // `prunings` also counts narrowings made by search decisions, which

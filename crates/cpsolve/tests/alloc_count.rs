@@ -106,7 +106,6 @@ fn backlog_model() -> Model {
 fn run(model: &Model, node_limit: u64) -> (usize, u64) {
     let params = SolveParams {
         node_limit,
-        warm_start: false,
         ..Default::default()
     };
     let before = ALLOCS.load(Ordering::Relaxed);

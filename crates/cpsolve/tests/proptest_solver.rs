@@ -92,8 +92,8 @@ proptest! {
         }
     }
 
-    /// Greedy warm starts never beat the final answer (monotonicity of B&B)
-    /// and the objective bound never exceeds the job count.
+    /// Greedy EDF never beats the exhausted search's answer, and the
+    /// objective never exceeds the job count.
     #[test]
     fn objective_bounded_by_job_count(inst in tiny_instance()) {
         let model = build(&inst);
@@ -106,10 +106,10 @@ proptest! {
 
     /// An `initial` incumbent built the way the manager builds one — greedy
     /// replaying the previous round's placements, stale hints included —
-    /// is never lost: the answer verifies and is no worse than either the
-    /// incumbent or a cold greedy pass, whatever the node budget. At
-    /// `node_limit` 0 no search can make up for a wrongly skipped warm
-    /// start.
+    /// is never lost: the answer verifies and is no worse than the
+    /// incumbent, whatever the node budget, and an on-time incumbent comes
+    /// back as it is. (That the incumbent is no worse than a cold greedy
+    /// pass is the split rung's warm-start property, in `mrcp`.)
     #[test]
     fn initial_incumbent_is_never_lost(
         inst in tiny_instance(),
@@ -123,7 +123,6 @@ proptest! {
             .map(|&(on, r, s)| on.then_some((ResRef(r), s)))
             .collect();
         let initial = greedy_edf_with_hints(&model, &hints).unwrap();
-        let cold = greedy_edf(&model).unwrap();
         let node_limit = [0, 1, 50, SolveParams::default().node_limit][limit];
         let out = solve(&model, &SolveParams {
             node_limit,
@@ -132,8 +131,8 @@ proptest! {
         });
         let best = out.best.expect("an incumbent was passed in");
         best.verify(&model).unwrap();
-        prop_assert!(best.objective <= initial.objective.min(cold.objective),
-            "best {} vs initial {} / greedy {}", best.objective, initial.objective, cold.objective);
+        prop_assert!(best.objective <= initial.objective,
+            "best {} vs initial {}", best.objective, initial.objective);
         if initial.objective == 0 {
             prop_assert_eq!(out.status, Status::Optimal);
             prop_assert_eq!(best, initial);

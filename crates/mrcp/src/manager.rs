@@ -179,8 +179,8 @@ pub struct AdaptiveBudget {
 /// Per-invocation solver effort limits. The default is counted, not timed:
 /// 150 nodes and 150 fails, scaled down past 200 tasks to a floor of 50 and
 /// no wall-clock limit, so a simulated result repeats exactly for a fixed
-/// seed on any host. Every solve is seeded with the greedy EDF
-/// incumbent.
+/// seed on any host. Every solve starts from the split rung's warm start
+/// ([`crate::split::warm_start`]) as its incumbent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolveBudget {
     /// Maximum branching decisions per invocation.

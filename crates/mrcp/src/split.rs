@@ -24,10 +24,12 @@
 //! calendar of the combined totals ([`warm_start`]): plain EDF, which is
 //! `greedy_edf` over the combined model bit for bit ([`edf_warm_start`]),
 //! and when that leaves a job late, the same walk with Moore's rejection
-//! rule, keeping whichever has fewer late jobs. When no job is late
+//! rule, keeping whichever has fewer late jobs; a hinted round that is
+//! still late also tries the walk without its hints. When no job is late
 //! nothing can beat it, so the round goes straight to matchmaking, and
 //! only a round with a late job builds and solves the combined model
-//! ([`split_solve_portfolio`]), from the warm start as its incumbent.
+//! ([`split_solve_portfolio`]), from the warm start as its incumbent: the
+//! one place a round's seed is chosen.
 
 use crate::list;
 use crate::modelmap::{build_combined_model, JobInput};
@@ -51,9 +53,8 @@ pub struct SplitOutcome {
     /// order (the jobs' tasks flattened), as the greedy rung returns
     /// its own.
     pub placements: Vec<(TaskId, ResourceId, SimTime)>,
-    /// Number of late jobs in the installed schedule.
-    pub objective: u32,
-    /// The underlying solver outcome (status + effort stats).
+    /// The underlying solver outcome (status + effort stats); `best` is
+    /// the installed schedule on the combined model.
     pub outcome: Outcome,
 }
 
@@ -187,24 +188,38 @@ pub fn edf_warm_start(
 /// same walk with Moore's rejection rule
 /// (`ListSchedule::schedule_rejecting`), which sacrifices the jobs whose
 /// free work makes the most room and places them last. The walk with
-/// fewer late jobs wins, plain EDF on a tie, so the warm start is never
-/// worse than `greedy_edf`. `None` exactly where [`edf_warm_start`] is
-/// `None`.
+/// fewer late jobs wins, plain EDF on a tie. A round with a hint whose
+/// pick is late (or failed) also takes the plain walk without hints, which
+/// is `greedy_edf` over the combined model, and adopts it only when it has
+/// strictly fewer late jobs: a stale but valid hint can make the replay
+/// worse than a cold start. So the warm start is never worse than
+/// `greedy_edf`. `None` exactly where [`edf_warm_start`] is `None`.
 pub fn warm_start(
     resources: &[Resource],
     jobs: &[JobInput<'_>],
     hints: Option<&RoundHints>,
 ) -> Option<WarmStart> {
-    let edf = edf_warm_start(resources, jobs, hints)?;
-    // With every late job late by its pins alone, the rejection walk
-    // rejects nothing and repeats the plain walk.
-    if late_jobs(jobs, &edf.starts).all(list::pins_late) {
-        return Some(edf);
+    let warm = match edf_warm_start(resources, jobs, hints) {
+        // With every late job late by its pins alone, the rejection walk
+        // rejects nothing and repeats the plain walk.
+        Some(edf) if !late_jobs(jobs, &edf.starts).all(list::pins_late) => {
+            let mut walk = list::combined(resources);
+            walk.schedule_rejecting(jobs, hints)?;
+            let pass = WarmStart::of_walk(jobs, walk.placed);
+            Some(if pass.late < edf.late { pass } else { edf })
+        }
+        warm => warm,
+    };
+    // With no hint given, the cold walk is the plain walk just taken.
+    let hinted = hints.is_some_and(|h| h.iter().any(Option::is_some));
+    if !hinted || warm.as_ref().is_some_and(|w| w.late == 0) {
+        return warm;
     }
-    let mut walk = list::combined(resources);
-    walk.schedule_rejecting(jobs, hints)?;
-    let pass = WarmStart::of_walk(jobs, walk.placed);
-    Some(if pass.late < edf.late { pass } else { edf })
+    match (warm, edf_warm_start(resources, jobs, None)) {
+        (Some(w), Some(cold)) if cold.late < w.late => Some(cold),
+        (None, cold) => cold,
+        (warm, _) => warm,
+    }
 }
 
 /// The latest end among `input`'s tasks at `starts` (its own, in order).
@@ -277,16 +292,16 @@ thread_local! {
 /// hint whose start is stale (before this round's release) falls back to
 /// the greedy's best fit.
 ///
-/// The warm start comes first, from [`warm_start`], with no model. When it
-/// has no late job (and the solver would have adopted it: hints given or
-/// `warm_start` on, no caller incumbent), nothing can beat it, so the
-/// round skips the model and the solver: it passes a one-pass check and
-/// goes straight to matchmaking, and the outcome is what `solve`'s own
-/// early exit reports (`Optimal`, zero counters, timed). Every other round
-/// builds the model and solves it, with the warm start, hinted or not, as
-/// the initial incumbent. Errors only on internal inconsistency (no solution within
-/// budget with warm starts disabled, a failed check, or a lane shortage
-/// that would indicate a capacity bug).
+/// The warm start comes first, from [`warm_start`], with no model, and a
+/// round has one rule. When the warm start has no late job nothing can
+/// beat it, so the round skips the model and the solver: it passes a
+/// one-pass check and goes straight to matchmaking, and the outcome is
+/// what `solve`'s own early exit reports (`Optimal`, zero counters,
+/// timed). When it has a late job the round builds the model and searches
+/// from the warm start as its incumbent. The caller passes no incumbent of
+/// its own (`pp.base.initial` is `None`). Errors only on internal
+/// inconsistency (no schedule within budget after the warm start failed,
+/// a failed check, or a lane shortage that would indicate a capacity bug).
 pub fn split_solve_portfolio(
     resources: &[Resource],
     jobs: &[JobInput<'_>],
@@ -297,10 +312,9 @@ pub fn split_solve_portfolio(
     if let Some(h) = hints {
         debug_assert_eq!(h.len(), jobs.iter().map(|j| j.tasks.len()).sum::<usize>());
     }
-    let warm = warm_start(resources, jobs, hints);
-    let adopted = pp.base.initial.is_none() && (hints.is_some() || pp.base.warm_start);
-    let (best, outcome) = match warm {
-        Some(ws) if adopted && ws.late == 0 => {
+    debug_assert!(pp.base.initial.is_none(), "the warm start is the seed");
+    let (best, outcome) = match warm_start(resources, jobs, hints) {
+        Some(ws) if ws.late == 0 => {
             check_on_time(jobs, &ws.starts)?;
             let stats = SolveStats {
                 elapsed_us: t0.elapsed().as_micros() as u64,
@@ -326,20 +340,11 @@ pub fn split_solve_portfolio(
             let mut params = pp.base.clone();
             // The warm start (with hints, replaying the surviving part of
             // the last round) is the incumbent the search improves on from
-            // the first node. A `None` warm start is a greedy failure:
-            // there is none to seed.
-            let seeded = warm.map(|ws| {
+            // the first node. A `None` warm start is a failed walk: there
+            // is none to seed.
+            params.initial = warm.map(|ws| {
                 Solution::from_placements(&mm.model, ws.starts, vec![ResRef(0); mm.task_ids.len()])
             });
-            if let Some(sol) = seeded {
-                if params
-                    .initial
-                    .as_ref()
-                    .is_none_or(|cur| sol.objective < cur.objective)
-                {
-                    params.initial = Some(sol);
-                }
-            }
             let mut outcome = solve(&mm.model, &params);
             let best = outcome
                 .best
@@ -360,7 +365,6 @@ pub fn split_solve_portfolio(
 
     Ok(SplitOutcome {
         placements,
-        objective: best.objective,
         outcome: Outcome {
             best: Some(best),
             ..outcome
@@ -616,7 +620,33 @@ mod tests {
         let out = split_solve(&cluster, &ji, &SolveParams::default()).unwrap();
         audit(&cluster, &ji, &out.placements).unwrap();
         assert_eq!(out.placements.len(), 16);
-        assert_eq!(out.objective, 0, "deadlines are loose");
+        let best = out.outcome.best.expect("the installed schedule");
+        assert_eq!(best.objective, 0, "deadlines are loose");
+    }
+
+    /// A hint that is still valid but makes the replay late loses to the
+    /// walk without hints, which is on time: the round takes the no-model
+    /// shortcut with the cold starts. On a tie the replay stays.
+    #[test]
+    fn a_late_replay_falls_back_to_the_cold_walk() {
+        let cluster = homogeneous_cluster(1, 1, 1);
+        let pp = PortfolioParams::single(&SolveParams::default());
+        let hints = [Some((ResourceId(0), SimTime::from_secs(3)))];
+        let run = |deadline: i64| {
+            let job = mk_job(0, 0, deadline, &[10], &[]);
+            let ji = [inputs(&job)];
+            let replay = edf_warm_start(&cluster, &ji, Some(&hints)).unwrap();
+            assert_eq!((replay.starts, replay.late), (vec![3_000], 1));
+            let out = split_solve_portfolio(&cluster, &ji, &pp, Some(&hints)).unwrap();
+            let start = out.placements[0].2;
+            (start, out.outcome.status, out.outcome.stats.nodes)
+        };
+        // Due at 12 s: the cold walk (0–10 s) is on time.
+        assert_eq!(run(12), (SimTime::ZERO, Status::Optimal, 0));
+        // Due at 5 s: late either way, so the replay seeds the search,
+        // which finds nothing better.
+        let (start, status, _) = run(5);
+        assert_eq!((start, status), (SimTime::from_secs(3), Status::Optimal));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Property tests for the split rung's model-free warm start: on random
 //! rounds (pins, valid, stale and missing hints, slack and tight
 //! deadlines) the plain calendar walk is the greedy's over the combined
-//! model, `split_solve_portfolio` answers as the model-then-solve path
-//! it replaces on on-time rounds, and on rounds small enough for the
-//! brute-force oracle the rejection pass lies between the optimum and
-//! plain EDF. The comparisons are explicit, so they hold in release builds
+//! model, the warm start is never worse than the walk without hints,
+//! `split_solve_portfolio` answers as the model-then-solve path it
+//! replaces, and on rounds small enough for the brute-force oracle the
+//! rejection pass lies between the optimum and plain EDF. The comparisons are explicit, so they hold in release builds
 //! too, where the rung's own debug cross-checks are off.
 
 use cpsolve::brute::brute_force_optimal;
@@ -40,7 +40,6 @@ struct Round {
     jobs: Vec<JobSpec>,
     /// Whether the round has hints at all.
     hinted: bool,
-    warm_start: bool,
     /// 0: the first task lasts 0 s, which the model refuses; 1: it needs
     /// two slots, which the greedy refuses; else no flaw.
     flaw: u32,
@@ -70,21 +69,17 @@ fn round() -> impl Strategy<Value = Round> {
         0i64..=30,
         prop::collection::vec(job, 1..=5),
         prop_oneof![Just(true), Just(true), Just(false)],
-        any::<bool>(),
         0u32..=15,
         0u32..=3,
     )
-        .prop_map(
-            |(cluster, now, jobs, hinted, warm_start, flaw, priority)| Round {
-                cluster,
-                now,
-                jobs,
-                hinted,
-                warm_start,
-                flaw,
-                priority,
-            },
-        )
+        .prop_map(|(cluster, now, jobs, hinted, flaw, priority)| Round {
+            cluster,
+            now,
+            jobs,
+            hinted,
+            flaw,
+            priority,
+        })
 }
 
 /// The round's jobs, their model inputs and its hints, as the manager
@@ -193,8 +188,11 @@ fn combined_hints(h: &RoundHints) -> Vec<Hint> {
 /// the error.
 type Answer = Result<(Vec<(TaskId, ResourceId, SimTime)>, u32, Status, u64), String>;
 
-/// The split rung without its on-time shortcut: build the combined model,
-/// seed the solve with the warm start, solve, matchmake the best schedule.
+/// The path the split rung replaces, spelt out: build the combined model,
+/// take the warm start as the incumbent, adopt `greedy_edf` over the model
+/// in its place when it has strictly fewer late jobs, solve from that and
+/// matchmake the best schedule. No on-time shortcut: `solve` returns an
+/// on-time incumbent at once.
 fn reference(
     resources: &[Resource],
     jobs: &[JobInput<'_>],
@@ -202,20 +200,19 @@ fn reference(
     hints: Option<&RoundHints>,
 ) -> Answer {
     let mm = build_combined_model(resources, jobs)?;
-    let mut pp = pp.clone();
-    if let Some(ws) = warm_start(resources, jobs, hints) {
-        let sol =
-            Solution::from_placements(&mm.model, ws.starts, vec![ResRef(0); mm.task_ids.len()]);
-        if pp
-            .base
-            .initial
-            .as_ref()
-            .is_none_or(|cur| sol.objective < cur.objective)
-        {
-            pp.base.initial = Some(sol);
+    let mut initial = warm_start(resources, jobs, hints).map(|ws| {
+        Solution::from_placements(&mm.model, ws.starts, vec![ResRef(0); mm.task_ids.len()])
+    });
+    if let Ok(g) = greedy_edf(&mm.model) {
+        if initial.as_ref().is_none_or(|w| g.objective < w.objective) {
+            initial = Some(g);
         }
     }
-    let outcome = solve(&mm.model, &pp.base);
+    let params = SolveParams {
+        initial,
+        ..pp.base.clone()
+    };
+    let outcome = solve(&mm.model, &params);
     let best = outcome
         .best
         .as_ref()
@@ -232,11 +229,10 @@ fn reference(
     ))
 }
 
-fn params(warm_start: bool) -> PortfolioParams {
+fn params() -> PortfolioParams {
     PortfolioParams::single(&SolveParams {
         node_limit: 300,
         fail_limit: 300,
-        warm_start,
         ..SolveParams::default()
     })
 }
@@ -264,6 +260,19 @@ proptest! {
         );
     }
 
+    /// The warm start, hinted or not, has no more late jobs than the plain
+    /// walk without hints, and fails only where that walk fails.
+    #[test]
+    fn warm_start_is_never_worse_than_the_cold_walk(r in round()) {
+        let b = build(&r);
+        let jobs = inputs(&r, &b);
+        let warm = warm_start(&r.cluster, &jobs, b.hints.as_deref());
+        match (warm, edf_warm_start(&r.cluster, &jobs, None)) {
+            (Some(w), Some(cold)) => prop_assert!(w.late <= cold.late, "{:?}", r),
+            (w, cold) => prop_assert_eq!(w.is_some(), cold.is_some(), "{:?}", r),
+        }
+    }
+
     /// `split_solve_portfolio` answers as the model-then-solve path: the
     /// same placements, objective, status and node count, or the same
     /// error.
@@ -271,10 +280,11 @@ proptest! {
     fn split_rung_answers_as_the_model_path(r in round()) {
         let b = build(&r);
         let jobs = inputs(&r, &b);
-        let pp = params(r.warm_start);
+        let pp = params();
         let hints = b.hints.as_deref();
         let got: Answer = split_solve_portfolio(&r.cluster, &jobs, &pp, hints).map(|s| {
-            (s.placements, s.objective, s.outcome.status, s.outcome.stats.nodes)
+            let best = s.outcome.best.expect("an answer carries its schedule");
+            (s.placements, best.objective, s.outcome.status, s.outcome.stats.nodes)
         });
         prop_assert_eq!(got, reference(&r.cluster, &jobs, &pp, hints), "{:?}", r);
     }
@@ -418,29 +428,34 @@ fn tiny_rounds_reach_the_pass() {
 
 /// The generator reaches every branch the comparisons are about: on-time
 /// and late warm starts, hinted and cold rounds, rounds the calendar
-/// leaves to the model, and failed rounds.
+/// leaves to the model, failed rounds, and hinted rounds where the walk
+/// without hints beats the replay and becomes the warm start.
 #[test]
 fn the_generator_covers_the_rungs_branches() {
-    let mut seen = [0u32; 5];
+    let mut seen = [0u32; 6];
     let strategy = round();
     for case in 0..512 {
         let mut rng = proptest::test_runner::TestRng::for_case("coverage", case);
         let r = strategy.sample(&mut rng);
         let b = build(&r);
         let jobs = inputs(&r, &b);
-        match warm_start(&r.cluster, &jobs, b.hints.as_deref()) {
+        let hints = b.hints.as_deref();
+        let warm = warm_start(&r.cluster, &jobs, hints);
+        match &warm {
             Some(w) if w.late == 0 => seen[0] += 1,
             Some(_) => seen[1] += 1,
             None => seen[2] += 1,
         }
-        seen[3] += u32::from(
-            b.hints
-                .as_ref()
-                .is_some_and(|h| h.iter().any(Option::is_some)),
-        );
-        let pp = params(r.warm_start);
-        seen[4] +=
-            u32::from(split_solve_portfolio(&r.cluster, &jobs, &pp, b.hints.as_deref()).is_err());
+        let hinted = hints.is_some_and(|h| h.iter().any(Option::is_some));
+        seen[3] += u32::from(hinted);
+        seen[4] += u32::from(split_solve_portfolio(&r.cluster, &jobs, &params(), hints).is_err());
+        let replay = edf_warm_start(&r.cluster, &jobs, hints);
+        let cold = edf_warm_start(&r.cluster, &jobs, None);
+        let cold_won = match (&replay, &cold) {
+            (Some(replay), Some(cold)) => cold.late < replay.late && warm.as_ref() == Some(cold),
+            _ => false,
+        };
+        seen[5] += u32::from(hinted && cold_won);
     }
     assert!(seen.iter().all(|&n| n >= 20), "{seen:?}");
 }
