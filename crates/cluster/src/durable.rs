@@ -46,8 +46,8 @@
 use crate::federation::{shard, ClusterConfig, Federation};
 use crate::metrics::ClusterMetrics;
 use desim::SimTime;
-use durability::codec::{Dec, DecodeError, Enc};
-use durability::snapshot::{decode_image, encode_image, read_blob};
+use durability::codec::{Dec, DecodeError, Enc, Wire};
+use durability::snapshot::read_blob;
 use durability::store::snapshot_path;
 use durability::{
     apply, apply_surface, replay_indexed, DurabilityConfig, Durable, EventLog, ManagerEvent,
@@ -59,6 +59,7 @@ use mrcp::manager::{
 };
 use mrcp::sim_driver::ResourceManager;
 use mrcp::{ManagerImage, MrcpRm, TaskStatusImage};
+use std::borrow::Cow;
 use std::io;
 use std::path::{Path, PathBuf};
 use workload::{Job, Resource, ResourceId, TaskId};
@@ -121,151 +122,57 @@ impl CellLogs {
 /// per-cell manager images and dirty flags, each cell log's position, the
 /// cluster metrics, and the fleet-depth high-water mark (the maps are
 /// rebuilt from the images; the resource→cell map is a pure function of
-/// the construction inputs).
+/// the construction inputs). A checkpoint borrows the live metrics, whose
+/// latency vectors grow by one entry per round, instead of copying them.
 #[derive(Debug, Clone, PartialEq)]
-struct FederationImage {
+struct FederationImage<'a> {
     cells: Vec<(ManagerImage, bool)>,
     cell_seq: Vec<u64>,
-    metrics: ClusterMetrics,
+    metrics: Cow<'a, ClusterMetrics>,
     max_fleet_depth: usize,
 }
 
-fn encode_u64s(e: &mut Enc, vs: &[u64]) {
-    e.u64(vs.len() as u64);
-    for &v in vs {
-        e.u64(v);
+durability::wire_struct!(FederationImage<'_> { cells, cell_seq, metrics, max_fleet_depth });
+durability::wire_struct!(ClusterMetrics {
+    cells,
+    jobs_routed,
+    spills,
+    migrations,
+    migration_probes,
+    rounds,
+    round_latencies_us,
+    max_cells_active,
+    rpc_commands,
+    rpc_attempts,
+    rpc_retries,
+    rpc_drops,
+    rpc_timeouts,
+    rpc_dedup_hits,
+    rpc_escalations,
+    rpc_latency_ms_total,
+    reroutes,
+    cell_crashes,
+    cell_restores,
+    rehydrations,
+    rehydrate_mismatches,
+    failovers,
+    failover_latencies_ms,
+    restore_latencies_ms,
+});
+
+impl FederationImage<'static> {
+    /// Decode a fleet image, refusing one whose per-cell vectors do not
+    /// have one entry per cell: restoring it would index past them.
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let img = Self::get(d)?;
+        let k = img.cells.len();
+        if img.cell_seq.len() != k || img.metrics.cells != k || img.metrics.jobs_routed.len() != k {
+            return Err(DecodeError(
+                "fleet image: per-cell lengths differ from the cell count",
+            ));
+        }
+        Ok(img)
     }
-}
-
-fn decode_u64s(d: &mut Dec<'_>) -> Result<Vec<u64>, DecodeError> {
-    let n = d.seq_len()?;
-    let mut vs = Vec::with_capacity(n);
-    for _ in 0..n {
-        vs.push(d.u64()?);
-    }
-    Ok(vs)
-}
-
-fn encode_metrics(e: &mut Enc, m: &ClusterMetrics) {
-    let ClusterMetrics {
-        cells,
-        jobs_routed,
-        spills,
-        migrations,
-        migration_probes,
-        rounds,
-        round_latencies_us,
-        max_cells_active,
-        rpc_commands,
-        rpc_attempts,
-        rpc_retries,
-        rpc_drops,
-        rpc_timeouts,
-        rpc_dedup_hits,
-        rpc_escalations,
-        rpc_latency_ms_total,
-        reroutes,
-        cell_crashes,
-        cell_restores,
-        rehydrations,
-        rehydrate_mismatches,
-        failovers,
-        failover_latencies_ms,
-        restore_latencies_ms,
-    } = m;
-    e.usize(*cells);
-    encode_u64s(e, jobs_routed);
-    e.u64(*spills);
-    e.u64(*migrations);
-    e.u64(*migration_probes);
-    e.u64(*rounds);
-    encode_u64s(e, round_latencies_us);
-    e.usize(*max_cells_active);
-    e.u64(*rpc_commands);
-    e.u64(*rpc_attempts);
-    e.u64(*rpc_retries);
-    e.u64(*rpc_drops);
-    e.u64(*rpc_timeouts);
-    e.u64(*rpc_dedup_hits);
-    e.u64(*rpc_escalations);
-    e.u64(*rpc_latency_ms_total);
-    e.u64(*reroutes);
-    e.u64(*cell_crashes);
-    e.u64(*cell_restores);
-    e.u64(*rehydrations);
-    e.u64(*rehydrate_mismatches);
-    e.u64(*failovers);
-    encode_u64s(e, failover_latencies_ms);
-    encode_u64s(e, restore_latencies_ms);
-}
-
-fn decode_metrics(d: &mut Dec<'_>) -> Result<ClusterMetrics, DecodeError> {
-    let cells = d.usize()?;
-    let jobs_routed = decode_u64s(d)?;
-    let spills = d.u64()?;
-    let migrations = d.u64()?;
-    let migration_probes = d.u64()?;
-    let rounds = d.u64()?;
-    let round_latencies_us = decode_u64s(d)?;
-    let max_cells_active = d.usize()?;
-    let rpc_commands = d.u64()?;
-    let rpc_attempts = d.u64()?;
-    let rpc_retries = d.u64()?;
-    let rpc_drops = d.u64()?;
-    let rpc_timeouts = d.u64()?;
-    let rpc_dedup_hits = d.u64()?;
-    let rpc_escalations = d.u64()?;
-    let rpc_latency_ms_total = d.u64()?;
-    let reroutes = d.u64()?;
-    let cell_crashes = d.u64()?;
-    let cell_restores = d.u64()?;
-    let rehydrations = d.u64()?;
-    let rehydrate_mismatches = d.u64()?;
-    let failovers = d.u64()?;
-    let failover_latencies_ms = decode_u64s(d)?;
-    let restore_latencies_ms = decode_u64s(d)?;
-    Ok(ClusterMetrics {
-        cells,
-        jobs_routed,
-        spills,
-        migrations,
-        migration_probes,
-        rounds,
-        round_latencies_us,
-        max_cells_active,
-        rpc_commands,
-        rpc_attempts,
-        rpc_retries,
-        rpc_drops,
-        rpc_timeouts,
-        rpc_dedup_hits,
-        rpc_escalations,
-        rpc_latency_ms_total,
-        reroutes,
-        cell_crashes,
-        cell_restores,
-        rehydrations,
-        rehydrate_mismatches,
-        failovers,
-        failover_latencies_ms,
-        restore_latencies_ms,
-    })
-}
-
-fn decode_fed_image(d: &mut Dec<'_>) -> Result<FederationImage, DecodeError> {
-    let n = d.seq_len()?;
-    let mut cells = Vec::with_capacity(n);
-    for _ in 0..n {
-        let img = decode_image(d)?;
-        let dirty = d.bool()?;
-        cells.push((img, dirty));
-    }
-    Ok(FederationImage {
-        cells,
-        cell_seq: decode_u64s(d)?,
-        metrics: decode_metrics(d)?,
-        max_fleet_depth: d.usize()?,
-    })
 }
 
 /// What a restarted fleet re-reads: its static configuration.
@@ -283,18 +190,16 @@ impl Recoverable for Federation {
     const LOG_NAME: &'static str = "manifest.log";
 
     fn encode_state(&self, e: &mut Enc) {
-        e.u64(self.cells.len() as u64);
-        for c in &self.cells {
-            encode_image(e, &c.rm.image());
-            e.bool(c.dirty);
+        FederationImage {
+            cells: self.cells.iter().map(|c| (c.rm.image(), c.dirty)).collect(),
+            cell_seq: match &self.journal {
+                Some(j) => j.logs.iter().map(EventLog::next_idx).collect(),
+                None => vec![0; self.cells.len()],
+            },
+            metrics: Cow::Borrowed(&self.metrics),
+            max_fleet_depth: self.max_fleet_depth,
         }
-        let seq: Vec<u64> = match &self.journal {
-            Some(j) => j.logs.iter().map(EventLog::next_idx).collect(),
-            None => vec![0; self.cells.len()],
-        };
-        encode_u64s(e, &seq);
-        encode_metrics(e, &self.metrics);
-        e.usize(self.max_fleet_depth);
+        .put(e);
     }
 
     fn restore(
@@ -303,7 +208,7 @@ impl Recoverable for Federation {
         dir: &Path,
         cfg: StoreConfig,
     ) -> io::Result<Federation> {
-        let img = decode_fed_image(d).map_err(io_invalid)?;
+        let img = FederationImage::decode(d).map_err(io_invalid)?;
         let pools = shard(&setup.resources, setup.cluster.cells);
         if img.cells.len() != pools.len() {
             return Err(io_invalid(format!(
@@ -334,7 +239,7 @@ impl Recoverable for Federation {
         }
         fed.task_cell = task_cell;
         fed.job_cell = job_cell;
-        fed.metrics = img.metrics;
+        fed.metrics = img.metrics.into_owned();
         fed.max_fleet_depth = img.max_fleet_depth;
         fed.journal = Some(CellLogs::create(dir, cfg, &img.cell_seq)?);
         Ok(fed)
@@ -391,7 +296,7 @@ pub fn recover_cell(
     let payload = read_blob(&snapshot_path(dir))?;
     let mut d = Dec::new(&payload);
     let _base = d.u64().map_err(io_invalid)?;
-    let mut img = decode_fed_image(&mut d).map_err(io_invalid)?;
+    let mut img = FederationImage::decode(&mut d).map_err(io_invalid)?;
     d.expect_end().map_err(io_invalid)?;
     let k = img.cells.len();
     if cell >= k {
@@ -553,6 +458,8 @@ impl ResourceManager for DurableFederation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use durability::codec::assert_roundtrip;
+    use durability::snapshot::write_blob;
     use workload::model::homogeneous_cluster;
 
     /// A fresh fleet and one restored from a fresh fleet's image are the
@@ -589,5 +496,117 @@ mod tests {
         assert_eq!(fresh.health, restored.health);
         assert_eq!(fresh.resources, restored.resources);
         assert_eq!(fresh.chaos_active, restored.chaos_active);
+    }
+
+    fn job(id: u32) -> Job {
+        let t = |tid: u32, kind| workload::Task {
+            id: TaskId(tid),
+            job: workload::JobId(id),
+            kind,
+            exec_time: SimTime::from_millis(2_000),
+            req: 1,
+        };
+        Job {
+            id: workload::JobId(id),
+            arrival: SimTime::ZERO,
+            earliest_start: SimTime::ZERO,
+            deadline: SimTime::from_millis(120_000),
+            map_tasks: vec![t(id * 10, workload::TaskKind::Map)],
+            reduce_tasks: vec![t(id * 10 + 1, workload::TaskKind::Reduce)],
+        }
+    }
+
+    /// A two-cell durable fleet that has routed and planned three jobs,
+    /// its setup, and its store.
+    fn busy_fleet(tag: &str) -> (DurableFederation, FleetSetup, PathBuf) {
+        let setup = FleetSetup {
+            cluster: ClusterConfig { cells: 2 },
+            mgr: MrcpConfig::default(),
+            resources: homogeneous_cluster(4, 2, 1),
+        };
+        let dir = durability::scratch_dir(tag);
+        let mut fed = DurableFederation::new(
+            &setup.cluster,
+            setup.mgr,
+            setup.resources.clone(),
+            &dir,
+            DurabilityConfig::default(),
+        );
+        let t = SimTime::from_millis(5);
+        for r in fed.submit_batch(vec![job(1), job(2), job(3)], t) {
+            r.unwrap();
+        }
+        fed.reschedule(t);
+        (fed, setup, dir)
+    }
+
+    #[test]
+    fn cluster_metrics_and_the_fleet_image_roundtrip() {
+        let (fed, _, dir) = busy_fleet("fleet-roundtrip");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut e = Enc::new();
+        fed.federation().encode_state(&mut e);
+        let payload = e.finish();
+        let img = FederationImage::decode(&mut Dec::new(&payload)).unwrap();
+        assert_eq!(img.cells.len(), 2);
+        assert!(img.cells.iter().any(|(c, _)| !c.jobs.is_empty()));
+        assert_roundtrip(&img);
+
+        let mut metrics = img.metrics.into_owned();
+        assert_eq!(metrics.jobs_routed.iter().sum::<u64>(), 3);
+        metrics.round_latencies_us.push(17);
+        metrics.failover_latencies_ms = vec![1, 2];
+        metrics.restore_latencies_ms = vec![3];
+        metrics.max_cells_active = 2;
+        metrics.rpc_timeouts = 9;
+        assert_roundtrip(&metrics);
+    }
+
+    /// A CRC-valid fleet snapshot whose per-cell vectors are shorter than
+    /// its cell list is refused as invalid data by both recovery paths —
+    /// one cell's and the whole fleet's restore — instead of indexing
+    /// past them.
+    #[test]
+    fn a_fleet_snapshot_with_disagreeing_lengths_is_refused() {
+        type Rewrite = fn(&mut FederationImage<'static>);
+        let rewrites: [(&str, Rewrite); 3] = [
+            ("cell_seq", |img| img.cell_seq.truncate(1)),
+            ("metrics.cells", |img| img.metrics.to_mut().cells = 1),
+            ("metrics.jobs_routed", |img| {
+                img.metrics.to_mut().jobs_routed.truncate(1)
+            }),
+        ];
+        for (what, rewrite) in rewrites {
+            let (fed, setup, dir) = busy_fleet("fleet-lengths");
+            drop(fed);
+            let path = snapshot_path(&dir);
+            let payload = read_blob(&path).unwrap();
+            let mut d = Dec::new(&payload);
+            let base = d.u64().unwrap();
+            let mut img = FederationImage::get(&mut d).unwrap();
+            rewrite(&mut img);
+            let mut e = Enc::new();
+            e.u64(base);
+            img.put(&mut e);
+            write_blob(&path, &e.finish()).unwrap();
+
+            let cfg = StoreConfig::default();
+            let cell = recover_cell(&dir, cfg, setup.mgr, &setup.resources, 1);
+            assert_eq!(
+                cell.err().map(|e| e.kind()),
+                Some(io::ErrorKind::InvalidData),
+                "{what}: recover_cell"
+            );
+            let payload = read_blob(&path).unwrap();
+            let mut d = Dec::new(&payload);
+            d.u64().unwrap();
+            let fleet = Federation::restore(&setup, &mut d, &dir, cfg);
+            assert_eq!(
+                fleet.err().map(|e| e.kind()),
+                Some(io::ErrorKind::InvalidData),
+                "{what}: Federation::restore"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

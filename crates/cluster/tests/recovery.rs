@@ -556,3 +556,37 @@ fn manifest_holds_indexed_surface_commands_and_nothing_else() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The fleet snapshot's bytes, pinned like the single-manager formats in
+/// `durability`'s `golden_format` test: a two-cell `DurableFederation`'s
+/// first snapshot (written at creation) and its first checkpoint after
+/// three round-free commands (no wall-clock field is set yet) have the
+/// recorded lengths and CRC-32s.
+#[test]
+fn fleet_snapshot_encodes_to_its_recorded_bytes() {
+    use durability::snapshot::read_blob;
+    use durability::store::snapshot_path;
+    use durability::wal::crc32;
+    let fingerprint = |dir: &std::path::Path| {
+        let payload = read_blob(&snapshot_path(dir)).unwrap();
+        (payload.len(), crc32(&payload))
+    };
+    let resources = homogeneous_cluster(4, 2, 1);
+    let dir = scratch_dir("fleet-golden");
+    let d = DurabilityConfig {
+        store: StoreConfig {
+            snapshot_every: 3,
+            wal: WalConfig::default(),
+        },
+        ..Default::default()
+    };
+    let mut fed = DurableFederation::new(&fleet(2), det_sim().manager, resources, &dir, d);
+    let first = fingerprint(&dir);
+    let t = SimTime::from_millis(5);
+    fed.submit_batch(vec![two_task_job(1), two_task_job(2)], t);
+    fed.submit_with_admission(two_task_job(3), t).unwrap();
+    fed.activate_due(t);
+    let checkpoint = fingerprint(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!([first, checkpoint], [(646, 0x9EB2C3C5), (1108, 0x7BB18715)]);
+}

@@ -1,14 +1,33 @@
-//! A minimal hand-rolled binary codec for WAL payloads and snapshot
-//! blobs.
+//! The binary codec of every WAL payload and snapshot blob: one layout
+//! per record type, written once.
 //!
-//! The vendored serde stub cannot derive for data-carrying enums, and the
-//! durability formats are tiny and fixed, so records are encoded with an
-//! explicit little-endian writer/reader pair. Decoding is fully bounds-
-//! checked and returns `Err` (never panics) on malformed input — the WAL
-//! CRC already rejects bit flips, but defence in depth keeps recovery
-//! panic-free even against logic bugs.
+//! The vendored serde stub cannot derive for data-carrying enums, so
+//! records are encoded with an explicit little-endian writer/reader pair,
+//! [`Enc`] and [`Dec`], and every durable type implements [`Wire`]. This
+//! module implements it for the primitives, the ids, [`SimTime`],
+//! `Duration` (nanoseconds as `u64`), tuples, `Vec<T>` (a `u64` length,
+//! then the elements), `Option<T>` (a `bool` flag, then the value), and
+//! the workload's `TaskKind`, `Task` and `Job`. A struct states its layout
+//! once, as its field list in wire order, with
+//! [`wire_struct!`](crate::wire_struct); a tagged enum states its tags and
+//! each variant's fields with [`wire_enum!`](crate::wire_enum). The one
+//! list drives both directions.
+//!
+//! Adding a field to a durable struct is one line: the field's name in its
+//! `wire_struct!` list, where it lands in the layout (the decoder's struct
+//! literal does not compile while a field is missing). It changes the
+//! format, so bump the magic of every file that holds the type
+//! ([`SNAPSHOT_MAGIC`](crate::snapshot::SNAPSHOT_MAGIC) for an image,
+//! [`WAL_MAGIC`](crate::wal::WAL_MAGIC) as well for an event), and record
+//! the new constants of the golden-format tests.
+//!
+//! Decoding is fully bounds-checked and returns `Err` (never panics) on
+//! malformed input — the WAL CRC already rejects bit flips, but defence
+//! in depth keeps recovery panic-free even against logic bugs.
 
 use desim::SimTime;
+use std::borrow::Cow;
+use std::time::Duration;
 use workload::{Job, JobId, ResourceId, Task, TaskId, TaskKind};
 
 /// Decode failure: the payload is shorter or shaped differently than the
@@ -23,6 +42,102 @@ impl std::fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
+
+/// A type with one binary layout: [`put`](Self::put) appends it,
+/// [`get`](Self::get) reads it back.
+pub trait Wire: Sized {
+    /// Append this value's encoding to `e`.
+    fn put(&self, e: &mut Enc);
+    /// Read one value from `d`.
+    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError>;
+    /// Encode to a standalone byte vector.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut e = Enc::new();
+        self.put(&mut e);
+        e.finish()
+    }
+}
+
+/// Implement [`Wire`] for a struct from its field list, in wire order.
+///
+/// ```
+/// use durability::codec::{assert_roundtrip, Wire};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Span {
+///     len: u32,
+///     start: u64,
+/// }
+/// durability::wire_struct!(Span { start, len });
+///
+/// let span = Span { len: 2, start: 1 };
+/// assert_eq!(span.to_bytes(), [1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0]);
+/// assert_roundtrip(&span);
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ty { $($field:ident),* $(,)? }) => {
+        impl $crate::codec::Wire for $ty {
+            fn put(&self, e: &mut $crate::codec::Enc) {
+                $($crate::codec::Wire::put(&self.$field, e);)*
+            }
+            fn get(
+                d: &mut $crate::codec::Dec<'_>,
+            ) -> Result<Self, $crate::codec::DecodeError> {
+                Ok(Self {
+                    $($field: $crate::codec::Wire::get(d)?,)*
+                })
+            }
+        }
+    };
+}
+
+/// Implement [`Wire`] for an enum as a `u8` tag followed by the variant's
+/// fields in wire order; a tag not listed decodes to
+/// `DecodeError(unknown)`.
+///
+/// ```
+/// use durability::codec::{Dec, DecodeError, Wire};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Slot {
+///     Free,
+///     Held { until: u64, by: u32 },
+/// }
+/// durability::wire_enum!(Slot, "bad slot" {
+///     0 => Free,
+///     2 => Held { by, until },
+/// });
+///
+/// assert_eq!(Slot::Free.to_bytes(), [0]);
+/// assert_eq!(Slot::Held { until: 1, by: 3 }.to_bytes()[..5], [2, 3, 0, 0, 0]);
+/// assert_eq!(Slot::get(&mut Dec::new(&[1])), Err(DecodeError("bad slot")));
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ty, $unknown:literal {
+        $($tag:literal => $variant:ident $({ $($field:ident),* $(,)? })?),* $(,)?
+    }) => {
+        impl $crate::codec::Wire for $ty {
+            fn put(&self, e: &mut $crate::codec::Enc) {
+                match self {
+                    $(Self::$variant $({ $($field),* })? => {
+                        e.u8($tag);
+                        $($($crate::codec::Wire::put($field, e);)*)?
+                    })*
+                }
+            }
+            fn get(
+                d: &mut $crate::codec::Dec<'_>,
+            ) -> Result<Self, $crate::codec::DecodeError> {
+                Ok(match d.u8()? {
+                    $($tag => Self::$variant $({ $($field: $crate::codec::Wire::get(d)?),* })?,)*
+                    _ => return Err($crate::codec::DecodeError($unknown)),
+                })
+            }
+        }
+    };
+}
 
 /// Little-endian byte writer.
 #[derive(Debug, Default)]
@@ -82,39 +197,6 @@ impl Enc {
     /// Write a [`SimTime`] as its raw `i64`.
     pub fn time(&mut self, t: SimTime) {
         self.i64(t.0);
-    }
-    /// Write a length-prefixed byte slice.
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.u64(b.len() as u64);
-        self.buf.extend_from_slice(b);
-    }
-
-    /// Encode a [`Task`].
-    pub fn task(&mut self, t: &Task) {
-        self.u32(t.id.0);
-        self.u32(t.job.0);
-        self.u8(match t.kind {
-            TaskKind::Map => 0,
-            TaskKind::Reduce => 1,
-        });
-        self.time(t.exec_time);
-        self.u32(t.req);
-    }
-
-    /// Encode a [`Job`] with all its tasks.
-    pub fn job(&mut self, j: &Job) {
-        self.u32(j.id.0);
-        self.time(j.arrival);
-        self.time(j.earliest_start);
-        self.time(j.deadline);
-        self.u64(j.map_tasks.len() as u64);
-        for t in &j.map_tasks {
-            self.task(t);
-        }
-        self.u64(j.reduce_tasks.len() as u64);
-        for t in &j.reduce_tasks {
-            self.task(t);
-        }
     }
 }
 
@@ -191,12 +273,6 @@ impl<'a> Dec<'a> {
     pub fn time(&mut self) -> Result<SimTime, DecodeError> {
         Ok(SimTime(self.i64()?))
     }
-    /// Read a length-prefixed byte slice.
-    pub fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
-        let n = self.usize()?;
-        self.take(n)
-    }
-
     /// Length prefix for a sequence, sanity-bounded by the bytes that
     /// remain (each element takes at least one byte) so corrupt lengths
     /// cannot trigger huge allocations.
@@ -207,78 +283,142 @@ impl<'a> Dec<'a> {
         }
         Ok(n)
     }
+}
 
-    /// Decode a [`Task`].
-    pub fn task(&mut self) -> Result<Task, DecodeError> {
-        let id = TaskId(self.u32()?);
-        let job = JobId(self.u32()?);
-        let kind = match self.u8()? {
-            0 => TaskKind::Map,
-            1 => TaskKind::Reduce,
-            _ => return Err(DecodeError("bad task kind")),
-        };
-        let exec_time = self.time()?;
-        let req = self.u32()?;
-        Ok(Task {
-            id,
-            job,
-            kind,
-            exec_time,
-            req,
-        })
-    }
-
-    /// Decode a [`Job`].
-    pub fn job(&mut self) -> Result<Job, DecodeError> {
-        let id = JobId(self.u32()?);
-        let arrival = self.time()?;
-        let earliest_start = self.time()?;
-        let deadline = self.time()?;
-        let n = self.seq_len()?;
-        let mut map_tasks = Vec::with_capacity(n);
-        for _ in 0..n {
-            map_tasks.push(self.task()?);
+/// The scalars, each through its [`Enc`]/[`Dec`] primitive.
+macro_rules! wire_scalar {
+    ($($ty:ty => $method:ident),*) => {$(
+        impl Wire for $ty {
+            fn put(&self, e: &mut Enc) {
+                e.$method(*self);
+            }
+            fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+                d.$method()
+            }
         }
-        let n = self.seq_len()?;
-        let mut reduce_tasks = Vec::with_capacity(n);
-        for _ in 0..n {
-            reduce_tasks.push(self.task()?);
+    )*};
+}
+wire_scalar!(u8 => u8, u32 => u32, u64 => u64, f64 => f64);
+wire_scalar!(usize => usize, bool => bool, SimTime => time);
+
+/// The ids, each as its raw `u32`.
+macro_rules! wire_id {
+    ($($ty:ident),*) => {$(
+        impl Wire for $ty {
+            fn put(&self, e: &mut Enc) {
+                e.u32(self.0);
+            }
+            fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+                Ok($ty(d.u32()?))
+            }
         }
-        Ok(Job {
-            id,
-            arrival,
-            earliest_start,
-            deadline,
-            map_tasks,
-            reduce_tasks,
-        })
-    }
+    )*};
+}
+wire_id!(JobId, TaskId, ResourceId);
 
-    /// Decode an optional `f64` flagged by a bool byte.
-    pub fn opt_f64(&mut self) -> Result<Option<f64>, DecodeError> {
-        Ok(if self.bool()? {
-            Some(self.f64()?)
-        } else {
-            None
-        })
+impl Wire for Duration {
+    fn put(&self, e: &mut Enc) {
+        e.u64(self.as_nanos() as u64);
     }
-
-    /// Decode a [`ResourceId`].
-    pub fn rid(&mut self) -> Result<ResourceId, DecodeError> {
-        Ok(ResourceId(self.u32()?))
+    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(Duration::from_nanos(d.u64()?))
     }
 }
 
-impl Enc {
-    /// Encode an optional `f64` as flag byte + value.
-    pub fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                self.f64(x);
-            }
-            None => self.bool(false),
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, e: &mut Enc) {
+        self.0.put(e);
+        self.1.put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok((A::get(d)?, B::get(d)?))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn put(&self, e: &mut Enc) {
+        self.0.put(e);
+        self.1.put(e);
+        self.2.put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok((A::get(d)?, B::get(d)?, C::get(d)?))
+    }
+}
+
+/// A `u64` length, then the elements; the length is bounded by
+/// [`Dec::seq_len`].
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, e: &mut Enc) {
+        e.usize(self.len());
+        for x in self {
+            x.put(e);
         }
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let n = d.seq_len()?;
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(T::get(d)?);
+        }
+        Ok(v)
+    }
+}
+
+/// A `bool` flag, then the value when present.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, e: &mut Enc) {
+        e.bool(self.is_some());
+        if let Some(x) = self {
+            x.put(e);
+        }
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(if d.bool()? { Some(T::get(d)?) } else { None })
+    }
+}
+
+/// The value's own layout: an image can encode a borrowed field without
+/// copying it, and decodes an owned one.
+impl<T: Wire + Clone> Wire for Cow<'_, T> {
+    fn put(&self, e: &mut Enc) {
+        (**self).put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(Cow::Owned(T::get(d)?))
+    }
+}
+
+crate::wire_enum!(TaskKind, "bad task kind" { 0 => Map, 1 => Reduce });
+crate::wire_struct!(Task {
+    id,
+    job,
+    kind,
+    exec_time,
+    req
+});
+crate::wire_struct!(Job {
+    id,
+    arrival,
+    earliest_start,
+    deadline,
+    map_tasks,
+    reduce_tasks
+});
+
+/// Test helper: `v` decodes back from its encoding, consuming every
+/// byte, and every proper prefix of the encoding fails to decode.
+pub fn assert_roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
+    let bytes = v.to_bytes();
+    let mut d = Dec::new(&bytes);
+    assert_eq!(T::get(&mut d).as_ref(), Ok(v));
+    d.expect_end().unwrap();
+    for cut in 0..bytes.len() {
+        assert!(
+            T::get(&mut Dec::new(&bytes[..cut])).is_err(),
+            "{v:?} decoded from {cut} of its {} bytes",
+            bytes.len()
+        );
     }
 }
 
@@ -296,9 +436,10 @@ mod tests {
         e.f64(3.5);
         e.bool(true);
         e.time(SimTime::from_millis(1234));
-        e.opt_f64(Some(0.25));
-        e.opt_f64(None);
-        e.bytes(b"hello");
+        Some(0.25).put(&mut e);
+        None::<f64>.put(&mut e);
+        b"hello".to_vec().put(&mut e);
+        Duration::from_nanos(1_234_567_891).put(&mut e);
         let buf = e.finish();
         let mut d = Dec::new(&buf);
         assert_eq!(d.u8().unwrap(), 7);
@@ -308,9 +449,13 @@ mod tests {
         assert_eq!(d.f64().unwrap(), 3.5);
         assert!(d.bool().unwrap());
         assert_eq!(d.time().unwrap(), SimTime::from_millis(1234));
-        assert_eq!(d.opt_f64().unwrap(), Some(0.25));
-        assert_eq!(d.opt_f64().unwrap(), None);
-        assert_eq!(d.bytes().unwrap(), b"hello");
+        assert_eq!(Option::<f64>::get(&mut d).unwrap(), Some(0.25));
+        assert_eq!(Option::<f64>::get(&mut d).unwrap(), None);
+        assert_eq!(Vec::<u8>::get(&mut d).unwrap(), b"hello");
+        assert_eq!(
+            Duration::get(&mut d).unwrap(),
+            Duration::from_nanos(1_234_567_891)
+        );
         d.expect_end().unwrap();
     }
 
@@ -323,26 +468,19 @@ mod tests {
             exec_time: SimTime::from_millis(500),
             req: 1,
         };
-        let job = Job {
+        assert_roundtrip(&Job {
             id: JobId(3),
             arrival: SimTime::from_millis(10),
             earliest_start: SimTime::from_millis(20),
             deadline: SimTime::from_millis(90_000),
             map_tasks: vec![t(0, TaskKind::Map), t(1, TaskKind::Map)],
             reduce_tasks: vec![t(2, TaskKind::Reduce)],
-        };
-        let mut e = Enc::new();
-        e.job(&job);
-        let buf = e.finish();
-        let mut d = Dec::new(&buf);
-        assert_eq!(d.job().unwrap(), job);
-        d.expect_end().unwrap();
+        });
     }
 
     #[test]
     fn truncated_input_errors_instead_of_panicking() {
-        let mut e = Enc::new();
-        e.job(&Job {
+        assert_roundtrip(&Job {
             id: JobId(1),
             arrival: SimTime::ZERO,
             earliest_start: SimTime::ZERO,
@@ -350,11 +488,11 @@ mod tests {
             map_tasks: vec![],
             reduce_tasks: vec![],
         });
-        let buf = e.finish();
-        for cut in 0..buf.len() {
-            let mut d = Dec::new(&buf[..cut]);
-            assert!(d.job().is_err(), "cut at {cut} must error");
-        }
+        // A tag past the enum's last is refused, not misread.
+        assert_eq!(
+            TaskKind::get(&mut Dec::new(&[2])),
+            Err(DecodeError("bad task kind"))
+        );
     }
 
     #[test]

@@ -4,12 +4,11 @@
 //! recovery model is [`crate::store`]'s). A single manager is its image,
 //! and its one log is the command log `Durable` owns.
 
-use crate::codec::{Dec, Enc};
+use crate::codec::{Dec, Enc, Wire};
 use crate::event::{apply, ManagerEvent};
-use crate::snapshot::{decode_image, encode_image};
 use crate::store::{invalid, DurabilityConfig, Durable, Recoverable, StoreConfig};
 use mrcp::manager::MrcpConfig;
-use mrcp::MrcpRm;
+use mrcp::{ManagerImage, MrcpRm};
 use std::io;
 use std::path::Path;
 use workload::Resource;
@@ -19,7 +18,7 @@ impl Recoverable for MrcpRm {
     const LOG_NAME: &'static str = "wal.log";
 
     fn encode_state(&self, e: &mut Enc) {
-        encode_image(e, &self.image());
+        self.image().put(e);
     }
 
     fn restore(
@@ -28,7 +27,7 @@ impl Recoverable for MrcpRm {
         _dir: &Path,
         _store: StoreConfig,
     ) -> io::Result<MrcpRm> {
-        let image = decode_image(d).map_err(invalid)?;
+        let image = ManagerImage::get(d).map_err(invalid)?;
         MrcpRm::restore(*cfg, resources.clone(), image).map_err(invalid)
     }
 

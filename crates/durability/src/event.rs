@@ -23,7 +23,7 @@
 //! duplicate submit, an unknown task), so ignoring the error reproduces
 //! the live state *and* the live error-counting side effects exactly.
 
-use crate::codec::{Dec, DecodeError, Enc};
+use crate::codec::{Dec, DecodeError, Wire};
 use desim::SimTime;
 use mrcp::manager::{AdmissionOutcome, FailureAction, JobCompletion, ManagerError, Submitted};
 use mrcp::sim_driver::ResourceManager;
@@ -118,21 +118,25 @@ pub enum ManagerEvent {
     },
 }
 
-const TAG_SUBMIT_ADM: u8 = 0;
-const TAG_ACTIVATE: u8 = 1;
-const TAG_RESCHEDULE: u8 = 2;
-const TAG_TASK_STARTED: u8 = 3;
-const TAG_TASK_COMPLETED: u8 = 4;
-const TAG_TASK_REVISED: u8 = 5;
-const TAG_TASK_FAILED: u8 = 6;
-const TAG_RES_DOWN: u8 = 7;
-const TAG_RES_UP: u8 = 8;
-const TAG_TAKE_JOB: u8 = 9;
-const TAG_SUBMIT: u8 = 10;
-// Tags 11 and 13 are retired (a cell's worker split, logged apart from
-// its round and then with it); they decode as unknown tags, so a store
-// written with either is refused.
-const TAG_SUBMIT_BATCH: u8 = 12;
+// The layout of a record: its tag byte, then the variant's fields in the
+// order listed (a submit's time before its job). Tags 11 and 13 are
+// retired (a cell's worker split, logged apart from its round and then
+// with it); they decode as unknown tags, so a store written with either
+// is refused.
+crate::wire_enum!(ManagerEvent, "unknown event tag" {
+    0 => SubmitWithAdmission { now, job },
+    1 => ActivateDue { now },
+    2 => Reschedule { now },
+    3 => TaskStarted { task, now },
+    4 => TaskCompleted { task, now },
+    5 => TaskDurationRevised { task, new_exec },
+    6 => TaskFailed { task, now },
+    7 => ResourceDown { resource, now },
+    8 => ResourceUp { resource, now },
+    9 => TakeUnstartedJob { job },
+    10 => Submit { now, job },
+    12 => SubmitBatch { now, jobs },
+});
 
 impl ManagerEvent {
     /// The simulated time the command carries, when it carries one.
@@ -156,132 +160,14 @@ impl ManagerEvent {
         }
     }
 
-    /// Append this event's encoding to `e`.
-    pub fn encode(&self, e: &mut Enc) {
-        match self {
-            ManagerEvent::SubmitWithAdmission { job, now } => {
-                e.u8(TAG_SUBMIT_ADM);
-                e.time(*now);
-                e.job(job);
-            }
-            ManagerEvent::ActivateDue { now } => {
-                e.u8(TAG_ACTIVATE);
-                e.time(*now);
-            }
-            ManagerEvent::Reschedule { now } => {
-                e.u8(TAG_RESCHEDULE);
-                e.time(*now);
-            }
-            ManagerEvent::TaskStarted { task, now } => {
-                e.u8(TAG_TASK_STARTED);
-                e.u32(task.0);
-                e.time(*now);
-            }
-            ManagerEvent::TaskCompleted { task, now } => {
-                e.u8(TAG_TASK_COMPLETED);
-                e.u32(task.0);
-                e.time(*now);
-            }
-            ManagerEvent::TaskDurationRevised { task, new_exec } => {
-                e.u8(TAG_TASK_REVISED);
-                e.u32(task.0);
-                e.time(*new_exec);
-            }
-            ManagerEvent::TaskFailed { task, now } => {
-                e.u8(TAG_TASK_FAILED);
-                e.u32(task.0);
-                e.time(*now);
-            }
-            ManagerEvent::ResourceDown { resource, now } => {
-                e.u8(TAG_RES_DOWN);
-                e.u32(resource.0);
-                e.time(*now);
-            }
-            ManagerEvent::ResourceUp { resource, now } => {
-                e.u8(TAG_RES_UP);
-                e.u32(resource.0);
-                e.time(*now);
-            }
-            ManagerEvent::SubmitBatch { jobs, now } => {
-                e.u8(TAG_SUBMIT_BATCH);
-                e.time(*now);
-                e.usize(jobs.len());
-                for job in jobs {
-                    e.job(job);
-                }
-            }
-            ManagerEvent::TakeUnstartedJob { job } => {
-                e.u8(TAG_TAKE_JOB);
-                e.u32(job.0);
-            }
-            ManagerEvent::Submit { job, now } => {
-                e.u8(TAG_SUBMIT);
-                e.time(*now);
-                e.job(job);
-            }
-        }
-    }
-
     /// Decode one event from `d`.
     pub fn decode(d: &mut Dec<'_>) -> Result<ManagerEvent, DecodeError> {
-        Ok(match d.u8()? {
-            TAG_SUBMIT_ADM => {
-                let now = d.time()?;
-                let job = d.job()?;
-                ManagerEvent::SubmitWithAdmission { job, now }
-            }
-            TAG_ACTIVATE => ManagerEvent::ActivateDue { now: d.time()? },
-            TAG_RESCHEDULE => ManagerEvent::Reschedule { now: d.time()? },
-            TAG_TASK_STARTED => ManagerEvent::TaskStarted {
-                task: TaskId(d.u32()?),
-                now: d.time()?,
-            },
-            TAG_TASK_COMPLETED => ManagerEvent::TaskCompleted {
-                task: TaskId(d.u32()?),
-                now: d.time()?,
-            },
-            TAG_TASK_REVISED => ManagerEvent::TaskDurationRevised {
-                task: TaskId(d.u32()?),
-                new_exec: d.time()?,
-            },
-            TAG_TASK_FAILED => ManagerEvent::TaskFailed {
-                task: TaskId(d.u32()?),
-                now: d.time()?,
-            },
-            TAG_RES_DOWN => ManagerEvent::ResourceDown {
-                resource: ResourceId(d.u32()?),
-                now: d.time()?,
-            },
-            TAG_RES_UP => ManagerEvent::ResourceUp {
-                resource: ResourceId(d.u32()?),
-                now: d.time()?,
-            },
-            TAG_SUBMIT_BATCH => {
-                let now = d.time()?;
-                let n = d.usize()?;
-                let mut jobs = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    jobs.push(d.job()?);
-                }
-                ManagerEvent::SubmitBatch { jobs, now }
-            }
-            TAG_TAKE_JOB => ManagerEvent::TakeUnstartedJob {
-                job: JobId(d.u32()?),
-            },
-            TAG_SUBMIT => {
-                let now = d.time()?;
-                let job = d.job()?;
-                ManagerEvent::Submit { job, now }
-            }
-            _ => return Err(DecodeError("unknown event tag")),
-        })
+        Wire::get(d)
     }
 
     /// Encode to a standalone byte vector.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        self.encode(&mut e);
-        e.finish()
+        Wire::to_bytes(self)
     }
 }
 
@@ -380,6 +266,7 @@ pub fn apply(rm: &mut MrcpRm, ev: &ManagerEvent) -> Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Enc;
     use workload::TaskKind;
 
     fn sample_job() -> Job {
@@ -452,24 +339,15 @@ mod tests {
     #[test]
     fn every_variant_roundtrips() {
         for ev in &sample_events() {
-            let bytes = ev.to_bytes();
-            let mut d = Dec::new(&bytes);
-            let back = ManagerEvent::decode(&mut d).unwrap();
-            d.expect_end().unwrap();
-            assert_eq!(&back, ev);
+            crate::codec::assert_roundtrip(ev);
         }
     }
 
+    /// Each event as an `EventLog` record holds it: behind its index.
     #[test]
     fn truncated_events_error_cleanly() {
         for ev in &sample_events() {
-            let bytes = ev.to_bytes();
-            for cut in 0..bytes.len() {
-                assert!(
-                    ManagerEvent::decode(&mut Dec::new(&bytes[..cut])).is_err(),
-                    "{ev:?} cut at {cut} decoded"
-                );
-            }
+            crate::codec::assert_roundtrip(&(7u64, ev.clone()));
         }
     }
 

@@ -9,283 +9,76 @@
 //! command index at or past `base_idx` — bounded replay instead of
 //! full-history replay.
 
-use crate::codec::{Dec, DecodeError, Enc};
+use crate::codec::{Enc, Wire};
 use crate::wal::crc32;
 use mrcp::manager::{ManagerStats, ScheduleEntry};
 use mrcp::{JobImage, ManagerImage, RoundCacheImage, TaskImage, TaskStatusImage};
 use std::io::{self, Write};
 use std::path::Path;
-use std::time::Duration;
-use workload::{JobId, ResourceId, TaskId, TaskKind};
 
 /// Snapshot file magic, also the format version.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MRCPSNP3";
 
-/// Encode a [`ManagerStats`]. Destructured exhaustively so a new counter
-/// cannot silently be dropped from snapshots.
-pub fn encode_stats(e: &mut Enc, s: &ManagerStats) {
-    let ManagerStats {
-        invocations,
-        total_solve,
-        total_nodes,
-        optimal_rounds,
-        feasible_rounds,
-        degraded_rounds,
-        failed_rounds,
-        tasks_failed,
-        tasks_requeued,
-        jobs_abandoned,
-        max_tasks_in_model,
-        jobs_rejected,
-        jobs_renegotiated,
-        jobs_shed,
-        max_queue_depth,
-        budget_adaptations,
-        max_round_solve,
-        warm_rounds,
-        cache_invalidations,
-    } = *s;
-    e.u64(invocations);
-    e.u64(total_solve.as_nanos() as u64);
-    e.u64(total_nodes);
-    e.u64(optimal_rounds);
-    e.u64(feasible_rounds);
-    e.u64(degraded_rounds);
-    e.u64(failed_rounds);
-    e.u64(tasks_failed);
-    e.u64(tasks_requeued);
-    e.u64(jobs_abandoned);
-    e.usize(max_tasks_in_model);
-    e.u64(jobs_rejected);
-    e.u64(jobs_renegotiated);
-    e.u64(jobs_shed);
-    e.usize(max_queue_depth);
-    e.u64(budget_adaptations);
-    e.u64(max_round_solve.as_nanos() as u64);
-    e.u64(warm_rounds);
-    e.u64(cache_invalidations);
-}
-
-/// Decode a [`ManagerStats`].
-pub fn decode_stats(d: &mut Dec<'_>) -> Result<ManagerStats, DecodeError> {
-    Ok(ManagerStats {
-        invocations: d.u64()?,
-        total_solve: Duration::from_nanos(d.u64()?),
-        total_nodes: d.u64()?,
-        optimal_rounds: d.u64()?,
-        feasible_rounds: d.u64()?,
-        degraded_rounds: d.u64()?,
-        failed_rounds: d.u64()?,
-        tasks_failed: d.u64()?,
-        tasks_requeued: d.u64()?,
-        jobs_abandoned: d.u64()?,
-        max_tasks_in_model: d.usize()?,
-        jobs_rejected: d.u64()?,
-        jobs_renegotiated: d.u64()?,
-        jobs_shed: d.u64()?,
-        max_queue_depth: d.usize()?,
-        budget_adaptations: d.u64()?,
-        max_round_solve: Duration::from_nanos(d.u64()?),
-        warm_rounds: d.u64()?,
-        cache_invalidations: d.u64()?,
-    })
-}
-
-fn encode_task_image(e: &mut Enc, t: &TaskImage) {
-    e.u32(t.id.0);
-    e.u8(match t.kind {
-        TaskKind::Map => 0,
-        TaskKind::Reduce => 1,
-    });
-    e.time(t.exec_time);
-    e.time(t.nominal_exec);
-    e.u32(t.req);
-    match t.status {
-        TaskStatusImage::Waiting => e.u8(0),
-        TaskStatusImage::Started { resource, start } => {
-            e.u8(1);
-            e.u32(resource.0);
-            e.time(start);
-        }
-        TaskStatusImage::Completed => e.u8(2),
-    }
-    e.u32(t.failed_attempts);
-}
-
-fn decode_task_image(d: &mut Dec<'_>) -> Result<TaskImage, DecodeError> {
-    let id = TaskId(d.u32()?);
-    let kind = match d.u8()? {
-        0 => TaskKind::Map,
-        1 => TaskKind::Reduce,
-        _ => return Err(DecodeError("bad task kind")),
-    };
-    let exec_time = d.time()?;
-    let nominal_exec = d.time()?;
-    let req = d.u32()?;
-    let status = match d.u8()? {
-        0 => TaskStatusImage::Waiting,
-        1 => TaskStatusImage::Started {
-            resource: ResourceId(d.u32()?),
-            start: d.time()?,
-        },
-        2 => TaskStatusImage::Completed,
-        _ => return Err(DecodeError("bad task status")),
-    };
-    let failed_attempts = d.u32()?;
-    Ok(TaskImage {
-        id,
-        kind,
-        exec_time,
-        nominal_exec,
-        req,
-        status,
-        failed_attempts,
-    })
-}
-
-/// Encode a [`ManagerImage`].
-pub fn encode_image(e: &mut Enc, img: &ManagerImage) {
-    let ManagerImage {
-        jobs,
-        deferred,
-        schedule,
-        down,
-        budget_scale,
-        latency_ewma_s,
-        cache,
-        stats,
-    } = img;
-    e.u64(jobs.len() as u64);
-    for JobImage { job, tasks } in jobs {
-        e.job(job);
-        e.u64(tasks.len() as u64);
-        for t in tasks {
-            encode_task_image(e, t);
-        }
-    }
-    e.u64(deferred.len() as u64);
-    for &(at, job) in deferred {
-        e.time(at);
-        e.u32(job.0);
-    }
-    e.u64(schedule.len() as u64);
-    for s in schedule {
-        let ScheduleEntry {
-            task,
-            job,
-            resource,
-            start,
-            end,
-        } = *s;
-        e.u32(task.0);
-        e.u32(job.0);
-        e.u32(resource.0);
-        e.time(start);
-        e.time(end);
-    }
-    e.u64(down.len() as u64);
-    for r in down {
-        e.u32(r.0);
-    }
-    e.f64(*budget_scale);
-    e.opt_f64(*latency_ewma_s);
-    match cache {
-        None => e.bool(false),
-        Some(RoundCacheImage {
-            pool_fp,
-            jobs,
-            placements,
-        }) => {
-            e.bool(true);
-            e.u64(*pool_fp);
-            e.u64(jobs.len() as u64);
-            for &(j, fp) in jobs {
-                e.u32(j.0);
-                e.u64(fp);
-            }
-            e.u64(placements.len() as u64);
-            for &(t, r, at) in placements {
-                e.u32(t.0);
-                e.u32(r.0);
-                e.time(at);
-            }
-        }
-    }
-    encode_stats(e, stats);
-}
-
-/// Decode a [`ManagerImage`].
-pub fn decode_image(d: &mut Dec<'_>) -> Result<ManagerImage, DecodeError> {
-    let n = d.seq_len()?;
-    let mut jobs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let job = d.job()?;
-        let m = d.seq_len()?;
-        let mut tasks = Vec::with_capacity(m);
-        for _ in 0..m {
-            tasks.push(decode_task_image(d)?);
-        }
-        jobs.push(JobImage { job, tasks });
-    }
-    let n = d.seq_len()?;
-    let mut deferred = Vec::with_capacity(n);
-    for _ in 0..n {
-        let at = d.time()?;
-        deferred.push((at, JobId(d.u32()?)));
-    }
-    let n = d.seq_len()?;
-    let mut schedule = Vec::with_capacity(n);
-    for _ in 0..n {
-        schedule.push(ScheduleEntry {
-            task: TaskId(d.u32()?),
-            job: JobId(d.u32()?),
-            resource: ResourceId(d.u32()?),
-            start: d.time()?,
-            end: d.time()?,
-        });
-    }
-    let n = d.seq_len()?;
-    let mut down = Vec::with_capacity(n);
-    for _ in 0..n {
-        down.push(ResourceId(d.u32()?));
-    }
-    let budget_scale = d.f64()?;
-    let latency_ewma_s = d.opt_f64()?;
-    let cache = if d.bool()? {
-        let pool_fp = d.u64()?;
-        let n = d.seq_len()?;
-        let mut cjobs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let j = JobId(d.u32()?);
-            cjobs.push((j, d.u64()?));
-        }
-        let n = d.seq_len()?;
-        let mut placements = Vec::with_capacity(n);
-        for _ in 0..n {
-            let t = TaskId(d.u32()?);
-            let r = ResourceId(d.u32()?);
-            placements.push((t, r, d.time()?));
-        }
-        Some(RoundCacheImage {
-            pool_fp,
-            jobs: cjobs,
-            placements,
-        })
-    } else {
-        None
-    };
-    let stats = decode_stats(d)?;
-    Ok(ManagerImage {
-        jobs,
-        deferred,
-        schedule,
-        down,
-        budget_scale,
-        latency_ewma_s,
-        cache,
-        stats,
-    })
-}
+// The layout of a `ManagerImage` and of each of its parts: every field
+// list is in wire order, and a change to one needs a new magic.
+crate::wire_struct!(ManagerStats {
+    invocations,
+    total_solve,
+    total_nodes,
+    optimal_rounds,
+    feasible_rounds,
+    degraded_rounds,
+    failed_rounds,
+    tasks_failed,
+    tasks_requeued,
+    jobs_abandoned,
+    max_tasks_in_model,
+    jobs_rejected,
+    jobs_renegotiated,
+    jobs_shed,
+    max_queue_depth,
+    budget_adaptations,
+    max_round_solve,
+    warm_rounds,
+    cache_invalidations,
+});
+crate::wire_enum!(TaskStatusImage, "bad task status" {
+    0 => Waiting,
+    1 => Started { resource, start },
+    2 => Completed,
+});
+crate::wire_struct!(TaskImage {
+    id,
+    kind,
+    exec_time,
+    nominal_exec,
+    req,
+    status,
+    failed_attempts
+});
+crate::wire_struct!(JobImage { job, tasks });
+crate::wire_struct!(ScheduleEntry {
+    task,
+    job,
+    resource,
+    start,
+    end
+});
+crate::wire_struct!(RoundCacheImage {
+    pool_fp,
+    jobs,
+    placements
+});
+crate::wire_struct!(ManagerImage {
+    jobs,
+    deferred,
+    schedule,
+    down,
+    budget_scale,
+    latency_ewma_s,
+    cache,
+    stats,
+});
 
 /// Write `payload` as an atomic snapshot blob at `path`: temp file in the
 /// same directory, fsync, rename over the old snapshot.
@@ -326,24 +119,17 @@ pub fn read_blob(path: &Path) -> io::Result<Vec<u8>> {
 pub fn encode_manager_snapshot(base_idx: u64, img: &ManagerImage) -> Vec<u8> {
     let mut e = Enc::new();
     e.u64(base_idx);
-    encode_image(&mut e, img);
+    img.put(&mut e);
     e.finish()
-}
-
-/// Decode a blob payload back into `(base_idx, image)`.
-pub fn decode_manager_snapshot(payload: &[u8]) -> Result<(u64, ManagerImage), DecodeError> {
-    let mut d = Dec::new(payload);
-    let base = d.u64()?;
-    let img = decode_image(&mut d)?;
-    d.expect_end()?;
-    Ok((base, img))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::assert_roundtrip;
     use desim::SimTime;
-    use workload::Task;
+    use std::time::Duration;
+    use workload::{JobId, ResourceId, Task, TaskId, TaskKind};
 
     fn sample_image() -> ManagerImage {
         let job = workload::Job {
@@ -406,17 +192,23 @@ mod tests {
     fn image_codec_roundtrip() {
         let img = sample_image();
         let payload = encode_manager_snapshot(17, &img);
-        let (base, back) = decode_manager_snapshot(&payload).unwrap();
-        assert_eq!(base, 17);
-        assert_eq!(back, img);
+        assert_eq!(payload, (17u64, img.clone()).to_bytes());
+        assert_roundtrip(&(17u64, img));
     }
 
+    /// The cold image: no cache, no latency estimate, every other task
+    /// status.
     #[test]
     fn truncated_image_errors_instead_of_panicking() {
-        let payload = encode_manager_snapshot(0, &sample_image());
-        for cut in 0..payload.len() {
-            assert!(decode_manager_snapshot(&payload[..cut]).is_err());
-        }
+        let mut img = sample_image();
+        img.cache = None;
+        img.latency_ewma_s = None;
+        let mut waiting = img.jobs[0].tasks[0];
+        waiting.status = TaskStatusImage::Waiting;
+        let mut done = waiting;
+        done.status = TaskStatusImage::Completed;
+        img.jobs[0].tasks.extend([waiting, done]);
+        assert_roundtrip(&img);
     }
 
     #[test]

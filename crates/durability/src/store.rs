@@ -48,7 +48,7 @@
 //! Only wall-clock solve timings differ, and those feed only metrics the
 //! signature already zeroes.
 
-use crate::codec::{Dec, DecodeError, Enc};
+use crate::codec::{Dec, DecodeError, Enc, Wire};
 use crate::event::ManagerEvent;
 use crate::snapshot::{read_blob, write_blob};
 use crate::wal::{Wal, WalConfig};
@@ -206,7 +206,7 @@ impl EventLog {
     pub fn append(&mut self, ev: &ManagerEvent) -> io::Result<()> {
         self.enc.clear();
         self.enc.u64(self.next);
-        ev.encode(&mut self.enc);
+        ev.put(&mut self.enc);
         let t0 = Instant::now();
         let out = self.wal.append(self.enc.as_slice());
         self.tel
@@ -240,7 +240,7 @@ impl EventLog {
 /// Decode one `[idx u64][encoded ManagerEvent]` record of an
 /// [`EventLog`].
 pub fn indexed_event(d: &mut Dec<'_>) -> Result<(u64, ManagerEvent), DecodeError> {
-    Ok((d.u64()?, ManagerEvent::decode(d)?))
+    Wire::get(d)
 }
 
 /// Replay the trustworthy prefix of an [`EventLog`]'s surviving records.
